@@ -215,13 +215,9 @@ func run(argv []string) error {
 			return err
 		}
 		// BENCH_CACHE.json is the machine-readable record of the heat
-		// machinery's acceptance numbers; written unconditionally (into
-		// -csv's directory when given, the working directory otherwise).
-		jsonDir := *csvDir
-		if jsonDir == "" {
-			jsonDir = "."
-		}
-		if err := emitCSV(jsonDir, "BENCH_CACHE.json", r.WriteJSON); err != nil {
+		// machinery's acceptance numbers; like every artifact it goes only
+		// into -csv's directory, never into the working directory.
+		if err := emitCSV(*csvDir, "BENCH_CACHE.json", r.WriteJSON); err != nil {
 			return err
 		}
 	}

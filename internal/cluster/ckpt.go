@@ -96,18 +96,18 @@ func (w *worker) maybeCkptDump() {
 func (w *worker) ckptDump() {
 	seq := w.ckptID
 	for _, arr := range w.arrays {
-		h := w.shard.Header(arr)
-		if h == nil {
+		a := w.shard.Array(arr)
+		if a == nil {
 			continue
 		}
-		lo, hi := h.SegmentElems(w.pe)
+		lo, hi := a.Header().SegmentElems(w.pe)
 		for base := lo; base < hi; base += restoreChunk {
 			end := min(base+restoreChunk, hi)
 			vals := make([]isa.Value, end-base)
 			set := make([]bool, end-base)
 			any := false
 			for off := base; off < end; off++ {
-				if v, present := w.shard.Peek(arr, off); present {
+				if v, present := a.Peek(off); present {
 					vals[off-base] = v
 					set[off-base] = true
 					any = true

@@ -60,10 +60,10 @@ func TestMsgCodecRoundTrip(t *testing.T) {
 		{Kind: KStealReq, From: 3, Hot: []int64{packID(0, 1), packID(2, 5)}},
 		{Kind: KStealGrant, Batch: []StealItem{
 			{SP: packID(1, 9), Tmpl: 3,
-				Args: []isa.Value{isa.Int(7), {}}, Set: []bool{true, false},
+				Args:     []isa.Value{isa.Int(7), {}},
 				CostLoop: 5, Sweep: packID(0, 2), CostIter: 41},
 			{SP: packID(1, 10), Tmpl: 3,
-				Args: []isa.Value{isa.Float(2.5), {}}, Set: []bool{true, false},
+				Args:     []isa.Value{isa.Float(2.5), {}},
 				CostLoop: -1},
 		}},
 		{Kind: KStealNone},

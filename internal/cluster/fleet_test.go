@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"encoding/json"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -146,7 +148,6 @@ func TestStealGrantSeqFence(t *testing.T) {
 			SP:   packID(0, seq),
 			Tmpl: 0,
 			Args: make([]isa.Value, 4), // taskProgram's template: NSlots 4
-			Set:  make([]bool, 4),
 		}
 	}
 
@@ -180,7 +181,7 @@ func TestStealGrantSeqFence(t *testing.T) {
 	// The victim's next incarnation restarts its numbering: Seq 1 under
 	// Inc 1 is a fresh grant, not a duplicate of Inc 0's Seq 1.
 	reborn := StealItem{SP: packIncID(0, 1, 9), Tmpl: 0,
-		Args: make([]isa.Value, 4), Set: make([]bool, 4)}
+		Args: make([]isa.Value, 4)}
 	w.installStolen(&Msg{Kind: KStealGrant, From: 0, Inc: 1, Seq: 1, Batch: []StealItem{reborn}})
 	if w.failed || w.steals != 3 {
 		t.Fatalf("new-incarnation Seq 1 grant not installed: failed=%v steals=%d",
@@ -309,5 +310,131 @@ func TestClampBudget(t *testing.T) {
 		if got := clampBudget(c.client, c.server); got != c.want {
 			t.Errorf("clampBudget(%d, %d) = %d, want %d", c.client, c.server, got, c.want)
 		}
+	}
+}
+
+// TestServeJobsRejectsHostilePrograms: a submitted .pods is untrusted
+// input, and isa.Validate is the only thing between it and the decoded
+// interpreter loop. Each malformation below used to pass validation (the
+// out-of-range loop slot then killed the worker — and with it the whole job
+// server — with an index-out-of-range panic under Adapt); now each must come
+// back as a failure frame naming the template and pc, with the server still
+// answering the next job.
+func TestServeJobsRejectsHostilePrograms(t *testing.T) {
+	ctx := testCtx(t)
+	fleet, err := OpenFleet(ctx, Config{NumPEs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go fleet.ServeJobs(ctx, ln)
+
+	k, good := compileKernel(t, "relax")
+	// find returns the first (template, pc) of the fresh program whose
+	// instruction satisfies pred.
+	find := func(p *isa.Program, pred func(*isa.Template, *isa.Instr) bool) (*isa.Template, int) {
+		for _, tm := range p.Templates {
+			for pc := range tm.Code {
+				if pred(tm, &tm.Code[pc]) {
+					return tm, pc
+				}
+			}
+		}
+		t.Fatal("relax has no instruction of the wanted shape")
+		return nil, 0
+	}
+	isOp := func(op isa.Opcode) func(*isa.Template, *isa.Instr) bool {
+		return func(_ *isa.Template, in *isa.Instr) bool { return in.Op == op }
+	}
+	distributed := func(tm *isa.Template, _ *isa.Instr) bool { return tm.Distributed && tm.Loop != nil }
+
+	cases := []struct {
+		name   string
+		mutate func(p *isa.Program) (tmpl string, pc int) // pc < 0: the error names no pc
+	}{
+		{"loop variable slot out of range", func(p *isa.Program) (string, int) {
+			tm, _ := find(p, distributed)
+			tm.Loop.VarSlot = 1 << 20
+			return tm.Name, -1
+		}},
+		{"loop limit slot out of range", func(p *isa.Program) (string, int) {
+			tm, _ := find(p, distributed)
+			tm.Loop.LimitSlot = -7
+			return tm.Name, -1
+		}},
+		{"branch to one past the end", func(p *isa.Program) (string, int) {
+			tm, pc := find(p, isOp(isa.BRFALSE))
+			tm.Code[pc].Target = len(tm.Code)
+			return tm.Name, pc
+		}},
+		{"empty template", func(p *isa.Program) (string, int) {
+			tm, _ := find(p, distributed)
+			tm.Code = nil
+			return tm.Name, -1
+		}},
+		{"code runs off the end", func(p *isa.Program) (string, int) {
+			tm, _ := find(p, distributed)
+			tm.Code[len(tm.Code)-1] = isa.NewInstr(isa.NOP)
+			return tm.Name, len(tm.Code) - 1
+		}},
+		{"read without indices", func(p *isa.Program) (string, int) {
+			tm, pc := find(p, isOp(isa.AREAD))
+			tm.Code[pc].Args = nil
+			return tm.Name, pc
+		}},
+		{"write with three indices", func(p *isa.Program) (string, int) {
+			tm, pc := find(p, isOp(isa.AWRITE))
+			a := tm.Code[pc].Args
+			tm.Code[pc].Args = []int{a[0], a[0], a[0]}
+			return tm.Name, pc
+		}},
+		{"constant without a kind", func(p *isa.Program) (string, int) {
+			tm, pc := find(p, isOp(isa.CONST))
+			tm.Code[pc].Imm = isa.Value{}
+			return tm.Name, pc
+		}},
+		{"absent index slot", func(p *isa.Program) (string, int) {
+			tm, pc := find(p, isOp(isa.AREAD))
+			tm.Code[pc].Args = []int{isa.None}
+			return tm.Name, pc
+		}},
+		{"scalar op without its operand", func(p *isa.Program) (string, int) {
+			tm, pc := find(p, isOp(isa.IADD))
+			tm.Code[pc].A = isa.None
+			return tm.Name, pc
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, prog := compileKernel(t, "relax")
+			tmpl, pc := tc.mutate(prog)
+			// The .pods envelope, written by hand: MarshalPods would refuse.
+			wire, err := json.Marshal(struct {
+				Version int          `json:"version"`
+				Program *isa.Program `json:"program"`
+			}{1, prog})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = submitWire(ctx, ln.Addr().String(), wire, Config{PageElems: 8, Adapt: true}, k.Args(8))
+			if err == nil {
+				t.Fatal("the server ran a malformed program")
+			}
+			want := fmt.Sprintf("template %q", tmpl)
+			if pc >= 0 {
+				want += fmt.Sprintf(" pc %d:", pc)
+			}
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("rejected with %q; want the error to name %s", err, want)
+			}
+			// The server (and every worker behind it) is still up.
+			if _, err := SubmitJob(ctx, ln.Addr().String(), good, Config{PageElems: 8, Adapt: true}, k.Args(8)...); err != nil {
+				t.Fatalf("the next job failed: %v", err)
+			}
+		})
 	}
 }

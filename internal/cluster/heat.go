@@ -72,27 +72,28 @@ const prefetchRun = 2
 // holding off when the heat table shows a sequential scan ending there.
 // Called on the remote-read path for both hits and misses: the scan's
 // own misses start the chain, and the hits keep it one page ahead.
-func (w *worker) maybePrefetch(h *istructure.Header, off int) {
+func (w *worker) maybePrefetch(a *istructure.Array, off int) {
 	if !w.heat.on {
 		return
 	}
-	page := h.PageOf(off)
-	if w.shard.ScanRun(h.ID, page) < prefetchRun {
+	page := a.Header().PageOf(off)
+	if a.ScanRun(page) < prefetchRun {
 		return
 	}
-	w.prefetchPage(h, page+1)
+	w.prefetchPage(a, page+1)
 }
 
-// prefetchPage asks the owner of (h, page) for the page with an SP-0
+// prefetchPage asks the owner of a page of array a for the page with an SP-0
 // KReadReq — SP 0 is never a live instance ID, so the owner ships the
 // page without queuing a waiter and the arrival installs without a
 // delivery. Reports whether a request actually went out (already-local,
 // already-inflight, self-owned, and out-of-range pages are skipped).
-func (w *worker) prefetchPage(h *istructure.Header, page int) bool {
+func (w *worker) prefetchPage(a *istructure.Array, page int) bool {
+	h := a.Header()
 	if !w.heat.on || page < 0 || page >= h.Pages() {
 		return false
 	}
-	if w.shard.PageLocal(h.ID, page) {
+	if a.PageLocal(page) {
 		return false
 	}
 	k := heatKey{h.ID, page}
@@ -119,8 +120,8 @@ func (w *worker) prefetchPage(h *istructure.Header, page int) bool {
 // notePrefetchHit credits a demand cache hit to the prefetch that staged
 // the page, once per prefetched page.
 func (w *worker) notePrefetchHit(arr int64, page int) {
-	if !w.heat.on {
-		return
+	if len(w.heat.arrived) == 0 {
+		return // heat off, or no prefetched page is waiting for its credit
 	}
 	k := heatKey{arr, page}
 	if _, ok := w.heat.arrived[k]; ok {
@@ -154,16 +155,16 @@ func (w *worker) hotPagePairs(limit int) []int64 {
 // hasn't.
 func (w *worker) pageScore(sp *spInst, pages map[heatKey]struct{}) int {
 	n := 0
-	for s, v := range sp.frame {
-		if !sp.present[s] || v.Kind != isa.KindArray {
+	for _, v := range sp.frame {
+		if v.Kind != isa.KindArray {
 			continue
 		}
 		h := w.shard.Header(v.I)
 		if h == nil {
 			continue
 		}
-		for s2, iv := range sp.frame {
-			if !sp.present[s2] || iv.Kind != isa.KindInt {
+		for _, iv := range sp.frame {
+			if iv.Kind != isa.KindInt {
 				continue
 			}
 			row := iv.I
@@ -208,10 +209,11 @@ func (w *worker) migrateHotPages(oldCuts, newCuts []int64) {
 	}
 	budget := migrateMax
 	for _, id := range w.shard.HotArrays(migrateArrs) {
-		h := w.shard.Header(id)
-		if h == nil || budget <= 0 {
+		a := w.shard.Array(id)
+		if a == nil || budget <= 0 {
 			continue
 		}
+		h := a.Header()
 		lo, hi := newLo, newHi
 		if lo < 1 {
 			lo = 1
@@ -227,7 +229,7 @@ func (w *worker) migrateHotPages(oldCuts, newCuts []int64) {
 			if len(h.Dims) == 2 {
 				off = (int(row) - 1) * h.RowLen()
 			}
-			if w.prefetchPage(h, h.PageOf(off)) {
+			if w.prefetchPage(a, h.PageOf(off)) {
 				budget--
 			}
 		}

@@ -30,16 +30,15 @@ func allocMsg(h *istructure.Header) *Msg {
 // execAlloc implements ALLOC/ALLOCD: build the header, install the local
 // segment, broadcast the header to every other PE and the driver, and hand
 // the array ID to the allocating SP.
-func (w *worker) execAlloc(sp *spInst, ins *isa.Instr) {
-	dims := make([]int, len(ins.Args))
+func (w *worker) execAlloc(sp *spInst, ins *isa.DInstr, args []int, name string) {
+	dims := make([]int, len(args))
 	elems := 1
-	for i, s := range ins.Args {
+	for i, s := range args {
 		dims[i] = int(sp.frame[s].AsInt())
 		elems *= dims[i]
 	}
 	w.nextArr++
 	id := packJobID(w.job, w.pe, w.inc, w.nextArr)
-	name := ins.Comment
 	if name == "" {
 		name = fmt.Sprintf("anon%d", id)
 	}
@@ -59,7 +58,7 @@ func (w *worker) execAlloc(sp *spInst, ins *isa.Instr) {
 		}
 		w.send(pe, allocMsg(h))
 	}
-	sp.set(ins.Dst, isa.Array(id))
+	sp.frame[ins.Dst] = isa.Array(id)
 }
 
 // installArray installs a header, wakes SPs suspended on it, and replays
@@ -98,64 +97,50 @@ func (w *worker) installArray(h *istructure.Header) {
 	}
 }
 
-// offset resolves an access's index slots against the header.
-func (w *worker) offset(sp *spInst, h *istructure.Header, idxSlots []int) (int, bool) {
-	idx := make([]int64, len(idxSlots))
-	for i, s := range idxSlots {
-		idx[i] = sp.frame[s].AsInt()
-	}
-	off, err := h.Offset(idx)
-	if err != nil {
-		w.fail(fmt.Errorf("%q: %w", sp.tmpl.Name, err))
-		return 0, false
-	}
-	return off, true
-}
-
 // execRead implements AREAD. Local present elements are immediate hits;
 // local absent elements become deferred reads (the SP blocks when a later
 // instruction consumes the slot); remote elements probe the page cache and
-// otherwise ask the owner. Returns true when the SP suspended on a missing
-// header (pc not advanced).
-func (w *worker) execRead(sp *spInst, ins *isa.Instr) (suspended bool) {
-	h := w.header(sp, ins.A)
-	if h == nil {
+// otherwise ask the owner. The array is resolved to its handle once; the
+// local and cache-hit paths then touch no map and allocate nothing.
+// Returns true when the SP suspended on a missing header (pc not advanced).
+func (w *worker) execRead(sp *spInst, ins *isa.DInstr, idx []int) (suspended bool) {
+	a := w.array(sp, ins.A)
+	if a == nil {
 		return true
 	}
-	off, ok := w.offset(sp, h, ins.Args)
-	if !ok {
+	h := a.Header()
+	off, err := h.OffsetOf(sp.frame, idx)
+	if err != nil {
+		w.fail(fmt.Errorf("%q: %w", sp.tmpl.Name, err))
 		return false
 	}
-	sp.present[ins.Dst] = false
+	dst := int(ins.Dst)
+	sp.frame[dst] = isa.Value{}
 
-	owner := h.OwnerOf(off)
-	if owner == w.pe {
-		v, res, err := w.shard.ReadLocal(h.ID, off, istructure.Waiter{PE: w.pe, SP: sp.id, Slot: ins.Dst})
-		if err != nil {
-			w.fail(err)
-			return false
-		}
+	v, res := a.ReadLocal(off, istructure.Waiter{PE: w.pe, SP: sp.id, Slot: dst})
+	if res != istructure.ReadRemote {
 		if res == istructure.ReadHit {
-			sp.set(ins.Dst, v)
+			sp.frame[dst] = v
 		}
 		// ReadDeferred: the waiter is queued; the releasing write delivers.
 		return false
 	}
 
-	if v, _, hit := w.shard.CacheLookup(h.ID, h, off); hit {
+	if v, _, hit := a.CacheLookup(off); hit {
 		w.shard.CacheHits++
 		w.notePrefetchHit(h.ID, h.PageOf(off))
-		sp.set(ins.Dst, v)
-		w.maybePrefetch(h, off)
+		sp.frame[dst] = v
+		w.maybePrefetch(a, off)
 		return false
 	}
 	w.shard.CacheMisses++
 	w.rec(trace.EvPageFetch, h.ID, int64(h.PageOf(off)))
-	w.maybePrefetch(h, off)
+	w.maybePrefetch(a, off)
+	owner := h.OwnerOf(off)
 	if w.recover {
 		// Track the in-flight read so it can be re-issued if the owner is
 		// respawned before answering (the entry clears on delivery).
-		w.outReads[outReadKey{sp: sp.id, slot: int32(ins.Dst)}] =
+		w.outReads[outReadKey{sp: sp.id, slot: ins.Dst}] =
 			outRead{arr: h.ID, off: int32(off), owner: owner}
 	}
 	w.send(owner, &Msg{
@@ -164,7 +149,7 @@ func (w *worker) execRead(sp *spInst, ins *isa.Instr) (suspended bool) {
 		Off:   int32(off),
 		ReqPE: int32(w.pe),
 		SP:    sp.id,
-		Slot:  int32(ins.Dst),
+		Slot:  ins.Dst,
 	})
 	return false
 }
@@ -172,21 +157,23 @@ func (w *worker) execRead(sp *spInst, ins *isa.Instr) (suspended bool) {
 // execWrite implements AWRITE: owned elements are written in place (and
 // release queued readers); remote elements travel to the owner as a KWrite.
 // Returns true when the SP suspended on a missing header.
-func (w *worker) execWrite(sp *spInst, ins *isa.Instr) (suspended bool) {
-	h := w.header(sp, ins.A)
-	if h == nil {
+func (w *worker) execWrite(sp *spInst, ins *isa.DInstr, idx []int) (suspended bool) {
+	a := w.array(sp, ins.A)
+	if a == nil {
 		return true
 	}
-	off, ok := w.offset(sp, h, ins.Args)
-	if !ok {
+	h := a.Header()
+	off, err := h.OffsetOf(sp.frame, idx)
+	if err != nil {
+		w.fail(fmt.Errorf("%q: %w", sp.tmpl.Name, err))
 		return false
 	}
 	val := sp.frame[ins.B]
-	owner := h.OwnerOf(off)
-	if owner == w.pe {
-		w.ownerWrite(h.ID, off, val)
+	if a.Owns(off) {
+		w.ownerWrite(a, off, val)
 		return false
 	}
+	owner := h.OwnerOf(off)
 	if w.recover {
 		// Log the remote write: if the owner is respawned with an empty
 		// shard, the log replays and the single-assignment store absorbs
@@ -200,8 +187,8 @@ func (w *worker) execWrite(sp *spInst, ins *isa.Instr) (suspended bool) {
 // ownerWrite stores an owned element and releases deferred readers: local
 // waiters get a direct frame delivery, remote waiters a KToken ("Array
 // Write: ... number_queued_reads * message_time", §5.1).
-func (w *worker) ownerWrite(arr int64, off int, val isa.Value) {
-	local, remote, err := w.shard.Write(arr, off, val)
+func (w *worker) ownerWrite(a *istructure.Array, off int, val isa.Value) {
+	local, remote, err := a.Write(off, val)
 	if err != nil {
 		w.fail(err)
 		return
@@ -220,13 +207,14 @@ func (w *worker) ownerWrite(arr int64, off int, val isa.Value) {
 // snapshot as-is and never queues a waiter: nothing blocks on a prefetch,
 // so an unproductive hint must cost at most the request frame.
 func (w *worker) handleReadReq(m *Msg) {
-	if w.shard.Header(m.Arr) == nil {
+	a := w.shard.Array(m.Arr)
+	if a == nil {
 		w.pending[m.Arr] = append(w.pending[m.Arr], m)
 		return
 	}
 	off := int(m.Off)
 	if m.SP == 0 {
-		pageIdx, pg, _, err := w.shard.ExtractPage(m.Arr, off)
+		pageIdx, pg, _, err := a.ExtractPage(off)
 		if err != nil {
 			return // page not owned here (stale hint): drop silently
 		}
@@ -253,8 +241,8 @@ func (w *worker) handleReadReq(m *Msg) {
 		})
 		return
 	}
-	if _, present := w.shard.Peek(m.Arr, off); present {
-		pageIdx, pg, _, err := w.shard.ExtractPage(m.Arr, off)
+	if _, present := a.Peek(off); present {
+		pageIdx, pg, _, err := a.ExtractPage(off)
 		if err != nil {
 			w.fail(err)
 			return
@@ -283,15 +271,15 @@ func (w *worker) handleReadReq(m *Msg) {
 // delivered from the shipped snapshot either way, so even a page that is
 // evicted again immediately cannot lose the read that fetched it.
 func (w *worker) handlePage(m *Msg) {
-	h := w.shard.Header(m.Arr)
-	if h == nil {
+	a := w.shard.Array(m.Arr)
+	if a == nil {
 		// The requester had the header when it sent the request; a page
 		// for an unknown array means protocol corruption.
 		w.fail(fmt.Errorf("page for unknown array %d", m.Arr))
 		return
 	}
 	pg := &istructure.CachedPage{Vals: m.Vals, Set: m.Set}
-	w.shard.InstallPage(m.Arr, int(m.Page), pg)
+	a.InstallPage(int(m.Page), pg)
 	if w.heat.on {
 		delete(w.heat.inflight, heatKey{m.Arr, int(m.Page)})
 	}
@@ -304,7 +292,7 @@ func (w *worker) handlePage(m *Msg) {
 		}
 		return
 	}
-	i := int(m.Off) - int(m.Page)*h.PageElems
+	i := int(m.Off) - int(m.Page)*a.Header().PageElems
 	if i < 0 || i >= len(pg.Vals) || !pg.Set[i] {
 		w.fail(fmt.Errorf("page %d of array %d shipped without requested element", m.Page, m.Arr))
 		return
@@ -314,11 +302,12 @@ func (w *worker) handlePage(m *Msg) {
 
 // handleWrite performs a remote write at the owner.
 func (w *worker) handleWrite(m *Msg) {
-	if w.shard.Header(m.Arr) == nil {
+	a := w.shard.Array(m.Arr)
+	if a == nil {
 		w.pending[m.Arr] = append(w.pending[m.Arr], m)
 		return
 	}
-	w.ownerWrite(m.Arr, int(m.Off), m.Val)
+	w.ownerWrite(a, int(m.Off), m.Val)
 }
 
 // handleRestore applies one checkpoint-snapshot chunk to a respawned
@@ -327,13 +316,14 @@ func (w *worker) handleWrite(m *Msg) {
 // Kind information survives the round trip — the driver snapshots raw
 // values, not a rendered form.
 func (w *worker) handleRestore(m *Msg) {
-	if w.shard.Header(m.Arr) == nil {
+	a := w.shard.Array(m.Arr)
+	if a == nil {
 		w.pending[m.Arr] = append(w.pending[m.Arr], m)
 		return
 	}
 	for i, set := range m.Set {
 		if set {
-			w.ownerWrite(m.Arr, int(m.Off)+i, m.Vals[i])
+			w.ownerWrite(a, int(m.Off)+i, m.Vals[i])
 		}
 	}
 }
@@ -341,16 +331,16 @@ func (w *worker) handleRestore(m *Msg) {
 // handleDumpReq ships this PE's owned segment of an array to the driver
 // (result gathering after termination).
 func (w *worker) handleDumpReq(m *Msg) {
-	h := w.shard.Header(m.Arr)
-	if h == nil {
+	a := w.shard.Array(m.Arr)
+	if a == nil {
 		w.pending[m.Arr] = append(w.pending[m.Arr], m)
 		return
 	}
-	lo, hi := h.SegmentElems(w.pe)
+	lo, hi := a.Header().SegmentElems(w.pe)
 	vals := make([]isa.Value, hi-lo)
 	set := make([]bool, hi-lo)
 	for off := lo; off < hi; off++ {
-		if v, present := w.shard.Peek(m.Arr, off); present {
+		if v, present := a.Peek(off); present {
 			vals[off-lo] = v
 			set[off-lo] = true
 		}

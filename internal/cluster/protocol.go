@@ -421,9 +421,11 @@ type Msg struct {
 }
 
 // StealItem is one SP instance migrating inside a KStealGrant batch: its
-// home ID, template, operand frame with presence bits, and the cost-
-// attribution tag, so a migrated iteration keeps billing the iteration (on
-// the loop that spawned it) that caused it.
+// home ID, template, operand frame, and the cost-attribution tag, so a
+// migrated iteration keeps billing the iteration (on the loop that spawned
+// it) that caused it. An absent frame slot is the zero Value; the wire
+// format still carries one presence byte per slot, derived from the kind
+// when encoding and re-imposed on the value when decoding.
 type StealItem struct {
 	SP       int64
 	Tmpl     int32
@@ -431,7 +433,6 @@ type StealItem struct {
 	Sweep    int64
 	CostIter int64
 	Args     []isa.Value
-	Set      []bool
 }
 
 // hasAdaptBlock reports whether the kind carries the adaptive-
@@ -636,9 +637,9 @@ func encodeMsg(b []byte, m *Msg) []byte {
 			for _, v := range it.Args {
 				b = appendValue(b, v)
 			}
-			b = appendU32(b, uint32(len(it.Set)))
-			for _, s := range it.Set {
-				if s {
+			b = appendU32(b, uint32(len(it.Args)))
+			for _, v := range it.Args {
+				if v.Kind != isa.KindInvalid {
 					b = append(b, 1)
 				} else {
 					b = append(b, 0)
@@ -878,10 +879,9 @@ func decodeMsg(b []byte) (*Msg, error) {
 						it.Args[j] = r.value()
 					}
 				}
-				if ns := r.sliceLen(1); ns > 0 {
-					it.Set = make([]bool, ns)
-					for j := range it.Set {
-						it.Set[j] = r.u8() != 0
+				for j, ns := 0, r.sliceLen(1); j < ns; j++ {
+					if set := r.u8() != 0; !set && j < len(it.Args) {
+						it.Args[j] = isa.Value{}
 					}
 				}
 			}

@@ -211,6 +211,13 @@ func SubmitJob(ctx context.Context, addr string, prog *isa.Program, cfg Config, 
 	if err != nil {
 		return nil, fmt.Errorf("cluster: marshal program: %w", err)
 	}
+	return submitWire(ctx, addr, wire, cfg, args)
+}
+
+// submitWire is SubmitJob for an already serialized program. MarshalPods
+// refuses an invalid program on the client, so this is also how the tests
+// put one in front of the server.
+func submitWire(ctx context.Context, addr string, wire []byte, cfg Config, args []isa.Value) (*JobReply, error) {
 	var dialer net.Dialer
 	conn, err := dialer.DialContext(ctx, "tcp", addr)
 	if err != nil {

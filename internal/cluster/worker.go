@@ -15,9 +15,10 @@ import (
 	"repro/internal/rtcfg"
 )
 
-// spInst is one live SP instance on a worker: template, operand frame with
-// presence bits, program counter, and the slot it is blocked on (isa.None
-// while runnable). An instance normally belongs to the worker it was
+// spInst is one live SP instance on a worker: template, operand frame,
+// program counter, and the slot it is blocked on (isa.None while runnable).
+// An absent frame slot holds the zero Value (isa.KindInvalid), so operand
+// check and operand load read the same word. An instance normally belongs to the worker it was
 // spawned on for life, matching the paper's model where an SP executes on
 // the PE it was spawned on — with one exception: a not-yet-started
 // instance (pc == 0) may be stolen by an idle peer, in which case the home
@@ -27,7 +28,6 @@ type spInst struct {
 	id      int64
 	tmpl    *isa.Template
 	frame   []isa.Value
-	present []bool
 	pc      int
 	blocked int
 
@@ -87,6 +87,13 @@ type worker struct {
 
 	shard *istructure.Shard
 	insts map[int64]*spInst
+
+	// free is the SP-instance free list, indexed by frame length: HALT
+	// returns an instance and its cleared frame, spawnLocal takes them
+	// back. A frame has one owner at a time — a steal grant hands the
+	// victim's frame to the thief and the victim drops the instance
+	// unreleased — so only the worker that halts an SP ever lists it.
+	free [][]*spInst
 
 	// ready is a double-ended run queue in classic work-stealing
 	// arrangement: the worker itself pushes and pops at the top (LIFO,
@@ -689,8 +696,8 @@ func (w *worker) stealBatch(hot, hotPages []int64) []*spInst {
 			for _, idx := range cand {
 				sp := w.ready[idx]
 				n := 0
-				for s, v := range sp.frame {
-					if sp.present[s] && v.Kind == isa.KindArray {
+				for _, v := range sp.frame {
+					if v.Kind == isa.KindArray {
 						if _, ok := hotSet[v.I]; ok {
 							n++
 						}
@@ -746,8 +753,8 @@ func (w *worker) handleStealReq(m *Msg) {
 		// item relays tokens addressed to the home IDs.
 		delete(w.insts, sp.id)
 		w.forwards[sp.id] = thief
-		// The frame slices travel with the grant; the receiver owns them
-		// now. The cost-attribution tag travels too, so a migrated
+		// The frame travels with the grant; the receiver owns it now (this
+		// worker never releases the instance to its free list). The cost-attribution tag travels too, so a migrated
 		// iteration keeps billing the iteration (on the loop that spawned
 		// it) that caused it.
 		items[i] = StealItem{
@@ -757,7 +764,6 @@ func (w *worker) handleStealReq(m *Msg) {
 			Sweep:    sp.costSweep,
 			CostIter: sp.costIter,
 			Args:     sp.frame,
-			Set:      sp.present,
 		}
 		if w.recover {
 			// A deep copy stays behind: if the thief's incarnation dies
@@ -765,7 +771,6 @@ func (w *worker) handleStealReq(m *Msg) {
 			// The record is dropped when KStealDone reports completion.
 			it := items[i]
 			it.Args = append([]isa.Value(nil), sp.frame...)
-			it.Set = append([]bool(nil), sp.present...)
 			w.grantLog[sp.id] = grantRec{item: it, thief: thief, from: sp.grantedFrom}
 		}
 	}
@@ -892,7 +897,6 @@ func (w *worker) replayFor(k int) {
 			id:          id,
 			tmpl:        tmpl,
 			frame:       e.item.Args,
-			present:     e.item.Set,
 			blocked:     isa.None,
 			stolen:      e.from >= 0,
 			grantedFrom: e.from,
@@ -965,9 +969,9 @@ func (w *worker) installStolen(m *Msg) {
 			w.fail(fmt.Errorf("steal grant with unknown template %d", it.Tmpl))
 			return
 		}
-		if len(it.Args) != tmpl.NSlots || len(it.Set) != tmpl.NSlots {
-			w.fail(fmt.Errorf("steal grant for %q with %d/%d slots, want %d",
-				tmpl.Name, len(it.Args), len(it.Set), tmpl.NSlots))
+		if len(it.Args) != tmpl.NSlots {
+			w.fail(fmt.Errorf("steal grant for %q with %d slots, want %d",
+				tmpl.Name, len(it.Args), tmpl.NSlots))
 			return
 		}
 		if w.insts[it.SP] != nil {
@@ -983,7 +987,6 @@ func (w *worker) installStolen(m *Msg) {
 			id:          it.SP,
 			tmpl:        tmpl,
 			frame:       it.Args,
-			present:     it.Set,
 			blocked:     isa.None,
 			stolen:      true,
 			grantedFrom: int(m.From),
@@ -1212,31 +1215,55 @@ func (w *worker) handle(m *Msg) {
 	}
 }
 
-// instantiate creates a live SP instance on this worker and returns it so
-// the caller can tag it (cost attribution, stamped bounds) before it first
-// runs; nil on failure.
-func (w *worker) instantiate(tmpl *isa.Template, args []isa.Value) *spInst {
-	if len(args) != tmpl.NParams {
-		w.fail(fmt.Errorf("%q spawned with %d args, want %d", tmpl.Name, len(args), tmpl.NParams))
+// spawnLocal creates a live SP instance of tmpl on this worker for a spawn
+// of nargs arguments and returns it with an all-absent frame (from the free
+// list when it has one that size), so the caller can fill in the parameters
+// and tag it (cost attribution, stamped bounds) before it first runs; nil
+// on failure.
+func (w *worker) spawnLocal(tmpl *isa.Template, nargs int) *spInst {
+	if nargs != tmpl.NParams {
+		w.fail(fmt.Errorf("%q spawned with %d args, want %d", tmpl.Name, nargs, tmpl.NParams))
 		return nil
 	}
+	var sp *spInst
+	if n := tmpl.NSlots; n < len(w.free) && len(w.free[n]) > 0 {
+		l := w.free[n]
+		sp, w.free[n] = l[len(l)-1], l[:len(l)-1]
+	} else {
+		sp = &spInst{frame: make([]isa.Value, n)}
+	}
 	w.nextSP++
-	sp := &spInst{
-		id:          packJobID(w.job, w.pe, w.inc, w.nextSP),
-		tmpl:        tmpl,
-		frame:       make([]isa.Value, tmpl.NSlots),
-		present:     make([]bool, tmpl.NSlots),
-		blocked:     isa.None,
-		grantedFrom: -1,
-		costLoop:    -1,
-	}
-	copy(sp.frame, args)
-	for i := range args {
-		sp.present[i] = true
-	}
+	sp.id = packJobID(w.job, w.pe, w.inc, w.nextSP)
+	sp.tmpl = tmpl
+	sp.blocked = isa.None
+	sp.grantedFrom = -1
+	sp.costLoop = -1
 	w.insts[sp.id] = sp
 	w.enqueue(sp)
 	return sp
+}
+
+// instantiate is spawnLocal for arguments that arrive as values (a KSpawn
+// message, a fan-out's local copy).
+func (w *worker) instantiate(tmpl *isa.Template, args []isa.Value) *spInst {
+	sp := w.spawnLocal(tmpl, len(args))
+	if sp != nil {
+		copy(sp.frame, args)
+	}
+	return sp
+}
+
+// release returns a halted instance and its frame to the free list; by
+// then nothing references it (it has left insts, and a running SP is in
+// neither the ready deque nor waitArray).
+func (w *worker) release(sp *spInst) {
+	f := sp.frame
+	clear(f)
+	*sp = spInst{frame: f}
+	for len(f) >= len(w.free) {
+		w.free = append(w.free, nil)
+	}
+	w.free[len(f)] = append(w.free[len(f)], sp)
 }
 
 // charge adds n executed instructions to a cost-accounting bucket.
@@ -1340,7 +1367,6 @@ func (w *worker) deliver(id int64, slot int, v isa.Value) {
 		delete(w.outReads, outReadKey{sp: id, slot: int32(slot)})
 	}
 	sp.frame[slot] = v
-	sp.present[slot] = true
 	if sp.blocked == slot {
 		sp.blocked = isa.None
 		w.enqueue(sp)
@@ -1382,50 +1408,30 @@ func (w *worker) route(id int64, slot int, v isa.Value) {
 	}
 }
 
-// firstAbsent returns the first absent input slot of in, or isa.None.
-func firstAbsent(sp *spInst, in *isa.Instr) int {
-	if in.A != isa.None && !sp.present[in.A] {
-		return in.A
-	}
-	if in.B != isa.None && !sp.present[in.B] {
-		return in.B
-	}
-	for _, a := range in.Args {
-		if !sp.present[a] {
-			return a
-		}
-	}
-	return isa.None
-}
-
-func (sp *spInst) set(slot int, v isa.Value) {
-	sp.frame[slot] = v
-	sp.present[slot] = true
-}
-
 // suspendOnArray parks the SP until the header for array id arrives. The
 // program counter has not advanced, so the instruction re-executes on wake.
 func (w *worker) suspendOnArray(id int64, sp *spInst) {
 	w.waitArray[id] = append(w.waitArray[id], sp)
 }
 
-// header returns the installed header for an array handle value, or parks
-// the SP and returns nil when the alloc broadcast has not arrived yet.
-func (w *worker) header(sp *spInst, slot int) *istructure.Header {
+// array resolves the array handle value in a frame slot to the shard's
+// per-array handle — the one lookup an access pays — or parks the SP and
+// returns nil when the alloc broadcast has not arrived yet.
+func (w *worker) array(sp *spInst, slot int32) *istructure.Array {
 	hv := sp.frame[slot]
 	if hv.Kind != isa.KindArray {
 		w.fail(fmt.Errorf("%q: %s is not an array handle", sp.tmpl.Name, hv))
 		return nil
 	}
-	h := w.shard.Header(hv.I)
-	if h == nil {
+	a := w.shard.Array(hv.I)
+	if a == nil {
 		w.suspendOnArray(hv.I, sp)
 	}
-	return h
+	return a
 }
 
-// step interprets one ready SP until it halts, blocks on an absent operand,
-// or suspends on a missing array header. It pops from the top of the deque
+// step runs one ready SP until it halts, blocks on an absent operand, or
+// suspends on a missing array header. It pops from the top of the deque
 // (the most recently pushed SP): depth-first execution follows each spawn
 // chain down before touching older siblings, which both bounds the live
 // frontier and keeps untouched SPs at the bottom for thieves.
@@ -1461,309 +1467,301 @@ func (w *worker) step() {
 	// segment) and keeps earlier segments as instants.
 	if w.tr != nil {
 		if sp.traced == 0 {
+			sp.traced = -1
 			if w.tr.SampleSP() {
 				sp.traced = 1
-			} else {
-				sp.traced = -1
 			}
 		}
 		if sp.traced == 1 {
 			w.tr.Record(trace.EvSPDispatch, w.instrs, sp.id, int64(sp.tmpl.ID))
 		}
 	}
+	w.exec(sp)
+}
 
-	// Cost attribution: a tagged instance charges every completed
-	// instruction to its (loop, sweep, iteration) bucket. A distributed
-	// loop copy charges dynamically to the current value of its loop
-	// variable (so the copy's own control overhead lands on the iteration
-	// being driven); everything else carries a frozen iteration from spawn
-	// time. Charges are batched per run segment and flushed on exit or
-	// when the dynamic iteration advances.
-	track := sp.costLoop >= 0
-	dynSlot := isa.None
-	if track && sp.tmpl.Distributed && sp.tmpl.Loop != nil {
-		dynSlot = sp.tmpl.Loop.VarSlot
-	}
-	costIter := sp.costIter
-	var costN int64
-	defer func() {
-		if costN > 0 {
-			w.charge(sp.costLoop, sp.costSweep, costIter, costN)
-		}
-	}()
-	chargeStep := func() {
-		if !track {
-			return
-		}
-		if dynSlot != isa.None {
-			if !sp.present[dynSlot] || sp.frame[dynSlot].Kind != isa.KindInt {
-				return // before the loop variable exists there is no iteration to bill
-			}
-			if cur := sp.frame[dynSlot].I; cur != costIter {
-				if costN > 0 {
-					w.charge(sp.costLoop, sp.costSweep, costIter, costN)
-					costN = 0
-				}
-				costIter = cur
-			}
-		}
-		costN++
-	}
+// costSeg is the cost attribution of one run segment (Config.Adapt): a
+// tagged instance charges every completed instruction to its (loop, sweep,
+// iteration) bucket. A distributed loop copy charges dynamically to the
+// current value of its loop variable in dynSlot (so its own control
+// overhead lands on the iteration being driven); everything else carries
+// the iteration frozen at spawn time. Charges are batched in n and flushed
+// when the segment ends or the dynamic iteration advances.
+type costSeg struct {
+	track   bool
+	dynSlot int
+	iter, n int64
+}
 
+// bill charges one completed instruction of a tracked segment.
+func (w *worker) bill(sp *spInst, cs *costSeg) {
+	if cs.dynSlot != isa.None {
+		v := sp.frame[cs.dynSlot]
+		if v.Kind != isa.KindInt {
+			return // before the loop variable exists there is no iteration to bill
+		}
+		if v.I != cs.iter {
+			if cs.n > 0 {
+				w.charge(sp.costLoop, sp.costSweep, cs.iter, cs.n)
+				cs.n = 0
+			}
+			cs.iter = v.I
+		}
+	}
+	cs.n++
+}
+
+// exec interprets sp's decoded code from sp.pc until the SP halts, blocks
+// or suspends. The loop is flat: no defer, no closure, and on the scalar /
+// local-access / cache-hit path no allocation and no map lookup past the
+// array resolve. An instruction counts (and bills) only once it completes:
+// a block or a suspension leaves pc where it was, so the instruction
+// re-executes on wake without counting twice. Only memory- and process-
+// class instructions can send or fail, so only they re-check the worker's
+// failed/stopped state.
+func (w *worker) exec(sp *spInst) {
+	if w.failed || w.stopped {
+		return
+	}
+	d := sp.tmpl.Decoded()
+	code, f, pc := d.Code, sp.frame, sp.pc
+	cs := costSeg{track: sp.costLoop >= 0, dynSlot: isa.None, iter: sp.costIter}
+	if cs.track && sp.tmpl.Distributed && sp.tmpl.Loop != nil {
+		cs.dynSlot = sp.tmpl.Loop.VarSlot
+	}
+	halted := false
+run:
 	for {
-		if w.failed || w.stopped {
-			return
-		}
-		if sp.pc < 0 || sp.pc >= len(sp.tmpl.Code) {
-			w.fail(fmt.Errorf("%q pc %d out of range", sp.tmpl.Name, sp.pc))
-			return
-		}
-		ins := &sp.tmpl.Code[sp.pc]
-		if missing := firstAbsent(sp, ins); missing != isa.None {
-			sp.blocked = missing
-			return
-		}
-		next := sp.pc + 1
-		f := sp.frame
-		if isa.IsScalar(ins.Op) {
-			var bv isa.Value
+		ins := &code[pc]
+		next := pc + 1
+		if ins.Class == isa.ClassScalar {
+			a := f[ins.A]
+			if a.Kind == isa.KindInvalid {
+				sp.blocked = int(ins.A)
+				break
+			}
+			var b isa.Value
 			if ins.B != isa.None {
-				bv = f[ins.B]
+				if b = f[ins.B]; b.Kind == isa.KindInvalid {
+					sp.blocked = int(ins.B)
+					break
+				}
 			}
-			v, err := isa.EvalScalar(ins.Op, f[ins.A], bv)
+			v, err := isa.EvalScalar(ins.Op, a, b)
 			if err != nil {
-				w.fail(fmt.Errorf("%q pc %d: %v", sp.tmpl.Name, sp.pc, err))
-				return
+				w.fail(fmt.Errorf("%q pc %d: %v", sp.tmpl.Name, pc, err))
+				break
 			}
-			sp.set(ins.Dst, v)
-			w.instrs++
-			chargeStep()
-			sp.pc = next
+			f[ins.Dst] = v
+		} else {
+			for _, s := range d.Inputs(ins) {
+				if f[s].Kind == isa.KindInvalid {
+					sp.blocked = s
+					break run
+				}
+			}
+			suspended := false // on a missing array header: pc must not advance
+			switch ins.Op {
+			case isa.NOP:
+			case isa.CONST:
+				f[ins.Dst] = ins.Imm
+			case isa.MOVE:
+				f[ins.Dst] = f[ins.A]
+			case isa.CLEAR:
+				f[ins.Dst] = isa.Value{}
+			case isa.SELF:
+				f[ins.Dst] = isa.SPRef(sp.id)
+			case isa.JUMP:
+				next = int(ins.Target)
+			case isa.BRFALSE, isa.BRTRUE:
+				if f[ins.A].AsBool() == (ins.Op == isa.BRTRUE) {
+					next = int(ins.Target)
+				}
+
+			case isa.ALLOC, isa.ALLOCD:
+				w.execAlloc(sp, ins, d.Args(ins), sp.tmpl.Code[pc].Comment)
+			case isa.AREAD:
+				suspended = w.execRead(sp, ins, d.Args(ins))
+			case isa.AWRITE:
+				suspended = w.execWrite(sp, ins, d.Args(ins))
+			case isa.ROWLO, isa.ROWHI, isa.COLLO, isa.COLHI, isa.UNIFLO, isa.UNIFHI:
+				suspended = w.execFilter(sp, ins)
+
+			case isa.SPAWN, isa.SPAWND:
+				w.execSpawn(sp, pc, ins, d.Args(ins), &cs)
+			case isa.SEND:
+				ref := f[ins.A]
+				if ref.Kind != isa.KindSP {
+					w.fail(fmt.Errorf("%q pc %d: SEND target is %s, not an SP reference", sp.tmpl.Name, pc, ref))
+					break run
+				}
+				slot := ins.Imm.I
+				if args := d.Args(ins); len(args) > 0 {
+					slot += f[args[0]].AsInt()
+				}
+				w.route(ref.I, int(slot), f[ins.B])
+			case isa.HALT:
+				if sp.traced == 1 {
+					w.tr.Record(trace.EvSPComplete, w.instrs, sp.id, int64(sp.tmpl.ID))
+				}
+				delete(w.insts, sp.id)
+				if sp.stolen {
+					w.halted[sp.id] = struct{}{}
+					if w.recover && sp.grantedFrom >= 0 {
+						// Tell the grantor the migrated SP completed, so its
+						// grant record (and stub chain) can retire instead of
+						// being re-instantiated by a later recovery.
+						w.send(sp.grantedFrom, &Msg{Kind: KStealDone, SP: sp.id})
+					}
+				}
+				halted = true
+				break run
+
+			default: // the trap past the end of the code, or an opcode no case covers
+				w.fail(fmt.Errorf("%q pc %d: cannot execute %s", sp.tmpl.Name, pc, ins.Op))
+				break run
+			}
+			if suspended || ins.Class != isa.ClassControl && (w.failed || w.stopped) {
+				break
+			}
+		}
+		w.instrs++
+		if cs.track {
+			w.bill(sp, &cs)
+		}
+		pc = next
+	}
+	sp.pc = pc
+	if cs.n > 0 {
+		w.charge(sp.costLoop, sp.costSweep, cs.iter, cs.n)
+	}
+	if halted {
+		w.release(sp)
+	}
+}
+
+// execFilter implements the Range-Filter queries: ROWLO/ROWHI (the rows
+// this PE is responsible for), COLLO/COLHI (the owned part of row B) and
+// UNIFLO/UNIFHI (this PE's block of [A, B]). Stamped adaptive bounds
+// override the ownership rule: the filter's MAX/MIN clamps against the
+// loop's real init/limit still apply, so a ±inf end stamp degenerates to
+// "no bound" — but the uniform filter replaces the loop bounds outright,
+// so its stamped range is clamped here. True when the SP suspended.
+func (w *worker) execFilter(sp *spInst, ins *isa.DInstr) (suspended bool) {
+	f := sp.frame
+	var lo, hi int64
+	switch {
+	case ins.Op == isa.UNIFLO || ins.Op == isa.UNIFHI:
+		lo, hi = f[ins.A].AsInt(), f[ins.B].AsInt()
+		if sp.rbOn {
+			lo, hi = max(lo, sp.rbLo), min(hi, sp.rbHi)
+		} else {
+			n, pes, id := max(hi-lo+1, 0), int64(w.n), int64(w.pe)
+			lo, hi = lo+n*id/pes, lo+n*(id+1)/pes-1
+		}
+	case sp.rbOn:
+		lo, hi = sp.rbLo, sp.rbHi
+	default:
+		a := w.array(sp, ins.A)
+		if a == nil {
+			return true
+		}
+		var ok bool
+		if ins.Op == isa.ROWLO || ins.Op == isa.ROWHI {
+			lo, hi, ok = a.Header().OwnedRows(w.pe)
+		} else {
+			lo, hi, ok = a.Header().OwnedCols(w.pe, f[ins.B].AsInt())
+		}
+		if !ok {
+			lo, hi = 1, 0
+		}
+	}
+	if ins.Op == isa.ROWHI || ins.Op == isa.COLHI || ins.Op == isa.UNIFHI {
+		lo = hi
+	}
+	f[ins.Dst] = isa.Int(lo)
+	return false
+}
+
+// execSpawn implements SPAWN (the L operator: a child on this PE) and
+// SPAWND (the distributing L: one copy per PE). args are the frame slots
+// whose values become the child's parameters.
+func (w *worker) execSpawn(sp *spInst, pc int, ins *isa.DInstr, args []int, cs *costSeg) {
+	f := sp.frame
+	child := w.prog.Template(int(ins.Imm.I))
+	if child == nil {
+		w.fail(fmt.Errorf("%q pc %d: spawn of unknown template %d", sp.tmpl.Name, pc, ins.Imm.I))
+		return
+	}
+	if ins.Op == isa.SPAWN {
+		// A plain spawn stays local and joins the spawner's cost subtree:
+		// the child bills the iteration the spawner was executing when it
+		// was created. The arguments go straight from frame to frame.
+		csp := w.spawnLocal(child, len(args))
+		if csp == nil {
+			return
+		}
+		for i, s := range args {
+			csp.frame[i] = f[s]
+		}
+		if cs.track {
+			csp.costLoop, csp.costSweep, csp.costIter = sp.costLoop, sp.costSweep, cs.iter
+		}
+		return
+	}
+	cargs := make([]isa.Value, len(args))
+	for i, s := range args {
+		cargs[i] = f[s]
+	}
+	// Remote copies each get their own argument slice — messages are
+	// receiver-owned. Under adaptive repartitioning the fan-out of a
+	// Range-Filtered loop is also a sweep boundary: this spawner mints the
+	// sweep ID the copies charge their costs to, and stamps each copy with
+	// its PE's bounds from the latest rebound — one spawner, one consistent
+	// partition, no install race with a rebound broadcast in flight.
+	var sweep int64
+	var cuts []int64
+	if w.adapt && child.Distributed {
+		w.nextSweep++
+		sweep = packJobID(w.job, w.pe, w.inc, w.nextSweep)
+		cuts = w.cuts[child.ID]
+	}
+	if w.recover {
+		// Log the fan-out locally — the spawner is the one authority on
+		// what each PE was assigned, and replays a respawned peer's copy
+		// itself — and with the driver *before* performing it, so that if
+		// this worker dies mid-broadcast the driver can replay every PE's
+		// assignment, including copies whose spawn frames never left this
+		// machine. The cuts travel too, so a replayed copy is stamped with
+		// bit-identical bounds.
+		w.fanoutLog = append(w.fanoutLog, fanoutRec{
+			tmpl: int32(child.ID), args: append([]isa.Value(nil), cargs...),
+			sweep: sweep, cuts: cuts})
+		lg := &Msg{Kind: KSpawnLog, Tmpl: int32(child.ID),
+			Args: append([]isa.Value(nil), cargs...), Sweep: sweep}
+		if cuts != nil {
+			lg.Cuts = append([]int64(nil), cuts...)
+		}
+		w.send(w.driverID(), lg)
+	}
+	for pe := 0; pe < w.n; pe++ {
+		var rlo, rhi int64
+		if cuts != nil {
+			rlo, rhi = cutBounds(cuts, pe, w.n)
+		}
+		if pe == w.pe {
+			csp := w.instantiate(child, cargs)
+			if csp != nil && sweep != 0 {
+				csp.costLoop, csp.costSweep = int32(child.ID), sweep
+				if cuts != nil {
+					csp.rbOn, csp.rbLo, csp.rbHi = true, rlo, rhi
+				}
+			}
 			continue
 		}
-		switch ins.Op {
-		case isa.NOP:
-		case isa.CONST:
-			sp.set(ins.Dst, ins.Imm)
-		case isa.MOVE:
-			sp.set(ins.Dst, f[ins.A])
-		case isa.CLEAR:
-			sp.present[ins.Dst] = false
-		case isa.SELF:
-			sp.set(ins.Dst, isa.SPRef(sp.id))
-
-		case isa.JUMP:
-			next = ins.Target
-		case isa.BRFALSE:
-			if !f[ins.A].AsBool() {
-				next = ins.Target
-			}
-		case isa.BRTRUE:
-			if f[ins.A].AsBool() {
-				next = ins.Target
-			}
-
-		case isa.ALLOC, isa.ALLOCD:
-			w.execAlloc(sp, ins)
-
-		case isa.AREAD:
-			if suspended := w.execRead(sp, ins); suspended {
-				return
-			}
-		case isa.AWRITE:
-			if suspended := w.execWrite(sp, ins); suspended {
-				return
-			}
-
-		case isa.ROWLO, isa.ROWHI:
-			// Stamped adaptive bounds override the ownership rule: the
-			// filter's MAX/MIN clamps against the loop's real init/limit
-			// still apply, so a ±inf end stamp degenerates to "no bound".
-			if sp.rbOn {
-				v := sp.rbLo
-				if ins.Op == isa.ROWHI {
-					v = sp.rbHi
-				}
-				sp.set(ins.Dst, isa.Int(v))
-				break
-			}
-			h := w.header(sp, ins.A)
-			if h == nil {
-				return
-			}
-			lo, hi, ok := h.OwnedRows(w.pe)
-			if !ok {
-				lo, hi = 1, 0
-			}
-			v := lo
-			if ins.Op == isa.ROWHI {
-				v = hi
-			}
-			sp.set(ins.Dst, isa.Int(v))
-		case isa.COLLO, isa.COLHI:
-			if sp.rbOn {
-				v := sp.rbLo
-				if ins.Op == isa.COLHI {
-					v = sp.rbHi
-				}
-				sp.set(ins.Dst, isa.Int(v))
-				break
-			}
-			h := w.header(sp, ins.A)
-			if h == nil {
-				return
-			}
-			lo, hi, ok := h.OwnedCols(w.pe, f[ins.B].AsInt())
-			if !ok {
-				lo, hi = 1, 0
-			}
-			v := lo
-			if ins.Op == isa.COLHI {
-				v = hi
-			}
-			sp.set(ins.Dst, isa.Int(v))
-		case isa.UNIFLO, isa.UNIFHI:
-			lo := f[ins.A].AsInt()
-			hi := f[ins.B].AsInt()
-			if sp.rbOn {
-				// The uniform filter replaces the loop bounds outright, so
-				// clamp the stamped range against the real one here.
-				v := max(lo, sp.rbLo)
-				if ins.Op == isa.UNIFHI {
-					v = min(hi, sp.rbHi)
-				}
-				sp.set(ins.Dst, isa.Int(v))
-				break
-			}
-			n := hi - lo + 1
-			if n < 0 {
-				n = 0
-			}
-			pes := int64(w.n)
-			id := int64(w.pe)
-			v := lo + n*id/pes
-			if ins.Op == isa.UNIFHI {
-				v = lo + n*(id+1)/pes - 1
-			}
-			sp.set(ins.Dst, isa.Int(v))
-
-		case isa.SPAWN, isa.SPAWND:
-			child := w.prog.Template(int(ins.Imm.I))
-			if child == nil {
-				w.fail(fmt.Errorf("%q pc %d: spawn of unknown template %d", sp.tmpl.Name, sp.pc, ins.Imm.I))
-				return
-			}
-			cargs := make([]isa.Value, len(ins.Args))
-			for i, s := range ins.Args {
-				cargs[i] = f[s]
-			}
-			if ins.Op == isa.SPAWND {
-				// The distributing L operator: one copy per PE. Remote
-				// copies each get their own argument slice — messages are
-				// receiver-owned. Under adaptive repartitioning the fan-out
-				// of a Range-Filtered loop is also a sweep boundary: this
-				// spawner mints the sweep ID the copies charge their costs
-				// to, and stamps each copy with its PE's bounds from the
-				// latest rebound — one spawner, one consistent partition,
-				// no install race with a rebound broadcast in flight.
-				var sweep int64
-				var cuts []int64
-				if w.adapt && child.Distributed {
-					w.nextSweep++
-					sweep = packJobID(w.job, w.pe, w.inc, w.nextSweep)
-					cuts = w.cuts[child.ID]
-				}
-				if w.recover {
-					// Log the fan-out locally — the spawner is the one
-					// authority on what each PE was assigned, and replays a
-					// respawned peer's copy itself — and with the driver
-					// *before* performing it, so that if this worker dies
-					// mid-broadcast the driver can replay every PE's
-					// assignment, including copies whose spawn frames never
-					// left this machine. The cuts travel too, so a replayed
-					// copy is stamped with bit-identical bounds.
-					w.fanoutLog = append(w.fanoutLog, fanoutRec{
-						tmpl: int32(child.ID), args: append([]isa.Value(nil), cargs...),
-						sweep: sweep, cuts: cuts})
-					lg := &Msg{Kind: KSpawnLog, Tmpl: int32(child.ID),
-						Args: append([]isa.Value(nil), cargs...), Sweep: sweep}
-					if cuts != nil {
-						lg.Cuts = append([]int64(nil), cuts...)
-					}
-					w.send(w.driverID(), lg)
-				}
-				for pe := 0; pe < w.n; pe++ {
-					var rlo, rhi int64
-					if cuts != nil {
-						rlo, rhi = cutBounds(cuts, pe, w.n)
-					}
-					if pe == w.pe {
-						csp := w.instantiate(child, cargs)
-						if csp != nil && sweep != 0 {
-							csp.costLoop, csp.costSweep = int32(child.ID), sweep
-							if cuts != nil {
-								csp.rbOn, csp.rbLo, csp.rbHi = true, rlo, rhi
-							}
-						}
-						continue
-					}
-					m := &Msg{Kind: KSpawn, Tmpl: int32(child.ID), Args: append([]isa.Value(nil), cargs...), Sweep: sweep}
-					if cuts != nil {
-						m.RngOn, m.RngLo, m.RngHi = true, rlo, rhi
-					}
-					w.send(pe, m)
-				}
-			} else {
-				// A plain spawn stays local and joins the spawner's cost
-				// subtree: the child bills the iteration the spawner was
-				// executing when it was created.
-				csp := w.instantiate(child, cargs)
-				if csp != nil && track {
-					csp.costLoop, csp.costSweep, csp.costIter = sp.costLoop, sp.costSweep, costIter
-				}
-			}
-
-		case isa.SEND:
-			ref := f[ins.A]
-			if ref.Kind != isa.KindSP {
-				w.fail(fmt.Errorf("%q pc %d: SEND target is %s, not an SP reference", sp.tmpl.Name, sp.pc, ref))
-				return
-			}
-			base := int64(0)
-			if len(ins.Args) > 0 {
-				base = f[ins.Args[0]].AsInt()
-			}
-			w.route(ref.I, int(base+ins.Imm.I), f[ins.B])
-
-		case isa.HALT:
-			if sp.traced == 1 {
-				w.tr.Record(trace.EvSPComplete, w.instrs, sp.id, int64(sp.tmpl.ID))
-			}
-			delete(w.insts, sp.id)
-			if sp.stolen {
-				w.halted[sp.id] = struct{}{}
-				if w.recover && sp.grantedFrom >= 0 {
-					// Tell the grantor the migrated SP completed, so its
-					// grant record (and stub chain) can retire instead of
-					// being re-instantiated by a later recovery.
-					w.send(sp.grantedFrom, &Msg{Kind: KStealDone, SP: sp.id})
-				}
-			}
-			return
-
-		default:
-			w.fail(fmt.Errorf("%q pc %d: unimplemented opcode %s", sp.tmpl.Name, sp.pc, ins.Op))
-			return
+		m := &Msg{Kind: KSpawn, Tmpl: int32(child.ID), Args: append([]isa.Value(nil), cargs...), Sweep: sweep}
+		if cuts != nil {
+			m.RngOn, m.RngLo, m.RngHi = true, rlo, rhi
 		}
-		if w.failed || w.stopped {
-			return
-		}
-		// Count the instruction only once it completes: a suspension on a
-		// missing array header returns above with pc unchanged, and the
-		// re-execution on wake would otherwise count twice (skewing the
-		// per-PE load numbers the SKEW experiment reports).
-		w.instrs++
-		chargeStep()
-		sp.pc = next
+		w.send(pe, m)
 	}
 }

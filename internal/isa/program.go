@@ -2,7 +2,9 @@ package isa
 
 import (
 	"fmt"
+	"math"
 	"strings"
+	"sync"
 )
 
 // SubscriptKind classifies how a loop body subscripts an array dimension
@@ -124,6 +126,10 @@ type Template struct {
 
 	// RFArray is the array whose header drives the Range Filter.
 	RFArray string
+
+	// decoded is the execution form of Code, built once by Decoded.
+	decodeOnce sync.Once
+	decoded    *Decoded
 }
 
 // RFKind enumerates the Range-Filter forms of §4.2.2–4.2.3.
@@ -164,47 +170,111 @@ func (t *Template) Listing() string {
 	return b.String()
 }
 
-// Validate checks structural well-formedness: slot indices in range, jump
-// targets in range, spawn immediates referencing known templates.
+// Operand fields an opcode cannot execute without.
+const (
+	needDst = 1 << iota
+	needA
+	needB
+)
+
+// operandShape returns which of Dst/A/B an opcode dereferences
+// unconditionally; Validate rejects an instruction that leaves one None.
+func operandShape(op Opcode) uint8 {
+	switch op {
+	case NOP, JUMP, HALT, SPAWN, SPAWND:
+		return 0
+	case CONST, CLEAR, SELF, ALLOC, ALLOCD:
+		return needDst
+	case BRFALSE, BRTRUE:
+		return needA
+	case MOVE, INEG, FNEG, FABS, FSQRT, NOT, ITOF, FTOI, ROWLO, ROWHI, AREAD:
+		return needDst | needA
+	case AWRITE, SEND:
+		return needA | needB
+	}
+	return needDst | needA | needB // binary scalar ops, COLLO/COLHI, UNIFLO/UNIFHI
+}
+
+// takesArgs reports whether an opcode reads its Args list (array extents
+// or indices, spawn parameters, SEND's base slot). Anywhere else a
+// non-empty list would only be operands some executor waits on for nothing.
+func takesArgs(op Opcode) bool {
+	switch op {
+	case ALLOC, ALLOCD, AREAD, AWRITE, SPAWN, SPAWND, SEND:
+		return true
+	}
+	return false
+}
+
+// Validate checks structural well-formedness, and is the one gate the
+// executors (and the decoded form) rely on: after it passes, no slot
+// operand, branch target or spawn immediate of the template can index out
+// of range. Every error names the template and, where one applies, the pc.
 func (t *Template) Validate(prog *Program) error {
-	check := func(pc int, what string, slot int) error {
-		if slot != None && (slot < 0 || slot >= t.NSlots) {
-			return fmt.Errorf("template %q pc %d: %s slot %d out of range [0,%d)", t.Name, pc, what, slot, t.NSlots)
-		}
-		return nil
+	if t.NParams < 0 || t.NParams > t.NSlots || t.NSlots > math.MaxInt32 {
+		return fmt.Errorf("template %q: %d params, %d slots", t.Name, t.NParams, t.NSlots)
+	}
+	n := len(t.Code)
+	if n == 0 || n >= math.MaxInt32 {
+		return fmt.Errorf("template %q: %d instructions", t.Name, n)
+	}
+	if last := t.Code[n-1].Op; last != HALT && last != JUMP {
+		return fmt.Errorf("template %q pc %d: code ends in %s, not HALT or JUMP", t.Name, n-1, last)
+	}
+	// ok reports whether a slot operand is in range; None passes only where
+	// the opcode does not need the operand.
+	ok := func(slot int, need bool) bool {
+		return slot >= 0 && slot < t.NSlots || slot == None && !need
+	}
+	slotErr := func(pc int, what string, slot int) error {
+		return fmt.Errorf("template %q pc %d: %s slot %d out of range [0,%d)", t.Name, pc, what, slot, t.NSlots)
 	}
 	for pc := range t.Code {
 		in := &t.Code[pc]
 		if in.Op == 0 || int(in.Op) >= NumOpcodes {
 			return fmt.Errorf("template %q pc %d: invalid opcode %d", t.Name, pc, in.Op)
 		}
-		if err := check(pc, "dst", in.Dst); err != nil {
-			return err
+		shape := operandShape(in.Op)
+		if !ok(in.Dst, shape&needDst != 0) {
+			return slotErr(pc, "dst", in.Dst)
 		}
-		if err := check(pc, "A", in.A); err != nil {
-			return err
+		if !ok(in.A, shape&needA != 0) {
+			return slotErr(pc, "A", in.A)
 		}
-		if err := check(pc, "B", in.B); err != nil {
-			return err
+		if !ok(in.B, shape&needB != 0) {
+			return slotErr(pc, "B", in.B)
+		}
+		if len(in.Args) > math.MaxUint16-2 || len(in.Args) > 0 && !takesArgs(in.Op) {
+			return fmt.Errorf("template %q pc %d: %s with %d args", t.Name, pc, in.Op, len(in.Args))
 		}
 		for _, a := range in.Args {
-			if err := check(pc, "arg", a); err != nil {
-				return err
+			if !ok(a, true) {
+				return slotErr(pc, "arg", a)
 			}
 		}
-		if in.Op.IsBranch() {
-			if in.Target < 0 || in.Target > len(t.Code) {
-				return fmt.Errorf("template %q pc %d: jump target %d out of range", t.Name, pc, in.Target)
+		switch in.Op {
+		case JUMP, BRFALSE, BRTRUE:
+			if in.Target < 0 || in.Target >= n {
+				return fmt.Errorf("template %q pc %d: jump target %d out of range [0,%d)", t.Name, pc, in.Target, n)
 			}
-		}
-		if in.Op == SPAWN || in.Op == SPAWND {
+		case SPAWN, SPAWND:
 			if prog == nil || prog.Template(int(in.Imm.I)) == nil {
 				return fmt.Errorf("template %q pc %d: spawn of unknown template %d", t.Name, pc, in.Imm.I)
 			}
+		case AREAD, AWRITE:
+			if len(in.Args) < 1 || len(in.Args) > 2 {
+				return fmt.Errorf("template %q pc %d: %s with %d index args, want 1 or 2", t.Name, pc, in.Op, len(in.Args))
+			}
+		case CONST:
+			if in.Imm.Kind == KindInvalid || in.Imm.Kind > KindSP {
+				return fmt.Errorf("template %q pc %d: CONST immediate of invalid kind %d", t.Name, pc, in.Imm.Kind)
+			}
 		}
 	}
-	if t.NParams > t.NSlots {
-		return fmt.Errorf("template %q: %d params exceed %d slots", t.Name, t.NParams, t.NSlots)
+	if l := t.Loop; l != nil {
+		if !ok(l.VarSlot, false) || !ok(l.LimitSlot, false) {
+			return fmt.Errorf("template %q: loop slots %d/%d out of range [0,%d)", t.Name, l.VarSlot, l.LimitSlot, t.NSlots)
+		}
 	}
 	return nil
 }

@@ -7,7 +7,9 @@ package istructure
 
 import (
 	"fmt"
+	"math/bits"
 
+	"repro/internal/isa"
 	"repro/internal/timing"
 )
 
@@ -26,6 +28,18 @@ type Header struct {
 	NumPEs    int   // number of segments
 	Dist      bool  // distributed (true) or purely local to Origin
 	Origin    int   // allocating PE (owner of everything when !Dist)
+
+	// Geometry derived from the fields above, computed once by NewHeader
+	// (the only constructor; the exported fields are never changed
+	// afterwards): element and page counts, the row stride, and the
+	// segment split — the first r segments hold q+1 pages, the rest q,
+	// and cut = r*(q+1) is the first page of the q-page segments.
+	// pageShift is log2(PageElems) when that is a power of two (the
+	// default 32 is), sparing PageOf its division; -1 otherwise.
+	elems, pages int
+	rowLen       int
+	q, r, cut    int
+	pageShift    int
 }
 
 // NewHeader validates the geometry and builds a header.
@@ -49,26 +63,30 @@ func NewHeader(id int64, name string, dims []int, pageElems, numPEs, origin int,
 	}
 	h := &Header{ID: id, Name: name, Dims: append([]int(nil), dims...),
 		PageElems: pageElems, NumPEs: numPEs, Dist: dist, Origin: origin}
+	h.elems = 1
+	for _, d := range dims {
+		h.elems *= d
+	}
+	h.rowLen = dims[len(dims)-1]
+	h.pages = (h.elems + pageElems - 1) / pageElems
+	h.pageShift = -1
+	if pageElems&(pageElems-1) == 0 {
+		h.pageShift = bits.TrailingZeros(uint(pageElems))
+	}
+	h.q, h.r = h.pages/numPEs, h.pages%numPEs
+	h.cut = h.r * (h.q + 1)
 	return h, nil
 }
 
 // Elems is the total number of elements.
-func (h *Header) Elems() int {
-	n := 1
-	for _, d := range h.Dims {
-		n *= d
-	}
-	return n
-}
+func (h *Header) Elems() int { return h.elems }
 
 // RowLen is the length of one row (the extent of the last dimension).
-func (h *Header) RowLen() int { return h.Dims[len(h.Dims)-1] }
+func (h *Header) RowLen() int { return h.rowLen }
 
 // Pages is the number of fixed-size pages covering the array (§4.1 step 1:
 // "the array is cut-up row-major into pages of a fixed size").
-func (h *Header) Pages() int {
-	return (h.Elems() + h.PageElems - 1) / h.PageElems
-}
+func (h *Header) Pages() int { return h.pages }
 
 // Offset converts 1-based indices to the row-major linear offset, mirroring
 // the paper's "offset = size_dim2 * i + j" pseudo-code. It returns an error
@@ -87,8 +105,35 @@ func (h *Header) Offset(idx []int64) (int, error) {
 	return off, nil
 }
 
+// OffsetOf is Offset for an access whose 1-based indices sit in the frame
+// slots named by slots: the executors' form, which gathers nothing and
+// allocates nothing on the in-bounds path.
+func (h *Header) OffsetOf(frame []isa.Value, slots []int) (int, error) {
+	if len(slots) != len(h.Dims) {
+		return 0, fmt.Errorf("array %q: %d indices for %d dims", h.Name, len(slots), len(h.Dims))
+	}
+	i := frame[slots[0]].AsInt()
+	if i < 1 || i > int64(h.Dims[0]) {
+		return 0, &BoundsError{Array: h.Name, Dim: 0, Index: i, Extent: h.Dims[0]}
+	}
+	off := int(i - 1)
+	if len(slots) == 2 {
+		j := frame[slots[1]].AsInt()
+		if j < 1 || j > int64(h.rowLen) {
+			return 0, &BoundsError{Array: h.Name, Dim: 1, Index: j, Extent: h.rowLen}
+		}
+		off = off*h.rowLen + int(j-1)
+	}
+	return off, nil
+}
+
 // PageOf returns the page index containing linear offset off.
-func (h *Header) PageOf(off int) int { return off / h.PageElems }
+func (h *Header) PageOf(off int) int {
+	if h.pageShift >= 0 {
+		return off >> h.pageShift
+	}
+	return off / h.PageElems
+}
 
 // segment boundaries: pages are grouped into NumPEs segments of
 // approximately equal size, assigned to PEs sequentially (§4.1 step 2).
@@ -96,19 +141,17 @@ func (h *Header) PageOf(off int) int { return off / h.PageElems }
 func (h *Header) pageLo(pe int) int {
 	// Distribute pages as evenly as possible: the first (pages % numPEs)
 	// segments get one extra page.
-	pages := h.Pages()
-	q, r := pages/h.NumPEs, pages%h.NumPEs
-	if pe <= r {
-		return pe * (q + 1)
+	if pe <= h.r {
+		return pe * (h.q + 1)
 	}
-	return r*(q+1) + (pe-r)*q
+	return h.cut + (pe-h.r)*h.q
 }
 
 // SegmentPages returns the page range [lo, hi) assigned to a PE.
 func (h *Header) SegmentPages(pe int) (lo, hi int) {
 	if !h.Dist {
 		if pe == h.Origin {
-			return 0, h.Pages()
+			return 0, h.pages
 		}
 		return 0, 0
 	}
@@ -120,8 +163,8 @@ func (h *Header) SegmentElems(pe int) (lo, hi int) {
 	plo, phi := h.SegmentPages(pe)
 	lo = plo * h.PageElems
 	hi = phi * h.PageElems
-	if n := h.Elems(); hi > n {
-		hi = n
+	if hi > h.elems {
+		hi = h.elems
 	}
 	if lo > hi {
 		lo = hi
@@ -136,20 +179,17 @@ func (h *Header) OwnerOf(off int) int {
 	}
 	page := h.PageOf(off)
 	// Invert pageLo with the same quotient/remainder split.
-	pages := h.Pages()
-	q, r := pages/h.NumPEs, pages%h.NumPEs
-	if q == 0 {
+	if h.q == 0 {
 		// Fewer pages than PEs: page p belongs to PE p.
-		if page < pages {
+		if page < h.pages {
 			return page
 		}
 		return h.NumPEs - 1
 	}
-	cut := r * (q + 1)
-	if page < cut {
-		return page / (q + 1)
+	if page < h.cut {
+		return page / (h.q + 1)
 	}
-	return r + (page-cut)/q
+	return h.r + (page-h.cut)/h.q
 }
 
 // OwnedRows returns the inclusive 1-based range [lo, hi] of dimension-0
@@ -161,7 +201,7 @@ func (h *Header) OwnedRows(pe int) (lo, hi int64, ok bool) {
 	rows := h.Dims[0]
 	rowLen := 1
 	if len(h.Dims) == 2 {
-		rowLen = h.Dims[1]
+		rowLen = h.rowLen
 	}
 	elo, ehi := h.SegmentElems(pe)
 	if elo >= ehi {

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/isa"
 )
 
 func mustHeader(t *testing.T, dims []int, pageElems, numPEs int) *Header {
@@ -276,5 +278,169 @@ func TestHeaderValidation(t *testing.T) {
 	}
 	if h, err := NewHeader(1, "x", []int{4}, 0, 4, 0, true); err != nil || h.PageElems != 32 {
 		t.Errorf("pageElems 0 should default to 32: %v %+v", err, h)
+	}
+}
+
+// The geometry NewHeader precomputes, as the formulas it replaced: every
+// call re-derives element count, page count and the segment split from the
+// exported fields alone.
+func formulaElems(h *Header) int {
+	n := 1
+	for _, d := range h.Dims {
+		n *= d
+	}
+	return n
+}
+
+func formulaPages(h *Header) int { return (formulaElems(h) + h.PageElems - 1) / h.PageElems }
+
+func formulaPageLo(h *Header, pe int) int {
+	pages := formulaPages(h)
+	q, r := pages/h.NumPEs, pages%h.NumPEs
+	if pe <= r {
+		return pe * (q + 1)
+	}
+	return r*(q+1) + (pe-r)*q
+}
+
+func formulaSegmentElems(h *Header, pe int) (lo, hi int) {
+	plo, phi := 0, 0
+	switch {
+	case h.Dist:
+		plo, phi = formulaPageLo(h, pe), formulaPageLo(h, pe+1)
+	case pe == h.Origin:
+		phi = formulaPages(h)
+	}
+	lo, hi = plo*h.PageElems, min(phi*h.PageElems, formulaElems(h))
+	return min(lo, hi), hi
+}
+
+func formulaOwnerOf(h *Header, off int) int {
+	if !h.Dist {
+		return h.Origin
+	}
+	page, pages := off/h.PageElems, formulaPages(h)
+	q, r := pages/h.NumPEs, pages%h.NumPEs
+	if q == 0 {
+		if page < pages {
+			return page
+		}
+		return h.NumPEs - 1
+	}
+	if cut := r * (q + 1); page >= cut {
+		return r + (page-cut)/q
+	}
+	return page / (q + 1)
+}
+
+func formulaOwnedRows(h *Header, pe int) (lo, hi int64, ok bool) {
+	rowLen := 1
+	if len(h.Dims) == 2 {
+		rowLen = h.Dims[1]
+	}
+	elo, ehi := formulaSegmentElems(h, pe)
+	if elo >= ehi {
+		return 0, 0, false
+	}
+	first, last := (elo+rowLen-1)/rowLen, min((ehi-1)/rowLen, h.Dims[0]-1)
+	if first > last {
+		return 0, 0, false
+	}
+	return int64(first + 1), int64(last + 1), true
+}
+
+// TestPrecomputedGeometryMatchesFormulas: for every array of up to 600
+// elements (1-D, and 2-D over a spread of row lengths), page size, PE count
+// and distribution mode, the precomputed OwnerOf / SegmentElems / PageOf /
+// OwnedRows equal the formula versions — and an offset lies in a PE's
+// segment exactly when that PE owns it, the equivalence the executors use
+// to skip OwnerOf on local accesses.
+func TestPrecomputedGeometryMatchesFormulas(t *testing.T) {
+	var shapes [][]int
+	for n := 1; n <= 600; n++ {
+		shapes = append(shapes, []int{n})
+	}
+	for _, cols := range []int{1, 2, 3, 7, 8, 24, 32, 33} {
+		for rows := 1; rows*cols <= 600; rows++ {
+			shapes = append(shapes, []int{rows, cols})
+		}
+	}
+	for _, dims := range shapes {
+		for _, pageElems := range []int{1, 3, 8, 32} {
+			for numPEs := 1; numPEs <= 9; numPEs++ {
+				for _, dist := range []bool{true, false} {
+					h, err := NewHeader(1, "A", dims, pageElems, numPEs, numPEs/2, dist)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if h.Elems() != formulaElems(h) || h.Pages() != formulaPages(h) {
+						t.Fatalf("%v page %d pes %d: Elems/Pages = %d/%d, formulas give %d/%d",
+							dims, pageElems, numPEs, h.Elems(), h.Pages(), formulaElems(h), formulaPages(h))
+					}
+					for pe := 0; pe < numPEs; pe++ {
+						lo, hi := h.SegmentElems(pe)
+						if flo, fhi := formulaSegmentElems(h, pe); lo != flo || hi != fhi {
+							t.Fatalf("%v page %d pes %d dist %v: SegmentElems(%d) = [%d,%d), formula [%d,%d)",
+								dims, pageElems, numPEs, dist, pe, lo, hi, flo, fhi)
+						}
+						rlo, rhi, ok := h.OwnedRows(pe)
+						if flo, fhi, fok := formulaOwnedRows(h, pe); rlo != flo || rhi != fhi || ok != fok {
+							t.Fatalf("%v page %d pes %d dist %v: OwnedRows(%d) = %d..%d %v, formula %d..%d %v",
+								dims, pageElems, numPEs, dist, pe, rlo, rhi, ok, flo, fhi, fok)
+						}
+						for off := lo; off < hi; off++ {
+							if h.OwnerOf(off) != pe {
+								t.Fatalf("%v page %d pes %d dist %v: offset %d is in PE %d's segment but owned by %d",
+									dims, pageElems, numPEs, dist, off, pe, h.OwnerOf(off))
+							}
+						}
+					}
+					for off := 0; off < h.Elems(); off++ {
+						if got, want := h.OwnerOf(off), formulaOwnerOf(h, off); got != want {
+							t.Fatalf("%v page %d pes %d dist %v: OwnerOf(%d) = %d, formula %d",
+								dims, pageElems, numPEs, dist, off, got, want)
+						}
+						if got, want := h.PageOf(off), off/pageElems; got != want {
+							t.Fatalf("%v page %d: PageOf(%d) = %d, want %d", dims, pageElems, off, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestOffsetOfMatchesOffset: the frame-slot form agrees with the index-
+// slice form on every in-range and out-of-range index, down to the error.
+func TestOffsetOfMatchesOffset(t *testing.T) {
+	for _, dims := range [][]int{{7}, {1}, {5, 3}, {3, 5}, {1, 1}} {
+		h := mustHeader(t, dims, 8, 2)
+		frame := make([]isa.Value, 4)
+		slots := []int{3, 1}[:len(dims)]
+		idx := make([]int64, len(dims))
+		var walk func(d int)
+		walk = func(d int) {
+			if d == len(dims) {
+				want, wantErr := h.Offset(idx)
+				got, gotErr := h.OffsetOf(frame, slots)
+				if got != want || (gotErr == nil) != (wantErr == nil) ||
+					gotErr != nil && gotErr.Error() != wantErr.Error() {
+					t.Fatalf("dims %v idx %v: OffsetOf = %d, %v; Offset = %d, %v", dims, idx, got, gotErr, want, wantErr)
+				}
+				return
+			}
+			for i := int64(-1); i <= int64(dims[d])+2; i++ {
+				idx[d] = i
+				frame[slots[d]] = isa.Int(i)
+				if i == 2 {
+					frame[slots[d]] = isa.Float(2.75) // indices truncate like every AsInt
+				}
+				walk(d + 1)
+			}
+		}
+		walk(0)
+		if _, err := h.OffsetOf(frame, []int{0, 1, 2}[:3-len(dims)]); err == nil {
+			t.Errorf("dims %v: OffsetOf accepted %d indices", dims, 3-len(dims))
+		}
 	}
 }

@@ -13,17 +13,17 @@ import "sort"
 // in four places (per-slot ref bits, two generational eviction maps, an
 // on-demand cache walk, and nothing at all for scans); now there is one
 // record per (array, page) and four views of it.
+//
+// The table is dense: each installed array carries a slice of entries
+// indexed by page number (Array.stats), allocated on the array's first
+// touch, so a touch is two slice indexes whether or not anything consumes
+// the heat. A zero entry means "never seen".
 
 // pageStat is one (array, page) entry of the heat table.
 type pageStat struct {
 	// slot is non-nil while the page is resident in the remote-page
 	// cache; it is the same frame the CLOCK ring holds.
 	slot *cacheSlot
-
-	// owned marks a page that intersects this PE's owned segment (reads
-	// of it never leave the shard). Owned pages are never cached, so
-	// owned and slot are mutually exclusive in practice.
-	owned bool
 
 	// heat counts every touch of the page. The CLOCK reference bit is
 	// derived, not stored: the page is "referenced" iff heat > sweep,
@@ -36,18 +36,23 @@ type pageStat struct {
 	// touch is the instruction stamp (Shard.Now) of the latest access.
 	touch int64
 
+	// evicted/gen implement the refetch window: a page evicted in
+	// generation g counts as a refetch if it is re-installed while the
+	// shard is still in generation g or g+1 — the same two-generation
+	// window (evictedGen evictions each) the old paired maps gave.
+	gen     int64
+	evicted bool
+
+	// owned marks a page that intersects this PE's owned segment (reads
+	// of it never leave the shard). Owned pages are never cached, so
+	// owned and slot are mutually exclusive in practice.
+	owned bool
+
 	// run is the sequential-run length ending at this page: touching
 	// page p sets run to heat[p-1].run+1 when the preceding page has
 	// been touched, else 1. A forward scan therefore carries a growing
 	// run with it, which is the streaming-prefetch trigger.
 	run int32
-
-	// evicted/gen implement the refetch window: a page evicted in
-	// generation g counts as a refetch if it is re-installed while the
-	// shard is still in generation g or g+1 — the same two-generation
-	// window (evictedGen evictions each) the old paired maps gave.
-	evicted bool
-	gen     int64
 }
 
 // maxRun caps the recorded run length (the detector only ever compares
@@ -55,22 +60,35 @@ type pageStat struct {
 // forever).
 const maxRun = 1 << 20
 
-// touchPage records one access to (id, page): bumps heat, stamps the
-// touch time, and updates the sequential-run length. It returns the
-// entry so callers can read residency or run state without a second
-// lookup.
-func (s *Shard) touchPage(id int64, page int) *pageStat {
-	k := pageKey{id, page}
-	e := s.heat[k]
-	if e == nil {
-		e = &pageStat{}
-		s.heat[k] = e
+// table returns the array's heat entries, allocating them on first use.
+func (a *Array) table() []pageStat {
+	if a.stats == nil {
+		a.stats = make([]pageStat, a.h.pages)
 	}
+	return a.stats
+}
+
+// stat returns the heat entry for a page without touching it; nil for a
+// page outside the array.
+func (a *Array) stat(page int) *pageStat {
+	if t := a.table(); page >= 0 && page < len(t) {
+		return &t[page]
+	}
+	return nil
+}
+
+// touchPage records one access to a page of the array: bumps heat, stamps
+// the touch time, and updates the sequential-run length. It returns the
+// entry so callers can read residency or run state without a second
+// lookup. The page must lie inside the array.
+func (a *Array) touchPage(page int) *pageStat {
+	t := a.table()
+	e := &t[page]
 	e.heat++
-	e.touch = s.Now
+	e.touch = a.s.Now
 	run := int32(1)
 	if page > 0 {
-		if p := s.heat[pageKey{id, page - 1}]; p != nil && p.run > 0 && p.run < maxRun {
+		if p := &t[page-1]; p.run > 0 && p.run < maxRun {
 			run = p.run + 1
 		}
 	}
@@ -78,39 +96,33 @@ func (s *Shard) touchPage(id int64, page int) *pageStat {
 	return e
 }
 
-// ScanRun reports the sequential-run length currently recorded at
-// (id, page): how many consecutive pages, ending here, have been touched
-// in ascending order. Zero when the page has never been touched.
+// ScanRun reports the sequential-run length currently recorded at a page:
+// how many consecutive pages, ending here, have been touched in ascending
+// order. Zero when the page has never been touched.
+func (a *Array) ScanRun(page int) int32 {
+	if page < 0 || page >= len(a.stats) {
+		return 0
+	}
+	return a.stats[page].run
+}
+
+// ScanRun is Array.ScanRun by array ID.
 func (s *Shard) ScanRun(id int64, page int) int32 {
-	if e := s.heat[pageKey{id, page}]; e != nil {
-		return e.run
+	if a := s.Array(id); a != nil {
+		return a.ScanRun(page)
 	}
 	return 0
 }
 
-// PageResident reports whether (id, page) is resident in the remote-page
-// cache right now.
-func (s *Shard) PageResident(id int64, page int) bool {
-	e := s.heat[pageKey{id, page}]
-	return e != nil && e.slot != nil
-}
-
-// PageLocal reports whether a read of (id, page) costs nothing remote:
-// the page is cache-resident, or it lies in this PE's owned segment.
-func (s *Shard) PageLocal(id int64, page int) bool {
-	if s.PageResident(id, page) {
+// PageLocal reports whether a read of a page costs nothing remote: the
+// page is cache-resident, or it lies in this PE's owned segment.
+func (a *Array) PageLocal(page int) bool {
+	if page >= 0 && page < len(a.stats) && a.stats[page].slot != nil {
 		return true
-	}
-	a := s.arrays[id]
-	if a == nil {
-		return false
 	}
 	h := a.h
 	plo := page * h.PageElems
-	phi := plo + h.PageElems
-	if n := h.Elems(); phi > n {
-		phi = n
-	}
+	phi := min(plo+h.PageElems, h.elems)
 	return plo < a.base+len(a.vals) && phi > a.base
 }
 
@@ -132,12 +144,13 @@ func (s *Shard) HotPages(limit int) []HotPage {
 	if limit <= 0 {
 		return nil
 	}
-	out := make([]HotPage, 0, len(s.heat))
-	for k, e := range s.heat {
-		if e.slot == nil && !e.owned {
-			continue
+	var out []HotPage
+	for id, a := range s.arrays {
+		for p := range a.stats {
+			if e := &a.stats[p]; e.slot != nil || e.owned {
+				out = append(out, HotPage{Arr: id, Page: p, Heat: e.heat})
+			}
 		}
-		out = append(out, HotPage{Arr: k.arr, Page: k.page, Heat: e.heat})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Heat != out[j].Heat {

@@ -35,16 +35,14 @@ type RemoteWaiter struct {
 // home storage and must persist — and single assignment means an eviction
 // can cost a refetch of the same immutable data but never correctness.
 type Shard struct {
-	PE     int
-	arrays map[int64]*localArray
+	PE int
 
-	// heat is the unified page-heat table (see heat.go): one entry per
-	// (array, page) this shard has touched, holding cache residency, the
-	// reference/heat counter, the last-touch stamp, the sequential-run
-	// length, and the eviction generation. CLOCK eviction, refetch
-	// detection, steal-locality summaries, and the prefetch scan
-	// detector are all views over this table.
-	heat map[pageKey]*pageStat
+	// arrays holds one handle per installed array; last memoizes the most
+	// recently resolved one, so a run of accesses to one array resolves it
+	// without touching the map. The unified page-heat table (see heat.go)
+	// lives in the handles: each carries a dense slice of per-page entries.
+	arrays map[int64]*Array
+	last   *Array
 
 	// Now is the caller-maintained instruction stamp used for the heat
 	// table's last-touch times (the worker sets it to its executed
@@ -85,10 +83,9 @@ type Shard struct {
 	// generation, and a re-install counts as a refetch if the stamp is
 	// within the last two generations (evictedGen evictions each) —
 	// the same window the old paired eviction maps gave. Rotating a
-	// generation also prunes heat entries that have aged out of the
-	// window, so the table stays bounded at the cost of undercounting
-	// refetches whose reuse distance exceeds two generations (a
-	// statistic, never correctness).
+	// generation also resets heat entries that have aged out of the
+	// window, at the cost of undercounting refetches whose reuse distance
+	// exceeds two generations (a statistic, never correctness).
 	evictGen      int64
 	evictGenCount int
 
@@ -108,16 +105,22 @@ type pageKey struct {
 }
 
 // cacheSlot is one resident cached page — a frame of the CLOCK ring. Its
-// reference state lives in the heat-table entry it points back to.
+// reference state lives in the heat-table entry it points back to (an
+// element of its array's stats slice).
 type cacheSlot struct {
-	arr  int64
-	page int
-	pg   *CachedPage
-	st   *pageStat
+	pageKey
+	a  *Array
+	pg *CachedPage
+	st *pageStat
 }
 
-type localArray struct {
+// Array is one installed array on one shard — the handle an executor
+// resolves once per access (Shard.Array) and then works through: the owned
+// segment with presence bits and deferred-read queues, and the array's
+// part of the page-heat table and page cache.
+type Array struct {
 	h    *Header
+	s    *Shard
 	base int // linear offset of first owned element
 	vals []isa.Value
 	set  []bool
@@ -126,6 +129,12 @@ type localArray struct {
 	// remoteWaiting maps owned linear offset → remote PEs to send the page
 	// to once the element is written.
 	remoteWaiting map[int][]RemoteWaiter
+
+	// stats is this array's slice of the heat table, indexed by page and
+	// allocated on the array's first touch; a zero entry is a page the
+	// shard has never seen. resident counts its cache-resident pages.
+	stats    []pageStat
+	resident int
 }
 
 // CachedPage is a snapshot of a remote page: values plus presence bits as of
@@ -139,11 +148,7 @@ type CachedPage struct {
 
 // NewShard returns an empty shard for a PE.
 func NewShard(pe int) *Shard {
-	return &Shard{
-		PE:     pe,
-		arrays: make(map[int64]*localArray),
-		heat:   make(map[pageKey]*pageStat),
-	}
+	return &Shard{PE: pe, arrays: make(map[int64]*Array)}
 }
 
 // Install allocates this PE's segment of an array described by h. Every PE
@@ -160,8 +165,9 @@ func (s *Shard) Install(h *Header) error {
 	}
 	lo, hi := h.SegmentElems(s.PE)
 	n := hi - lo
-	s.arrays[h.ID] = &localArray{
+	s.arrays[h.ID] = &Array{
 		h:             h,
+		s:             s,
 		base:          lo,
 		vals:          make([]isa.Value, n),
 		set:           make([]bool, n),
@@ -171,21 +177,33 @@ func (s *Shard) Install(h *Header) error {
 	return nil
 }
 
+// Array resolves an array ID to its handle, or nil when the array is not
+// installed here. This is the one lookup an access pays; every further
+// operation goes through the handle.
+func (s *Shard) Array(id int64) *Array {
+	if a := s.last; a != nil && a.h.ID == id {
+		return a
+	}
+	a := s.arrays[id]
+	if a != nil {
+		s.last = a
+	}
+	return a
+}
+
 // Header returns the installed header for an array ID, or nil.
 func (s *Shard) Header(id int64) *Header {
-	if a := s.arrays[id]; a != nil {
+	if a := s.Array(id); a != nil {
 		return a.h
 	}
 	return nil
 }
 
-// Owns reports whether linear offset off of array id is in this PE's
-// segment.
-func (s *Shard) Owns(id int64, off int) bool {
-	a := s.arrays[id]
-	if a == nil {
-		return false
-	}
+// Header returns the array's header.
+func (a *Array) Header() *Header { return a.h }
+
+// Owns reports whether linear offset off is in this PE's segment.
+func (a *Array) Owns(off int) bool {
 	return off >= a.base && off < a.base+len(a.vals)
 }
 
@@ -202,38 +220,49 @@ const (
 // ReadLocal attempts to read an owned element; if absent, the waiter is
 // queued (I-structure deferred read). Returns ReadRemote when the offset is
 // not in this PE's segment.
-func (s *Shard) ReadLocal(id int64, off int, w Waiter) (isa.Value, ReadResult, error) {
-	a := s.arrays[id]
-	if a == nil {
-		return isa.Value{}, 0, fmt.Errorf("pe %d: read of unknown array %d", s.PE, id)
-	}
+func (a *Array) ReadLocal(off int, w Waiter) (isa.Value, ReadResult) {
 	i := off - a.base
 	if i < 0 || i >= len(a.vals) {
-		return isa.Value{}, ReadRemote, nil
+		return isa.Value{}, ReadRemote
 	}
 	// Owned-segment accesses feed the heat table too: an owned page a PE
 	// keeps reading is exactly the locality a page-granular steal summary
 	// should advertise.
-	s.touchPage(id, a.h.PageOf(off)).owned = true
+	a.touchPage(a.h.PageOf(off)).owned = true
 	if a.set[i] {
-		return a.vals[i], ReadHit, nil
+		return a.vals[i], ReadHit
 	}
 	a.waiting[off] = append(a.waiting[off], w)
-	s.DeferredReads++
-	return isa.Value{}, ReadDeferred, nil
+	a.s.DeferredReads++
+	return isa.Value{}, ReadDeferred
+}
+
+// ReadLocal is Array.ReadLocal by array ID.
+func (s *Shard) ReadLocal(id int64, off int, w Waiter) (isa.Value, ReadResult, error) {
+	a := s.Array(id)
+	if a == nil {
+		return isa.Value{}, 0, fmt.Errorf("pe %d: read of unknown array %d", s.PE, id)
+	}
+	v, res := a.ReadLocal(off, w)
+	return v, res, nil
 }
 
 // Peek returns the element value if owned and present (no side effects).
-func (s *Shard) Peek(id int64, off int) (isa.Value, bool) {
-	a := s.arrays[id]
-	if a == nil {
-		return isa.Value{}, false
-	}
+func (a *Array) Peek(off int) (isa.Value, bool) {
 	i := off - a.base
 	if i < 0 || i >= len(a.vals) || !a.set[i] {
 		return isa.Value{}, false
 	}
 	return a.vals[i], true
+}
+
+// Peek is Array.Peek by array ID.
+func (s *Shard) Peek(id int64, off int) (isa.Value, bool) {
+	a := s.Array(id)
+	if a == nil {
+		return isa.Value{}, false
+	}
+	return a.Peek(off)
 }
 
 // SingleAssignmentError reports a second write to an I-structure element
@@ -251,32 +280,42 @@ func (e *SingleAssignmentError) Error() string {
 // Write stores an owned element and returns the local waiters and remote
 // page-waiters to release. A second write to the same element is a
 // single-assignment violation.
-func (s *Shard) Write(id int64, off int, v isa.Value) (local []Waiter, remote []RemoteWaiter, err error) {
-	a := s.arrays[id]
-	if a == nil {
-		return nil, nil, fmt.Errorf("pe %d: write to unknown array %d", s.PE, id)
-	}
+func (a *Array) Write(off int, v isa.Value) (local []Waiter, remote []RemoteWaiter, err error) {
 	i := off - a.base
 	if i < 0 || i >= len(a.vals) {
-		return nil, nil, fmt.Errorf("pe %d: write to non-owned offset %d of array %q", s.PE, off, a.h.Name)
+		return nil, nil, fmt.Errorf("pe %d: write to non-owned offset %d of array %q", a.s.PE, off, a.h.Name)
 	}
 	if a.set[i] {
-		if s.Idempotent && sameValue(a.vals[i], v) {
+		if a.s.Idempotent && sameValue(a.vals[i], v) {
 			// A replayed write landing on its own first execution's result:
 			// the element is already present, so any waiters were released
 			// by the original write and there is nothing left to do.
-			s.DupWrites++
+			a.s.DupWrites++
 			return nil, nil, nil
 		}
 		return nil, nil, &SingleAssignmentError{Array: a.h.Name, Off: off}
 	}
 	a.vals[i] = v
 	a.set[i] = true
-	local = a.waiting[off]
-	delete(a.waiting, off)
-	remote = a.remoteWaiting[off]
-	delete(a.remoteWaiting, off)
+	// The queues are empty for almost every write; skip the map probes then.
+	if len(a.waiting) > 0 {
+		local = a.waiting[off]
+		delete(a.waiting, off)
+	}
+	if len(a.remoteWaiting) > 0 {
+		remote = a.remoteWaiting[off]
+		delete(a.remoteWaiting, off)
+	}
 	return local, remote, nil
+}
+
+// Write is Array.Write by array ID.
+func (s *Shard) Write(id int64, off int, v isa.Value) (local []Waiter, remote []RemoteWaiter, err error) {
+	a := s.Array(id)
+	if a == nil {
+		return nil, nil, fmt.Errorf("pe %d: write to unknown array %d", s.PE, id)
+	}
+	return a.Write(off, v)
 }
 
 // sameValue reports bit-exact value equality (floats compared by their
@@ -289,12 +328,11 @@ func sameValue(a, b isa.Value) bool {
 // QueueRemote records a remote PE waiting for an absent owned element
 // (a deferred read whose reader lives on another PE, §5.1).
 func (s *Shard) QueueRemote(id int64, off int, rw RemoteWaiter) error {
-	a := s.arrays[id]
+	a := s.Array(id)
 	if a == nil {
 		return fmt.Errorf("pe %d: remote queue on unknown array %d", s.PE, id)
 	}
-	i := off - a.base
-	if i < 0 || i >= len(a.vals) {
+	if !a.Owns(off) {
 		return fmt.Errorf("pe %d: remote queue on non-owned offset %d", s.PE, off)
 	}
 	a.remoteWaiting[off] = append(a.remoteWaiting[off], rw)
@@ -306,41 +344,44 @@ func (s *Shard) QueueRemote(id int64, off int, rw RemoteWaiter) error {
 // requester ("this PE extracts the entire page containing that element and
 // returns it", §4). The snapshot covers the intersection of the page with
 // this PE's segment.
-func (s *Shard) ExtractPage(id int64, off int) (pageIdx int, pg *CachedPage, elems int, err error) {
-	a := s.arrays[id]
-	if a == nil {
-		return 0, nil, 0, fmt.Errorf("pe %d: extract page of unknown array %d", s.PE, id)
-	}
+func (a *Array) ExtractPage(off int) (pageIdx int, pg *CachedPage, elems int, err error) {
 	h := a.h
 	pageIdx = h.PageOf(off)
 	plo := pageIdx * h.PageElems
-	phi := plo + h.PageElems
-	if n := h.Elems(); phi > n {
-		phi = n
-	}
+	phi := min(plo+h.PageElems, h.elems)
 	lo := max(plo, a.base)
 	hi := min(phi, a.base+len(a.vals))
 	if lo >= hi {
-		return 0, nil, 0, fmt.Errorf("pe %d: page %d of array %q not owned", s.PE, pageIdx, h.Name)
+		return 0, nil, 0, fmt.Errorf("pe %d: page %d of array %q not owned", a.s.PE, pageIdx, h.Name)
 	}
 	n := phi - plo
 	pg = &CachedPage{Vals: make([]isa.Value, n), Set: make([]bool, n)}
-	for o := lo; o < hi; o++ {
-		pg.Vals[o-plo] = a.vals[o-a.base]
-		pg.Set[o-plo] = a.set[o-a.base]
-	}
+	copy(pg.Vals[lo-plo:], a.vals[lo-a.base:hi-a.base])
+	copy(pg.Set[lo-plo:], a.set[lo-a.base:hi-a.base])
 	return pageIdx, pg, n, nil
+}
+
+// ExtractPage is Array.ExtractPage by array ID.
+func (s *Shard) ExtractPage(id int64, off int) (pageIdx int, pg *CachedPage, elems int, err error) {
+	a := s.Array(id)
+	if a == nil {
+		return 0, nil, 0, fmt.Errorf("pe %d: extract page of unknown array %d", s.PE, id)
+	}
+	return a.ExtractPage(off)
 }
 
 // InstallPage stores a received remote page in the software cache,
 // overwriting any older (necessarily subset) snapshot. With CacheCap set,
 // installing a page beyond the cap first evicts a resident page chosen by
 // the CLOCK sweep; re-installing a previously evicted page counts as a
-// refetch.
-func (s *Shard) InstallPage(id int64, pageIdx int, pg *CachedPage) {
-	k := pageKey{id, pageIdx}
-	e := s.heat[k]
-	if e != nil && e.slot != nil {
+// refetch. A page index outside the array is ignored.
+func (a *Array) InstallPage(pageIdx int, pg *CachedPage) {
+	e := a.stat(pageIdx)
+	if e == nil {
+		return
+	}
+	s := a.s
+	if e.slot != nil {
 		// A fuller snapshot of an already-resident page: refresh in place.
 		// The touch counts as a reference — the page is demonstrably live.
 		e.slot.pg = pg
@@ -348,15 +389,12 @@ func (s *Shard) InstallPage(id int64, pageIdx int, pg *CachedPage) {
 		e.touch = s.Now
 		return
 	}
-	if e == nil {
-		e = &pageStat{}
-		s.heat[k] = e
-	}
 	if e.evicted && e.gen >= s.evictGen-1 {
 		s.Refetches++
 	}
-	slot := &cacheSlot{arr: id, page: pageIdx, pg: pg, st: e}
+	slot := &cacheSlot{pageKey: pageKey{a.h.ID, pageIdx}, a: a, pg: pg, st: e}
 	e.slot = slot
+	a.resident++
 	// Enter unreferenced: any touches the demand miss itself recorded must
 	// not count as a post-install reference (the old ring's ref=false).
 	e.sweep = e.heat
@@ -379,6 +417,14 @@ func (s *Shard) InstallPage(id int64, pageIdx int, pg *CachedPage) {
 		s.hand = i + 1
 	} else {
 		s.clock = append(s.clock, slot)
+	}
+}
+
+// InstallPage is Array.InstallPage by array ID; a page of an array that is
+// not installed is dropped.
+func (s *Shard) InstallPage(id int64, pageIdx int, pg *CachedPage) {
+	if a := s.Array(id); a != nil {
+		a.InstallPage(pageIdx, pg)
 	}
 }
 
@@ -408,21 +454,24 @@ const evictedGen = 8192
 // evictAt evicts the resident page in frame i: its heat entry loses its
 // slot and gains an eviction-generation stamp for refetch detection. The
 // caller reuses or removes the frame itself. Rotating into a new
-// generation prunes heat entries that aged out of the refetch window, so
-// the table's non-resident population stays bounded.
+// generation resets the heat entries that aged out of the refetch window
+// (non-resident, non-owned), exactly as if they had never been touched.
 func (s *Shard) evictAt(i int) {
 	slot := s.clock[i]
 	e := slot.st
 	e.slot = nil
 	e.evicted = true
 	e.gen = s.evictGen
+	slot.a.resident--
 	s.evictGenCount++
 	if s.evictGenCount >= evictedGen {
 		s.evictGen++
 		s.evictGenCount = 0
-		for k, st := range s.heat {
-			if st.slot == nil && !st.owned && st.gen < s.evictGen-1 {
-				delete(s.heat, k)
+		for _, a := range s.arrays {
+			for p := range a.stats {
+				if st := &a.stats[p]; st.slot == nil && !st.owned && st.gen < s.evictGen-1 {
+					*st = pageStat{}
+				}
 			}
 		}
 	}
@@ -436,23 +485,33 @@ func (s *Shard) evictAt(i int) {
 // quantity CacheCap bounds.
 func (s *Shard) CachedPages() int { return len(s.clock) }
 
-// CacheLookup probes the software cache for an element. hitPage reports the
-// page being cached at all; hitElem that the element was present in it.
-// Every probe — hit or miss — touches the heat table (feeding the scan
-// detector); a probe that finds the page resident thereby marks it
-// referenced for the CLOCK sweep.
-func (s *Shard) CacheLookup(id int64, h *Header, off int) (v isa.Value, hitPage, hitElem bool) {
-	page := h.PageOf(off)
-	e := s.touchPage(id, page)
+// CacheLookup probes the software cache for the element at off, which must
+// lie inside the array. hitPage reports the page being cached at all;
+// hitElem that the element was present in it. Every probe — hit or miss —
+// touches the heat table (feeding the scan detector); a probe that finds
+// the page resident thereby marks it referenced for the CLOCK sweep.
+func (a *Array) CacheLookup(off int) (v isa.Value, hitPage, hitElem bool) {
+	page := a.h.PageOf(off)
+	e := a.touchPage(page)
 	if e.slot == nil {
 		return isa.Value{}, false, false
 	}
 	pg := e.slot.pg
-	i := off - page*h.PageElems
+	i := off - page*a.h.PageElems
 	if i < 0 || i >= len(pg.Vals) || !pg.Set[i] {
 		return isa.Value{}, true, false
 	}
 	return pg.Vals[i], true, true
+}
+
+// CacheLookup is Array.CacheLookup by array ID (h is the array's header);
+// an unknown array or an offset outside it misses.
+func (s *Shard) CacheLookup(id int64, h *Header, off int) (v isa.Value, hitPage, hitElem bool) {
+	a := s.Array(id)
+	if a == nil || off < 0 || off >= h.elems {
+		return isa.Value{}, false, false
+	}
+	return a.CacheLookup(off)
 }
 
 // HotArrays summarizes this shard's locality for a steal request: the
@@ -478,15 +537,9 @@ func (s *Shard) HotArrays(limit int) []int64 {
 		if !a.h.Dist && a.h.Origin == s.PE {
 			hs = append(hs, hot{id: id, home: true})
 		}
-	}
-	resident := make(map[int64]int)
-	for k, e := range s.heat {
-		if e.slot != nil {
-			resident[k.arr]++
+		if a.resident > 0 {
+			hs = append(hs, hot{id: id, pages: a.resident})
 		}
-	}
-	for id, pages := range resident {
-		hs = append(hs, hot{id: id, pages: pages})
 	}
 	sort.Slice(hs, func(i, j int) bool {
 		if hs[i].home != hs[j].home {

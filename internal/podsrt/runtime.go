@@ -412,7 +412,7 @@ func (r *Runtime) exec(ctx context.Context, in *inst, args []isa.Value) {
 				r.fail(fmt.Errorf("podsrt: %q: read of unknown array", tmpl.Name))
 				return
 			}
-			off, err := a.offset(frame, ins.Args)
+			off, err := a.h.OffsetOf(frame, ins.Args)
 			if err != nil {
 				r.fail(err)
 				return
@@ -426,7 +426,7 @@ func (r *Runtime) exec(ctx context.Context, in *inst, args []isa.Value) {
 				r.fail(fmt.Errorf("podsrt: %q: write to unknown array", tmpl.Name))
 				return
 			}
-			off, err := a.offset(frame, ins.Args)
+			off, err := a.h.OffsetOf(frame, ins.Args)
 			if err != nil {
 				r.fail(err)
 				return
@@ -508,12 +508,4 @@ func (r *Runtime) exec(ctx context.Context, in *inst, args []isa.Value) {
 		}
 		pc = next
 	}
-}
-
-func (a *rtArray) offset(frame []isa.Value, idxSlots []int) (int, error) {
-	idx := make([]int64, len(idxSlots))
-	for i, s := range idxSlots {
-		idx[i] = frame[s].AsInt()
-	}
-	return a.h.Offset(idx)
 }

@@ -92,11 +92,7 @@ func (p *pe) resolveAccess(sp *spInst, arrSlot int, idxSlots []int) (*istructure
 		m.fail(fmt.Errorf("sim: SP %q pc %d: unknown array id %d", sp.tmpl.Name, sp.pc, hv.I))
 		return nil, 0, false
 	}
-	idx := make([]int64, len(idxSlots))
-	for i, s := range idxSlots {
-		idx[i] = sp.frame[s].AsInt()
-	}
-	off, err := h.Offset(idx)
+	off, err := h.OffsetOf(sp.frame, idxSlots)
 	if err != nil {
 		m.fail(fmt.Errorf("sim: SP %q pc %d: %w", sp.tmpl.Name, sp.pc, err))
 		return nil, 0, false
