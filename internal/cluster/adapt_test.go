@@ -23,38 +23,39 @@ func compileKernel(t *testing.T, name string) (*kernels.Kernel, *isa.Program) {
 // contract: the results stay bit-for-bit identical to the simulator no
 // matter how the bounds moved, and the coordinator actually moved them
 // (rebound broadcasts were observed wherever a rebind is possible).
+//
+// Free-running, whether a rebind lands before a run this small is over is
+// a race between the probe timer and the interpreter, so the rebind half
+// runs on the pumped schedule: the same workers and the same coordinator,
+// with a probe round every few pumping rounds instead of every few
+// microseconds. The free-running half keeps checking agreement with the
+// bounds moving whenever they happen to.
 func TestAdaptRelaxAgreesWithSimAndRebinds(t *testing.T) {
 	k, prog := compileKernel(t, "relax")
+	args := k.Args(12)
+	wantVals, wantMasks := simArraysMasked(t, prog, 1, k.Arrays, args...)
 	for _, pes := range []int{2, 4, 8} {
-		// Whether a rebind lands before the run is over is a race between
-		// the probe cadence and the interpreter, and the smallest size
-		// finishes in well under a millisecond; a run that was too short to
-		// adapt is retried at a larger size before the test calls it a
-		// failure. Every run, adapted or not, must agree with the simulator.
-		rebounds := int64(0)
-		for _, n := range []int{12, 24, 48} {
-			args := k.Args(n)
-			wantVals, wantMasks := simArraysMasked(t, prog, 1, k.Arrays, args...)
-			res, err := Execute(testCtx(t), prog, Config{
-				NumPEs:    pes,
-				PageElems: 8,
-				Adapt:     true,
-				// A tight probe cadence makes rebinds land between the tiny
-				// test sweeps instead of after the run is already over.
-				ProbeInterval: 20 * time.Microsecond,
-			}, args...)
-			if err != nil {
-				t.Fatalf("adapt@%d n=%d: %v", pes, n, err)
-			}
-			checkAgainstSimMasked(t, res, wantVals, wantMasks)
-			t.Logf("adapt@%d n=%d: rebounds=%d msgs=%d", pes, n, res.Stats.Rebounds, res.Stats.MsgsSent)
-			if rebounds = res.Stats.Rebounds; rebounds > 0 {
-				break
-			}
+		res, err := Execute(testCtx(t), prog, Config{
+			NumPEs:    pes,
+			PageElems: 8,
+			Adapt:     true,
+			// A tight probe cadence makes rebinds land between the tiny
+			// test sweeps instead of after the run is already over.
+			ProbeInterval: 20 * time.Microsecond,
+		}, args...)
+		if err != nil {
+			t.Fatalf("adapt@%d: %v", pes, err)
 		}
-		if rebounds == 0 {
+		checkAgainstSimMasked(t, res, wantVals, wantMasks)
+
+		coord := &pumpedCoord{ad: newAdaptCoord(pes), every: 8}
+		ws, arrays := pumpedRunWith(t, *k, 12, pes, workerOpts{adapt: true}, false, nil, coord)
+		checkGathered(t, *k, arrays, wantVals, wantMasks)
+		if coord.ad.rebounds == 0 || len(ws[0].cuts) == 0 {
 			t.Errorf("adapt@%d: no rebound broadcasts — adaptation never engaged", pes)
 		}
+		t.Logf("adapt@%d: rebounds=%d in %d probe rounds (pumped), %d free-running",
+			pes, coord.ad.rebounds, coord.round, res.Stats.Rebounds)
 	}
 }
 

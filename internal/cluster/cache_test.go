@@ -21,6 +21,57 @@ import (
 func pumpedRun(t *testing.T, k kernels.Kernel, n, pes int, steal, stealOne bool,
 	cachePages int, perRound func([]*worker)) ([]*worker, map[int64]*gathered) {
 	t.Helper()
+	return pumpedRunWith(t, k, n, pes, workerOpts{steal: steal, cachePages: cachePages}, stealOne, perRound, nil)
+}
+
+// pumpedCoord plays the driver's half of adaptive repartitioning on a
+// pumped schedule: a probe round opens every `every` pumping rounds while
+// the run is still making progress, closes once every PE has acked it, and
+// the real coordinator's rebinds are broadcast at the close — the driver
+// loop's round boundary with the wall clock taken out.
+type pumpedCoord struct {
+	ad    *adaptCoord
+	every int
+	round int32
+	acks  int
+	open  bool
+}
+
+// step runs after each pumping round; it reports whether the run must keep
+// pumping (progress was made, or a probe round is in flight).
+func (c *pumpedCoord) step(t *testing.T, driver Endpoint, pes, rounds int, progress bool) bool {
+	t.Helper()
+	broadcast := func(mk func() *Msg) {
+		for pe := 0; pe < pes; pe++ {
+			if err := driver.Send(pe, mk()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	switch {
+	case c.open && c.acks < pes:
+		return true
+	case c.open:
+		c.open = false
+		for _, rb := range c.ad.tick(c.round) {
+			broadcast(func() *Msg {
+				return &Msg{Kind: KRebound, Tmpl: rb.tmpl, Cuts: append([]int64(nil), rb.cuts...)}
+			})
+		}
+		return true
+	case progress && rounds%c.every == 0:
+		c.round++
+		c.acks, c.open = 0, true
+		broadcast(func() *Msg { return &Msg{Kind: KProbe, Round: c.round} })
+	}
+	return progress
+}
+
+// pumpedRunWith is pumpedRun with the full worker option set and,
+// optionally, a rebind coordinator driving probe rounds (opts.adapt).
+func pumpedRunWith(t *testing.T, k kernels.Kernel, n, pes int, opts workerOpts, stealOne bool,
+	perRound func([]*worker), coord *pumpedCoord) ([]*worker, map[int64]*gathered) {
+	t.Helper()
 	prog := compile(t, k.File(), k.Source)
 	geo := rtcfg.Geometry{PEs: pes, PageElems: 8, DistThreshold: 16}
 	if err := geo.Fill(pes); err != nil {
@@ -29,7 +80,7 @@ func pumpedRun(t *testing.T, k kernels.Kernel, n, pes int, steal, stealOne bool,
 	eps := newChanTransport(pes, 0)
 	ws := make([]*worker, pes)
 	for pe := range ws {
-		ws[pe] = newWorker(pe, pes, geo, prog, eps[pe], workerOpts{steal: steal, cachePages: cachePages})
+		ws[pe] = newWorker(pe, pes, geo, prog, eps[pe], opts)
 		ws[pe].stealOne = stealOne
 	}
 	driver := eps[pes]
@@ -58,6 +109,14 @@ func pumpedRun(t *testing.T, k kernels.Kernel, n, pes int, steal, stealOne bool,
 				if err := arrays[m.Arr].merge(m); err != nil {
 					t.Fatal(err)
 				}
+			case KCostReport:
+				if coord != nil {
+					coord.ad.merge(m, coord.round)
+				}
+			case KAck:
+				if coord != nil && m.Round == coord.round {
+					coord.acks++
+				}
 			}
 		}
 	}
@@ -71,6 +130,9 @@ func pumpedRun(t *testing.T, k kernels.Kernel, n, pes int, steal, stealOne bool,
 		}
 		progress := stepOneRound(ws, eps)
 		drainDriver()
+		if coord != nil {
+			progress = coord.step(t, driver, pes, rounds, progress)
+		}
 		if perRound != nil {
 			perRound(ws)
 		}

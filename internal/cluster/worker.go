@@ -1515,8 +1515,8 @@ func (w *worker) bill(sp *spInst, cs *costSeg) {
 // local-access / cache-hit path no allocation and no map lookup past the
 // array resolve. An instruction counts (and bills) only once it completes:
 // a block or a suspension leaves pc where it was, so the instruction
-// re-executes on wake without counting twice. Only memory- and process-
-// class instructions can send or fail, so only they re-check the worker's
+// re-executes on wake without counting twice. Only effect-class
+// instructions can send or fail, so only they re-check the worker's
 // failed/stopped state.
 func (w *worker) exec(sp *spInst) {
 	if w.failed || w.stopped {

@@ -10,8 +10,7 @@ const (
 	ClassTrap    Class = iota
 	ClassScalar        // EvalScalar ops: frame in, frame out; only IDIV/IMOD can fail
 	ClassControl       // NOP/CONST/MOVE/CLEAR/SELF and branches: frame and pc only, cannot fail
-	ClassMemory        // I-structure access, allocation, Range-Filter queries: may suspend, send or fail
-	ClassProcess       // SPAWN/SPAWND/SEND/HALT: may send or fail
+	ClassEffect        // I-structure access, allocation, Range-Filter queries, SPAWN/SPAWND/SEND/HALT: may suspend, send or fail
 )
 
 // ClassOf returns the class of a defined opcode (ClassTrap for anything
@@ -23,10 +22,9 @@ func ClassOf(op Opcode) Class {
 	case op == NOP, op == CONST, op == MOVE, op == CLEAR, op == SELF, op.IsBranch():
 		return ClassControl
 	case op == ALLOC, op == ALLOCD, op == AREAD, op == AWRITE,
-		op == ROWLO, op == ROWHI, op == COLLO, op == COLHI, op == UNIFLO, op == UNIFHI:
-		return ClassMemory
-	case op == SPAWN, op == SPAWND, op == SEND, op == HALT:
-		return ClassProcess
+		op == ROWLO, op == ROWHI, op == COLLO, op == COLHI, op == UNIFLO, op == UNIFHI,
+		op == SPAWN, op == SPAWND, op == SEND, op == HALT:
+		return ClassEffect
 	}
 	return ClassTrap
 }

@@ -7,7 +7,6 @@ package istructure
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/isa"
 	"repro/internal/timing"
@@ -34,12 +33,9 @@ type Header struct {
 	// afterwards): element and page counts, the row stride, and the
 	// segment split — the first r segments hold q+1 pages, the rest q,
 	// and cut = r*(q+1) is the first page of the q-page segments.
-	// pageShift is log2(PageElems) when that is a power of two (the
-	// default 32 is), sparing PageOf its division; -1 otherwise.
 	elems, pages int
 	rowLen       int
 	q, r, cut    int
-	pageShift    int
 }
 
 // NewHeader validates the geometry and builds a header.
@@ -69,10 +65,6 @@ func NewHeader(id int64, name string, dims []int, pageElems, numPEs, origin int,
 	}
 	h.rowLen = dims[len(dims)-1]
 	h.pages = (h.elems + pageElems - 1) / pageElems
-	h.pageShift = -1
-	if pageElems&(pageElems-1) == 0 {
-		h.pageShift = bits.TrailingZeros(uint(pageElems))
-	}
 	h.q, h.r = h.pages/numPEs, h.pages%numPEs
 	h.cut = h.r * (h.q + 1)
 	return h, nil
@@ -128,12 +120,7 @@ func (h *Header) OffsetOf(frame []isa.Value, slots []int) (int, error) {
 }
 
 // PageOf returns the page index containing linear offset off.
-func (h *Header) PageOf(off int) int {
-	if h.pageShift >= 0 {
-		return off >> h.pageShift
-	}
-	return off / h.PageElems
-}
+func (h *Header) PageOf(off int) int { return off / h.PageElems }
 
 // segment boundaries: pages are grouped into NumPEs segments of
 // approximately equal size, assigned to PEs sequentially (§4.1 step 2).

@@ -106,14 +106,6 @@ func (a *Array) ScanRun(page int) int32 {
 	return a.stats[page].run
 }
 
-// ScanRun is Array.ScanRun by array ID.
-func (s *Shard) ScanRun(id int64, page int) int32 {
-	if a := s.Array(id); a != nil {
-		return a.ScanRun(page)
-	}
-	return 0
-}
-
 // PageLocal reports whether a read of a page costs nothing remote: the
 // page is cache-resident, or it lies in this PE's owned segment.
 func (a *Array) PageLocal(page int) bool {

@@ -29,6 +29,12 @@ type refSlot struct {
 	ref bool
 }
 
+// pageKey identifies one cached page in the reference model.
+type pageKey struct {
+	arr  int64
+	page int
+}
+
 func newRefClock(cap int) *refClock {
 	return &refClock{cap: cap, evicted: map[pageKey]struct{}{}, evictedPrev: map[pageKey]struct{}{}}
 }
@@ -192,7 +198,7 @@ func TestScanRunDetector(t *testing.T) {
 			for _, p := range tc.touches {
 				sh.CacheLookup(1, h, p*h.PageElems)
 			}
-			if got := sh.ScanRun(1, tc.page); got != tc.want {
+			if got := sh.Array(1).ScanRun(tc.page); got != tc.want {
 				t.Fatalf("ScanRun(%d) after %v = %d, want %d", tc.page, tc.touches, got, tc.want)
 			}
 		})

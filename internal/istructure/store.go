@@ -98,20 +98,14 @@ type Shard struct {
 	DupWrites     int64 // identical rewrites absorbed by Idempotent mode
 }
 
-// pageKey identifies one cached page.
-type pageKey struct {
-	arr  int64
-	page int
-}
-
 // cacheSlot is one resident cached page — a frame of the CLOCK ring. Its
 // reference state lives in the heat-table entry it points back to (an
 // element of its array's stats slice).
 type cacheSlot struct {
-	pageKey
-	a  *Array
-	pg *CachedPage
-	st *pageStat
+	a    *Array
+	page int
+	pg   *CachedPage
+	st   *pageStat
 }
 
 // Array is one installed array on one shard — the handle an executor
@@ -392,7 +386,7 @@ func (a *Array) InstallPage(pageIdx int, pg *CachedPage) {
 	if e.evicted && e.gen >= s.evictGen-1 {
 		s.Refetches++
 	}
-	slot := &cacheSlot{pageKey: pageKey{a.h.ID, pageIdx}, a: a, pg: pg, st: e}
+	slot := &cacheSlot{a: a, page: pageIdx, pg: pg, st: e}
 	e.slot = slot
 	a.resident++
 	// Enter unreferenced: any touches the demand miss itself recorded must
@@ -477,7 +471,7 @@ func (s *Shard) evictAt(i int) {
 	}
 	s.Evictions++
 	if s.OnEvict != nil {
-		s.OnEvict(slot.arr, slot.page)
+		s.OnEvict(slot.a.h.ID, slot.page)
 	}
 }
 
