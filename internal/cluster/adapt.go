@@ -72,7 +72,7 @@ func newAdaptCoord(n int) *adaptCoord {
 // sweep — the driver's cue to re-tighten its probe cadence, since a sweep
 // in flight means a rebind decision is coming up.
 func (a *adaptCoord) merge(m *Msg, round int32) (newSweep bool) {
-	if len(m.Iters) != len(m.Costs) {
+	if len(m.Lists.Iters) != len(m.Lists.Costs) {
 		return false // malformed report; ignore rather than fail a healthy run
 	}
 	lc := a.loops[m.Tmpl]
@@ -90,14 +90,14 @@ func (a *adaptCoord) merge(m *Msg, round int32) (newSweep bool) {
 		lc.order = append(lc.order, m.Sweep)
 		newSweep = true
 	}
-	for i, iter := range m.Iters {
+	for i, iter := range m.Lists.Iters {
 		if len(sc.iters) == 0 || iter < sc.min {
 			sc.min = iter
 		}
 		if len(sc.iters) == 0 || iter > sc.max {
 			sc.max = iter
 		}
-		sc.iters[iter] += m.Costs[i]
+		sc.iters[iter] += m.Lists.Costs[i]
 	}
 	return newSweep
 }

@@ -95,7 +95,7 @@ func TestAdaptCoordSweepLifecycle(t *testing.T) {
 
 	// Sweep 1: iteration 1 dominates (the uniform split would cut at 2).
 	a.merge(&Msg{Kind: KCostReport, Tmpl: 7, Sweep: sweep1,
-		Iters: []int64{1, 2, 3}, Costs: []int64{90, 10, 10}}, 1)
+		Lists: &MsgLists{Iters: []int64{1, 2, 3}, Costs: []int64{90, 10, 10}}}, 1)
 	if out := a.tick(1); len(out) != 0 {
 		t.Fatalf("round 1: nothing is finished yet, got %v", out)
 	}
@@ -106,12 +106,12 @@ func TestAdaptCoordSweepLifecycle(t *testing.T) {
 	// Sweep 2 appears in round 3 → sweep 1 is finished, but the planner
 	// must wait one more full round for stragglers.
 	a.merge(&Msg{Kind: KCostReport, Tmpl: 7, Sweep: sweep2,
-		Iters: []int64{1}, Costs: []int64{80}}, 3)
+		Lists: &MsgLists{Iters: []int64{1}, Costs: []int64{80}}}, 3)
 	if out := a.tick(3); len(out) != 0 {
 		t.Fatalf("round 3: must wait a round for stragglers, got %v", out)
 	}
 	a.merge(&Msg{Kind: KCostReport, Tmpl: 7, Sweep: sweep1,
-		Iters: []int64{4}, Costs: []int64{10}}, 4) // straggler arrives in time
+		Lists: &MsgLists{Iters: []int64{4}, Costs: []int64{10}}}, 4) // straggler arrives in time
 	out := a.tick(4)
 	if len(out) != 1 || out[0].tmpl != 7 {
 		t.Fatalf("round 4: want one rebind for template 7, got %v", out)
@@ -127,7 +127,7 @@ func TestAdaptCoordSweepLifecycle(t *testing.T) {
 
 	// A late report for the planned sweep 1 must be ignored, not revive it.
 	a.merge(&Msg{Kind: KCostReport, Tmpl: 7, Sweep: sweep1,
-		Iters: []int64{1}, Costs: []int64{5}}, 5)
+		Lists: &MsgLists{Iters: []int64{1}, Costs: []int64{5}}}, 5)
 	if lc := a.loops[7]; len(lc.order) != 1 || lc.order[0] != sweep2 {
 		t.Fatalf("late report revived a planned sweep: order=%v", lc.order)
 	}
@@ -135,9 +135,9 @@ func TestAdaptCoordSweepLifecycle(t *testing.T) {
 	// Sweep 2 finishes (sweep 3 reports): its profile is already balanced
 	// under the installed cuts, so hysteresis suppresses a new rebind.
 	a.merge(&Msg{Kind: KCostReport, Tmpl: 7, Sweep: sweep2,
-		Iters: []int64{2, 3, 4}, Costs: []int64{26, 26, 26}}, 5)
+		Lists: &MsgLists{Iters: []int64{2, 3, 4}, Costs: []int64{26, 26, 26}}}, 5)
 	a.merge(&Msg{Kind: KCostReport, Tmpl: 7, Sweep: packID(0, 3),
-		Iters: []int64{1}, Costs: []int64{70}}, 6)
+		Lists: &MsgLists{Iters: []int64{1}, Costs: []int64{70}}}, 6)
 	if out := a.tick(7); len(out) != 0 {
 		t.Fatalf("balanced profile must not churn, got %v", out)
 	}

@@ -55,7 +55,7 @@ func (c *pumpedCoord) step(t *testing.T, driver Endpoint, pes, rounds int, progr
 		c.open = false
 		for _, rb := range c.ad.tick(c.round) {
 			broadcast(func() *Msg {
-				return &Msg{Kind: KRebound, Tmpl: rb.tmpl, Cuts: append([]int64(nil), rb.cuts...)}
+				return &Msg{Kind: KRebound, Tmpl: rb.tmpl, Lists: &MsgLists{Cuts: append([]int64(nil), rb.cuts...)}}
 			})
 		}
 		return true

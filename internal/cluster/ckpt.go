@@ -46,7 +46,7 @@ func (w *worker) startCkpt(m *Msg) {
 	for pe, log := range w.writeLog {
 		w.ckptCuts[pe] = len(log)
 	}
-	w.ckptSweeps = append([]int64(nil), m.Iters...)
+	w.ckptSweeps = append([]int64(nil), m.Lists.Iters...)
 	// Prune mark entries of aborted/finished checkpoints (IDs only grow).
 	for seq := range w.ckptMark {
 		if seq < m.Seq {
@@ -140,7 +140,7 @@ func (w *worker) ckptDump() {
 		vetoed = append(vetoed, s)
 	}
 	sort.Slice(vetoed, func(i, j int) bool { return vetoed[i] < vetoed[j] })
-	w.send(w.driverID(), &Msg{Kind: KCkptAck, Seq: seq, Iters: vetoed})
+	w.send(w.driverID(), &Msg{Kind: KCkptAck, Seq: seq, Lists: &MsgLists{Iters: vetoed}})
 }
 
 // finishCkpt applies the driver's commit: the snapshot covers every
@@ -165,9 +165,9 @@ func (w *worker) finishCkpt(m *Msg) {
 			w.writeLog[pe] = rest
 		}
 	}
-	if len(m.Iters) > 0 {
-		done := make(map[int64]bool, len(m.Iters))
-		for _, s := range m.Iters {
+	if len(m.Lists.Iters) > 0 {
+		done := make(map[int64]bool, len(m.Lists.Iters))
+		for _, s := range m.Lists.Iters {
 			if s != 0 {
 				done[s] = true
 			}

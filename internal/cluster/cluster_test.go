@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"reflect"
 	"testing"
 	"time"
 
@@ -35,79 +34,6 @@ func testCtx(t *testing.T) context.Context {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	t.Cleanup(cancel)
 	return ctx
-}
-
-func TestMsgCodecRoundTrip(t *testing.T) {
-	msgs := []*Msg{
-		{Kind: KToken, From: 3, SP: packID(2, 7), Slot: 5, Val: isa.Float(3.25)},
-		{Kind: KSpawn, Tmpl: 4, Args: []isa.Value{isa.Int(9), isa.SPRef(0), isa.Bool(true)}},
-		{Kind: KAlloc, Arr: packID(1, 1), Name: "A", Dims: []int32{8, 8}, Origin: 1, Dist: true},
-		{Kind: KReadReq, Arr: 77, Off: 12, ReqPE: 2, SP: packID(2, 3), Slot: 1},
-		{Kind: KPage, Arr: 77, Page: 2, Off: 65, SP: packID(0, 1), Slot: 2,
-			Vals: []isa.Value{isa.Float(1), {}, isa.Float(2)}, Set: []bool{true, false, true}},
-		{Kind: KWrite, Arr: 77, Off: 40, Val: isa.Int(-9)},
-		{Kind: KFail, Name: "pe 1: boom"},
-		{Kind: KProbe, Round: 12},
-		{Kind: KAck, Round: 12, Sent: 100, Recv: 99, Live: 3, Deferred: 7, Hits: 5, Misses: 2,
-			Steals: 4, Forwards: 6, Instrs: 12345, Evicts: 11, Refetches: 3},
-		{Kind: KDumpReq, Arr: 77},
-		{Kind: KDump, Arr: 77, Off: 64, Vals: []isa.Value{isa.Float(1.5)}, Set: []bool{true}},
-		{Kind: KInit, PE: 1, NumPEs: 4, PageElems: 32, DistThreshold: 64, CachePages: 16,
-			Steal: true, Adapt: true,
-			Peers: []string{"a:1", "b:2"}, Prog: []byte("{}")},
-		{Kind: KStop},
-		{Kind: KStealReq, From: 2},
-		{Kind: KStealReq, From: 3, Hot: []int64{packID(0, 1), packID(2, 5)}},
-		{Kind: KStealGrant, Batch: []StealItem{
-			{SP: packID(1, 9), Tmpl: 3,
-				Args:     []isa.Value{isa.Int(7), {}},
-				CostLoop: 5, Sweep: packID(0, 2), CostIter: 41},
-			{SP: packID(1, 10), Tmpl: 3,
-				Args:     []isa.Value{isa.Float(2.5), {}},
-				CostLoop: -1},
-		}},
-		{Kind: KStealNone},
-		{Kind: KSpawn, Tmpl: 6, Args: []isa.Value{isa.Int(3)},
-			Sweep: packID(3, 4), RngOn: true, RngLo: -12, RngHi: 99},
-		{Kind: KCostReport, Tmpl: 6, Sweep: packID(3, 4),
-			Iters: []int64{1, 2, 5}, Costs: []int64{10, 20, 50}},
-		{Kind: KRebound, Tmpl: 6, Cuts: []int64{4, 9, 13}},
-		{Kind: KToken, From: 2, Epoch: 3, Inc: 1, SP: packIncID(1, 1, 9), Slot: 2, Val: isa.Int(5)},
-		{Kind: KSpawnLog, From: 1, Inc: 2, Tmpl: 6, Sweep: packIncID(1, 2, 3),
-			Args: []isa.Value{isa.Int(8)}, Cuts: []int64{3, 7, 11}},
-		{Kind: KRecover, Epoch: 2, Incs: []int32{0, 1, 0, 2}, Peers: []string{"a:1", "s:9"}},
-		{Kind: KInit, PE: 3, NumPEs: 4, Epoch: 1, Recover: true, Incs: []int32{0, 0, 0, 1},
-			Peers: []string{"a:1"}, Prog: []byte("p")},
-		{Kind: KStealDone, From: 2, SP: packIncID(0, 0, 4)},
-		{Kind: KFlush, From: 1, Epoch: 2, Inc: 1},
-		{Kind: KAck, Round: 3, Epoch: 1, Sent: 4, Recv: 4, Replayed: 2, Flushed: true},
-		{Kind: KStealReq, From: 1, HotPages: []int64{packID(0, 1), 3, packID(2, 5), 0}},
-		{Kind: KAck, Round: 9, Sent: 8, Recv: 8, Hits: 40, Misses: 3,
-			Prefetches: 6, PrefetchHits: 4, CacheCapNow: 24},
-		{Kind: KJobStart, Job: 2, NumPEs: 4, PageElems: 8, DistThreshold: 16,
-			CachePages: 2, Steal: true, Heat: true, Prog: []byte("{}")},
-		{Kind: KSubmit, Job: 1, Seq: 7, Name: "triread", CachePages: 4, Heat: true,
-			Args: []isa.Value{isa.Int(26)}, Prog: []byte("p")},
-	}
-	for _, m := range msgs {
-		b := encodeMsg(nil, m)
-		got, err := decodeMsg(b)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", m.Kind, err)
-		}
-		if !reflect.DeepEqual(m, got) {
-			t.Errorf("%s: round trip mismatch:\n sent %+v\n got  %+v", m.Kind, m, got)
-		}
-	}
-}
-
-func TestMsgCodecTruncated(t *testing.T) {
-	b := encodeMsg(nil, &Msg{Kind: KPage, Vals: make([]isa.Value, 4), Set: make([]bool, 4)})
-	for _, n := range []int{0, 1, 7, len(b) / 2, len(b) - 1} {
-		if _, err := decodeMsg(b[:n]); err == nil {
-			t.Errorf("decode of %d/%d bytes: want error", n, len(b))
-		}
-	}
 }
 
 func TestIDPacking(t *testing.T) {

@@ -172,7 +172,8 @@ func (h *fleetHost) startJob(ctx context.Context, m *Msg) {
 	}
 	delete(h.done, job)
 
-	prog, err := h.resolveProg(job, m.Prog)
+	c := m.Cfg
+	prog, err := h.resolveProg(job, c.Prog)
 	if err != nil {
 		h.done[job] = struct{}{}
 		h.stashed -= len(h.stash[job])
@@ -186,25 +187,25 @@ func (h *fleetHost) startJob(ctx context.Context, m *Msg) {
 		return
 	}
 
-	geo := rtcfg.Geometry{PEs: h.n, PageElems: int(m.PageElems), DistThreshold: int(m.DistThreshold)}
+	geo := rtcfg.Geometry{PEs: h.n, PageElems: int(c.PageElems), DistThreshold: int(c.DistThreshold)}
 	box := newMailbox()
 	jep := &jobEndpoint{job: job, out: h.ep, in: box}
 	w := newWorker(h.pe, h.n, geo, prog, jep, workerOpts{
-		steal:       m.Steal,
-		adapt:       m.Adapt,
-		cachePages:  int(m.CachePages),
-		trace:       m.Trace,
-		traceCap:    int(m.TraceCap),
-		traceSample: int(m.TraceSample),
-		heat:        m.Heat,
+		steal:       c.Steal,
+		adapt:       c.Adapt,
+		cachePages:  int(c.CachePages),
+		trace:       c.Trace,
+		traceCap:    int(c.TraceCap),
+		traceSample: int(c.TraceSample),
+		heat:        c.Heat,
 	})
 	w.job = job
-	if m.Recover {
+	if c.Recover {
 		var inc int32
-		if h.pe < len(m.Incs) {
-			inc = m.Incs[h.pe]
+		if h.pe < len(c.Incs) {
+			inc = c.Incs[h.pe]
 		}
-		w.enableRecovery(inc, m.Epoch, m.Incs)
+		w.enableRecovery(inc, m.Epoch, c.Incs)
 	}
 
 	h.jobs[job] = box
@@ -326,8 +327,9 @@ func (f *Fleet) dialTCP(ctx context.Context, cfg Config) error {
 			d.Close()
 			return fmt.Errorf("cluster: dialing worker %d at %s: %w", i, addr, err)
 		}
-		d.conns = append(d.conns, conn)
-		if err := writeFrame(conn, fleetInitMsg(i, cfg.Workers)); err != nil {
+		o := newOutbox(conn)
+		d.conns = append(d.conns, o)
+		if err := o.send(fleetInitMsg(i, cfg.Workers)); err != nil {
 			d.Close()
 			return fmt.Errorf("cluster: init worker %d at %s: %w", i, addr, err)
 		}
@@ -344,13 +346,11 @@ func (f *Fleet) dialTCP(ctx context.Context, cfg Config) error {
 // driver session: identity and peer table only — programs and knobs arrive
 // per job in KJobStart frames.
 func fleetInitMsg(pe int, peers []string) *Msg {
-	return &Msg{
-		Kind:   KInit,
-		From:   int32(len(peers)),
+	return &Msg{Kind: KInit, From: int32(len(peers)), Cfg: &MsgCfg{
 		PE:     int32(pe),
 		NumPEs: int32(len(peers)),
 		Peers:  append([]string(nil), peers...),
-	}
+	}}
 }
 
 // lookupProg resolves a job's program on the channel transport (shared
@@ -412,7 +412,7 @@ func (f *Fleet) dispatch() {
 // frames from incarnations older than the job's view) must never swallow
 // a death notice, whose authority is the transport, not any incarnation.
 func (f *Fleet) noteDown(m *Msg) {
-	pe := int(m.PE)
+	pe := int(m.From)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if pe < 0 || pe >= f.n || m.Inc < f.hostInc[pe] {
@@ -420,16 +420,14 @@ func (f *Fleet) noteDown(m *Msg) {
 	}
 	f.deadPending[pe] = true
 	for _, fj := range f.jobs {
-		fj.box.put(&Msg{Kind: KDown, From: m.From, PE: m.PE, Inc: math.MaxInt32})
+		fj.box.put(&Msg{Kind: KDown, From: m.From, Inc: math.MaxInt32})
 	}
 }
 
-// jobStartMsg builds one PE's KJobStart: the job's full knob set, budget,
-// recovery state, and (on TCP) the serialized program. incs must be a
-// fresh slice per call — the receiving worker retains and mutates it.
-func jobStartMsg(cfg *Config, prog []byte, epoch int32, incs []int32) *Msg {
-	return &Msg{
-		Kind:          KJobStart,
+// cfgBlock is the wire form of a job's knobs, budgets and serialized
+// program (KJobStart, KSubmit).
+func cfgBlock(cfg *Config, prog []byte) *MsgCfg {
+	return &MsgCfg{
 		PageElems:     int32(cfg.PageElems),
 		DistThreshold: int32(cfg.DistThreshold),
 		CachePages:    int32(cfg.CachePages),
@@ -442,10 +440,17 @@ func jobStartMsg(cfg *Config, prog []byte, epoch int32, incs []int32) *Msg {
 		Heat:          cfg.Heat,
 		MaxInstrs:     cfg.MaxInstrs,
 		MaxElems:      cfg.MaxElems,
-		Epoch:         epoch,
-		Incs:          incs,
 		Prog:          prog,
 	}
+}
+
+// jobStartMsg builds one PE's KJobStart: the job's full knob set, budget,
+// recovery state, and (on TCP) the serialized program. incs must be a
+// fresh slice per call — the receiving worker retains and mutates it.
+func jobStartMsg(cfg *Config, prog []byte, epoch int32, incs []int32) *Msg {
+	c := cfgBlock(cfg, prog)
+	c.Incs = incs
+	return &Msg{Kind: KJobStart, Epoch: epoch, Cfg: c}
 }
 
 // allocJobIDLocked mints a job ID. IDs whose low 15 bits are zero are
@@ -654,11 +659,12 @@ func (f *Fleet) rehomeLocked(pe int, gen int32) error {
 	}
 	f.sparesLeft = f.sparesLeft[1:]
 	f.peers[pe] = addr
-	if err := writeFrame(conn, fleetInitMsg(pe, f.peers)); err != nil {
+	o := newOutbox(conn)
+	if err := o.send(fleetInitMsg(pe, f.peers)); err != nil {
 		conn.Close()
 		return fmt.Errorf("init spare %s: %w", addr, err)
 	}
-	f.td.repoint(pe, conn)
+	f.td.repoint(pe, o)
 	go pumpWorkerConn(f.td, pe, gen, conn)
 	return nil
 }

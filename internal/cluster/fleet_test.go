@@ -151,7 +151,7 @@ func TestStealGrantSeqFence(t *testing.T) {
 		}
 	}
 
-	w.installStolen(&Msg{Kind: KStealGrant, From: 0, Seq: 1, Batch: []StealItem{item(1)}})
+	w.installStolen(&Msg{Kind: KStealGrant, From: 0, Seq: 1, Lists: &MsgLists{Batch: []StealItem{item(1)}}})
 	if w.steals != 1 || len(w.insts) != 1 {
 		t.Fatalf("first grant installed %d SPs (%d steals), want 1", len(w.insts), w.steals)
 	}
@@ -159,7 +159,7 @@ func TestStealGrantSeqFence(t *testing.T) {
 	// Re-delivery of the same grant (retry after a lost ack, or a replayed
 	// wire): must be dropped before any per-item check can fail the run —
 	// even though its SP is still live here.
-	w.installStolen(&Msg{Kind: KStealGrant, From: 0, Seq: 1, Batch: []StealItem{item(1)}})
+	w.installStolen(&Msg{Kind: KStealGrant, From: 0, Seq: 1, Lists: &MsgLists{Batch: []StealItem{item(1)}}})
 	if w.failed {
 		t.Fatal("re-delivered grant failed the worker")
 	}
@@ -171,8 +171,8 @@ func TestStealGrantSeqFence(t *testing.T) {
 	}
 
 	// A stale lower sequence arriving late is equally dead.
-	w.installStolen(&Msg{Kind: KStealGrant, From: 0, Seq: 2, Batch: []StealItem{item(2)}})
-	w.installStolen(&Msg{Kind: KStealGrant, From: 0, Seq: 1, Batch: []StealItem{item(3)}})
+	w.installStolen(&Msg{Kind: KStealGrant, From: 0, Seq: 2, Lists: &MsgLists{Batch: []StealItem{item(2)}}})
+	w.installStolen(&Msg{Kind: KStealGrant, From: 0, Seq: 1, Lists: &MsgLists{Batch: []StealItem{item(3)}}})
 	if w.dupGrants != 2 || w.steals != 2 {
 		t.Fatalf("after stale low-seq grant: dupGrants = %d, steals = %d; want 2, 2",
 			w.dupGrants, w.steals)
@@ -182,7 +182,7 @@ func TestStealGrantSeqFence(t *testing.T) {
 	// Inc 1 is a fresh grant, not a duplicate of Inc 0's Seq 1.
 	reborn := StealItem{SP: packIncID(0, 1, 9), Tmpl: 0,
 		Args: make([]isa.Value, 4)}
-	w.installStolen(&Msg{Kind: KStealGrant, From: 0, Inc: 1, Seq: 1, Batch: []StealItem{reborn}})
+	w.installStolen(&Msg{Kind: KStealGrant, From: 0, Inc: 1, Seq: 1, Lists: &MsgLists{Batch: []StealItem{reborn}}})
 	if w.failed || w.steals != 3 {
 		t.Fatalf("new-incarnation Seq 1 grant not installed: failed=%v steals=%d",
 			w.failed, w.steals)

@@ -30,9 +30,10 @@ type MsgKind uint8
 // page, write) are counted by the termination detector; control-plane kinds
 // are not.
 const (
-	// KInit configures a TCP worker: its PE index, the cluster geometry,
-	// the peer address list, and the serialized program. Channel-transport
-	// workers are configured in-process and never see it.
+	// KInit opens a driver session on a TCP worker: its PE index, the PE
+	// count and the peer address list (Cfg.PE, NumPEs, Peers); programs and
+	// knobs arrive per job. Channel-transport workers are configured
+	// in-process and never see it.
 	KInit MsgKind = iota + 1
 
 	// KSpawn instantiates template Tmpl with Args on the receiving PE
@@ -70,7 +71,7 @@ const (
 	KProbe
 
 	// KAck answers a probe: cumulative worker-to-worker Sent/Recv message
-	// counts, the Live SP count, and shard statistics.
+	// counts, the Live SP count, and shard statistics (Ack).
 	KAck
 
 	// KDumpReq asks a worker for its owned segment of array Arr.
@@ -138,8 +139,8 @@ const (
 	// steal grants made to the dead incarnation.
 	KRecover
 
-	// KDown reports a dead worker to the driver: PE names it, Inc the
-	// incarnation that died. It is synthesized locally — by the channel
+	// KDown reports a dead worker to the driver: From names it, Inc the
+	// host generation that died. It is synthesized locally — by the channel
 	// transport's fault injector and by the TCP driver's connection pumps —
 	// and never crosses a wire, so a worker death is detected at
 	// connection-loss speed instead of waiting out a probe-round deadline.
@@ -225,102 +226,57 @@ const (
 )
 
 func (k MsgKind) String() string {
-	switch k {
-	case KInit:
-		return "init"
-	case KSpawn:
-		return "spawn"
-	case KToken:
-		return "token"
-	case KAlloc:
-		return "alloc"
-	case KReadReq:
-		return "readReq"
-	case KPage:
-		return "page"
-	case KWrite:
-		return "write"
-	case KFail:
-		return "fail"
-	case KProbe:
-		return "probe"
-	case KAck:
-		return "ack"
-	case KDumpReq:
-		return "dumpReq"
-	case KDump:
-		return "dump"
-	case KStop:
-		return "stop"
-	case KStealReq:
-		return "stealReq"
-	case KStealGrant:
-		return "stealGrant"
-	case KStealNone:
-		return "stealNone"
-	case KCostReport:
-		return "costReport"
-	case KRebound:
-		return "rebound"
-	case KSpawnLog:
-		return "spawnLog"
-	case KRecover:
-		return "recover"
-	case KDown:
-		return "down"
-	case KStealDone:
-		return "stealDone"
-	case KFlush:
-		return "flush"
-	case KTraceReq:
-		return "traceReq"
-	case KTrace:
-		return "trace"
-	case KJobStart:
-		return "jobStart"
-	case KJobEnd:
-		return "jobEnd"
-	case KSubmit:
-		return "submit"
-	case KResult:
-		return "result"
-	case KCkpt:
-		return "ckpt"
-	case KCkptMark:
-		return "ckptMark"
-	case KCkptAck:
-		return "ckptAck"
-	case KCkptOK:
-		return "ckptOK"
-	case KRestore:
-		return "restore"
-	default:
-		return fmt.Sprintf("msg(%d)", uint8(k))
+	if int(k) < len(kinds) && kinds[k].name != "" {
+		return kinds[k].name
 	}
+	return fmt.Sprintf("msg(%d)", uint8(k))
 }
 
-// Msg is one protocol message. It is a flat union: each kind uses the
-// subset of fields its documentation names. A Msg (and every slice it
-// references) is owned by the receiver once sent and must not be mutated by
-// the sender afterwards — the channel transport passes pointers.
+// Msg is one protocol message: a flat union in which each kind uses the
+// subset of fields its documentation names, and the wire carries exactly
+// that subset (wireBlocks). The struct every message allocates — on the
+// channel transport as much as on TCP — is the hot part, ≤ 256 bytes
+// (TestMsgSize); the blocks only control-plane kinds use (probe answers,
+// job configuration, variable-length lists) sit behind the three pointers
+// at the end. A Msg (and everything it references) is owned by the
+// receiver once sent and must not be mutated by the sender afterwards —
+// the channel transport passes pointers.
 type Msg struct {
 	Kind MsgKind
+
+	// Dist (alloc: the array is distributed) and RngOn (spawn: explicit
+	// adaptive bounds follow) live beside Kind, and the int32 fields are
+	// paired, so that the struct has no padding.
+	Dist  bool
+	RngOn bool
+
 	From int32 // sending endpoint: worker PE, or N (the driver)
 
 	// Job names the job a frame belongs to on a multi-program fleet
 	// (stamped by the per-job endpoint wrappers; 0 is fleet-level
-	// control). Seq is a multi-purpose sequence number: the victim-minted
-	// per-thief grant sequence on KStealGrant (so a re-delivered completed
-	// grant is detected and dropped), the checkpoint ID on KCkpt*, and the
-	// client correlation tag on KSubmit/KResult.
+	// control).
 	Job int32
+
+	// Failure recovery (every kind). Epoch is the sender's counting epoch
+	// (bumped by one per recovery event); Inc is the sender's incarnation,
+	// checked against the receiver's incarnation vector so frames from a
+	// dead PE's previous life are dropped at the boundary.
+	Epoch int32
+	Inc   int32
+
+	Round int32 // termination-detection round (probe, ack)
+
+	// Seq is a multi-purpose sequence number: the victim-minted per-thief
+	// grant sequence on KStealGrant (so a re-delivered completed grant is
+	// detected and dropped), the checkpoint ID on KCkpt* and checkpoint
+	// dumps, and the client correlation tag on KSubmit/KResult.
 	Seq int64
 
 	// SP routing (spawn, token, readReq, page).
 	SP   int64
 	Slot int32
-	Val  isa.Value
 	Tmpl int32
+	Val  isa.Value
 	Args []isa.Value
 
 	// Array operations (alloc, readReq, page, write, dump).
@@ -332,100 +288,103 @@ type Msg struct {
 	Name   string // alloc array name; fail error text
 	Dims   []int32
 	Origin int32
-	Dist   bool
 	ReqPE  int32
 
-	// Failure recovery (every kind). Epoch is the sender's counting epoch
-	// (bumped by one per recovery event); Inc is the sender's incarnation,
-	// checked against the receiver's incarnation vector so frames from a
-	// dead PE's previous life are dropped at the boundary.
-	Epoch int32
-	Inc   int32
+	// Adaptive repartitioning (spawn, costReport, spawnLog). A migrating
+	// SP's cost tag travels per StealItem in the grant batch.
+	Sweep int64 // fan-out identity of a distributed spawn
+	RngLo int64 // adaptive lower index bound for the receiving PE (spawn)
+	RngHi int64 // adaptive upper index bound for the receiving PE (spawn)
 
-	// Termination detection (probe, ack).
-	Round      int32
+	Ack   *AckStats // probe answer (ack)
+	Cfg   *MsgCfg   // worker and job configuration (init, jobStart, submit, recover)
+	Lists *MsgLists // adapt lists, steal summaries and batch, trace ring
+}
+
+// AckStats is a worker's answer to a termination probe: its cumulative
+// worker-to-worker Sent/Recv data-frame counts and Live SP count (the
+// four-counter detector's inputs), whether it holds epoch flush markers
+// from every peer, and its shard and scheduler counters at the probe. The
+// detector keeps the latest one per PE as is, so Stats and PEStats are
+// sums and copies of these fields.
+type AckStats struct {
+	Round      int32 // copied from the ack's Msg.Round by the detector
+	Flushed    bool  // epoch flush markers held from every peer
 	Sent, Recv int64
-	Live       int32
-	Deferred   int64 // shard deferred-read count (ack)
-	Hits       int64 // page-cache hits (ack)
-	Misses     int64 // page-cache misses (ack)
-	Steals     int64 // SPs stolen and installed by this worker (ack)
-	Forwards   int64 // tokens relayed through forwarding stubs (ack)
-	Instrs     int64 // instructions executed by this worker (ack)
-	Evicts     int64 // cached pages evicted by the cache bound (ack)
-	Refetches  int64 // previously evicted pages fetched again (ack)
-	Replayed   int64 // SPs re-sent or re-instantiated for replacements (ack)
-	Flushed    bool  // epoch flush markers held from every peer (ack)
-	QDepth     int64 // ready-queue depth at the probe (ack)
+	Live       int64
+	Deferred   int64 // shard deferred-read count
+	Hits       int64 // page-cache hits
+	Misses     int64 // page-cache misses
+	Steals     int64 // SPs stolen and installed by this worker
+	Forwards   int64 // tokens relayed through forwarding stubs
+	Instrs     int64 // instructions executed by this worker
+	Evicts     int64 // cached pages evicted by the cache bound
+	Refetches  int64 // previously evicted pages fetched again
+	Replayed   int64 // SPs re-sent or re-instantiated for replacements
+	QDepth     int64 // ready-queue depth at the probe
 
-	// Page-heat counters (ack): prefetches issued, prefetched pages that
-	// served a demand read, and the shard's current (possibly adapted)
-	// cache cap.
+	// Page-heat counters: prefetches issued, prefetched pages that served
+	// a demand read, and the shard's current (possibly adapted) cache cap.
 	Prefetches   int64
 	PrefetchHits int64
 	CacheCapNow  int64
+}
 
-	// Adaptive repartitioning (spawn, costReport, rebound). A migrating
-	// SP's cost tag travels per StealItem in the grant batch.
-	Sweep int64   // fan-out identity of a distributed spawn (spawn, costReport)
-	RngOn bool    // spawn carries explicit adaptive bounds (spawn)
-	RngLo int64   // adaptive lower index bound for the receiving PE (spawn)
-	RngHi int64   // adaptive upper index bound for the receiving PE (spawn)
-	Iters []int64 // iteration indices of a cost flush (costReport)
-	Costs []int64 // instruction counts parallel to Iters (costReport)
-	Cuts  []int64 // per-PE last-iteration cut points (rebound)
+// counters lists the int64 fields in wire order, for both codec halves.
+func (a *AckStats) counters() [16]*int64 {
+	return [...]*int64{&a.Sent, &a.Recv, &a.Live, &a.Deferred, &a.Hits, &a.Misses,
+		&a.Steals, &a.Forwards, &a.Instrs, &a.Evicts, &a.Refetches, &a.Replayed,
+		&a.QDepth, &a.Prefetches, &a.PrefetchHits, &a.CacheCapNow}
+}
 
-	// Work stealing (stealReq, stealGrant).
-	Hot      []int64     // thief's hot-array summary (stealReq, legacy mode)
-	HotPages []int64     // thief's hot-page summary as (array, page) pairs (stealReq, heat mode)
-	Batch    []StealItem // granted SP instances, locality-preferred order (stealGrant)
-
-	// Worker configuration (init) and recovery announcements (recover).
-	// Incs is the full per-PE incarnation vector; Recover enables the
-	// worker-side recovery machinery (write logging, grant logging,
-	// idempotent rewrites).
+// MsgCfg is the configuration block. KInit uses PE, NumPEs and Peers (a
+// TCP worker's identity and peer table); KJobStart and KSubmit carry a
+// job's knobs, budgets (zero = unlimited; a worker that exceeds its
+// instruction budget, or allocates past its element budget, fails its job
+// — only that job) and serialized program; KJobStart and KRecover carry
+// the incarnation vector, KRecover the updated peer table. Heat is a
+// versioned knob: both sides of a job agree on the KStealReq Hot/HotPages
+// semantics because the frame that starts the job carries it.
+type MsgCfg struct {
 	PE            int32
 	NumPEs        int32
 	PageElems     int32
 	DistThreshold int32
 	CachePages    int32
+	TraceCap      int32
+	TraceSample   int32
 	Steal         bool
 	Adapt         bool
-	Recover       bool
-	Incs          []int32
+	Recover       bool // enables write logging, grant logging, idempotent rewrites
+	Trace         bool
+	Heat          bool
+	MaxInstrs     int64
+	MaxElems      int64
+	Incs          []int32 // full per-PE incarnation vector
 	Peers         []string
 	Prog          []byte
+}
 
-	// Observability (init, trace). The init block carries the tracing
-	// configuration to remote workers; the trace block carries a flushed
-	// event ring back (trace.Recorder.Flatten layout).
-	Trace       bool
-	TraceCap    int32
-	TraceSample int32
-	TraceEvs    []int64
-	TraceDrops  int64
+// MsgLists holds the variable-length control-plane payloads.
+type MsgLists struct {
+	Iters []int64 // iteration indices of a cost flush (costReport); sweep IDs (ckpt*)
+	Costs []int64 // instruction counts parallel to Iters (costReport)
+	Cuts  []int64 // per-PE last-iteration cut points (rebound, spawnLog)
 
-	// Per-job budgets (init block: jobStart, submit). Zero = unlimited.
-	// A worker that exceeds its instruction budget, or allocates past its
-	// element budget, fails its job — only that job.
-	MaxInstrs int64
-	MaxElems  int64
+	Hot      []int64     // thief's hot-array summary (stealReq, legacy mode)
+	HotPages []int64     // thief's hot-page summary as (array, page) pairs (stealReq, heat mode)
+	Batch    []StealItem // granted SP instances, locality-preferred order (stealGrant)
 
-	// Heat (init block) enables the unified page-heat machinery on the
-	// receiving worker: page-granular steal summaries, streaming
-	// prefetch, the adaptive cache cap, and rebind migration. A versioned
-	// knob: both sides of a job agree on the KStealReq.Hot/HotPages
-	// semantics because the same KJobStart/KSubmit frame that starts the
-	// job carries it.
-	Heat bool
+	// TraceEvs is a flushed event ring (trace.Recorder.Flatten layout),
+	// TraceDrops the count of events its capacity bound discarded (trace).
+	TraceEvs   []int64
+	TraceDrops int64
 }
 
 // StealItem is one SP instance migrating inside a KStealGrant batch: its
 // home ID, template, operand frame, and the cost-attribution tag, so a
 // migrated iteration keeps billing the iteration (on the loop that spawned
-// it) that caused it. An absent frame slot is the zero Value; the wire
-// format still carries one presence byte per slot, derived from the kind
-// when encoding and re-imposed on the value when decoding.
+// it) that caused it. An absent frame slot is the zero Value.
 type StealItem struct {
 	SP       int64
 	Tmpl     int32
@@ -435,63 +394,83 @@ type StealItem struct {
 	Args     []isa.Value
 }
 
-// hasAdaptBlock reports whether the kind carries the adaptive-
-// repartitioning fields (Sweep … Cuts) on the wire. Gating the block on
-// the kind — known to both codec halves before the block is reached —
-// keeps the flat encoding symmetric while sparing the high-volume data
-// kinds (tokens, writes, pages) ~50 always-zero bytes per frame.
-func (k MsgKind) hasAdaptBlock() bool {
-	switch k {
-	case KSpawn, KCostReport, KRebound, KSpawnLog, KCkpt, KCkptAck, KCkptOK:
-		return true
-	}
-	return false
+// wireBlocks names the field groups a kind carries on the wire after the
+// common header (Kind, From, Job, Epoch, Inc). Both codec halves walk the
+// groups in declaration order and branch on the kind they have already
+// read, so the pair is symmetric by construction and a token frame is 38
+// bytes.
+type wireBlocks uint16
+
+const (
+	wSeq   wireBlocks = 1 << iota // Seq
+	wSP                           // SP, Slot
+	wVal                          // Val
+	wSpawn                        // Tmpl, Args
+	wElem                         // Arr, Off
+	wReq                          // ReqPE
+	wPage                         // Page, Vals, Set
+	wName                         // Name
+	wDims                         // Dims, Origin, Dist
+	wRound                        // Round
+	wSweep                        // Sweep, RngOn, RngLo, RngHi
+	wAck                          // Ack
+	wCfg                          // Cfg
+	wAdapt                        // Lists.Iters, Costs, Cuts
+	wSteal                        // Lists.Hot, HotPages, Batch
+	wTrace                        // Lists.TraceEvs, TraceDrops
+)
+
+// kinds is the name and frame layout of every kind. KDown has no layout:
+// it is synthesized locally, and decodeMsg refuses one so that a peer
+// cannot forge a death notice.
+var kinds = [...]struct {
+	name string
+	w    wireBlocks
+}{
+	KInit:       {"init", wCfg},
+	KSpawn:      {"spawn", wSpawn | wSweep},
+	KToken:      {"token", wSP | wVal},
+	KAlloc:      {"alloc", wElem | wName | wDims},
+	KReadReq:    {"readReq", wSP | wElem | wReq},
+	KPage:       {"page", wSP | wElem | wPage},
+	KWrite:      {"write", wElem | wVal},
+	KFail:       {"fail", wSeq | wName},
+	KProbe:      {"probe", wRound},
+	KAck:        {"ack", wRound | wAck},
+	KDumpReq:    {"dumpReq", wElem},
+	KDump:       {"dump", wSeq | wElem | wPage | wName | wDims},
+	KStop:       {"stop", 0},
+	KStealReq:   {"stealReq", wSteal},
+	KStealGrant: {"stealGrant", wSeq | wSteal},
+	KStealNone:  {"stealNone", 0},
+	KCostReport: {"costReport", wSpawn | wSweep | wAdapt},
+	KRebound:    {"rebound", wSpawn | wAdapt},
+	KSpawnLog:   {"spawnLog", wSpawn | wSweep | wAdapt},
+	KRecover:    {"recover", wCfg},
+	KDown:       {"down", 0},
+	KStealDone:  {"stealDone", wSP},
+	KFlush:      {"flush", 0},
+	KTraceReq:   {"traceReq", 0},
+	KTrace:      {"trace", wTrace},
+	KJobStart:   {"jobStart", wCfg},
+	KJobEnd:     {"jobEnd", 0},
+	KSubmit:     {"submit", wSeq | wSpawn | wName | wCfg},
+	KResult:     {"result", wSeq | wSP | wVal},
+	KCkpt:       {"ckpt", wSeq | wAdapt},
+	KCkptMark:   {"ckptMark", wSeq},
+	KCkptAck:    {"ckptAck", wSeq | wAdapt},
+	KCkptOK:     {"ckptOK", wSeq | wAdapt},
+	KRestore:    {"restore", wElem | wPage},
 }
 
-// hasRecoverBlock reports whether the kind carries the recovery
-// configuration fields (Recover, Incs) on the wire, gated like the other
-// blocks so data frames stay free of them.
-func (k MsgKind) hasRecoverBlock() bool {
-	switch k {
-	case KInit, KRecover, KJobStart:
-		return true
+// layout returns the kind's wire blocks; ok is false for a kind that never
+// crosses a wire.
+func (k MsgKind) layout() (w wireBlocks, ok bool) {
+	if int(k) >= len(kinds) || kinds[k].name == "" || k == KDown {
+		return 0, false
 	}
-	return false
+	return kinds[k].w, true
 }
-
-// hasStealBlock reports whether the kind carries the work-stealing fields
-// (Hot, HotPages, Batch) on the wire, gated the same way as the adapt
-// block.
-func (k MsgKind) hasStealBlock() bool {
-	switch k {
-	case KStealReq, KStealGrant:
-		return true
-	}
-	return false
-}
-
-// hasStatsBlock reports whether the kind carries the probe-answer counters
-// (Sent … QDepth) on the wire. Only the ack does; gating them spares
-// every hot data frame (tokens, writes, pages) the 76 always-zero bytes
-// the ten counters would cost. Round stays in the flat prefix — probes
-// carry it too.
-func (k MsgKind) hasStatsBlock() bool { return k == KAck }
-
-// hasInitBlock reports whether the kind carries the observability
-// configuration (Trace, TraceCap, TraceSample) and the per-job budgets
-// (MaxInstrs, MaxElems): worker bring-up, per-job bring-up, and job
-// submission do.
-func (k MsgKind) hasInitBlock() bool {
-	switch k {
-	case KInit, KJobStart, KSubmit:
-		return true
-	}
-	return false
-}
-
-// hasTraceBlock reports whether the kind carries a flushed trace ring
-// (TraceEvs, TraceDrops), gated like the other blocks.
-func (k MsgKind) hasTraceBlock() bool { return k == KTrace }
 
 // isData reports whether the kind is counted by termination detection.
 // Of the steal traffic, exactly the grant is data: a KStealGrant in flight
@@ -508,30 +487,51 @@ func (k MsgKind) isData() bool {
 	return false
 }
 
-// The wire encoding is a flat, field-ordered binary layout: fixed-width
-// little-endian scalars, length-prefixed slices and strings. Every field is
-// always encoded — frames stay small because unused slices encode as a
-// 4-byte zero length, and the simplicity buys us an obviously symmetric
-// encoder/decoder pair. The exceptions are the kind-gated blocks — probe
-// statistics (hasStatsBlock), adaptive repartitioning (hasAdaptBlock), and
-// work stealing (hasStealBlock): both codec halves branch on the kind they
-// have already read, so symmetry is preserved while the high-volume data
-// kinds stay free of always-zero bytes.
+// The wire encoding is field-ordered binary: fixed-width little-endian
+// scalars, length-prefixed slices and strings, an isa.Value as its kind
+// byte plus the one 8-byte payload the kind selects (F for floats, I
+// otherwise). A block whose pointer is nil encodes as its zero value;
+// decodeMsg always allocates the blocks a kind carries, so a handler may
+// dereference them on any frame that came off a wire.
 
-func appendU32(b []byte, v uint32) []byte  { return binary.LittleEndian.AppendUint32(b, v) }
-func appendI32(b []byte, v int32) []byte   { return appendU32(b, uint32(v)) }
-func appendI64(b []byte, v int64) []byte   { return binary.LittleEndian.AppendUint64(b, uint64(v)) }
-func appendF64(b []byte, v float64) []byte { return appendI64(b, int64(math.Float64bits(v))) }
+func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
+func appendI32(b []byte, v int32) []byte  { return appendU32(b, uint32(v)) }
+func appendI64(b []byte, v int64) []byte  { return binary.LittleEndian.AppendUint64(b, uint64(v)) }
+
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+func appendValues(b []byte, vs []isa.Value) []byte {
+	b = appendU32(b, uint32(len(vs)))
+	for _, v := range vs {
+		b = appendValue(b, v)
+	}
+	return b
+}
 
 func appendValue(b []byte, v isa.Value) []byte {
 	b = append(b, byte(v.Kind))
-	b = appendI64(b, v.I)
-	return appendF64(b, v.F)
+	if v.Kind == isa.KindFloat {
+		return appendI64(b, int64(math.Float64bits(v.F)))
+	}
+	return appendI64(b, v.I)
 }
 
 func appendString(b []byte, s string) []byte {
 	b = appendU32(b, uint32(len(s)))
 	return append(b, s...)
+}
+
+func appendI32s(b []byte, vs []int32) []byte {
+	b = appendU32(b, uint32(len(vs)))
+	for _, v := range vs {
+		b = appendI32(b, v)
+	}
+	return b
 }
 
 func appendI64s(b []byte, vs []int64) []byte {
@@ -542,224 +542,192 @@ func appendI64s(b []byte, vs []int64) []byte {
 	return b
 }
 
+// orZero lets the encoder write a block whose pointer is nil.
+func orZero[T any](p *T) *T {
+	if p == nil {
+		return new(T)
+	}
+	return p
+}
+
 // encodeMsg appends the wire form of m to b.
 func encodeMsg(b []byte, m *Msg) []byte {
 	b = append(b, byte(m.Kind))
 	b = appendI32(b, m.From)
 	b = appendI32(b, m.Job)
-	b = appendI64(b, m.Seq)
-	b = appendI64(b, m.SP)
-	b = appendI32(b, m.Slot)
-	b = appendValue(b, m.Val)
-	b = appendI32(b, m.Tmpl)
-	b = appendU32(b, uint32(len(m.Args)))
-	for _, v := range m.Args {
-		b = appendValue(b, v)
-	}
-	b = appendI64(b, m.Arr)
-	b = appendI32(b, m.Off)
-	b = appendI32(b, m.Page)
-	b = appendU32(b, uint32(len(m.Vals)))
-	for _, v := range m.Vals {
-		b = appendValue(b, v)
-	}
-	b = appendU32(b, uint32(len(m.Set)))
-	for _, s := range m.Set {
-		if s {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-	}
-	b = appendString(b, m.Name)
-	b = appendU32(b, uint32(len(m.Dims)))
-	for _, d := range m.Dims {
-		b = appendI32(b, d)
-	}
-	b = appendI32(b, m.Origin)
-	if m.Dist {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	b = appendI32(b, m.ReqPE)
 	b = appendI32(b, m.Epoch)
 	b = appendI32(b, m.Inc)
-	b = appendI32(b, m.Round)
-	if m.Kind.hasStatsBlock() {
-		b = appendI64(b, m.Sent)
-		b = appendI64(b, m.Recv)
-		b = appendI32(b, m.Live)
-		b = appendI64(b, m.Deferred)
-		b = appendI64(b, m.Hits)
-		b = appendI64(b, m.Misses)
-		b = appendI64(b, m.Steals)
-		b = appendI64(b, m.Forwards)
-		b = appendI64(b, m.Instrs)
-		b = appendI64(b, m.Evicts)
-		b = appendI64(b, m.Refetches)
-		b = appendI64(b, m.Replayed)
-		if m.Flushed {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-		b = appendI64(b, m.QDepth)
-		b = appendI64(b, m.Prefetches)
-		b = appendI64(b, m.PrefetchHits)
-		b = appendI64(b, m.CacheCapNow)
+	w, _ := m.Kind.layout()
+	if w&wSeq != 0 {
+		b = appendI64(b, m.Seq)
 	}
-	if m.Kind.hasAdaptBlock() {
-		b = appendI64(b, m.Sweep)
-		if m.RngOn {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
+	if w&wSP != 0 {
+		b = appendI64(b, m.SP)
+		b = appendI32(b, m.Slot)
+	}
+	if w&wVal != 0 {
+		b = appendValue(b, m.Val)
+	}
+	if w&wSpawn != 0 {
+		b = appendI32(b, m.Tmpl)
+		b = appendValues(b, m.Args)
+	}
+	if w&wElem != 0 {
+		b = appendI64(b, m.Arr)
+		b = appendI32(b, m.Off)
+	}
+	if w&wReq != 0 {
+		b = appendI32(b, m.ReqPE)
+	}
+	if w&wPage != 0 {
+		b = appendI32(b, m.Page)
+		b = appendValues(b, m.Vals)
+		b = appendU32(b, uint32(len(m.Set)))
+		for _, s := range m.Set {
+			b = appendBool(b, s)
 		}
+	}
+	if w&wName != 0 {
+		b = appendString(b, m.Name)
+	}
+	if w&wDims != 0 {
+		b = appendI32s(b, m.Dims)
+		b = appendI32(b, m.Origin)
+		b = appendBool(b, m.Dist)
+	}
+	if w&wRound != 0 {
+		b = appendI32(b, m.Round)
+	}
+	if w&wSweep != 0 {
+		b = appendI64(b, m.Sweep)
+		b = appendBool(b, m.RngOn)
 		b = appendI64(b, m.RngLo)
 		b = appendI64(b, m.RngHi)
-		b = appendI64s(b, m.Iters)
-		b = appendI64s(b, m.Costs)
-		b = appendI64s(b, m.Cuts)
 	}
-	if m.Kind.hasStealBlock() {
-		b = appendI64s(b, m.Hot)
-		b = appendI64s(b, m.HotPages)
-		b = appendU32(b, uint32(len(m.Batch)))
-		for i := range m.Batch {
-			it := &m.Batch[i]
+	if w&wAck != 0 {
+		a := orZero(m.Ack)
+		b = appendBool(b, a.Flushed)
+		for _, p := range a.counters() {
+			b = appendI64(b, *p)
+		}
+	}
+	if w&wCfg != 0 {
+		c := orZero(m.Cfg)
+		for _, v := range [...]int32{c.PE, c.NumPEs, c.PageElems, c.DistThreshold, c.CachePages, c.TraceCap, c.TraceSample} {
+			b = appendI32(b, v)
+		}
+		for _, v := range [...]bool{c.Steal, c.Adapt, c.Recover, c.Trace, c.Heat} {
+			b = appendBool(b, v)
+		}
+		b = appendI64(b, c.MaxInstrs)
+		b = appendI64(b, c.MaxElems)
+		b = appendI32s(b, c.Incs)
+		b = appendU32(b, uint32(len(c.Peers)))
+		for _, p := range c.Peers {
+			b = appendString(b, p)
+		}
+		b = appendU32(b, uint32(len(c.Prog)))
+		b = append(b, c.Prog...)
+	}
+	if w&(wAdapt|wSteal|wTrace) == 0 {
+		return b
+	}
+	l := orZero(m.Lists)
+	if w&wAdapt != 0 {
+		b = appendI64s(b, l.Iters)
+		b = appendI64s(b, l.Costs)
+		b = appendI64s(b, l.Cuts)
+	}
+	if w&wSteal != 0 {
+		b = appendI64s(b, l.Hot)
+		b = appendI64s(b, l.HotPages)
+		b = appendU32(b, uint32(len(l.Batch)))
+		for i := range l.Batch {
+			it := &l.Batch[i]
 			b = appendI64(b, it.SP)
 			b = appendI32(b, it.Tmpl)
 			b = appendI32(b, it.CostLoop)
 			b = appendI64(b, it.Sweep)
 			b = appendI64(b, it.CostIter)
-			b = appendU32(b, uint32(len(it.Args)))
-			for _, v := range it.Args {
-				b = appendValue(b, v)
-			}
-			b = appendU32(b, uint32(len(it.Args)))
-			for _, v := range it.Args {
-				if v.Kind != isa.KindInvalid {
-					b = append(b, 1)
-				} else {
-					b = append(b, 0)
-				}
-			}
+			b = appendValues(b, it.Args)
 		}
 	}
-	b = appendI32(b, m.PE)
-	b = appendI32(b, m.NumPEs)
-	b = appendI32(b, m.PageElems)
-	b = appendI32(b, m.DistThreshold)
-	b = appendI32(b, m.CachePages)
-	if m.Steal {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
+	if w&wTrace != 0 {
+		b = appendI64s(b, l.TraceEvs)
+		b = appendI64(b, l.TraceDrops)
 	}
-	if m.Adapt {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	if m.Kind.hasRecoverBlock() {
-		if m.Recover {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-		b = appendU32(b, uint32(len(m.Incs)))
-		for _, v := range m.Incs {
-			b = appendI32(b, v)
-		}
-	}
-	if m.Kind.hasInitBlock() {
-		if m.Trace {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-		b = appendI32(b, m.TraceCap)
-		b = appendI32(b, m.TraceSample)
-		b = appendI64(b, m.MaxInstrs)
-		b = appendI64(b, m.MaxElems)
-		if m.Heat {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-	}
-	if m.Kind.hasTraceBlock() {
-		b = appendI64s(b, m.TraceEvs)
-		b = appendI64(b, m.TraceDrops)
-	}
-	b = appendU32(b, uint32(len(m.Peers)))
-	for _, p := range m.Peers {
-		b = appendString(b, p)
-	}
-	b = appendU32(b, uint32(len(m.Prog)))
-	b = append(b, m.Prog...)
 	return b
 }
 
-// reader decodes the flat layout with sticky error handling.
+// reader decodes the wire layout with sticky error handling. Every value
+// it returns is a copy: nothing a decoded Msg holds aliases b, so the
+// transport may reuse its read buffer for the next frame.
 type reader struct {
 	b   []byte
 	err error
 }
 
+// take consumes n bytes. After an error, and for a scalar the frame is
+// too short for, it returns zeros, so the scalar readers need no check of
+// their own.
 func (r *reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if len(r.b) < n {
+	if r.err == nil && len(r.b) < n {
 		r.err = fmt.Errorf("cluster: truncated frame (want %d bytes, have %d)", n, len(r.b))
-		return nil
+	}
+	if r.err != nil {
+		var zeros [valueSize]byte
+		return zeros[:min(n, len(zeros))]
 	}
 	out := r.b[:n]
 	r.b = r.b[n:]
 	return out
 }
 
-func (r *reader) u8() byte {
-	b := r.take(1)
-	if b == nil {
-		return 0
+func (r *reader) u8() byte    { return r.take(1)[0] }
+func (r *reader) bool() bool  { return r.u8() != 0 }
+func (r *reader) u32() uint32 { return binary.LittleEndian.Uint32(r.take(4)) }
+func (r *reader) i32() int32  { return int32(r.u32()) }
+func (r *reader) i64() int64  { return int64(binary.LittleEndian.Uint64(r.take(8))) }
+
+// valueSize is the wire size of one isa.Value.
+const valueSize = 9
+
+func decodeValue(b []byte) isa.Value {
+	k, p := isa.Kind(b[0]), binary.LittleEndian.Uint64(b[1:])
+	if k == isa.KindFloat {
+		return isa.Value{Kind: k, F: math.Float64frombits(p)}
 	}
-	return b[0]
+	return isa.Value{Kind: k, I: int64(p)}
 }
 
-func (r *reader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
+func (r *reader) value() isa.Value { return decodeValue(r.take(valueSize)) }
+
+func (r *reader) values() []isa.Value {
+	n := r.sliceLen(valueSize)
+	if n == 0 {
+		return nil
 	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *reader) i32() int32 { return int32(r.u32()) }
-
-func (r *reader) i64() int64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
+	out, b := make([]isa.Value, n), r.take(n*valueSize) // sliceLen checked the bytes are there
+	for i := range out {
+		out[i] = decodeValue(b[i*valueSize:])
 	}
-	return int64(binary.LittleEndian.Uint64(b))
-}
-
-func (r *reader) f64() float64 { return math.Float64frombits(uint64(r.i64())) }
-
-func (r *reader) value() isa.Value {
-	k := isa.Kind(r.u8())
-	i := r.i64()
-	f := r.f64()
-	return isa.Value{Kind: k, I: i, F: f}
+	return out
 }
 
 func (r *reader) str() string {
-	n := r.u32()
-	b := r.take(int(n))
-	return string(b)
+	return string(r.take(r.sliceLen(1)))
+}
+
+func (r *reader) i32s() []int32 {
+	n := r.sliceLen(4)
+	if n == 0 {
+		return nil
+	}
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = r.i32()
+	}
+	return out
 }
 
 func (r *reader) i64s() []int64 {
@@ -774,8 +742,9 @@ func (r *reader) i64s() []int64 {
 	return out
 }
 
-// sliceLen validates a slice-length prefix against the remaining bytes so a
-// corrupt frame cannot force a huge allocation.
+// sliceLen validates a length prefix against the remaining bytes, so a
+// corrupt frame cannot force an allocation larger than a small multiple
+// of its own size.
 func (r *reader) sliceLen(elemSize int) int {
 	n := int(r.u32())
 	if r.err == nil && n*elemSize > len(r.b) {
@@ -785,147 +754,132 @@ func (r *reader) sliceLen(elemSize int) int {
 	return n
 }
 
-// decodeMsg parses one wire-format message.
+// decodeMsg parses one wire-format message. It allocates the Msg, the
+// blocks its kind carries and exactly-sized slices, and retains nothing
+// of b.
 func decodeMsg(b []byte) (*Msg, error) {
-	r := &reader{b: b}
+	r := reader{b: b}
 	m := &Msg{}
 	m.Kind = MsgKind(r.u8())
 	m.From = r.i32()
 	m.Job = r.i32()
-	m.Seq = r.i64()
-	m.SP = r.i64()
-	m.Slot = r.i32()
-	m.Val = r.value()
-	m.Tmpl = r.i32()
-	if n := r.sliceLen(17); n > 0 {
-		m.Args = make([]isa.Value, n)
-		for i := range m.Args {
-			m.Args[i] = r.value()
-		}
-	}
-	m.Arr = r.i64()
-	m.Off = r.i32()
-	m.Page = r.i32()
-	if n := r.sliceLen(17); n > 0 {
-		m.Vals = make([]isa.Value, n)
-		for i := range m.Vals {
-			m.Vals[i] = r.value()
-		}
-	}
-	if n := r.sliceLen(1); n > 0 {
-		m.Set = make([]bool, n)
-		for i := range m.Set {
-			m.Set[i] = r.u8() != 0
-		}
-	}
-	m.Name = r.str()
-	if n := r.sliceLen(4); n > 0 {
-		m.Dims = make([]int32, n)
-		for i := range m.Dims {
-			m.Dims[i] = r.i32()
-		}
-	}
-	m.Origin = r.i32()
-	m.Dist = r.u8() != 0
-	m.ReqPE = r.i32()
 	m.Epoch = r.i32()
 	m.Inc = r.i32()
-	m.Round = r.i32()
-	if m.Kind.hasStatsBlock() {
-		m.Sent = r.i64()
-		m.Recv = r.i64()
-		m.Live = r.i32()
-		m.Deferred = r.i64()
-		m.Hits = r.i64()
-		m.Misses = r.i64()
-		m.Steals = r.i64()
-		m.Forwards = r.i64()
-		m.Instrs = r.i64()
-		m.Evicts = r.i64()
-		m.Refetches = r.i64()
-		m.Replayed = r.i64()
-		m.Flushed = r.u8() != 0
-		m.QDepth = r.i64()
-		m.Prefetches = r.i64()
-		m.PrefetchHits = r.i64()
-		m.CacheCapNow = r.i64()
+	w, ok := m.Kind.layout()
+	if !ok && r.err == nil {
+		return nil, fmt.Errorf("cluster: frame of unknown kind %d", uint8(m.Kind))
 	}
-	if m.Kind.hasAdaptBlock() {
+	if w&wSeq != 0 {
+		m.Seq = r.i64()
+	}
+	if w&wSP != 0 {
+		m.SP = r.i64()
+		m.Slot = r.i32()
+	}
+	if w&wVal != 0 {
+		m.Val = r.value()
+	}
+	if w&wSpawn != 0 {
+		m.Tmpl = r.i32()
+		m.Args = r.values()
+	}
+	if w&wElem != 0 {
+		m.Arr = r.i64()
+		m.Off = r.i32()
+	}
+	if w&wReq != 0 {
+		m.ReqPE = r.i32()
+	}
+	if w&wPage != 0 {
+		m.Page = r.i32()
+		m.Vals = r.values()
+		if n := r.sliceLen(1); n > 0 {
+			m.Set = make([]bool, n)
+			for i, s := range r.take(n) {
+				m.Set[i] = s != 0
+			}
+		}
+	}
+	if w&wName != 0 {
+		m.Name = r.str()
+	}
+	if w&wDims != 0 {
+		m.Dims = r.i32s()
+		m.Origin = r.i32()
+		m.Dist = r.bool()
+	}
+	if w&wRound != 0 {
+		m.Round = r.i32()
+	}
+	if w&wSweep != 0 {
 		m.Sweep = r.i64()
-		m.RngOn = r.u8() != 0
+		m.RngOn = r.bool()
 		m.RngLo = r.i64()
 		m.RngHi = r.i64()
-		m.Iters = r.i64s()
-		m.Costs = r.i64s()
-		m.Cuts = r.i64s()
 	}
-	if m.Kind.hasStealBlock() {
-		m.Hot = r.i64s()
-		m.HotPages = r.i64s()
-		// Minimum wire size of one item: the five fixed scalars plus two
-		// empty slice-length prefixes.
-		if n := r.sliceLen(40); n > 0 {
-			m.Batch = make([]StealItem, n)
-			for i := range m.Batch {
-				it := &m.Batch[i]
+	if w&wAck != 0 {
+		m.Ack = &AckStats{Flushed: r.bool()}
+		for _, p := range m.Ack.counters() {
+			*p = r.i64()
+		}
+	}
+	if w&wCfg != 0 {
+		c := &MsgCfg{}
+		m.Cfg = c
+		for _, p := range [...]*int32{&c.PE, &c.NumPEs, &c.PageElems, &c.DistThreshold, &c.CachePages, &c.TraceCap, &c.TraceSample} {
+			*p = r.i32()
+		}
+		for _, p := range [...]*bool{&c.Steal, &c.Adapt, &c.Recover, &c.Trace, &c.Heat} {
+			*p = r.bool()
+		}
+		c.MaxInstrs = r.i64()
+		c.MaxElems = r.i64()
+		c.Incs = r.i32s()
+		if n := r.sliceLen(4); n > 0 {
+			c.Peers = make([]string, n)
+			for i := range c.Peers {
+				c.Peers[i] = r.str()
+			}
+		}
+		if n := r.sliceLen(1); n > 0 {
+			c.Prog = append([]byte(nil), r.take(n)...)
+		}
+	}
+	if w&(wAdapt|wSteal|wTrace) != 0 {
+		m.Lists = &MsgLists{}
+	}
+	if w&wAdapt != 0 {
+		m.Lists.Iters = r.i64s()
+		m.Lists.Costs = r.i64s()
+		m.Lists.Cuts = r.i64s()
+	}
+	if w&wSteal != 0 {
+		m.Lists.Hot = r.i64s()
+		m.Lists.HotPages = r.i64s()
+		// Minimum wire size of one item: the five fixed scalars plus an
+		// empty frame's length prefix.
+		if n := r.sliceLen(36); n > 0 {
+			m.Lists.Batch = make([]StealItem, n)
+			for i := range m.Lists.Batch {
+				it := &m.Lists.Batch[i]
 				it.SP = r.i64()
 				it.Tmpl = r.i32()
 				it.CostLoop = r.i32()
 				it.Sweep = r.i64()
 				it.CostIter = r.i64()
-				if na := r.sliceLen(17); na > 0 {
-					it.Args = make([]isa.Value, na)
-					for j := range it.Args {
-						it.Args[j] = r.value()
-					}
-				}
-				for j, ns := 0, r.sliceLen(1); j < ns; j++ {
-					if set := r.u8() != 0; !set && j < len(it.Args) {
-						it.Args[j] = isa.Value{}
-					}
-				}
+				it.Args = r.values()
 			}
 		}
 	}
-	m.PE = r.i32()
-	m.NumPEs = r.i32()
-	m.PageElems = r.i32()
-	m.DistThreshold = r.i32()
-	m.CachePages = r.i32()
-	m.Steal = r.u8() != 0
-	m.Adapt = r.u8() != 0
-	if m.Kind.hasRecoverBlock() {
-		m.Recover = r.u8() != 0
-		if n := r.sliceLen(4); n > 0 {
-			m.Incs = make([]int32, n)
-			for i := range m.Incs {
-				m.Incs[i] = r.i32()
-			}
-		}
-	}
-	if m.Kind.hasInitBlock() {
-		m.Trace = r.u8() != 0
-		m.TraceCap = r.i32()
-		m.TraceSample = r.i32()
-		m.MaxInstrs = r.i64()
-		m.MaxElems = r.i64()
-		m.Heat = r.u8() != 0
-	}
-	if m.Kind.hasTraceBlock() {
-		m.TraceEvs = r.i64s()
-		m.TraceDrops = r.i64()
-	}
-	if n := r.sliceLen(4); n > 0 {
-		m.Peers = make([]string, n)
-		for i := range m.Peers {
-			m.Peers[i] = r.str()
-		}
-	}
-	if n := r.sliceLen(1); n > 0 {
-		m.Prog = append([]byte(nil), r.take(n)...)
+	if w&wTrace != 0 {
+		m.Lists.TraceEvs = r.i64s()
+		m.Lists.TraceDrops = r.i64()
 	}
 	if r.err != nil {
 		return nil, r.err
+	}
+	if len(r.b) != 0 {
+		return nil, fmt.Errorf("cluster: %d trailing bytes after %v frame", len(r.b), m.Kind)
 	}
 	return m, nil
 }

@@ -92,7 +92,7 @@ func (r *recovery) logEntry(tmpl int32, args []isa.Value) {
 // logFanout records one KSpawnLog fan-out report. The message is receiver-
 // owned, so its slices can be retained directly.
 func (r *recovery) logFanout(m *Msg) {
-	r.log = append(r.log, fanout{tmpl: m.Tmpl, args: m.Args, sweep: m.Sweep, cuts: m.Cuts, only: -1, from: int(m.From)})
+	r.log = append(r.log, fanout{tmpl: m.Tmpl, args: m.Args, sweep: m.Sweep, cuts: m.Lists.Cuts, only: -1, from: int(m.From)})
 }
 
 // replayTo reports whether this assignment must be re-sent to PE pe when
@@ -150,9 +150,9 @@ func (r *recovery) perform(ep Endpoint, dead []int, res *Result) error {
 		if deadSet[pe] {
 			continue
 		}
-		m := &Msg{Kind: KRecover, Epoch: r.epoch,
+		m := &Msg{Kind: KRecover, Epoch: r.epoch, Cfg: &MsgCfg{
 			Incs:  append([]int32(nil), r.incs...),
-			Peers: append([]string(nil), r.peers...)}
+			Peers: append([]string(nil), r.peers...)}}
 		if err := ep.Send(pe, m); err != nil {
 			return err
 		}

@@ -177,7 +177,7 @@ func TestFenceDropsStaleFrames(t *testing.T) {
 	stale := []*Msg{
 		{Kind: KToken, From: 1, Inc: 1, SP: packIncID(0, 0, 1), Slot: 0, Val: isa.Int(7)},
 		{Kind: KWrite, From: 1, Inc: 1, Arr: packIncID(1, 1, 1), Off: 0, Val: isa.Float(3)},
-		{Kind: KStealGrant, From: 1, Inc: 1, Batch: []StealItem{{SP: packIncID(1, 1, 1), Tmpl: 0}}},
+		{Kind: KStealGrant, From: 1, Inc: 1, Lists: &MsgLists{Batch: []StealItem{{SP: packIncID(1, 1, 1), Tmpl: 0}}}},
 		{Kind: KSpawn, From: 1, Inc: 1, Tmpl: 99},
 	}
 	for _, m := range stale {
@@ -232,13 +232,13 @@ func TestDetectorIgnoresStaleEpochAcks(t *testing.T) {
 	d := newDetector(2)
 	d.reset(1)
 	d.begin(1)
-	if d.record(0, &Msg{Kind: KAck, Round: 1, Epoch: 0, Sent: 10, Recv: 10, Flushed: true}) {
+	if d.record(0, &Msg{Kind: KAck, Round: 1, Epoch: 0, Ack: &AckStats{Sent: 10, Recv: 10, Flushed: true}}) {
 		t.Fatal("stale-epoch ack completed the round")
 	}
-	if d.record(0, &Msg{Kind: KAck, Round: 1, Epoch: 1, Sent: 1, Recv: 1, Flushed: true}) {
+	if d.record(0, &Msg{Kind: KAck, Round: 1, Epoch: 1, Ack: &AckStats{Sent: 1, Recv: 1, Flushed: true}}) {
 		t.Fatal("round complete after one PE")
 	}
-	if !d.record(1, &Msg{Kind: KAck, Round: 1, Epoch: 1, Sent: 1, Recv: 1, Flushed: true}) {
+	if !d.record(1, &Msg{Kind: KAck, Round: 1, Epoch: 1, Ack: &AckStats{Sent: 1, Recv: 1, Flushed: true}}) {
 		t.Fatal("round not complete after both PEs answered in the new epoch")
 	}
 }
@@ -253,8 +253,8 @@ func TestDetectorUnflushedBlocksTermination(t *testing.T) {
 	d.reset(1)
 	quiet := func(round int32, flushed1 bool) bool {
 		d.begin(round)
-		d.record(0, &Msg{Kind: KAck, Round: round, Epoch: 1, Flushed: true})
-		d.record(1, &Msg{Kind: KAck, Round: round, Epoch: 1, Flushed: flushed1})
+		d.record(0, &Msg{Kind: KAck, Round: round, Epoch: 1, Ack: &AckStats{Flushed: true}})
+		d.record(1, &Msg{Kind: KAck, Round: round, Epoch: 1, Ack: &AckStats{Flushed: flushed1}})
 		return d.roundDone()
 	}
 	if quiet(1, false) || quiet(2, false) {

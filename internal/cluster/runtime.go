@@ -194,11 +194,11 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 	// prevAcks holds the previous completed round's counters the deltas are
 	// taken against.
 	var tb *trace.TimelineBuilder
-	var prevAcks []ackState
+	var prevAcks []AckStats
 	driverStart := time.Now()
 	if cfg.Trace {
 		tb = trace.NewTimelineBuilder(timelineCap)
-		prevAcks = make([]ackState, n)
+		prevAcks = make([]AckStats, n)
 	}
 	sampleTimeline := func(round int32) {
 		if tb == nil {
@@ -212,10 +212,10 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 			d := func(cur, prev int64) int64 { return max(cur-prev, 0) }
 			tb.Add(trace.Sample{
 				Round: int(round), Wall: wall, PE: pe,
-				Instrs: d(a.instrs, p.instrs), QDepth: a.qdepth, Live: int64(a.live),
-				Sent: d(a.sent, p.sent), Hits: d(a.hits, p.hits),
-				Misses: d(a.misses, p.misses), Evicts: d(a.evicts, p.evicts),
-				Steals: d(a.steals, p.steals),
+				Instrs: d(a.Instrs, p.Instrs), QDepth: a.QDepth, Live: a.Live,
+				Sent: d(a.Sent, p.Sent), Hits: d(a.Hits, p.Hits),
+				Misses: d(a.Misses, p.Misses), Evicts: d(a.Evicts, p.Evicts),
+				Steals: d(a.Steals, p.Steals),
 			})
 			prevAcks[pe] = a
 		}
@@ -294,9 +294,9 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 			rec.logFanout(m)
 		case KDown:
 			if !rec.enabled {
-				return fmt.Errorf("cluster: worker %d died mid-run (transport closed); set Config.Recover (and Spares, on TCP) to survive worker failures", m.PE)
+				return fmt.Errorf("cluster: worker %d died mid-run (transport closed); set Config.Recover (and Spares, on TCP) to survive worker failures", m.From)
 			}
-			down = append(down, int(m.PE))
+			down = append(down, int(m.From))
 		case KDump:
 			g := res.arrays[m.Arr]
 			if g == nil {
@@ -319,7 +319,7 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 				return nil // stale ack from an aborted checkpoint
 			}
 			ckptAcks++
-			ckptVetoed = append(ckptVetoed, m.Iters...)
+			ckptVetoed = append(ckptVetoed, m.Lists.Iters...)
 			if ckptAcks < n {
 				return nil
 			}
@@ -340,7 +340,7 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 				}
 			}
 			for pe := 0; pe < n; pe++ {
-				ok := &Msg{Kind: KCkptOK, Seq: ckptID, Iters: append([]int64(nil), effective...)}
+				ok := &Msg{Kind: KCkptOK, Seq: ckptID, Lists: &MsgLists{Iters: append([]int64(nil), effective...)}}
 				if err := ep.Send(pe, ok); err != nil {
 					if rec.enabled {
 						down = append(down, pe)
@@ -460,7 +460,7 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 		if cfg.MaxInstrs > 0 {
 			var instrs int64
 			for pe := 0; pe < n; pe++ {
-				instrs += det.acks[pe].instrs
+				instrs += det.acks[pe].Instrs
 			}
 			if instrs > cfg.MaxInstrs {
 				stopAll()
@@ -480,7 +480,7 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 		// restarts and replans).
 		for _, rb := range ad.tick(round) {
 			for pe := 0; pe < n; pe++ {
-				m := &Msg{Kind: KRebound, Tmpl: rb.tmpl, Cuts: append([]int64(nil), rb.cuts...)}
+				m := &Msg{Kind: KRebound, Tmpl: rb.tmpl, Lists: &MsgLists{Cuts: append([]int64(nil), rb.cuts...)}}
 				if err := ep.Send(pe, m); err != nil {
 					if rec.enabled {
 						down = append(down, pe)
@@ -514,7 +514,7 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 				ckptVetoed = nil
 				ckptOpen = true
 				for pe := 0; pe < n; pe++ {
-					m := &Msg{Kind: KCkpt, Seq: ckptID, Iters: append([]int64(nil), ckptSweeps...)}
+					m := &Msg{Kind: KCkpt, Seq: ckptID, Lists: &MsgLists{Iters: append([]int64(nil), ckptSweeps...)}}
 					if err := ep.Send(pe, m); err != nil {
 						down = append(down, pe)
 					}
@@ -665,7 +665,7 @@ func gatherTraces(ctx context.Context, ep Endpoint, n int, wait time.Duration, r
 		}
 		got[pe] = true
 		need--
-		out[pe] = trace.PETrace{Events: trace.Unflatten(m.TraceEvs), Drops: m.TraceDrops}
+		out[pe] = trace.PETrace{Events: trace.Unflatten(m.Lists.TraceEvs), Drops: m.Lists.TraceDrops}
 	}
 	return out
 }

@@ -73,9 +73,11 @@ func (f *Fleet) ServeJobs(ctx context.Context, ln net.Listener) error {
 // serveJobConn handles one submission: decode, clamp budgets, run, and
 // stream the results back. All errors are reported to the client as
 // KFail frames; a broken client connection just abandons the stream (the
-// job itself still ran under the fleet's normal teardown).
+// job itself still ran under the fleet's normal teardown). The reply goes
+// through an outbox, whose close flushes it before the socket closes.
 func (f *Fleet) serveJobConn(ctx context.Context, conn net.Conn) {
-	defer conn.Close()
+	out := newOutbox(conn)
+	defer out.close()
 	stop := make(chan struct{})
 	defer close(stop)
 	go func() {
@@ -86,19 +88,20 @@ func (f *Fleet) serveJobConn(ctx context.Context, conn net.Conn) {
 		}
 	}()
 
-	m, err := readFrame(conn)
+	m, err := newFrameReader(conn).next()
 	if err != nil {
 		return
 	}
 	seq := m.Seq
 	fail := func(err error) {
-		_ = writeFrame(conn, &Msg{Kind: KFail, Seq: seq, Name: err.Error()})
+		_ = out.send(&Msg{Kind: KFail, Seq: seq, Name: err.Error()})
 	}
 	if m.Kind != KSubmit {
 		fail(fmt.Errorf("cluster: job server expects a submit frame, got %v", m.Kind))
 		return
 	}
-	prog, err := isa.UnmarshalPods(m.Prog)
+	c := m.Cfg
+	prog, err := isa.UnmarshalPods(c.Prog)
 	if err != nil {
 		fail(fmt.Errorf("cluster: decoding submitted program: %w", err))
 		return
@@ -108,18 +111,18 @@ func (f *Fleet) serveJobConn(ctx context.Context, conn net.Conn) {
 	// recovery policy are the fleet's. Budgets are clamped to the server
 	// caps so a tenant cannot out-ask the operator.
 	cfg := Config{
-		PageElems:     int(m.PageElems),
-		DistThreshold: int(m.DistThreshold),
-		CachePages:    int(m.CachePages),
-		Steal:         m.Steal,
-		Adapt:         m.Adapt,
-		Trace:         m.Trace,
-		TraceCap:      int(m.TraceCap),
-		TraceSample:   int(m.TraceSample),
-		Heat:          m.Heat,
+		PageElems:     int(c.PageElems),
+		DistThreshold: int(c.DistThreshold),
+		CachePages:    int(c.CachePages),
+		Steal:         c.Steal,
+		Adapt:         c.Adapt,
+		Trace:         c.Trace,
+		TraceCap:      int(c.TraceCap),
+		TraceSample:   int(c.TraceSample),
+		Heat:          c.Heat,
 		Recover:       f.cfg.Recover,
-		MaxInstrs:     clampBudget(m.MaxInstrs, f.cfg.MaxInstrs),
-		MaxElems:      clampBudget(m.MaxElems, f.cfg.MaxElems),
+		MaxInstrs:     clampBudget(c.MaxInstrs, f.cfg.MaxInstrs),
+		MaxElems:      clampBudget(c.MaxElems, f.cfg.MaxElems),
 	}
 	res, err := f.Submit(ctx, prog, cfg, m.Args...)
 	if err != nil {
@@ -155,7 +158,7 @@ func (f *Fleet) serveJobConn(ctx context.Context, conn net.Conn) {
 					wv[i-base] = isa.Float(vals[i])
 				}
 			}
-			if err := writeFrame(conn, &Msg{Kind: KDump, Seq: seq, Name: name,
+			if err := out.send(&Msg{Kind: KDump, Seq: seq, Name: name,
 				Dims: d32, Off: int32(base), Vals: wv,
 				Set: append([]bool(nil), mask[base:end]...)}); err != nil {
 				return
@@ -170,7 +173,7 @@ func (f *Fleet) serveJobConn(ctx context.Context, conn net.Conn) {
 		rm.Val = *res.Value
 		rm.Slot = 1 // value present (void programs leave Slot 0)
 	}
-	_ = writeFrame(conn, rm)
+	_ = out.send(rm)
 }
 
 // JobArray is one array streamed back by a job server, flattened in
@@ -234,30 +237,20 @@ func submitWire(ctx context.Context, addr string, wire []byte, cfg Config, args 
 		}
 	}()
 
-	if err := writeFrame(conn, &Msg{
-		Kind:          KSubmit,
-		Seq:           1,
-		Args:          args,
-		PageElems:     int32(cfg.PageElems),
-		DistThreshold: int32(cfg.DistThreshold),
-		CachePages:    int32(cfg.CachePages),
-		Steal:         cfg.Steal,
-		Adapt:         cfg.Adapt,
-		Trace:         cfg.Trace,
-		TraceCap:      int32(cfg.TraceCap),
-		TraceSample:   int32(cfg.TraceSample),
-		Heat:          cfg.Heat,
-		MaxInstrs:     cfg.MaxInstrs,
-		MaxElems:      cfg.MaxElems,
-		Prog:          wire,
-	}); err != nil {
+	out := newOutbox(conn)
+	err = out.send(&Msg{Kind: KSubmit, Seq: 1, Args: args, Cfg: cfgBlock(&cfg, wire)})
+	if err == nil {
+		err = out.flush()
+	}
+	if err != nil {
 		return nil, fmt.Errorf("cluster: submitting job: %w", err)
 	}
 
 	reply := &JobReply{}
+	fr := newFrameReader(conn)
 	byName := make(map[string]int) // index into reply.Arrays (stable under append)
 	for {
-		m, err := readFrame(conn)
+		m, err := fr.next()
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()

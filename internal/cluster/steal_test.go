@@ -625,10 +625,10 @@ func TestStealGrantBatchHalfOldestFirst(t *testing.T) {
 	if !ok || grant.Kind != KStealGrant {
 		t.Fatalf("thief got %+v, want a grant", grant)
 	}
-	if len(grant.Batch) != 3 {
-		t.Fatalf("grant batch of %d SPs, want 3 (⌈5/2⌉)", len(grant.Batch))
+	if len(grant.Lists.Batch) != 3 {
+		t.Fatalf("grant batch of %d SPs, want 3 (⌈5/2⌉)", len(grant.Lists.Batch))
 	}
-	for i, it := range grant.Batch {
+	for i, it := range grant.Lists.Batch {
 		if want := packID(0, int64(i+1)); it.SP != want {
 			t.Errorf("batch[%d] = SP %d, want %d (oldest first)", i, it.SP, want)
 		}
@@ -668,21 +668,21 @@ func TestStealLocalityPreference(t *testing.T) {
 		}
 		w0.handle(m)
 	}
-	w0.handle(&Msg{Kind: KStealReq, From: 1, Hot: []int64{77}})
+	w0.handle(&Msg{Kind: KStealReq, From: 1, Lists: &MsgLists{Hot: []int64{77}}})
 	grant, ok := eps[1].TryRecv()
 	if !ok || grant.Kind != KStealGrant {
 		t.Fatalf("got %+v, want a grant", grant)
 	}
-	if len(grant.Batch) != 2 {
-		t.Fatalf("batch of %d, want 2 (⌈3/2⌉)", len(grant.Batch))
+	if len(grant.Lists.Batch) != 2 {
+		t.Fatalf("batch of %d, want 2 (⌈3/2⌉)", len(grant.Lists.Batch))
 	}
-	if grant.Batch[0].SP != packID(0, 2) {
+	if grant.Lists.Batch[0].SP != packID(0, 2) {
 		t.Errorf("batch[0] = SP %d, want %d (the hot-array SP preferred over older cold ones)",
-			grant.Batch[0].SP, packID(0, 2))
+			grant.Lists.Batch[0].SP, packID(0, 2))
 	}
-	if grant.Batch[1].SP != packID(0, 1) {
+	if grant.Lists.Batch[1].SP != packID(0, 1) {
 		t.Errorf("batch[1] = SP %d, want %d (oldest of the cold SPs)",
-			grant.Batch[1].SP, packID(0, 1))
+			grant.Lists.Batch[1].SP, packID(0, 1))
 	}
 }
 

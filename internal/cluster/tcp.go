@@ -2,12 +2,15 @@ package cluster
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
+	"time"
 
 	"repro/internal/isa"
 )
@@ -17,55 +20,253 @@ import (
 // big-endian length prefix followed by the protocol.go wire encoding.
 //
 // Topology: the driver dials every worker and configures it with KInit
-// (PE index, geometry, peer address list, serialized program). Workers dial
+// (PE index and peer address list; programs arrive per job). Workers dial
 // each other lazily on first send. Every connection is written only by the
 // endpoint that created it — except the driver connection, which is duplex
-// (driver → probes/spawns, worker → acks/results) — so each direction has
-// exactly one writer and no write locking is needed. Per-pair FIFO follows
-// from each (sender, receiver) pair using a single ordered stream.
+// (driver → probes/spawns, worker → acks/results) — but any number of
+// goroutines (one per job hosted on the endpoint) send through it, so each
+// connection's write side is an outbox: senders append encoded frames to a
+// pending buffer under the outbox's own lock, and one drainer at a time
+// writes everything queued since the previous write with a single
+// syscall. Per-pair FIFO is the buffer order of a single ordered stream.
+// The read side (frameReader) decodes every frame that one read returned
+// out of a reusable buffer and hands the batch to the mailbox at once.
 
 // maxFrame bounds a frame's payload (a page of values is ~KB; programs a
 // few hundred KB — 64 MiB is generous headroom against corrupt prefixes).
 const maxFrame = 1 << 26
 
-// writeFrame encodes m and writes one length-prefixed frame.
-func writeFrame(conn net.Conn, m *Msg) error {
-	payload := encodeMsg(make([]byte, 4), m)
-	if len(payload)-4 > maxFrame {
-		return fmt.Errorf("cluster: frame of %d bytes exceeds limit", len(payload)-4)
-	}
-	binary.BigEndian.PutUint32(payload[:4], uint32(len(payload)-4))
-	_, err := conn.Write(payload)
-	return err
+// readBufSize is a connection's reusable read buffer; frames larger than
+// it are assembled in a scratch slice that grows by at most bigFrameStep
+// per read, so a length prefix alone never commits memory.
+const (
+	readBufSize  = 64 << 10
+	bigFrameStep = 1 << 20
+)
+
+// closeFlushWait bounds how long closing an outbox waits for its queued
+// frames to reach the socket (a peer that stopped reading must not wedge
+// the closer). keepBuf is the largest write buffer an outbox, and the
+// largest big-frame scratch a frameReader, keeps for reuse: bursts against
+// a busy reader reach a megabyte or two, while the buffer of a rare huge
+// frame should not stay pinned.
+const (
+	closeFlushWait = 2 * time.Second
+	keepBuf        = 4 << 20
+)
+
+// outbox is the write side of one connection. send never blocks on the
+// socket: it encodes into pend and makes sure a drainer is running. The
+// drainer exists only while there is something to write — an idle
+// connection has no goroutine, and a lone frame is written at once.
+// Nothing bounds pend, for the same reason the mailbox is unbounded:
+// worker loops both send and receive, so a blocking send could deadlock
+// two workers against each other's full sockets.
+type outbox struct {
+	conn net.Conn
+
+	mu       sync.Mutex
+	idle     sync.Cond // signalled when the drainer exits
+	pend     []byte    // encoded frames not yet handed to the drainer
+	spare    []byte    // the drainer's previous buffer, for reuse
+	draining bool
+	err      error // sticky: the first write error, or net.ErrClosed after close
 }
 
-// readFrame reads one length-prefixed frame and decodes it.
-func readFrame(conn net.Conn) (*Msg, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
+func newOutbox(conn net.Conn) *outbox {
+	o := &outbox{conn: conn}
+	o.idle.L = &o.mu
+	return o
+}
+
+// appendFrame appends m's length-prefixed frame to b.
+func appendFrame(b []byte, m *Msg) ([]byte, error) {
+	start := len(b)
+	b = encodeMsg(append(b, 0, 0, 0, 0), m)
+	n := len(b) - start - 4
 	if n > maxFrame {
-		return nil, fmt.Errorf("cluster: frame length %d exceeds limit", n)
+		return b[:start], fmt.Errorf("cluster: frame of %d bytes exceeds limit", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(conn, buf); err != nil {
-		return nil, err
-	}
-	return decodeMsg(buf)
+	binary.BigEndian.PutUint32(b[start:], uint32(n))
+	return b, nil
 }
 
-// pump reads frames from conn into box until EOF or error. onInit, when
-// non-nil, observes KInit messages (the worker uses it to learn its driver
+// send queues one frame. A write error is reported by the first send after
+// it happened, and by every later one: the frames queued before it are
+// lost, exactly as if the connection had dropped after a synchronous
+// write returned.
+func (o *outbox) send(m *Msg) error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.err != nil {
+		return o.err
+	}
+	var err error
+	if o.pend, err = appendFrame(o.pend, m); err != nil {
+		return err
+	}
+	if !o.draining {
+		o.draining = true
+		go o.drain()
+	}
+	return nil
+}
+
+// drain writes pend until it is empty or a write fails. Frames appended
+// while a write is in flight go out together in the next one.
+func (o *outbox) drain() {
+	o.mu.Lock()
+	for len(o.pend) > 0 && o.err == nil {
+		buf := o.pend
+		o.pend, o.spare = o.spare[:0], nil
+		o.mu.Unlock()
+		_, err := o.conn.Write(buf)
+		o.mu.Lock()
+		if err != nil {
+			o.err = err
+		}
+		if cap(buf) <= keepBuf {
+			o.spare = buf
+		}
+	}
+	o.draining = false
+	o.idle.Broadcast()
+	o.mu.Unlock()
+}
+
+// flush waits until every frame queued so far has been written, or a
+// write failed.
+func (o *outbox) flush() error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for o.draining {
+		o.idle.Wait()
+	}
+	return o.err
+}
+
+// close flushes what is queued (for at most closeFlushWait), then closes
+// the connection, so a reply followed by close still reaches the peer.
+// Later sends fail.
+func (o *outbox) close() {
+	// A deadline the socket refuses to take only costs the bound.
+	_ = o.conn.SetWriteDeadline(time.Now().Add(closeFlushWait))
+	if o.flush() == nil {
+		o.mu.Lock()
+		o.err = net.ErrClosed
+		o.mu.Unlock()
+	}
+	o.conn.Close()
+}
+
+// frameReader decodes length-prefixed frames from a connection through one
+// reusable buffer. Decoded messages never alias it (decodeMsg copies).
+type frameReader struct {
+	conn net.Conn
+	buf  []byte // buf[lo:hi] is read but not yet decoded
+	lo   int
+	hi   int
+	big  []byte // scratch for frames larger than buf (dump segments, programs)
+}
+
+func newFrameReader(conn net.Conn) *frameReader {
+	return &frameReader{conn: conn, buf: make([]byte, readBufSize)}
+}
+
+// buffered returns the payload of the first frame in the buffer if it is
+// complete, and the frame's announced length either way (-1 while fewer
+// than four header bytes are buffered).
+func (fr *frameReader) buffered() (payload []byte, n int) {
+	if fr.hi-fr.lo < 4 {
+		return nil, -1
+	}
+	n = int(binary.BigEndian.Uint32(fr.buf[fr.lo:]))
+	if n <= fr.hi-fr.lo-4 {
+		payload = fr.buf[fr.lo+4 : fr.lo+4+n]
+	}
+	return payload, n
+}
+
+// more reports whether next would return without reading from the socket.
+func (fr *frameReader) more() bool {
+	payload, _ := fr.buffered()
+	return payload != nil
+}
+
+// next decodes the next frame, reading from the connection as needed.
+func (fr *frameReader) next() (*Msg, error) {
+	for {
+		payload, n := fr.buffered()
+		switch {
+		case payload != nil:
+			fr.lo += 4 + n
+			return decodeMsg(payload)
+		case n > maxFrame:
+			return nil, fmt.Errorf("cluster: frame length %d exceeds limit", n)
+		case n > len(fr.buf)-4:
+			return fr.nextBig(n)
+		}
+		if fr.lo > 0 { // make room: move the partial frame to the front
+			fr.hi = copy(fr.buf, fr.buf[fr.lo:fr.hi])
+			fr.lo = 0
+		}
+		got, err := fr.conn.Read(fr.buf[fr.hi:])
+		fr.hi += got
+		if err != nil && got == 0 {
+			if err == io.EOF && fr.hi > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+}
+
+// nextBig assembles a frame larger than the read buffer in the scratch
+// slice, which grows only as payload bytes actually arrive.
+func (fr *frameReader) nextBig(n int) (*Msg, error) {
+	big := append(fr.big[:0], fr.buf[fr.lo+4:fr.hi]...)
+	fr.lo, fr.hi = 0, 0
+	for len(big) < n {
+		if len(big) == cap(big) { // every byte allocated so far has arrived
+			big = slices.Grow(big, min(n-len(big), bigFrameStep))
+		}
+		at := len(big)
+		big = big[:min(n, cap(big))]
+		if _, err := io.ReadFull(fr.conn, big[at:]); err != nil {
+			return nil, err
+		}
+	}
+	if cap(big) <= keepBuf {
+		fr.big = big
+	}
+	return decodeMsg(big)
+}
+
+// pump reads frames from conn into box until EOF or error, one mailbox
+// hand-over per batch of frames a read returned. onInit, when non-nil,
+// observes KInit messages (the worker uses it to learn its driver
 // connection). Decode errors (corrupt frames) surface as synthetic KFail
 // messages so the endpoint's owner can abort cleanly; connection-level
 // errors (EOF, reset, close) are connection *loss*, which the owner
 // detects through its own means — the driver's per-conn wrapper
 // synthesizes a KDown, a worker sees its driver stream close.
 func pump(conn net.Conn, box *mailbox, onInit func(net.Conn)) {
+	fr := newFrameReader(conn)
+	var batch []*Msg
 	for {
-		m, err := readFrame(conn)
+		m, err := fr.next()
+		if err == nil {
+			if m.Kind == KInit && onInit != nil {
+				onInit(conn)
+			}
+			batch = append(batch, m)
+			if fr.more() {
+				continue
+			}
+		}
+		box.putAll(batch)
+		clear(batch)
+		batch = batch[:0]
 		if err != nil {
 			var ne net.Error
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) &&
@@ -74,45 +275,42 @@ func pump(conn net.Conn, box *mailbox, onInit func(net.Conn)) {
 			}
 			return
 		}
-		if m.Kind == KInit && onInit != nil {
-			onInit(conn)
-		}
-		box.put(m)
 	}
 }
 
 // tcpDriver is the driver's endpoint: one dialed connection per worker.
-// The mutex serializes writers — every concurrent job's driver loop sends
-// through this one endpoint — and guards re-homing swaps of a dead
-// worker's connection.
+// The mutex guards only the table — re-homing swaps a dead worker's slot
+// — and is never held across a write; every concurrent job's driver loop
+// sends through the slot's outbox.
 type tcpDriver struct {
 	self int
 	box  *mailbox
 
 	mu    sync.Mutex
-	conns []net.Conn
+	conns []*outbox
 }
 
 func (d *tcpDriver) Send(to int, m *Msg) error {
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	if to < 0 || to >= len(d.conns) {
+		d.mu.Unlock()
 		return fmt.Errorf("cluster: send to unknown worker %d", to)
 	}
+	o := d.conns[to]
+	d.mu.Unlock()
 	m.From = int32(d.self)
-	return writeFrame(d.conns[to], m)
+	return o.send(m)
 }
 
 // repoint swaps pe's connection for a re-homed replacement. The old
 // connection's pump (if still running) exits on the close; its KDown
 // notice carries the old host generation and is fenced by the fleet.
-func (d *tcpDriver) repoint(pe int, conn net.Conn) {
+func (d *tcpDriver) repoint(pe int, o *outbox) {
 	d.mu.Lock()
-	if old := d.conns[pe]; old != nil {
-		old.Close()
-	}
-	d.conns[pe] = conn
+	old := d.conns[pe]
+	d.conns[pe] = o
 	d.mu.Unlock()
+	old.conn.Close() // dead: nothing worth flushing
 }
 
 func (d *tcpDriver) Recv(ctx context.Context) (*Msg, error) { return d.box.recv(ctx) }
@@ -124,10 +322,11 @@ func (d *tcpDriver) TryRecv() (*Msg, bool) {
 
 func (d *tcpDriver) Close() error {
 	d.mu.Lock()
-	for _, c := range d.conns {
-		c.Close()
-	}
+	conns := d.conns
 	d.mu.Unlock()
+	for _, o := range conns {
+		o.close()
+	}
 	d.box.close()
 	return nil
 }
@@ -140,45 +339,59 @@ func (d *tcpDriver) Close() error {
 // closed, so the put is a no-op during normal cleanup.
 func pumpWorkerConn(d *tcpDriver, pe int, inc int32, conn net.Conn) {
 	pump(conn, d.box, nil)
-	d.box.put(&Msg{Kind: KDown, From: int32(pe), PE: int32(pe), Inc: inc})
+	d.box.put(&Msg{Kind: KDown, From: int32(pe), Inc: inc})
 }
 
 // tcpWorker is a worker's endpoint: the accepted driver connection plus
-// lazily dialed peer connections. The mutex serializes writers — every
-// job instance hosted on this PE sends through this one endpoint.
+// lazily dialed peer connections. Every job instance hosted on this PE
+// sends through this one endpoint; mu guards the driver slot, each peer
+// slot has its own lock (held across that peer's dial, which only senders
+// to the same peer wait for).
 type tcpWorker struct {
 	self  int
 	n     int
-	peers []string
+	peers []tcpPeer
 
 	mu     sync.Mutex
-	driver net.Conn
-	dialed []net.Conn
+	driver *outbox
 
 	box *mailbox
 }
 
+// tcpPeer is one lazily dialed peer connection.
+type tcpPeer struct {
+	mu   sync.Mutex
+	addr string
+	out  *outbox
+}
+
 func (t *tcpWorker) Send(to int, m *Msg) error {
 	m.From = int32(t.self)
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if to == t.n {
-		if t.driver == nil {
+		t.mu.Lock()
+		o := t.driver
+		t.mu.Unlock()
+		if o == nil {
 			return errors.New("cluster: no driver connection")
 		}
-		return writeFrame(t.driver, m)
+		return o.send(m)
 	}
 	if to < 0 || to >= t.n {
 		return fmt.Errorf("cluster: send to unknown endpoint %d", to)
 	}
-	if t.dialed[to] == nil {
-		conn, err := net.Dial("tcp", t.peers[to])
+	p := &t.peers[to]
+	p.mu.Lock()
+	if p.out == nil {
+		conn, err := net.Dial("tcp", p.addr)
 		if err != nil {
-			return fmt.Errorf("cluster: dialing peer %d at %s: %w", to, t.peers[to], err)
+			p.mu.Unlock()
+			return fmt.Errorf("cluster: dialing peer %d at %s: %w", to, p.addr, err)
 		}
-		t.dialed[to] = conn
+		p.out = newOutbox(conn)
 	}
-	return writeFrame(t.dialed[to], m)
+	o := p.out
+	p.mu.Unlock()
+	return o.send(m)
 }
 
 // Repoint installs an updated peer address list after a recovery: a peer
@@ -186,20 +399,20 @@ func (t *tcpWorker) Send(to int, m *Msg) error {
 // point at the dead incarnation) is dropped and redialed lazily on the
 // next send.
 func (t *tcpWorker) Repoint(peers []string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	for i, addr := range peers {
 		if i >= t.n {
 			break
 		}
-		if t.peers[i] == addr {
-			continue
+		p := &t.peers[i]
+		p.mu.Lock()
+		if p.addr != addr {
+			p.addr = addr
+			if p.out != nil {
+				p.out.conn.Close()
+				p.out = nil
+			}
 		}
-		t.peers[i] = addr
-		if t.dialed[i] != nil {
-			t.dialed[i].Close()
-			t.dialed[i] = nil
-		}
+		p.mu.Unlock()
 	}
 }
 
@@ -212,14 +425,18 @@ func (t *tcpWorker) TryRecv() (*Msg, bool) {
 
 func (t *tcpWorker) Close() error {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.driver != nil {
-		t.driver.Close()
+	o := t.driver
+	t.mu.Unlock()
+	if o != nil {
+		o.close()
 	}
-	for _, c := range t.dialed {
-		if c != nil {
-			c.Close()
+	for i := range t.peers {
+		p := &t.peers[i]
+		p.mu.Lock()
+		if p.out != nil {
+			p.out.close()
 		}
+		p.mu.Unlock()
 	}
 	t.box.close()
 	return nil
@@ -237,7 +454,7 @@ func ServeWorker(ctx context.Context, ln net.Listener) error {
 	t := &tcpWorker{box: newMailbox()}
 	onInit := func(conn net.Conn) {
 		t.mu.Lock()
-		t.driver = conn
+		t.driver = newOutbox(conn)
 		t.mu.Unlock()
 	}
 
@@ -258,7 +475,7 @@ func ServeWorker(ctx context.Context, ln net.Listener) error {
 				// killed mid-run), close the mailbox so the host drains
 				// what it has and exits instead of hanging forever.
 				t.mu.Lock()
-				isDriver := conn == t.driver
+				isDriver := t.driver != nil && conn == t.driver.conn
 				t.mu.Unlock()
 				if isDriver {
 					t.box.close()
@@ -268,12 +485,12 @@ func ServeWorker(ctx context.Context, ln net.Listener) error {
 	}()
 	defer func() {
 		ln.Close()
+		t.Close() // first: flushes the driver connection before it is closed below
 		amu.Lock()
 		for _, c := range accepted {
 			c.Close()
 		}
 		amu.Unlock()
-		t.Close()
 	}()
 
 	// Wait for the driver's fleet configuration; frames from eager peers
@@ -291,16 +508,52 @@ func ServeWorker(ctx context.Context, ln net.Listener) error {
 			stash = append(stash, m)
 		}
 	}
-	t.self = int(init.PE)
-	t.n = int(init.NumPEs)
-	t.peers = init.Peers
-	t.dialed = make([]net.Conn, t.n)
+	t.self = int(init.Cfg.PE)
+	t.n = int(init.Cfg.NumPEs)
+	t.peers = make([]tcpPeer, t.n)
+	for i := range t.peers {
+		if i < len(init.Cfg.Peers) {
+			t.peers[i].addr = init.Cfg.Peers[i]
+		}
+	}
+	var memo progMemo
 	h := newFleetHost(t.self, t.n, t, func(_ int32, wire []byte) (*isa.Program, error) {
 		if len(wire) == 0 {
 			return nil, errors.New("job start carried no program")
 		}
-		return isa.UnmarshalPods(wire)
+		return memo.get(wire)
 	})
 	h.serve(ctx, stash)
 	return nil
+}
+
+// progMemo remembers the last few programs a TCP worker unmarshalled, keyed
+// by a hash of their wire bytes: a fleet runs the same program over and
+// over, and a decoded program (with the decoded templates hanging off it)
+// is read-only, so jobs share it exactly as PEs on the channel transport
+// share the submitter's. Only the fleet host's single goroutine calls get.
+type progMemo struct {
+	ents [4]struct {
+		sum  [sha256.Size]byte
+		prog *isa.Program
+	} // most recently used first; unused entries have a nil prog
+}
+
+func (pm *progMemo) get(wire []byte) (*isa.Program, error) {
+	sum := sha256.Sum256(wire)
+	i := 0
+	for i < len(pm.ents)-1 && (pm.ents[i].prog == nil || pm.ents[i].sum != sum) {
+		i++
+	}
+	e := pm.ents[i] // the hit, or the least recently used entry to replace
+	if e.prog == nil || e.sum != sum {
+		prog, err := isa.UnmarshalPods(wire)
+		if err != nil {
+			return nil, err
+		}
+		e.sum, e.prog = sum, prog
+	}
+	copy(pm.ents[1:i+1], pm.ents[:i])
+	pm.ents[0] = e
+	return e.prog, nil
 }

@@ -18,31 +18,9 @@ import (
 // sent the driver, so by the time round r is evaluated the driver has
 // already processed them.
 
-// ackState is one worker's most recent probe answer.
-type ackState struct {
-	round      int32
-	sent, recv int64
-	live       int32
-	deferred   int64
-	hits       int64
-	misses     int64
-	steals     int64
-	forwards   int64
-	instrs     int64
-	evicts     int64
-	refetches  int64
-	replayed   int64
-	flushed    bool
-	qdepth     int64
-
-	prefetches   int64
-	prefetchHits int64
-	capNow       int64
-}
-
 // detector accumulates probe rounds and decides termination.
 type detector struct {
-	acks []ackState // per worker, latest ack
+	acks []AckStats // per worker, latest ack (Round filled in from the frame)
 
 	// round is the probe round currently being collected; seen marks the
 	// PEs that have answered it, and got counts how many have. Tracking
@@ -66,7 +44,7 @@ type detector struct {
 }
 
 func newDetector(n int) *detector {
-	return &detector{acks: make([]ackState, n), seen: make([]bool, n)}
+	return &detector{acks: make([]AckStats, n), seen: make([]bool, n)}
 }
 
 // begin starts collecting a new probe round.
@@ -87,14 +65,8 @@ func (d *detector) record(pe int, m *Msg) bool {
 		return false
 	}
 	d.seen[pe] = true
-	d.acks[pe] = ackState{
-		round: m.Round, sent: m.Sent, recv: m.Recv, live: m.Live,
-		deferred: m.Deferred, hits: m.Hits, misses: m.Misses,
-		steals: m.Steals, forwards: m.Forwards, instrs: m.Instrs,
-		evicts: m.Evicts, refetches: m.Refetches, replayed: m.Replayed,
-		flushed: m.Flushed, qdepth: m.QDepth,
-		prefetches: m.Prefetches, prefetchHits: m.PrefetchHits, capNow: m.CacheCapNow,
-	}
+	d.acks[pe] = *m.Ack
+	d.acks[pe].Round = m.Round
 	d.got++
 	return d.got == len(d.acks)
 }
@@ -109,12 +81,12 @@ func (d *detector) roundDone() bool {
 	var sent, recv int64
 	allIdle := true
 	for _, a := range d.acks {
-		sent += a.sent
-		recv += a.recv
-		if a.live > 0 {
+		sent += a.Sent
+		recv += a.Recv
+		if a.Live > 0 {
 			allIdle = false
 		}
-		if !a.flushed {
+		if !a.Flushed {
 			allIdle = false
 		}
 	}
@@ -149,7 +121,7 @@ func (d *detector) unacked() []int {
 func (d *detector) liveSPs() int {
 	n := 0
 	for _, a := range d.acks {
-		n += int(a.live)
+		n += int(a.Live)
 	}
 	return n
 }
@@ -158,20 +130,20 @@ func (d *detector) liveSPs() int {
 func (d *detector) stats() Stats {
 	var s Stats
 	for _, a := range d.acks {
-		s.DeferredReads += a.deferred
-		s.CacheHits += a.hits
-		s.CacheMisses += a.misses
-		s.Evictions += a.evicts
-		s.Refetches += a.refetches
-		s.MsgsSent += a.sent
-		s.Steals += a.steals
-		s.Forwards += a.forwards
-		s.ReplayedSPs += a.replayed
-		s.Prefetches += a.prefetches
-		s.PrefetchHits += a.prefetchHits
+		s.DeferredReads += a.Deferred
+		s.CacheHits += a.Hits
+		s.CacheMisses += a.Misses
+		s.Evictions += a.Evicts
+		s.Refetches += a.Refetches
+		s.MsgsSent += a.Sent
+		s.Steals += a.Steals
+		s.Forwards += a.Forwards
+		s.ReplayedSPs += a.Replayed
+		s.Prefetches += a.Prefetches
+		s.PrefetchHits += a.PrefetchHits
 		// Summed across PEs: the cluster-wide resident-page budget at the
 		// last ack (each PE reports its own current CachePages bound).
-		s.CacheCapNow += a.capNow
+		s.CacheCapNow += a.CacheCapNow
 	}
 	return s
 }
@@ -186,11 +158,11 @@ func (d *detector) stallReport() string {
 			b.WriteString("; ")
 		}
 		if d.seen[pe] {
-			fmt.Fprintf(&b, "pe %d: acked round %d", pe, a.round)
+			fmt.Fprintf(&b, "pe %d: acked round %d", pe, a.Round)
 		} else {
-			fmt.Fprintf(&b, "pe %d: NO ACK for round %d (last ack round %d)", pe, d.round, a.round)
+			fmt.Fprintf(&b, "pe %d: NO ACK for round %d (last ack round %d)", pe, d.round, a.Round)
 		}
-		fmt.Fprintf(&b, " live=%d sent=%d recv=%d", a.live, a.sent, a.recv)
+		fmt.Fprintf(&b, " live=%d sent=%d recv=%d", a.Live, a.Sent, a.Recv)
 	}
 	return b.String()
 }
@@ -200,7 +172,7 @@ func (d *detector) stallReport() string {
 func (d *detector) perPEInstrs() []int64 {
 	out := make([]int64, len(d.acks))
 	for i, a := range d.acks {
-		out[i] = a.instrs
+		out[i] = a.Instrs
 	}
 	return out
 }
@@ -212,12 +184,12 @@ func (d *detector) perPEStats() []PEStat {
 	out := make([]PEStat, len(d.acks))
 	for i, a := range d.acks {
 		out[i] = PEStat{
-			PE: i, Instrs: a.instrs, Sent: a.sent, Recv: a.recv,
-			DeferredReads: a.deferred, CacheHits: a.hits, CacheMisses: a.misses,
-			Evictions: a.evicts, Refetches: a.refetches,
-			Steals: a.steals, Forwards: a.forwards, Replayed: a.replayed,
-			Prefetches: a.prefetches, PrefetchHits: a.prefetchHits,
-			CacheCapNow: a.capNow,
+			PE: i, Instrs: a.Instrs, Sent: a.Sent, Recv: a.Recv,
+			DeferredReads: a.Deferred, CacheHits: a.Hits, CacheMisses: a.Misses,
+			Evictions: a.Evicts, Refetches: a.Refetches,
+			Steals: a.Steals, Forwards: a.Forwards, Replayed: a.Replayed,
+			Prefetches: a.Prefetches, PrefetchHits: a.PrefetchHits,
+			CacheCapNow: a.CacheCapNow,
 		}
 	}
 	return out

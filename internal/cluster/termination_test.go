@@ -19,7 +19,7 @@ import (
 // given counters and live SP count (epoch 0, trivially flushed). Returns
 // whether the round completed.
 func detAck(d *detector, pe int, round int32, sent, recv int64, live int32) bool {
-	return d.record(pe, &Msg{Kind: KAck, Round: round, Sent: sent, Recv: recv, Live: live, Flushed: true})
+	return d.record(pe, &Msg{Kind: KAck, Round: round, Ack: &AckStats{Sent: sent, Recv: recv, Live: int64(live), Flushed: true}})
 }
 
 // completeRound collects one full round on d and evaluates it.

@@ -74,17 +74,26 @@ func newDelayMailbox(delay time.Duration) *mailbox {
 	return b
 }
 
-func (b *mailbox) put(m *Msg) {
-	e := mboxEntry{m: m}
+func (b *mailbox) put(m *Msg) { b.putAll([]*Msg{m}) }
+
+// putAll enqueues ms in order under one lock and one wake-up: a TCP pump
+// hands over every frame a read returned at once.
+func (b *mailbox) putAll(ms []*Msg) {
+	if len(ms) == 0 {
+		return
+	}
+	var due time.Time
 	if b.delay > 0 {
-		e.due = time.Now().Add(b.delay)
+		due = time.Now().Add(b.delay)
 	}
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
 		return
 	}
-	b.q = append(b.q, e)
+	for _, m := range ms {
+		b.q = append(b.q, mboxEntry{m: m, due: due})
+	}
 	b.mu.Unlock()
 	select {
 	case b.notify <- struct{}{}:
@@ -256,7 +265,7 @@ func (e *chanEndpoint) Send(to int, m *Msg) error {
 			t.mu.RLock()
 			box := t.boxes[driver]
 			t.mu.RUnlock()
-			box.put(&Msg{Kind: KDown, From: int32(e.self), PE: int32(e.self)})
+			box.put(&Msg{Kind: KDown, From: int32(e.self)})
 			return ErrClosed
 		}
 	}

@@ -1,0 +1,431 @@
+package cluster
+
+import (
+	"bytes"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"testing"
+	"unsafe"
+
+	"repro/internal/isa"
+)
+
+// This file tests and measures the wire codec (protocol.go): round trips
+// per kind, truncation, the no-alias rule, a fuzz target, and the
+// per-kind encode/decode benchmarks (layer (c) of the ROADMAP's list; the
+// transport round trips, layer (d), are in tcp_test.go).
+
+// TestMsgSize pins the hot struct: every message on every transport
+// allocates one, so a field added to Msg instead of a cold block shows
+// here first.
+func TestMsgSize(t *testing.T) {
+	if n := unsafe.Sizeof(Msg{}); n > 256 {
+		t.Fatalf("Msg is %d bytes, want <= 256: move cold fields behind Ack/Cfg/Lists", n)
+	}
+}
+
+func TestMsgCodecRoundTrip(t *testing.T) {
+	msgs := []*Msg{
+		{Kind: KToken, From: 3, SP: packID(2, 7), Slot: 5, Val: isa.Float(3.25)},
+		{Kind: KSpawn, Tmpl: 4, Args: []isa.Value{isa.Int(9), isa.SPRef(0), isa.Bool(true)}},
+		{Kind: KAlloc, Arr: packID(1, 1), Name: "A", Dims: []int32{8, 8}, Origin: 1, Dist: true},
+		{Kind: KReadReq, Arr: 77, Off: 12, ReqPE: 2, SP: packID(2, 3), Slot: 1},
+		{Kind: KPage, Arr: 77, Page: 2, Off: 65, SP: packID(0, 1), Slot: 2,
+			Vals: []isa.Value{isa.Float(1), {}, isa.Float(2)}, Set: []bool{true, false, true}},
+		{Kind: KWrite, Arr: 77, Off: 40, Val: isa.Int(-9)},
+		{Kind: KFail, Name: "pe 1: boom"},
+		{Kind: KProbe, Round: 12},
+		{Kind: KAck, Round: 12, Ack: &AckStats{Sent: 100, Recv: 99, Live: 3, Deferred: 7, Hits: 5,
+			Misses: 2, Steals: 4, Forwards: 6, Instrs: 12345, Evicts: 11, Refetches: 3}},
+		{Kind: KDumpReq, Arr: 77},
+		{Kind: KDump, Arr: 77, Off: 64, Vals: []isa.Value{isa.Float(1.5)}, Set: []bool{true}},
+		{Kind: KInit, Cfg: &MsgCfg{PE: 1, NumPEs: 4, Peers: []string{"a:1", "b:2"}}},
+		{Kind: KStop},
+		{Kind: KStealReq, From: 2, Lists: &MsgLists{}},
+		{Kind: KStealReq, From: 3, Lists: &MsgLists{Hot: []int64{packID(0, 1), packID(2, 5)}}},
+		{Kind: KStealGrant, Seq: 3, Lists: &MsgLists{Batch: []StealItem{
+			{SP: packID(1, 9), Tmpl: 3,
+				Args:     []isa.Value{isa.Int(7), {}},
+				CostLoop: 5, Sweep: packID(0, 2), CostIter: 41},
+			{SP: packID(1, 10), Tmpl: 3,
+				Args:     []isa.Value{isa.Float(2.5), {}},
+				CostLoop: -1},
+		}}},
+		{Kind: KStealNone},
+		{Kind: KSpawn, Tmpl: 6, Args: []isa.Value{isa.Int(3)},
+			Sweep: packID(3, 4), RngOn: true, RngLo: -12, RngHi: 99},
+		{Kind: KCostReport, Tmpl: 6, Sweep: packID(3, 4),
+			Lists: &MsgLists{Iters: []int64{1, 2, 5}, Costs: []int64{10, 20, 50}}},
+		{Kind: KRebound, Tmpl: 6, Lists: &MsgLists{Cuts: []int64{4, 9, 13}}},
+		{Kind: KToken, From: 2, Epoch: 3, Inc: 1, SP: packIncID(1, 1, 9), Slot: 2, Val: isa.Int(5)},
+		{Kind: KSpawnLog, From: 1, Inc: 2, Tmpl: 6, Sweep: packIncID(1, 2, 3),
+			Args: []isa.Value{isa.Int(8)}, Lists: &MsgLists{Cuts: []int64{3, 7, 11}}},
+		{Kind: KRecover, Epoch: 2, Cfg: &MsgCfg{Incs: []int32{0, 1, 0, 2}, Peers: []string{"a:1", "s:9"}}},
+		{Kind: KStealDone, From: 2, SP: packIncID(0, 0, 4)},
+		{Kind: KFlush, From: 1, Epoch: 2, Inc: 1},
+		{Kind: KAck, Round: 3, Epoch: 1, Ack: &AckStats{Sent: 4, Recv: 4, Replayed: 2, Flushed: true}},
+		{Kind: KStealReq, From: 1, Lists: &MsgLists{HotPages: []int64{packID(0, 1), 3, packID(2, 5), 0}}},
+		{Kind: KAck, Round: 9, Ack: &AckStats{Sent: 8, Recv: 8, Hits: 40, Misses: 3,
+			Prefetches: 6, PrefetchHits: 4, CacheCapNow: 24}},
+		{Kind: KTrace, From: 1, Lists: &MsgLists{TraceEvs: []int64{1, 2, 3, 4, 5}, TraceDrops: 7}},
+		{Kind: KJobStart, Job: 2, Epoch: 1, Cfg: &MsgCfg{PageElems: 8, DistThreshold: 16, CachePages: 2,
+			Steal: true, Heat: true, Recover: true, Incs: []int32{0, 0, 0, 1}, Prog: []byte("{}")}},
+		{Kind: KSubmit, Job: 1, Seq: 7, Name: "triread", Args: []isa.Value{isa.Int(26)},
+			Cfg: &MsgCfg{CachePages: 4, Heat: true, MaxInstrs: 1 << 40, Prog: []byte("p")}},
+		{Kind: KResult, Seq: 7, Slot: 1, Val: isa.Float(-0.5)},
+		{Kind: KCkpt, Seq: 2, Lists: &MsgLists{Iters: []int64{packID(0, 3)}}},
+	}
+	for _, m := range msgs {
+		b := encodeMsg(nil, m)
+		got, err := decodeMsg(b)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", m.Kind, err)
+		}
+		if !reflect.DeepEqual(m, got) {
+			t.Errorf("%s: round trip mismatch:\n sent %+v\n got  %+v", m.Kind, m, got)
+		}
+	}
+	if n := len(encodeMsg(nil, msgs[0])); n > 48 {
+		t.Errorf("token frame is %d bytes, want <= 48", n)
+	}
+}
+
+// randMsg builds a message of kind k with every field of k's wire blocks
+// (and no other) set from rng. Empty slices are nil, as decodeMsg leaves
+// them.
+func randMsg(rng *rand.Rand, k MsgKind) *Msg {
+	value := func() isa.Value {
+		switch rng.Intn(6) {
+		case 0:
+			return isa.Value{}
+		case 1:
+			return isa.Float(rng.NormFloat64())
+		case 2:
+			return isa.Bool(rng.Intn(2) == 0)
+		case 3:
+			return isa.Array(rng.Int63())
+		case 4:
+			return isa.SPRef(rng.Int63())
+		}
+		return isa.Int(rng.Int63() - 1<<62)
+	}
+	values := func() []isa.Value {
+		var out []isa.Value
+		for n := rng.Intn(5); n > 0; n-- {
+			out = append(out, value())
+		}
+		return out
+	}
+	i64s := func() []int64 {
+		var out []int64
+		for n := rng.Intn(5); n > 0; n-- {
+			out = append(out, rng.Int63()-1<<62)
+		}
+		return out
+	}
+	i32s := func() []int32 {
+		var out []int32
+		for n := rng.Intn(5); n > 0; n-- {
+			out = append(out, rng.Int31()-1<<30)
+		}
+		return out
+	}
+	str := func() string { return string(make([]byte, rng.Intn(4))) + "x"[:rng.Intn(2)] }
+	flip := func() bool { return rng.Intn(2) == 0 }
+
+	m := &Msg{Kind: k, From: rng.Int31n(9), Job: rng.Int31(), Epoch: rng.Int31n(5), Inc: rng.Int31n(5)}
+	w, _ := k.layout()
+	if w&wSeq != 0 {
+		m.Seq = rng.Int63()
+	}
+	if w&wSP != 0 {
+		m.SP, m.Slot = rng.Int63(), rng.Int31()
+	}
+	if w&wVal != 0 {
+		m.Val = value()
+	}
+	if w&wSpawn != 0 {
+		m.Tmpl, m.Args = rng.Int31(), values()
+	}
+	if w&wElem != 0 {
+		m.Arr, m.Off = rng.Int63(), rng.Int31()-1<<30
+	}
+	if w&wReq != 0 {
+		m.ReqPE = rng.Int31n(8)
+	}
+	if w&wPage != 0 {
+		m.Page, m.Vals = rng.Int31(), values()
+		for range m.Vals {
+			m.Set = append(m.Set, flip())
+		}
+	}
+	if w&wName != 0 {
+		m.Name = str()
+	}
+	if w&wDims != 0 {
+		m.Dims, m.Origin, m.Dist = i32s(), rng.Int31n(8), flip()
+	}
+	if w&wRound != 0 {
+		m.Round = rng.Int31()
+	}
+	if w&wSweep != 0 {
+		m.Sweep, m.RngOn, m.RngLo, m.RngHi = rng.Int63(), flip(), -rng.Int63(), rng.Int63()
+	}
+	if w&wAck != 0 {
+		m.Ack = &AckStats{Flushed: flip()}
+		for _, p := range m.Ack.counters() {
+			*p = rng.Int63()
+		}
+	}
+	if w&wCfg != 0 {
+		m.Cfg = &MsgCfg{PE: rng.Int31n(8), NumPEs: rng.Int31n(8), PageElems: rng.Int31(),
+			DistThreshold: rng.Int31(), CachePages: rng.Int31(), TraceCap: rng.Int31(), TraceSample: rng.Int31(),
+			Steal: flip(), Adapt: flip(), Recover: flip(), Trace: flip(), Heat: flip(),
+			MaxInstrs: rng.Int63(), MaxElems: rng.Int63(), Incs: i32s(), Prog: []byte(str())}
+		if len(m.Cfg.Prog) == 0 {
+			m.Cfg.Prog = nil
+		}
+		for n := rng.Intn(4); n > 0; n-- {
+			m.Cfg.Peers = append(m.Cfg.Peers, str())
+		}
+	}
+	if w&(wAdapt|wSteal|wTrace) != 0 {
+		m.Lists = &MsgLists{}
+	}
+	if w&wAdapt != 0 {
+		m.Lists.Iters, m.Lists.Costs, m.Lists.Cuts = i64s(), i64s(), i64s()
+	}
+	if w&wSteal != 0 {
+		m.Lists.Hot, m.Lists.HotPages = i64s(), i64s()
+		for n := rng.Intn(4); n > 0; n-- {
+			m.Lists.Batch = append(m.Lists.Batch, StealItem{SP: rng.Int63(), Tmpl: rng.Int31(),
+				CostLoop: rng.Int31n(4) - 1, Sweep: rng.Int63(), CostIter: rng.Int63(), Args: values()})
+		}
+	}
+	if w&wTrace != 0 {
+		m.Lists.TraceEvs, m.Lists.TraceDrops = i64s(), rng.Int63()
+	}
+	return m
+}
+
+// wireKinds lists every kind that has a frame layout.
+func wireKinds() []MsgKind {
+	var ks []MsgKind
+	for k := range kinds {
+		if _, ok := MsgKind(k).layout(); ok {
+			ks = append(ks, MsgKind(k))
+		}
+	}
+	return ks
+}
+
+// TestMsgCodecRoundTripProperty: for every kind, decode(encode(m)) is m
+// when m uses exactly the fields of the kind's blocks, and fields outside
+// the blocks never reach the wire.
+func TestMsgCodecRoundTripProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for _, k := range wireKinds() {
+		for i := 0; i < 200; i++ {
+			m := randMsg(rng, k)
+			b := encodeMsg(nil, m)
+			got, err := decodeMsg(b)
+			if err != nil {
+				t.Fatalf("%s: decode: %v", k, err)
+			}
+			if !reflect.DeepEqual(m, got) {
+				t.Fatalf("%s: round trip mismatch:\n sent %+v\n got  %+v", k, m, got)
+			}
+			// The same message with every other field set encodes identically.
+			full := randMsg(rng, KDump)
+			full.Kind, full.From, full.Job, full.Epoch, full.Inc = m.Kind, m.From, m.Job, m.Epoch, m.Inc
+			overlay(full, m, kinds[k].w)
+			if !bytes.Equal(encodeMsg(nil, full), b) {
+				t.Fatalf("%s: fields outside the kind's blocks changed the frame", k)
+			}
+		}
+	}
+	if _, err := decodeMsg(encodeMsg(nil, &Msg{Kind: KDown, From: 1})); err == nil {
+		t.Error("a KDown frame decoded: a peer could forge a death notice")
+	}
+}
+
+// overlay copies the fields of src's wire blocks w into dst.
+func overlay(dst, src *Msg, w wireBlocks) {
+	if w&wSeq != 0 {
+		dst.Seq = src.Seq
+	}
+	if w&wSP != 0 {
+		dst.SP, dst.Slot = src.SP, src.Slot
+	}
+	if w&wVal != 0 {
+		dst.Val = src.Val
+	}
+	if w&wSpawn != 0 {
+		dst.Tmpl, dst.Args = src.Tmpl, src.Args
+	}
+	if w&wElem != 0 {
+		dst.Arr, dst.Off = src.Arr, src.Off
+	}
+	if w&wReq != 0 {
+		dst.ReqPE = src.ReqPE
+	}
+	if w&wPage != 0 {
+		dst.Page, dst.Vals, dst.Set = src.Page, src.Vals, src.Set
+	}
+	if w&wName != 0 {
+		dst.Name = src.Name
+	}
+	if w&wDims != 0 {
+		dst.Dims, dst.Origin, dst.Dist = src.Dims, src.Origin, src.Dist
+	}
+	if w&wRound != 0 {
+		dst.Round = src.Round
+	}
+	if w&wSweep != 0 {
+		dst.Sweep, dst.RngOn, dst.RngLo, dst.RngHi = src.Sweep, src.RngOn, src.RngLo, src.RngHi
+	}
+	dst.Ack, dst.Cfg, dst.Lists = src.Ack, src.Cfg, src.Lists
+}
+
+func TestMsgCodecTruncated(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, k := range wireKinds() {
+		b := encodeMsg(nil, randMsg(rng, k))
+		for n := 0; n < len(b); n++ {
+			if _, err := decodeMsg(b[:n]); err == nil {
+				t.Errorf("%s: decode of %d/%d bytes: want error", k, n, len(b))
+			}
+		}
+		if _, err := decodeMsg(append(b, 0)); err == nil {
+			t.Errorf("%s: decode with a trailing byte: want error", k)
+		}
+	}
+}
+
+// TestDecodeMsgNoAlias: nothing a decoded Msg holds may point into the
+// buffer it was decoded from — the transport reuses that buffer for the
+// next read while the Msg sits in a mailbox or a page cache.
+func TestDecodeMsgNoAlias(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, k := range wireKinds() {
+		for i := 0; i < 20; i++ {
+			b := encodeMsg(nil, randMsg(rng, k))
+			got, err := decodeMsg(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := decodeMsg(bytes.Clone(b))
+			for j := range b {
+				b[j] ^= 0xff
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: decoded message changed when its read buffer was overwritten", k)
+			}
+		}
+	}
+}
+
+// allocatedBy reports the heap bytes f allocates: the smallest of the given
+// number of runs, so that with several a background goroutine's allocation
+// does not count against f.
+func allocatedBy(runs int, f func()) uint64 {
+	best := ^uint64(0)
+	for i := 0; i < runs; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	return best
+}
+
+// FuzzDecodeMsg: decodeMsg parses untrusted bytes (the podsd -serve
+// socket). It must never panic, never allocate more than a small multiple
+// of its input, and whatever it accepts must re-encode to the same bytes.
+func FuzzDecodeMsg(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for _, k := range wireKinds() {
+		f.Add(encodeMsg(nil, randMsg(rng, k)))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var m *Msg
+		var err error
+		// An isa.Value is 9 bytes on the wire and 24 in memory, a string 4
+		// and 16: 4x covers every element type; the constant covers the
+		// Msg, its blocks and the error.
+		if got := allocatedBy(3, func() { m, err = decodeMsg(data) }); got > uint64(4*len(data)+2048) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
+		}
+		if err != nil {
+			return
+		}
+		if b := encodeMsg(nil, m); !bytes.Equal(b, data) {
+			// Bools and value payloads have non-canonical encodings that
+			// decode fine; the canonical form must then be a fixed point.
+			m2, err := decodeMsg(b)
+			if err != nil || !reflect.DeepEqual(m, m2) {
+				t.Fatalf("re-encoded frame decodes differently: %v", err)
+			}
+		}
+	})
+}
+
+// hotFrames are the message shapes of the data plane, at the sizes the
+// benchmark workloads send them.
+func hotFrames() []struct {
+	name string
+	m    *Msg
+} {
+	page := &Msg{Kind: KPage, From: 1, Job: 3, Arr: packID(0, 2), Page: 9, Off: 300, SP: packID(1, 77), Slot: 4,
+		Vals: make([]isa.Value, 32), Set: make([]bool, 32)}
+	for i := range page.Vals {
+		page.Vals[i], page.Set[i] = isa.Float(float64(i)), true
+	}
+	return []struct {
+		name string
+		m    *Msg
+	}{
+		{"token", &Msg{Kind: KToken, From: 1, Job: 3, SP: packID(0, 41), Slot: 2, Val: isa.Float(1.5)}},
+		{"readReq", &Msg{Kind: KReadReq, From: 1, Job: 3, Arr: packID(0, 2), Off: 300, ReqPE: 1, SP: packID(1, 77), Slot: 4}},
+		{"page32", page},
+		{"spawn", &Msg{Kind: KSpawn, From: 1, Job: 3, Tmpl: 12, Sweep: packID(1, 5),
+			Args: []isa.Value{isa.Int(4), isa.Array(packID(0, 2)), isa.SPRef(packID(1, 9)), isa.Int(2)}}},
+		{"ack", &Msg{Kind: KAck, From: 1, Job: 3, Round: 40, Ack: &AckStats{Sent: 31000, Recv: 30990, Instrs: 2400000}}},
+	}
+}
+
+var benchSink *Msg
+
+func BenchmarkEncodeMsg(b *testing.B) {
+	for _, f := range hotFrames() {
+		b.Run(f.name, func(b *testing.B) {
+			buf := encodeMsg(nil, f.m)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = encodeMsg(buf[:0], f.m)
+			}
+			b.ReportMetric(float64(len(buf)), "frame-bytes")
+		})
+	}
+}
+
+func BenchmarkDecodeMsg(b *testing.B) {
+	for _, f := range hotFrames() {
+		b.Run(f.name, func(b *testing.B) {
+			buf := encodeMsg(nil, f.m)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m, err := decodeMsg(buf)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink = m
+			}
+			b.ReportMetric(float64(len(buf)), "frame-bytes")
+		})
+	}
+}

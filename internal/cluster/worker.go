@@ -186,9 +186,10 @@ type worker struct {
 	epoch     int32
 	minEpoch  int32 // epoch this incarnation was born into (birth fence)
 	incs      []int32
-	recovered bool  // some recovery has happened: tolerate duplicate-execution tokens
-	staleMsgs int64 // frames and tokens dropped by incarnation fencing
-	deadSends int64 // peer sends dropped on transport failure (replay covers them)
+	recovered bool   // some recovery has happened: tolerate duplicate-execution tokens
+	early     []*Msg // peer frames of an epoch whose KRecover has not arrived yet
+	staleMsgs int64  // frames and tokens dropped by incarnation fencing
+	deadSends int64  // peer sends dropped on transport failure (replay covers them)
 	writeLog  map[int][]writeRec
 	outReads  map[outReadKey]outRead
 	grantLog  map[int64]grantRec
@@ -610,13 +611,13 @@ func (w *worker) maybeSteal() {
 	// page fetches. In heat mode the summary is page-granular (it can
 	// tell apart iterations of a single shared array); otherwise it is
 	// the legacy array-granular list.
-	req := &Msg{Kind: KStealReq}
+	req := &MsgLists{}
 	if w.heat.on {
 		req.HotPages = w.hotPagePairs(stealHotMax)
 	} else {
 		req.Hot = w.shard.HotArrays(stealHotMax)
 	}
-	w.send(w.stealVictim, req)
+	w.send(w.stealVictim, &Msg{Kind: KStealReq, Lists: req})
 }
 
 // stealHotMax caps the hot-array summary a steal request carries.
@@ -739,7 +740,7 @@ func (w *worker) handleStealReq(m *Msg) {
 	}
 	var batch []*spInst
 	if !w.failed {
-		batch = w.stealBatch(m.Hot, m.HotPages)
+		batch = w.stealBatch(m.Lists.Hot, m.Lists.HotPages)
 	}
 	if len(batch) == 0 {
 		w.send(thief, &Msg{Kind: KStealNone})
@@ -781,7 +782,7 @@ func (w *worker) handleStealReq(m *Msg) {
 		w.grantSeq = make(map[int]int64)
 	}
 	w.grantSeq[thief]++
-	w.send(thief, &Msg{Kind: KStealGrant, Seq: w.grantSeq[thief], Batch: items})
+	w.send(thief, &Msg{Kind: KStealGrant, Seq: w.grantSeq[thief], Lists: &MsgLists{Batch: items}})
 }
 
 // handleStealDone retires one completed steal grant: the stub becomes a
@@ -814,15 +815,15 @@ func (w *worker) applyRecover(m *Msg) {
 		w.incs = make([]int32, w.n)
 	}
 	var dead []int
-	for pe, inc := range m.Incs {
+	for pe, inc := range m.Cfg.Incs {
 		if pe < len(w.incs) && pe != w.pe && inc > w.incs[pe] {
 			w.incs[pe] = inc
 			dead = append(dead, pe)
 		}
 	}
-	if len(m.Peers) > 0 {
+	if len(m.Cfg.Peers) > 0 {
 		if rp, ok := w.ep.(interface{ Repoint([]string) }); ok {
-			rp.Repoint(m.Peers)
+			rp.Repoint(m.Cfg.Peers)
 		}
 	}
 	for _, k := range dead {
@@ -833,6 +834,11 @@ func (w *worker) applyRecover(m *Msg) {
 	// frames (and the replays above, which is fine — they are counted in
 	// the current epoch).
 	w.sendFlush()
+	early := w.early
+	w.early = nil
+	for _, em := range early {
+		w.handle(em)
+	}
 }
 
 // replayFor re-creates this worker's share of a respawned PE k's lost
@@ -939,7 +945,8 @@ func (w *worker) replayFor(k int) {
 // if it had been spawned here.
 func (w *worker) installStolen(m *Msg) {
 	w.stealOutstanding = false
-	if len(m.Batch) == 0 {
+	batch := m.Lists.Batch
+	if len(batch) == 0 {
 		w.fail(errors.New("empty steal grant"))
 		return
 	}
@@ -961,9 +968,9 @@ func (w *worker) installStolen(m *Msg) {
 		}
 		w.seenGrant[key] = m.Seq
 	}
-	w.rec(trace.EvStealIn, int64(m.From), int64(len(m.Batch)))
-	for i := range m.Batch {
-		it := &m.Batch[i]
+	w.rec(trace.EvStealIn, int64(m.From), int64(len(batch)))
+	for i := range batch {
+		it := &batch[i]
 		tmpl := w.prog.Template(int(it.Tmpl))
 		if tmpl == nil {
 			w.fail(fmt.Errorf("steal grant with unknown template %d", it.Tmpl))
@@ -1024,11 +1031,19 @@ func (w *worker) handle(m *Msg) {
 		w.staleMsgs++
 		return
 	}
-	// Epoch piggyback: a frame from a newer counting epoch proves a
-	// recovery happened; adopt it before counting so the four-counter sums
-	// only ever mix messages of one epoch. (The KRecover that explains the
-	// epoch follows on the driver stream; the counters cannot wait for it.)
+	// A frame from a newer counting epoch proves a recovery happened; the
+	// epoch is adopted before counting so the four-counter sums only ever
+	// mix messages of one epoch. A peer's frame can outrun the KRecover on
+	// the driver stream, though, and only the KRecover says which PEs died
+	// and where their replacements live: adopting the epoch without it
+	// would count this worker's sends to a dead peer's old connection in
+	// the new epoch, where nobody will ever receive them and the sums could
+	// never balance again. Such a frame waits for the KRecover instead.
 	if m.Epoch > w.epoch {
+		if int(m.From) != w.driverID() {
+			w.early = append(w.early, m)
+			return
+		}
 		w.bumpEpoch(m.Epoch)
 	}
 	if m.Kind.isData() && int(m.From) != w.driverID() && m.Epoch == w.epoch {
@@ -1111,12 +1126,10 @@ func (w *worker) handle(m *Msg) {
 		}
 		w.rec(trace.EvProbe, int64(m.Round), w.qdepth())
 		w.publishMetrics()
-		w.send(w.driverID(), &Msg{
-			Kind:         KAck,
-			Round:        m.Round,
+		w.send(w.driverID(), &Msg{Kind: KAck, Round: m.Round, Ack: &AckStats{
 			Sent:         w.sent,
 			Recv:         w.recv,
-			Live:         int32(len(w.insts)),
+			Live:         int64(len(w.insts)),
 			Deferred:     w.shard.DeferredReads,
 			Hits:         w.shard.CacheHits,
 			Misses:       w.shard.CacheMisses,
@@ -1131,7 +1144,7 @@ func (w *worker) handle(m *Msg) {
 			Prefetches:   w.heat.prefetches,
 			PrefetchHits: w.heat.prefetchHits,
 			CacheCapNow:  int64(w.shard.CacheCap),
-		})
+		}})
 
 	case KStealReq:
 		w.handleStealReq(m)
@@ -1146,20 +1159,21 @@ func (w *worker) handle(m *Msg) {
 		w.rec(trace.EvStealNone, int64(m.From), 0)
 
 	case KRebound:
-		if len(m.Cuts) != w.n-1 {
-			w.fail(fmt.Errorf("rebound for template %d with %d cuts, want %d", m.Tmpl, len(m.Cuts), w.n-1))
+		cuts := m.Lists.Cuts
+		if len(cuts) != w.n-1 {
+			w.fail(fmt.Errorf("rebound for template %d with %d cuts, want %d", m.Tmpl, len(cuts), w.n-1))
 			return
 		}
 		if w.cuts == nil {
 			w.cuts = make(map[int][]int64)
 		}
 		old := w.cuts[int(m.Tmpl)]
-		w.cuts[int(m.Tmpl)] = m.Cuts
+		w.cuts[int(m.Tmpl)] = cuts
 		w.rec(trace.EvRebound, int64(m.Tmpl), 0)
 		// Heat mode: iterations gained by the new cut prefetch their rows'
 		// pages now, so the adapted copies start warm instead of paying a
 		// cold remote fetch each.
-		w.migrateHotPages(old, m.Cuts)
+		w.migrateHotPages(old, cuts)
 
 	case KRecover:
 		w.applyRecover(m)
@@ -1180,12 +1194,12 @@ func (w *worker) handle(m *Msg) {
 		// Flush the trace ring to the driver. A worker without a recorder
 		// answers with an empty frame so the driver's gather never waits on
 		// a PE that has nothing to say.
-		ans := &Msg{Kind: KTrace}
+		ans := &MsgLists{}
 		if w.tr != nil {
 			ans.TraceEvs = w.tr.Flatten()
 			ans.TraceDrops = w.tr.Drops()
 		}
-		w.send(w.driverID(), ans)
+		w.send(w.driverID(), &Msg{Kind: KTrace, Lists: ans})
 
 	case KDumpReq:
 		w.handleDumpReq(m)
@@ -1299,10 +1313,10 @@ func (w *worker) flushCosts() {
 			if cur != nil {
 				w.send(w.driverID(), cur)
 			}
-			cur = &Msg{Kind: KCostReport, Tmpl: k.loop, Sweep: k.sweep}
+			cur = &Msg{Kind: KCostReport, Tmpl: k.loop, Sweep: k.sweep, Lists: &MsgLists{}}
 		}
-		cur.Iters = append(cur.Iters, k.iter)
-		cur.Costs = append(cur.Costs, w.costAcc[k])
+		cur.Lists.Iters = append(cur.Lists.Iters, k.iter)
+		cur.Lists.Costs = append(cur.Lists.Costs, w.costAcc[k])
 	}
 	w.send(w.driverID(), cur)
 	clear(w.costAcc)
@@ -1736,12 +1750,9 @@ func (w *worker) execSpawn(sp *spInst, pc int, ins *isa.DInstr, args []int, cs *
 		w.fanoutLog = append(w.fanoutLog, fanoutRec{
 			tmpl: int32(child.ID), args: append([]isa.Value(nil), cargs...),
 			sweep: sweep, cuts: cuts})
-		lg := &Msg{Kind: KSpawnLog, Tmpl: int32(child.ID),
-			Args: append([]isa.Value(nil), cargs...), Sweep: sweep}
-		if cuts != nil {
-			lg.Cuts = append([]int64(nil), cuts...)
-		}
-		w.send(w.driverID(), lg)
+		w.send(w.driverID(), &Msg{Kind: KSpawnLog, Tmpl: int32(child.ID),
+			Args: append([]isa.Value(nil), cargs...), Sweep: sweep,
+			Lists: &MsgLists{Cuts: append([]int64(nil), cuts...)}})
 	}
 	for pe := 0; pe < w.n; pe++ {
 		var rlo, rhi int64
