@@ -266,6 +266,71 @@ func TestServeJobsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestServeJobsSlowClient: the reply is streamed against the client's
+// pace. A client that reads nothing for longer than any flush bound in
+// the transport, with a reply several times what the socket buffers hold,
+// still receives every element: the server blocks on the socket instead of
+// queueing the reply or cutting it off.
+func TestServeJobsSlowClient(t *testing.T) {
+	if testing.Short() {
+		t.Skip("stalls for over two seconds")
+	}
+	ctx := testCtx(t)
+	fleet, err := OpenFleet(ctx, Config{NumPEs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go fleet.ServeJobs(ctx, ln)
+
+	prog := compile(t, "fill.id", `
+func main(n: int) {
+	A = array(n);
+	for i = 1 to n {
+		A[i] = 1.0;
+	}
+}`)
+	wire, err := isa.MarshalPods(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 2 << 20 // a 20 MiB reply
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := writeFrame(conn, &Msg{Kind: KSubmit, Seq: 1, Args: []isa.Value{isa.Int(n)}, Cfg: cfgBlock(&Config{}, wire)}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(closeFlushWait + 250*time.Millisecond)
+	got := 0
+	for fr := newFrameReader(conn); ; {
+		m, err := fr.next()
+		if err != nil {
+			t.Fatalf("after %d of %d elements: %v", got, n, err)
+		}
+		if m.Kind == KResult {
+			break
+		}
+		if m.Kind != KDump {
+			t.Fatalf("unexpected %v frame: %s", m.Kind, m.Name)
+		}
+		for _, set := range m.Set {
+			if set {
+				got++
+			}
+		}
+	}
+	if got != n {
+		t.Fatalf("%d of %d elements reached the slow client", got, n)
+	}
+}
+
 // TestServeJobsServerBudgetCap: the server clamps every tenant's budget
 // to its own cap — a client asking for unlimited elements on a capped
 // server is rejected with the budget diagnostic, streamed back as a

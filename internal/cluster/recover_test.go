@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -202,6 +203,61 @@ func TestFenceDropsStaleFrames(t *testing.T) {
 	w.handle(&Msg{Kind: KSpawn, From: 1, Inc: 2, Tmpl: 99})
 	if !w.failed {
 		t.Fatal("current-incarnation frame was not processed")
+	}
+}
+
+// TestEarlyEpochFramesWaitForRecover: a peer frame stamped with a newer
+// counting epoch than the worker's has outrun the KRecover on the driver
+// stream. It is held — not counted, not executed, not adopted as the new
+// epoch, no flush marker sent — until the KRecover for its epoch arrives,
+// then replayed in arrival order in that epoch; a frame of a still later
+// epoch goes back to waiting.
+func TestEarlyEpochFramesWaitForRecover(t *testing.T) {
+	w, eps := fenceWorker(t, []int32{0, 0})
+	arr := packIncID(1, 0, 1)
+	held := []*Msg{
+		{Kind: KAlloc, From: 1, Epoch: 1, Arr: arr, Name: "B", Dims: []int32{32}, Origin: 1, Dist: true},
+		{Kind: KWrite, From: 1, Epoch: 1, Arr: arr, Off: 3, Val: isa.Float(7)},
+		{Kind: KFlush, From: 1, Epoch: 1},
+		{Kind: KWrite, From: 1, Epoch: 2, Arr: arr, Off: 4, Val: isa.Float(8)},
+	}
+	for _, m := range held {
+		w.handle(m)
+	}
+	if w.epoch != 0 || w.recv != 0 || w.flushed != 0 || w.shard.Array(arr) != nil {
+		t.Fatalf("early frames took effect: epoch %d recv %d flushed %d", w.epoch, w.recv, w.flushed)
+	}
+	if !slices.Equal(w.early, held) {
+		t.Fatalf("held %d frames, want all %d in arrival order", len(w.early), len(held))
+	}
+	if m, ok := eps[1].TryRecv(); ok {
+		t.Fatalf("an early frame made the worker send a %v", m.Kind)
+	}
+
+	recoverTo := func(epoch int32) {
+		w.handle(&Msg{Kind: KRecover, From: 2, Epoch: epoch, Cfg: &MsgCfg{Incs: []int32{0, 0}}})
+		if m, ok := eps[1].TryRecv(); !ok || m.Kind != KFlush || m.Epoch != epoch {
+			t.Fatalf("epoch %d: no flush marker of that epoch went to the peer (got %+v)", epoch, m)
+		}
+	}
+	present := func(off int) bool {
+		_, ok := w.shard.Array(arr).Peek(off)
+		return ok
+	}
+	recoverTo(1)
+	// The alloc ran before the write that needs it; both count in epoch 1,
+	// and the peer's marker counts although the bump cleared the markers.
+	if w.failed || w.epoch != 1 || w.recv != 2 || w.flushed != 1 || len(w.pending) != 0 || !present(3) {
+		t.Fatalf("after KRecover 1: failed %v epoch %d recv %d flushed %d pending %d written %v",
+			w.failed, w.epoch, w.recv, w.flushed, len(w.pending), present(3))
+	}
+	if len(w.early) != 1 || w.early[0] != held[3] || present(4) {
+		t.Fatalf("the epoch-2 frame did not go back to waiting: %d held, applied %v", len(w.early), present(4))
+	}
+	recoverTo(2)
+	if w.epoch != 2 || w.recv != 1 || w.flushed != 0 || len(w.early) != 0 || !present(4) {
+		t.Fatalf("after KRecover 2: epoch %d recv %d flushed %d held %d written %v",
+			w.epoch, w.recv, w.flushed, len(w.early), present(4))
 	}
 }
 

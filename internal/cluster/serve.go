@@ -73,11 +73,12 @@ func (f *Fleet) ServeJobs(ctx context.Context, ln net.Listener) error {
 // serveJobConn handles one submission: decode, clamp budgets, run, and
 // stream the results back. All errors are reported to the client as
 // KFail frames; a broken client connection just abandons the stream (the
-// job itself still ran under the fleet's normal teardown). The reply goes
-// through an outbox, whose close flushes it before the socket closes.
+// job itself still ran under the fleet's normal teardown). The reply is
+// written frame by frame, synchronously: a slow client holds the server
+// back through TCP instead of having the reply queue up in memory, and only
+// ctx aborts a client that stopped reading.
 func (f *Fleet) serveJobConn(ctx context.Context, conn net.Conn) {
-	out := newOutbox(conn)
-	defer out.close()
+	defer conn.Close()
 	stop := make(chan struct{})
 	defer close(stop)
 	go func() {
@@ -94,7 +95,7 @@ func (f *Fleet) serveJobConn(ctx context.Context, conn net.Conn) {
 	}
 	seq := m.Seq
 	fail := func(err error) {
-		_ = out.send(&Msg{Kind: KFail, Seq: seq, Name: err.Error()})
+		_ = writeFrame(conn, &Msg{Kind: KFail, Seq: seq, Name: err.Error()})
 	}
 	if m.Kind != KSubmit {
 		fail(fmt.Errorf("cluster: job server expects a submit frame, got %v", m.Kind))
@@ -158,7 +159,7 @@ func (f *Fleet) serveJobConn(ctx context.Context, conn net.Conn) {
 					wv[i-base] = isa.Float(vals[i])
 				}
 			}
-			if err := out.send(&Msg{Kind: KDump, Seq: seq, Name: name,
+			if err := writeFrame(conn, &Msg{Kind: KDump, Seq: seq, Name: name,
 				Dims: d32, Off: int32(base), Vals: wv,
 				Set: append([]bool(nil), mask[base:end]...)}); err != nil {
 				return
@@ -173,7 +174,7 @@ func (f *Fleet) serveJobConn(ctx context.Context, conn net.Conn) {
 		rm.Val = *res.Value
 		rm.Slot = 1 // value present (void programs leave Slot 0)
 	}
-	_ = out.send(rm)
+	_ = writeFrame(conn, rm)
 }
 
 // JobArray is one array streamed back by a job server, flattened in
@@ -237,12 +238,7 @@ func submitWire(ctx context.Context, addr string, wire []byte, cfg Config, args 
 		}
 	}()
 
-	out := newOutbox(conn)
-	err = out.send(&Msg{Kind: KSubmit, Seq: 1, Args: args, Cfg: cfgBlock(&cfg, wire)})
-	if err == nil {
-		err = out.flush()
-	}
-	if err != nil {
+	if err := writeFrame(conn, &Msg{Kind: KSubmit, Seq: 1, Args: args, Cfg: cfgBlock(&cfg, wire)}); err != nil {
 		return nil, fmt.Errorf("cluster: submitting job: %w", err)
 	}
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -8,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"slices"
 	"sync"
 	"time"
 
@@ -36,9 +36,10 @@ import (
 // few hundred KB — 64 MiB is generous headroom against corrupt prefixes).
 const maxFrame = 1 << 26
 
-// readBufSize is a connection's reusable read buffer; frames larger than
-// it are assembled in a scratch slice that grows by at most bigFrameStep
-// per read, so a length prefix alone never commits memory.
+// readBufSize is a connection's reusable read buffer; a frame larger than
+// it is read into a slice of its own that grows by bigFrameStep (or by
+// doubling, past that) only once every byte allocated so far has arrived,
+// so a length prefix alone never commits memory.
 const (
 	readBufSize  = 64 << 10
 	bigFrameStep = 1 << 20
@@ -46,10 +47,9 @@ const (
 
 // closeFlushWait bounds how long closing an outbox waits for its queued
 // frames to reach the socket (a peer that stopped reading must not wedge
-// the closer). keepBuf is the largest write buffer an outbox, and the
-// largest big-frame scratch a frameReader, keeps for reuse: bursts against
-// a busy reader reach a megabyte or two, while the buffer of a rare huge
-// frame should not stay pinned.
+// the closer). keepBuf is the largest write buffer an outbox keeps for
+// reuse: bursts against a busy reader reach a megabyte or two, while the
+// buffer of a rare huge frame should not stay pinned.
 const (
 	closeFlushWait = 2 * time.Second
 	keepBuf        = 4 << 20
@@ -89,6 +89,16 @@ func appendFrame(b []byte, m *Msg) ([]byte, error) {
 	}
 	binary.BigEndian.PutUint32(b[start:], uint32(n))
 	return b, nil
+}
+
+// writeFrame writes one frame synchronously: for a connection with a single
+// sender that wants the socket's backpressure (the job-server sockets).
+func writeFrame(conn net.Conn, m *Msg) error {
+	b, err := appendFrame(nil, m)
+	if err == nil {
+		_, err = conn.Write(b)
+	}
+	return err
 }
 
 // send queues one frame. A write error is reported by the first send after
@@ -159,87 +169,73 @@ func (o *outbox) close() {
 	o.conn.Close()
 }
 
-// frameReader decodes length-prefixed frames from a connection through one
-// reusable buffer. Decoded messages never alias it (decodeMsg copies).
-type frameReader struct {
-	conn net.Conn
-	buf  []byte // buf[lo:hi] is read but not yet decoded
-	lo   int
-	hi   int
-	big  []byte // scratch for frames larger than buf (dump segments, programs)
-}
+// frameReader decodes length-prefixed frames out of one reusable read
+// buffer. Decoded messages never alias it (decodeMsg copies).
+type frameReader struct{ br *bufio.Reader }
 
-func newFrameReader(conn net.Conn) *frameReader {
-	return &frameReader{conn: conn, buf: make([]byte, readBufSize)}
-}
-
-// buffered returns the payload of the first frame in the buffer if it is
-// complete, and the frame's announced length either way (-1 while fewer
-// than four header bytes are buffered).
-func (fr *frameReader) buffered() (payload []byte, n int) {
-	if fr.hi-fr.lo < 4 {
-		return nil, -1
-	}
-	n = int(binary.BigEndian.Uint32(fr.buf[fr.lo:]))
-	if n <= fr.hi-fr.lo-4 {
-		payload = fr.buf[fr.lo+4 : fr.lo+4+n]
-	}
-	return payload, n
+func newFrameReader(r io.Reader) frameReader {
+	return frameReader{bufio.NewReaderSize(r, readBufSize)}
 }
 
 // more reports whether next would return without reading from the socket.
-func (fr *frameReader) more() bool {
-	payload, _ := fr.buffered()
-	return payload != nil
-}
-
-// next decodes the next frame, reading from the connection as needed.
-func (fr *frameReader) next() (*Msg, error) {
-	for {
-		payload, n := fr.buffered()
-		switch {
-		case payload != nil:
-			fr.lo += 4 + n
-			return decodeMsg(payload)
-		case n > maxFrame:
-			return nil, fmt.Errorf("cluster: frame length %d exceeds limit", n)
-		case n > len(fr.buf)-4:
-			return fr.nextBig(n)
-		}
-		if fr.lo > 0 { // make room: move the partial frame to the front
-			fr.hi = copy(fr.buf, fr.buf[fr.lo:fr.hi])
-			fr.lo = 0
-		}
-		got, err := fr.conn.Read(fr.buf[fr.hi:])
-		fr.hi += got
-		if err != nil && got == 0 {
-			if err == io.EOF && fr.hi > 0 {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, err
-		}
+func (fr frameReader) more() bool {
+	if fr.br.Buffered() < 4 {
+		return false
 	}
+	hdr, _ := fr.br.Peek(4)
+	return int(binary.BigEndian.Uint32(hdr)) <= fr.br.Buffered()-4
 }
 
-// nextBig assembles a frame larger than the read buffer in the scratch
-// slice, which grows only as payload bytes actually arrive.
-func (fr *frameReader) nextBig(n int) (*Msg, error) {
-	big := append(fr.big[:0], fr.buf[fr.lo+4:fr.hi]...)
-	fr.lo, fr.hi = 0, 0
+// next decodes the next frame, reading from the connection as needed. A
+// stream that ends inside a frame is io.ErrUnexpectedEOF.
+func (fr frameReader) next() (*Msg, error) {
+	hdr, err := fr.br.Peek(4)
+	if err != nil {
+		if len(hdr) > 0 {
+			err = midFrame(err)
+		}
+		return nil, err
+	}
+	n := int(binary.BigEndian.Uint32(hdr))
+	if n > maxFrame {
+		return nil, fmt.Errorf("cluster: frame length %d exceeds limit", n)
+	}
+	fr.br.Discard(4)
+	if n > readBufSize {
+		return fr.nextBig(n)
+	}
+	payload, err := fr.br.Peek(n)
+	if err != nil {
+		return nil, midFrame(err)
+	}
+	m, err := decodeMsg(payload) // in place: the bytes stay buffered until the discard
+	fr.br.Discard(n)
+	return m, err
+}
+
+// nextBig reads a frame larger than the read buffer into a slice that
+// grows only once every byte allocated so far has arrived — by
+// bigFrameStep, or by doubling past that — so a length prefix alone commits
+// one step, and a genuine large frame is not copied quadratically.
+func (fr frameReader) nextBig(n int) (*Msg, error) {
+	var big []byte
 	for len(big) < n {
-		if len(big) == cap(big) { // every byte allocated so far has arrived
-			big = slices.Grow(big, min(n-len(big), bigFrameStep))
-		}
 		at := len(big)
-		big = big[:min(n, cap(big))]
-		if _, err := io.ReadFull(fr.conn, big[at:]); err != nil {
-			return nil, err
+		grown := make([]byte, min(n, at+max(at, bigFrameStep)))
+		copy(grown, big)
+		big = grown
+		if _, err := io.ReadFull(fr.br, big[at:]); err != nil {
+			return nil, midFrame(err)
 		}
-	}
-	if cap(big) <= keepBuf {
-		fr.big = big
 	}
 	return decodeMsg(big)
+}
+
+func midFrame(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // pump reads frames from conn into box until EOF or error, one mailbox

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/isa"
 	"repro/internal/kernels"
@@ -298,7 +297,7 @@ func TestReadFrameHostileLength(t *testing.T) {
 			t.Errorf("trickle %d: a 4-byte prefix made the reader allocate %d bytes", trickle, got)
 		}
 	}
-	if _, err := newFrameReader(readerConn{bytes.NewReader([]byte{0x04, 0, 0, 1})}).next(); err == nil {
+	if _, err := newFrameReader(bytes.NewReader([]byte{0x04, 0, 0, 1})).next(); err == nil {
 		t.Error("a length over maxFrame was accepted")
 	}
 
@@ -327,18 +326,6 @@ func TestReadFrameHostileLength(t *testing.T) {
 	}
 }
 
-// readerConn is a net.Conn that only reads, from r.
-type readerConn struct{ r io.Reader }
-
-func (c readerConn) Read(b []byte) (int, error)     { return c.r.Read(b) }
-func (readerConn) Write(b []byte) (int, error)      { return len(b), nil }
-func (readerConn) Close() error                     { return nil }
-func (readerConn) LocalAddr() net.Addr              { return nil }
-func (readerConn) RemoteAddr() net.Addr             { return nil }
-func (readerConn) SetDeadline(time.Time) error      { return nil }
-func (readerConn) SetReadDeadline(time.Time) error  { return nil }
-func (readerConn) SetWriteDeadline(time.Time) error { return nil }
-
 // TestFrameReaderBoundaries: frames split at every byte position across
 // reads, frames larger than the read buffer, and frames that end exactly
 // at its edge all decode, in order.
@@ -361,7 +348,7 @@ func TestFrameReaderBoundaries(t *testing.T) {
 	}
 	add(2)
 	for _, chunk := range []int{1, 7, 4096, readBufSize, len(stream)} {
-		fr := newFrameReader(readerConn{&chunkReader{r: bytes.NewReader(stream), n: chunk}})
+		fr := newFrameReader(&chunkReader{r: bytes.NewReader(stream), n: chunk})
 		for i, off := range want {
 			m, err := fr.next()
 			if err != nil || m.Off != off {
