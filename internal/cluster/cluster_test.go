@@ -13,7 +13,7 @@ import (
 	"repro/internal/translate"
 )
 
-func compile(t *testing.T, name, src string) *isa.Program {
+func compile(t testing.TB, name, src string) *isa.Program {
 	t.Helper()
 	gp, err := idlang.Compile(name, src)
 	if err != nil {

@@ -29,9 +29,13 @@ type Config struct {
 	// channel transport with NumPEs worker goroutines.
 	Workers []string
 
-	// ProbeInterval is the pause between termination-detection probe
-	// rounds. Defaults to 100µs (the driver backs off geometrically up to
-	// 50× this while the program is still running).
+	// ProbeInterval is the mid-run cadence of the driver's probe rounds —
+	// what paces adapt cost flushes and rebinds, the heat cap governor,
+	// steal revival and the MaxInstrs check. Defaults to 100µs (the driver
+	// backs off geometrically up to 50× this while the program is still
+	// running). It is not the detection latency: workers report going idle
+	// and the driver confirms with an immediate round, so a finished job
+	// never waits out an interval.
 	ProbeInterval time.Duration
 
 	// Steal enables dynamic work stealing: an idle worker asks a peer

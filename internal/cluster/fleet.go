@@ -6,6 +6,7 @@ import (
 	"math"
 	"net"
 	"sync"
+	"time"
 
 	"repro/internal/isa"
 	"repro/internal/rtcfg"
@@ -46,8 +47,10 @@ func (e *jobEndpoint) Send(to int, m *Msg) error {
 	return e.out.Send(to, m)
 }
 
-func (e *jobEndpoint) Recv(ctx context.Context) (*Msg, error) {
-	return e.in.recv(ctx)
+func (e *jobEndpoint) Recv(ctx context.Context) (*Msg, error) { return e.in.recv(ctx) }
+
+func (e *jobEndpoint) RecvUntil(ctx context.Context, wake <-chan time.Time) (*Msg, error) {
+	return e.in.recvUntil(ctx, wake)
 }
 
 func (e *jobEndpoint) TryRecv() (*Msg, bool) {

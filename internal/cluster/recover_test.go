@@ -356,7 +356,7 @@ func TestRecoverTCPSpare(t *testing.T) {
 	prog := compile(t, k.File(), k.Source)
 	// Long-running arguments: enough gate-serialized sweeps that the kill
 	// timer below reliably lands mid-run over loopback TCP.
-	args := []isa.Value{isa.Int(12), isa.Int(24)}
+	args := []isa.Value{isa.Int(12), isa.Int(96)}
 	want := simMaskedArrays(t, prog, 4, k.Arrays, args...)
 
 	var wg sync.WaitGroup

@@ -53,7 +53,8 @@ type PEStat struct {
 // gathered is one assembled array after a run. raw keeps the wire values
 // alongside the float view: a checkpoint restore (KRestore) must replay
 // the exact Value a worker wrote — single-assignment idempotence compares
-// full values, not float projections.
+// full values, not float projections. Only a recovery-armed run restores,
+// so only it pays for raw (nil otherwise).
 type gathered struct {
 	h    *istructure.Header
 	vals []float64
@@ -71,14 +72,13 @@ func (g *gathered) merge(m *Msg) error {
 		return fmt.Errorf("cluster: dump segment [%d,%d) with %d presence bits does not fit array %q (%d elements)",
 			base, base+len(m.Vals), len(m.Set), g.h.Name, len(g.vals))
 	}
-	if g.raw == nil {
-		g.raw = make([]isa.Value, len(g.vals))
-	}
 	for i, v := range m.Vals {
 		if m.Set[i] {
 			g.vals[base+i] = v.AsFloat()
-			g.raw[base+i] = v
 			g.mask[base+i] = true
+			if g.raw != nil {
+				g.raw[base+i] = v
+			}
 		}
 	}
 	return nil
@@ -225,6 +225,13 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 			_ = ep.Send(pe, &Msg{Kind: KStop})
 		}
 	}
+	cancelled := func(err error) error {
+		stopAll()
+		return fmt.Errorf("cluster: run cancelled (deadlocked dataflow program? %d live SPs): %w", det.liveSPs(), err)
+	}
+	// The driver's one timer: every bounded wait below re-arms it.
+	timer := time.NewTimer(cfg.ProbeInterval)
+	defer timer.Stop()
 
 	rec.logEntry(int32(entry.ID), args)
 	if err := ep.Send(0, &Msg{Kind: KSpawn, Tmpl: int32(entry.ID), Args: args}); err != nil {
@@ -267,7 +274,10 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 				return fmt.Errorf("cluster: job exceeded its element budget: %d elements allocated, budget %d (Config.MaxElems)",
 					allocElems, cfg.MaxElems)
 			}
-			g := &gathered{h: h, vals: make([]float64, h.Elems()), raw: make([]isa.Value, h.Elems()), mask: make([]bool, h.Elems())}
+			g := &gathered{h: h, vals: make([]float64, h.Elems()), mask: make([]bool, h.Elems())}
+			if rec.enabled {
+				g.raw = make([]isa.Value, h.Elems())
+			}
 			res.arrays[m.Arr] = g
 			if _, seen := res.byName[h.Name]; !seen {
 				res.nameSeq = append(res.nameSeq, h.Name)
@@ -360,7 +370,11 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 	}
 
 	// Probe rounds with geometric back-off: tight while the run is short,
-	// cheap while it is long. Adaptive repartitioning rides the probe
+	// cheap while it is long. The cadence is for what rides it mid-run (cost
+	// flushes and rebinds, the heat cap governor, steal revival, budget and
+	// stall checks) — detection does not wait for it: the moment the latest
+	// reports look terminated the next round starts at once (see the
+	// inter-round wait). Adaptive repartitioning rides the probe
 	// cadence (cost flushes and rebind decisions happen at round
 	// boundaries), so the back-off additionally resets whenever a new
 	// sweep starts reporting: a sweep in flight means a rebind decision
@@ -418,7 +432,7 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 		// recovery, expiry fails the run with each PE's last-ack state
 		// instead of hanging until the run context expires.
 		for !roundComplete && len(down) == 0 {
-			m, stalled, err := recvStallGuarded(ctx, ep, cfg.RoundTimeout)
+			m, stalled, err := recvWithin(ctx, ep, timer, cfg.RoundTimeout)
 			if err != nil {
 				if stalled && rec.enabled {
 					down = det.unacked()
@@ -432,14 +446,13 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 					// round stalled — far more than last-ack counters can.
 					diag := ""
 					if cfg.Trace {
-						diag = stallTraceDump(ctx, ep, n, rec)
+						diag = stallTraceDump(ctx, ep, timer, n, rec)
 					}
 					stopAll()
 					return nil, fmt.Errorf("cluster: probe round %d stalled for %v (worker dead or wedged?): %s%s",
 						round, cfg.RoundTimeout, det.stallReport(), diag)
 				}
-				stopAll()
-				return nil, fmt.Errorf("cluster: run cancelled (deadlocked dataflow program? %d live SPs): %w", det.liveSPs(), err)
+				return nil, cancelled(err)
 			}
 			if herr := handle(m); herr != nil {
 				stopAll()
@@ -529,16 +542,32 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 				}
 			}
 		}
-		select {
-		case <-time.After(interval):
-		case <-ctx.Done():
-			stopAll()
-			return nil, fmt.Errorf("cluster: run cancelled (deadlocked dataflow program? %d live SPs): %w", det.liveSPs(), ctx.Err())
+		// Inter-round wait: handle whatever arrives until the interval is
+		// up — or until the latest reports look terminated, which starts
+		// the confirming round now (so a quiet round is never followed by a
+		// sleep, and a job's end never waits on a timer). Only a wait that
+		// ran its full length backs the cadence off.
+		ticked := false
+		timer.Reset(interval)
+		for !ticked && len(down) == 0 && !det.armed() {
+			m, err := ep.RecvUntil(ctx, timer.C)
+			switch {
+			case err == errWake:
+				ticked = true
+			case err != nil:
+				return nil, cancelled(err)
+			default:
+				if herr := handle(m); herr != nil {
+					stopAll()
+					return nil, herr
+				}
+			}
 		}
+		timer.Stop()
 		if probeReset {
 			interval = cfg.ProbeInterval
 			probeReset = false
-		} else if interval < maxInterval {
+		} else if ticked && interval < maxInterval {
 			interval *= 2
 		}
 	}
@@ -573,7 +602,7 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 	// termination: a worker dying *here* lost finished results, not
 	// re-runnable work, so the run fails with diagnostics instead.
 	for expect > 0 {
-		m, stalled, err := recvStallGuarded(ctx, ep, cfg.RoundTimeout)
+		m, stalled, err := recvWithin(ctx, ep, timer, cfg.RoundTimeout)
 		if err != nil {
 			stopAll()
 			if stalled {
@@ -604,7 +633,7 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 	// is best-effort: the run's results are already in hand, and a PE that
 	// cannot answer any more costs an empty trace, never the run.
 	if cfg.Trace {
-		pts := gatherTraces(ctx, ep, n, traceGatherWait(cfg.RoundTimeout), rec)
+		pts := gatherTraces(ctx, ep, timer, n, traceGatherWait(cfg.RoundTimeout), rec)
 		res.Trace = &trace.Trace{NumPEs: n, PEs: pts, Timeline: tb.Done()}
 	}
 	stopAll()
@@ -639,7 +668,7 @@ func traceGatherWait(roundTimeout time.Duration) time.Duration {
 // message loop) contributes an empty PETrace instead of failing the
 // gather. Driver-bound frames of any other kind arriving in the window are
 // stale post-termination traffic and are dropped.
-func gatherTraces(ctx context.Context, ep Endpoint, n int, wait time.Duration, rec *recovery) []trace.PETrace {
+func gatherTraces(ctx context.Context, ep Endpoint, t *time.Timer, n int, wait time.Duration, rec *recovery) []trace.PETrace {
 	out := make([]trace.PETrace, n)
 	got := make([]bool, n)
 	need := 0
@@ -649,7 +678,7 @@ func gatherTraces(ctx context.Context, ep Endpoint, n int, wait time.Duration, r
 		}
 	}
 	for need > 0 {
-		m, _, err := recvStallGuarded(ctx, ep, wait)
+		m, _, err := recvWithin(ctx, ep, t, wait)
 		if err != nil {
 			break
 		}
@@ -674,8 +703,8 @@ func gatherTraces(ctx context.Context, ep Endpoint, n int, wait time.Duration, r
 // round's error message. The wait per receive is short: the PEs that can
 // still talk answer immediately, and the one the round is stalled on
 // probably never will.
-func stallTraceDump(ctx context.Context, ep Endpoint, n int, rec *recovery) string {
-	pts := gatherTraces(ctx, ep, n, 500*time.Millisecond, rec)
+func stallTraceDump(ctx context.Context, ep Endpoint, t *time.Timer, n int, rec *recovery) string {
+	pts := gatherTraces(ctx, ep, t, n, 500*time.Millisecond, rec)
 	var b strings.Builder
 	for pe := range pts {
 		fmt.Fprintf(&b, "\n  pe %d trace tail (%d events, %d dropped):\n%s",
@@ -684,18 +713,19 @@ func stallTraceDump(ctx context.Context, ep Endpoint, n int, rec *recovery) stri
 	return b.String()
 }
 
-// recvStallGuarded receives one driver-bound message, bounding the wait to
-// stallAfter (0 or negative disables the guard). The deadline covers a
-// single receive, so it re-arms with every message: it fires only on
-// genuine silence, never on a phase that is slow but progressing. stalled
-// distinguishes the guard firing from the caller's context ending.
-func recvStallGuarded(ctx context.Context, ep Endpoint, stallAfter time.Duration) (m *Msg, stalled bool, err error) {
-	if stallAfter <= 0 {
+// recvWithin receives one driver-bound message, bounding the wait to within
+// (0 or negative: unbounded) by re-arming the driver's timer t. The bound
+// covers a single receive, so as a stall guard it re-arms with every
+// message: it fires only on genuine silence, never on a phase that is slow
+// but progressing. stalled distinguishes the bound from the caller's
+// context ending.
+func recvWithin(ctx context.Context, ep Endpoint, t *time.Timer, within time.Duration) (m *Msg, stalled bool, err error) {
+	if within <= 0 {
 		m, err = ep.Recv(ctx)
 		return m, false, err
 	}
-	rctx, rcancel := context.WithTimeout(ctx, stallAfter)
-	m, err = ep.Recv(rctx)
-	rcancel()
-	return m, err != nil && ctx.Err() == nil && rctx.Err() != nil, err
+	t.Reset(within)
+	m, err = ep.RecvUntil(ctx, t.C)
+	t.Stop()
+	return m, err == errWake, err
 }

@@ -310,6 +310,9 @@ func (d *tcpDriver) repoint(pe int, o *outbox) {
 }
 
 func (d *tcpDriver) Recv(ctx context.Context) (*Msg, error) { return d.box.recv(ctx) }
+func (d *tcpDriver) RecvUntil(ctx context.Context, wake <-chan time.Time) (*Msg, error) {
+	return d.box.recvUntil(ctx, wake)
+}
 
 func (d *tcpDriver) TryRecv() (*Msg, bool) {
 	m, ok, _, _ := d.box.pop()
@@ -413,6 +416,9 @@ func (t *tcpWorker) Repoint(peers []string) {
 }
 
 func (t *tcpWorker) Recv(ctx context.Context) (*Msg, error) { return t.box.recv(ctx) }
+func (t *tcpWorker) RecvUntil(ctx context.Context, wake <-chan time.Time) (*Msg, error) {
+	return t.box.recvUntil(ctx, wake)
+}
 
 func (t *tcpWorker) TryRecv() (*Msg, bool) {
 	m, ok, _, _ := t.box.pop()

@@ -12,8 +12,10 @@ import (
 )
 
 // Unit tests for the four-counter termination detector in isolation: round
-// accounting (duplicate and stale acks), the two-consecutive-quiet-rounds
-// rule, and the stall report the driver's round deadline prints.
+// accounting (duplicate and stale acks), the two-wave rule (latest reports,
+// then one probe round), pushed reports, and the stall report the driver's
+// round deadline prints. Then the two ends of the event-driven path: what a
+// worker pushes, and that the driver needs no probe timer to finish a job.
 
 // detAck records one probe answer on d: PE pe answering round with the
 // given counters and live SP count (epoch 0, trivially flushed). Returns
@@ -87,6 +89,150 @@ func TestDetectorTwoQuietRoundsRule(t *testing.T) {
 	// Round 2: identical sums, still idle — now termination.
 	if !completeRound(t, d, 2, 10, 10, 0) {
 		t.Fatal("two identical quiet rounds did not terminate")
+	}
+}
+
+// peState is one PE's four-counter state in a hand-fed wave (epoch 0,
+// flushed).
+type peState struct{ sent, recv, live int64 }
+
+// detPush records unsolicited reports (Round 0) on d, one per PE from pe0
+// on, in the given counting epoch.
+func detPush(t *testing.T, d *detector, epoch int32, pe0 int, states ...peState) {
+	t.Helper()
+	for i, s := range states {
+		m := &Msg{Kind: KAck, Epoch: epoch, Ack: &AckStats{Sent: s.sent, Recv: s.recv, Live: s.live, Flushed: true}}
+		if d.record(pe0+i, m) {
+			t.Fatalf("a push from pe %d completed a probe round", pe0+i)
+		}
+	}
+}
+
+// detWave collects one complete probe round of per-PE states in the given
+// epoch and evaluates it.
+func detWave(d *detector, round, epoch int32, states ...peState) bool {
+	d.begin(round)
+	for pe, s := range states {
+		d.record(pe, &Msg{Kind: KAck, Round: round, Epoch: epoch,
+			Ack: &AckStats{Sent: s.sent, Recv: s.recv, Live: s.live, Flushed: true}})
+	}
+	return d.roundDone()
+}
+
+// TestDetectorPushesArmOneConfirmingRound: the latest reports, acks or
+// pushes, are the first wave. Once they are all quiet with balanced sums
+// the detector is armed, and one probe round begun after that, with the
+// same sums, terminates.
+func TestDetectorPushesArmOneConfirmingRound(t *testing.T) {
+	d := newDetector(2)
+	if d.armed() {
+		t.Fatal("armed before any PE reported")
+	}
+	if detWave(d, 1, 0, peState{4, 3, 0}, peState{3, 3, 1}) || d.armed() {
+		t.Fatal("a round with a live SP terminated or armed the detector")
+	}
+	detPush(t, d, 0, 1, peState{3, 4, 0}) // PE 1 drained its queue and went idle
+	if !d.armed() {
+		t.Fatal("not armed although every latest report is quiet and 7 sent == 7 received")
+	}
+	if !detWave(d, 2, 0, peState{4, 3, 0}, peState{3, 4, 0}) {
+		t.Fatal("pushed reports plus one matching round did not terminate")
+	}
+}
+
+// TestDetectorPushIsNotAnAck: a push neither answers the open round for
+// its PE nor turns that round into a second wave — the round began before
+// the first wave was complete, so only the next one can confirm.
+func TestDetectorPushIsNotAnAck(t *testing.T) {
+	d := newDetector(2)
+	d.begin(1)
+	detPush(t, d, 0, 0, peState{1, 1, 0}, peState{1, 1, 0})
+	if got := d.unacked(); len(got) != 2 {
+		t.Fatalf("unacked after two pushes = %v, want both PEs", got)
+	}
+	detAck(d, 0, 1, 1, 1, 0)
+	if !detAck(d, 1, 1, 1, 1, 0) {
+		t.Fatal("round 1 not complete after both PEs acked it")
+	}
+	if d.roundDone() {
+		t.Fatal("a round begun before the reports arrived confirmed them")
+	}
+	if !detWave(d, 2, 0, peState{1, 1, 0}, peState{1, 1, 0}) {
+		t.Fatal("the following round did not terminate")
+	}
+}
+
+// TestDetectorStaleReportDoesNotTerminate: a report can be overtaken by
+// later traffic. The armed round then observes different sums (or a live
+// SP) and must not terminate; it becomes the next first wave instead.
+func TestDetectorStaleReportDoesNotTerminate(t *testing.T) {
+	d := newDetector(2)
+	detPush(t, d, 0, 0, peState{2, 2, 0}, peState{1, 1, 0})
+	if !d.armed() {
+		t.Fatal("balanced quiet reports did not arm")
+	}
+	// PE 0 sent PE 1 one more message after reporting; both are idle again.
+	moved := []peState{{3, 2, 0}, {1, 2, 0}}
+	if detWave(d, 1, 0, moved...) {
+		t.Fatal("terminated although the round's sums differ from the reported ones")
+	}
+	// Same sums as the round before, but PE 1 is running an SP.
+	if detWave(d, 2, 0, moved[0], peState{1, 2, 1}) || d.armed() {
+		t.Fatal("terminated or armed with a live SP in the round")
+	}
+	detPush(t, d, 0, 1, moved[1])
+	if !d.armed() || !detWave(d, 3, 0, moved...) {
+		t.Fatal("a stable report/round pair after the traffic did not terminate")
+	}
+}
+
+// TestDetectorIgnoresForeignReports: reports of another counting epoch or
+// from a PE out of range never count, and a reset discards what was held —
+// an old-epoch report can neither arm nor serve as the first wave.
+func TestDetectorIgnoresForeignReports(t *testing.T) {
+	d := newDetector(2)
+	quiet := []peState{{5, 5, 0}, {5, 5, 0}}
+	detPush(t, d, 1, 0, quiet...) // from an epoch the detector is not in
+	detPush(t, d, 0, -1, quiet[0])
+	detPush(t, d, 0, 2, quiet[0])
+	if d.armed() {
+		t.Fatal("foreign-epoch or out-of-range reports armed the detector")
+	}
+	detPush(t, d, 0, 0, quiet...)
+	if !d.armed() {
+		t.Fatal("current-epoch reports did not arm")
+	}
+	d.reset(1)
+	if d.armed() {
+		t.Fatal("reports held across a reset still arm the detector")
+	}
+	detPush(t, d, 0, 0, quiet...) // stragglers of the old epoch
+	detPush(t, d, 1, 0, peState{0, 0, 0})
+	if d.armed() {
+		t.Fatal("armed with PE 1 unreported in the new epoch")
+	}
+	if detWave(d, 1, 1, peState{0, 0, 0}, peState{0, 0, 0}) {
+		t.Fatal("a held old-epoch report served as the first wave")
+	}
+	if !detWave(d, 2, 1, peState{0, 0, 0}, peState{0, 0, 0}) {
+		t.Fatal("two waves in the new epoch did not terminate")
+	}
+}
+
+// TestDetectorLiveOrUnflushedPushNeverArms: a push only arms when it says
+// the PE is idle and its counting epoch flushed.
+func TestDetectorLiveOrUnflushedPushNeverArms(t *testing.T) {
+	d := newDetector(2)
+	detPush(t, d, 0, 0, peState{1, 1, 0}, peState{1, 1, 1})
+	if d.armed() {
+		t.Fatal("armed by a push reporting a live SP")
+	}
+	d.record(1, &Msg{Kind: KAck, Ack: &AckStats{Sent: 1, Recv: 1}})
+	if d.armed() {
+		t.Fatal("armed by a push whose epoch is not flushed")
+	}
+	if detWave(d, 1, 0, peState{1, 1, 0}, peState{1, 1, 0}) {
+		t.Fatal("an unarmed first wave let a single quiet round terminate")
 	}
 }
 
@@ -264,5 +410,241 @@ func TestDriveRoundDeadlineReportsSilentWorker(t *testing.T) {
 	wg.Wait()
 	for _, ep := range eps {
 		ep.Close()
+	}
+}
+
+// stopWhenIdle ends worker.run at the point where it would block: run only
+// calls Recv after TryRecv came up empty, so a test can queue frames, call
+// run on its own goroutine, and inspect what the worker sent once it had
+// nothing left to do.
+type stopWhenIdle struct{ Endpoint }
+
+func (stopWhenIdle) Recv(context.Context) (*Msg, error) { return nil, ErrClosed }
+
+// TestWorkerPushesQuiescenceOncePerState drives one worker's run loop by
+// hand: it reports to the driver, unsolicited, exactly once per change of
+// its idle state — not when nothing changed, not after a probe ack or a
+// steal refusal that told the driver nothing new, not while an SP is
+// suspended on a remote read — and again when a KFlush completes its epoch.
+func TestWorkerPushesQuiescenceOncePerState(t *testing.T) {
+	prog := compile(t, "push.id", `
+func main(n: int) {
+	A = array(n);
+	B = array(n);
+	B[1] = A[n];
+}`)
+	eps := newChanTransport(2, 0)
+	peer, driver := eps[1], eps[2]
+	w := newWorker(0, 2, rtcfg.Geometry{PEs: 2, PageElems: 8, DistThreshold: 16}, prog, stopWhenIdle{eps[0]}, workerOpts{steal: true})
+	w.enableRecovery(0, 0, nil)
+
+	// turn delivers the frames, runs the worker until it would block, and
+	// returns what reached the driver (pushes are KAcks with Round 0) and
+	// the peer.
+	drain := func(ep Endpoint) (ms []*Msg) {
+		for {
+			m, ok := ep.TryRecv()
+			if !ok {
+				return ms
+			}
+			ms = append(ms, m)
+		}
+	}
+	turn := func(from Endpoint, in ...*Msg) (pushes, toDriver, toPeer []*Msg) {
+		t.Helper()
+		for _, m := range in {
+			if err := from.Send(0, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w.run(context.Background())
+		if w.failed {
+			t.Fatal("worker failed")
+		}
+		for _, m := range drain(driver) {
+			if m.Kind == KAck && m.Round == 0 {
+				pushes = append(pushes, m)
+			} else {
+				toDriver = append(toDriver, m)
+			}
+		}
+		return pushes, toDriver, drain(peer)
+	}
+	wantPush := func(step string, pushes []*Msg, epoch int32, sent, recv int64, flushed bool) {
+		t.Helper()
+		if len(pushes) != 1 {
+			t.Fatalf("%s: %d pushes, want exactly 1", step, len(pushes))
+		}
+		m := pushes[0]
+		if a := m.Ack; m.Epoch != epoch || a.Sent != sent || a.Recv != recv || a.Live != 0 || a.Flushed != flushed {
+			t.Fatalf("%s: pushed epoch %d %+v, want epoch %d sent %d recv %d live 0 flushed %v",
+				step, m.Epoch, *a, epoch, sent, recv, flushed)
+		}
+	}
+	noPush := func(step string, pushes []*Msg) {
+		t.Helper()
+		if len(pushes) != 0 {
+			t.Fatalf("%s: %d pushes (%+v), want none", step, len(pushes), *pushes[0].Ack)
+		}
+	}
+
+	pushes, _, _ := turn(driver)
+	wantPush("first idle spell", pushes, 0, 0, 0, true)
+	pushes, _, _ = turn(driver)
+	noPush("idle again, nothing changed", pushes)
+	pushes, _, _ = turn(peer, &Msg{Kind: KStealNone})
+	noPush("steal refusal", pushes)
+	pushes, acks, _ := turn(driver, &Msg{Kind: KProbe, Round: 1})
+	if len(acks) != 1 || acks[0].Kind != KAck || acks[0].Round != 1 {
+		t.Fatalf("probe answered with %d frames", len(acks))
+	}
+	noPush("probe ack of the state already pushed", pushes)
+
+	// The entry SP broadcasts two headers and blocks reading A[n], which
+	// PE 1 owns: live SP, no report, however often the worker idles.
+	pushes, _, toPeer := turn(driver, &Msg{Kind: KSpawn, Tmpl: int32(prog.Entry().ID), Args: []isa.Value{isa.Int(32)}})
+	noPush("SP suspended on a remote read", pushes)
+	var req *Msg
+	for _, m := range toPeer {
+		if m.Kind == KReadReq {
+			req = m
+		}
+	}
+	if req == nil || len(w.insts) != 1 {
+		t.Fatalf("no remote read outstanding (live SPs %d, frames to peer %d)", len(w.insts), len(toPeer))
+	}
+	pushes, _, _ = turn(driver)
+	noPush("still suspended", pushes)
+	sent := w.sent
+	pushes, _, _ = turn(peer, &Msg{Kind: KToken, SP: req.SP, Slot: req.Slot, Val: isa.Float(7)})
+	wantPush("read answered, SP ran to its end", pushes, 0, sent, 1, true)
+
+	// A recovery epoch zeroes the counters and needs a fresh flush proof:
+	// one report of the unflushed state, one more when the peer's marker
+	// completes the epoch.
+	pushes, _, _ = turn(driver, &Msg{Kind: KRecover, Epoch: 1, Cfg: &MsgCfg{Incs: []int32{0, 0}}})
+	wantPush("new epoch, markers outstanding", pushes, 1, 0, 0, false)
+	pushes, _, _ = turn(peer, &Msg{Kind: KFlush, Epoch: 1})
+	wantPush("epoch flushed", pushes, 1, 0, 0, true)
+	pushes, _, _ = turn(driver)
+	noPush("idle in the flushed epoch", pushes)
+}
+
+// TestTerminationIndependentOfProbeTimer: with the probe cadence set to an
+// hour, nothing after the first round is ever timer-driven — jobs finish
+// only because workers report going idle and the driver confirms at once.
+// The floor job, a kernel with arrays and a steal+adapt job each complete
+// well inside 5 s on a 2-PE fleet: chan, chan with injected latency, and
+// loopback TCP.
+func TestTerminationIndependentOfProbeTimer(t *testing.T) {
+	floor := compile(t, "floor.id", `func main(n: int) -> int { return n + 1; }`)
+	heat, heatProg := compileKernel(t, "heat")
+	tri, triProg := compileKernel(t, "triangular")
+
+	var wg sync.WaitGroup
+	t.Cleanup(wg.Wait)
+	var tcp []string
+	for i := 0; i < 2; i++ {
+		addr, _ := startServeWorker(t, &wg)
+		tcp = append(tcp, addr)
+	}
+	fleets := []struct {
+		name string
+		cfg  Config
+	}{
+		{"chan", Config{NumPEs: 2}},
+		{"chan+latency", Config{NumPEs: 2, Latency: 200 * time.Microsecond}},
+		{"tcp", Config{Workers: tcp}},
+	}
+	for _, fc := range fleets {
+		t.Run(fc.name, func(t *testing.T) {
+			f, err := OpenFleet(context.Background(), fc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			submit := func(prog *isa.Program, cfg Config, args ...isa.Value) *Result {
+				t.Helper()
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				cfg.ProbeInterval = time.Hour
+				cfg.PageElems = 8
+				res, err := f.Submit(ctx, prog, cfg, args...)
+				if err != nil {
+					t.Fatalf("job did not finish without the probe timer: %v", err)
+				}
+				return res
+			}
+			if res := submit(floor, Config{}, isa.Int(41)); res.Value == nil || res.Value.AsInt() != 42 {
+				t.Fatalf("floor job returned %v, want 42", res.Value)
+			}
+			checkMasked(t, submit(heatProg, Config{}, heat.Args(10)...),
+				simMaskedArrays(t, heatProg, 2, heat.Arrays, heat.Args(10)...))
+			checkMasked(t, submit(triProg, Config{Steal: true, Adapt: true}, tri.Args(12)...),
+				simMaskedArrays(t, triProg, 2, tri.Arrays, tri.Args(12)...))
+		})
+	}
+}
+
+// BenchmarkSubmitFloor is the per-job floor: Fleet.Submit of `return n+1`
+// on an idle 2-PE chan fleet — job start, one push, one confirming probe
+// round, an empty gather, job end.
+func BenchmarkSubmitFloor(b *testing.B) {
+	prog := compile(b, "floor.id", `func main(n: int) -> int { return n + 1; }`)
+	ctx := context.Background()
+	f, err := OpenFleet(ctx, Config{NumPEs: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	b.ReportAllocs()
+	for b.Loop() {
+		res, err := f.Submit(ctx, prog, Config{}, isa.Int(41))
+		if err != nil || res.Value.AsInt() != 42 {
+			b.Fatalf("floor job: %v, %v", res, err)
+		}
+	}
+}
+
+// BenchmarkProbeRound is one full probe→ack round of the driver's
+// detector against two parked workers on the chan transport.
+func BenchmarkProbeRound(b *testing.B) {
+	const n = 2
+	eps := newChanTransport(n, 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	for pe := 0; pe < n; pe++ {
+		w := newWorker(pe, n, rtcfg.Geometry{PEs: n, PageElems: 32, DistThreshold: 16}, taskProgram(), eps[pe], workerOpts{})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w.run(ctx)
+		}()
+	}
+	defer func() {
+		cancel()
+		wg.Wait()
+	}()
+	det := newDetector(n)
+	round := int32(0)
+	b.ReportAllocs()
+	for b.Loop() {
+		round++
+		det.begin(round)
+		for pe := 0; pe < n; pe++ {
+			if err := eps[n].Send(pe, &Msg{Kind: KProbe, Round: round}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for done := false; !done; {
+			m, err := eps[n].Recv(ctx)
+			if err != nil {
+				b.Fatal(err)
+			}
+			done = det.record(int(m.From), m)
+		}
+	}
+	if !det.armed() {
+		b.Fatal("parked workers did not report quiescence")
 	}
 }

@@ -12,6 +12,10 @@ import (
 // ErrClosed is returned by Endpoint.Recv after Close.
 var ErrClosed = errors.New("cluster: endpoint closed")
 
+// errWake is returned by Endpoint.RecvUntil when the caller's wake channel
+// fired before a message arrived.
+var errWake = errors.New("cluster: receive deadline reached")
+
 // Endpoint is one party on a cluster transport: worker PEs 0..N-1 plus the
 // driver at ID N. Sends are asynchronous, reliable, and FIFO per
 // (sender, receiver) pair — the ordering contract the protocol relies on
@@ -28,6 +32,11 @@ type Endpoint interface {
 	// Recv blocks until a message arrives, the context is done, or the
 	// endpoint is closed.
 	Recv(ctx context.Context) (*Msg, error)
+
+	// RecvUntil is Recv bounded by a caller-owned deadline: it fails with
+	// errWake once wake delivers (the channel of a timer the caller re-arms;
+	// nil waits like Recv).
+	RecvUntil(ctx context.Context, wake <-chan time.Time) (*Msg, error)
 
 	// TryRecv returns the next message if one is already queued.
 	TryRecv() (*Msg, bool)
@@ -124,7 +133,12 @@ func (b *mailbox) pop() (m *Msg, ok bool, wait time.Duration, closed bool) {
 	return nil, false, 0, b.closed
 }
 
-func (b *mailbox) recv(ctx context.Context) (*Msg, error) {
+func (b *mailbox) recv(ctx context.Context) (*Msg, error) { return b.recvUntil(ctx, nil) }
+
+// recvUntil is recv with a caller-owned deadline: it returns errWake once
+// wake delivers (a nil wake never does). The caller arms one reusable timer
+// and passes its channel, so a bounded wait costs no allocation per receive.
+func (b *mailbox) recvUntil(ctx context.Context, wake <-chan time.Time) (*Msg, error) {
 	for {
 		m, ok, wait, closed := b.pop()
 		if ok {
@@ -135,22 +149,26 @@ func (b *mailbox) recv(ctx context.Context) (*Msg, error) {
 			// drain before ErrClosed.
 			return nil, ErrClosed
 		}
+		var due *time.Timer
+		var dueC <-chan time.Time
 		if wait > 0 {
-			t := time.NewTimer(wait)
-			select {
-			case <-b.notify:
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return nil, ctx.Err()
-			}
-			t.Stop()
-			continue
+			due = time.NewTimer(wait)
+			dueC = due.C
 		}
+		var err error
 		select {
 		case <-b.notify:
+		case <-dueC:
+		case <-wake:
+			err = errWake
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			err = ctx.Err()
+		}
+		if due != nil {
+			due.Stop()
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 }
@@ -174,11 +192,11 @@ func (b *mailbox) close() {
 // moment that PE has sent killAfter frames, and puts a KDown notice in the
 // driver's mailbox, exactly the observable shape of a worker process dying
 // mid-run with its socket resetting. The count advances on data frames and
-// probe acks only: acks tick every round even on a PE whose work is
-// entirely local, and both stop once termination is detected — steal
-// polling and dump segments don't count — so the kill always lands
-// mid-run, never in the gather phase where finished results would be
-// unrecoverable.
+// KAcks (probe answers and idle reports) only: acks tick every round even
+// on a PE whose work is entirely local, and both stop once termination is
+// detected — steal polling and dump segments don't count — so the kill
+// always lands mid-run, never in the gather phase where finished results
+// would be unrecoverable.
 //
 // replace installs a fresh mailbox for a PE and returns a new endpoint
 // bound to it — the respawn half of recovery. The dead endpoint keeps
@@ -277,11 +295,13 @@ func (e *chanEndpoint) Send(to int, m *Msg) error {
 	return nil
 }
 
-func (e *chanEndpoint) Recv(ctx context.Context) (*Msg, error) {
+func (e *chanEndpoint) Recv(ctx context.Context) (*Msg, error) { return e.RecvUntil(ctx, nil) }
+
+func (e *chanEndpoint) RecvUntil(ctx context.Context, wake <-chan time.Time) (*Msg, error) {
 	if e.dead.Load() {
 		return nil, ErrClosed
 	}
-	return e.box.recv(ctx)
+	return e.box.recvUntil(ctx, wake)
 }
 
 func (e *chanEndpoint) TryRecv() (*Msg, bool) {

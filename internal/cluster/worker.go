@@ -250,6 +250,11 @@ type worker struct {
 	tr  *trace.Recorder
 	pub pubCounters
 
+	// told is the termination state this worker last reported to the
+	// driver, in a probe ack or an idle push. The zero value matches no real
+	// state (epoch 0 is always flushed), so the first idle spell reports.
+	told quietState
+
 	failed  bool
 	stopped bool
 }
@@ -525,6 +530,45 @@ func (w *worker) debugDump(why string) {
 		why, w.pe, w.inc, w.shard.PendingReads(), len(w.waitArray), len(w.outReads), len(w.ready)-w.readyHead-w.readyNil, w.epoch, w.sent, w.recv)
 }
 
+// quietState is what termination detection needs to know of a worker: the
+// four-counter halves, the live SP count, and the counting epoch with its
+// flush proof.
+type quietState struct {
+	sent, recv, live int64
+	flushed          bool
+	epoch            int32
+}
+
+func (w *worker) quiet() quietState {
+	return quietState{w.sent, w.recv, int64(len(w.insts)), w.epochFlushed(), w.epoch}
+}
+
+// report sends the driver this worker's counters: the ack of probe round
+// `round`, or (round 0) the unsolicited report of an idle state. told
+// remembers the state sent, so the run loop pushes only news.
+func (w *worker) report(round int32) {
+	w.told = w.quiet()
+	w.send(w.driverID(), &Msg{Kind: KAck, Round: round, Ack: &AckStats{
+		Sent:         w.told.sent,
+		Recv:         w.told.recv,
+		Live:         w.told.live,
+		Deferred:     w.shard.DeferredReads,
+		Hits:         w.shard.CacheHits,
+		Misses:       w.shard.CacheMisses,
+		Steals:       w.steals,
+		Forwards:     w.forwarded,
+		Instrs:       w.instrs,
+		Evicts:       w.shard.Evictions,
+		Refetches:    w.shard.Refetches,
+		Replayed:     w.replayed,
+		Flushed:      w.told.flushed,
+		QDepth:       w.qdepth(),
+		Prefetches:   w.heat.prefetches,
+		PrefetchHits: w.heat.prefetchHits,
+		CacheCapNow:  int64(w.shard.CacheCap),
+	}})
+}
+
 // run is the worker main loop: drain the mailbox, then execute ready SPs;
 // block on the endpoint when there is nothing to do — after first trying
 // to steal work from a peer if stealing is enabled.
@@ -541,6 +585,13 @@ func (w *worker) run(ctx context.Context) {
 			}
 		}
 		if w.failed || w.readyHead == len(w.ready) {
+			// About to block with nothing live: tell the driver, unless it
+			// already knows this exact state. A PE suspended on a remote
+			// read, or bouncing between probes and steal refusals, stays
+			// silent.
+			if len(w.insts) == 0 && !w.failed && w.quiet() != w.told {
+				w.report(0)
+			}
 			w.maybeSteal()
 			m, err := w.ep.Recv(ctx)
 			if err != nil {
@@ -1126,25 +1177,7 @@ func (w *worker) handle(m *Msg) {
 		}
 		w.rec(trace.EvProbe, int64(m.Round), w.qdepth())
 		w.publishMetrics()
-		w.send(w.driverID(), &Msg{Kind: KAck, Round: m.Round, Ack: &AckStats{
-			Sent:         w.sent,
-			Recv:         w.recv,
-			Live:         int64(len(w.insts)),
-			Deferred:     w.shard.DeferredReads,
-			Hits:         w.shard.CacheHits,
-			Misses:       w.shard.CacheMisses,
-			Steals:       w.steals,
-			Forwards:     w.forwarded,
-			Instrs:       w.instrs,
-			Evicts:       w.shard.Evictions,
-			Refetches:    w.shard.Refetches,
-			Replayed:     w.replayed,
-			Flushed:      w.epochFlushed(),
-			QDepth:       w.qdepth(),
-			Prefetches:   w.heat.prefetches,
-			PrefetchHits: w.heat.prefetchHits,
-			CacheCapNow:  int64(w.shard.CacheCap),
-		}})
+		w.report(m.Round)
 
 	case KStealReq:
 		w.handleStealReq(m)
