@@ -14,11 +14,7 @@ func (p *pe) wakeEU(t int64) {
 		return
 	}
 	p.euActive = true
-	start := t
-	if p.eu.free > start {
-		start = p.eu.free
-	}
-	p.m.at(start, func(tt int64) { p.euStep(tt, false) })
+	p.m.at(max(t, p.eu.free), evEU, int32(p.id))
 }
 
 // euStep executes instructions for the current SP starting at time t.
@@ -31,284 +27,257 @@ func (p *pe) wakeEU(t int64) {
 // virtual times are applied; if the operand is still absent on the settled
 // attempt, the SP blocks ("the SP is blocked and the PE switches to another
 // ready SP", §3) — or, in the control-driven baseline, the EU stalls.
+//
+// Everything a step adds to the EU's local time — instruction costs and
+// context switches — is EU busy time, so both totals are settled once here.
 func (p *pe) euStep(t int64, settled bool) {
+	now, instrs := p.burst(t, settled)
+	p.eu.busy += now - t
+	p.m.counts.Instructions += instrs
+}
+
+// burst is euStep's interpreter loop over the decoded code. It is flat:
+// pc, frame and code live in locals, operand presence is the slot's Kind,
+// scalar and control instructions complete inline and only effect-class
+// instructions (perform) can fail, halt the SP or end the burst. It returns
+// the EU's local time and the number of instructions executed.
+func (p *pe) burst(t int64, settled bool) (now, instrs int64) {
 	m := p.m
-	now := t
+	now = t
+next:
 	for {
 		if m.failed != nil {
 			p.euActive = false
 			return
 		}
-		if p.cur == nil {
-			if len(p.ready) == 0 {
+		sp := p.cur
+		if sp == nil {
+			if p.ready.empty() {
 				p.euActive = false
 				if p.eu.free < now {
 					p.eu.free = now
 				}
 				return
 			}
-			p.cur = p.ready[0]
-			copy(p.ready, p.ready[1:])
-			p.ready = p.ready[:len(p.ready)-1]
-			p.cur.state = spRunning
+			sp = p.ready.pop()
+			p.cur = sp
+			sp.state = spRunning
 			if !m.cfg.ZeroOverhead {
 				now += timing.ContextSwitchTime
-				p.eu.busy += timing.ContextSwitchTime
 			}
 			m.counts.CtxSwitches++
 			settled = false
 		}
-		sp := p.cur
-		if sp.pc < 0 || sp.pc >= len(sp.tmpl.Code) {
-			m.fail(fmt.Errorf("sim: SP %q pc %d out of range", sp.tmpl.Name, sp.pc))
-			return
-		}
-		in := &sp.tmpl.Code[sp.pc]
-
-		if missing := firstAbsent(sp, in); missing != isa.None {
-			if !settled {
-				// Re-schedule at the current time so that deliveries already
-				// scheduled at virtual times ≤ now are applied before we
-				// decide to block (the burst may have advanced past them).
-				m.at(now, func(tt int64) { p.euStep(tt, true) })
-				return
-			}
-			sp.blocked = missing
-			sp.state = spBlocked
-			m.trace(now, p.id, "block SP#%d %q at pc %d on slot %d", sp.id, sp.tmpl.Name, sp.pc, missing)
-			p.cur = nil
-			continue // context-switch charge happens when the next SP is picked
-		}
-		settled = false
-
-		cost := p.instrCost(sp, in)
-		now += cost
-		p.eu.busy += cost
-		m.counts.Instructions++
-
-		halted, endBurst := p.perform(sp, in, now)
-		if m.failed != nil {
-			p.euActive = false
-			return
-		}
-		if halted {
-			p.cur = nil
-			continue
-		}
-		if endBurst {
-			if p.stallOn != isa.None {
-				// Control-driven baseline (§6): the EU waits out the
-				// remote access instead of multithreading over it.
-				slot := p.stallOn
-				p.stallOn = isa.None
-				if !sp.present[slot] {
-					sp.state = spStalled
-					sp.blocked = slot
-					p.euActive = false
-					if p.eu.free < now {
-						p.eu.free = now
+		d := sp.code.d
+		code, costs, f, pc := d.Code, sp.code.cost, sp.frame, sp.pc
+		missing := isa.None
+	run:
+		for {
+			ins := &code[pc]
+			cost := costs[pc]
+			if ins.Class == isa.ClassScalar {
+				a := f[ins.A]
+				if a.Kind == isa.KindInvalid {
+					missing = int(ins.A)
+					break
+				}
+				var b isa.Value
+				if ins.B != isa.None {
+					if b = f[ins.B]; b.Kind == isa.KindInvalid {
+						missing = int(ins.B)
+						break
 					}
-					return
+				}
+				if ins.Op >= isa.CMPLT && ins.Op <= isa.CMPNE && (a.Kind == isa.KindFloat || b.Kind == isa.KindFloat) {
+					cost += floatCmpExtra
+				}
+				now += cost
+				instrs++
+				v, err := isa.EvalScalar(ins.Op, a, b)
+				if err != nil {
+					m.fail(fmt.Errorf("sim: SP %q pc %d: %v", sp.code.tmpl.Name, pc, err))
+					continue next
+				}
+				f[ins.Dst] = v
+				pc++
+				settled = false
+				continue
+			}
+			for _, s := range d.Inputs(ins) {
+				if f[s].Kind == isa.KindInvalid {
+					missing = s
+					break run
 				}
 			}
-			m.at(now, func(tt int64) { p.euStep(tt, false) })
-			return
+			now += cost
+			instrs++
+			settled = false
+			switch ins.Op {
+			case isa.NOP:
+			case isa.CONST:
+				f[ins.Dst] = ins.Imm
+			case isa.MOVE:
+				f[ins.Dst] = f[ins.A]
+			case isa.CLEAR:
+				f[ins.Dst] = isa.Value{}
+			case isa.SELF:
+				f[ins.Dst] = isa.SPRef(sp.id)
+			case isa.JUMP:
+				pc = int(ins.Target) - 1
+			case isa.BRFALSE, isa.BRTRUE:
+				if f[ins.A].AsBool() == (ins.Op == isa.BRTRUE) {
+					pc = int(ins.Target) - 1
+				}
+			default:
+				sp.pc = pc
+				halted, endBurst := p.perform(sp, ins, d.Args(ins), now)
+				if halted || m.failed != nil {
+					continue next
+				}
+				if !endBurst {
+					break
+				}
+				sp.pc = pc + 1
+				if slot := p.stallOn; slot != isa.None {
+					// Control-driven baseline (§6): the EU waits out the
+					// remote access instead of multithreading over it.
+					p.stallOn = isa.None
+					if f[slot].Kind == isa.KindInvalid {
+						sp.state = spStalled
+						sp.blocked = slot
+						p.euActive = false
+						if p.eu.free < now {
+							p.eu.free = now
+						}
+						return
+					}
+				}
+				m.at(now, evEU, int32(p.id))
+				return
+			}
+			pc++
 		}
+		sp.pc = pc
+		if !settled {
+			// Re-schedule at the current time so that deliveries already
+			// scheduled at virtual times ≤ now are applied before we decide
+			// to block (the burst may have advanced past them). When nothing
+			// is scheduled that early, the re-run would be the very next
+			// event and find the same frame: it takes its turn right here.
+			if len(m.events) > 0 && m.events[0].t <= now {
+				m.at(now, evEUSettled, int32(p.id))
+				return
+			}
+			m.seq++
+			if m.now = now; !m.countEvent() {
+				continue
+			}
+		}
+		sp.blocked = missing
+		sp.state = spBlocked
+		if m.tracing {
+			m.trace(now, p.id, "block SP#%d %q at pc %d on slot %d", sp.id, sp.code.tmpl.Name, pc, missing)
+		}
+		p.cur = nil // the context-switch charge happens when the next SP is picked
 	}
 }
 
-// firstAbsent returns the first absent input slot of in, or isa.None.
-func firstAbsent(sp *spInst, in *isa.Instr) int {
-	if in.A != isa.None && !sp.present[in.A] {
-		return in.A
-	}
-	if in.B != isa.None && !sp.present[in.B] {
-		return in.B
-	}
-	for _, a := range in.Args {
-		if !sp.present[a] {
-			return a
-		}
-	}
-	return isa.None
-}
+// floatCmpExtra is what a comparison costs beyond the table's integer
+// compare when either operand is a float — the one EU time that depends on
+// run-time values.
+const floatCmpExtra = timing.FCmpTime - timing.IntCmpTime
 
-// instrCost returns the EU time for in, resolving comparison operand kinds.
+// instrCost returns the EU time of ins (comparisons as integer compares).
 // In ZeroOverhead mode (the §5.3.4 hand-written-sequential stand-in) the
 // PODS control machinery — spawns, sends, continuation plumbing, Range
 // Filters — costs nothing: a compiled sequential program has none of it.
-func (p *pe) instrCost(sp *spInst, in *isa.Instr) int64 {
-	if p.m.cfg.ZeroOverhead {
-		switch in.Op {
+func (m *Machine) instrCost(ins *isa.DInstr) int64 {
+	cost := timing.InstrTime(ins.Op, false)
+	if m.cfg.ZeroOverhead {
+		switch ins.Op {
 		case isa.SPAWN, isa.SPAWND, isa.SEND, isa.SELF, isa.CLEAR, isa.HALT,
 			isa.ALLOC, isa.ALLOCD, isa.NOP,
 			isa.ROWLO, isa.ROWHI, isa.COLLO, isa.COLHI, isa.UNIFLO, isa.UNIFHI:
 			return 0
 		}
+		return cost
 	}
-	floatCmp := false
-	switch in.Op {
-	case isa.CMPLT, isa.CMPLE, isa.CMPGT, isa.CMPGE, isa.CMPEQ, isa.CMPNE:
-		floatCmp = sp.frame[in.A].Kind == isa.KindFloat || sp.frame[in.B].Kind == isa.KindFloat
-	}
-	cost := timing.InstrTime(in.Op, floatCmp)
-	if !p.m.cfg.ZeroOverhead {
-		// SP operand slots live in Execution Memory (§3): every executed
-		// instruction reads its operands from slots and stores its result
-		// back, unlike register-allocated compiled code. Charge one memory
-		// reference per operand and per result.
-		nIn := len(in.Args)
-		if in.A != isa.None {
-			nIn++
-		}
-		if in.B != isa.None {
-			nIn++
-		}
-		cost += int64(nIn) * timing.MemReadTime
-		if in.Dst != isa.None {
-			cost += timing.MemWriteTime
-		}
+	// SP operand slots live in Execution Memory (§3): every executed
+	// instruction reads its operands from slots and stores its result
+	// back, unlike register-allocated compiled code. Charge one memory
+	// reference per operand and per result.
+	cost += int64(ins.NIn) * timing.MemReadTime
+	if ins.Dst != isa.None {
+		cost += timing.MemWriteTime
 	}
 	return cost
 }
 
-// set stores a result in the SP frame.
-func (sp *spInst) set(slot int, v isa.Value) {
-	sp.frame[slot] = v
-	sp.present[slot] = true
-}
-
-// perform executes the semantic action of in at virtual time now (the time
-// the instruction completes on the EU). It returns whether the SP halted and
-// whether the burst must end. The program counter is advanced here.
-func (p *pe) perform(sp *spInst, in *isa.Instr, now int64) (halted, endBurst bool) {
+// perform executes an effect-class instruction at virtual time now (the time
+// it completes on the EU); args are its Args slots. It returns whether the SP
+// halted and whether the burst must end.
+func (p *pe) perform(sp *spInst, ins *isa.DInstr, args []int, now int64) (halted, endBurst bool) {
 	m := p.m
-	f := sp.frame
-	next := sp.pc + 1
-
-	if isa.IsScalar(in.Op) {
-		var bv isa.Value
-		if in.B != isa.None {
-			bv = f[in.B]
-		}
-		v, err := isa.EvalScalar(in.Op, f[in.A], bv)
-		if err != nil {
-			m.fail(fmt.Errorf("sim: SP %q pc %d: %v", sp.tmpl.Name, sp.pc, err))
-			return false, true
-		}
-		sp.set(in.Dst, v)
-		sp.pc = next
-		return false, false
-	}
-
-	switch in.Op {
-	case isa.NOP:
-
-	case isa.CONST:
-		sp.set(in.Dst, in.Imm)
-	case isa.MOVE:
-		sp.set(in.Dst, f[in.A])
-	case isa.CLEAR:
-		sp.present[in.Dst] = false
-	case isa.SELF:
-		sp.set(in.Dst, isa.SPRef(sp.id))
-
-	case isa.JUMP:
-		next = in.Target
-	case isa.BRFALSE:
-		if !f[in.A].AsBool() {
-			next = in.Target
-		}
-	case isa.BRTRUE:
-		if f[in.A].AsBool() {
-			next = in.Target
-		}
-
+	switch ins.Op {
 	case isa.ROWLO, isa.ROWHI, isa.COLLO, isa.COLHI, isa.UNIFLO, isa.UNIFHI:
-		p.performOwnership(sp, in)
-
+		p.performOwnership(sp, ins)
 	case isa.ALLOC, isa.ALLOCD:
-		endBurst = p.performAlloc(sp, in, now)
+		return false, p.performAlloc(sp, ins, args, now)
 	case isa.AREAD:
-		endBurst = p.performRead(sp, in, now)
+		return false, p.performRead(sp, ins, args, now)
 	case isa.AWRITE:
-		p.performWrite(sp, in, now)
-		endBurst = true
-	case isa.SPAWN:
-		p.performSpawn(sp, in, now, false)
-		endBurst = true
-	case isa.SPAWND:
-		p.performSpawn(sp, in, now, true)
-		endBurst = true
-	case isa.SEND:
-		p.performSend(sp, in, now)
-		endBurst = true
-
-	case isa.HALT:
-		m.trace(now, p.id, "halt SP#%d %q", sp.id, sp.tmpl.Name)
-		m.destroy(sp)
-		m.serve(&p.mm, now, timing.ReleaseSPTime, nil)
-		sp.pc = next
-		return true, false
-
-	default:
-		m.fail(fmt.Errorf("sim: SP %q pc %d: unimplemented opcode %s", sp.tmpl.Name, sp.pc, in.Op))
+		p.performWrite(sp, ins, args, now)
 		return false, true
+	case isa.SPAWN, isa.SPAWND:
+		p.performSpawn(sp, ins, args, now)
+		return false, true
+	case isa.SEND:
+		p.performSend(sp, ins, args, now)
+		return false, true
+	case isa.HALT:
+		if m.tracing {
+			m.trace(now, p.id, "halt SP#%d %q", sp.id, sp.code.tmpl.Name)
+		}
+		p.cur = nil
+		m.destroy(sp)
+		m.serve(&p.mm, now, timing.ReleaseSPTime, evNone, 0)
+		return true, false
+	default: // the trap past the end of the code, or an opcode no case covers
+		m.fail(fmt.Errorf("sim: SP %q pc %d: cannot execute %s", sp.code.tmpl.Name, sp.pc, ins.Op))
 	}
-
-	sp.pc = next
-	return false, endBurst
+	return false, false
 }
 
 // performOwnership answers Range-Filter queries against the local array
-// header (§4.2.2). Empty ownership yields an empty range (lo=1, hi=0 style)
-// so the filtered loop executes zero iterations.
-func (p *pe) performOwnership(sp *spInst, in *isa.Instr) {
-	m := p.m
-	if in.Op == isa.UNIFLO || in.Op == isa.UNIFHI {
-		lo := sp.frame[in.A].AsInt()
-		hi := sp.frame[in.B].AsInt()
-		n := hi - lo + 1
-		if n < 0 {
-			n = 0
+// header (§4.2.2): ROWLO/ROWHI (the rows this PE is responsible for),
+// COLLO/COLHI (the owned part of row B) and UNIFLO/UNIFHI (this PE's block
+// of [A, B]). Empty ownership yields an empty range (lo=1, hi=0) so the
+// filtered loop executes zero iterations.
+func (p *pe) performOwnership(sp *spInst, ins *isa.DInstr) {
+	f := sp.frame
+	var lo, hi int64
+	if ins.Op == isa.UNIFLO || ins.Op == isa.UNIFHI {
+		lo, hi = f[ins.A].AsInt(), f[ins.B].AsInt()
+		n, pes, id := max(hi-lo+1, 0), int64(p.m.cfg.NumPEs), int64(p.id)
+		lo, hi = lo+n*id/pes, lo+n*(id+1)/pes-1
+	} else {
+		a := p.array(f[ins.A].I)
+		if a == nil {
+			p.m.fail(fmt.Errorf("sim: SP %q pc %d: ownership query on unknown array", sp.code.tmpl.Name, sp.pc))
+			return
 		}
-		pes := int64(m.cfg.NumPEs)
-		id := int64(p.id)
-		blo := lo + n*id/pes
-		bhi := lo + n*(id+1)/pes - 1
-		if in.Op == isa.UNIFLO {
-			sp.set(in.Dst, isa.Int(blo))
+		var ok bool
+		if ins.Op == isa.ROWLO || ins.Op == isa.ROWHI {
+			lo, hi, ok = a.Header().OwnedRows(p.id)
 		} else {
-			sp.set(in.Dst, isa.Int(bhi))
+			lo, hi, ok = a.Header().OwnedCols(p.id, f[ins.B].AsInt())
 		}
-		return
-	}
-	h := m.header(sp.frame[in.A].I)
-	if h == nil {
-		m.fail(fmt.Errorf("sim: SP %q pc %d: ownership query on unknown array", sp.tmpl.Name, sp.pc))
-		return
-	}
-	switch in.Op {
-	case isa.ROWLO, isa.ROWHI:
-		lo, hi, ok := h.OwnedRows(p.id)
-		if !ok {
-			lo, hi = 1, 0 // empty range
-		}
-		if in.Op == isa.ROWLO {
-			sp.set(in.Dst, isa.Int(lo))
-		} else {
-			sp.set(in.Dst, isa.Int(hi))
-		}
-	case isa.COLLO, isa.COLHI:
-		row := sp.frame[in.B].AsInt()
-		lo, hi, ok := h.OwnedCols(p.id, row)
 		if !ok {
 			lo, hi = 1, 0
 		}
-		if in.Op == isa.COLLO {
-			sp.set(in.Dst, isa.Int(lo))
-		} else {
-			sp.set(in.Dst, isa.Int(hi))
-		}
 	}
+	if ins.Op == isa.ROWHI || ins.Op == isa.COLHI || ins.Op == isa.UNIFHI {
+		lo = hi
+	}
+	f[ins.Dst] = isa.Int(lo)
 }

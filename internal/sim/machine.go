@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/istructure"
+	"repro/internal/timing"
 )
 
 // unit is one functional unit with FIFO service: a job scheduled at time t
@@ -24,9 +25,9 @@ type unit struct {
 	busy int64
 }
 
-// serve schedules dur of work on u no earlier than `earliest` and runs fn
-// when the work completes.
-func (m *Machine) serve(u *unit, earliest, dur int64, fn func(t int64)) {
+// serve schedules dur of work on u no earlier than `earliest`; when the work
+// completes, event kind fires with rec (evNone: nothing waits for it).
+func (m *Machine) serve(u *unit, earliest, dur int64, kind evKind, rec int32) {
 	start := earliest
 	if u.free > start {
 		start = u.free
@@ -34,8 +35,8 @@ func (m *Machine) serve(u *unit, earliest, dur int64, fn func(t int64)) {
 	end := start + dur
 	u.free = end
 	u.busy += dur
-	if fn != nil {
-		m.at(end, fn)
+	if kind != evNone {
+		m.at(end, kind, rec)
 	} else if end > m.horizon {
 		m.horizon = end
 	}
@@ -62,24 +63,62 @@ const (
 	spStalled // baseline (Stall) mode: EU waiting in place
 )
 
-// spInst is one live SP instance: a template plus an operand frame with
-// presence bits and a program counter — the paper's PCB ("the starting
-// address of the SP, a program counter, and a status field").
+// tmplCode is a template as the EU runs it: the decoded code plus the EU
+// time of every instruction under this machine's Config, built on the
+// template's first instantiation.
+type tmplCode struct {
+	tmpl *isa.Template
+	d    *isa.Decoded
+	cost []int64 // per pc; a comparison of floats adds floatCmpExtra
+}
+
+// spInst is one live SP instance: a template plus an operand frame and a
+// program counter — the paper's PCB ("the starting address of the SP, a
+// program counter, and a status field"). An absent operand is a slot of
+// KindInvalid. Halted instances are reused (see Machine.newSP).
 type spInst struct {
 	id      int64
-	tmpl    *isa.Template
+	code    *tmplCode
+	ti      int32 // index of the template in the program
 	frame   []isa.Value
-	present []bool
 	pc      int
 	state   spState
 	blocked int // slot index the SP is blocked on
 	pe      int
 }
 
+// spQueue is a PE's FIFO of ready SPs: a slice consumed from head, rewound
+// when it empties and compacted only when it would otherwise grow.
+type spQueue struct {
+	q    []*spInst
+	head int
+}
+
+func (r *spQueue) empty() bool { return r.head == len(r.q) }
+
+func (r *spQueue) push(sp *spInst) {
+	if r.head > 0 && len(r.q) == cap(r.q) {
+		n := copy(r.q, r.q[r.head:])
+		clear(r.q[n:])
+		r.q, r.head = r.q[:n], 0
+	}
+	r.q = append(r.q, sp)
+}
+
+func (r *spQueue) pop() *spInst {
+	sp := r.q[r.head]
+	r.q[r.head] = nil
+	if r.head++; r.head == len(r.q) {
+		r.q, r.head = r.q[:0], 0
+	}
+	return sp
+}
+
 type pe struct {
 	id    int
 	m     *Machine
 	shard *istructure.Shard
+	arrs  []*istructure.Array // this PE's handle of every array, by array ID
 
 	eu unit // execution unit (managed by exec.go, but busy time lives here)
 	mu unit // matching unit
@@ -87,33 +126,38 @@ type pe struct {
 	am unit // array manager
 	ru unit // routing unit
 
-	ready    []*spInst
+	ready    spQueue
 	cur      *spInst
 	euActive bool
 
 	// stallOn is set by a remote read in the control-driven baseline
 	// (Config.Stall): the EU waits on this slot instead of switching SPs.
 	stallOn int
-
-	sps map[int64]*spInst
 }
 
 // Machine simulates a PODS multiprocessor executing one program.
 type Machine struct {
-	cfg  Config
-	prog *isa.Program
-	pes  []*pe
+	cfg      Config
+	tracing  bool   // cfg.Trace != nil, checked before a trace call's arguments are built
+	traceBuf []byte // the line being formatted, reused
+	prog     *isa.Program
+	code     []tmplCode // by template index
+	pes      []*pe
+	ran      bool
 
-	events  eventHeap
-	seq     int64
-	now     int64
-	horizon int64 // latest unit-completion time with no callback
+	events   eventQueue
+	msgs     []msg
+	freeMsgs []int32
+	seq      int64
+	nEvents  int64
+	now      int64
+	horizon  int64 // latest unit-completion time with no callback
 
 	nextSP    int64
 	nextArray int64
 
-	spLoc   map[int64]int // SP instance id → PE
-	arrays  map[int64]*istructure.Header
+	sps     []*spInst        // live SP instances by ID (nil: halted or not yet active)
+	freeSPs [][]*spInst      // halted instances by frame length
 	byName  map[string]int64 // last allocated array per source name
 	nameSeq []string
 
@@ -135,15 +179,16 @@ func New(prog *isa.Program, cfg Config) (*Machine, error) {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	m := &Machine{
-		cfg:    cfg,
-		prog:   prog,
-		spLoc:  make(map[int64]int),
-		arrays: make(map[int64]*istructure.Header),
-		byName: make(map[string]int64),
+		cfg:     cfg,
+		tracing: cfg.Trace != nil,
+		prog:    prog,
+		code:    make([]tmplCode, len(prog.Templates)),
+		sps:     make([]*spInst, 1), // ID 0 is the environment
+		byName:  make(map[string]int64),
 	}
 	m.pes = make([]*pe, cfg.NumPEs)
 	for i := range m.pes {
-		m.pes[i] = &pe{id: i, m: m, shard: istructure.NewShard(i), stallOn: isa.None, sps: make(map[int64]*spInst)}
+		m.pes[i] = &pe{id: i, m: m, shard: istructure.NewShard(i), stallOn: isa.None, arrs: make([]*istructure.Array, 1)}
 	}
 	return m, nil
 }
@@ -155,12 +200,12 @@ func (m *Machine) fail(err error) {
 	}
 }
 
-// trace emits one lifecycle line when tracing is enabled.
+// trace emits one lifecycle line. Callers check m.tracing first, so an
+// untraced run never builds the argument list.
 func (m *Machine) trace(t int64, pe int, format string, args ...interface{}) {
-	if m.cfg.Trace == nil {
-		return
-	}
-	fmt.Fprintf(m.cfg.Trace, "[%10.3fµs] PE%-2d %s\n", float64(t)/1000, pe, fmt.Sprintf(format, args...))
+	m.traceBuf = fmt.Appendf(m.traceBuf[:0], "[%10.3fµs] PE%-2d ", float64(t)/1000, pe)
+	m.traceBuf = append(fmt.Appendf(m.traceBuf, format, args...), '\n')
+	_, _ = m.cfg.Trace.Write(m.traceBuf) // a diagnostic: a failed write changes nothing
 }
 
 // DeadlockError reports SPs still alive when the event queue drained.
@@ -173,8 +218,13 @@ func (e *DeadlockError) Error() string {
 }
 
 // Run instantiates the entry template with the given arguments on PE 0 and
-// processes events until the machine drains. It can be called once.
+// processes events until the machine drains. A Machine runs once: its shards
+// and counters are not reset, so a second call is refused.
 func (m *Machine) Run(args ...isa.Value) (*Result, error) {
+	if m.ran {
+		return nil, errors.New("sim: Run called twice; build a new Machine for each run")
+	}
+	m.ran = true
 	entry := m.prog.Entry()
 	want := entry.NParams
 	if entry.HasResult {
@@ -183,27 +233,56 @@ func (m *Machine) Run(args ...isa.Value) (*Result, error) {
 	if len(args) != want {
 		return nil, fmt.Errorf("sim: entry %q wants %d args, got %d", entry.Name, want, len(args))
 	}
+	sp := m.newSP(m.prog.EntryID, m.newSPID())
+	copy(sp.frame, args)
 	if entry.HasResult {
-		args = append(append([]isa.Value{}, args...), isa.SPRef(0), isa.Int(0))
+		sp.frame[want], sp.frame[want+1] = isa.SPRef(0), isa.Int(0)
 	}
-	m.instantiate(m.pes[0], entry, m.newSPID(), args, 0)
+	m.instantiate(m.pes[0], sp, 0)
 	m.pes[0].wakeEU(0)
 
-	var nEvents int64
 	for len(m.events) > 0 && m.failed == nil {
-		ev := m.events[0]
-		m.events[0] = m.events[len(m.events)-1]
-		m.events = m.events[:len(m.events)-1]
-		down(m.events, 0)
+		ev := m.events.pop()
 		if ev.t < m.now {
 			return nil, fmt.Errorf("sim: time went backwards (%d < %d)", ev.t, m.now)
 		}
 		m.now = ev.t
-		ev.fn(ev.t)
-		nEvents++
-		if nEvents > m.cfg.MaxEvents {
-			return nil, fmt.Errorf("sim: exceeded %d events (livelock?)", m.cfg.MaxEvents)
+		switch t := ev.t; ev.kind {
+		case evEU, evEUSettled:
+			m.pes[ev.rec].euStep(t, ev.kind == evEUSettled)
+		case evRU:
+			m.at(t+m.msgs[ev.rec].flight, evArrive, ev.rec)
+		case evArrive:
+			r := &m.msgs[ev.rec]
+			m.serve(r.unit, t, r.dur, r.kind, ev.rec)
+			if r.kind == evNone {
+				m.takeMsg(ev.rec)
+			}
+		case evAllocDone:
+			m.allocDone(t, m.takeMsg(ev.rec))
+		case evLocalRead:
+			m.localRead(t, m.takeMsg(ev.rec))
+		case evProbe:
+			m.probeCache(t, m.takeMsg(ev.rec))
+		case evReadReq:
+			m.serveReadRequest(t, m.takeMsg(ev.rec))
+		case evPage:
+			m.receivePage(t, m.takeMsg(ev.rec))
+		case evToken:
+			r := m.takeMsg(ev.rec)
+			m.counts.TokensMatched++
+			m.deliver(t, r.sp, r.slot, r.val)
+		case evWrite:
+			m.ownerWrite(t, m.takeMsg(ev.rec))
+		case evSpawnMM:
+			m.serve(&m.pes[m.msgs[ev.rec].dst].mu, t, timing.MatchTime, evSpawnMU, ev.rec)
+		case evSpawnMU:
+			r := m.takeMsg(ev.rec)
+			m.counts.TokensMatched++
+			m.instantiate(m.pes[r.dst], r.child, t)
+			m.pes[r.dst].wakeEU(t)
 		}
+		m.countEvent()
 	}
 	if m.failed != nil {
 		return nil, m.failed
@@ -231,66 +310,69 @@ func (m *Machine) Run(args ...isa.Value) (*Result, error) {
 	return res, nil
 }
 
-// down restores the heap property after replacing the root (inlined sift-down
-// to avoid re-wrapping container/heap on the hot path).
-func down(h eventHeap, i int) {
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		j := l
-		if r := l + 1; r < n && h.Less(r, l) {
-			j = r
-		}
-		if !h.Less(j, i) {
-			return
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
+// countEvent counts one processed event against Config.MaxEvents and
+// reports whether the run may go on.
+func (m *Machine) countEvent() bool {
+	if m.nEvents++; m.nEvents > m.cfg.MaxEvents {
+		m.fail(fmt.Errorf("sim: exceeded %d events (livelock?)", m.cfg.MaxEvents))
 	}
+	return m.failed == nil
 }
 
 func (m *Machine) newSPID() int64 {
 	m.nextSP++
+	m.sps = append(m.sps, nil)
 	return m.nextSP
 }
 
-// instantiate creates a live SP instance on p (state change only; the MM/MU
-// service costs are charged by the spawn path).
-func (m *Machine) instantiate(p *pe, tmpl *isa.Template, id int64, args []isa.Value, t int64) *spInst {
-	sp := &spInst{
-		id:      id,
-		tmpl:    tmpl,
-		frame:   make([]isa.Value, tmpl.NSlots),
-		present: make([]bool, tmpl.NSlots),
-		pc:      0,
-		state:   spReady,
-		blocked: isa.None,
-		pe:      p.id,
+// newSP returns a blank instance of template ti, not yet known to any PE:
+// a halted instance with a frame of the same length when there is one, every
+// slot reset to absent so that nothing of its earlier life shows.
+func (m *Machine) newSP(ti int, id int64) *spInst {
+	c := &m.code[ti]
+	if c.d == nil {
+		c.tmpl = m.prog.Templates[ti]
+		c.d = c.tmpl.Decoded()
+		c.cost = make([]int64, len(c.d.Code))
+		for pc := range c.tmpl.Code {
+			c.cost[pc] = m.instrCost(&c.d.Code[pc])
+		}
 	}
-	if len(args) != tmpl.NParams {
-		m.fail(fmt.Errorf("sim: template %q spawned with %d args, wants %d", tmpl.Name, len(args), tmpl.NParams))
-		return sp
+	n := c.tmpl.NSlots
+	var sp *spInst
+	if n < len(m.freeSPs) && len(m.freeSPs[n]) > 0 {
+		last := len(m.freeSPs[n]) - 1
+		sp, m.freeSPs[n] = m.freeSPs[n][last], m.freeSPs[n][:last]
+		clear(sp.frame)
+	} else {
+		sp = &spInst{frame: make([]isa.Value, n)}
 	}
-	copy(sp.frame, args)
-	for i := range args {
-		sp.present[i] = true
-	}
-	p.sps[id] = sp
-	m.spLoc[id] = p.id
-	p.ready = append(p.ready, sp)
-	m.counts.SPsCreated++
-	m.trace(t, p.id, "spawn SP#%d %q (ready)", id, tmpl.Name)
+	sp.id, sp.code, sp.ti, sp.pc, sp.state, sp.blocked = id, c, int32(ti), 0, spReady, isa.None
 	return sp
 }
 
-// destroy removes a halted SP.
+// instantiate makes sp a live, ready instance on p (state change only; the
+// MM/MU service costs are charged by the spawn path).
+func (m *Machine) instantiate(p *pe, sp *spInst, t int64) {
+	sp.pe = p.id
+	m.sps[sp.id] = sp
+	p.ready.push(sp)
+	m.counts.SPsCreated++
+	if m.tracing {
+		m.trace(t, p.id, "spawn SP#%d %q (ready)", sp.id, sp.code.tmpl.Name)
+	}
+}
+
+// destroy removes a halted SP and keeps the instance for reuse. The table
+// of free instances is indexed by frame length; it never outgrows one frame
+// of the largest template.
 func (m *Machine) destroy(sp *spInst) {
-	p := m.pes[sp.pe]
-	delete(p.sps, sp.id)
-	delete(m.spLoc, sp.id)
+	m.sps[sp.id] = nil
+	n := len(sp.frame)
+	for len(m.freeSPs) <= n {
+		m.freeSPs = append(m.freeSPs, nil)
+	}
+	m.freeSPs[n] = append(m.freeSPs[n], sp)
 }
 
 // deliver places a token value into slot of SP instance id, waking the
@@ -302,63 +384,69 @@ func (m *Machine) deliver(t int64, id int64, slot int, v isa.Value) {
 		m.mainResult = &val
 		return
 	}
-	loc, ok := m.spLoc[id]
-	if !ok {
+	sp := m.sp(id)
+	if sp == nil {
 		m.fail(fmt.Errorf("sim: token for dead/unknown SP %d (slot %d)", id, slot))
 		return
 	}
-	p := m.pes[loc]
-	sp := p.sps[id]
+	p := m.pes[sp.pe]
 	if slot < 0 || slot >= len(sp.frame) {
-		m.fail(fmt.Errorf("sim: token slot %d out of range for SP %d (%q)", slot, id, sp.tmpl.Name))
+		m.fail(fmt.Errorf("sim: token slot %d out of range for SP %d (%q)", slot, id, sp.code.tmpl.Name))
 		return
 	}
 	sp.frame[slot] = v
-	sp.present[slot] = true
+	if sp.blocked != slot {
+		return
+	}
 	switch sp.state {
 	case spBlocked:
-		if sp.blocked == slot {
-			sp.state = spReady
-			sp.blocked = isa.None
-			p.ready = append(p.ready, sp)
-			m.trace(t, p.id, "unblock SP#%d %q (slot %d arrived)", sp.id, sp.tmpl.Name, slot)
-			p.wakeEU(t)
+		sp.state = spReady
+		sp.blocked = isa.None
+		p.ready.push(sp)
+		if m.tracing {
+			m.trace(t, p.id, "unblock SP#%d %q (slot %d arrived)", sp.id, sp.code.tmpl.Name, slot)
 		}
+		p.wakeEU(t)
 	case spStalled:
-		if sp.blocked == slot {
-			sp.state = spRunning
-			sp.blocked = isa.None
-			m.trace(t, p.id, "resume SP#%d %q (stall satisfied)", sp.id, sp.tmpl.Name)
-			p.wakeEU(t)
+		sp.state = spRunning
+		sp.blocked = isa.None
+		if m.tracing {
+			m.trace(t, p.id, "resume SP#%d %q (stall satisfied)", sp.id, sp.code.tmpl.Name)
 		}
+		p.wakeEU(t)
 	}
 }
 
 // liveReport describes all live SPs (empty when none) for deadlock errors.
 func (m *Machine) liveReport() string {
 	var lines []string
-	for _, p := range m.pes {
-		for _, sp := range p.sps {
-			state := "ready"
-			switch sp.state {
-			case spRunning:
-				state = "running"
-			case spBlocked:
-				state = fmt.Sprintf("blocked on slot %d", sp.blocked)
-			case spStalled:
-				state = fmt.Sprintf("stalled on slot %d", sp.blocked)
-			}
-			pend := p.shard.PendingReads()
-			lines = append(lines, fmt.Sprintf("  PE%d SP#%d %q pc=%d %s (pe pending reads: %d)",
-				p.id, sp.id, sp.tmpl.Name, sp.pc, state, pend))
+	for _, sp := range m.sps {
+		if sp == nil {
+			continue
 		}
+		state := "ready"
+		switch sp.state {
+		case spRunning:
+			state = "running"
+		case spBlocked:
+			state = fmt.Sprintf("blocked on slot %d", sp.blocked)
+		case spStalled:
+			state = fmt.Sprintf("stalled on slot %d", sp.blocked)
+		}
+		lines = append(lines, fmt.Sprintf("  PE%d SP#%d %q pc=%d %s (pe pending reads: %d)",
+			sp.pe, sp.id, sp.code.tmpl.Name, sp.pc, state, m.pes[sp.pe].shard.PendingReads()))
 	}
 	sort.Strings(lines)
 	return strings.Join(lines, "\n")
 }
 
-// header returns the installed header for an array handle.
-func (m *Machine) header(id int64) *istructure.Header { return m.arrays[id] }
+// sp returns the live SP instance with the given ID, or nil.
+func (m *Machine) sp(id int64) *spInst {
+	if id <= 0 || id >= int64(len(m.sps)) {
+		return nil
+	}
+	return m.sps[id]
+}
 
 // ReadArray gathers a named array's contents from all shards after a run.
 // Values never written are returned as NaN-free zeros with ok=false in mask.
@@ -367,13 +455,12 @@ func (m *Machine) ReadArray(name string) (vals []float64, mask []bool, dims []in
 	if !ok {
 		return nil, nil, nil, fmt.Errorf("sim: unknown array %q", name)
 	}
-	h := m.arrays[id]
+	h := m.pes[0].arrs[id].Header()
 	n := h.Elems()
 	vals = make([]float64, n)
 	mask = make([]bool, n)
 	for off := 0; off < n; off++ {
-		owner := h.OwnerOf(off)
-		if v, present := m.pes[owner].shard.Peek(id, off); present {
+		if v, present := m.pes[h.OwnerOf(off)].arrs[id].Peek(off); present {
 			vals[off] = v.AsFloat()
 			mask[off] = true
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"os"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -267,6 +268,8 @@ func TestSpawnArgMismatchFails(t *testing.T) {
 	}
 }
 
+// TestTraceOutput pins the lifecycle trace byte for byte (recorded before
+// the event core was rebuilt): the lines, their order and their timestamps.
 func TestTraceOutput(t *testing.T) {
 	var buf strings.Builder
 	m, err := New(deferredReadProgram(), Config{NumPEs: 1, Trace: &buf})
@@ -281,6 +284,20 @@ func TestTraceOutput(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("trace missing %q:\n%s", want, out)
 		}
+	}
+	const golden = "testdata/trace_deferred.txt"
+	if *UpdateGolden {
+		if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(want) {
+		t.Errorf("trace differs from %s:\n%s", golden, out)
 	}
 }
 

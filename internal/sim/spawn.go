@@ -15,103 +15,81 @@ import (
 // A spawn charges the Memory Manager (load SP, build PCB) and the Matching
 // Unit (register the new SP's entry) on the target PE; remote spawns
 // additionally pay one small message through the Routing Unit and network.
-func (p *pe) performSpawn(sp *spInst, in *isa.Instr, now int64, dist bool) {
+// The child's frame is filled here, straight from the spawner's; the
+// instance travels in the msg and becomes live when the MU is done.
+func (p *pe) performSpawn(sp *spInst, ins *isa.DInstr, args []int, now int64) {
 	m := p.m
-	tmpl := m.prog.Template(int(in.Imm.I))
+	ti := int(ins.Imm.I)
+	tmpl := m.prog.Template(ti)
 	if tmpl == nil {
-		m.fail(fmt.Errorf("sim: SP %q pc %d: spawn of unknown template %d", sp.tmpl.Name, sp.pc, in.Imm.I))
+		m.fail(fmt.Errorf("sim: SP %q pc %d: spawn of unknown template %d", sp.code.tmpl.Name, sp.pc, ins.Imm.I))
 		return
 	}
-	args := make([]isa.Value, len(in.Args))
-	for i, a := range in.Args {
-		args[i] = sp.frame[a]
+	if len(args) != tmpl.NParams {
+		m.fail(fmt.Errorf("sim: template %q spawned with %d args, wants %d", tmpl.Name, len(args), tmpl.NParams))
+		return
 	}
-	targets := []*pe{p}
-	if dist && !m.cfg.ZeroOverhead {
+	targets := m.pes[p.id : p.id+1]
+	if ins.Op == isa.SPAWND && !m.cfg.ZeroOverhead {
 		targets = m.pes
 	}
-	for _, q := range targets {
-		id := m.newSPID()
-		target := q
+	for _, target := range targets {
+		child := m.newSP(ti, m.newSPID())
+		for i, a := range args {
+			child.frame[i] = sp.frame[a]
+		}
 		if m.cfg.ZeroOverhead {
-			m.instantiate(target, tmpl, id, args, now)
+			m.instantiate(target, child, now)
 			target.wakeEU(now)
 			continue
 		}
-		if target.id == p.id {
-			p.activate(now, target, tmpl, id, args)
+		// MM (frame/PCB creation), then MU (matching-table entry), on the
+		// target PE.
+		r := msg{kind: evSpawnMM, unit: &target.mm, dst: int32(target.id), child: child,
+			flight: timing.NetworkTime, dur: timing.ActivateSPTime}
+		if target == p {
+			m.serve(&p.mm, now, r.dur, evSpawnMM, m.newMsg(r))
 			continue
 		}
 		m.counts.SmallMsgs++
 		m.counts.SPsRemote++
-		m.serve(&p.ru, now, timing.SmallMessageRUTime, func(t int64) {
-			m.at(t+timing.NetworkTime, func(t2 int64) {
-				p.activate(t2, target, tmpl, id, args)
-			})
-		})
+		m.send(p, now, r)
 	}
-}
-
-// activate runs the MM (frame/PCB creation) and MU (matching-table entry)
-// service chain on the target PE and makes the instance ready.
-func (p *pe) activate(t int64, target *pe, tmpl *isa.Template, id int64, args []isa.Value) {
-	m := p.m
-	m.serve(&target.mm, t, timing.ActivateSPTime, func(t2 int64) {
-		m.serve(&target.mu, t2, timing.MatchTime, func(t3 int64) {
-			m.counts.TokensMatched++
-			m.instantiate(target, tmpl, id, args, t3)
-			target.wakeEU(t3)
-		})
-	})
 }
 
 // performSend implements inter-SP tokens (loop results, function returns).
 // The token goes through the destination PE's Matching Unit ("only tokens
 // exchanged between different SPs go through the Matching Unit", §5.1).
-func (p *pe) performSend(sp *spInst, in *isa.Instr, now int64) {
+func (p *pe) performSend(sp *spInst, ins *isa.DInstr, args []int, now int64) {
 	m := p.m
-	ref := sp.frame[in.A]
+	ref := sp.frame[ins.A]
 	if ref.Kind != isa.KindSP {
-		m.fail(fmt.Errorf("sim: SP %q pc %d: SEND target is %s, not an SP reference", sp.tmpl.Name, sp.pc, ref))
+		m.fail(fmt.Errorf("sim: SP %q pc %d: SEND target is %s, not an SP reference", sp.code.tmpl.Name, sp.pc, ref))
 		return
 	}
-	val := sp.frame[in.B]
-	base := int64(0)
-	if len(in.Args) > 0 {
-		base = sp.frame[in.Args[0]].AsInt()
+	val := sp.frame[ins.B]
+	slot := ins.Imm.I
+	if len(args) > 0 {
+		slot += sp.frame[args[0]].AsInt()
 	}
-	slot := int(base + in.Imm.I)
 	id := ref.I
-
-	if id == 0 {
-		// Environment continuation: program result, no machine cost.
-		m.deliver(now, 0, slot, val)
+	if id == 0 || m.cfg.ZeroOverhead {
+		// The environment continuation (the program result) has no machine
+		// cost, and a sequential program has no matching at all.
+		m.deliver(now, id, int(slot), val)
 		return
 	}
-	if m.cfg.ZeroOverhead {
-		m.deliver(now, id, slot, val)
+	target := m.sp(id)
+	if target == nil {
+		m.fail(fmt.Errorf("sim: SP %q pc %d: token for dead SP %d", sp.code.tmpl.Name, sp.pc, id))
 		return
 	}
-	loc, ok := m.spLoc[id]
-	if !ok {
-		m.fail(fmt.Errorf("sim: SP %q pc %d: token for dead SP %d", sp.tmpl.Name, sp.pc, id))
-		return
-	}
-	target := m.pes[loc]
-	if target.id == p.id {
-		m.serve(&target.mu, now, timing.MatchTime, func(t int64) {
-			m.counts.TokensMatched++
-			m.deliver(t, id, slot, val)
-		})
+	r := msg{kind: evToken, unit: &m.pes[target.pe].mu, sp: id, slot: int(slot), val: val,
+		flight: timing.NetworkTime, dur: timing.MatchTime}
+	if target.pe == p.id {
+		m.serve(&p.mu, now, r.dur, evToken, m.newMsg(r))
 		return
 	}
 	m.counts.SmallMsgs++
-	m.serve(&p.ru, now, timing.SmallMessageRUTime, func(t int64) {
-		m.at(t+timing.NetworkTime, func(t2 int64) {
-			m.serve(&target.mu, t2, timing.MatchTime, func(t3 int64) {
-				m.counts.TokensMatched++
-				m.deliver(t3, id, slot, val)
-			})
-		})
-	})
+	m.send(p, now, r)
 }
