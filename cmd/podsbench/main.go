@@ -13,23 +13,17 @@
 //	BACK — the three execution backends (sim, podsrt, cluster) head-to-head
 //	       on the paper kernels (matmul, heat, pipeline)
 //	SKEW — work stealing on/off × PE counts on the skewed kernels
-//	       (triangular, mirror): wall clock, makespan, utilization recovered
+//	       (triangular, mirror): makespan, utilization recovered
 //	ADAPT — adaptive Range-Filter repartitioning on/off × work stealing
 //	       on/off × PE counts on the drifting-skew relax kernel: makespan,
 //	       utilization, rebound count
 //	CACHE — bounded page cache with CLOCK eviction: hit rate, makespan,
 //	       evictions and refetches vs. the per-shard page cap on heat,
 //	       relax, and matmul (cap 0 = unbounded control arm)
-//	TRACE — observability overhead: tracing off vs on (event rings +
-//	       per-round metric snapshots) on relax and matmul, asserting the
-//	       makespan grows ≤5%; with -csv it also writes the traced relax
-//	       run as Chrome trace_event JSON (Perfetto-loadable), the
-//	       per-round timeline CSV, and a per-PE counter breakdown
-//	SERVE — multi-program job service: a persistent fleet takes a sustained
-//	       closed-loop stream of mixed heat/relax/matmul/triangular jobs
-//	       from concurrent clients; reports job throughput and the latency
-//	       distribution (p50/p90/p99), every job verified against the
-//	       simulator
+//
+// Wall-clock performance is judged by benchmark/ (BENCHMARK.json); apart
+// from BACK's informal head-to-head, every number here is virtual time or
+// an instruction count.
 //
 // Usage:
 //
@@ -44,6 +38,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -57,9 +52,12 @@ func main() {
 	}
 }
 
+// experiments are the ids -exp accepts besides "all", in run order.
+var experiments = []string{"T1", "T2", "F8", "F9", "F10", "E1", "X1", "ABL", "PAGE", "BACK", "SKEW", "ADAPT", "CACHE"}
+
 func run(argv []string) error {
 	fs := flag.NewFlagSet("podsbench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment id (T1,T2,F8,F9,F10,E1,X1,ABL,PAGE,BACK,SKEW,ADAPT,CACHE,TRACE,SERVE) or 'all'")
+	exp := fs.String("exp", "all", "experiment id ("+strings.Join(experiments, ",")+") or 'all'")
 	quick := fs.Bool("quick", false, "reduced axes (smaller sizes, fewer PE counts)")
 	csvDir := fs.String("csv", "", "also write figure data as CSV files into this directory")
 	if err := fs.Parse(argv); err != nil {
@@ -74,8 +72,6 @@ func run(argv []string) error {
 	skewN, skewPEs := 96, []int{1, 2, 4, 8}
 	adaptN, adaptSweeps, adaptPEs := 64, 6, []int{1, 2, 4, 8}
 	cacheN, cachePEs, cacheCaps := 32, 8, []int{0, 2, 4, 8, 16, 32}
-	traceN, tracePEs, traceReps := 48, 8, 3
-	serveN, servePEs, serveClients, serveJobs := 12, 8, 6, 48
 	if *quick {
 		pes = []int{1, 4, 16}
 		sizes = []int{8, 16}
@@ -85,13 +81,15 @@ func run(argv []string) error {
 		skewN, skewPEs = 32, []int{1, 4}
 		adaptN, adaptSweeps, adaptPEs = 32, 4, []int{1, 8}
 		cacheN, cachePEs, cacheCaps = 16, 4, []int{0, 2, 8}
-		traceN, traceReps = 24, 2
-		serveN, servePEs, serveClients, serveJobs = 10, 4, 4, 16
 	}
 
 	want := map[string]bool{}
 	for _, e := range strings.Split(strings.ToUpper(*exp), ",") {
-		want[strings.TrimSpace(e)] = true
+		e = strings.TrimSpace(e)
+		if e != "ALL" && !slices.Contains(experiments, e) {
+			return fmt.Errorf("unknown experiment %q (valid: %s, or all)", e, strings.Join(experiments, ","))
+		}
+		want[e] = true
 	}
 	all := want["ALL"]
 	section := func(id string) bool { return all || want[id] }
@@ -212,48 +210,6 @@ func run(argv []string) error {
 		}
 		fmt.Print(r.Format())
 		if err := emitCSV(*csvDir, "cache.csv", r.WriteCSV); err != nil {
-			return err
-		}
-		// BENCH_CACHE.json is the machine-readable record of the heat
-		// machinery's acceptance numbers; like every artifact it goes only
-		// into -csv's directory, never into the working directory.
-		if err := emitCSV(*csvDir, "BENCH_CACHE.json", r.WriteJSON); err != nil {
-			return err
-		}
-	}
-	if section("TRACE") {
-		fmt.Println(hr)
-		r, err := bench.Trace(traceN, tracePEs, traceReps)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Format())
-		if err := r.Check(); err != nil {
-			return err
-		}
-		if err := emitCSV(*csvDir, "trace.csv", r.WriteCSV); err != nil {
-			return err
-		}
-		if err := emitCSV(*csvDir, "trace_pe.csv", r.WritePerPECSV); err != nil {
-			return err
-		}
-		chrome := func(w io.Writer) error { return r.WriteChromeJSON(w, "relax") }
-		if err := emitCSV(*csvDir, "relax_trace.json", chrome); err != nil {
-			return err
-		}
-		timeline := func(w io.Writer) error { return r.WriteTimelineCSV(w, "relax") }
-		if err := emitCSV(*csvDir, "relax_timeline.csv", timeline); err != nil {
-			return err
-		}
-	}
-	if section("SERVE") {
-		fmt.Println(hr)
-		r, err := bench.Serve(serveN, servePEs, serveClients, serveJobs)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Format())
-		if err := emitCSV(*csvDir, "serve.csv", r.WriteCSV); err != nil {
 			return err
 		}
 	}

@@ -1,8 +1,7 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -13,12 +12,8 @@ func TestQuickSweepAllExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	dir := t.TempDir()
-	if err := run([]string{"-quick", "-csv", dir}); err != nil {
+	if err := run([]string{"-quick", "-csv", t.TempDir()}); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "BENCH_CACHE.json")); err != nil {
-		t.Errorf("the CACHE experiment's JSON artifact is missing from -csv's directory: %v", err)
 	}
 }
 
@@ -26,6 +21,13 @@ func TestSingleExperimentSelection(t *testing.T) {
 	for _, exp := range []string{"T1", "T2", "E1", "BACK"} {
 		if err := run([]string{"-quick", "-exp", exp}); err != nil {
 			t.Errorf("%s: %v", exp, err)
+		}
+	}
+	// An unknown id is an error, not a run of nothing.
+	for _, exp := range []string{"NOPE", "TRACE", "SERVE", "T1,NOPE"} {
+		err := run([]string{"-quick", "-exp", exp})
+		if err == nil || !strings.Contains(err.Error(), "unknown experiment") || !strings.Contains(err.Error(), "CACHE") {
+			t.Errorf("-exp %s: got %v, want an unknown-experiment error listing the valid ids", exp, err)
 		}
 	}
 }

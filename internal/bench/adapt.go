@@ -19,7 +19,6 @@ import (
 // Each (PE count) cell runs the full 2×2 of adaptation off/on × work
 // stealing off/on and reports
 //
-//   - the wall-clock time of each run,
 //   - the makespan (max per-PE executed instructions — the speed-up proxy
 //     on an oversubscribed host, as in SKEW),
 //   - the recovered utilization (mean/max per-PE instructions), and
@@ -32,7 +31,6 @@ import (
 
 // AdaptCell is one (PEs, steal, adapt) measurement.
 type AdaptCell struct {
-	Wall     time.Duration
 	Makespan int64   // max per-PE executed instructions
 	Util     float64 // mean/max per-PE executed instructions
 	Rebounds int64
@@ -68,7 +66,6 @@ func Adapt(n, sweeps int, pes []int) (*AdaptResult, error) {
 		for si, steal := range []bool{false, true} {
 			for ai, adapt := range []bool{false, true} {
 				runCtx, cancel := context.WithTimeout(ctx, 2*time.Minute)
-				start := time.Now()
 				res, err := cluster.Execute(runCtx, prog,
 					cluster.Config{NumPEs: p, Steal: steal, Adapt: adapt}, args...)
 				cancel()
@@ -76,7 +73,6 @@ func Adapt(n, sweeps int, pes []int) (*AdaptResult, error) {
 					return nil, fmt.Errorf("relax @%dPE steal=%v adapt=%v: %w", p, steal, adapt, err)
 				}
 				c := AdaptCell{
-					Wall:     time.Since(start),
 					Rebounds: res.Stats.Rebounds,
 					Steals:   res.Stats.Steals,
 				}
@@ -103,11 +99,8 @@ func (r *AdaptResult) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "ADAPT — adaptive Range-Filter repartitioning on the drifting-skew relax kernel, n=%d sweeps=%d\n", r.N, r.Sweeps)
 	fmt.Fprintf(&b, "(makespan = max per-PE instrs; util = mean÷max; rebounds = cut broadcasts issued)\n\n")
-	fmt.Fprintf(&b, "%4s %-9s %12s %10s %7s %8s %7s\n",
-		"PEs", "arm", "wall-ms", "makespan", "util", "rebounds", "steals")
-	ms := func(d time.Duration) string {
-		return fmt.Sprintf("%.3f", float64(d.Microseconds())/1000)
-	}
+	fmt.Fprintf(&b, "%4s %-9s %10s %7s %8s %7s\n",
+		"PEs", "arm", "makespan", "util", "rebounds", "steals")
 	arms := []struct {
 		si, ai int
 		name   string
@@ -116,14 +109,14 @@ func (r *AdaptResult) Format() string {
 		cell := r.Cells[p]
 		for _, a := range arms {
 			c := cell[a.si][a.ai]
-			fmt.Fprintf(&b, "%4d %-9s %12s %10d %7.2f %8d %7d\n",
-				p, a.name, ms(c.Wall), c.Makespan, c.Util, c.Rebounds, c.Steals)
+			fmt.Fprintf(&b, "%4d %-9s %10d %7.2f %8d %7d\n",
+				p, a.name, c.Makespan, c.Util, c.Rebounds, c.Steals)
 		}
 	}
 	return b.String()
 }
 
-// WriteCSV emits pes,steal,adapt,wall_ms,makespan,util,rebounds,steals rows.
+// WriteCSV emits pes,steal,adapt,makespan,util,rebounds,steals rows.
 func (r *AdaptResult) WriteCSV(w io.Writer) error {
 	var rows [][]string
 	onOff := []string{"off", "on"}
@@ -134,7 +127,6 @@ func (r *AdaptResult) WriteCSV(w io.Writer) error {
 				c := cell[si][ai]
 				rows = append(rows, []string{
 					strconv.Itoa(p), onOff[si], onOff[ai],
-					fmtF(float64(c.Wall.Microseconds()) / 1000),
 					strconv.FormatInt(c.Makespan, 10),
 					fmtF(c.Util),
 					strconv.FormatInt(c.Rebounds, 10),
@@ -143,5 +135,5 @@ func (r *AdaptResult) WriteCSV(w io.Writer) error {
 			}
 		}
 	}
-	return writeCSV(w, []string{"pes", "steal", "adapt", "wall_ms", "makespan", "util", "rebounds", "steals"}, rows)
+	return writeCSV(w, []string{"pes", "steal", "adapt", "makespan", "util", "rebounds", "steals"}, rows)
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -24,9 +23,8 @@ import (
 //     traffic explodes,
 //   - evictions and refetches: how hard the CLOCK bound worked and how
 //     often it threw away a page that was needed again,
-//   - the makespan (max per-PE executed instructions) and wall clock, so
-//     the memory bound's performance price is visible next to its
-//     footprint.
+//   - the makespan (max per-PE executed instructions), so the memory
+//     bound's performance price is visible next to its footprint.
 //
 // Kernels: heat (the Jacobi step whose boundary reads exercise neighbour
 // pages — the SIMPLE building block named in the ROADMAP item), relax
@@ -47,7 +45,6 @@ import (
 
 // CacheCell is one (kernel, cap, heat) measurement.
 type CacheCell struct {
-	Wall         time.Duration
 	Makespan     int64   // max per-PE executed instructions
 	HitRate      float64 // hits / (hits + misses); 1.0 when there were no remote reads
 	Hits         int64
@@ -112,13 +109,11 @@ func Cache(n, pes int, caps []int, kerns ...string) (*CacheResult, error) {
 	run := func(prog *isa.Program, cfg cluster.Config, args []isa.Value) (CacheCell, error) {
 		runCtx, cancel := context.WithTimeout(ctx, 2*time.Minute)
 		defer cancel()
-		start := time.Now()
 		res, err := cluster.Execute(runCtx, prog, cfg, args...)
 		if err != nil {
 			return CacheCell{}, err
 		}
 		cell := CacheCell{
-			Wall:         time.Since(start),
 			Hits:         res.Stats.CacheHits,
 			Misses:       res.Stats.CacheMisses,
 			Evictions:    res.Stats.Evictions,
@@ -206,14 +201,11 @@ func (r *CacheResult) Format() string {
 	fmt.Fprintf(&b, "CACHE — bounded page cache with CLOCK eviction, n=%d @%dPE (cap in pages per shard; 0 = unbounded)\n", r.N, r.PEs)
 	fmt.Fprintf(&b, "hit-rate = hits÷(hits+misses) over remote reads; refetches = evicted pages fetched again\n")
 	fmt.Fprintf(&b, "heat = streaming prefetch + adaptive cap on the same budget; cap-end = final budget summed over PEs\n\n")
-	fmt.Fprintf(&b, "%-8s %5s %-4s %12s %10s %8s %8s %8s %8s %9s %9s %7s %7s\n",
-		"kernel", "cap", "heat", "wall-ms", "makespan", "hitrate", "hits", "misses", "evicts", "refetches", "prefetch", "pf-hit", "cap-end")
-	ms := func(d time.Duration) string {
-		return fmt.Sprintf("%.3f", float64(d.Microseconds())/1000)
-	}
+	fmt.Fprintf(&b, "%-8s %5s %-4s %10s %8s %8s %8s %8s %9s %9s %7s %7s\n",
+		"kernel", "cap", "heat", "makespan", "hitrate", "hits", "misses", "evicts", "refetches", "prefetch", "pf-hit", "cap-end")
 	row := func(kn string, cap int, heat string, c CacheCell) {
-		fmt.Fprintf(&b, "%-8s %5d %-4s %12s %10d %8.3f %8d %8d %8d %9d %9d %7d %7d\n",
-			kn, cap, heat, ms(c.Wall), c.Makespan, c.HitRate, c.Hits, c.Misses,
+		fmt.Fprintf(&b, "%-8s %5d %-4s %10d %8.3f %8d %8d %8d %9d %9d %7d %7d\n",
+			kn, cap, heat, c.Makespan, c.HitRate, c.Hits, c.Misses,
 			c.Evictions, c.Refetches, c.Prefetches, c.PrefetchHits, c.CapEnd)
 	}
 	for _, kn := range r.Kernels {
@@ -232,7 +224,7 @@ func (r *CacheResult) Format() string {
 	return b.String()
 }
 
-// WriteCSV emits kernel,cap,heat,wall_ms,makespan,hit_rate,hits,misses,
+// WriteCSV emits kernel,cap,heat,makespan,hit_rate,hits,misses,
 // evictions,refetches,prefetches,prefetch_hits,cap_end rows; the triread
 // post-steal probe rides along as kernel "triread+steal".
 func (r *CacheResult) WriteCSV(w io.Writer) error {
@@ -240,7 +232,6 @@ func (r *CacheResult) WriteCSV(w io.Writer) error {
 	row := func(kn string, cap int, heat string, c CacheCell) {
 		rows = append(rows, []string{
 			kn, strconv.Itoa(cap), heat,
-			fmtF(float64(c.Wall.Microseconds()) / 1000),
 			strconv.FormatInt(c.Makespan, 10),
 			fmtF(c.HitRate),
 			strconv.FormatInt(c.Hits, 10),
@@ -266,7 +257,7 @@ func (r *CacheResult) WriteCSV(w io.Writer) error {
 			hr = float64(st.Hits) / float64(total)
 		}
 		rows = append(rows, []string{
-			"triread+steal", strconv.Itoa(r.StealCap), heat, "", "",
+			"triread+steal", strconv.Itoa(r.StealCap), heat, "",
 			fmtF(hr),
 			strconv.FormatInt(st.Hits, 10),
 			strconv.FormatInt(st.Misses, 10),
@@ -278,77 +269,6 @@ func (r *CacheResult) WriteCSV(w io.Writer) error {
 	}
 	probe("off", r.StealOff)
 	probe("on", r.StealOn)
-	return writeCSV(w, []string{"kernel", "cap", "heat", "wall_ms", "makespan", "hit_rate",
+	return writeCSV(w, []string{"kernel", "cap", "heat", "makespan", "hit_rate",
 		"hits", "misses", "evictions", "refetches", "prefetches", "prefetch_hits", "cap_end"}, rows)
-}
-
-// WriteJSON emits the whole experiment as one machine-readable document
-// (the BENCH_CACHE.json artifact). Map keys are stringified caps, so the
-// document round-trips through ordinary JSON tooling.
-func (r *CacheResult) WriteJSON(w io.Writer) error {
-	type cell struct {
-		WallMS       float64 `json:"wall_ms"`
-		Makespan     int64   `json:"makespan"`
-		HitRate      float64 `json:"hit_rate"`
-		Hits         int64   `json:"hits"`
-		Misses       int64   `json:"misses"`
-		Evictions    int64   `json:"evictions"`
-		Refetches    int64   `json:"refetches"`
-		Prefetches   int64   `json:"prefetches"`
-		PrefetchHits int64   `json:"prefetch_hits"`
-		CapEnd       int64   `json:"cap_end"`
-	}
-	conv := func(c CacheCell) cell {
-		return cell{
-			WallMS:   float64(c.Wall.Microseconds()) / 1000,
-			Makespan: c.Makespan, HitRate: c.HitRate,
-			Hits: c.Hits, Misses: c.Misses,
-			Evictions: c.Evictions, Refetches: c.Refetches,
-			Prefetches: c.Prefetches, PrefetchHits: c.PrefetchHits,
-			CapEnd: c.CapEnd,
-		}
-	}
-	type probe struct {
-		Steals       int64 `json:"steals"`
-		Misses       int64 `json:"misses"`
-		Hits         int64 `json:"hits"`
-		Prefetches   int64 `json:"prefetches"`
-		PrefetchHits int64 `json:"prefetch_hits"`
-	}
-	convP := func(st cluster.StealFetchStats) probe {
-		return probe{Steals: st.Steals, Misses: st.Misses, Hits: st.Hits,
-			Prefetches: st.Prefetches, PrefetchHits: st.PrefetchHits}
-	}
-	doc := struct {
-		N         int                        `json:"n"`
-		PEs       int                        `json:"pes"`
-		Caps      []int                      `json:"caps"`
-		Kernels   []string                   `json:"kernels"`
-		Cells     map[string]map[string]cell `json:"cells"`
-		HeatCells map[string]map[string]cell `json:"heat_cells"`
-		StealCap  int                        `json:"steal_cap"`
-		StealOff  probe                      `json:"triread_steal_heat_off"`
-		StealOn   probe                      `json:"triread_steal_heat_on"`
-	}{
-		N: r.N, PEs: r.PEs, Caps: r.Caps, Kernels: r.Kernels,
-		Cells:     make(map[string]map[string]cell),
-		HeatCells: make(map[string]map[string]cell),
-		StealCap:  r.StealCap,
-		StealOff:  convP(r.StealOff), StealOn: convP(r.StealOn),
-	}
-	for kn, byCap := range r.Cells {
-		doc.Cells[kn] = make(map[string]cell)
-		for cap, c := range byCap {
-			doc.Cells[kn][strconv.Itoa(cap)] = conv(c)
-		}
-	}
-	for kn, byCap := range r.HeatCells {
-		doc.HeatCells[kn] = make(map[string]cell)
-		for cap, c := range byCap {
-			doc.HeatCells[kn][strconv.Itoa(cap)] = conv(c)
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
 }

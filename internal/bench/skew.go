@@ -18,18 +18,15 @@ import (
 // mirror kernel (every consumer read is remote). Each (kernel, PE count)
 // cell runs the cluster runtime with stealing off and on and reports
 //
-//   - the wall-clock time of each run,
 //   - the makespan: the maximum per-PE executed-instruction count, which
 //     is what wall-clock converges to on hardware with one core per PE
-//     (on an oversubscribed host the PEs time-share, so wall-clock alone
-//     under-reports the rebalance), and
+//     (wall-clock numbers come from benchmark/, not from here), and
 //   - the recovered utilization: mean/max per-PE instructions — the
 //     fraction of the busiest PE's load the average PE carries, 1.0 being
 //     perfect balance.
 
 // SkewCell is one (kernel, PEs, steal) measurement.
 type SkewCell struct {
-	Wall     time.Duration
 	Makespan int64   // max per-PE executed instructions
 	Util     float64 // mean/max per-PE executed instructions
 	Steals   int64
@@ -82,7 +79,6 @@ func Skew(n int, pes []int, kerns ...string) (*SkewResult, error) {
 			var pair [2]SkewCell
 			for si, steal := range []bool{false, true} {
 				runCtx, cancel := context.WithTimeout(ctx, 2*time.Minute)
-				start := time.Now()
 				res, err := cluster.Execute(runCtx, prog,
 					cluster.Config{NumPEs: p, Steal: steal}, k.Args(n)...)
 				cancel()
@@ -90,7 +86,6 @@ func Skew(n int, pes []int, kerns ...string) (*SkewResult, error) {
 					return nil, fmt.Errorf("%s @%dPE steal=%v: %w", kn, p, steal, err)
 				}
 				cell := SkewCell{
-					Wall:     time.Since(start),
 					Steals:   res.Stats.Steals,
 					Forwards: res.Stats.Forwards,
 				}
@@ -115,25 +110,21 @@ func Skew(n int, pes []int, kerns ...string) (*SkewResult, error) {
 // Format renders the experiment.
 func (r *SkewResult) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "SKEW — work stealing on skewed kernels, n=%d (wall ms / makespan=max per-PE instrs / util=mean÷max)\n", r.N)
-	fmt.Fprintf(&b, "wall-clock gains need one core per PE; on an oversubscribed host the makespan column is the speed-up proxy\n\n")
-	fmt.Fprintf(&b, "%-11s %4s %12s %12s %10s %10s %7s %7s %8s\n",
-		"kernel", "PEs", "wall-off", "wall-on", "mkspan-off", "mkspan-on", "utl-off", "utl-on", "steals")
-	ms := func(d time.Duration) string {
-		return fmt.Sprintf("%.3f", float64(d.Microseconds())/1000)
-	}
+	fmt.Fprintf(&b, "SKEW — work stealing on skewed kernels, n=%d (makespan=max per-PE instrs / util=mean÷max)\n", r.N)
+	fmt.Fprintf(&b, "the makespan column is the speed-up proxy; wall-clock numbers come from benchmark/\n\n")
+	fmt.Fprintf(&b, "%-11s %4s %10s %10s %7s %7s %8s\n",
+		"kernel", "PEs", "mkspan-off", "mkspan-on", "utl-off", "utl-on", "steals")
 	for _, kn := range r.Kernels {
 		for _, p := range r.PEs {
 			c := r.Cells[kn][p]
-			fmt.Fprintf(&b, "%-11s %4d %12s %12s %10d %10d %7.2f %7.2f %8d\n",
-				kn, p, ms(c[0].Wall), ms(c[1].Wall),
-				c[0].Makespan, c[1].Makespan, c[0].Util, c[1].Util, c[1].Steals)
+			fmt.Fprintf(&b, "%-11s %4d %10d %10d %7.2f %7.2f %8d\n",
+				kn, p, c[0].Makespan, c[1].Makespan, c[0].Util, c[1].Util, c[1].Steals)
 		}
 	}
 	return b.String()
 }
 
-// WriteCSV emits kernel,pes,steal,wall_ms,makespan,util,steals,forwards rows.
+// WriteCSV emits kernel,pes,steal,makespan,util,steals,forwards rows.
 func (r *SkewResult) WriteCSV(w io.Writer) error {
 	var rows [][]string
 	for _, kn := range r.Kernels {
@@ -142,7 +133,6 @@ func (r *SkewResult) WriteCSV(w io.Writer) error {
 				c := r.Cells[kn][p][si]
 				rows = append(rows, []string{
 					kn, strconv.Itoa(p), steal,
-					fmtF(float64(c.Wall.Microseconds()) / 1000),
 					strconv.FormatInt(c.Makespan, 10),
 					fmtF(c.Util),
 					strconv.FormatInt(c.Steals, 10),
@@ -151,5 +141,5 @@ func (r *SkewResult) WriteCSV(w io.Writer) error {
 			}
 		}
 	}
-	return writeCSV(w, []string{"kernel", "pes", "steal", "wall_ms", "makespan", "util", "steals", "forwards"}, rows)
+	return writeCSV(w, []string{"kernel", "pes", "steal", "makespan", "util", "steals", "forwards"}, rows)
 }

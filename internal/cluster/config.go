@@ -226,7 +226,7 @@ func (c *Config) fill() error {
 			c.Recover = true
 		}
 	}
-	if ForceTraceFromEnv() {
+	if forceTraceFromEnv() {
 		c.Trace = true
 	}
 	if ForcePrefetchFromEnv() {
@@ -315,11 +315,9 @@ func ForceStealFromEnv() bool { return forcedEnv("PODS_FORCE_STEAL") }
 // fill applies.
 func ForceAdaptFromEnv() bool { return forcedEnv("PODS_FORCE_ADAPT") }
 
-// ForceTraceFromEnv reports whether the PODS_FORCE_TRACE environment
-// override is active ("1" or "true"). Exported so experiment harnesses
-// whose control arms depend on tracing being genuinely off (bench.Trace's
-// overhead baseline) test the exact condition fill applies.
-func ForceTraceFromEnv() bool { return forcedEnv("PODS_FORCE_TRACE") }
+// forceTraceFromEnv reports whether the PODS_FORCE_TRACE environment
+// override is active ("1" or "true").
+func forceTraceFromEnv() bool { return forcedEnv("PODS_FORCE_TRACE") }
 
 // ForcePrefetchFromEnv reports whether the PODS_FORCE_PREFETCH
 // environment override is active ("1" or "true"). Exported so experiment

@@ -8,6 +8,9 @@ import (
 	"context"
 	"encoding/csv"
 	"encoding/json"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -131,5 +134,50 @@ func TestUntracedRunHasNoTrace(t *testing.T) {
 	}
 	if err := res.WriteTimelineCSV(&bytes.Buffer{}); err == nil {
 		t.Error("WriteTimelineCSV on an untraced run returned no error")
+	}
+}
+
+// TestTracingExecutesNoInstructions pins what tracing costs in program
+// work: nothing. With stealing and adaptation off no SP can change PE, so a
+// traced and an untraced run must execute exactly the same instructions on
+// every PE. The forced CI legs turn steal/kill on, which makes the counts
+// schedule-dependent, so the test stands down under any PODS_FORCE_*.
+func TestTracingExecutesNoInstructions(t *testing.T) {
+	for _, kv := range os.Environ() {
+		if name, v, _ := strings.Cut(kv, "="); strings.HasPrefix(name, "PODS_FORCE_") && v != "" {
+			t.Skipf("%s is set: instruction counts would depend on the schedule", name)
+		}
+	}
+	for _, kn := range []string{"relax", "matmul"} {
+		k, _ := kernels.ByName(kn)
+		p, err := pods.Compile(k.File(), k.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(trace bool) *pods.ClusterResult {
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			res, err := p.ExecuteCluster(ctx, pods.ClusterConfig{NumPEs: 4, Trace: trace}, k.Args(16)...)
+			if err != nil {
+				t.Fatalf("%s trace=%v: %v", kn, trace, err)
+			}
+			return res
+		}
+		total := func(res *pods.ClusterResult) (n int64) {
+			for _, s := range res.PEStats() {
+				n += s.Instrs
+			}
+			return n
+		}
+		off, on := run(false), run(true)
+		if on.Trace() == nil || on.Trace().Events() == 0 {
+			t.Fatalf("%s: the traced run recorded nothing", kn)
+		}
+		if !slices.Equal(off.PEInstrs(), on.PEInstrs()) {
+			t.Errorf("%s: per-PE instructions untraced %v, traced %v", kn, off.PEInstrs(), on.PEInstrs())
+		}
+		if a, b := total(off), total(on); a != b || a == 0 {
+			t.Errorf("%s: instruction totals untraced %d, traced %d", kn, a, b)
+		}
 	}
 }
