@@ -2,17 +2,13 @@
 // must produce identical results no matter how its operations are
 // scheduled. We compile each example kernel once and assert that all three
 // backends — the discrete-event simulator, the shared-memory goroutine
-// runtime, and the message-passing cluster runtime (with work stealing,
-// adaptive repartitioning, and page-cache eviction off and on, separately
-// and combined) — produce bit-for-bit identical array contents at every PE
+// runtime, and the message-passing cluster runtime under every row of
+// knobSets — produce bit-for-bit identical array contents at every PE
 // count, including the mirror kernel, whose consumers race ahead of
 // producers and exercise remote deferred reads, the triangular and triread
-// kernels, whose skewed load makes the steal-on column actually migrate
-// SPs, and the relax kernel, whose drifting skew makes the adapt-on column
-// actually move Range Filter bounds mid-run. The eviction columns run with
-// a two-page cap per shard, so CLOCK evictions and refetches really happen
-// inside these runs. The trace column layers event recording and per-round
-// metric snapshots over all of it and must change nothing.
+// kernels, whose skewed load makes the steal rows actually migrate SPs, and
+// the relax kernel, whose drifting skew makes the adapt rows actually move
+// Range Filter bounds mid-run.
 package pods_test
 
 import (
@@ -34,6 +30,43 @@ const (
 )
 
 var determinacyPEs = []int{1, 2, 4, 8}
+
+// fastProbe is the probe cadence of the adapt rows: rebinds ride probe
+// rounds, and at 20µs they actually land inside these tiny runs.
+const fastProbe = 20 * time.Microsecond
+
+// knobSets is every cluster knob combination the determinacy tests run;
+// none may be observable in the results. The evict rows cap each shard at
+// two pages, so CLOCK evictions and refetches happen mid-run (a refetched
+// page carries the same immutable data); on that floor the heat rows'
+// governor and prefetcher fire too; the trace rows' small ring exercises
+// the drop-oldest path, and trace frames never move the four-counter sums.
+// TestBackendAgreement runs every row, TestBackendAgreementConcurrentJobs
+// submits every row at once to one fleet, TestBackendAgreementWithWorkerKill
+// crosses the killRows with a worker death, and TestKnobGauntlet crosses
+// every row with one.
+var knobSets = []knobSet{
+	{"base", pods.ClusterConfig{PageElems: determinacyPage}},
+	{"steal", pods.ClusterConfig{PageElems: determinacyPage, Steal: true}},
+	{"adapt", pods.ClusterConfig{PageElems: determinacyPage, Adapt: true, ProbeInterval: fastProbe}},
+	{"adapt+steal", pods.ClusterConfig{PageElems: determinacyPage, Adapt: true, Steal: true, ProbeInterval: fastProbe}},
+	{"evict", pods.ClusterConfig{PageElems: determinacyPage, CachePages: 2}},
+	{"evict+adapt+steal", pods.ClusterConfig{PageElems: determinacyPage, CachePages: 2,
+		Adapt: true, Steal: true, ProbeInterval: fastProbe}},
+	{"heat+evict", pods.ClusterConfig{PageElems: determinacyPage, CachePages: 2, Heat: true}},
+	{"heat+evict+adapt+steal", pods.ClusterConfig{PageElems: determinacyPage, CachePages: 2, Heat: true,
+		Adapt: true, Steal: true, ProbeInterval: fastProbe}},
+	{"trace", pods.ClusterConfig{PageElems: determinacyPage, Trace: true, TraceCap: 256}},
+	{"trace+evict+adapt+steal+recover", pods.ClusterConfig{PageElems: determinacyPage, CachePages: 2,
+		Adapt: true, Steal: true, Recover: true, ProbeInterval: fastProbe, Trace: true, TraceCap: 256}},
+	{"heat+evict+adapt+steal+trace", pods.ClusterConfig{PageElems: determinacyPage, CachePages: 2, Heat: true,
+		Adapt: true, Steal: true, ProbeInterval: fastProbe, Trace: true, TraceCap: 256}},
+}
+
+type knobSet struct {
+	name string
+	cfg  pods.ClusterConfig
+}
 
 // arraySet is one backend's observable result: name → values + mask.
 type arraySet map[string]struct {
@@ -79,22 +112,28 @@ func assertSame(t *testing.T, label string, got, want arraySet) {
 	}
 }
 
+// compileWithReference compiles k and returns its arrays from the
+// simulator at 1 PE (fully deterministic): the reference every other run
+// must match bit for bit.
+func compileWithReference(t *testing.T, k kernels.Kernel) (*pods.Program, arraySet) {
+	t.Helper()
+	p, err := pods.Compile(k.File(), k.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := p.Simulate(pods.SimConfig{NumPEs: 1, PageElems: determinacyPage}, k.Args(determinacyN)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, gather(t, k, "sim@1", ref.Array)
+}
+
 func TestBackendAgreement(t *testing.T) {
 	for _, k := range kernels.All() {
 		t.Run(k.Name, func(t *testing.T) {
 			t.Parallel()
-			p, err := pods.Compile(k.File(), k.Source)
-			if err != nil {
-				t.Fatal(err)
-			}
+			p, want := compileWithReference(t, k)
 			args := k.Args(determinacyN)
-
-			// Reference: the simulator at 1 PE (fully deterministic).
-			ref, err := p.Simulate(pods.SimConfig{NumPEs: 1, PageElems: determinacyPage}, args...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := gather(t, k, "sim@1", ref.Array)
 
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
@@ -111,103 +150,25 @@ func TestBackendAgreement(t *testing.T) {
 				}
 				assertSame(t, fmt.Sprintf("podsrt@%d", pes), gather(t, k, "podsrt", rres.Array), want)
 
-				cres, err := p.ExecuteCluster(ctx, pods.ClusterConfig{NumPEs: pes, PageElems: determinacyPage}, args...)
-				if err != nil {
-					t.Fatalf("cluster@%d: %v", pes, err)
-				}
-				assertSame(t, fmt.Sprintf("cluster@%d", pes), gather(t, k, "cluster", cres.Array), want)
-
-				// The steal-on column: dynamic SP migration must not be
-				// observable in the results either.
-				sres2, err := p.ExecuteCluster(ctx,
-					pods.ClusterConfig{NumPEs: pes, PageElems: determinacyPage, Steal: true}, args...)
-				if err != nil {
-					t.Fatalf("cluster+steal@%d: %v", pes, err)
-				}
-				assertSame(t, fmt.Sprintf("cluster+steal@%d", pes), gather(t, k, "cluster+steal", sres2.Array), want)
-
-				// The adapt-on column: Range Filter bounds moving between
-				// sweeps must not be observable either — iterations only
-				// change *where* they execute. The tight probe interval
-				// makes rebinds actually land inside these tiny runs.
-				ares, err := p.ExecuteCluster(ctx, pods.ClusterConfig{
-					NumPEs: pes, PageElems: determinacyPage, Adapt: true,
-					ProbeInterval: 20 * time.Microsecond,
-				}, args...)
-				if err != nil {
-					t.Fatalf("cluster+adapt@%d: %v", pes, err)
-				}
-				assertSame(t, fmt.Sprintf("cluster+adapt@%d", pes), gather(t, k, "cluster+adapt", ares.Array), want)
-
-				// And both dynamic mechanisms at once: rebound bounds with
-				// in-flight steals.
-				bres, err := p.ExecuteCluster(ctx, pods.ClusterConfig{
-					NumPEs: pes, PageElems: determinacyPage, Adapt: true, Steal: true,
-					ProbeInterval: 20 * time.Microsecond,
-				}, args...)
-				if err != nil {
-					t.Fatalf("cluster+adapt+steal@%d: %v", pes, err)
-				}
-				assertSame(t, fmt.Sprintf("cluster+adapt+steal@%d", pes), gather(t, k, "cluster+adapt+steal", bres.Array), want)
-
-				// The eviction column: a page-cache cap of two pages per
-				// shard forces CLOCK evictions and refetches mid-run, which
-				// must not be observable either (single assignment — a
-				// refetched page carries the same immutable data).
-				eres, err := p.ExecuteCluster(ctx, pods.ClusterConfig{
-					NumPEs: pes, PageElems: determinacyPage, CachePages: 2,
-				}, args...)
-				if err != nil {
-					t.Fatalf("cluster+evict@%d: %v", pes, err)
-				}
-				assertSame(t, fmt.Sprintf("cluster+evict@%d", pes), gather(t, k, "cluster+evict", eres.Array), want)
-
-				// Eviction combined with stealing and adaptation: migrated
-				// SPs refetching evicted pages while bounds rebind.
-				ceres, err := p.ExecuteCluster(ctx, pods.ClusterConfig{
-					NumPEs: pes, PageElems: determinacyPage, CachePages: 2,
-					Adapt: true, Steal: true, ProbeInterval: 20 * time.Microsecond,
-				}, args...)
-				if err != nil {
-					t.Fatalf("cluster+evict+adapt+steal@%d: %v", pes, err)
-				}
-				assertSame(t, fmt.Sprintf("cluster+evict+adapt+steal@%d", pes), gather(t, k, "cluster+evict+adapt+steal", ceres.Array), want)
-
-				// The heat column: the unified page-heat machinery —
-				// streaming prefetch, page-granular steal grants, the
-				// adaptive cache cap, and rebind migration — moves pages
-				// and work around, never results. The two-page floor makes
-				// the governor and the prefetcher actually fire here.
-				hres, err := p.ExecuteCluster(ctx, pods.ClusterConfig{
-					NumPEs: pes, PageElems: determinacyPage, CachePages: 2,
-					Heat: true, Adapt: true, Steal: true,
-					ProbeInterval: 20 * time.Microsecond,
-				}, args...)
-				if err != nil {
-					t.Fatalf("cluster+heat@%d: %v", pes, err)
-				}
-				assertSame(t, fmt.Sprintf("cluster+heat@%d", pes), gather(t, k, "cluster+heat", hres.Array), want)
-
-				// The trace-on column: recording event rings and per-round
-				// metric snapshots on top of every dynamic mechanism must not
-				// perturb the computation — the trace frames are control-plane
-				// (they never move the four-counter sums), and a small ring
-				// exercises the drop-oldest path inside these runs too.
-				tres, err := p.ExecuteCluster(ctx, pods.ClusterConfig{
-					NumPEs: pes, PageElems: determinacyPage, CachePages: 2,
-					Adapt: true, Steal: true, Recover: true,
-					ProbeInterval: 20 * time.Microsecond,
-					Trace:         true, TraceCap: 256,
-				}, args...)
-				if err != nil {
-					t.Fatalf("cluster+trace@%d: %v", pes, err)
-				}
-				assertSame(t, fmt.Sprintf("cluster+trace@%d", pes), gather(t, k, "cluster+trace", tres.Array), want)
-				if tr := tres.Trace(); tr == nil || tr.Events() == 0 {
-					t.Fatalf("cluster+trace@%d: no trace events gathered", pes)
+				for _, ks := range knobSets {
+					label := fmt.Sprintf("cluster %s@%d", ks.name, pes)
+					res, err := p.ExecuteCluster(ctx, withPEs(ks.cfg, pes), args...)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					assertSame(t, label, gather(t, k, label, res.Array), want)
+					checkTraced(t, label, ks.cfg, res)
 				}
 			}
 		})
+	}
+}
+
+// checkTraced fails a traced run that gathered no trace events.
+func checkTraced(t *testing.T, label string, cfg pods.ClusterConfig, res *pods.ClusterResult) {
+	t.Helper()
+	if tr := res.Trace(); cfg.Trace && (tr == nil || tr.Events() == 0) {
+		t.Errorf("%s: no trace events gathered", label)
 	}
 }
 

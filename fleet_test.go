@@ -1,6 +1,6 @@
 // Concurrent-jobs determinacy: many programs running at once on one
-// persistent fleet must each produce exactly the arrays they produce when
-// run alone. The fleet multiplexes every job over the same workers and
+// persistent fleet must each produce exactly the arrays the simulator
+// produces for them alone. The fleet multiplexes every job over the same workers and
 // wires, so this is the end-to-end check that job-keyed state (shards,
 // run queues, termination counters, recovery logs, trace rings) really
 // isolates tenants — any cross-job leak shows up as a bitwise diff.
@@ -18,33 +18,21 @@ import (
 	"repro/internal/kernels"
 )
 
-// fleetJobColumns are the per-job knob sets submitted concurrently: the
-// static scheduler, and every dynamic mechanism at once (migrating SPs,
-// rebinding Range Filter bounds, CLOCK-evicting cached pages, recording
-// trace rings) — each job must still match its own solo run bit for bit.
-var fleetJobColumns = []struct {
-	label string
-	cfg   pods.ClusterConfig
-}{
-	{"static", pods.ClusterConfig{PageElems: determinacyPage}},
-	{"steal+adapt+evict+trace", pods.ClusterConfig{
-		PageElems: determinacyPage, CachePages: 2,
-		Steal: true, Adapt: true, ProbeInterval: 20 * time.Microsecond,
-		Trace: true, TraceCap: 256,
-	}},
-	{"heat+steal+adapt+evict", pods.ClusterConfig{
-		PageElems: determinacyPage, CachePages: 2, Heat: true,
-		Steal: true, Adapt: true, ProbeInterval: 20 * time.Microsecond,
-	}},
+// TestBackendAgreementConcurrentJobs submits every kernel under every
+// knobSets row at once to one fleet.
+func TestBackendAgreementConcurrentJobs(t *testing.T) {
+	runConcurrentJobs(t, pods.ClusterConfig{}, false)
 }
 
-func TestBackendAgreementConcurrentJobs(t *testing.T) {
+// runConcurrentJobs opens a 4-PE fleet with fleetCfg's fleet-level fields,
+// submits every kernel under every knobSets row at once — with recovery
+// armed on every job when recoverJobs is set — and checks each job against
+// the simulator bit for bit.
+func runConcurrentJobs(t *testing.T, fleetCfg pods.ClusterConfig, recoverJobs bool) {
 	const fleetPEs = 4
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
-	// Solo references first: each kernel × column on its own one-shot
-	// cluster (ExecuteCluster is itself a single-job fleet).
 	type jobCase struct {
 		k     kernels.Kernel
 		p     *pods.Program
@@ -54,26 +42,17 @@ func TestBackendAgreementConcurrentJobs(t *testing.T) {
 	}
 	var cases []jobCase
 	for _, k := range kernels.All() {
-		p, err := pods.Compile(k.File(), k.Source)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, col := range fleetJobColumns {
-			solo, err := p.ExecuteCluster(ctx, withPEs(col.cfg, fleetPEs), k.Args(determinacyN)...)
-			if err != nil {
-				t.Fatalf("solo %s/%s: %v", k.Name, col.label, err)
-			}
-			cases = append(cases, jobCase{
-				k: k, p: p, label: k.Name + "/" + col.label, cfg: col.cfg,
-				want: gather(t, k, "solo "+k.Name, solo.Array),
-			})
+		p, want := compileWithReference(t, k)
+		for _, ks := range knobSets {
+			cfg := ks.cfg
+			cfg.Recover = cfg.Recover || recoverJobs
+			cases = append(cases, jobCase{k: k, p: p, label: k.Name + "/" + ks.name, cfg: cfg, want: want})
 		}
 	}
 
 	// One fleet, every job in flight at once.
-	fleet, err := pods.OpenClusterFleet(ctx, pods.ClusterConfig{
-		NumPEs: fleetPEs, MaxJobs: len(cases) + 1,
-	})
+	fleetCfg.NumPEs, fleetCfg.MaxJobs = fleetPEs, len(cases)+1
+	fleet, err := pods.OpenClusterFleet(ctx, fleetCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +76,7 @@ func TestBackendAgreementConcurrentJobs(t *testing.T) {
 			t.Fatalf("fleet %s: %v", c.label, errs[i])
 		}
 		assertSame(t, "fleet "+c.label, gather(t, c.k, c.label, results[i].Array), c.want)
-		if c.cfg.Trace {
-			if tr := results[i].Trace(); tr == nil || tr.Events() == 0 {
-				t.Errorf("fleet %s: no trace events gathered", c.label)
-			}
-		}
+		checkTraced(t, "fleet "+c.label, c.cfg, results[i])
 	}
 }
 

@@ -49,11 +49,6 @@ type AdaptResult struct {
 // Adapt runs the ADAPT experiment: the relax kernel at problem size n with
 // the given sweep count, over the given PE counts.
 func Adapt(n, sweeps int, pes []int) (*AdaptResult, error) {
-	if cluster.ForceStealFromEnv() || cluster.ForceAdaptFromEnv() {
-		// Either override would silently flip a control arm on, reporting
-		// a ~1.0 ratio as if the mechanism bought nothing.
-		return nil, fmt.Errorf("bench: ADAPT needs genuine off control arms; unset PODS_FORCE_STEAL and PODS_FORCE_ADAPT")
-	}
 	prog, err := Compile("relax.id", kernels.Relax, true)
 	if err != nil {
 		return nil, err

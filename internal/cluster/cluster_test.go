@@ -217,4 +217,13 @@ func TestConfigValidation(t *testing.T) {
 		Config{NumPEs: 2, Workers: []string{"a:1", "b:2", "c:3"}}, isa.Int(4)); err == nil {
 		t.Fatal("want NumPEs/Workers conflict error")
 	}
+	for _, bad := range []Config{
+		{NumPEs: 2, CachePages: -1},
+		// Every PE allocates its whole trace ring up front.
+		{NumPEs: 2, Trace: true, TraceCap: maxTraceCap + 1},
+	} {
+		if err := bad.fill(); err == nil {
+			t.Errorf("fill accepted %+v", bad)
+		}
+	}
 }

@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 	"time"
 
 	"repro/internal/rtcfg"
@@ -42,9 +40,7 @@ type Config struct {
 	// (round-robin with backoff) for a not-yet-started SP instance, and
 	// the victim leaves a forwarding stub behind for tokens addressed to
 	// the stolen SP's home ID. Off by default — static SPAWND
-	// partitioning only. The PODS_FORCE_STEAL environment variable
-	// ("1"/"true") forces it on, so a CI leg can run the whole steal-off
-	// test matrix with stealing engaged.
+	// partitioning only.
 	Steal bool
 
 	// Adapt enables runtime-adaptive repartitioning of Range Filter
@@ -54,9 +50,7 @@ type Config struct {
 	// index range over the PEs (balanced-prefix over observed costs, with
 	// hysteresis) and broadcasts the new cuts, which workers stamp onto
 	// the next sweep's SPAWND fan-out. Off by default — Range Filter
-	// bounds stay fixed at their compile-time form. The PODS_FORCE_ADAPT
-	// environment variable ("1"/"true") forces it on, so a CI leg can run
-	// the whole test matrix with adaptation engaged.
+	// bounds stay fixed at their compile-time form.
 	Adapt bool
 
 	// Latency injects a fixed per-hop delay into the in-process channel
@@ -70,10 +64,7 @@ type Config struct {
 	// the cap is reached. 0 (the default) keeps the cache unbounded.
 	// Eviction only ever touches cached remote pages — owned segments are
 	// the array's home storage — so with single assignment a too-small cap
-	// costs refetches, never correctness. The PODS_FORCE_CACHE_PAGES
-	// environment variable (a positive integer) applies a cap to runs that
-	// leave this field zero, so a CI leg can run the whole test matrix
-	// with eviction engaged.
+	// costs refetches, never correctness.
 	CachePages int
 
 	// RoundTimeout bounds how long the driver waits for one termination-
@@ -102,18 +93,14 @@ type Config struct {
 
 	// KillPE / KillAfter arm the channel transport's deterministic fault
 	// injector: PE KillPE's endpoint is severed — sends dropped, receives
-	// closed, a down notice surfaced to the driver — the moment it has
-	// sent KillAfter frames (data frames and probe acks count; both stop
-	// at termination, so the kill always lands mid-run and never in the
-	// gather phase, whose finished results are unrecoverable). KillAfter 0
-	// (the default) disarms it; a KillPE
+	// closed, a down notice surfaced to the driver — on the first frame it
+	// sends past KillAfter once it has been sent a spawn (data frames and
+	// probe acks count; both stop at termination, so the kill always lands
+	// mid-run and never in the gather phase, whose finished results are
+	// unrecoverable). KillAfter 0 (the default) disarms it; a KillPE
 	// outside [0, NumPEs) never fires. Ignored on TCP, where faults are
-	// real (kill the worker process). The PODS_FORCE_KILL_PE environment
-	// variable (a PE index, with PODS_FORCE_KILL_AFTER optionally
-	// overriding the default of 8 frames) arms it for runs that leave
-	// these fields zero and forces Recover on, so a CI leg can run the
-	// whole test matrix with a worker dying mid-run in every cluster
-	// execution.
+	// real (kill the worker process). Fleet-level: ignored on the per-job
+	// config passed to Submit.
 	KillPE    int
 	KillAfter int64
 
@@ -125,13 +112,11 @@ type Config struct {
 	// allocation-free, bounded (overflow drops the oldest event and counts
 	// it), and executes no program instructions, so results stay
 	// bit-identical and overhead stays within a few percent. Off by
-	// default. The PODS_FORCE_TRACE environment variable ("1"/"true")
-	// forces it on, so a CI leg can run the whole test matrix with tracing
-	// engaged.
+	// default.
 	Trace bool
 
 	// TraceCap bounds each worker's trace ring in events (oldest dropped
-	// beyond it). Defaults to 4096 when Trace is set.
+	// beyond it). Defaults to 4096 when Trace is set; at most 1<<20.
 	TraceCap int
 
 	// TraceSample records every TraceSample-th SP instance's dispatch and
@@ -161,9 +146,7 @@ type Config struct {
 	// configured floor and 8× it from refetch pressure, and a rebind
 	// migrates the hot pages of its newly-gained iterations. Off by
 	// default: every mechanism rides existing message kinds, so results
-	// stay bit-identical either way. The PODS_FORCE_PREFETCH environment
-	// variable ("1"/"true") forces it on, so a CI leg can run the whole
-	// test matrix with the heat machinery engaged.
+	// stay bit-identical either way.
 	Heat bool
 
 	// MaxElems is the job's memory budget in allocated I-structure
@@ -177,6 +160,20 @@ type Config struct {
 // DefaultMaxJobs is the concurrent-job admission bound a Fleet applies
 // when Config.MaxJobs is zero.
 const DefaultMaxJobs = 16
+
+// maxTraceCap bounds Config.TraceCap. Every PE allocates its whole ring up
+// front, so the cap a job-server client asks for must stay small.
+const maxTraceCap = 1 << 20
+
+// wireKnobs lists the job-level fields — what KJobStart and KSubmit carry
+// — grouped by wire type, for both codec halves. The rest of Config is the
+// driver's (NumPEs, Workers, Spares, ProbeInterval, RoundTimeout, Latency)
+// or the fleet's (KillPE, KillAfter, MaxJobs) and never crosses a wire.
+func (c *Config) wireKnobs() (ints []*int, flags []*bool, budgets []*int64) {
+	return []*int{&c.PageElems, &c.DistThreshold, &c.CachePages, &c.TraceCap, &c.TraceSample},
+		[]*bool{&c.Steal, &c.Adapt, &c.Recover, &c.Trace, &c.Heat},
+		[]*int64{&c.MaxInstrs, &c.MaxElems}
+}
 
 // fill applies the shared backend defaults and validates the result.
 func (c *Config) fill() error {
@@ -203,37 +200,14 @@ func (c *Config) fill() error {
 	if c.RoundTimeout == 0 {
 		c.RoundTimeout = 30 * time.Second
 	}
-	if ForceStealFromEnv() {
-		c.Steal = true
-	}
-	if ForceAdaptFromEnv() {
-		c.Adapt = true
-	}
-	if c.CachePages == 0 {
-		if cap, ok := ForceCachePagesFromEnv(); ok {
-			c.CachePages = cap
-		}
-	}
 	if len(c.Spares) > 0 && len(c.Workers) == 0 {
 		return fmt.Errorf("cluster: %d spare addresses without TCP workers", len(c.Spares))
 	}
 	if c.KillAfter < 0 {
 		return fmt.Errorf("cluster: negative KillAfter %d", c.KillAfter)
 	}
-	if c.KillAfter == 0 && len(c.Workers) == 0 {
-		if pe, after, ok := ForceKillFromEnv(); ok {
-			c.KillPE, c.KillAfter = pe, after
-			c.Recover = true
-		}
-	}
-	if forceTraceFromEnv() {
-		c.Trace = true
-	}
-	if ForcePrefetchFromEnv() {
-		c.Heat = true
-	}
-	if c.TraceCap < 0 || c.TraceSample < 0 {
-		return fmt.Errorf("cluster: negative trace bound (cap %d, sample %d)", c.TraceCap, c.TraceSample)
+	if c.TraceCap < 0 || c.TraceCap > maxTraceCap || c.TraceSample < 0 {
+		return fmt.Errorf("cluster: trace bound out of range (cap %d, at most %d; sample %d)", c.TraceCap, maxTraceCap, c.TraceSample)
 	}
 	if c.MaxJobs < 0 {
 		return fmt.Errorf("cluster: negative MaxJobs %d", c.MaxJobs)
@@ -250,100 +224,4 @@ func (c *Config) fill() error {
 		}
 	}
 	return nil
-}
-
-// workerOpts bundles the per-worker feature switches newWorker takes, so
-// the three spawn sites (in-process bring-up, channel respawn, TCP
-// ServeWorker) stay in sync as features accrete.
-type workerOpts struct {
-	steal       bool
-	adapt       bool
-	cachePages  int
-	trace       bool
-	traceCap    int
-	traceSample int
-	heat        bool
-}
-
-// workerOpts derives a worker's option set from a filled Config.
-func (c *Config) workerOpts() workerOpts {
-	return workerOpts{
-		steal:       c.Steal,
-		adapt:       c.Adapt,
-		cachePages:  c.CachePages,
-		trace:       c.Trace,
-		traceCap:    c.TraceCap,
-		traceSample: c.TraceSample,
-		heat:        c.Heat,
-	}
-}
-
-// ForceKillFromEnv reports the PODS_FORCE_KILL_PE override: the PE index
-// to fault-inject, with PODS_FORCE_KILL_AFTER optionally overriding the
-// default budget of 8 worker-to-worker frames. Exported so tests that
-// depend on fault injection being genuinely off can check the exact
-// condition fill applies.
-func ForceKillFromEnv() (pe int, after int64, ok bool) {
-	v := os.Getenv("PODS_FORCE_KILL_PE")
-	if v == "" {
-		return 0, 0, false
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		return 0, 0, false
-	}
-	after = 8
-	if av := os.Getenv("PODS_FORCE_KILL_AFTER"); av != "" {
-		an, err := strconv.ParseInt(av, 10, 64)
-		if err == nil && an > 0 {
-			after = an
-		}
-	}
-	return n, after, true
-}
-
-// ForceStealFromEnv reports whether the PODS_FORCE_STEAL environment
-// override is active ("1" or "true"). Exported so experiment harnesses
-// whose control arms depend on stealing being genuinely off (bench.Skew)
-// test the exact condition fill applies.
-func ForceStealFromEnv() bool { return forcedEnv("PODS_FORCE_STEAL") }
-
-// ForceAdaptFromEnv reports whether the PODS_FORCE_ADAPT environment
-// override is active ("1" or "true"). Exported for the same reason as
-// ForceStealFromEnv: experiment harnesses whose control arms depend on
-// adaptation being genuinely off (bench.Adapt) test the exact condition
-// fill applies.
-func ForceAdaptFromEnv() bool { return forcedEnv("PODS_FORCE_ADAPT") }
-
-// forceTraceFromEnv reports whether the PODS_FORCE_TRACE environment
-// override is active ("1" or "true").
-func forceTraceFromEnv() bool { return forcedEnv("PODS_FORCE_TRACE") }
-
-// ForcePrefetchFromEnv reports whether the PODS_FORCE_PREFETCH
-// environment override is active ("1" or "true"). Exported so experiment
-// harnesses whose control arms depend on the heat machinery being
-// genuinely off (bench.Cache's prefetch-off arm) test the exact condition
-// fill applies.
-func ForcePrefetchFromEnv() bool { return forcedEnv("PODS_FORCE_PREFETCH") }
-
-// ForceCachePagesFromEnv reports the PODS_FORCE_CACHE_PAGES override: a
-// positive integer page-cache cap applied to runs that leave
-// Config.CachePages at its zero default. Exported so experiment harnesses
-// whose unbounded control arm depends on the cache being genuinely
-// uncapped (bench.Cache) test the exact condition fill applies.
-func ForceCachePagesFromEnv() (int, bool) {
-	v := os.Getenv("PODS_FORCE_CACHE_PAGES")
-	if v == "" {
-		return 0, false
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n <= 0 {
-		return 0, false
-	}
-	return n, true
-}
-
-func forcedEnv(name string) bool {
-	v := os.Getenv(name)
-	return v == "1" || v == "true"
 }

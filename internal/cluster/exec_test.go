@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/istructure"
-	"repro/internal/rtcfg"
 )
 
 // Tests and benchmarks pinning the interpreter hot path (roadmap baseline
@@ -120,8 +119,7 @@ func newHotWorker(tb testing.TB) hotWorker {
 		tb.Fatal(err)
 	}
 	eps := newChanTransport(1, 0)
-	geo := rtcfg.Geometry{PEs: 1, PageElems: 32, DistThreshold: 64}
-	return hotWorker{newWorker(0, 1, geo, prog, eps[0], workerOpts{}), eps[1]}
+	return hotWorker{newWorker(0, &Config{NumPEs: 1, PageElems: 32, DistThreshold: 64}, prog, eps[0]), eps[1]}
 }
 
 // run executes one instance of template tmpl to quiescence and returns the

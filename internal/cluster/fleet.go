@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/isa"
-	"repro/internal/rtcfg"
 )
 
 // This file turns the one-shot cluster runtime into a job service. A Fleet
@@ -190,20 +189,15 @@ func (h *fleetHost) startJob(ctx context.Context, m *Msg) {
 		return
 	}
 
-	geo := rtcfg.Geometry{PEs: h.n, PageElems: int(c.PageElems), DistThreshold: int(c.DistThreshold)}
+	// The job's knobs are the driver's; the PE count is this fleet's (it
+	// does not cross a wire).
+	cfg := c.Job
+	cfg.NumPEs = h.n
 	box := newMailbox()
 	jep := &jobEndpoint{job: job, out: h.ep, in: box}
-	w := newWorker(h.pe, h.n, geo, prog, jep, workerOpts{
-		steal:       c.Steal,
-		adapt:       c.Adapt,
-		cachePages:  int(c.CachePages),
-		trace:       c.Trace,
-		traceCap:    int(c.TraceCap),
-		traceSample: int(c.TraceSample),
-		heat:        c.Heat,
-	})
+	w := newWorker(h.pe, &cfg, prog, jep)
 	w.job = job
-	if c.Recover {
+	if cfg.Recover {
 		var inc int32
 		if h.pe < len(c.Incs) {
 			inc = c.Incs[h.pe]
@@ -427,33 +421,11 @@ func (f *Fleet) noteDown(m *Msg) {
 	}
 }
 
-// cfgBlock is the wire form of a job's knobs, budgets and serialized
-// program (KJobStart, KSubmit).
-func cfgBlock(cfg *Config, prog []byte) *MsgCfg {
-	return &MsgCfg{
-		PageElems:     int32(cfg.PageElems),
-		DistThreshold: int32(cfg.DistThreshold),
-		CachePages:    int32(cfg.CachePages),
-		Steal:         cfg.Steal,
-		Adapt:         cfg.Adapt,
-		Recover:       cfg.Recover,
-		Trace:         cfg.Trace,
-		TraceCap:      int32(cfg.TraceCap),
-		TraceSample:   int32(cfg.TraceSample),
-		Heat:          cfg.Heat,
-		MaxInstrs:     cfg.MaxInstrs,
-		MaxElems:      cfg.MaxElems,
-		Prog:          prog,
-	}
-}
-
-// jobStartMsg builds one PE's KJobStart: the job's full knob set, budget,
-// recovery state, and (on TCP) the serialized program. incs must be a
-// fresh slice per call — the receiving worker retains and mutates it.
+// jobStartMsg builds one PE's KJobStart: the job's config, recovery state,
+// and (on TCP) the serialized program. incs must be a fresh slice per call
+// — the receiving worker retains and mutates it.
 func jobStartMsg(cfg *Config, prog []byte, epoch int32, incs []int32) *Msg {
-	c := cfgBlock(cfg, prog)
-	c.Incs = incs
-	return &Msg{Kind: KJobStart, Epoch: epoch, Cfg: c}
+	return &Msg{Kind: KJobStart, Epoch: epoch, Cfg: &MsgCfg{Job: *cfg, Incs: incs, Prog: prog}}
 }
 
 // allocJobIDLocked mints a job ID. IDs whose low 15 bits are zero are
@@ -508,11 +480,6 @@ func (f *Fleet) Submit(ctx context.Context, prog *isa.Program, cfg Config, args 
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	// Fault injection is a fleet-level property (armed by OpenFleet); the
-	// fields are cleared only after fill so its env-forcing check still sees
-	// the caller's intent — clearing first would make every job config look
-	// uninjected and force Recover on jobs that deliberately left it off.
-	cfg.KillPE, cfg.KillAfter = 0, 0
 
 	var progBytes []byte
 	if f.td != nil {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -10,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/isa"
-	"repro/internal/rtcfg"
 )
 
 // --- concurrent jobs on one persistent TCP fleet ---
@@ -140,8 +140,7 @@ func TestFleetAdmissionCap(t *testing.T) {
 func TestStealGrantSeqFence(t *testing.T) {
 	prog := taskProgram()
 	eps := newChanTransport(2, 0)
-	geo := rtcfg.Geometry{PEs: 2, PageElems: 8, DistThreshold: 16}
-	w := newWorker(1, 2, geo, prog, eps[1], workerOpts{steal: true})
+	w := newWorker(1, &Config{NumPEs: 2, PageElems: 8, DistThreshold: 16, Steal: true}, prog, eps[1])
 
 	item := func(seq int64) StealItem {
 		return StealItem{
@@ -304,7 +303,7 @@ func main(n: int) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeFrame(conn, &Msg{Kind: KSubmit, Seq: 1, Args: []isa.Value{isa.Int(n)}, Cfg: cfgBlock(&Config{}, wire)}); err != nil {
+	if err := writeFrame(conn, &Msg{Kind: KSubmit, Seq: 1, Args: []isa.Value{isa.Int(n)}, Cfg: &MsgCfg{Prog: wire}}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(closeFlushWait + 250*time.Millisecond)
@@ -384,7 +383,8 @@ func TestClampBudget(t *testing.T) {
 // out-of-range loop slot then killed the worker — and with it the whole job
 // server — with an index-out-of-range panic under Adapt); now each must come
 // back as a failure frame naming the template and pc, with the server still
-// answering the next job.
+// answering the next job. The submitted knobs are untrusted too: a trace
+// ring the client sizes would be allocated on every PE.
 func TestServeJobsRejectsHostilePrograms(t *testing.T) {
 	ctx := testCtx(t)
 	fleet, err := OpenFleet(ctx, Config{NumPEs: 2})
@@ -416,67 +416,79 @@ func TestServeJobsRejectsHostilePrograms(t *testing.T) {
 		return func(_ *isa.Template, in *isa.Instr) bool { return in.Op == op }
 	}
 	distributed := func(tm *isa.Template, _ *isa.Instr) bool { return tm.Distributed && tm.Loop != nil }
+	// at is the rejection text naming template tm and, unless pc < 0, pc.
+	at := func(tm *isa.Template, pc int) string {
+		if pc < 0 {
+			return fmt.Sprintf("template %q", tm.Name)
+		}
+		return fmt.Sprintf("template %q pc %d:", tm.Name, pc)
+	}
 
 	cases := []struct {
 		name   string
-		mutate func(p *isa.Program) (tmpl string, pc int) // pc < 0: the error names no pc
+		mutate func(p *isa.Program, cfg *Config) (want string) // the rejection must contain want
 	}{
-		{"loop variable slot out of range", func(p *isa.Program) (string, int) {
+		{"loop variable slot out of range", func(p *isa.Program, _ *Config) string {
 			tm, _ := find(p, distributed)
 			tm.Loop.VarSlot = 1 << 20
-			return tm.Name, -1
+			return at(tm, -1)
 		}},
-		{"loop limit slot out of range", func(p *isa.Program) (string, int) {
+		{"loop limit slot out of range", func(p *isa.Program, _ *Config) string {
 			tm, _ := find(p, distributed)
 			tm.Loop.LimitSlot = -7
-			return tm.Name, -1
+			return at(tm, -1)
 		}},
-		{"branch to one past the end", func(p *isa.Program) (string, int) {
+		{"branch to one past the end", func(p *isa.Program, _ *Config) string {
 			tm, pc := find(p, isOp(isa.BRFALSE))
 			tm.Code[pc].Target = len(tm.Code)
-			return tm.Name, pc
+			return at(tm, pc)
 		}},
-		{"empty template", func(p *isa.Program) (string, int) {
+		{"empty template", func(p *isa.Program, _ *Config) string {
 			tm, _ := find(p, distributed)
 			tm.Code = nil
-			return tm.Name, -1
+			return at(tm, -1)
 		}},
-		{"code runs off the end", func(p *isa.Program) (string, int) {
+		{"code runs off the end", func(p *isa.Program, _ *Config) string {
 			tm, _ := find(p, distributed)
 			tm.Code[len(tm.Code)-1] = isa.NewInstr(isa.NOP)
-			return tm.Name, len(tm.Code) - 1
+			return at(tm, len(tm.Code)-1)
 		}},
-		{"read without indices", func(p *isa.Program) (string, int) {
+		{"read without indices", func(p *isa.Program, _ *Config) string {
 			tm, pc := find(p, isOp(isa.AREAD))
 			tm.Code[pc].Args = nil
-			return tm.Name, pc
+			return at(tm, pc)
 		}},
-		{"write with three indices", func(p *isa.Program) (string, int) {
+		{"write with three indices", func(p *isa.Program, _ *Config) string {
 			tm, pc := find(p, isOp(isa.AWRITE))
 			a := tm.Code[pc].Args
 			tm.Code[pc].Args = []int{a[0], a[0], a[0]}
-			return tm.Name, pc
+			return at(tm, pc)
 		}},
-		{"constant without a kind", func(p *isa.Program) (string, int) {
+		{"constant without a kind", func(p *isa.Program, _ *Config) string {
 			tm, pc := find(p, isOp(isa.CONST))
 			tm.Code[pc].Imm = isa.Value{}
-			return tm.Name, pc
+			return at(tm, pc)
 		}},
-		{"absent index slot", func(p *isa.Program) (string, int) {
+		{"absent index slot", func(p *isa.Program, _ *Config) string {
 			tm, pc := find(p, isOp(isa.AREAD))
 			tm.Code[pc].Args = []int{isa.None}
-			return tm.Name, pc
+			return at(tm, pc)
 		}},
-		{"scalar op without its operand", func(p *isa.Program) (string, int) {
+		{"scalar op without its operand", func(p *isa.Program, _ *Config) string {
 			tm, pc := find(p, isOp(isa.IADD))
 			tm.Code[pc].A = isa.None
-			return tm.Name, pc
+			return at(tm, pc)
+		}},
+		{"trace ring of 2^31-1 events on every PE", func(_ *isa.Program, cfg *Config) string {
+			cfg.Trace, cfg.TraceCap = true, math.MaxInt32
+			return "trace bound out of range"
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, prog := compileKernel(t, "relax")
-			tmpl, pc := tc.mutate(prog)
+			cfg := Config{PageElems: 8, Adapt: true}
+			want := tc.mutate(prog, &cfg)
 			// The .pods envelope, written by hand: MarshalPods would refuse.
 			wire, err := json.Marshal(struct {
 				Version int          `json:"version"`
@@ -485,13 +497,9 @@ func TestServeJobsRejectsHostilePrograms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = submitWire(ctx, ln.Addr().String(), wire, Config{PageElems: 8, Adapt: true}, k.Args(8))
+			_, err = submitWire(ctx, ln.Addr().String(), wire, cfg, k.Args(8))
 			if err == nil {
-				t.Fatal("the server ran a malformed program")
-			}
-			want := fmt.Sprintf("template %q", tmpl)
-			if pc >= 0 {
-				want += fmt.Sprintf(" pc %d:", pc)
+				t.Fatal("the server ran a malformed job")
 			}
 			if !strings.Contains(err.Error(), want) {
 				t.Fatalf("rejected with %q; want the error to name %s", err, want)

@@ -8,8 +8,8 @@ import (
 
 // Tests for the worker-side page-heat machinery: the adaptive-cap
 // governor's hysteresis, the page-granular steal-locality win over the
-// array-granular policy it replaced, the streaming prefetcher on a real
-// sequential-scan kernel, and the PODS_FORCE_PREFETCH escape hatch.
+// array-granular policy it replaced, and the streaming prefetcher on a
+// real sequential-scan kernel.
 
 // TestCapGovernorHysteresis pins the governor's movement rules: growth is
 // immediate and multiplicative under refetch pressure (capped at the
@@ -135,9 +135,6 @@ func TestStreamingPrefetchOnSequentialScan(t *testing.T) {
 		t.Fatal("matmul kernel missing")
 	}
 	prog := compile(t, k.File(), k.Source)
-	// The A/B needs a genuine heat-off control arm even on the CI leg
-	// that forces PODS_FORCE_PREFETCH for everything else.
-	t.Setenv("PODS_FORCE_PREFETCH", "")
 	ctx := testCtx(t)
 	const n, pes = 16, 4
 	offRes, err := Execute(ctx, prog, Config{NumPEs: pes, CachePages: 2}, k.Args(n)...)
@@ -162,36 +159,5 @@ func TestStreamingPrefetchOnSequentialScan(t *testing.T) {
 	}
 	if st.CacheCapNow < int64(2*pes) {
 		t.Fatalf("summed final cache cap %d below the configured floor %d", st.CacheCapNow, 2*pes)
-	}
-}
-
-// TestForcePrefetchEnvOverride: PODS_FORCE_PREFETCH turns the heat
-// machinery on for runs that left Config.Heat unset, mirroring the other
-// CI force knobs; an explicit config is never overridden (Heat has no
-// off-override to protect, so the env can only enable).
-func TestForcePrefetchEnvOverride(t *testing.T) {
-	t.Setenv("PODS_FORCE_PREFETCH", "1")
-	cfg := Config{NumPEs: 2}
-	if err := cfg.fill(); err != nil {
-		t.Fatal(err)
-	}
-	if !cfg.Heat {
-		t.Fatal("Heat not forced on by PODS_FORCE_PREFETCH=1")
-	}
-	t.Setenv("PODS_FORCE_PREFETCH", "")
-	cfg = Config{NumPEs: 2}
-	if err := cfg.fill(); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Heat {
-		t.Fatal("Heat on without the env or the config asking for it")
-	}
-	t.Setenv("PODS_FORCE_PREFETCH", "0")
-	cfg = Config{NumPEs: 2}
-	if err := cfg.fill(); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Heat {
-		t.Fatal("PODS_FORCE_PREFETCH=0 enabled Heat")
 	}
 }

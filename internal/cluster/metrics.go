@@ -37,35 +37,61 @@ var (
 	mJobsRejected = expvar.NewInt("pods_jobs_rejected_total")
 )
 
-// pubCounters remembers the last counter values a worker pushed into the
-// process-wide metrics, so each probe publishes only the delta.
-type pubCounters struct {
-	instrs, msgs, steals, hits, misses, evicts, replays int64
-	prefetches, prefetchHits                            int64
+// Counters are one worker's cumulative counters as of a probe answer. A
+// worker fills them in report; a new counter is a field here, its entry in
+// counterFields, and its line in report.
+type Counters struct {
+	MsgsSent      int64 // worker-to-worker data messages sent
+	MsgsRecv      int64 // worker-to-worker data messages received
+	DeferredReads int64 // I-structure reads queued on absent elements
+	CacheHits     int64 // remote reads satisfied from the page cache
+	CacheMisses   int64 // remote reads that fetched a page
+	Steals        int64 // SP instances migrated in by work stealing
+	Forwards      int64 // tokens relayed through forwarding stubs
+	Instrs        int64 // instructions executed
+	Evictions     int64 // cached pages evicted by the cache bound (Config.CachePages)
+	Refetches     int64 // previously evicted pages fetched again
+	ReplayedSPs   int64 // SPs re-sent or re-instantiated for replacement workers
+	Prefetches    int64 // pages requested ahead of the miss (Config.Heat)
+	PrefetchHits  int64 // prefetched pages that later served a demand read
+	CacheCapNow   int64 // current resident-page budget (adaptive cap); Stats sums it over PEs
+}
+
+// counterFields lists every Counters field once, in wire order, with the
+// process-wide expvar total it feeds (nil: none). The KAck codec, the
+// driver's sums and publishMetrics all walk it.
+var counterFields = [...]struct {
+	get    func(*Counters) *int64
+	metric *expvar.Int
+}{
+	{func(c *Counters) *int64 { return &c.MsgsSent }, mMsgs},
+	{func(c *Counters) *int64 { return &c.MsgsRecv }, mMsgs},
+	{func(c *Counters) *int64 { return &c.DeferredReads }, nil},
+	{func(c *Counters) *int64 { return &c.CacheHits }, mHits},
+	{func(c *Counters) *int64 { return &c.CacheMisses }, mMisses},
+	{func(c *Counters) *int64 { return &c.Steals }, mSteals},
+	{func(c *Counters) *int64 { return &c.Forwards }, nil},
+	{func(c *Counters) *int64 { return &c.Instrs }, mInstrs},
+	{func(c *Counters) *int64 { return &c.Evictions }, mEvicts},
+	{func(c *Counters) *int64 { return &c.Refetches }, nil},
+	{func(c *Counters) *int64 { return &c.ReplayedSPs }, mReplays},
+	{func(c *Counters) *int64 { return &c.Prefetches }, mPrefetches},
+	{func(c *Counters) *int64 { return &c.PrefetchHits }, mPrefetchHits},
+	{func(c *Counters) *int64 { return &c.CacheCapNow }, nil},
 }
 
 // publishMetrics folds this worker's counter growth since the previous
 // probe into the process-wide expvar metrics. Deltas are clamped at zero:
 // a recovery epoch zeroes sent/recv, and a monotone total must not absorb
 // the negative step.
-func (w *worker) publishMetrics() {
-	delta := func(cur int64, prev *int64) int64 {
-		d := cur - *prev
-		*prev = cur
-		if d < 0 {
-			return 0
+func (w *worker) publishMetrics(c *Counters) {
+	for _, f := range counterFields {
+		cur, prev := *f.get(c), f.get(&w.pub)
+		if f.metric != nil && cur > *prev {
+			f.metric.Add(cur - *prev)
 		}
-		return d
+		*prev = cur
 	}
-	mInstrs.Add(delta(w.instrs, &w.pub.instrs))
-	mMsgs.Add(delta(w.sent+w.recv, &w.pub.msgs))
-	mSteals.Add(delta(w.steals, &w.pub.steals))
-	mHits.Add(delta(w.shard.CacheHits, &w.pub.hits))
-	mMisses.Add(delta(w.shard.CacheMisses, &w.pub.misses))
-	mEvicts.Add(delta(w.shard.Evictions, &w.pub.evicts))
-	mReplays.Add(delta(w.replayed, &w.pub.replays))
-	mPrefetches.Add(delta(w.heat.prefetches, &w.pub.prefetches))
-	mPrefetchHits.Add(delta(w.heat.prefetchHits, &w.pub.prefetchHits))
 	mAcks.Add(1)
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/isa"
-	"repro/internal/rtcfg"
 )
 
 // StealFetchStats is one deterministic steal-locality probe measurement.
@@ -30,16 +29,14 @@ type StealFetchStats struct {
 // prefetch (heat on) on identical schedules.
 func StealFetchProbe(prog *isa.Program, args []isa.Value, pes, cachePages int, heat bool) (StealFetchStats, error) {
 	var st StealFetchStats
-	geo := rtcfg.Geometry{PEs: pes, PageElems: 8, DistThreshold: 16}
-	if err := geo.Fill(pes); err != nil {
+	cfg := Config{NumPEs: pes, PageElems: 8, DistThreshold: 16, Steal: true, CachePages: cachePages, Heat: heat}
+	if err := cfg.fill(); err != nil {
 		return st, err
 	}
 	eps := newChanTransport(pes, 0)
 	ws := make([]*worker, pes)
 	for pe := range ws {
-		ws[pe] = newWorker(pe, pes, geo, prog, eps[pe], workerOpts{
-			steal: true, cachePages: cachePages, heat: heat,
-		})
+		ws[pe] = newWorker(pe, &cfg, prog, eps[pe])
 	}
 	driver := eps[pes]
 	drainDriver := func() error {

@@ -175,10 +175,10 @@ const (
 	KTrace
 
 	// KJobStart creates a per-job worker instance on a fleet host: Job
-	// names the job, Prog carries the serialized program, the flat config
-	// fields and the init/recover blocks carry the job's scheduling knobs,
-	// budgets, counting epoch, and incarnation vector. Fleet hosts route
-	// every subsequent frame stamped with this Job to that instance.
+	// names the job, Epoch its counting epoch, and Cfg the job's Config
+	// (scheduling knobs and budgets), incarnation vector and (on TCP) the
+	// serialized program. Fleet hosts route every subsequent frame stamped
+	// with this Job to that instance.
 	KJobStart
 
 	// KJobEnd tears a job down on a fleet host: the host stops the job's
@@ -188,8 +188,8 @@ const (
 
 	// KSubmit asks a job server (podsd -serve) to run a program: Prog is
 	// the serialized .pods program, Args the main arguments, Name a label,
-	// Seq a client-chosen correlation tag. The per-job budget fields ride
-	// the init block.
+	// Seq a client-chosen correlation tag. The job's Config (knobs and
+	// budget requests) rides the Cfg block.
 	KSubmit
 
 	// KResult answers a KSubmit once the job finished: Val is the program
@@ -301,68 +301,34 @@ type Msg struct {
 	Lists *MsgLists // adapt lists, steal summaries and batch, trace ring
 }
 
-// AckStats is a worker's answer to a termination probe: its cumulative
-// worker-to-worker Sent/Recv data-frame counts and Live SP count (the
+// AckStats is a worker's answer to a termination probe: its Live SP count
+// and, in Counters, its cumulative worker-to-worker MsgsSent/MsgsRecv (the
 // four-counter detector's inputs), whether it holds epoch flush markers
 // from every peer, and its shard and scheduler counters at the probe. The
 // detector keeps the latest one per PE as is, so Stats and PEStats are
-// sums and copies of these fields.
+// sums and copies of its Counters.
 type AckStats struct {
-	Round      int32 // copied from the ack's Msg.Round by the detector
-	Flushed    bool  // epoch flush markers held from every peer
-	Sent, Recv int64
-	Live       int64
-	Deferred   int64 // shard deferred-read count
-	Hits       int64 // page-cache hits
-	Misses     int64 // page-cache misses
-	Steals     int64 // SPs stolen and installed by this worker
-	Forwards   int64 // tokens relayed through forwarding stubs
-	Instrs     int64 // instructions executed by this worker
-	Evicts     int64 // cached pages evicted by the cache bound
-	Refetches  int64 // previously evicted pages fetched again
-	Replayed   int64 // SPs re-sent or re-instantiated for replacements
-	QDepth     int64 // ready-queue depth at the probe
-
-	// Page-heat counters: prefetches issued, prefetched pages that served
-	// a demand read, and the shard's current (possibly adapted) cache cap.
-	Prefetches   int64
-	PrefetchHits int64
-	CacheCapNow  int64
-}
-
-// counters lists the int64 fields in wire order, for both codec halves.
-func (a *AckStats) counters() [16]*int64 {
-	return [...]*int64{&a.Sent, &a.Recv, &a.Live, &a.Deferred, &a.Hits, &a.Misses,
-		&a.Steals, &a.Forwards, &a.Instrs, &a.Evicts, &a.Refetches, &a.Replayed,
-		&a.QDepth, &a.Prefetches, &a.PrefetchHits, &a.CacheCapNow}
+	Round   int32 // copied from the ack's Msg.Round by the detector
+	Flushed bool  // epoch flush markers held from every peer
+	Live    int64 // live SP instances
+	QDepth  int64 // ready-queue depth at the probe
+	Counters
 }
 
 // MsgCfg is the configuration block. KInit uses PE, NumPEs and Peers (a
-// TCP worker's identity and peer table); KJobStart and KSubmit carry a
-// job's knobs, budgets (zero = unlimited; a worker that exceeds its
-// instruction budget, or allocates past its element budget, fails its job
-// — only that job) and serialized program; KJobStart and KRecover carry
-// the incarnation vector, KRecover the updated peer table. Heat is a
-// versioned knob: both sides of a job agree on the KStealReq Hot/HotPages
-// semantics because the frame that starts the job carries it.
+// TCP worker's identity and peer table); KJobStart and KSubmit carry the
+// job's Config — only its wireKnobs cross a wire — and serialized program;
+// KJobStart and KRecover carry the incarnation vector, KRecover the updated
+// peer table. Heat is a versioned knob: both sides of a job agree on the
+// KStealReq Hot/HotPages semantics because the frame that starts the job
+// carries it.
 type MsgCfg struct {
-	PE            int32
-	NumPEs        int32
-	PageElems     int32
-	DistThreshold int32
-	CachePages    int32
-	TraceCap      int32
-	TraceSample   int32
-	Steal         bool
-	Adapt         bool
-	Recover       bool // enables write logging, grant logging, idempotent rewrites
-	Trace         bool
-	Heat          bool
-	MaxInstrs     int64
-	MaxElems      int64
-	Incs          []int32 // full per-PE incarnation vector
-	Peers         []string
-	Prog          []byte
+	PE     int32
+	NumPEs int32
+	Job    Config
+	Incs   []int32 // full per-PE incarnation vector
+	Peers  []string
+	Prog   []byte
 }
 
 // MsgLists holds the variable-length control-plane payloads.
@@ -607,20 +573,26 @@ func encodeMsg(b []byte, m *Msg) []byte {
 	if w&wAck != 0 {
 		a := orZero(m.Ack)
 		b = appendBool(b, a.Flushed)
-		for _, p := range a.counters() {
-			b = appendI64(b, *p)
+		b = appendI64(b, a.Live)
+		b = appendI64(b, a.QDepth)
+		for _, f := range counterFields {
+			b = appendI64(b, *f.get(&a.Counters))
 		}
 	}
 	if w&wCfg != 0 {
 		c := orZero(m.Cfg)
-		for _, v := range [...]int32{c.PE, c.NumPEs, c.PageElems, c.DistThreshold, c.CachePages, c.TraceCap, c.TraceSample} {
-			b = appendI32(b, v)
+		b = appendI32(b, c.PE)
+		b = appendI32(b, c.NumPEs)
+		ints, flags, budgets := c.Job.wireKnobs()
+		for _, p := range ints {
+			b = appendI32(b, int32(*p))
 		}
-		for _, v := range [...]bool{c.Steal, c.Adapt, c.Recover, c.Trace, c.Heat} {
-			b = appendBool(b, v)
+		for _, p := range flags {
+			b = appendBool(b, *p)
 		}
-		b = appendI64(b, c.MaxInstrs)
-		b = appendI64(b, c.MaxElems)
+		for _, p := range budgets {
+			b = appendI64(b, *p)
+		}
 		b = appendI32s(b, c.Incs)
 		b = appendU32(b, uint32(len(c.Peers)))
 		for _, p := range c.Peers {
@@ -818,22 +790,24 @@ func decodeMsg(b []byte) (*Msg, error) {
 		m.RngHi = r.i64()
 	}
 	if w&wAck != 0 {
-		m.Ack = &AckStats{Flushed: r.bool()}
-		for _, p := range m.Ack.counters() {
-			*p = r.i64()
+		m.Ack = &AckStats{Flushed: r.bool(), Live: r.i64(), QDepth: r.i64()}
+		for _, f := range counterFields {
+			*f.get(&m.Ack.Counters) = r.i64()
 		}
 	}
 	if w&wCfg != 0 {
-		c := &MsgCfg{}
+		c := &MsgCfg{PE: r.i32(), NumPEs: r.i32()}
 		m.Cfg = c
-		for _, p := range [...]*int32{&c.PE, &c.NumPEs, &c.PageElems, &c.DistThreshold, &c.CachePages, &c.TraceCap, &c.TraceSample} {
-			*p = r.i32()
+		ints, flags, budgets := c.Job.wireKnobs()
+		for _, p := range ints {
+			*p = int(r.i32())
 		}
-		for _, p := range [...]*bool{&c.Steal, &c.Adapt, &c.Recover, &c.Trace, &c.Heat} {
+		for _, p := range flags {
 			*p = r.bool()
 		}
-		c.MaxInstrs = r.i64()
-		c.MaxElems = r.i64()
+		for _, p := range budgets {
+			*p = r.i64()
+		}
 		c.Incs = r.i32s()
 		if n := r.sliceLen(4); n > 0 {
 			c.Peers = make([]string, n)

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/kernels"
-	"repro/internal/rtcfg"
 	"repro/internal/sim"
 )
 
@@ -105,6 +104,32 @@ func TestRecoverKillMidRun(t *testing.T) {
 	}
 }
 
+// TestKillWaitsForAnAssignment: the entry SP recurses locally before its
+// first fan-out, so idle PE 1 acks many probe rounds holding nothing. The
+// kill must still land after PE 1 was sent its copy — a kill that fires
+// earlier recovers a PE with nothing to replay.
+func TestKillWaitsForAnAssignment(t *testing.T) {
+	k := kernels.Kernel{Name: "late", Args: func(n int) []isa.Value { return []isa.Value{isa.Int(int64(n))} },
+		Arrays: []string{"A"}, Source: `
+func fib(k: int) -> float {
+	return if k < 2 then float(k) else fib(k - 1) + fib(k - 2);
+}
+
+func main(n: int) {
+	x = fib(16);
+	A = array(n, n);
+	for i = 1 to n {
+		for j = 1 to n {
+			A[i, j] = x + float(i * j);
+		}
+	}
+}`}
+	res := runKilled(t, k, 10, 2, 1, 2, Config{PageElems: 8})
+	if res.Stats.Recoveries < 1 || res.Stats.ReplayedSPs < 1 {
+		t.Errorf("Recoveries = %d, ReplayedSPs = %d, want both >= 1", res.Stats.Recoveries, res.Stats.ReplayedSPs)
+	}
+}
+
 // TestRecoverKillPEZero kills the PE that runs the entry SP: recovery must
 // replay the entry spawn itself (plus every fan-out copy assigned to PE 0)
 // and still converge to the reference results.
@@ -165,7 +190,7 @@ func main(n: int) {
 	A[1] = 1.0;
 }`)
 	eps := newChanTransport(2, 0)
-	w := newWorker(0, 2, rtcfg.Geometry{PEs: 2, PageElems: 8, DistThreshold: 16}, prog, eps[0], workerOpts{steal: true})
+	w := newWorker(0, &Config{NumPEs: 2, PageElems: 8, DistThreshold: 16, Steal: true}, prog, eps[0])
 	w.enableRecovery(0, 0, incs)
 	return w, eps
 }
@@ -288,13 +313,13 @@ func TestDetectorIgnoresStaleEpochAcks(t *testing.T) {
 	d := newDetector(2)
 	d.reset(1)
 	d.begin(1)
-	if d.record(0, &Msg{Kind: KAck, Round: 1, Epoch: 0, Ack: &AckStats{Sent: 10, Recv: 10, Flushed: true}}) {
+	if d.record(0, &Msg{Kind: KAck, Round: 1, Epoch: 0, Ack: &AckStats{Flushed: true, Counters: Counters{MsgsSent: 10, MsgsRecv: 10}}}) {
 		t.Fatal("stale-epoch ack completed the round")
 	}
-	if d.record(0, &Msg{Kind: KAck, Round: 1, Epoch: 1, Ack: &AckStats{Sent: 1, Recv: 1, Flushed: true}}) {
+	if d.record(0, &Msg{Kind: KAck, Round: 1, Epoch: 1, Ack: &AckStats{Flushed: true, Counters: Counters{MsgsSent: 1, MsgsRecv: 1}}}) {
 		t.Fatal("round complete after one PE")
 	}
-	if !d.record(1, &Msg{Kind: KAck, Round: 1, Epoch: 1, Ack: &AckStats{Sent: 1, Recv: 1, Flushed: true}}) {
+	if !d.record(1, &Msg{Kind: KAck, Round: 1, Epoch: 1, Ack: &AckStats{Flushed: true, Counters: Counters{MsgsSent: 1, MsgsRecv: 1}}}) {
 		t.Fatal("round not complete after both PEs answered in the new epoch")
 	}
 }

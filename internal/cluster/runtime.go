@@ -11,43 +11,21 @@ import (
 	"repro/internal/istructure"
 )
 
-// Stats aggregates cluster-wide dynamic counts gathered from the workers'
-// final probe answers.
+// Stats aggregates cluster-wide dynamic counts: the workers' Counters
+// summed over their final probe answers (ReplayedSPs adds the root
+// assignments the driver replayed), and the driver's own counts.
 type Stats struct {
-	DeferredReads int64 // I-structure reads queued on absent elements
-	CacheHits     int64 // remote reads satisfied from the page cache
-	CacheMisses   int64 // remote reads that fetched a page
-	Evictions     int64 // cached pages evicted by the cache bound (Config.CachePages)
-	Refetches     int64 // previously evicted pages fetched again
-	MsgsSent      int64 // worker-to-worker data messages
-	Steals        int64 // SP instances migrated by work stealing
-	Forwards      int64 // tokens relayed through forwarding stubs
-	Rebounds      int64 // adaptive Range-Filter cut broadcasts (Config.Adapt)
-	Recoveries    int64 // worker deaths survived by respawn + replay (Config.Recover)
-	ReplayedSPs   int64 // root assignments replayed against replacement workers
-	Checkpoints   int64 // completed replay-log GC checkpoints (Recover+Adapt)
-	Prefetches    int64 // pages requested ahead of the miss (Config.Heat)
-	PrefetchHits  int64 // prefetched pages that later served a demand read
-	CacheCapNow   int64 // final resident-page budget, summed over PEs (adaptive cap)
+	Counters
+	Rebounds    int64 // adaptive Range-Filter cut broadcasts (Config.Adapt)
+	Recoveries  int64 // worker deaths survived by respawn + replay (Config.Recover)
+	Checkpoints int64 // completed replay-log GC checkpoints (Recover+Adapt)
 }
 
 // PEStat is one worker's counter breakdown from its final probe answer —
 // the per-PE decomposition of the cluster-wide Stats sums.
 type PEStat struct {
-	PE            int
-	Instrs        int64
-	Sent, Recv    int64
-	DeferredReads int64
-	CacheHits     int64
-	CacheMisses   int64
-	Evictions     int64
-	Refetches     int64
-	Steals        int64
-	Forwards      int64
-	Replayed      int64
-	Prefetches    int64
-	PrefetchHits  int64
-	CacheCapNow   int64
+	PE int
+	Counters
 }
 
 // gathered is one assembled array after a run. raw keeps the wire values
@@ -213,8 +191,8 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 			tb.Add(trace.Sample{
 				Round: int(round), Wall: wall, PE: pe,
 				Instrs: d(a.Instrs, p.Instrs), QDepth: a.QDepth, Live: a.Live,
-				Sent: d(a.Sent, p.Sent), Hits: d(a.Hits, p.Hits),
-				Misses: d(a.Misses, p.Misses), Evicts: d(a.Evicts, p.Evicts),
+				Sent: d(a.MsgsSent, p.MsgsSent), Hits: d(a.CacheHits, p.CacheHits),
+				Misses: d(a.CacheMisses, p.CacheMisses), Evicts: d(a.Evictions, p.Evictions),
 				Steals: d(a.Steals, p.Steals),
 			})
 			prevAcks[pe] = a
@@ -571,7 +549,7 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 			interval *= 2
 		}
 	}
-	res.Stats = det.stats()
+	res.Stats.Counters = det.sum()
 	res.Stats.Rebounds = ad.rebounds
 	res.Stats.Recoveries = rec.recoveries
 	res.Stats.ReplayedSPs += rec.replayed

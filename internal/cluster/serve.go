@@ -14,8 +14,8 @@ import (
 // 4-byte length prefix + protocol.go encoding the worker transport uses;
 // each client connection carries exactly one job:
 //
-//	client → server  KSubmit  serialized .pods program, main args, knobs,
-//	                          budgets (init block), Seq correlation tag
+//	client → server  KSubmit  serialized .pods program, main args, the
+//	                          job's Config (Cfg block), Seq correlation tag
 //	server → client  KDump*   one frame per array chunk (Name, Dims, Off,
 //	                          Vals, Set), in allocation order
 //	server → client  KResult  the program's result value (Slot=1 when the
@@ -101,30 +101,20 @@ func (f *Fleet) serveJobConn(ctx context.Context, conn net.Conn) {
 		fail(fmt.Errorf("cluster: job server expects a submit frame, got %v", m.Kind))
 		return
 	}
-	c := m.Cfg
-	prog, err := isa.UnmarshalPods(c.Prog)
+	prog, err := isa.UnmarshalPods(m.Cfg.Prog)
 	if err != nil {
 		fail(fmt.Errorf("cluster: decoding submitted program: %w", err))
 		return
 	}
 
-	// The job's knobs are the client's; transport, fault injection, and
-	// recovery policy are the fleet's. Budgets are clamped to the server
-	// caps so a tenant cannot out-ask the operator.
-	cfg := Config{
-		PageElems:     int(c.PageElems),
-		DistThreshold: int(c.DistThreshold),
-		CachePages:    int(c.CachePages),
-		Steal:         c.Steal,
-		Adapt:         c.Adapt,
-		Trace:         c.Trace,
-		TraceCap:      int(c.TraceCap),
-		TraceSample:   int(c.TraceSample),
-		Heat:          c.Heat,
-		Recover:       f.cfg.Recover,
-		MaxInstrs:     clampBudget(c.MaxInstrs, f.cfg.MaxInstrs),
-		MaxElems:      clampBudget(c.MaxElems, f.cfg.MaxElems),
-	}
+	// The job's knobs are the client's (Submit's fill validates them);
+	// transport, fault injection, and recovery policy are the fleet's.
+	// Budgets are clamped to the server caps so a tenant cannot out-ask the
+	// operator.
+	cfg := m.Cfg.Job
+	cfg.Recover = f.cfg.Recover
+	cfg.MaxInstrs = clampBudget(cfg.MaxInstrs, f.cfg.MaxInstrs)
+	cfg.MaxElems = clampBudget(cfg.MaxElems, f.cfg.MaxElems)
 	res, err := f.Submit(ctx, prog, cfg, m.Args...)
 	if err != nil {
 		fail(err)
@@ -238,7 +228,7 @@ func submitWire(ctx context.Context, addr string, wire []byte, cfg Config, args 
 		}
 	}()
 
-	if err := writeFrame(conn, &Msg{Kind: KSubmit, Seq: 1, Args: args, Cfg: cfgBlock(&cfg, wire)}); err != nil {
+	if err := writeFrame(conn, &Msg{Kind: KSubmit, Seq: 1, Args: args, Cfg: &MsgCfg{Job: cfg, Prog: wire}}); err != nil {
 		return nil, fmt.Errorf("cluster: submitting job: %w", err)
 	}
 

@@ -7,7 +7,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/istructure"
 	"repro/internal/kernels"
-	"repro/internal/rtcfg"
 	"repro/internal/sim"
 )
 
@@ -115,9 +114,9 @@ func pumpWorker(w *worker, ep Endpoint) bool {
 func TestStealProtocolGrantForwardLateToken(t *testing.T) {
 	prog := taskProgram()
 	eps := newChanTransport(2, 0)
-	geo := rtcfg.Geometry{PEs: 2, PageElems: 8, DistThreshold: 16}
-	w0 := newWorker(0, 2, geo, prog, eps[0], workerOpts{steal: true})
-	w1 := newWorker(1, 2, geo, prog, eps[1], workerOpts{steal: true})
+	cfg := &Config{NumPEs: 2, PageElems: 8, DistThreshold: 16, Steal: true}
+	w0 := newWorker(0, cfg, prog, eps[0])
+	w1 := newWorker(1, cfg, prog, eps[1])
 	driver := eps[2]
 	// drainOnly delivers pending messages without running ready SPs, so
 	// the test controls exactly when instances start executing.
@@ -225,9 +224,9 @@ func TestStealProtocolGrantForwardLateToken(t *testing.T) {
 func TestStealBackClearsStaleStub(t *testing.T) {
 	prog := taskProgram()
 	eps := newChanTransport(2, 0)
-	geo := rtcfg.Geometry{PEs: 2, PageElems: 8, DistThreshold: 16}
-	w0 := newWorker(0, 2, geo, prog, eps[0], workerOpts{steal: true})
-	w1 := newWorker(1, 2, geo, prog, eps[1], workerOpts{steal: true})
+	cfg := &Config{NumPEs: 2, PageElems: 8, DistThreshold: 16, Steal: true}
+	w0 := newWorker(0, cfg, prog, eps[0])
+	w1 := newWorker(1, cfg, prog, eps[1])
 	driver := eps[2]
 	drainOnly := func(w *worker, ep Endpoint) {
 		for {
@@ -301,9 +300,9 @@ func TestStealBackClearsStaleStub(t *testing.T) {
 func TestStealDeclinedWhenUnloaded(t *testing.T) {
 	prog := taskProgram()
 	eps := newChanTransport(2, 0)
-	geo := rtcfg.Geometry{PEs: 2, PageElems: 8, DistThreshold: 16}
-	w0 := newWorker(0, 2, geo, prog, eps[0], workerOpts{steal: true})
-	w1 := newWorker(1, 2, geo, prog, eps[1], workerOpts{steal: true})
+	cfg := &Config{NumPEs: 2, PageElems: 8, DistThreshold: 16, Steal: true}
+	w0 := newWorker(0, cfg, prog, eps[0])
+	w1 := newWorker(1, cfg, prog, eps[1])
 	driver := eps[2]
 	pump := func() {
 		for pumpWorker(w0, eps[0]) || pumpWorker(w1, eps[1]) {
@@ -396,14 +395,11 @@ func TestStealDeterminacyPumpedTriangular(t *testing.T) {
 	const n, pes = 24, 4
 	wantVals, wantMasks := simArraysMasked(t, prog, pes, k.Arrays, k.Args(n)...)
 
-	geo := rtcfg.Geometry{PEs: pes, PageElems: 8, DistThreshold: 16}
-	if err := geo.Fill(pes); err != nil {
-		t.Fatal(err)
-	}
+	cfg := &Config{NumPEs: pes, PageElems: 8, DistThreshold: 16, Steal: true}
 	eps := newChanTransport(pes, 0)
 	ws := make([]*worker, pes)
 	for pe := range ws {
-		ws[pe] = newWorker(pe, pes, geo, prog, eps[pe], workerOpts{steal: true})
+		ws[pe] = newWorker(pe, cfg, prog, eps[pe])
 	}
 	driver := eps[pes]
 
@@ -421,7 +417,7 @@ func TestStealDeterminacyPumpedTriangular(t *testing.T) {
 				for i, d := range m.Dims {
 					dims[i] = int(d)
 				}
-				h, err := istructure.NewHeader(m.Arr, m.Name, dims, geo.PageElems, pes, int(m.Origin), m.Dist)
+				h, err := istructure.NewHeader(m.Arr, m.Name, dims, cfg.PageElems, pes, int(m.Origin), m.Dist)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -502,46 +498,42 @@ func TestStealDeterminacyPumpedTriangular(t *testing.T) {
 	}
 }
 
-// TestStealKeepsKernelsDeterminate is the end-to-end steal-on agreement
-// matrix: every kernel, every PE count, cluster runtime with stealing
-// enabled, compared bit-for-bit against the simulator.
-func TestStealKeepsKernelsDeterminate(t *testing.T) {
+// kernelsAgreeWithSim runs every kernel at 1, 2, 4 and 8 PEs under each
+// config (NumPEs and PageElems are set here) and compares the cluster's
+// arrays bit-for-bit against the simulator.
+func kernelsAgreeWithSim(t *testing.T, cfgs ...Config) {
 	const n = 8
 	for _, k := range kernels.All() {
 		t.Run(k.Name, func(t *testing.T) {
 			prog := compile(t, k.File(), k.Source)
 			wantVals, wantMasks := simArraysMasked(t, prog, 4, k.Arrays, k.Args(n)...)
 			for _, pes := range []int{1, 2, 4, 8} {
-				res, err := Execute(testCtx(t), prog, Config{NumPEs: pes, PageElems: 8, Steal: true}, k.Args(n)...)
-				if err != nil {
-					t.Fatalf("%d PEs: %v", pes, err)
+				for _, cfg := range cfgs {
+					cfg.NumPEs, cfg.PageElems = pes, 8
+					res, err := Execute(testCtx(t), prog, cfg, k.Args(n)...)
+					if err != nil {
+						t.Fatalf("%d PEs %+v: %v", pes, cfg, err)
+					}
+					checkAgainstSimMasked(t, res, wantVals, wantMasks)
 				}
-				checkAgainstSimMasked(t, res, wantVals, wantMasks)
 			}
 		})
 	}
 }
 
-// TestClusterDeterminacyDefaultKnob runs the kernel agreement matrix with
-// Config.Steal left untouched — the one Steal|Determinacy test that
-// actually consults the PODS_FORCE_STEAL override in Config.fill. In the
-// ordinary CI leg this covers the static scheduler; in the forced-steal
-// leg the identical matrix runs with migration on.
-func TestClusterDeterminacyDefaultKnob(t *testing.T) {
-	const n = 8
-	for _, k := range kernels.All() {
-		t.Run(k.Name, func(t *testing.T) {
-			prog := compile(t, k.File(), k.Source)
-			wantVals, wantMasks := simArraysMasked(t, prog, 4, k.Arrays, k.Args(n)...)
-			for _, pes := range []int{1, 2, 4, 8} {
-				res, err := Execute(testCtx(t), prog, Config{NumPEs: pes, PageElems: 8}, k.Args(n)...)
-				if err != nil {
-					t.Fatalf("%d PEs: %v", pes, err)
-				}
-				checkAgainstSimMasked(t, res, wantVals, wantMasks)
-			}
-		})
-	}
+// TestClusterDeterminacyDefaultKnob: the static scheduler (every knob at
+// its default) agrees with the simulator on every kernel.
+func TestClusterDeterminacyDefaultKnob(t *testing.T) { kernelsAgreeWithSim(t, Config{}) }
+
+// TestStealKeepsKernelsDeterminate: migration with stealing on is never
+// observable in the results.
+func TestStealKeepsKernelsDeterminate(t *testing.T) { kernelsAgreeWithSim(t, Config{Steal: true}) }
+
+// TestEvictionKeepsKernelsDeterminate: with a two-page cache cap,
+// evictions and refetches mid-run are not observable, alone or combined
+// with stealing and adaptation.
+func TestEvictionKeepsKernelsDeterminate(t *testing.T) {
+	kernelsAgreeWithSim(t, Config{CachePages: 2}, Config{CachePages: 2, Steal: true, Adapt: true})
 }
 
 // TestStealTriangularEndToEnd runs the skewed kernel on the real goroutine
@@ -549,9 +541,6 @@ func TestClusterDeterminacyDefaultKnob(t *testing.T) {
 // rebalance. Steal counts depend on host scheduling, so only the
 // load-movement direction is asserted, never an exact figure.
 func TestStealTriangularEndToEnd(t *testing.T) {
-	// This test runs its own steal-off control arm, so neutralize the CI
-	// leg's blanket PODS_FORCE_STEAL override.
-	t.Setenv("PODS_FORCE_STEAL", "")
 	k, _ := kernels.ByName("triangular")
 	prog := compile(t, k.File(), k.Source)
 	const n = 48
@@ -597,9 +586,9 @@ func maxOf(vs []int64) int64 {
 func TestStealGrantBatchHalfOldestFirst(t *testing.T) {
 	prog := taskProgram()
 	eps := newChanTransport(2, 0)
-	geo := rtcfg.Geometry{PEs: 2, PageElems: 8, DistThreshold: 16}
-	w0 := newWorker(0, 2, geo, prog, eps[0], workerOpts{steal: true})
-	w1 := newWorker(1, 2, geo, prog, eps[1], workerOpts{steal: true})
+	cfg := &Config{NumPEs: 2, PageElems: 8, DistThreshold: 16, Steal: true}
+	w0 := newWorker(0, cfg, prog, eps[0])
+	w1 := newWorker(1, cfg, prog, eps[1])
 	driver := eps[2]
 	for i := 0; i < 5; i++ {
 		if err := driver.Send(0, &Msg{Kind: KSpawn, Tmpl: 0,
@@ -651,8 +640,8 @@ func TestStealGrantBatchHalfOldestFirst(t *testing.T) {
 func TestStealLocalityPreference(t *testing.T) {
 	prog := taskProgram()
 	eps := newChanTransport(2, 0)
-	geo := rtcfg.Geometry{PEs: 2, PageElems: 8, DistThreshold: 16}
-	w0 := newWorker(0, 2, geo, prog, eps[0], workerOpts{steal: true})
+	cfg := &Config{NumPEs: 2, PageElems: 8, DistThreshold: 16, Steal: true}
+	w0 := newWorker(0, cfg, prog, eps[0])
 	// Three unstarted SPs whose first operand is an array handle; only the
 	// second references the thief's hot array 77.
 	for _, arr := range []int64{55, 77, 55} {
@@ -693,8 +682,8 @@ func TestStealLocalityPreference(t *testing.T) {
 func TestStealMidDequeGrantNoShift(t *testing.T) {
 	prog := taskProgram()
 	eps := newChanTransport(2, 0)
-	geo := rtcfg.Geometry{PEs: 2, PageElems: 8, DistThreshold: 16}
-	w0 := newWorker(0, 2, geo, prog, eps[0], workerOpts{steal: true})
+	cfg := &Config{NumPEs: 2, PageElems: 8, DistThreshold: 16, Steal: true}
+	w0 := newWorker(0, cfg, prog, eps[0])
 	for i := 0; i < 3; i++ {
 		if err := eps[2].Send(0, &Msg{Kind: KSpawn, Tmpl: 0,
 			Args: []isa.Value{isa.SPRef(0), isa.Float(0)}}); err != nil {
@@ -732,8 +721,8 @@ func TestStealMidDequeGrantNoShift(t *testing.T) {
 func TestReadyDequeBoundedGrowth(t *testing.T) {
 	prog := taskProgram()
 	eps := newChanTransport(2, 0)
-	geo := rtcfg.Geometry{PEs: 2, PageElems: 8, DistThreshold: 16}
-	w0 := newWorker(0, 2, geo, prog, eps[0], workerOpts{steal: true})
+	cfg := &Config{NumPEs: 2, PageElems: 8, DistThreshold: 16, Steal: true}
+	w0 := newWorker(0, cfg, prog, eps[0])
 	spawn := func() {
 		if err := eps[2].Send(0, &Msg{Kind: KSpawn, Tmpl: 0,
 			Args: []isa.Value{isa.SPRef(0), isa.Float(0)}}); err != nil {

@@ -107,8 +107,8 @@ func (d *detector) quiescent() (sent, recv int64, ok bool) {
 	ok = true
 	for i := range d.acks {
 		a := &d.acks[i]
-		sent += a.Sent
-		recv += a.Recv
+		sent += a.MsgsSent
+		recv += a.MsgsRecv
 		ok = ok && a.Live == 0 && a.Flushed
 	}
 	return sent, recv, ok && sent == recv
@@ -161,24 +161,13 @@ func (d *detector) liveSPs() int {
 	return n
 }
 
-// stats aggregates the shard statistics of the latest acks.
-func (d *detector) stats() Stats {
-	var s Stats
-	for _, a := range d.acks {
-		s.DeferredReads += a.Deferred
-		s.CacheHits += a.Hits
-		s.CacheMisses += a.Misses
-		s.Evictions += a.Evicts
-		s.Refetches += a.Refetches
-		s.MsgsSent += a.Sent
-		s.Steals += a.Steals
-		s.Forwards += a.Forwards
-		s.ReplayedSPs += a.Replayed
-		s.Prefetches += a.Prefetches
-		s.PrefetchHits += a.PrefetchHits
-		// Summed across PEs: the cluster-wide resident-page budget at the
-		// last ack (each PE reports its own current CachePages bound).
-		s.CacheCapNow += a.CacheCapNow
+// sum adds up the counters of the latest acks.
+func (d *detector) sum() Counters {
+	var s Counters
+	for i := range d.acks {
+		for _, f := range counterFields {
+			*f.get(&s) += *f.get(&d.acks[i].Counters)
+		}
 	}
 	return s
 }
@@ -197,7 +186,7 @@ func (d *detector) stallReport() string {
 		} else {
 			fmt.Fprintf(&b, "pe %d: NO ACK for round %d (last ack round %d)", pe, d.round, a.Round)
 		}
-		fmt.Fprintf(&b, " live=%d sent=%d recv=%d", a.Live, a.Sent, a.Recv)
+		fmt.Fprintf(&b, " live=%d sent=%d recv=%d", a.Live, a.MsgsSent, a.MsgsRecv)
 	}
 	return b.String()
 }
@@ -218,14 +207,7 @@ func (d *detector) perPEInstrs() []int64 {
 func (d *detector) perPEStats() []PEStat {
 	out := make([]PEStat, len(d.acks))
 	for i, a := range d.acks {
-		out[i] = PEStat{
-			PE: i, Instrs: a.Instrs, Sent: a.Sent, Recv: a.Recv,
-			DeferredReads: a.Deferred, CacheHits: a.Hits, CacheMisses: a.Misses,
-			Evictions: a.Evicts, Refetches: a.Refetches,
-			Steals: a.Steals, Forwards: a.Forwards, Replayed: a.Replayed,
-			Prefetches: a.Prefetches, PrefetchHits: a.PrefetchHits,
-			CacheCapNow: a.CacheCapNow,
-		}
+		out[i] = PEStat{PE: i, Counters: a.Counters}
 	}
 	return out
 }

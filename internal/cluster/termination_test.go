@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/isa"
-	"repro/internal/rtcfg"
 )
 
 // Unit tests for the four-counter termination detector in isolation: round
@@ -21,7 +20,7 @@ import (
 // given counters and live SP count (epoch 0, trivially flushed). Returns
 // whether the round completed.
 func detAck(d *detector, pe int, round int32, sent, recv int64, live int32) bool {
-	return d.record(pe, &Msg{Kind: KAck, Round: round, Ack: &AckStats{Sent: sent, Recv: recv, Live: int64(live), Flushed: true}})
+	return d.record(pe, &Msg{Kind: KAck, Round: round, Ack: &AckStats{Live: int64(live), Flushed: true, Counters: Counters{MsgsSent: sent, MsgsRecv: recv}}})
 }
 
 // completeRound collects one full round on d and evaluates it.
@@ -101,7 +100,7 @@ type peState struct{ sent, recv, live int64 }
 func detPush(t *testing.T, d *detector, epoch int32, pe0 int, states ...peState) {
 	t.Helper()
 	for i, s := range states {
-		m := &Msg{Kind: KAck, Epoch: epoch, Ack: &AckStats{Sent: s.sent, Recv: s.recv, Live: s.live, Flushed: true}}
+		m := &Msg{Kind: KAck, Epoch: epoch, Ack: &AckStats{Live: s.live, Flushed: true, Counters: Counters{MsgsSent: s.sent, MsgsRecv: s.recv}}}
 		if d.record(pe0+i, m) {
 			t.Fatalf("a push from pe %d completed a probe round", pe0+i)
 		}
@@ -114,7 +113,7 @@ func detWave(d *detector, round, epoch int32, states ...peState) bool {
 	d.begin(round)
 	for pe, s := range states {
 		d.record(pe, &Msg{Kind: KAck, Round: round, Epoch: epoch,
-			Ack: &AckStats{Sent: s.sent, Recv: s.recv, Live: s.live, Flushed: true}})
+			Ack: &AckStats{Live: s.live, Flushed: true, Counters: Counters{MsgsSent: s.sent, MsgsRecv: s.recv}}})
 	}
 	return d.roundDone()
 }
@@ -227,7 +226,7 @@ func TestDetectorLiveOrUnflushedPushNeverArms(t *testing.T) {
 	if d.armed() {
 		t.Fatal("armed by a push reporting a live SP")
 	}
-	d.record(1, &Msg{Kind: KAck, Ack: &AckStats{Sent: 1, Recv: 1}})
+	d.record(1, &Msg{Kind: KAck, Ack: &AckStats{Counters: Counters{MsgsSent: 1, MsgsRecv: 1}}})
 	if d.armed() {
 		t.Fatal("armed by a push whose epoch is not flushed")
 	}
@@ -329,12 +328,11 @@ func main(n: int) {
 	cfg.RoundTimeout = 200 * time.Millisecond
 
 	eps := newChanTransport(cfg.NumPEs, 0)
-	geo := rtcfg.Geometry{PEs: cfg.NumPEs, PageElems: cfg.PageElems, DistThreshold: cfg.DistThreshold}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	var wg sync.WaitGroup
 	for pe := 0; pe < cfg.NumPEs; pe++ {
-		w := newWorker(pe, cfg.NumPEs, geo, prog, eps[pe], workerOpts{})
+		w := newWorker(pe, &cfg, prog, eps[pe])
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -375,7 +373,6 @@ func TestDriveRoundDeadlineReportsSilentWorker(t *testing.T) {
 	cfg.RoundTimeout = 150 * time.Millisecond // keep the test deadline even if fill defaults change
 
 	eps := newChanTransport(cfg.NumPEs, 0)
-	geo := rtcfg.Geometry{PEs: cfg.NumPEs, PageElems: cfg.PageElems, DistThreshold: cfg.DistThreshold}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -383,7 +380,7 @@ func TestDriveRoundDeadlineReportsSilentWorker(t *testing.T) {
 	// mailbox — the equivalent of a worker dying mid-round (its acks are
 	// dropped forever).
 	var wg sync.WaitGroup
-	w0 := newWorker(0, cfg.NumPEs, geo, prog, eps[0], workerOpts{})
+	w0 := newWorker(0, &cfg, prog, eps[0])
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -435,7 +432,7 @@ func main(n: int) {
 }`)
 	eps := newChanTransport(2, 0)
 	peer, driver := eps[1], eps[2]
-	w := newWorker(0, 2, rtcfg.Geometry{PEs: 2, PageElems: 8, DistThreshold: 16}, prog, stopWhenIdle{eps[0]}, workerOpts{steal: true})
+	w := newWorker(0, &Config{NumPEs: 2, PageElems: 8, DistThreshold: 16, Steal: true}, prog, stopWhenIdle{eps[0]})
 	w.enableRecovery(0, 0, nil)
 
 	// turn delivers the frames, runs the worker until it would block, and
@@ -476,7 +473,7 @@ func main(n: int) {
 			t.Fatalf("%s: %d pushes, want exactly 1", step, len(pushes))
 		}
 		m := pushes[0]
-		if a := m.Ack; m.Epoch != epoch || a.Sent != sent || a.Recv != recv || a.Live != 0 || a.Flushed != flushed {
+		if a := m.Ack; m.Epoch != epoch || a.MsgsSent != sent || a.MsgsRecv != recv || a.Live != 0 || a.Flushed != flushed {
 			t.Fatalf("%s: pushed epoch %d %+v, want epoch %d sent %d recv %d live 0 flushed %v",
 				step, m.Epoch, *a, epoch, sent, recv, flushed)
 		}
@@ -614,7 +611,7 @@ func BenchmarkProbeRound(b *testing.B) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	for pe := 0; pe < n; pe++ {
-		w := newWorker(pe, n, rtcfg.Geometry{PEs: n, PageElems: 32, DistThreshold: 16}, taskProgram(), eps[pe], workerOpts{})
+		w := newWorker(pe, &Config{NumPEs: n, PageElems: 32, DistThreshold: 16}, taskProgram(), eps[pe])
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/isa"
-	"repro/internal/rtcfg"
 )
 
 // TestStallDumpIncludesTraceTails: when a traced run stalls on the probe
@@ -24,14 +23,13 @@ func TestStallDumpIncludesTraceTails(t *testing.T) {
 	cfg.RoundTimeout = 150 * time.Millisecond
 
 	eps := newChanTransport(cfg.NumPEs, 0)
-	geo := rtcfg.Geometry{PEs: cfg.NumPEs, PageElems: cfg.PageElems, DistThreshold: cfg.DistThreshold}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
 	// Only PE 0 runs; PE 1 never serves its mailbox (a dead worker). PE 0
 	// can still answer the trace gather, so its tail must appear.
 	var wg sync.WaitGroup
-	w0 := newWorker(0, cfg.NumPEs, geo, prog, eps[0], cfg.workerOpts())
+	w0 := newWorker(0, &cfg, prog, eps[0])
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

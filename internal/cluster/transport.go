@@ -188,15 +188,19 @@ func (b *mailbox) close() {
 // the only thing workers share is the wire.
 //
 // The transport doubles as the fault injector: with killPE/killAfter armed
-// it severs PE killPE's endpoint — sends dropped, receives closed — the
-// moment that PE has sent killAfter frames, and puts a KDown notice in the
-// driver's mailbox, exactly the observable shape of a worker process dying
-// mid-run with its socket resetting. The count advances on data frames and
-// KAcks (probe answers and idle reports) only: acks tick every round even
-// on a PE whose work is entirely local, and both stop once termination is
-// detected — steal polling and dump segments don't count — so the kill
-// always lands mid-run, never in the gather phase where finished results
-// would be unrecoverable.
+// it severs PE killPE's endpoint — sends dropped, receives closed — on the
+// first frame that PE sends past killAfter once it has been sent a KSpawn,
+// and puts a KDown notice in the driver's mailbox, exactly the observable
+// shape of a worker process dying mid-run with its socket resetting. The
+// count advances on data frames and KAcks (probe answers and idle reports)
+// only: acks tick every round even on a PE whose work is entirely local,
+// and both stop once termination is detected — steal polling and dump
+// segments don't count — so the kill always lands mid-run, never in the
+// gather phase where finished results would be unrecoverable. Waiting for
+// the first KSpawn puts the kill on a PE that holds a logged assignment,
+// so every fired kill has something to replay: an idle PE counts its
+// reports while the entry SP runs, and could otherwise die before any
+// fan-out reached it.
 //
 // replace installs a fresh mailbox for a PE and returns a new endpoint
 // bound to it — the respawn half of recovery. The dead endpoint keeps
@@ -211,6 +215,7 @@ type chanTransport struct {
 	killPE    int   // PE to fault-inject; -1 disarmed
 	killAfter int64 // worker-to-worker frames it may send first
 	killSent  atomic.Int64
+	assigned  atomic.Bool // killPE has been sent a KSpawn
 	killed    atomic.Bool
 }
 
@@ -275,8 +280,11 @@ func (e *chanEndpoint) Send(to int, m *Msg) error {
 		return fmt.Errorf("cluster: send to unknown endpoint %d", to)
 	}
 	driver := len(t.boxes) - 1
+	if to == t.killPE && m.Kind == KSpawn {
+		t.assigned.Store(true)
+	}
 	if e.self == t.killPE && (m.Kind.isData() || m.Kind == KAck) && !t.killed.Load() {
-		if t.killSent.Add(1) > t.killAfter && t.killed.CompareAndSwap(false, true) {
+		if t.killSent.Add(1) > t.killAfter && t.assigned.Load() && t.killed.CompareAndSwap(false, true) {
 			// The fault fires: this frame is lost on the wire, the endpoint
 			// goes dark, and the driver hears the "connection reset".
 			e.dead.Store(true)

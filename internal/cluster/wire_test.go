@@ -36,8 +36,9 @@ func TestMsgCodecRoundTrip(t *testing.T) {
 		{Kind: KWrite, Arr: 77, Off: 40, Val: isa.Int(-9)},
 		{Kind: KFail, Name: "pe 1: boom"},
 		{Kind: KProbe, Round: 12},
-		{Kind: KAck, Round: 12, Ack: &AckStats{Sent: 100, Recv: 99, Live: 3, Deferred: 7, Hits: 5,
-			Misses: 2, Steals: 4, Forwards: 6, Instrs: 12345, Evicts: 11, Refetches: 3}},
+		{Kind: KAck, Round: 12, Ack: &AckStats{Live: 3, Counters: Counters{MsgsSent: 100, MsgsRecv: 99,
+			DeferredReads: 7, CacheHits: 5, CacheMisses: 2, Steals: 4, Forwards: 6, Instrs: 12345,
+			Evictions: 11, Refetches: 3}}},
 		{Kind: KDumpReq, Arr: 77},
 		{Kind: KDump, Arr: 77, Off: 64, Vals: []isa.Value{isa.Float(1.5)}, Set: []bool{true}},
 		{Kind: KInit, Cfg: &MsgCfg{PE: 1, NumPEs: 4, Peers: []string{"a:1", "b:2"}}},
@@ -64,15 +65,15 @@ func TestMsgCodecRoundTrip(t *testing.T) {
 		{Kind: KRecover, Epoch: 2, Cfg: &MsgCfg{Incs: []int32{0, 1, 0, 2}, Peers: []string{"a:1", "s:9"}}},
 		{Kind: KStealDone, From: 2, SP: packIncID(0, 0, 4)},
 		{Kind: KFlush, From: 1, Epoch: 2, Inc: 1},
-		{Kind: KAck, Round: 3, Epoch: 1, Ack: &AckStats{Sent: 4, Recv: 4, Replayed: 2, Flushed: true}},
+		{Kind: KAck, Round: 3, Epoch: 1, Ack: &AckStats{Flushed: true, Counters: Counters{MsgsSent: 4, MsgsRecv: 4, ReplayedSPs: 2}}},
 		{Kind: KStealReq, From: 1, Lists: &MsgLists{HotPages: []int64{packID(0, 1), 3, packID(2, 5), 0}}},
-		{Kind: KAck, Round: 9, Ack: &AckStats{Sent: 8, Recv: 8, Hits: 40, Misses: 3,
-			Prefetches: 6, PrefetchHits: 4, CacheCapNow: 24}},
+		{Kind: KAck, Round: 9, Ack: &AckStats{Counters: Counters{MsgsSent: 8, MsgsRecv: 8, CacheHits: 40, CacheMisses: 3,
+			Prefetches: 6, PrefetchHits: 4, CacheCapNow: 24}}},
 		{Kind: KTrace, From: 1, Lists: &MsgLists{TraceEvs: []int64{1, 2, 3, 4, 5}, TraceDrops: 7}},
-		{Kind: KJobStart, Job: 2, Epoch: 1, Cfg: &MsgCfg{PageElems: 8, DistThreshold: 16, CachePages: 2,
-			Steal: true, Heat: true, Recover: true, Incs: []int32{0, 0, 0, 1}, Prog: []byte("{}")}},
+		{Kind: KJobStart, Job: 2, Epoch: 1, Cfg: &MsgCfg{Job: Config{PageElems: 8, DistThreshold: 16, CachePages: 2,
+			Steal: true, Heat: true, Recover: true}, Incs: []int32{0, 0, 0, 1}, Prog: []byte("{}")}},
 		{Kind: KSubmit, Job: 1, Seq: 7, Name: "triread", Args: []isa.Value{isa.Int(26)},
-			Cfg: &MsgCfg{CachePages: 4, Heat: true, MaxInstrs: 1 << 40, Prog: []byte("p")}},
+			Cfg: &MsgCfg{Job: Config{CachePages: 4, Heat: true, MaxInstrs: 1 << 40}, Prog: []byte("p")}},
 		{Kind: KResult, Seq: 7, Slot: 1, Val: isa.Float(-0.5)},
 		{Kind: KCkpt, Seq: 2, Lists: &MsgLists{Iters: []int64{packID(0, 3)}}},
 	}
@@ -173,16 +174,23 @@ func randMsg(rng *rand.Rand, k MsgKind) *Msg {
 		m.Sweep, m.RngOn, m.RngLo, m.RngHi = rng.Int63(), flip(), -rng.Int63(), rng.Int63()
 	}
 	if w&wAck != 0 {
-		m.Ack = &AckStats{Flushed: flip()}
-		for _, p := range m.Ack.counters() {
-			*p = rng.Int63()
+		m.Ack = &AckStats{Flushed: flip(), Live: rng.Int63(), QDepth: rng.Int63()}
+		for _, f := range counterFields {
+			*f.get(&m.Ack.Counters) = rng.Int63()
 		}
 	}
 	if w&wCfg != 0 {
-		m.Cfg = &MsgCfg{PE: rng.Int31n(8), NumPEs: rng.Int31n(8), PageElems: rng.Int31(),
-			DistThreshold: rng.Int31(), CachePages: rng.Int31(), TraceCap: rng.Int31(), TraceSample: rng.Int31(),
-			Steal: flip(), Adapt: flip(), Recover: flip(), Trace: flip(), Heat: flip(),
-			MaxInstrs: rng.Int63(), MaxElems: rng.Int63(), Incs: i32s(), Prog: []byte(str())}
+		m.Cfg = &MsgCfg{PE: rng.Int31n(8), NumPEs: rng.Int31n(8), Incs: i32s(), Prog: []byte(str())}
+		ints, flags, budgets := m.Cfg.Job.wireKnobs()
+		for _, p := range ints {
+			*p = int(rng.Int31())
+		}
+		for _, p := range flags {
+			*p = flip()
+		}
+		for _, p := range budgets {
+			*p = rng.Int63()
+		}
 		if len(m.Cfg.Prog) == 0 {
 			m.Cfg.Prog = nil
 		}
@@ -286,6 +294,37 @@ func overlay(dst, src *Msg, w wireBlocks) {
 		dst.Sweep, dst.RngOn, dst.RngLo, dst.RngHi = src.Sweep, src.RngOn, src.RngLo, src.RngHi
 	}
 	dst.Ack, dst.Cfg, dst.Lists = src.Ack, src.Cfg, src.Lists
+}
+
+// TestJobConfigCodecComplete: every Config field a job owns survives
+// KJobStart and KSubmit. A knob added to Config but not to wireKnobs
+// fails here instead of being dropped silently on TCP.
+func TestJobConfigCodecComplete(t *testing.T) {
+	notJobLevel := map[string]bool{"NumPEs": true, "Workers": true, "Spares": true, "ProbeInterval": true,
+		"Latency": true, "RoundTimeout": true, "KillPE": true, "KillAfter": true, "MaxJobs": true}
+	var cfg Config
+	v := reflect.ValueOf(&cfg).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		name, f := v.Type().Field(i).Name, v.Field(i)
+		switch {
+		case notJobLevel[name]:
+		case f.Kind() == reflect.Bool:
+			f.SetBool(true)
+		case f.CanInt():
+			f.SetInt(int64(i + 1))
+		default:
+			t.Fatalf("Config.%s: a %v knob has no wire form", name, f.Kind())
+		}
+	}
+	for _, k := range []MsgKind{KJobStart, KSubmit} {
+		got, err := decodeMsg(encodeMsg(nil, &Msg{Kind: k, Cfg: &MsgCfg{Job: cfg}}))
+		if err != nil {
+			t.Fatalf("%s: %v", k, err)
+		}
+		if !reflect.DeepEqual(got.Cfg.Job, cfg) {
+			t.Errorf("%s: job config lost on the wire:\n sent %+v\n got  %+v", k, cfg, got.Cfg.Job)
+		}
+	}
 }
 
 func TestMsgCodecTruncated(t *testing.T) {
@@ -392,7 +431,7 @@ func hotFrames() []struct {
 		{"page32", page},
 		{"spawn", &Msg{Kind: KSpawn, From: 1, Job: 3, Tmpl: 12, Sweep: packID(1, 5),
 			Args: []isa.Value{isa.Int(4), isa.Array(packID(0, 2)), isa.SPRef(packID(1, 9)), isa.Int(2)}}},
-		{"ack", &Msg{Kind: KAck, From: 1, Job: 3, Round: 40, Ack: &AckStats{Sent: 31000, Recv: 30990, Instrs: 2400000}}},
+		{"ack", &Msg{Kind: KAck, From: 1, Job: 3, Round: 40, Ack: &AckStats{Counters: Counters{MsgsSent: 31000, MsgsRecv: 30990, Instrs: 2400000}}}},
 	}
 }
 

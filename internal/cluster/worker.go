@@ -248,7 +248,7 @@ type worker struct {
 	// the counter values already published to the process-wide expvar
 	// metrics, so each probe ack publishes only the delta.
 	tr  *trace.Recorder
-	pub pubCounters
+	pub Counters
 
 	// told is the termination state this worker last reported to the
 	// driver, in a probe ack or an idle push. The zero value matches no real
@@ -329,15 +329,19 @@ type fanoutRec struct {
 	cuts  []int64
 }
 
-func newWorker(pe, n int, geo rtcfg.Geometry, prog *isa.Program, ep Endpoint, opts workerOpts) *worker {
+// newWorker builds PE pe of a job from its filled Config. Recovery is armed
+// separately (enableRecovery), with the incarnation state the job start
+// carries.
+func newWorker(pe int, cfg *Config, prog *isa.Program, ep Endpoint) *worker {
+	n := cfg.NumPEs
 	w := &worker{
 		pe:          pe,
 		n:           n,
-		geo:         geo,
+		geo:         rtcfg.Geometry{PEs: n, PageElems: cfg.PageElems, DistThreshold: cfg.DistThreshold},
 		prog:        prog,
 		ep:          ep,
-		steal:       opts.steal && n > 1,
-		adapt:       opts.adapt && n > 1,
+		steal:       cfg.Steal && n > 1,
+		adapt:       cfg.Adapt && n > 1,
 		shard:       istructure.NewShard(pe),
 		insts:       make(map[int64]*spInst),
 		waitArray:   make(map[int64][]*spInst),
@@ -347,12 +351,12 @@ func newWorker(pe, n int, geo rtcfg.Geometry, prog *isa.Program, ep Endpoint, op
 		costAcc:     make(map[costKey]int64),
 		stealVictim: pe, // first attempt targets (pe+1) mod n
 	}
-	w.shard.CacheCap = opts.cachePages
-	if opts.heat {
-		w.heat = newHeatState(opts.cachePages)
+	w.shard.CacheCap = cfg.CachePages
+	if cfg.Heat {
+		w.heat = newHeatState(cfg.CachePages)
 	}
-	if opts.trace {
-		w.tr = trace.New(opts.traceCap, opts.traceSample)
+	if cfg.Trace {
+		w.tr = trace.New(cfg.TraceCap, cfg.TraceSample)
 		// The shard's eviction point is the one place a cached page dies;
 		// hooking it there catches both InstallPage paths.
 		w.shard.OnEvict = func(arr int64, page int) {
@@ -545,28 +549,30 @@ func (w *worker) quiet() quietState {
 
 // report sends the driver this worker's counters: the ack of probe round
 // `round`, or (round 0) the unsolicited report of an idle state. told
-// remembers the state sent, so the run loop pushes only news.
+// remembers the state sent, so the run loop pushes only news. Probe acks
+// also publish the counters' growth to the process-wide metrics.
 func (w *worker) report(round int32) {
 	w.told = w.quiet()
-	w.send(w.driverID(), &Msg{Kind: KAck, Round: round, Ack: &AckStats{
-		Sent:         w.told.sent,
-		Recv:         w.told.recv,
-		Live:         w.told.live,
-		Deferred:     w.shard.DeferredReads,
-		Hits:         w.shard.CacheHits,
-		Misses:       w.shard.CacheMisses,
-		Steals:       w.steals,
-		Forwards:     w.forwarded,
-		Instrs:       w.instrs,
-		Evicts:       w.shard.Evictions,
-		Refetches:    w.shard.Refetches,
-		Replayed:     w.replayed,
-		Flushed:      w.told.flushed,
-		QDepth:       w.qdepth(),
-		Prefetches:   w.heat.prefetches,
-		PrefetchHits: w.heat.prefetchHits,
-		CacheCapNow:  int64(w.shard.CacheCap),
-	}})
+	a := &AckStats{Flushed: w.told.flushed, Live: w.told.live, QDepth: w.qdepth(), Counters: Counters{
+		MsgsSent:      w.told.sent,
+		MsgsRecv:      w.told.recv,
+		DeferredReads: w.shard.DeferredReads,
+		CacheHits:     w.shard.CacheHits,
+		CacheMisses:   w.shard.CacheMisses,
+		Steals:        w.steals,
+		Forwards:      w.forwarded,
+		Instrs:        w.instrs,
+		Evictions:     w.shard.Evictions,
+		Refetches:     w.shard.Refetches,
+		ReplayedSPs:   w.replayed,
+		Prefetches:    w.heat.prefetches,
+		PrefetchHits:  w.heat.prefetchHits,
+		CacheCapNow:   int64(w.shard.CacheCap),
+	}}
+	if round != 0 {
+		w.publishMetrics(&a.Counters)
+	}
+	w.send(w.driverID(), &Msg{Kind: KAck, Round: round, Ack: a})
 }
 
 // run is the worker main loop: drain the mailbox, then execute ready SPs;
@@ -1176,7 +1182,6 @@ func (w *worker) handle(m *Msg) {
 			}
 		}
 		w.rec(trace.EvProbe, int64(m.Round), w.qdepth())
-		w.publishMetrics()
 		w.report(m.Round)
 
 	case KStealReq:

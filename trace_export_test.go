@@ -8,9 +8,7 @@ import (
 	"context"
 	"encoding/csv"
 	"encoding/json"
-	"os"
 	"slices"
-	"strings"
 	"testing"
 	"time"
 
@@ -18,7 +16,11 @@ import (
 	"repro/internal/kernels"
 )
 
-func tracedRelaxRun(t *testing.T) *pods.ClusterResult {
+// tracedRelaxRun runs relax traced at 8 PEs with stealing and adaptation
+// on. With kill, PE 1 also dies after killAfterFrames frames under a
+// two-page cache cap and is recovered, so the rings are gathered across a
+// recovery epoch.
+func tracedRelaxRun(t *testing.T, kill bool) *pods.ClusterResult {
 	t.Helper()
 	k, _ := kernels.ByName("relax")
 	p, err := pods.Compile(k.File(), k.Source)
@@ -27,9 +29,11 @@ func tracedRelaxRun(t *testing.T) *pods.ClusterResult {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	res, err := p.ExecuteCluster(ctx, pods.ClusterConfig{
-		NumPEs: 8, Steal: true, Adapt: true, Trace: true,
-	}, k.Args(24)...)
+	cfg := pods.ClusterConfig{NumPEs: 8, Steal: true, Adapt: true, Trace: true}
+	if kill {
+		cfg.CachePages, cfg.Recover, cfg.KillPE, cfg.KillAfter = 2, true, 1, killAfterFrames
+	}
+	res, err := p.ExecuteCluster(ctx, cfg, k.Args(24)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +41,17 @@ func tracedRelaxRun(t *testing.T) *pods.ClusterResult {
 }
 
 func TestTracedRunExportsValidChromeJSON(t *testing.T) {
-	res := tracedRelaxRun(t)
+	checkChromeTrace(t, tracedRelaxRun(t, false))
+}
+
+func TestTracedRunExportsTimelineCSV(t *testing.T) {
+	checkTimelineCSV(t, tracedRelaxRun(t, false))
+}
+
+// checkChromeTrace checks that an 8-PE traced relax run exports a valid
+// Chrome trace_event JSON array with the phases such a run produces.
+func checkChromeTrace(t *testing.T, res *pods.ClusterResult) {
+	t.Helper()
 	tr := res.Trace()
 	if tr == nil || tr.NumPEs != 8 {
 		t.Fatalf("Trace() = %+v, want 8-PE trace", tr)
@@ -77,8 +91,10 @@ func TestTracedRunExportsValidChromeJSON(t *testing.T) {
 	}
 }
 
-func TestTracedRunExportsTimelineCSV(t *testing.T) {
-	res := tracedRelaxRun(t)
+// checkTimelineCSV checks that a traced run exports a parseable, rectangular
+// per-round timeline CSV.
+func checkTimelineCSV(t *testing.T, res *pods.ClusterResult) {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := res.WriteTimelineCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -140,14 +156,8 @@ func TestUntracedRunHasNoTrace(t *testing.T) {
 // TestTracingExecutesNoInstructions pins what tracing costs in program
 // work: nothing. With stealing and adaptation off no SP can change PE, so a
 // traced and an untraced run must execute exactly the same instructions on
-// every PE. The forced CI legs turn steal/kill on, which makes the counts
-// schedule-dependent, so the test stands down under any PODS_FORCE_*.
+// every PE.
 func TestTracingExecutesNoInstructions(t *testing.T) {
-	for _, kv := range os.Environ() {
-		if name, v, _ := strings.Cut(kv, "="); strings.HasPrefix(name, "PODS_FORCE_") && v != "" {
-			t.Skipf("%s is set: instruction counts would depend on the schedule", name)
-		}
-	}
 	for _, kn := range []string{"relax", "matmul"} {
 		k, _ := kernels.ByName(kn)
 		p, err := pods.Compile(k.File(), k.Source)
