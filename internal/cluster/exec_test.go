@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/isa"
@@ -9,7 +10,8 @@ import (
 
 // Tests and benchmarks pinning the interpreter hot path (roadmap baseline
 // layer (a)): a single-PE worker stepped by hand, so nothing but
-// worker.exec and the shard runs — no transport, no driver, no goroutines.
+// worker.step, the executor and the shard run — no transport, no driver,
+// no goroutines.
 
 func instr(op isa.Opcode, dst, a, b int, args ...int) isa.Instr {
 	in := isa.NewInstr(op)
@@ -31,8 +33,8 @@ func branch(op isa.Opcode, a, target int) isa.Instr {
 
 const none = isa.None
 
-// hotPrograms builds one program of four entry templates, each taking the
-// trip count n (and, for reads, an array handle):
+// hotPrograms builds one program of templates that each take the trip
+// count n (and, for reads, an array handle):
 //
 //	0 scalar:  n iterations of 6 scalar/control instructions
 //	1 rw:      ALLOC A[n], then n iterations of 8 instructions with one
@@ -40,6 +42,7 @@ const none = isa.None
 //	2 read:    n iterations of 6 instructions with one local AREAD of a
 //	           pre-filled array passed as the second argument
 //	3 spawner: spawns n instances of template 4 (IADD; HALT), 5 per child
+//	5 copy:    the spawner as a distributed loop copy, loop variable i
 func hotPrograms() *isa.Program {
 	scalar := []isa.Instr{
 		constant(1, isa.Int(0)),        // i
@@ -102,6 +105,8 @@ func hotPrograms() *isa.Program {
 		{ID: 2, Name: "read", Kind: isa.TmplMain, NParams: 2, NSlots: 7, Code: read},
 		{ID: 3, Name: "spawner", Kind: isa.TmplMain, NParams: 1, NSlots: 4, Code: spawner},
 		{ID: 4, Name: "child", Kind: isa.TmplFunc, NParams: 1, NSlots: 2, Code: child},
+		{ID: 5, Name: "copy", Kind: isa.TmplLoop, NParams: 1, NSlots: 4, Code: spawner,
+			Distributed: true, Loop: &isa.LoopInfo{Var: "i", VarSlot: 1, LimitSlot: 0}},
 	}}
 }
 
@@ -201,6 +206,37 @@ func TestSpawnHaltAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() { w.run(t, 3, isa.Int(n)) })
 	if perSP := allocs / (n + 1); perSP > 1 {
 		t.Fatalf("%.2f allocations per SP instance after warm-up, want <= 1", perSP)
+	}
+}
+
+// TestAdaptBillsEachIteration pins Config.Adapt's cost attribution: a
+// distributed loop copy charges each completed instruction to the value its
+// loop variable holds once the instruction is done (nothing while the
+// variable holds no integer), HALT is not charged, and a child it spawns
+// charges its own instructions to the iteration that spawned it.
+func TestAdaptBillsEachIteration(t *testing.T) {
+	const n = 3
+	w := newHotWorker(t)
+	sp := w.instantiate(w.prog.Template(5), []isa.Value{isa.Int(n)})
+	sp.costLoop, sp.costSweep = 5, 77
+	for w.readyHead != len(w.ready) {
+		w.step()
+	}
+	// The copy runs CONST i, CONST one, then per iteration CMPLT, BRFALSE,
+	// SPAWN, IADD i, JUMP: iteration 0 gets the two CONSTs (i is 0 from
+	// the first) and its first three, every iteration after it the IADD
+	// and JUMP that moved i there plus three more, and iteration n the
+	// closing IADD, JUMP, CMPLT and BRFALSE. Each child adds its IADD.
+	want := map[int64]int64{0: 2 + 3 + 1, 1: 2 + 3 + 1, 2: 2 + 3 + 1, n: 4}
+	got := map[int64]int64{}
+	for k, c := range w.costAcc {
+		if k.loop != 5 || k.sweep != 77 {
+			t.Fatalf("charge to loop %d sweep %d", k.loop, k.sweep)
+		}
+		got[k.iter] = c
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("charges by iteration %v, want %v", got, want)
 	}
 }
 

@@ -479,6 +479,15 @@ func TestServeJobsRejectsHostilePrograms(t *testing.T) {
 			tm.Code[pc].A = isa.None
 			return at(tm, pc)
 		}},
+		{"null template entry", func(p *isa.Program, _ *Config) string {
+			p.Templates = append(p.Templates, nil)
+			return fmt.Sprintf("template %d is nil", len(p.Templates)-1)
+		}},
+		{"template ID that is not its index", func(p *isa.Program, _ *Config) string {
+			tm, _ := find(p, distributed)
+			tm.ID = len(p.Templates)
+			return at(tm, -1)
+		}},
 		{"trace ring of 2^31-1 events on every PE", func(_ *isa.Program, cfg *Config) string {
 			cfg.Trace, cfg.TraceCap = true, math.MaxInt32
 			return "trace bound out of range"

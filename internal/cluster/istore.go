@@ -102,17 +102,17 @@ func (w *worker) installArray(h *istructure.Header) {
 // instruction consumes the slot); remote elements probe the page cache and
 // otherwise ask the owner. The array is resolved to its handle once; the
 // local and cache-hit paths then touch no map and allocate nothing.
-// Returns true when the SP suspended on a missing header (pc not advanced).
-func (w *worker) execRead(sp *spInst, ins *isa.DInstr, idx []int) (suspended bool) {
+// Suspends on a missing header (pc not advanced).
+func (w *worker) execRead(sp *spInst, ins *isa.DInstr, idx []int) isa.Step {
 	a := w.array(sp, ins.A)
 	if a == nil {
-		return true
+		return isa.Suspend
 	}
 	h := a.Header()
 	off, err := h.OffsetOf(sp.frame, idx)
 	if err != nil {
 		w.fail(fmt.Errorf("%q: %w", sp.tmpl.Name, err))
-		return false
+		return isa.Next
 	}
 	dst := int(ins.Dst)
 	sp.frame[dst] = isa.Value{}
@@ -123,7 +123,7 @@ func (w *worker) execRead(sp *spInst, ins *isa.DInstr, idx []int) (suspended boo
 			sp.frame[dst] = v
 		}
 		// ReadDeferred: the waiter is queued; the releasing write delivers.
-		return false
+		return isa.Next
 	}
 
 	if v, _, hit := a.CacheLookup(off); hit {
@@ -131,7 +131,7 @@ func (w *worker) execRead(sp *spInst, ins *isa.DInstr, idx []int) (suspended boo
 		w.notePrefetchHit(h.ID, h.PageOf(off))
 		sp.frame[dst] = v
 		w.maybePrefetch(a, off)
-		return false
+		return isa.Next
 	}
 	w.shard.CacheMisses++
 	w.rec(trace.EvPageFetch, h.ID, int64(h.PageOf(off)))
@@ -151,27 +151,27 @@ func (w *worker) execRead(sp *spInst, ins *isa.DInstr, idx []int) (suspended boo
 		SP:    sp.id,
 		Slot:  ins.Dst,
 	})
-	return false
+	return isa.Next
 }
 
 // execWrite implements AWRITE: owned elements are written in place (and
 // release queued readers); remote elements travel to the owner as a KWrite.
-// Returns true when the SP suspended on a missing header.
-func (w *worker) execWrite(sp *spInst, ins *isa.DInstr, idx []int) (suspended bool) {
+// Suspends on a missing header.
+func (w *worker) execWrite(sp *spInst, ins *isa.DInstr, idx []int) isa.Step {
 	a := w.array(sp, ins.A)
 	if a == nil {
-		return true
+		return isa.Suspend
 	}
 	h := a.Header()
 	off, err := h.OffsetOf(sp.frame, idx)
 	if err != nil {
 		w.fail(fmt.Errorf("%q: %w", sp.tmpl.Name, err))
-		return false
+		return isa.Next
 	}
 	val := sp.frame[ins.B]
 	if a.Owns(off) {
 		w.ownerWrite(a, off, val)
-		return false
+		return isa.Next
 	}
 	owner := h.OwnerOf(off)
 	if w.recover {
@@ -181,7 +181,7 @@ func (w *worker) execWrite(sp *spInst, ins *isa.DInstr, idx []int) (suspended bo
 		w.writeLog[owner] = append(w.writeLog[owner], writeRec{arr: h.ID, off: int32(off), val: val})
 	}
 	w.send(owner, &Msg{Kind: KWrite, Arr: h.ID, Off: int32(off), Val: val})
-	return false
+	return isa.Next
 }
 
 // ownerWrite stores an owned element and releases deferred readers: local

@@ -65,14 +65,14 @@ type spInst struct {
 	// keeps dispatch/complete pairs exact under sampling.
 	traced int8
 
-	// rbOn/rbLo/rbHi are explicit adaptive Range-Filter bounds stamped on
+	// rbOn/rb are explicit adaptive Range-Filter bounds [lo, hi] stamped on
 	// a distributed copy at fan-out: when set, the copy's RF instructions
 	// yield these instead of consulting array ownership or the uniform
 	// split, clamped against the loop's real index range. The ends of the
 	// cut vector stamp ±inf, so the per-PE ranges partition any actual
 	// range exactly even if it shifted since the costs were observed.
-	rbOn       bool
-	rbLo, rbHi int64
+	rbOn bool
+	rb   [2]int64
 }
 
 // worker is one PE: its own I-structure shard, its own SP instances and run
@@ -129,6 +129,12 @@ type worker struct {
 	// instrs counts executed instructions (the per-PE load metric the
 	// SKEW experiment reports).
 	instrs int64
+
+	// x is the executor state, pointed at cur — the SP step last ran —
+	// for each run; cs is that run's cost segment (Config.Adapt).
+	x   isa.Exec
+	cur *spInst
+	cs  costSeg
 
 	// Work stealing (enabled by Config.Steal). forwards maps the home ID
 	// of a stolen SP to the endpoint it was granted to: any token that
@@ -351,6 +357,7 @@ func newWorker(pe int, cfg *Config, prog *isa.Program, ep Endpoint) *worker {
 		costAcc:     make(map[costKey]int64),
 		stealVictim: pe, // first attempt targets (pe+1) mod n
 	}
+	w.x.Backend = w
 	w.shard.CacheCap = cfg.CachePages
 	if cfg.Heat {
 		w.heat = newHeatState(cfg.CachePages)
@@ -1120,7 +1127,7 @@ func (w *worker) handle(m *Msg) {
 			// explicit bounds the spawner computed for this PE.
 			sp.costLoop, sp.costSweep = m.Tmpl, m.Sweep
 			if m.RngOn {
-				sp.rbOn, sp.rbLo, sp.rbHi = true, m.RngLo, m.RngHi
+				sp.rbOn, sp.rb = true, [2]int64{m.RngLo, m.RngHi}
 			}
 		}
 
@@ -1460,33 +1467,69 @@ func (w *worker) route(id int64, slot int, v isa.Value) {
 	}
 }
 
-// suspendOnArray parks the SP until the header for array id arrives. The
-// program counter has not advanced, so the instruction re-executes on wake.
-func (w *worker) suspendOnArray(id int64, sp *spInst) {
-	w.waitArray[id] = append(w.waitArray[id], sp)
-}
-
-// array resolves the array handle value in a frame slot to the shard's
-// per-array handle — the one lookup an access pays — or parks the SP and
-// returns nil when the alloc broadcast has not arrived yet.
+// array resolves the array handle in a frame slot (the executor checked its
+// kind) to the shard's per-array handle — the one lookup an access pays. When
+// the alloc broadcast has not arrived yet it parks the SP until
+// installArray wakes it and returns nil: the caller suspends, so the
+// instruction re-executes on wake.
 func (w *worker) array(sp *spInst, slot int32) *istructure.Array {
-	hv := sp.frame[slot]
-	if hv.Kind != isa.KindArray {
-		w.fail(fmt.Errorf("%q: %s is not an array handle", sp.tmpl.Name, hv))
-		return nil
-	}
-	a := w.shard.Array(hv.I)
+	id := sp.frame[slot].I
+	a := w.shard.Array(id)
 	if a == nil {
-		w.suspendOnArray(hv.I, sp)
+		w.waitArray[id] = append(w.waitArray[id], sp)
 	}
 	return a
 }
 
-// step runs one ready SP until it halts, blocks on an absent operand, or
-// suspends on a missing array header. It pops from the top of the deque
-// (the most recently pushed SP): depth-first execution follows each spawn
-// chain down before touching older siblings, which both bounds the live
-// frontier and keeps untouched SPs at the bottom for thieves.
+// costSeg is the cost attribution of one run segment (Config.Adapt): a
+// tagged instance charges every completed instruction to its (loop, sweep,
+// iteration) bucket. A distributed loop copy charges to the current value
+// of its loop variable — the executor stops the run whenever an instruction
+// writes it (Exec.Watch) — so its own control overhead lands on the
+// iteration being driven; everything else carries the iteration frozen at
+// spawn time. While a copy's loop variable holds no integer there is no
+// iteration to bill.
+type costSeg struct {
+	iter  int64 // the iteration being billed
+	bill  bool  // false while the loop variable holds no integer
+	from  int64 // w.instrs when the stretch billed to iter began
+	start int64 // w.instrs when the segment began
+}
+
+// openSeg starts the cost segment of a tagged instance.
+func (w *worker) openSeg(sp *spInst) {
+	w.cs = costSeg{iter: sp.costIter, bill: true, from: w.instrs, start: w.instrs}
+	if sp.tmpl.Distributed && sp.tmpl.Loop != nil {
+		w.x.Watch = int32(sp.tmpl.Loop.VarSlot)
+		w.readIter(sp)
+	}
+}
+
+// readIter points the segment at the iteration in the loop variable.
+func (w *worker) readIter(sp *spInst) {
+	v := sp.frame[w.x.Watch]
+	if w.cs.bill = v.Kind == isa.KindInt; w.cs.bill {
+		w.cs.iter = v.I
+	}
+}
+
+// billTo charges the instructions completed since the stretch began, up to
+// the count upto, to the stretch's iteration, and starts the next stretch.
+func (w *worker) billTo(sp *spInst, upto int64) {
+	if n := upto - w.cs.from; n > 0 && w.cs.bill {
+		w.charge(sp.costLoop, sp.costSweep, w.cs.iter, n)
+	}
+	w.cs.from = upto
+}
+
+// step runs one ready SP on the shared executor (isa.Run) until it halts,
+// blocks on an absent operand, or suspends on a missing array header. It
+// pops from the top of the deque (the most recently pushed SP): depth-first
+// execution follows each spawn chain down before touching older siblings,
+// which both bounds the live frontier and keeps untouched SPs at the bottom
+// for thieves. An instruction counts (and bills) only once it completes: a
+// block or a suspension leaves pc where it was, so the instruction
+// re-executes on wake without counting twice.
 func (w *worker) step() {
 	// The shard's heat table stamps last-touch times with this worker's
 	// instruction counter — deterministic per PE, monotone per step.
@@ -1528,222 +1571,110 @@ func (w *worker) step() {
 			w.tr.Record(trace.EvSPDispatch, w.instrs, sp.id, int64(sp.tmpl.ID))
 		}
 	}
-	w.exec(sp)
-}
-
-// costSeg is the cost attribution of one run segment (Config.Adapt): a
-// tagged instance charges every completed instruction to its (loop, sweep,
-// iteration) bucket. A distributed loop copy charges dynamically to the
-// current value of its loop variable in dynSlot (so its own control
-// overhead lands on the iteration being driven); everything else carries
-// the iteration frozen at spawn time. Charges are batched in n and flushed
-// when the segment ends or the dynamic iteration advances.
-type costSeg struct {
-	track   bool
-	dynSlot int
-	iter, n int64
-}
-
-// bill charges one completed instruction of a tracked segment.
-func (w *worker) bill(sp *spInst, cs *costSeg) {
-	if cs.dynSlot != isa.None {
-		v := sp.frame[cs.dynSlot]
-		if v.Kind != isa.KindInt {
-			return // before the loop variable exists there is no iteration to bill
-		}
-		if v.I != cs.iter {
-			if cs.n > 0 {
-				w.charge(sp.costLoop, sp.costSweep, cs.iter, cs.n)
-				cs.n = 0
-			}
-			cs.iter = v.I
-		}
-	}
-	cs.n++
-}
-
-// exec interprets sp's decoded code from sp.pc until the SP halts, blocks
-// or suspends. The loop is flat: no defer, no closure, and on the scalar /
-// local-access / cache-hit path no allocation and no map lookup past the
-// array resolve. An instruction counts (and bills) only once it completes:
-// a block or a suspension leaves pc where it was, so the instruction
-// re-executes on wake without counting twice. Only effect-class
-// instructions can send or fail, so only they re-check the worker's
-// failed/stopped state.
-func (w *worker) exec(sp *spInst) {
 	if w.failed || w.stopped {
 		return
 	}
-	d := sp.tmpl.Decoded()
-	code, f, pc := d.Code, sp.frame, sp.pc
-	cs := costSeg{track: sp.costLoop >= 0, dynSlot: isa.None, iter: sp.costIter}
-	if cs.track && sp.tmpl.Distributed && sp.tmpl.Loop != nil {
-		cs.dynSlot = sp.tmpl.Loop.VarSlot
+
+	x := &w.x
+	x.Decoded, x.F, x.PC, x.Self, x.N, x.Watch = sp.tmpl.Decoded(), sp.frame, sp.pc, sp.id, w.instrs, isa.None
+	w.cur = sp
+	track := sp.costLoop >= 0
+	if track {
+		w.openSeg(sp)
 	}
-	halted := false
-run:
-	for {
-		ins := &code[pc]
-		next := pc + 1
-		if ins.Class == isa.ClassScalar {
-			a := f[ins.A]
-			if a.Kind == isa.KindInvalid {
-				sp.blocked = int(ins.A)
-				break
-			}
-			var b isa.Value
-			if ins.B != isa.None {
-				if b = f[ins.B]; b.Kind == isa.KindInvalid {
-					sp.blocked = int(ins.B)
-					break
-				}
-			}
-			v, err := isa.EvalScalar(ins.Op, a, b)
-			if err != nil {
-				w.fail(fmt.Errorf("%q pc %d: %v", sp.tmpl.Name, pc, err))
-				break
-			}
-			f[ins.Dst] = v
-		} else {
-			for _, s := range d.Inputs(ins) {
-				if f[s].Kind == isa.KindInvalid {
-					sp.blocked = s
-					break run
-				}
-			}
-			suspended := false // on a missing array header: pc must not advance
-			switch ins.Op {
-			case isa.NOP:
-			case isa.CONST:
-				f[ins.Dst] = ins.Imm
-			case isa.MOVE:
-				f[ins.Dst] = f[ins.A]
-			case isa.CLEAR:
-				f[ins.Dst] = isa.Value{}
-			case isa.SELF:
-				f[ins.Dst] = isa.SPRef(sp.id)
-			case isa.JUMP:
-				next = int(ins.Target)
-			case isa.BRFALSE, isa.BRTRUE:
-				if f[ins.A].AsBool() == (ins.Op == isa.BRTRUE) {
-					next = int(ins.Target)
-				}
-
-			case isa.ALLOC, isa.ALLOCD:
-				w.execAlloc(sp, ins, d.Args(ins), sp.tmpl.Code[pc].Comment)
-			case isa.AREAD:
-				suspended = w.execRead(sp, ins, d.Args(ins))
-			case isa.AWRITE:
-				suspended = w.execWrite(sp, ins, d.Args(ins))
-			case isa.ROWLO, isa.ROWHI, isa.COLLO, isa.COLHI, isa.UNIFLO, isa.UNIFHI:
-				suspended = w.execFilter(sp, ins)
-
-			case isa.SPAWN, isa.SPAWND:
-				w.execSpawn(sp, pc, ins, d.Args(ins), &cs)
-			case isa.SEND:
-				ref := f[ins.A]
-				if ref.Kind != isa.KindSP {
-					w.fail(fmt.Errorf("%q pc %d: SEND target is %s, not an SP reference", sp.tmpl.Name, pc, ref))
-					break run
-				}
-				slot := ins.Imm.I
-				if args := d.Args(ins); len(args) > 0 {
-					slot += f[args[0]].AsInt()
-				}
-				w.route(ref.I, int(slot), f[ins.B])
-			case isa.HALT:
-				if sp.traced == 1 {
-					w.tr.Record(trace.EvSPComplete, w.instrs, sp.id, int64(sp.tmpl.ID))
-				}
-				delete(w.insts, sp.id)
-				if sp.stolen {
-					w.halted[sp.id] = struct{}{}
-					if w.recover && sp.grantedFrom >= 0 {
-						// Tell the grantor the migrated SP completed, so its
-						// grant record (and stub chain) can retire instead of
-						// being re-instantiated by a later recovery.
-						w.send(sp.grantedFrom, &Msg{Kind: KStealDone, SP: sp.id})
-					}
-				}
-				halted = true
-				break run
-
-			default: // the trap past the end of the code, or an opcode no case covers
-				w.fail(fmt.Errorf("%q pc %d: cannot execute %s", sp.tmpl.Name, pc, ins.Op))
-				break run
-			}
-			if suspended || ins.Class != isa.ClassControl && (w.failed || w.stopped) {
-				break
+	st := isa.Run(x)
+	for st == isa.Watched {
+		// The instruction that just completed wrote the loop variable: it
+		// and what follows bill the new iteration.
+		w.billTo(sp, x.N-1)
+		w.readIter(sp)
+		st = isa.Run(x)
+	}
+	sp.pc, w.instrs = x.PC, x.N
+	if track {
+		w.billTo(sp, x.N)
+	}
+	switch st {
+	case isa.Block:
+		sp.blocked = x.Blocked
+	case isa.Fault:
+		w.fail(fmt.Errorf("%q %w", sp.tmpl.Name, x.Err))
+	case isa.Halt:
+		if sp.traced == 1 {
+			w.tr.Record(trace.EvSPComplete, w.instrs, sp.id, int64(sp.tmpl.ID))
+		}
+		delete(w.insts, sp.id)
+		if sp.stolen {
+			w.halted[sp.id] = struct{}{}
+			if w.recover && sp.grantedFrom >= 0 {
+				// Tell the grantor the migrated SP completed, so its
+				// grant record (and stub chain) can retire instead of
+				// being re-instantiated by a later recovery.
+				w.send(sp.grantedFrom, &Msg{Kind: KStealDone, SP: sp.id})
 			}
 		}
-		w.instrs++
-		if cs.track {
-			w.bill(sp, &cs)
-		}
-		pc = next
-	}
-	sp.pc = pc
-	if cs.n > 0 {
-		w.charge(sp.costLoop, sp.costSweep, cs.iter, cs.n)
-	}
-	if halted {
 		w.release(sp)
 	}
 }
 
-// execFilter implements the Range-Filter queries: ROWLO/ROWHI (the rows
-// this PE is responsible for), COLLO/COLHI (the owned part of row B) and
-// UNIFLO/UNIFHI (this PE's block of [A, B]). Stamped adaptive bounds
-// override the ownership rule: the filter's MAX/MIN clamps against the
-// loop's real init/limit still apply, so a ±inf end stamp degenerates to
-// "no bound" — but the uniform filter replaces the loop bounds outright,
-// so its stamped range is clamped here. True when the SP suspended.
-func (w *worker) execFilter(sp *spInst, ins *isa.DInstr) (suspended bool) {
-	f := sp.frame
-	var lo, hi int64
-	switch {
-	case ins.Op == isa.UNIFLO || ins.Op == isa.UNIFHI:
-		lo, hi = f[ins.A].AsInt(), f[ins.B].AsInt()
-		if sp.rbOn {
-			lo, hi = max(lo, sp.rbLo), min(hi, sp.rbHi)
-		} else {
-			n, pes, id := max(hi-lo+1, 0), int64(w.n), int64(w.pe)
-			lo, hi = lo+n*id/pes, lo+n*(id+1)/pes-1
+// Effect performs one effect-class instruction of w.cur for the executor.
+// Only effects can send or fail, so only they re-check the worker's
+// failed/stopped state.
+func (w *worker) Effect(x *isa.Exec, ins *isa.DInstr) isa.Step {
+	sp := w.cur
+	w.instrs = x.N // the trace clock reads the count so far
+	st := isa.Next
+	switch ins.Op {
+	case isa.ALLOC, isa.ALLOCD:
+		w.execAlloc(sp, ins, x.Args(ins), sp.tmpl.Code[x.PC].Comment)
+	case isa.AREAD:
+		st = w.execRead(sp, ins, x.Args(ins))
+	case isa.AWRITE:
+		st = w.execWrite(sp, ins, x.Args(ins))
+	case isa.ROWLO, isa.ROWHI, isa.COLLO, isa.COLHI, isa.UNIFLO, isa.UNIFHI:
+		st = w.execFilter(sp, ins)
+	case isa.SPAWN, isa.SPAWND:
+		w.execSpawn(sp, ins, x.Args(ins))
+	case isa.SEND:
+		slot := ins.Imm.I
+		if args := x.Args(ins); len(args) > 0 {
+			slot += sp.frame[args[0]].AsInt()
 		}
+		w.route(sp.frame[ins.A].I, int(slot), sp.frame[ins.B])
+	}
+	if w.failed || w.stopped {
+		return isa.Suspend
+	}
+	return st
+}
+
+// execFilter implements the Range-Filter queries (istructure.RangeFilter).
+// Stamped adaptive bounds override the ownership rule: the filter's MAX/MIN
+// clamps against the loop's real init/limit still apply, so a ±inf end
+// stamp degenerates to "no bound".
+func (w *worker) execFilter(sp *spInst, ins *isa.DInstr) isa.Step {
+	var stamp *[2]int64
+	var h *istructure.Header
+	switch {
 	case sp.rbOn:
-		lo, hi = sp.rbLo, sp.rbHi
-	default:
+		stamp = &sp.rb
+	case ins.Op != isa.UNIFLO && ins.Op != isa.UNIFHI:
 		a := w.array(sp, ins.A)
 		if a == nil {
-			return true
+			return isa.Suspend
 		}
-		var ok bool
-		if ins.Op == isa.ROWLO || ins.Op == isa.ROWHI {
-			lo, hi, ok = a.Header().OwnedRows(w.pe)
-		} else {
-			lo, hi, ok = a.Header().OwnedCols(w.pe, f[ins.B].AsInt())
-		}
-		if !ok {
-			lo, hi = 1, 0
-		}
+		h = a.Header()
 	}
-	if ins.Op == isa.ROWHI || ins.Op == isa.COLHI || ins.Op == isa.UNIFHI {
-		lo = hi
-	}
-	f[ins.Dst] = isa.Int(lo)
-	return false
+	sp.frame[ins.Dst] = isa.Int(istructure.RangeFilter(ins, sp.frame, h, w.pe, w.n, stamp))
+	return isa.Next
 }
 
 // execSpawn implements SPAWN (the L operator: a child on this PE) and
 // SPAWND (the distributing L: one copy per PE). args are the frame slots
 // whose values become the child's parameters.
-func (w *worker) execSpawn(sp *spInst, pc int, ins *isa.DInstr, args []int, cs *costSeg) {
+func (w *worker) execSpawn(sp *spInst, ins *isa.DInstr, args []int) {
 	f := sp.frame
-	child := w.prog.Template(int(ins.Imm.I))
-	if child == nil {
-		w.fail(fmt.Errorf("%q pc %d: spawn of unknown template %d", sp.tmpl.Name, pc, ins.Imm.I))
-		return
-	}
+	child := w.prog.Templates[ins.Imm.I] // Validate checked the ID
 	if ins.Op == isa.SPAWN {
 		// A plain spawn stays local and joins the spawner's cost subtree:
 		// the child bills the iteration the spawner was executing when it
@@ -1755,8 +1686,12 @@ func (w *worker) execSpawn(sp *spInst, pc int, ins *isa.DInstr, args []int, cs *
 		for i, s := range args {
 			csp.frame[i] = f[s]
 		}
-		if cs.track {
-			csp.costLoop, csp.costSweep, csp.costIter = sp.costLoop, sp.costSweep, cs.iter
+		if sp.costLoop >= 0 {
+			iter := w.cs.iter
+			if w.instrs == w.cs.start {
+				iter = sp.costIter // the segment has not read its loop variable yet
+			}
+			csp.costLoop, csp.costSweep, csp.costIter = sp.costLoop, sp.costSweep, iter
 		}
 		return
 	}
@@ -1802,7 +1737,7 @@ func (w *worker) execSpawn(sp *spInst, pc int, ins *isa.DInstr, args []int, cs *
 			if csp != nil && sweep != 0 {
 				csp.costLoop, csp.costSweep = int32(child.ID), sweep
 				if cuts != nil {
-					csp.rbOn, csp.rbLo, csp.rbHi = true, rlo, rhi
+					csp.rbOn, csp.rb = true, [2]int64{rlo, rhi}
 				}
 			}
 			continue

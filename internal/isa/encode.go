@@ -75,6 +75,9 @@ func (in *Instr) UnmarshalJSON(data []byte) error {
 	in.Op = op
 	in.Dst, in.A, in.B = j.Dst, j.A, j.B
 	in.Args = j.Args
+	if len(in.Args) == 0 {
+		in.Args = nil // "args":[] reads as no args, the form MarshalJSON writes
+	}
 	in.Target = j.Target
 	in.Comment = j.Comment
 	in.Imm = Value{}

@@ -1,6 +1,7 @@
 package isa_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -122,4 +123,36 @@ func TestWriteRefusesInvalidProgram(t *testing.T) {
 	if _, err := isa.MarshalPods(bad); err == nil {
 		t.Fatal("invalid program serialized")
 	}
+}
+
+// FuzzUnmarshalPods: UnmarshalPods parses untrusted bytes (a .pods file, a
+// job submitted to podsd -serve). It must never panic; a program it accepts
+// must pass Validate, decode, and come back equal from MarshalPods and
+// UnmarshalPods. The committed corpus (testdata/fuzz) holds matmul's .pods
+// and the two shapes Validate once let through: a null template entry and a
+// template whose ID is not its index.
+func FuzzUnmarshalPods(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := isa.UnmarshalPods(data)
+		if err != nil {
+			return
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("accepted a program Validate rejects: %v", err)
+		}
+		out, err := isa.MarshalPods(p)
+		if err != nil {
+			t.Fatalf("accepted program does not marshal: %v", err)
+		}
+		back, err := isa.UnmarshalPods(out)
+		if err != nil {
+			t.Fatalf("marshalled program does not read back: %v", err)
+		}
+		if !reflect.DeepEqual(p, back) {
+			t.Fatalf("program changed across MarshalPods/UnmarshalPods:\n%s\n%s", p.Listing(), back.Listing())
+		}
+		for _, tm := range p.Templates {
+			tm.Decoded()
+		}
+	})
 }

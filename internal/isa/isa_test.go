@@ -165,6 +165,18 @@ func TestTemplateValidate(t *testing.T) {
 	if err := prog.Validate(); err == nil {
 		t.Fatal("invalid opcode accepted")
 	}
+
+	halt := []Instr{NewInstr(HALT)}
+	prog = &Program{Templates: []*Template{mkTemplate(halt, 1, 0), nil}, EntryID: 0}
+	if err := prog.Validate(); err == nil || !strings.Contains(err.Error(), "template 1 is nil") {
+		t.Fatalf("nil template entry: err = %v", err)
+	}
+
+	second := mkTemplate(halt, 1, 0) // ID 0 at index 1: a spawn message naming it runs template 0
+	prog = &Program{Templates: []*Template{mkTemplate(halt, 1, 0), second}, EntryID: 0}
+	if err := prog.Validate(); err == nil || !strings.Contains(err.Error(), "ID 0 at index 1") {
+		t.Fatalf("template ID that is not its index: err = %v", err)
+	}
 }
 
 func TestTemplateListing(t *testing.T) {

@@ -301,12 +301,19 @@ func (p *Program) Template(id int) *Template {
 // Entry returns the entry template.
 func (p *Program) Entry() *Template { return p.Template(p.EntryID) }
 
-// Validate checks every template.
+// Validate checks every template, and that each sits at the index its ID
+// names: spawns (and the cluster's spawn messages) resolve a template by ID.
 func (p *Program) Validate() error {
 	if p.Entry() == nil {
 		return fmt.Errorf("program: entry template %d missing", p.EntryID)
 	}
-	for _, t := range p.Templates {
+	for i, t := range p.Templates {
+		if t == nil {
+			return fmt.Errorf("program: template %d is nil", i)
+		}
+		if t.ID != i {
+			return fmt.Errorf("template %q: ID %d at index %d", t.Name, t.ID, i)
+		}
 		if err := t.Validate(p); err != nil {
 			return err
 		}

@@ -233,6 +233,45 @@ func (h *Header) OwnedCols(pe int, row int64) (lo, hi int64, ok bool) {
 	return int64(lo64-rstart) + 1, int64(hi64 - rstart), true
 }
 
+// RangeFilter returns what Range-Filter instruction in (ROWLO … UNIFHI)
+// yields on PE pe of pes, reading its operands from frame f (§4.2.2–4.2.3):
+// the low or high end of the rows of h that pe is responsible for, of the
+// part of row B it owns, or of its block of the uniform split of [A, B]. A
+// PE with nothing to do gets the empty range (1, 0), so the filtered loop
+// runs no iteration. A non-nil stamp replaces the rule with explicit bounds
+// (adaptive rebinding); the uniform filter still clamps them to [A, B],
+// since it replaces the loop's bounds outright. h may be nil when the
+// uniform filter or a stamp answers.
+func RangeFilter(in *isa.DInstr, f []isa.Value, h *Header, pe, pes int, stamp *[2]int64) int64 {
+	var lo, hi int64
+	switch {
+	case in.Op == isa.UNIFLO || in.Op == isa.UNIFHI:
+		lo, hi = f[in.A].AsInt(), f[in.B].AsInt()
+		if stamp != nil {
+			lo, hi = max(lo, stamp[0]), min(hi, stamp[1])
+		} else {
+			n, id := max(hi-lo+1, 0), int64(pe)
+			lo, hi = lo+n*id/int64(pes), lo+n*(id+1)/int64(pes)-1
+		}
+	case stamp != nil:
+		lo, hi = stamp[0], stamp[1]
+	default:
+		var ok bool
+		if in.Op == isa.ROWLO || in.Op == isa.ROWHI {
+			lo, hi, ok = h.OwnedRows(pe)
+		} else {
+			lo, hi, ok = h.OwnedCols(pe, f[in.B].AsInt())
+		}
+		if !ok {
+			lo, hi = 1, 0
+		}
+	}
+	if in.Op == isa.ROWHI || in.Op == isa.COLHI || in.Op == isa.UNIFHI {
+		return hi
+	}
+	return lo
+}
+
 // BoundsError reports an out-of-range array access.
 type BoundsError struct {
 	Array  string

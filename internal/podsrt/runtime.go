@@ -187,8 +187,10 @@ func (r *Runtime) spawn(ctx context.Context, tmpl *isa.Template, pe int, args []
 }
 
 // deliver routes a token to an instance (or records the program result for
-// the environment instance 0).
-func (r *Runtime) deliver(id int64, slot int, v isa.Value) {
+// the environment instance 0). A mailbox holds a token per slot (newInst),
+// taken when its SP blocks: a send past that waits for the SP to block, or
+// for the run to end.
+func (r *Runtime) deliver(ctx context.Context, id int64, slot int, v isa.Value) {
 	if id == 0 {
 		r.mu.Lock()
 		val := v
@@ -203,7 +205,14 @@ func (r *Runtime) deliver(id int64, slot int, v isa.Value) {
 		r.fail(fmt.Errorf("podsrt: token for dead SP %d", id))
 		return
 	}
-	in.mail <- token{slot: slot, val: v}
+	if slot < 0 || slot >= in.tmpl.NSlots {
+		r.fail(fmt.Errorf("podsrt: token slot %d out of range for SP %q", slot, in.tmpl.Name))
+		return
+	}
+	select {
+	case in.mail <- token{slot: slot, val: v}:
+	case <-ctx.Done():
+	}
 }
 
 func (r *Runtime) release(id int64) {
@@ -243,23 +252,25 @@ func (r *Runtime) alloc(name string, dims []int, dist bool) (int64, error) {
 	return id, nil
 }
 
-func (r *Runtime) array(id int64) *rtArray {
+func (r *Runtime) array(id int64) (*rtArray, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.arrays[id]
+	if a := r.arrays[id]; a != nil {
+		return a, nil
+	}
+	return nil, fmt.Errorf("unknown array %d", id)
 }
 
-// read delivers the element to (inst, slot) now or when written.
-func (a *rtArray) read(off int, w waiter, deliver func(id int64, slot int, v isa.Value)) {
+// read returns the element if it is written; otherwise it queues w for the
+// write to deliver and returns the absent (zero) Value.
+func (a *rtArray) read(off int, w waiter) isa.Value {
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	if a.set[off] {
-		v := a.vals[off]
-		a.mu.Unlock()
-		deliver(w.inst.id, w.slot, v)
-		return
+		return a.vals[off]
 	}
 	a.waiters[off] = append(a.waiters[off], w)
-	a.mu.Unlock()
+	return isa.Value{}
 }
 
 func (a *rtArray) write(off int, v isa.Value) ([]waiter, error) {
@@ -300,212 +311,122 @@ func (r *Runtime) ReadArray(name string) (vals []float64, mask []bool, dims []in
 	return vals, mask, append([]int(nil), a.h.Dims...), nil
 }
 
-// exec interprets one SP to completion.
+// exec runs one SP on the shared executor (isa.Run). Tokens wait in the
+// instance's mailbox until the executor blocks on an absent slot; then the
+// goroutine takes them until that slot is filled.
 func (r *Runtime) exec(ctx context.Context, in *inst, args []isa.Value) {
 	defer r.wg.Done()
 	defer r.release(in.id)
 
 	tmpl := in.tmpl
-	frame := make([]isa.Value, tmpl.NSlots)
-	present := make([]bool, tmpl.NSlots)
 	if len(args) != tmpl.NParams {
 		r.fail(fmt.Errorf("podsrt: %q spawned with %d args, want %d", tmpl.Name, len(args), tmpl.NParams))
 		return
 	}
-	copy(frame, args)
-	for i := range args {
-		present[i] = true
-	}
-
-	drain := func() {
-		for {
-			select {
-			case t := <-in.mail:
-				frame[t.slot] = t.val
-				present[t.slot] = true
-			default:
-				return
-			}
-		}
-	}
-	// await blocks until the slot is present (tokens may fill other slots
-	// meanwhile); returns false when the run is cancelled.
-	await := func(slot int) bool {
-		for !present[slot] {
-			select {
-			case t := <-in.mail:
-				frame[t.slot] = t.val
-				present[t.slot] = true
-			case <-ctx.Done():
-				return false
-			}
-		}
-		return true
-	}
-
-	var inputs [8]int
-	pc := 0
+	sp := &spRun{r: r, ctx: ctx, in: in}
+	x := &sp.x
+	x.Backend, x.Decoded, x.F, x.Self, x.Watch = sp, tmpl.Decoded(), make([]isa.Value, tmpl.NSlots), in.id, isa.None
+	copy(x.F, args)
 	for {
-		if pc < 0 || pc >= len(tmpl.Code) {
-			r.fail(fmt.Errorf("podsrt: %q pc %d out of range", tmpl.Name, pc))
-			return
-		}
-		ins := &tmpl.Code[pc]
-		drain()
-		for _, s := range ins.Inputs(inputs[:0]) {
-			if !await(s) {
-				return
-			}
-		}
-		next := pc + 1
-		if isa.IsScalar(ins.Op) {
-			var bv isa.Value
-			if ins.B != isa.None {
-				bv = frame[ins.B]
-			}
-			v, err := isa.EvalScalar(ins.Op, frame[ins.A], bv)
-			if err != nil {
-				r.fail(fmt.Errorf("podsrt: %q pc %d: %v", tmpl.Name, pc, err))
-				return
-			}
-			frame[ins.Dst], present[ins.Dst] = v, true
-			pc = next
-			continue
-		}
-		switch ins.Op {
-		case isa.NOP:
-		case isa.CONST:
-			frame[ins.Dst], present[ins.Dst] = ins.Imm, true
-		case isa.MOVE:
-			frame[ins.Dst], present[ins.Dst] = frame[ins.A], true
-		case isa.CLEAR:
-			present[ins.Dst] = false
-		case isa.SELF:
-			frame[ins.Dst], present[ins.Dst] = isa.SPRef(in.id), true
-
-		case isa.JUMP:
-			next = ins.Target
-		case isa.BRFALSE:
-			if !frame[ins.A].AsBool() {
-				next = ins.Target
-			}
-		case isa.BRTRUE:
-			if frame[ins.A].AsBool() {
-				next = ins.Target
-			}
-
-		case isa.ALLOC, isa.ALLOCD:
-			dims := make([]int, len(ins.Args))
-			for i, s := range ins.Args {
-				dims[i] = int(frame[s].AsInt())
-			}
-			id, err := r.alloc(ins.Comment, dims, ins.Op == isa.ALLOCD)
-			if err != nil {
-				r.fail(err)
-				return
-			}
-			frame[ins.Dst], present[ins.Dst] = isa.Array(id), true
-
-		case isa.AREAD:
-			a := r.array(frame[ins.A].I)
-			if a == nil {
-				r.fail(fmt.Errorf("podsrt: %q: read of unknown array", tmpl.Name))
-				return
-			}
-			off, err := a.h.OffsetOf(frame, ins.Args)
-			if err != nil {
-				r.fail(err)
-				return
-			}
-			present[ins.Dst] = false
-			a.read(off, waiter{inst: in, slot: ins.Dst}, r.deliver)
-
-		case isa.AWRITE:
-			a := r.array(frame[ins.A].I)
-			if a == nil {
-				r.fail(fmt.Errorf("podsrt: %q: write to unknown array", tmpl.Name))
-				return
-			}
-			off, err := a.h.OffsetOf(frame, ins.Args)
-			if err != nil {
-				r.fail(err)
-				return
-			}
-			ws, err := a.write(off, frame[ins.B])
-			if err != nil {
-				r.fail(fmt.Errorf("podsrt: %q: %w", tmpl.Name, err))
-				return
-			}
-			for _, w := range ws {
-				r.deliver(w.inst.id, w.slot, frame[ins.B])
-			}
-
-		case isa.ROWLO, isa.ROWHI:
-			a := r.array(frame[ins.A].I)
-			lo, hi, ok := a.h.OwnedRows(in.pe)
-			if !ok {
-				lo, hi = 1, 0
-			}
-			v := lo
-			if ins.Op == isa.ROWHI {
-				v = hi
-			}
-			frame[ins.Dst], present[ins.Dst] = isa.Int(v), true
-		case isa.COLLO, isa.COLHI:
-			a := r.array(frame[ins.A].I)
-			lo, hi, ok := a.h.OwnedCols(in.pe, frame[ins.B].AsInt())
-			if !ok {
-				lo, hi = 1, 0
-			}
-			v := lo
-			if ins.Op == isa.COLHI {
-				v = hi
-			}
-			frame[ins.Dst], present[ins.Dst] = isa.Int(v), true
-		case isa.UNIFLO, isa.UNIFHI:
-			lo := frame[ins.A].AsInt()
-			hi := frame[ins.B].AsInt()
-			n := hi - lo + 1
-			if n < 0 {
-				n = 0
-			}
-			pes := int64(r.cfg.VirtualPEs)
-			id := int64(in.pe)
-			v := lo + n*id/pes
-			if ins.Op == isa.UNIFHI {
-				v = lo + n*(id+1)/pes - 1
-			}
-			frame[ins.Dst], present[ins.Dst] = isa.Int(v), true
-
-		case isa.SPAWN, isa.SPAWND:
-			child := r.prog.Template(int(ins.Imm.I))
-			cargs := make([]isa.Value, len(ins.Args))
-			for i, s := range ins.Args {
-				cargs[i] = frame[s]
-			}
-			if ins.Op == isa.SPAWND {
-				for pe := 0; pe < r.cfg.VirtualPEs; pe++ {
-					r.spawn(ctx, child, pe, cargs)
+		switch isa.Run(x) {
+		case isa.Block:
+			for x.F[x.Blocked].Kind == isa.KindInvalid {
+				select {
+				case t := <-in.mail:
+					x.F[t.slot] = t.val
+				case <-ctx.Done():
+					return
 				}
-			} else {
-				r.spawn(ctx, child, in.pe, cargs)
 			}
-
-		case isa.SEND:
-			ref := frame[ins.A]
-			base := int64(0)
-			if len(ins.Args) > 0 {
-				base = frame[ins.Args[0]].AsInt()
-			}
-			r.deliver(ref.I, int(base+ins.Imm.I), frame[ins.B])
-
-		case isa.HALT:
+		case isa.Fault:
+			r.fail(fmt.Errorf("podsrt: %q %w", tmpl.Name, x.Err))
 			return
-
-		default:
-			r.fail(fmt.Errorf("podsrt: %q pc %d: unimplemented opcode %s", tmpl.Name, pc, ins.Op))
+		default: // HALT, or an effect that failed the run
 			return
 		}
-		pc = next
 	}
+}
+
+// spRun is one SP goroutine's executor state and backend.
+type spRun struct {
+	x   isa.Exec
+	r   *Runtime
+	ctx context.Context
+	in  *inst
+}
+
+// Effect performs one effect-class instruction against the shared store.
+func (s *spRun) Effect(x *isa.Exec, ins *isa.DInstr) isa.Step {
+	r, f := s.r, x.F
+	var err error
+	switch ins.Op {
+	case isa.ALLOC, isa.ALLOCD:
+		args := x.Args(ins)
+		dims := make([]int, len(args))
+		for i, a := range args {
+			dims[i] = int(f[a].AsInt())
+		}
+		var id int64
+		if id, err = r.alloc(s.in.tmpl.Code[x.PC].Comment, dims, ins.Op == isa.ALLOCD); err == nil {
+			f[ins.Dst] = isa.Array(id)
+		}
+
+	case isa.AREAD, isa.AWRITE:
+		var a *rtArray
+		var off int
+		if a, err = r.array(f[ins.A].I); err == nil {
+			off, err = a.h.OffsetOf(f, x.Args(ins))
+		}
+		if err != nil {
+			break
+		}
+		if ins.Op == isa.AREAD {
+			f[ins.Dst] = a.read(off, waiter{inst: s.in, slot: int(ins.Dst)})
+			break
+		}
+		var ws []waiter
+		if ws, err = a.write(off, f[ins.B]); err == nil {
+			for _, w := range ws {
+				r.deliver(s.ctx, w.inst.id, w.slot, f[ins.B])
+			}
+		}
+
+	case isa.ROWLO, isa.ROWHI, isa.COLLO, isa.COLHI, isa.UNIFLO, isa.UNIFHI:
+		var h *istructure.Header
+		if ins.Op != isa.UNIFLO && ins.Op != isa.UNIFHI {
+			var a *rtArray
+			if a, err = r.array(f[ins.A].I); err != nil {
+				break
+			}
+			h = a.h
+		}
+		f[ins.Dst] = isa.Int(istructure.RangeFilter(ins, f, h, s.in.pe, r.cfg.VirtualPEs, nil))
+
+	case isa.SPAWN, isa.SPAWND:
+		child := r.prog.Template(int(ins.Imm.I))
+		args := x.Args(ins)
+		cargs := make([]isa.Value, len(args))
+		for i, a := range args {
+			cargs[i] = f[a]
+		}
+		if ins.Op == isa.SPAWND {
+			for pe := 0; pe < r.cfg.VirtualPEs; pe++ {
+				r.spawn(s.ctx, child, pe, cargs)
+			}
+		} else {
+			r.spawn(s.ctx, child, s.in.pe, cargs)
+		}
+
+	case isa.SEND:
+		slot := ins.Imm.I
+		if args := x.Args(ins); len(args) > 0 {
+			slot += f[args[0]].AsInt()
+		}
+		r.deliver(s.ctx, f[ins.A].I, int(slot), f[ins.B])
+	}
+	if err != nil {
+		r.fail(fmt.Errorf("podsrt: %q pc %d: %w", s.in.tmpl.Name, x.PC, err))
+		return isa.Suspend
+	}
+	return isa.Next
 }

@@ -16,7 +16,7 @@ import (
 	"repro/internal/translate"
 )
 
-func compile(t *testing.T, src string) *isa.Program {
+func compile(t testing.TB, src string) *isa.Program {
 	t.Helper()
 	gp, err := idlang.Compile("rt.id", src)
 	if err != nil {
@@ -152,6 +152,30 @@ func main() {
 	}
 }
 
+// TestRuntimeMailboxOverflowEndsWithRun: tokens wait in the mailbox until
+// their SP blocks, and the mailbox holds one per slot. An SP that sends
+// itself more without ever blocking waits on its own mailbox; the run's
+// deadline ends that wait instead of hanging Run.
+func TestRuntimeMailboxOverflowEndsWithRun(t *testing.T) {
+	self := isa.NewInstr(isa.SELF)
+	self.Dst = 0
+	one := isa.NewInstr(isa.CONST)
+	one.Dst, one.Imm = 1, isa.Float(1)
+	send := isa.NewInstr(isa.SEND)
+	send.A, send.B, send.Imm = 0, 1, isa.Int(2)
+	code := []isa.Instr{self, one, send, send, send, send, send, isa.NewInstr(isa.HALT)}
+	prog := &isa.Program{Templates: []*isa.Template{{Name: "main", Kind: isa.TmplMain, NSlots: 3, Code: code}}}
+	rt, err := podsrt.New(prog, podsrt.Config{VirtualPEs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if _, err := rt.Run(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want the run's deadline", err)
+	}
+}
+
 func TestRuntimeSingleAssignmentViolation(t *testing.T) {
 	prog := compile(t, `
 func main() {
@@ -245,6 +269,24 @@ func main(n: int) {
 					t.Fatalf("PEs=%d: A[%d,%d]=%v written=%v", pes, i, j, vals[off], mask[off])
 				}
 			}
+		}
+	}
+}
+
+// BenchmarkRuntimeSimple: one SIMPLE step at n=16 on 4 virtual PEs, the
+// goroutine runtime end to end (one goroutine per SP, mailbox tokens, the
+// shared store behind its mutexes).
+func BenchmarkRuntimeSimple(b *testing.B) {
+	const n = 16
+	prog := compile(b, simple.Source)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rt, err := podsrt.New(prog, podsrt.Config{VirtualPEs: 4, PageElems: 8, DistThreshold: 16})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := rt.Run(context.Background(), isa.Int(n)); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

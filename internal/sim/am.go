@@ -31,7 +31,7 @@ func (p *pe) array(id int64) *istructure.Array {
 // that a racing writer can never observe a half-allocated array; the
 // *timing* of the allocation — local AM service, broadcast messages, remote
 // AM service — is charged asynchronously exactly as in the paper.
-func (p *pe) performAlloc(sp *spInst, ins *isa.DInstr, args []int, now int64) (endBurst bool) {
+func (p *pe) performAlloc(sp *spInst, ins *isa.DInstr, args []int, now int64) isa.Step {
 	m := p.m
 	dims := make([]int, len(args))
 	elems := 1
@@ -49,7 +49,7 @@ func (p *pe) performAlloc(sp *spInst, ins *isa.DInstr, args []int, now int64) (e
 	h, err := istructure.NewHeader(id, name, dims, m.cfg.PageElems, m.cfg.NumPEs, p.id, dist)
 	if err != nil {
 		m.fail(fmt.Errorf("sim: SP %q pc %d: %w", sp.code.tmpl.Name, sp.pc, err))
-		return true
+		return isa.End
 	}
 	if _, seen := m.byName[name]; !seen {
 		m.nameSeq = append(m.nameSeq, name)
@@ -58,7 +58,7 @@ func (p *pe) performAlloc(sp *spInst, ins *isa.DInstr, args []int, now int64) (e
 	for _, q := range m.pes {
 		if err := q.shard.Install(h); err != nil {
 			m.fail(err)
-			return true
+			return isa.End
 		}
 		q.arrs = append(q.arrs, q.shard.Array(id))
 	}
@@ -70,13 +70,13 @@ func (p *pe) performAlloc(sp *spInst, ins *isa.DInstr, args []int, now int64) (e
 	sp.frame[ins.Dst] = isa.Value{}
 	if m.cfg.ZeroOverhead {
 		m.deliver(now, sp.id, int(ins.Dst), isa.Array(id))
-		return false
+		return isa.Next
 	}
 	// Local Array Manager builds the header, allocates space, returns the ID
 	// to the requesting SP, then broadcasts to all other PEs (§4.1).
 	m.serve(&p.am, now, timing.AMAllocTime, evAllocDone,
 		m.newMsg(msg{src: int32(p.id), sp: sp.id, slot: int(ins.Dst), arr: id}))
-	return true
+	return isa.End
 }
 
 // allocDone is the allocating PE's AM finishing an allocate: the ID goes to
@@ -96,18 +96,15 @@ func (m *Machine) allocDone(t int64, r msg) {
 	}
 }
 
-// resolveAccess decodes an array access instruction into this PE's handle
-// of the array and the element's linear offset.
+// resolveAccess decodes an array access instruction (its array operand is
+// a handle: the executor checked) into this PE's handle of the array and the
+// element's linear offset.
 func (p *pe) resolveAccess(sp *spInst, arrSlot int32, idxSlots []int) (*istructure.Array, int, bool) {
 	m := p.m
-	hv := sp.frame[arrSlot]
-	if hv.Kind != isa.KindArray {
-		m.fail(fmt.Errorf("sim: SP %q pc %d: %s is not an array handle", sp.code.tmpl.Name, sp.pc, hv))
-		return nil, 0, false
-	}
-	a := p.array(hv.I)
+	id := sp.frame[arrSlot].I
+	a := p.array(id)
 	if a == nil {
-		m.fail(fmt.Errorf("sim: SP %q pc %d: unknown array id %d", sp.code.tmpl.Name, sp.pc, hv.I))
+		m.fail(fmt.Errorf("sim: SP %q pc %d: unknown array id %d", sp.code.tmpl.Name, sp.pc, id))
 		return nil, 0, false
 	}
 	off, err := a.Header().OffsetOf(sp.frame, idxSlots)
@@ -122,11 +119,11 @@ func (p *pe) resolveAccess(sp *spInst, arrSlot int32, idxSlots []int) (*istructu
 // 2.7 µs address-arithmetic cost was already charged by the EU. A local
 // present element is delivered immediately (and the burst continues); all
 // other cases go through the Array Manager and end the burst.
-func (p *pe) performRead(sp *spInst, ins *isa.DInstr, args []int, now int64) (endBurst bool) {
+func (p *pe) performRead(sp *spInst, ins *isa.DInstr, args []int, now int64) isa.Step {
 	m := p.m
 	a, off, ok := p.resolveAccess(sp, ins.A, args)
 	if !ok {
-		return true
+		return isa.End
 	}
 	dst := int(ins.Dst)
 	sp.frame[dst] = isa.Value{}
@@ -136,12 +133,12 @@ func (p *pe) performRead(sp *spInst, ins *isa.DInstr, args []int, now int64) (en
 		m.counts.LocalReads++
 		if v, present := a.Peek(off); present {
 			sp.frame[dst] = v
-			return false
+			return isa.Next
 		}
 		// Element absent: the AM enqueues the read (I-structure deferred
 		// read); the matching write will release it.
 		m.serve(&p.am, now, timing.AMEnqueueTime, evLocalRead, m.newMsg(r))
-		return true
+		return isa.End
 	}
 
 	// Remote element: probe the software page cache first (§4).
@@ -160,7 +157,7 @@ func (p *pe) performRead(sp *spInst, ins *isa.DInstr, args []int, now int64) (en
 		}
 	}
 	m.serve(&p.am, now, timing.AMCachedReadTime, evProbe, m.newMsg(r))
-	return true
+	return isa.End
 }
 
 // localRead is the AM enqueueing a read of an owned element that was absent

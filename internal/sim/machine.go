@@ -129,6 +129,7 @@ type pe struct {
 	ready    spQueue
 	cur      *spInst
 	euActive bool
+	x        isa.Exec // the executor state, pointed at cur for each run
 
 	// stallOn is set by a remote read in the control-driven baseline
 	// (Config.Stall): the EU waits on this slot instead of switching SPs.
@@ -188,7 +189,9 @@ func New(prog *isa.Program, cfg Config) (*Machine, error) {
 	}
 	m.pes = make([]*pe, cfg.NumPEs)
 	for i := range m.pes {
-		m.pes[i] = &pe{id: i, m: m, shard: istructure.NewShard(i), stallOn: isa.None, arrs: make([]*istructure.Array, 1)}
+		p := &pe{id: i, m: m, shard: istructure.NewShard(i), stallOn: isa.None, arrs: make([]*istructure.Array, 1)}
+		p.x = isa.Exec{Backend: p, CmpExtra: floatCmpExtra, Watch: isa.None}
+		m.pes[i] = p
 	}
 	return m, nil
 }

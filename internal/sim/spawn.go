@@ -20,11 +20,7 @@ import (
 func (p *pe) performSpawn(sp *spInst, ins *isa.DInstr, args []int, now int64) {
 	m := p.m
 	ti := int(ins.Imm.I)
-	tmpl := m.prog.Template(ti)
-	if tmpl == nil {
-		m.fail(fmt.Errorf("sim: SP %q pc %d: spawn of unknown template %d", sp.code.tmpl.Name, sp.pc, ins.Imm.I))
-		return
-	}
+	tmpl := m.prog.Templates[ti] // Validate checked the ID
 	if len(args) != tmpl.NParams {
 		m.fail(fmt.Errorf("sim: template %q spawned with %d args, wants %d", tmpl.Name, len(args), tmpl.NParams))
 		return
@@ -62,17 +58,12 @@ func (p *pe) performSpawn(sp *spInst, ins *isa.DInstr, args []int, now int64) {
 // exchanged between different SPs go through the Matching Unit", §5.1).
 func (p *pe) performSend(sp *spInst, ins *isa.DInstr, args []int, now int64) {
 	m := p.m
-	ref := sp.frame[ins.A]
-	if ref.Kind != isa.KindSP {
-		m.fail(fmt.Errorf("sim: SP %q pc %d: SEND target is %s, not an SP reference", sp.code.tmpl.Name, sp.pc, ref))
-		return
-	}
 	val := sp.frame[ins.B]
 	slot := ins.Imm.I
 	if len(args) > 0 {
 		slot += sp.frame[args[0]].AsInt()
 	}
-	id := ref.I
+	id := sp.frame[ins.A].I // an SP reference: the executor checked
 	if id == 0 || m.cfg.ZeroOverhead {
 		// The environment continuation (the program result) has no machine
 		// cost, and a sequential program has no matching at all.
