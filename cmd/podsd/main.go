@@ -94,7 +94,7 @@ func run(argv []string) error {
 	cachePages := fs.Int("cache", 0, "cap each PE's remote page cache at this many pages, CLOCK-evicted (0 = unbounded)")
 	steal := fs.Bool("steal", false, "enable dynamic work stealing between PEs")
 	adapt := fs.Bool("adapt", false, "enable adaptive repartitioning of Range Filter bounds between sweeps")
-	heat := fs.Bool("heat", false, "enable the unified page-heat machinery: streaming prefetch, page-granular steal locality, adaptive cache cap, rebind migration")
+	heat := fs.Bool("heat", false, "enable the page-heat machinery: streaming prefetch and the adaptive cache cap")
 	latency := fs.Duration("latency", 0, "inject per-hop latency into the in-process transport")
 	timeout := fs.Duration("timeout", 2*time.Minute, "abort a (possibly deadlocked) run after this long")
 	metrics := fs.String("metrics", "", "serve live metrics on this address (/metrics, /debug/vars, /debug/pprof)")

@@ -229,8 +229,8 @@ func TestCacheShape(t *testing.T) {
 	if !strings.HasPrefix(b.String(), "kernel,cap,heat,makespan,hit_rate,hits,misses,evictions,refetches,prefetches,prefetch_hits,cap_end\n") {
 		t.Errorf("cache csv: %s", b.String())
 	}
-	if !strings.Contains(b.String(), "triread+steal") {
-		t.Errorf("cache csv missing the post-steal probe rows: %s", b.String())
+	if strings.Contains(b.String(), "triread+steal") {
+		t.Errorf("cache csv carries a triread+steal row; the steal-locality counts are pinned in the cluster tests: %s", b.String())
 	}
 }
 

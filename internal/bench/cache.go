@@ -38,10 +38,7 @@ import (
 // also runs a heat-on arm: streaming prefetch plus the adaptive cap,
 // against the same fixed budget as the floor. The heat arm's hit rate at
 // the caps where the plain bound collapses — matmul under a working set
-// many times the cap — is the experiment's headline. A separate triread
-// probe compares post-steal remote fetches with stealing on: array-
-// granular locality (heat off, the PR 4 baseline) against page-granular
-// ranking plus prefetch (heat on).
+// many times the cap — is the experiment's headline.
 
 // CacheCell is one (kernel, cap, heat) measurement.
 type CacheCell struct {
@@ -68,13 +65,6 @@ type CacheResult struct {
 	// (prefetch + adaptive cap). The unbounded cap 0 is skipped — with no
 	// bound there is nothing for the machinery to win back.
 	HeatCells map[string]map[int]CacheCell
-
-	// StealOff/StealOn are the triread post-steal probe: the deterministic
-	// hand-pumped steal schedule (cluster.StealFetchProbe) at StealCap
-	// pages, heat off vs on. Misses are the post-steal demand fetches the
-	// page-granular grant ranking and prefetch are meant to avoid.
-	StealCap          int
-	StealOff, StealOn cluster.StealFetchStats
 }
 
 // cacheKernels are the default workloads for the cap sweep.
@@ -151,37 +141,6 @@ func Cache(n, pes int, caps []int, kerns ...string) (*CacheResult, error) {
 			r.HeatCells[kn][cap] = hcell
 		}
 	}
-
-	// The post-steal locality probe: triread reads one shared array, so
-	// array-granular steal locality cannot separate candidates and the
-	// thief pays a demand fetch per stolen row's page. Page-granular
-	// ranking plus prefetch is what the heat machinery claims to fix. The
-	// probe runs the deterministic pumped schedule so both arms see
-	// identical steal opportunities and the fetch counts are exact, and it
-	// is pinned to the configuration of the original batched-locality
-	// acceptance test (triread, n=26 @8 PEs) so "versus the PR 4 baseline"
-	// is a like-for-like comparison regardless of the sweep's own n.
-	const stealN, stealPEs = 26, 8
-	tk, ok := kernels.ByName("triread")
-	if !ok {
-		return nil, fmt.Errorf("bench: unknown kernel %q", "triread")
-	}
-	tprog, err := Compile(tk.File(), tk.Source, true)
-	if err != nil {
-		return nil, err
-	}
-	r.StealCap = 8
-	for _, heatOn := range []bool{false, true} {
-		st, err := cluster.StealFetchProbe(tprog, tk.Args(stealN), stealPEs, r.StealCap, heatOn)
-		if err != nil {
-			return nil, fmt.Errorf("triread steal probe heat=%v: %w", heatOn, err)
-		}
-		if heatOn {
-			r.StealOn = st
-		} else {
-			r.StealOff = st
-		}
-	}
 	return r, nil
 }
 
@@ -206,17 +165,11 @@ func (r *CacheResult) Format() string {
 			}
 		}
 	}
-	fmt.Fprintf(&b, "\ntriread post-steal probe (pumped schedule, steal on, cap %d):\n", r.StealCap)
-	fmt.Fprintf(&b, "  heat off: %d steals, %d demand fetches, %d hits\n",
-		r.StealOff.Steals, r.StealOff.Misses, r.StealOff.Hits)
-	fmt.Fprintf(&b, "  heat on:  %d steals, %d demand fetches, %d hits, %d prefetches (%d hit)\n",
-		r.StealOn.Steals, r.StealOn.Misses, r.StealOn.Hits, r.StealOn.Prefetches, r.StealOn.PrefetchHits)
 	return b.String()
 }
 
 // WriteCSV emits kernel,cap,heat,makespan,hit_rate,hits,misses,
-// evictions,refetches,prefetches,prefetch_hits,cap_end rows; the triread
-// post-steal probe rides along as kernel "triread+steal".
+// evictions,refetches,prefetches,prefetch_hits,cap_end rows.
 func (r *CacheResult) WriteCSV(w io.Writer) error {
 	var rows [][]string
 	row := func(kn string, cap int, heat string, c CacheCell) {
@@ -241,24 +194,6 @@ func (r *CacheResult) WriteCSV(w io.Writer) error {
 			}
 		}
 	}
-	probe := func(heat string, st cluster.StealFetchStats) {
-		hr := 1.0
-		if total := st.Hits + st.Misses; total > 0 {
-			hr = float64(st.Hits) / float64(total)
-		}
-		rows = append(rows, []string{
-			"triread+steal", strconv.Itoa(r.StealCap), heat, "",
-			fmtF(hr),
-			strconv.FormatInt(st.Hits, 10),
-			strconv.FormatInt(st.Misses, 10),
-			"", "",
-			strconv.FormatInt(st.Prefetches, 10),
-			strconv.FormatInt(st.PrefetchHits, 10),
-			"",
-		})
-	}
-	probe("off", r.StealOff)
-	probe("on", r.StealOn)
 	return writeCSV(w, []string{"kernel", "cap", "heat", "makespan", "hit_rate",
 		"hits", "misses", "evictions", "refetches", "prefetches", "prefetch_hits", "cap_end"}, rows)
 }

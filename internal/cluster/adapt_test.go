@@ -49,8 +49,8 @@ func TestAdaptRelaxAgreesWithSimAndRebinds(t *testing.T) {
 		checkAgainstSimMasked(t, res, wantVals, wantMasks)
 
 		coord := &pumpedCoord{ad: newAdaptCoord(pes), every: 8}
-		ws, arrays := pumpedRunWith(t, *k, 12, pes, Config{Adapt: true}, false, nil, coord)
-		checkGathered(t, *k, arrays, wantVals, wantMasks)
+		ws, arrays := pumpedRun(t, *k, 12, pes, Config{Adapt: true}, nil, coord)
+		checkGathered(t, arrays, wantVals, wantMasks)
 		if coord.ad.rebounds == 0 || len(ws[0].cuts) == 0 {
 			t.Errorf("adapt@%d: no rebound broadcasts — adaptation never engaged", pes)
 		}

@@ -8,20 +8,10 @@ import (
 )
 
 // Tests for the bounded page cache (Config.CachePages): the cap is a hard
-// bound on resident cached pages at every moment of a run, eviction is
+// bound on resident cached pages at every moment of a run, and eviction is
 // invisible in the results (single assignment: a refetch returns the same
-// immutable data), and batched locality-aware steal grants reduce the
-// post-steal page fetches that location-blind single grants pay.
-
-// pumpedRun executes a kernel on hand-pumped workers — a deterministic,
-// adversarially fair schedule — and returns the workers and gathered
-// arrays at quiescence. perRound, when non-nil, observes the workers after
-// every pumping round (invariant checks mid-run).
-func pumpedRun(t *testing.T, k kernels.Kernel, n, pes int, steal, stealOne bool,
-	cachePages int, perRound func([]*worker)) ([]*worker, map[int64]*gathered) {
-	t.Helper()
-	return pumpedRunWith(t, k, n, pes, Config{Steal: steal, CachePages: cachePages}, stealOne, perRound, nil)
-}
+// immutable data). This file also holds the pumped-schedule harness the
+// cache, steal, heat and adapt tests share.
 
 // pumpedCoord plays the driver's half of adaptive repartitioning on a
 // pumped schedule: a probe round opens every `every` pumping rounds while
@@ -66,10 +56,13 @@ func (c *pumpedCoord) step(t *testing.T, driver Endpoint, pes, rounds int, progr
 	return progress
 }
 
-// pumpedRunWith is pumpedRun with the job's knobs taken from cfg (its
-// geometry is fixed here) and, optionally, a rebind coordinator driving
-// probe rounds (cfg.Adapt).
-func pumpedRunWith(t *testing.T, k kernels.Kernel, n, pes int, cfg Config, stealOne bool,
+// pumpedRun executes a kernel on hand-pumped workers — stepOneRound, a
+// deterministic, adversarially fair schedule — with the job's knobs taken
+// from cfg (its geometry is fixed here), and returns the workers and
+// gathered arrays at quiescence. perRound, when non-nil, observes the
+// workers after every pumping round (invariant checks mid-run); coord,
+// when non-nil, drives probe rounds and rebinds (cfg.Adapt).
+func pumpedRun(t *testing.T, k kernels.Kernel, n, pes int, cfg Config,
 	perRound func([]*worker), coord *pumpedCoord) ([]*worker, map[int64]*gathered) {
 	t.Helper()
 	prog := compile(t, k.File(), k.Source)
@@ -78,7 +71,6 @@ func pumpedRunWith(t *testing.T, k kernels.Kernel, n, pes int, cfg Config, steal
 	ws := make([]*worker, pes)
 	for pe := range ws {
 		ws[pe] = newWorker(pe, &cfg, prog, eps[pe])
-		ws[pe].stealOne = stealOne
 	}
 	driver := eps[pes]
 
@@ -164,7 +156,7 @@ func pumpedRunWith(t *testing.T, k kernels.Kernel, n, pes int, cfg Config, steal
 
 // checkGathered compares pumped-run arrays bit-for-bit against the
 // simulator reference.
-func checkGathered(t *testing.T, k kernels.Kernel, arrays map[int64]*gathered,
+func checkGathered(t *testing.T, arrays map[int64]*gathered,
 	wantVals map[string][]float64, wantMasks map[string][]bool) {
 	t.Helper()
 	for name, ref := range wantVals {
@@ -185,7 +177,7 @@ func checkGathered(t *testing.T, k kernels.Kernel, arrays map[int64]*gathered,
 				t.Fatalf("%s[%d]: written=%v, want %v", name, i, g.mask[i], wantMasks[name][i])
 			}
 			if g.mask[i] && g.vals[i] != ref[i] {
-				t.Fatalf("%s[%d] = %v, want %v (eviction broke determinacy)", name, i, g.vals[i], ref[i])
+				t.Fatalf("%s[%d] = %v, want %v (cluster disagrees with sim)", name, i, g.vals[i], ref[i])
 			}
 		}
 	}
@@ -199,13 +191,13 @@ func TestCacheCapHardBoundDuringRun(t *testing.T) {
 	const cap = 2
 	k, _ := kernels.ByName("mirror")
 	wantVals, wantMasks := simArraysMasked(t, compile(t, k.File(), k.Source), 4, k.Arrays, k.Args(12)...)
-	ws, arrays := pumpedRun(t, k, 12, 4, false, false, cap, func(ws []*worker) {
+	ws, arrays := pumpedRun(t, k, 12, 4, Config{CachePages: cap}, func(ws []*worker) {
 		for _, w := range ws {
 			if got := w.shard.CachedPages(); got > cap {
 				t.Fatalf("pe %d: %d resident cached pages, cap %d", w.pe, got, cap)
 			}
 		}
-	})
+	}, nil)
 	var evictions, hits int64
 	for _, w := range ws {
 		evictions += w.shard.Evictions
@@ -215,42 +207,5 @@ func TestCacheCapHardBoundDuringRun(t *testing.T) {
 		t.Fatal("mirror at cap 2 evicted nothing — the bound was never exercised")
 	}
 	t.Logf("mirror@4PE cap=%d: %d evictions, %d hits", cap, evictions, hits)
-	checkGathered(t, k, arrays, wantVals, wantMasks)
-}
-
-// TestBatchedLocalityStealReducesPostStealMisses is the A/B acceptance
-// check for the grant policy, on a deterministic hand-pumped schedule: the
-// triangular kernel with reads (triread — plain triangular never reads an
-// array, so its post-steal miss count is vacuously zero) at 8 PEs must pay
-// fewer page fetches under batched locality-aware grants than under the
-// PR 2 policy (one location-blind SP per grant). Two mechanisms buy the
-// reduction: a batch is adjacent rows of one victim's block, whose operand
-// rows share straddling pages (n is deliberately not page-aligned), and
-// whole-batch migration means fewer scattered grant events. The pumped
-// schedule is deterministic, so the counts are exactly reproducible.
-func TestBatchedLocalityStealReducesPostStealMisses(t *testing.T) {
-	const n, pes = 26, 8
-	k, ok := kernels.ByName("triread")
-	if !ok {
-		t.Fatal("triread kernel missing")
-	}
-	run := func(single bool) (misses, steals int64) {
-		ws, _ := pumpedRun(t, k, n, pes, true, single, 0, nil)
-		for _, w := range ws {
-			misses += w.shard.CacheMisses
-			steals += w.steals
-		}
-		return misses, steals
-	}
-	singleMisses, singleSteals := run(true)
-	batchMisses, batchSteals := run(false)
-	t.Logf("triread@%dPE: single-grant misses=%d steals=%d, batched misses=%d steals=%d",
-		pes, singleMisses, singleSteals, batchMisses, batchSteals)
-	if singleSteals == 0 || batchSteals == 0 {
-		t.Fatalf("steals single=%d batched=%d — the comparison is vacuous", singleSteals, batchSteals)
-	}
-	if batchMisses >= singleMisses {
-		t.Errorf("batched locality-aware grants paid %d page fetches, single-grant stealing %d — no reduction",
-			batchMisses, singleMisses)
-	}
+	checkGathered(t, arrays, wantVals, wantMasks)
 }

@@ -138,15 +138,14 @@ type Config struct {
 	// round's work before it is stopped. 0 (the default) is unlimited.
 	MaxInstrs int64
 
-	// Heat enables the unified page-heat machinery: every worker keeps one
-	// per-shard table of (array, page) → {residency, heat, last touch,
-	// sequential-run length} and spends it four ways — steal requests
-	// advertise hot pages instead of hot arrays, sequential scans prefetch
-	// the next page before the miss, CachePages self-tunes between the
-	// configured floor and 8× it from refetch pressure, and a rebind
-	// migrates the hot pages of its newly-gained iterations. Off by
-	// default: every mechanism rides existing message kinds, so results
-	// stay bit-identical either way.
+	// Heat enables two decisions on the per-shard page-heat table of
+	// (array, page) → {residency, heat, last touch, sequential-run
+	// length}: sequential scans prefetch the next page before the miss,
+	// and CachePages self-tunes between the configured floor and 8× it
+	// from refetch pressure. The table itself is kept either way, and
+	// steal requests always advertise its hot pages. Off by default: both
+	// ride existing message kinds, so results stay bit-identical either
+	// way.
 	Heat bool
 
 	// MaxElems is the job's memory budget in allocated I-structure

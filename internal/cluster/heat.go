@@ -1,28 +1,24 @@
 package cluster
 
 import (
-	"math"
-
 	"repro/internal/cluster/trace"
 	"repro/internal/isa"
 	"repro/internal/istructure"
 )
 
-// This file is the worker-side half of the unified page-heat machinery
-// (Config.Heat). The shard's heat table (istructure/heat.go) records what
-// happened to every page; this layer turns the record into decisions:
+// This file is the worker-side half of the unified page-heat machinery.
+// The shard's heat table (istructure/heat.go) records what happened to
+// every page; this layer turns the record into three decisions:
 //
-//   - streaming prefetch: a detected sequential scan asks the owner for
-//     the next page before the miss, via an SP-0 KReadReq answered on the
-//     ordinary KPage path — recovery, replay, and the four-counter
-//     termination sums need no new cases;
-//   - page-granular steal locality: steal requests advertise hot pages
-//     instead of hot arrays, and the victim ranks candidates by the rows
-//     their operand frames would touch at the thief;
-//   - the adaptive cache cap: CachePages self-tunes between a floor and a
-//     ceiling from per-probe-round refetch pressure;
-//   - rebind migration: a KRebound's newly-gained iterations prefetch the
-//     pages of their rows, so adapted copies start warm.
+//   - page-granular steal locality (whenever Config.Steal is on): steal
+//     requests advertise the thief's hot pages, and the victim ranks
+//     candidates by the rows their operand frames would touch there;
+//   - streaming prefetch (Config.Heat): a detected sequential scan asks
+//     the owner for the next page before the miss, via an SP-0 KReadReq
+//     answered on the ordinary KPage path — recovery, replay, and the
+//     four-counter termination sums need no new cases;
+//   - the adaptive cache cap (Config.Heat): CachePages self-tunes between
+//     a floor and a ceiling from per-probe-round refetch pressure.
 
 // heatKey identifies one (array, page) on the worker side.
 type heatKey struct {
@@ -50,7 +46,7 @@ type heatState struct {
 	lastRefetches int64
 	lastEvicts    int64
 
-	prefetches   int64 // prefetch requests issued (scan + migration)
+	prefetches   int64 // prefetch requests issued
 	prefetchHits int64 // prefetched pages that later served a demand read
 }
 
@@ -72,38 +68,32 @@ const prefetchRun = 2
 // holding off when the heat table shows a sequential scan ending there.
 // Called on the remote-read path for both hits and misses: the scan's
 // own misses start the chain, and the hits keep it one page ahead.
+//
+// The request is an SP-0 KReadReq — SP 0 is never a live instance ID, so
+// the owner ships the page without queuing a waiter and the arrival
+// installs without a delivery. Already-local, already-inflight,
+// self-owned and out-of-range pages are skipped.
 func (w *worker) maybePrefetch(a *istructure.Array, off int) {
 	if !w.heat.on {
 		return
 	}
-	page := a.Header().PageOf(off)
+	h := a.Header()
+	page := h.PageOf(off)
 	if a.ScanRun(page) < prefetchRun {
 		return
 	}
-	w.prefetchPage(a, page+1)
-}
-
-// prefetchPage asks the owner of a page of array a for the page with an SP-0
-// KReadReq — SP 0 is never a live instance ID, so the owner ships the
-// page without queuing a waiter and the arrival installs without a
-// delivery. Reports whether a request actually went out (already-local,
-// already-inflight, self-owned, and out-of-range pages are skipped).
-func (w *worker) prefetchPage(a *istructure.Array, page int) bool {
-	h := a.Header()
-	if !w.heat.on || page < 0 || page >= h.Pages() {
-		return false
-	}
-	if a.PageLocal(page) {
-		return false
+	page++
+	if page >= h.Pages() || a.PageLocal(page) {
+		return
 	}
 	k := heatKey{h.ID, page}
 	if _, dup := w.heat.inflight[k]; dup {
-		return false
+		return
 	}
-	off := page * h.PageElems
-	owner := h.OwnerOf(off)
+	first := page * h.PageElems
+	owner := h.OwnerOf(first)
 	if owner == w.pe {
-		return false
+		return
 	}
 	w.heat.inflight[k] = struct{}{}
 	w.heat.prefetches++
@@ -111,10 +101,9 @@ func (w *worker) prefetchPage(a *istructure.Array, page int) bool {
 	w.send(owner, &Msg{
 		Kind:  KReadReq,
 		Arr:   h.ID,
-		Off:   int32(off),
+		Off:   int32(first),
 		ReqPE: int32(w.pe),
 	})
-	return true
 }
 
 // notePrefetchHit credits a demand cache hit to the prefetch that staged
@@ -148,11 +137,10 @@ func (w *worker) hotPagePairs(limit int) []int64 {
 
 // pageScore counts how many of the thief's resident pages this SP's
 // operands would actually touch: for each array operand in the frame,
-// the pages holding the rows named by the frame's integer operands.
-// Array-granular scoring cannot separate two iterations of a sweep over
-// one shared array — every candidate scores 1 — but iteration i scores
-// here on the page holding row i, which is exactly what the thief has or
-// hasn't.
+// the pages holding the rows named by the frame's integer operands. Two
+// iterations of a sweep over one shared array name the same array, but
+// iteration i scores here on the page holding row i, which is exactly
+// what the thief has or hasn't.
 func (w *worker) pageScore(sp *spInst, pages map[heatKey]struct{}) int {
 	n := 0
 	for _, v := range sp.frame {
@@ -181,59 +169,6 @@ func (w *worker) pageScore(sp *spInst, pages map[heatKey]struct{}) int {
 		}
 	}
 	return n
-}
-
-// migrate bounds for one rebind: how many arrays are considered and how
-// many pages one KRebound may prefetch in total.
-const (
-	migrateArrs = 4
-	migrateMax  = 32
-)
-
-// migrateHotPages warms the cache for iterations a rebind newly assigned
-// to this PE: for the hottest arrays, the pages holding the rows of the
-// gained iteration range are prefetched, so the adapted copies start
-// with residency instead of paying a cold remote fetch per row. Storage
-// ownership never moves — only the computation rebinds — so the pages
-// arrive through the ordinary prefetch path and the page budget bounds
-// the burst. Iterations are taken as 1-based row indices, the convention
-// every distributed sweep in the ISA uses.
-func (w *worker) migrateHotPages(oldCuts, newCuts []int64) {
-	if !w.heat.on {
-		return
-	}
-	newLo, newHi := cutBounds(newCuts, w.pe, w.n)
-	oldLo, oldHi := int64(math.MaxInt64), int64(math.MinInt64) // empty before the first rebind
-	if oldCuts != nil {
-		oldLo, oldHi = cutBounds(oldCuts, w.pe, w.n)
-	}
-	budget := migrateMax
-	for _, id := range w.shard.HotArrays(migrateArrs) {
-		a := w.shard.Array(id)
-		if a == nil || budget <= 0 {
-			continue
-		}
-		h := a.Header()
-		lo, hi := newLo, newHi
-		if lo < 1 {
-			lo = 1
-		}
-		if rows := int64(h.Dims[0]); hi > rows {
-			hi = rows
-		}
-		for row := lo; row <= hi && budget > 0; row++ {
-			if row >= oldLo && row <= oldHi {
-				continue // was already this PE's share
-			}
-			off := int(row) - 1
-			if len(h.Dims) == 2 {
-				off = (int(row) - 1) * h.RowLen()
-			}
-			if w.prefetchPage(a, h.PageOf(off)) {
-				budget--
-			}
-		}
-	}
 }
 
 // capGovernor self-tunes the shard's CachePages bound between a floor

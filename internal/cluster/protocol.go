@@ -86,15 +86,15 @@ const (
 
 	// KStealReq asks a peer for not-yet-started SP instances. Sent by an
 	// idle worker (empty ready queue) to a victim chosen round-robin with
-	// backoff. Hot carries the thief's hot-array summary — the arrays with
-	// pages resident in its cache — so the victim can prefer granting SPs
-	// whose operand arrays the thief already holds.
+	// backoff. HotPages carries the thief's hot-page summary — the
+	// (array, page) pairs local to it, hottest first — so the victim can
+	// prefer granting SPs whose operand rows the thief already holds.
 	KStealReq
 
 	// KStealGrant answers a steal request with a batch of stolen SPs
 	// (Batch): up to half of the victim's stealable backlog in one
-	// message, locality-preferred (SPs whose operand arrays appear in the
-	// thief's Hot summary first, oldest first within equal locality). Each
+	// message, locality-preferred (SPs whose operand rows lie on the
+	// thief's HotPages first, oldest first within equal locality). Each
 	// item ships the SP's home ID, template, operand frame, and cost tag;
 	// the victim leaves one forwarding stub per item behind so tokens
 	// addressed to the home IDs are relayed to the thief.
@@ -319,9 +319,7 @@ type AckStats struct {
 // TCP worker's identity and peer table); KJobStart and KSubmit carry the
 // job's Config — only its wireKnobs cross a wire — and serialized program;
 // KJobStart and KRecover carry the incarnation vector, KRecover the updated
-// peer table. Heat is a versioned knob: both sides of a job agree on the
-// KStealReq Hot/HotPages semantics because the frame that starts the job
-// carries it.
+// peer table.
 type MsgCfg struct {
 	PE     int32
 	NumPEs int32
@@ -337,8 +335,7 @@ type MsgLists struct {
 	Costs []int64 // instruction counts parallel to Iters (costReport)
 	Cuts  []int64 // per-PE last-iteration cut points (rebound, spawnLog)
 
-	Hot      []int64     // thief's hot-array summary (stealReq, legacy mode)
-	HotPages []int64     // thief's hot-page summary as (array, page) pairs (stealReq, heat mode)
+	HotPages []int64     // thief's hot-page summary as (array, page) pairs (stealReq)
 	Batch    []StealItem // granted SP instances, locality-preferred order (stealGrant)
 
 	// TraceEvs is a flushed event ring (trace.Recorder.Flatten layout),
@@ -382,7 +379,7 @@ const (
 	wAck                          // Ack
 	wCfg                          // Cfg
 	wAdapt                        // Lists.Iters, Costs, Cuts
-	wSteal                        // Lists.Hot, HotPages, Batch
+	wSteal                        // Lists.HotPages, Batch
 	wTrace                        // Lists.TraceEvs, TraceDrops
 )
 
@@ -611,7 +608,6 @@ func encodeMsg(b []byte, m *Msg) []byte {
 		b = appendI64s(b, l.Cuts)
 	}
 	if w&wSteal != 0 {
-		b = appendI64s(b, l.Hot)
 		b = appendI64s(b, l.HotPages)
 		b = appendU32(b, uint32(len(l.Batch)))
 		for i := range l.Batch {
@@ -828,7 +824,6 @@ func decodeMsg(b []byte) (*Msg, error) {
 		m.Lists.Cuts = r.i64s()
 	}
 	if w&wSteal != 0 {
-		m.Lists.Hot = r.i64s()
 		m.Lists.HotPages = r.i64s()
 		// Minimum wire size of one item: the five fixed scalars plus an
 		// empty frame's length prefix.

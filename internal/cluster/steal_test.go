@@ -391,111 +391,18 @@ func stepOneRound(ws []*worker, eps []Endpoint) bool {
 // migration).
 func TestStealDeterminacyPumpedTriangular(t *testing.T) {
 	k, _ := kernels.ByName("triangular")
-	prog := compile(t, k.File(), k.Source)
 	const n, pes = 24, 4
-	wantVals, wantMasks := simArraysMasked(t, prog, pes, k.Arrays, k.Args(n)...)
-
-	cfg := &Config{NumPEs: pes, PageElems: 8, DistThreshold: 16, Steal: true}
-	eps := newChanTransport(pes, 0)
-	ws := make([]*worker, pes)
-	for pe := range ws {
-		ws[pe] = newWorker(pe, cfg, prog, eps[pe])
-	}
-	driver := eps[pes]
-
-	// Mini-driver: collect alloc headers and dumps, fail on KFail.
-	arrays := make(map[int64]*gathered)
-	drainDriver := func() {
-		for {
-			m, ok := driver.TryRecv()
-			if !ok {
-				return
-			}
-			switch m.Kind {
-			case KAlloc:
-				dims := make([]int, len(m.Dims))
-				for i, d := range m.Dims {
-					dims[i] = int(d)
-				}
-				h, err := istructure.NewHeader(m.Arr, m.Name, dims, cfg.PageElems, pes, int(m.Origin), m.Dist)
-				if err != nil {
-					t.Fatal(err)
-				}
-				arrays[m.Arr] = &gathered{h: h, vals: make([]float64, h.Elems()), mask: make([]bool, h.Elems())}
-			case KFail:
-				t.Fatalf("worker failed: %s", m.Name)
-			case KDump:
-				if err := arrays[m.Arr].merge(m); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-
-	if err := driver.Send(0, &Msg{Kind: KSpawn, Tmpl: int32(prog.EntryID), Args: k.Args(n)}); err != nil {
-		t.Fatal(err)
-	}
-	for rounds := 0; ; rounds++ {
-		if rounds > 50_000_000 {
-			t.Fatal("pumped run did not quiesce")
-		}
-		progress := stepOneRound(ws, eps)
-		drainDriver()
-		if !progress {
-			break
-		}
-	}
-	var steals, live int64
+	wantVals, wantMasks := simArraysMasked(t, compile(t, k.File(), k.Source), pes, k.Arrays, k.Args(n)...)
+	ws, arrays := pumpedRun(t, k, n, pes, Config{Steal: true}, nil, nil)
+	var steals int64
 	for _, w := range ws {
 		steals += w.steals
-		live += int64(len(w.insts))
-	}
-	if live != 0 {
-		t.Fatalf("%d live SPs at quiescence (deadlock)", live)
 	}
 	if steals == 0 {
 		t.Fatal("no steals under a skewed triangular load with idle PEs")
 	}
 	t.Logf("triangular pumped @%dPE: %d steals", pes, steals)
-
-	// Gather and compare against the simulator.
-	for id, g := range arrays {
-		for pe := 0; pe < pes; pe++ {
-			lo, hi := g.h.SegmentElems(pe)
-			if lo >= hi {
-				continue
-			}
-			if err := driver.Send(pe, &Msg{Kind: KDumpReq, Arr: id}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for stepOneRound(ws, eps) {
-		drainDriver()
-	}
-	drainDriver()
-	for name, ref := range wantVals {
-		var g *gathered
-		for _, cand := range arrays {
-			if cand.h.Name == name {
-				g = cand
-			}
-		}
-		if g == nil {
-			t.Fatalf("array %q never allocated", name)
-		}
-		if len(g.vals) != len(ref) {
-			t.Fatalf("%s: %d elements, want %d", name, len(g.vals), len(ref))
-		}
-		for i := range ref {
-			if g.mask[i] != wantMasks[name][i] {
-				t.Fatalf("%s[%d]: written=%v, want %v", name, i, g.mask[i], wantMasks[name][i])
-			}
-			if g.mask[i] && g.vals[i] != ref[i] {
-				t.Fatalf("%s[%d] = %v, want %v (stealing broke determinacy)", name, i, g.vals[i], ref[i])
-			}
-		}
-	}
+	checkGathered(t, arrays, wantVals, wantMasks)
 }
 
 // kernelsAgreeWithSim runs every kernel at 1, 2, 4 and 8 PEs under each
@@ -635,18 +542,26 @@ func TestStealGrantBatchHalfOldestFirst(t *testing.T) {
 }
 
 // TestStealLocalityPreference: the victim prefers granting SPs whose
-// operand-frame arrays appear in the thief's hot summary, oldest first
-// within equal locality.
+// operand rows lie on the thief's hot pages, oldest first within equal
+// locality. All three candidates read the same array, so only the page
+// holding each one's row tells them apart.
 func TestStealLocalityPreference(t *testing.T) {
 	prog := taskProgram()
 	eps := newChanTransport(2, 0)
 	cfg := &Config{NumPEs: 2, PageElems: 8, DistThreshold: 16, Steal: true}
 	w0 := newWorker(0, cfg, prog, eps[0])
-	// Three unstarted SPs whose first operand is an array handle; only the
-	// second references the thief's hot array 77.
-	for _, arr := range []int64{55, 77, 55} {
+	// Array 77 is 3×8: row r lives on page r-1.
+	h, err := istructure.NewHeader(77, "X", []int{3, 8}, 8, 2, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w0.shard.Install(h); err != nil {
+		t.Fatal(err)
+	}
+	// Three unstarted SPs, each framing (Array(77), Int(r)) for rows 1–3.
+	for r := int64(1); r <= 3; r++ {
 		if err := eps[2].Send(0, &Msg{Kind: KSpawn, Tmpl: 0,
-			Args: []isa.Value{isa.Array(arr), isa.Float(0)}}); err != nil {
+			Args: []isa.Value{isa.Array(77), isa.Int(r)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -657,7 +572,8 @@ func TestStealLocalityPreference(t *testing.T) {
 		}
 		w0.handle(m)
 	}
-	w0.handle(&Msg{Kind: KStealReq, From: 1, Lists: &MsgLists{Hot: []int64{77}}})
+	// The thief holds the page of row 2.
+	w0.handle(&Msg{Kind: KStealReq, From: 1, Lists: &MsgLists{HotPages: []int64{77, 1}}})
 	grant, ok := eps[1].TryRecv()
 	if !ok || grant.Kind != KStealGrant {
 		t.Fatalf("got %+v, want a grant", grant)
@@ -666,7 +582,7 @@ func TestStealLocalityPreference(t *testing.T) {
 		t.Fatalf("batch of %d, want 2 (⌈3/2⌉)", len(grant.Lists.Batch))
 	}
 	if grant.Lists.Batch[0].SP != packID(0, 2) {
-		t.Errorf("batch[0] = SP %d, want %d (the hot-array SP preferred over older cold ones)",
+		t.Errorf("batch[0] = SP %d, want %d (the hot-row SP preferred over older cold ones)",
 			grant.Lists.Batch[0].SP, packID(0, 2))
 	}
 	if grant.Lists.Batch[1].SP != packID(0, 1) {
@@ -701,7 +617,7 @@ func TestStealMidDequeGrantNoShift(t *testing.T) {
 	// grant must skip it and take the next-oldest.
 	started, third := w0.ready[0], w0.ready[2]
 	started.pc = 1
-	batch := w0.stealBatch(nil, nil)
+	batch := w0.stealBatch(nil)
 	if len(batch) != 1 || batch[0].id != packID(0, 2) {
 		t.Fatalf("batch = %v, want exactly the second SP", batch)
 	}
@@ -737,7 +653,7 @@ func TestReadyDequeBoundedGrowth(t *testing.T) {
 	spawn()
 	for round := 0; round < 10_000; round++ {
 		spawn() // two live SPs queued, never fully drained
-		if got := w0.stealBatch(nil, nil); len(got) != 1 {
+		if got := w0.stealBatch(nil); len(got) != 1 {
 			t.Fatalf("round %d: stole %d SPs, want 1", round, len(got))
 		}
 		if dead := w0.readyHead + w0.readyNil; dead > len(w0.ready) {

@@ -64,8 +64,7 @@ const (
 	EvProbe
 
 	// EvPrefetch: the heat machinery asked a page's owner for it ahead of
-	// the miss (streaming scan or rebind migration). Arg0 = array id,
-	// Arg1 = page index.
+	// the miss (streaming scan). Arg0 = array id, Arg1 = page index.
 	EvPrefetch
 
 	// EvCacheResize: the adaptive governor moved the shard's CachePages

@@ -3,8 +3,11 @@ package cluster
 import (
 	"bytes"
 	"math/rand"
+	"os"
 	"reflect"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -44,7 +47,6 @@ func TestMsgCodecRoundTrip(t *testing.T) {
 		{Kind: KInit, Cfg: &MsgCfg{PE: 1, NumPEs: 4, Peers: []string{"a:1", "b:2"}}},
 		{Kind: KStop},
 		{Kind: KStealReq, From: 2, Lists: &MsgLists{}},
-		{Kind: KStealReq, From: 3, Lists: &MsgLists{Hot: []int64{packID(0, 1), packID(2, 5)}}},
 		{Kind: KStealGrant, Seq: 3, Lists: &MsgLists{Batch: []StealItem{
 			{SP: packID(1, 9), Tmpl: 3,
 				Args:     []isa.Value{isa.Int(7), {}},
@@ -205,7 +207,7 @@ func randMsg(rng *rand.Rand, k MsgKind) *Msg {
 		m.Lists.Iters, m.Lists.Costs, m.Lists.Cuts = i64s(), i64s(), i64s()
 	}
 	if w&wSteal != 0 {
-		m.Lists.Hot, m.Lists.HotPages = i64s(), i64s()
+		m.Lists.HotPages = i64s()
 		for n := rng.Intn(4); n > 0; n-- {
 			m.Lists.Batch = append(m.Lists.Batch, StealItem{SP: rng.Int63(), Tmpl: rng.Int31(),
 				CostLoop: rng.Int31n(4) - 1, Sweep: rng.Int63(), CostIter: rng.Int63(), Args: values()})
@@ -339,6 +341,29 @@ func TestMsgCodecTruncated(t *testing.T) {
 		if _, err := decodeMsg(append(b, 0)); err == nil {
 			t.Errorf("%s: decode with a trailing byte: want error", k)
 		}
+	}
+}
+
+// TestDecodeHostileGrantSeed: the corpus seed hostile-grant-huge-batch is a
+// KStealGrant whose last four bytes claim 2^31 batch items. It must fail on
+// the batch-length bound, not on trailing bytes (which would mean the seed
+// no longer matches the wSteal layout and tests nothing).
+func TestDecodeHostileGrantSeed(t *testing.T) {
+	raw, err := os.ReadFile("testdata/fuzz/FuzzDecodeMsg/hostile-grant-huge-batch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n[]byte(")
+	s, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasSuffix(s, "\x00\x00\x00\x80") {
+		t.Fatalf("seed %q does not end on the 0x80000000 batch count", s)
+	}
+	_, err = decodeMsg([]byte(s))
+	if err == nil || err.Error() != "cluster: frame slice length 2147483648 exceeds payload" {
+		t.Fatalf("decode of the hostile grant: %v, want the batch-length bound", err)
 	}
 }
 

@@ -148,7 +148,6 @@ type worker struct {
 	// protocol bug and fails loudly. Both maps are bounded by the number
 	// of migrations, not total SPs.
 	steal            bool
-	stealOne         bool // legacy single-grant mode (A/B comparisons in tests)
 	forwards         map[int64]int
 	halted           map[int64]struct{}
 	stealVictim      int   // round-robin cursor over peers
@@ -669,42 +668,33 @@ func (w *worker) maybeSteal() {
 	}
 	w.stealOutstanding = true
 	w.rec(trace.EvStealReq, int64(w.stealVictim), 0)
-	// The request advertises what is hot here, so the victim can prefer
-	// granting SPs whose operands this worker already holds — a stolen
-	// iteration that reads a hot operand pays cache hits instead of fresh
-	// page fetches. In heat mode the summary is page-granular (it can
-	// tell apart iterations of a single shared array); otherwise it is
-	// the legacy array-granular list.
-	req := &MsgLists{}
-	if w.heat.on {
-		req.HotPages = w.hotPagePairs(stealHotMax)
-	} else {
-		req.Hot = w.shard.HotArrays(stealHotMax)
-	}
-	w.send(w.stealVictim, &Msg{Kind: KStealReq, Lists: req})
+	// The request advertises the pages local here, so the victim can
+	// prefer granting SPs whose operand rows this worker already holds — a
+	// stolen iteration that reads a hot row pays cache hits instead of
+	// fresh page fetches, even when every candidate reads one shared array.
+	w.send(w.stealVictim, &Msg{Kind: KStealReq, Lists: &MsgLists{HotPages: w.hotPagePairs(stealHotMax)}})
 }
 
-// stealHotMax caps the hot-array summary a steal request carries.
+// stealHotMax caps the (array, page) pairs a steal request advertises.
 const stealHotMax = 16
 
 // stealBatch selects and removes up to half of the stealable backlog for a
-// thief whose locality summary is hot (array-granular) or hotPages
-// (page-granular (array, page) pairs, heat mode): nil when the victim is
-// unloaded (fewer than two live entries — it must stay loaded after
-// granting) or holds only in-flight SPs. Selection prefers SPs whose
-// operands are resident at the thief (more hot operands first) and is
-// stable within equal locality, so with no locality signal the grant is
-// the oldest not-yet-started SPs in age order — for a loop nest, whole
-// outer iterations rather than inner fragments. Removal never shifts the
-// deque: the bottom entry advances readyHead, mid-deque entries become nil
-// tombstones (amortized O(1) per grant, reclaimed by compactReady).
+// thief whose locality summary is hotPages ((array, page) pairs): nil when
+// the victim is unloaded (fewer than two live entries — it must stay
+// loaded after granting) or holds only in-flight SPs. Selection prefers
+// SPs whose operand rows lie on the thief's pages (more such rows first)
+// and is stable within equal locality, so with no locality signal the
+// grant is the oldest not-yet-started SPs in age order — for a loop nest,
+// whole outer iterations rather than inner fragments. Removal never shifts
+// the deque: the bottom entry advances readyHead, mid-deque entries become
+// nil tombstones (amortized O(1) per grant, reclaimed by compactReady).
 //
 // Distributed (Range-Filtered) templates are pinned: their ROWLO/UNIFLO/…
 // instructions clamp the index range to the executing PE's area of
 // responsibility, so running one on a different PE would recompute that
 // PE's share — a double write, not a migration. Everything else is
 // location-independent: its inputs travel in the operand frame.
-func (w *worker) stealBatch(hot, hotPages []int64) []*spInst {
+func (w *worker) stealBatch(hotPages []int64) []*spInst {
 	live := len(w.ready) - w.readyHead - w.readyNil
 	if live < 2 {
 		return nil
@@ -734,42 +724,17 @@ func (w *worker) stealBatch(hot, hotPages []int64) []*spInst {
 	if limit > live-1 {
 		limit = live - 1
 	}
-	if w.stealOne {
-		// Legacy PR 2 policy for A/B comparisons: one SP, oldest first,
-		// locality-blind.
-		limit, hot, hotPages = 1, nil, nil
-	}
-	if (len(hot) > 0 || len(hotPages) > 1) && len(cand) > 1 {
-		// Score each candidate once (the comparator would otherwise
-		// rescan every operand frame O(log k) times per candidate).
+	if len(hotPages) > 1 && len(cand) > 1 {
+		// Rank by the operand rows the thief actually holds, scoring each
+		// candidate once (the comparator would otherwise rescan every
+		// operand frame O(log k) times per candidate).
+		pageSet := make(map[heatKey]struct{}, len(hotPages)/2)
+		for i := 0; i+1 < len(hotPages); i += 2 {
+			pageSet[heatKey{hotPages[i], int(hotPages[i+1])}] = struct{}{}
+		}
 		scores := make(map[int]int, len(cand))
-		if len(hotPages) > 1 {
-			// Page-granular (heat mode): rank by the operand rows the
-			// thief actually holds.
-			pageSet := make(map[heatKey]struct{}, len(hotPages)/2)
-			for i := 0; i+1 < len(hotPages); i += 2 {
-				pageSet[heatKey{hotPages[i], int(hotPages[i+1])}] = struct{}{}
-			}
-			for _, idx := range cand {
-				scores[idx] = w.pageScore(w.ready[idx], pageSet)
-			}
-		} else {
-			hotSet := make(map[int64]struct{}, len(hot))
-			for _, id := range hot {
-				hotSet[id] = struct{}{}
-			}
-			for _, idx := range cand {
-				sp := w.ready[idx]
-				n := 0
-				for _, v := range sp.frame {
-					if v.Kind == isa.KindArray {
-						if _, ok := hotSet[v.I]; ok {
-							n++
-						}
-					}
-				}
-				scores[idx] = n
-			}
+		for _, idx := range cand {
+			scores[idx] = w.pageScore(w.ready[idx], pageSet)
 		}
 		sort.SliceStable(cand, func(i, j int) bool {
 			return scores[cand[i]] > scores[cand[j]]
@@ -804,7 +769,7 @@ func (w *worker) handleStealReq(m *Msg) {
 	}
 	var batch []*spInst
 	if !w.failed {
-		batch = w.stealBatch(m.Lists.Hot, m.Lists.HotPages)
+		batch = w.stealBatch(m.Lists.HotPages)
 	}
 	if len(batch) == 0 {
 		w.send(thief, &Msg{Kind: KStealNone})
@@ -1212,13 +1177,8 @@ func (w *worker) handle(m *Msg) {
 		if w.cuts == nil {
 			w.cuts = make(map[int][]int64)
 		}
-		old := w.cuts[int(m.Tmpl)]
 		w.cuts[int(m.Tmpl)] = cuts
 		w.rec(trace.EvRebound, int64(m.Tmpl), 0)
-		// Heat mode: iterations gained by the new cut prefetch their rows'
-		// pages now, so the adapted copies start warm instead of paying a
-		// cold remote fetch each.
-		w.migrateHotPages(old, cuts)
 
 	case KRecover:
 		w.applyRecover(m)

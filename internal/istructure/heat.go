@@ -7,8 +7,8 @@ import "sort"
 // (CacheLookup), page arrivals (InstallPage), evictions (evictAt), and
 // owned-segment reads (ReadLocal) — and every consumer reads it back out:
 // the CLOCK sweep's reference bits are heat deltas, refetch detection is
-// the eviction-generation stamp, the steal-locality summaries (HotArrays,
-// HotPages) rank by heat, and the streaming-prefetch scan detector is the
+// the eviction-generation stamp, the steal-locality summary (HotPages)
+// ranks by heat, and the streaming-prefetch scan detector is the
 // per-page sequential-run length. Before this table the same facts lived
 // in four places (per-slot ref bits, two generational eviction maps, an
 // on-demand cache walk, and nothing at all for scans); now there is one
@@ -126,35 +126,45 @@ type HotPage struct {
 	Heat int64
 }
 
-// HotPages summarizes this shard's locality at page granularity for a
-// steal request: the pages whose data is local here — cache-resident
-// remote pages and touched owned pages — hottest first, at most limit
-// entries. Unlike HotArrays, this carries signal even on a single shared
-// array: each PE's summary names the *rows* it holds. Ties break on
-// (array ID, page) so the summary is deterministic for a given state.
+// HotPages summarizes this shard's locality for a steal request: the
+// pages whose data is local here — cache-resident remote pages and touched
+// owned pages — hottest first, ties broken on (array ID, page), at most
+// limit entries. Each PE's summary names the *rows* it holds, even on one
+// shared array. Kept sorted while it is built, it costs at most one
+// allocation however many pages are local.
 func (s *Shard) HotPages(limit int) []HotPage {
-	if limit <= 0 {
-		return nil
-	}
 	var out []HotPage
 	for id, a := range s.arrays {
 		for p := range a.stats {
-			if e := &a.stats[p]; e.slot != nil || e.owned {
-				out = append(out, HotPage{Arr: id, Page: p, Heat: e.heat})
+			e := &a.stats[p]
+			if e.slot == nil && !e.owned {
+				continue
 			}
+			hp := HotPage{Arr: id, Page: p, Heat: e.heat}
+			i := sort.Search(len(out), func(i int) bool { return hp.hotter(out[i]) })
+			if i >= limit {
+				continue
+			}
+			if out == nil {
+				out = make([]HotPage, 0, limit)
+			}
+			if len(out) < limit {
+				out = append(out, HotPage{})
+			}
+			copy(out[i+1:], out[i:len(out)-1])
+			out[i] = hp
 		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Heat != out[j].Heat {
-			return out[i].Heat > out[j].Heat
-		}
-		if out[i].Arr != out[j].Arr {
-			return out[i].Arr < out[j].Arr
-		}
-		return out[i].Page < out[j].Page
-	})
-	if len(out) > limit {
-		out = out[:limit]
 	}
 	return out
+}
+
+// hotter orders the summary: more heat first, then (array ID, page).
+func (p HotPage) hotter(q HotPage) bool {
+	if p.Heat != q.Heat {
+		return p.Heat > q.Heat
+	}
+	if p.Arr != q.Arr {
+		return p.Arr < q.Arr
+	}
+	return p.Page < q.Page
 }

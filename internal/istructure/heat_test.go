@@ -239,4 +239,30 @@ func TestHotPages(t *testing.T) {
 	if len(got) != 2 || got[0].Arr != 1 {
 		t.Fatalf("HotPages with equal heat = %+v, want (1,0) first by ID", got)
 	}
+
+	// With more local pages than the limit, the summary is exactly the
+	// head of the full ranking, built in one allocation.
+	hc, _ := NewHeader(3, "C", []int{64, 8}, 8, 1, 0, true)
+	big := NewShard(0)
+	_ = big.Install(hc)
+	for p := 0; p < 64; p++ {
+		for k := 0; k < p*7%13; k++ {
+			big.ReadLocal(3, p*8, Waiter{})
+		}
+	}
+	all := big.HotPages(64)
+	if len(all) < 40 {
+		t.Fatalf("only %d touched pages", len(all))
+	}
+	for i := 1; i < len(all); i++ {
+		if !all[i-1].hotter(all[i]) {
+			t.Fatalf("HotPages out of order at %d: %+v then %+v", i, all[i-1], all[i])
+		}
+	}
+	if top := big.HotPages(16); fmt.Sprint(top) != fmt.Sprint(all[:16]) {
+		t.Fatalf("HotPages(16) = %+v, want the head of the full ranking %+v", top, all[:16])
+	}
+	if n := testing.AllocsPerRun(20, func() { big.HotPages(16) }); n > 1 {
+		t.Fatalf("HotPages(16) allocated %v times, want 1", n)
+	}
 }

@@ -3,7 +3,6 @@ package istructure
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/isa"
 )
@@ -126,9 +125,8 @@ type Array struct {
 
 	// stats is this array's slice of the heat table, indexed by page and
 	// allocated on the array's first touch; a zero entry is a page the
-	// shard has never seen. resident counts its cache-resident pages.
-	stats    []pageStat
-	resident int
+	// shard has never seen.
+	stats []pageStat
 }
 
 // CachedPage is a snapshot of a remote page: values plus presence bits as of
@@ -388,7 +386,6 @@ func (a *Array) InstallPage(pageIdx int, pg *CachedPage) {
 	}
 	slot := &cacheSlot{a: a, page: pageIdx, pg: pg, st: e}
 	e.slot = slot
-	a.resident++
 	// Enter unreferenced: any touches the demand miss itself recorded must
 	// not count as a post-install reference (the old ring's ref=false).
 	e.sweep = e.heat
@@ -456,7 +453,6 @@ func (s *Shard) evictAt(i int) {
 	e.slot = nil
 	e.evicted = true
 	e.gen = s.evictGen
-	slot.a.resident--
 	s.evictGenCount++
 	if s.evictGenCount >= evictedGen {
 		s.evictGen++
@@ -506,52 +502,6 @@ func (s *Shard) CacheLookup(id int64, h *Header, off int) (v isa.Value, hitPage,
 		return isa.Value{}, false, false
 	}
 	return a.CacheLookup(off)
-}
-
-// HotArrays summarizes this shard's locality for a steal request: the
-// arrays whose data is resident here, hottest first, at most limit
-// entries. Two kinds of residency count — arrays wholly homed at this PE
-// (non-distributed, allocated here: reads of them are free shard hits, the
-// strongest possible signal, so they rank above everything) and arrays
-// with cached remote pages, ranked by resident page count. Distributed
-// arrays' owned segments are excluded: every PE owns a slice of every
-// distributed array, so at array granularity they carry no signal. Ties
-// break on array ID so the summary is deterministic for a given state.
-func (s *Shard) HotArrays(limit int) []int64 {
-	if limit <= 0 {
-		return nil
-	}
-	type hot struct {
-		id    int64
-		home  bool
-		pages int
-	}
-	hs := make([]hot, 0, len(s.arrays))
-	for id, a := range s.arrays {
-		if !a.h.Dist && a.h.Origin == s.PE {
-			hs = append(hs, hot{id: id, home: true})
-		}
-		if a.resident > 0 {
-			hs = append(hs, hot{id: id, pages: a.resident})
-		}
-	}
-	sort.Slice(hs, func(i, j int) bool {
-		if hs[i].home != hs[j].home {
-			return hs[i].home
-		}
-		if hs[i].pages != hs[j].pages {
-			return hs[i].pages > hs[j].pages
-		}
-		return hs[i].id < hs[j].id
-	})
-	if len(hs) > limit {
-		hs = hs[:limit]
-	}
-	out := make([]int64, len(hs))
-	for i, h := range hs {
-		out[i] = h.id
-	}
-	return out
 }
 
 // PendingReads returns the number of deferred local reads still queued

@@ -370,40 +370,6 @@ func TestCacheUnboundedByDefault(t *testing.T) {
 	}
 }
 
-// TestHotArrays: the steal-request summary ranks arrays by resident page
-// count, breaks ties by ID, and respects the limit.
-func TestHotArrays(t *testing.T) {
-	s := NewShard(1)
-	ha, _ := NewHeader(1, "A", []int{16, 16}, 8, 2, 0, true)
-	hb, _ := NewHeader(2, "B", []int{16, 16}, 8, 2, 0, true)
-	hc, _ := NewHeader(3, "C", []int{16, 16}, 8, 2, 0, true)
-	for _, h := range []*Header{ha, hb, hc} {
-		_ = s.Install(h)
-	}
-	if got := s.HotArrays(4); len(got) != 0 {
-		t.Fatalf("empty cache HotArrays = %v, want none", got)
-	}
-	s.InstallPage(2, 0, cachePage(8, 0))
-	s.InstallPage(2, 1, cachePage(8, 0))
-	s.InstallPage(1, 0, cachePage(8, 0))
-	s.InstallPage(3, 0, cachePage(8, 0))
-	got := s.HotArrays(4)
-	if len(got) != 3 || got[0] != 2 || got[1] != 1 || got[2] != 3 {
-		t.Fatalf("HotArrays = %v, want [2 1 3] (B hottest, then ties by ID)", got)
-	}
-	if got := s.HotArrays(1); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("HotArrays(1) = %v, want [2]", got)
-	}
-	// An array wholly homed at this PE (non-distributed, allocated here)
-	// outranks every cached array: its reads are free shard hits.
-	hd, _ := NewHeader(4, "D", []int{4}, 8, 2, 1, false)
-	_ = s.Install(hd)
-	got = s.HotArrays(4)
-	if len(got) != 4 || got[0] != 4 {
-		t.Fatalf("HotArrays = %v, want the home-owned array 4 ranked first", got)
-	}
-}
-
 func TestFilledAndPendingCounters(t *testing.T) {
 	h, _ := NewHeader(1, "A", []int{8}, 8, 1, 0, true)
 	s := NewShard(0)
