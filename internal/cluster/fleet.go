@@ -21,20 +21,14 @@ import (
 // job gets its own worker instance per PE (istructure shard, run queue,
 // recovery log, trace ring) and its own driver loop, and every frame is
 // stamped with the job ID so the single physical wire multiplexes many
-// logical clusters. Job IDs also ride inside packed SP/array/sweep IDs
-// (bits 48+), so two jobs' object namespaces can never collide even in
-// shared diagnostics.
-
-// hostStashMax bounds the total frames a fleet host will hold for jobs it
-// has not seen a KJobStart for yet (peer traffic can race the start frame,
-// which travels on a different sender stream). Beyond the bound frames are
-// dropped; recovery-armed jobs replay, others would have failed anyway.
-const hostStashMax = 1 << 16
+// logical clusters: each endpoint's inbox table puts a job's frames
+// straight into that job's inbox, one hop from sender to receiver. Job IDs
+// also ride inside packed SP/array/sweep IDs (bits 48+), so two jobs'
+// object namespaces can never collide even in shared diagnostics.
 
 // jobEndpoint is a job's private view of the fleet wire: sends stamp the
 // job ID and go out on the shared transport endpoint (which stamps From);
-// receives drain the job's own mailbox, fed by the dispatcher (driver
-// side) or the fleet host (worker side).
+// receives drain the job's own inbox, which the transport fills directly.
 type jobEndpoint struct {
 	job int32
 	out Endpoint
@@ -70,96 +64,57 @@ func (e *jobEndpoint) Repoint(peers []string) {
 	}
 }
 
-// fleetHost is the worker-side demultiplexer: one per PE, single-threaded,
-// owning the PE's transport endpoint. It routes each incoming frame to the
-// addressed job's worker instance, creates instances on KJobStart, and
-// tears them down on KJobEnd. Frames for a job that has not started here
-// yet are stashed and replayed at start (FIFO guarantees a job's *driver*
-// frames follow its KJobStart, but peer frames ride other streams).
+// fleetHost runs job lifecycle on one PE. Its endpoint's inbox table
+// delivers every job frame straight to the job's worker, so the host sees
+// only fleet-level frames, KJobStart (start a worker on the inbox the table
+// opened) and KJobEnd (forget it: the table closed its inbox).
 type fleetHost struct {
 	pe, n       int
 	ep          Endpoint
+	in          *inboxTable
 	resolveProg func(job int32, wire []byte) (*isa.Program, error)
 
-	jobs    map[int32]*mailbox
-	done    map[int32]struct{}
-	stash   map[int32][]*Msg
-	stashed int
-	wg      sync.WaitGroup
+	jobs map[int32]*mailbox // inboxes of the workers this host started
+	wg   sync.WaitGroup
 }
 
-func newFleetHost(pe, n int, ep Endpoint, resolveProg func(int32, []byte) (*isa.Program, error)) *fleetHost {
-	return &fleetHost{
-		pe: pe, n: n, ep: ep,
-		resolveProg: resolveProg,
-		jobs:        make(map[int32]*mailbox),
-		done:        make(map[int32]struct{}),
-		stash:       make(map[int32][]*Msg),
-	}
+func newFleetHost(pe, n int, ep Endpoint, in *inboxTable, resolveProg func(int32, []byte) (*isa.Program, error)) *fleetHost {
+	return &fleetHost{pe: pe, n: n, ep: ep, in: in, resolveProg: resolveProg, jobs: make(map[int32]*mailbox)}
 }
 
 // serve runs the host until the fleet stops (fleet-level KStop), the
-// endpoint dies, or the context ends. early frames (stashed by a TCP
-// accept loop before KInit) are replayed first.
-func (h *fleetHost) serve(ctx context.Context, early []*Msg) {
+// endpoint dies, or the context ends; then it closes every inbox it
+// started and the table with them.
+func (h *fleetHost) serve(ctx context.Context) {
 	defer func() {
+		h.in.shut()
 		for _, box := range h.jobs {
 			box.close()
 		}
 		h.wg.Wait()
 	}()
-	for _, m := range early {
-		if !h.handle(ctx, m) {
-			return
-		}
-	}
 	for {
 		m, err := h.ep.Recv(ctx)
 		if err != nil {
 			return
 		}
-		if !h.handle(ctx, m) {
-			return
-		}
-	}
-}
-
-// handle routes one frame; false means the fleet is shutting down.
-func (h *fleetHost) handle(ctx context.Context, m *Msg) bool {
-	switch {
-	case m.Kind == KJobStart:
-		h.startJob(ctx, m)
-	case m.Kind == KJobEnd:
-		h.endJob(m.Job)
-	case m.Job == 0:
-		// Fleet-level traffic. KStop shuts the host down; a transport
-		// decode failure (KFail minted by the pump, unattributable to a
-		// job) is fanned out to every live job so none hangs on a
-		// half-dead wire. Anything else fleet-level is dropped.
 		switch m.Kind {
+		case KJobStart:
+			h.startJob(ctx, m)
+		case KJobEnd:
+			delete(h.jobs, m.Job)
 		case KStop:
-			return false
+			return
 		case KFail:
+			// A transport decode failure (minted by the pump, unattributable
+			// to a job) is fanned out to every live job so none hangs on a
+			// half-dead wire.
 			for _, box := range h.jobs {
 				c := *m
 				box.put(&c)
 			}
 		}
-	default:
-		if _, ended := h.done[m.Job]; ended {
-			return true // late frame for a torn-down job
-		}
-		if box := h.jobs[m.Job]; box != nil {
-			box.put(m)
-			return true
-		}
-		if h.stashed >= hostStashMax {
-			return true // pathological: shed rather than grow unboundedly
-		}
-		h.stash[m.Job] = append(h.stash[m.Job], m)
-		h.stashed++
 	}
-	return true
 }
 
 // startJob instantiates a worker for the job described by m. A replacement
@@ -167,19 +122,14 @@ func (h *fleetHost) handle(ctx context.Context, m *Msg) bool {
 // retires the old instance first: its frames carry the old incarnation and
 // are fenced by every receiver.
 func (h *fleetHost) startJob(ctx context.Context, m *Msg) {
-	job := m.Job
+	job, c := m.Job, m.Cfg
 	if old := h.jobs[job]; old != nil {
 		old.close()
 		delete(h.jobs, job)
 	}
-	delete(h.done, job)
-
-	c := m.Cfg
 	prog, err := h.resolveProg(job, c.Prog)
 	if err != nil {
-		h.done[job] = struct{}{}
-		h.stashed -= len(h.stash[job])
-		delete(h.stash, job)
+		c.inbox.close()
 		// Inc 1<<30 outruns any job-level incarnation fence so the
 		// driver's recovery filter cannot swallow the failure.
 		_ = h.ep.Send(h.n, &Msg{
@@ -193,9 +143,7 @@ func (h *fleetHost) startJob(ctx context.Context, m *Msg) {
 	// does not cross a wire).
 	cfg := c.Job
 	cfg.NumPEs = h.n
-	box := newMailbox()
-	jep := &jobEndpoint{job: job, out: h.ep, in: box}
-	w := newWorker(h.pe, &cfg, prog, jep)
+	w := newWorker(h.pe, &cfg, prog, &jobEndpoint{job: job, out: h.ep, in: c.inbox})
 	w.job = job
 	if cfg.Recover {
 		var inc int32
@@ -204,33 +152,12 @@ func (h *fleetHost) startJob(ctx context.Context, m *Msg) {
 		}
 		w.enableRecovery(inc, m.Epoch, c.Incs)
 	}
-
-	h.jobs[job] = box
-	for _, sm := range h.stash[job] {
-		box.put(sm)
-		h.stashed--
-	}
-	delete(h.stash, job)
-
+	h.jobs[job] = c.inbox
 	h.wg.Add(1)
 	go func() {
 		defer h.wg.Done()
 		w.run(ctx)
 	}()
-}
-
-// endJob tears a job's instance down: the worker drains its queue, sees
-// the KStop, and exits; the shard and logs go with it. Later frames for
-// the job are dropped via the done set.
-func (h *fleetHost) endJob(job int32) {
-	if box := h.jobs[job]; box != nil {
-		box.put(&Msg{Kind: KStop})
-		box.close()
-		delete(h.jobs, job)
-	}
-	h.done[job] = struct{}{}
-	h.stashed -= len(h.stash[job])
-	delete(h.stash, job)
 }
 
 // Fleet is a persistent cluster: NumPEs workers stay up across jobs, over
@@ -256,12 +183,13 @@ type Fleet struct {
 	peers       []string // current TCP worker addresses
 	sparesLeft  []string
 
+	in   *inboxTable // the driver endpoint's: every job's inbox opens here
 	cnet *chanTransport
 	td   *tcpDriver
 }
 
-// fleetJob is the driver-side record of a live job: its inbox (fed by the
-// dispatcher) and what Submit needs to restart workers during recovery.
+// fleetJob is the driver-side record of a live job: its inbox and what
+// Submit needs to restart workers during recovery.
 type fleetJob struct {
 	box  *mailbox
 	cfg  Config
@@ -298,14 +226,10 @@ func OpenFleet(ctx context.Context, cfg Config) (*Fleet, error) {
 		}
 		f.cnet = newChanNet(f.n, cfg.Latency, killPE, cfg.KillAfter)
 		for pe := 0; pe < f.n; pe++ {
-			h := newFleetHost(pe, f.n, f.cnet.endpoint(pe), f.lookupProg)
-			f.wg.Add(1)
-			go func() {
-				defer f.wg.Done()
-				h.serve(f.ctx, nil)
-			}()
+			f.startHost(pe, f.cnet.endpoint(pe))
 		}
-		f.ep = f.cnet.endpoint(f.n)
+		ep := f.cnet.endpoint(f.n)
+		f.ep, f.in = ep, ep.in
 	}
 
 	f.wg.Add(1)
@@ -316,7 +240,7 @@ func OpenFleet(ctx context.Context, cfg Config) (*Fleet, error) {
 // dialTCP connects to every worker address, announces the fleet geometry
 // with a fleet-level KInit, and starts a liveness pump per connection.
 func (f *Fleet) dialTCP(ctx context.Context, cfg Config) error {
-	d := &tcpDriver{self: f.n, box: newMailbox()}
+	d := &tcpDriver{self: f.n, in: newInboxTable(0)}
 	var dialer net.Dialer
 	for i, addr := range cfg.Workers {
 		conn, err := dialer.DialContext(ctx, "tcp", addr)
@@ -332,8 +256,7 @@ func (f *Fleet) dialTCP(ctx context.Context, cfg Config) error {
 		}
 		go pumpWorkerConn(d, i, 0, conn)
 	}
-	f.td = d
-	f.ep = d
+	f.td, f.ep, f.in = d, d, d.in
 	f.peers = append([]string(nil), cfg.Workers...)
 	f.sparesLeft = append([]string(nil), cfg.Spares...)
 	return nil
@@ -365,9 +288,9 @@ func (f *Fleet) lookupProg(job int32, wire []byte) (*isa.Program, error) {
 	return p, nil
 }
 
-// dispatch is the driver-side demultiplexer: it drains the shared
-// endpoint and routes each frame to the addressed job's inbox. Host-death
-// notices (KDown, always fleet-level) are fanned out to every live job.
+// dispatch drains the driver endpoint's fleet-level frames (every job
+// frame goes straight to its job's inbox): host-death notices (KDown) and
+// transport decode failures (KFail) are fanned out to every live job.
 func (f *Fleet) dispatch() {
 	defer f.wg.Done()
 	for {
@@ -380,34 +303,24 @@ func (f *Fleet) dispatch() {
 			f.mu.Unlock()
 			return
 		}
-		if m.Kind == KDown {
+		switch m.Kind {
+		case KDown:
 			f.noteDown(m)
-			continue
-		}
-		if m.Job == 0 {
-			if m.Kind == KFail {
-				f.mu.Lock()
-				for _, fj := range f.jobs {
-					c := *m
-					fj.box.put(&c)
-				}
-				f.mu.Unlock()
+		case KFail:
+			f.mu.Lock()
+			for _, fj := range f.jobs {
+				c := *m
+				fj.box.put(&c)
 			}
-			continue
-		}
-		f.mu.Lock()
-		fj := f.jobs[m.Job]
-		f.mu.Unlock()
-		if fj != nil {
-			fj.box.put(m)
+			f.mu.Unlock()
 		}
 	}
 }
 
-// noteDown records a host death and tells every live job. The per-job
-// copies carry Inc = MaxInt32: job-level incarnation fences (which drop
-// frames from incarnations older than the job's view) must never swallow
-// a death notice, whose authority is the transport, not any incarnation.
+// noteDown records a host death and tells every live job (Submit tells
+// later ones). The copies carry Inc = MaxInt32: job-level incarnation
+// fences must never swallow a death notice, whose authority is the
+// transport, not any incarnation.
 func (f *Fleet) noteDown(m *Msg) {
 	pe := int(m.From)
 	f.mu.Lock()
@@ -507,10 +420,17 @@ func (f *Fleet) Submit(ctx context.Context, prog *isa.Program, cfg Config, args 
 		return nil, fmt.Errorf("cluster: job rejected: %d jobs already running (Config.MaxJobs)", maxJobs)
 	}
 	id := f.allocJobIDLocked()
-	fj := &fleetJob{box: newMailbox(), cfg: cfg, prog: progBytes}
+	fj := &fleetJob{box: f.in.open(id), cfg: cfg, prog: progBytes}
 	f.jobs[id] = fj
 	if f.td == nil {
 		f.progs[id] = prog
+	}
+	// A host that died before this job existed is down for it too: the job
+	// must not wait for a probe round to time out to learn of it.
+	for pe, dead := range f.deadPending {
+		if dead {
+			fj.box.put(&Msg{Kind: KDown, From: int32(pe), Inc: math.MaxInt32})
+		}
 	}
 	f.mu.Unlock()
 	mJobsTotal.Add(1)
@@ -520,7 +440,7 @@ func (f *Fleet) Submit(ctx context.Context, prog *isa.Program, cfg Config, args 
 		delete(f.jobs, id)
 		delete(f.progs, id)
 		f.mu.Unlock()
-		fj.box.close()
+		f.in.end(id)
 		mJobsActive.Add(-1)
 	}()
 
@@ -605,17 +525,22 @@ func (f *Fleet) respawnJob(job int32, pe int, epoch int32, incs []int32) ([]stri
 	return peers, nil
 }
 
-// rehomeLocked replaces a dead PE's host: a fresh mailbox + host goroutine
-// on the channel transport, or the next spare address on TCP (re-announced
-// to the driver pump and, via the returned peer table, to survivors).
+// startHost runs PE pe's fleet host on the channel transport.
+func (f *Fleet) startHost(pe int, ep *chanEndpoint) {
+	h := newFleetHost(pe, f.n, ep, ep.in, f.lookupProg)
+	f.wg.Add(1)
+	go func() {
+		defer f.wg.Done()
+		h.serve(f.ctx)
+	}()
+}
+
+// rehomeLocked replaces a dead PE's host: a fresh inbox table and host on
+// the channel transport, or the next spare address on TCP (re-announced to
+// the driver pump and, via the returned peer table, to survivors).
 func (f *Fleet) rehomeLocked(pe int, gen int32) error {
 	if f.cnet != nil {
-		h := newFleetHost(pe, f.n, f.cnet.replace(pe), f.lookupProg)
-		f.wg.Add(1)
-		go func() {
-			defer f.wg.Done()
-			h.serve(f.ctx, nil)
-		}()
+		f.startHost(pe, f.cnet.replace(pe))
 		return nil
 	}
 	if len(f.sparesLeft) == 0 {

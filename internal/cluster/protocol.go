@@ -177,8 +177,8 @@ const (
 	// KJobStart creates a per-job worker instance on a fleet host: Job
 	// names the job, Epoch its counting epoch, and Cfg the job's Config
 	// (scheduling knobs and budgets), incarnation vector and (on TCP) the
-	// serialized program. Fleet hosts route every subsequent frame stamped
-	// with this Job to that instance.
+	// serialized program. The receiving endpoint's inbox table routes every
+	// later frame stamped with this Job straight to that instance.
 	KJobStart
 
 	// KJobEnd tears a job down on a fleet host: the host stops the job's
@@ -327,6 +327,10 @@ type MsgCfg struct {
 	Incs   []int32 // full per-PE incarnation vector
 	Peers  []string
 	Prog   []byte
+
+	// inbox is the job inbox the receiving endpoint's table opened when
+	// this KJobStart was delivered; it never crosses a wire.
+	inbox *mailbox
 }
 
 // MsgLists holds the variable-length control-plane payloads.

@@ -30,7 +30,8 @@ import (
 // writes everything queued since the previous write with a single
 // syscall. Per-pair FIFO is the buffer order of a single ordered stream.
 // The read side (frameReader) decodes every frame that one read returned
-// out of a reusable buffer and hands the batch to the mailbox at once.
+// out of a reusable buffer and hands the batch to the endpoint's inbox
+// table at once.
 
 // maxFrame bounds a frame's payload (a page of values is ~KB; programs a
 // few hundred KB — 64 MiB is generous headroom against corrupt prefixes).
@@ -238,15 +239,15 @@ func midFrame(err error) error {
 	return err
 }
 
-// pump reads frames from conn into box until EOF or error, one mailbox
-// hand-over per batch of frames a read returned. onInit, when non-nil,
+// pump reads frames from conn into the inbox table in until EOF or error,
+// one delivery per batch of frames a read returned. onInit, when non-nil,
 // observes KInit messages (the worker uses it to learn its driver
 // connection). Decode errors (corrupt frames) surface as synthetic KFail
 // messages so the endpoint's owner can abort cleanly; connection-level
 // errors (EOF, reset, close) are connection *loss*, which the owner
 // detects through its own means — the driver's per-conn wrapper
 // synthesizes a KDown, a worker sees its driver stream close.
-func pump(conn net.Conn, box *mailbox, onInit func(net.Conn)) {
+func pump(conn net.Conn, in *inboxTable, onInit func(net.Conn)) {
 	fr := newFrameReader(conn)
 	var batch []*Msg
 	for {
@@ -260,14 +261,14 @@ func pump(conn net.Conn, box *mailbox, onInit func(net.Conn)) {
 				continue
 			}
 		}
-		box.putAll(batch)
+		in.putAll(batch)
 		clear(batch)
 		batch = batch[:0]
 		if err != nil {
 			var ne net.Error
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) &&
 				!errors.Is(err, io.ErrUnexpectedEOF) && !errors.As(err, &ne) {
-				box.put(&Msg{Kind: KFail, Name: fmt.Sprintf("transport: %v", err)})
+				in.put(&Msg{Kind: KFail, Name: fmt.Sprintf("transport: %v", err)})
 			}
 			return
 		}
@@ -280,7 +281,7 @@ func pump(conn net.Conn, box *mailbox, onInit func(net.Conn)) {
 // sends through the slot's outbox.
 type tcpDriver struct {
 	self int
-	box  *mailbox
+	in   *inboxTable
 
 	mu    sync.Mutex
 	conns []*outbox
@@ -309,13 +310,13 @@ func (d *tcpDriver) repoint(pe int, o *outbox) {
 	old.conn.Close() // dead: nothing worth flushing
 }
 
-func (d *tcpDriver) Recv(ctx context.Context) (*Msg, error) { return d.box.recv(ctx) }
+func (d *tcpDriver) Recv(ctx context.Context) (*Msg, error) { return d.in.box.recv(ctx) }
 func (d *tcpDriver) RecvUntil(ctx context.Context, wake <-chan time.Time) (*Msg, error) {
-	return d.box.recvUntil(ctx, wake)
+	return d.in.box.recvUntil(ctx, wake)
 }
 
 func (d *tcpDriver) TryRecv() (*Msg, bool) {
-	m, ok, _, _ := d.box.pop()
+	m, ok, _, _ := d.in.box.pop()
 	return m, ok
 }
 
@@ -326,19 +327,19 @@ func (d *tcpDriver) Close() error {
 	for _, o := range conns {
 		o.close()
 	}
-	d.box.close()
+	d.in.box.close()
 	return nil
 }
 
-// pumpWorkerConn pumps one worker connection into the driver's mailbox and
+// pumpWorkerConn pumps one worker connection into the driver's table and
 // synthesizes a KDown notice when it drops: a worker dying mid-run is
 // detected at connection-loss speed, and the notice carries the host
 // generation the connection served so a replaced worker's teardown is
 // fenced instead of re-triggering recovery. After d.Close() the box is
 // closed, so the put is a no-op during normal cleanup.
 func pumpWorkerConn(d *tcpDriver, pe int, inc int32, conn net.Conn) {
-	pump(conn, d.box, nil)
-	d.box.put(&Msg{Kind: KDown, From: int32(pe), Inc: inc})
+	pump(conn, d.in, nil)
+	d.in.put(&Msg{Kind: KDown, From: int32(pe), Inc: inc})
 }
 
 // tcpWorker is a worker's endpoint: the accepted driver connection plus
@@ -354,7 +355,7 @@ type tcpWorker struct {
 	mu     sync.Mutex
 	driver *outbox
 
-	box *mailbox
+	in *inboxTable
 }
 
 // tcpPeer is one lazily dialed peer connection.
@@ -415,13 +416,13 @@ func (t *tcpWorker) Repoint(peers []string) {
 	}
 }
 
-func (t *tcpWorker) Recv(ctx context.Context) (*Msg, error) { return t.box.recv(ctx) }
+func (t *tcpWorker) Recv(ctx context.Context) (*Msg, error) { return t.in.box.recv(ctx) }
 func (t *tcpWorker) RecvUntil(ctx context.Context, wake <-chan time.Time) (*Msg, error) {
-	return t.box.recvUntil(ctx, wake)
+	return t.in.box.recvUntil(ctx, wake)
 }
 
 func (t *tcpWorker) TryRecv() (*Msg, bool) {
-	m, ok, _, _ := t.box.pop()
+	m, ok, _, _ := t.in.box.pop()
 	return m, ok
 }
 
@@ -440,7 +441,7 @@ func (t *tcpWorker) Close() error {
 		}
 		p.mu.Unlock()
 	}
-	t.box.close()
+	t.in.box.close()
 	return nil
 }
 
@@ -453,7 +454,7 @@ func (t *tcpWorker) Close() error {
 // call serves one driver session; a long-lived `podsd -worker` process
 // serves sessions in a loop, staying up across drivers and jobs.
 func ServeWorker(ctx context.Context, ln net.Listener) error {
-	t := &tcpWorker{box: newMailbox()}
+	t := &tcpWorker{in: newInboxTable(0)}
 	onInit := func(conn net.Conn) {
 		t.mu.Lock()
 		t.driver = newOutbox(conn)
@@ -472,7 +473,7 @@ func ServeWorker(ctx context.Context, ln net.Listener) error {
 			accepted = append(accepted, conn)
 			amu.Unlock()
 			go func(conn net.Conn) {
-				pump(conn, t.box, onInit)
+				pump(conn, t.in, onInit)
 				// If the driver's connection drops without a KStop (driver
 				// killed mid-run), close the mailbox so the host drains
 				// what it has and exits instead of hanging forever.
@@ -480,7 +481,7 @@ func ServeWorker(ctx context.Context, ln net.Listener) error {
 				isDriver := t.driver != nil && conn == t.driver.conn
 				t.mu.Unlock()
 				if isDriver {
-					t.box.close()
+					t.in.box.close()
 				}
 			}(conn)
 		}
@@ -495,19 +496,16 @@ func ServeWorker(ctx context.Context, ln net.Listener) error {
 		amu.Unlock()
 	}()
 
-	// Wait for the driver's fleet configuration; frames from eager peers
-	// can arrive first and are replayed into the host once it exists.
-	var stash []*Msg
+	// Wait for the driver's fleet configuration; job frames from eager
+	// peers wait in the inbox table meanwhile.
 	var init *Msg
 	for init == nil {
-		m, err := t.box.recv(ctx)
+		m, err := t.in.box.recv(ctx)
 		if err != nil {
 			return err
 		}
 		if m.Kind == KInit {
 			init = m
-		} else {
-			stash = append(stash, m)
 		}
 	}
 	t.self = int(init.Cfg.PE)
@@ -519,13 +517,13 @@ func ServeWorker(ctx context.Context, ln net.Listener) error {
 		}
 	}
 	var memo progMemo
-	h := newFleetHost(t.self, t.n, t, func(_ int32, wire []byte) (*isa.Program, error) {
+	h := newFleetHost(t.self, t.n, t, t.in, func(_ int32, wire []byte) (*isa.Program, error) {
 		if len(wire) == 0 {
 			return nil, errors.New("job start carried no program")
 		}
 		return memo.get(wire)
 	})
-	h.serve(ctx, stash)
+	h.serve(ctx)
 	return nil
 }
 

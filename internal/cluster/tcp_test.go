@@ -142,18 +142,23 @@ func loopbackPair(t testing.TB) (dialed, accepted net.Conn) {
 }
 
 // TestTCPCoalescedFIFO: several jobs' goroutines send numbered frames
-// through one tcpWorker to one peer. Each sender's order survives, the
-// frames queued while a write is in flight leave in a single later write,
-// and a lone frame on an idle connection is written at once, by itself.
+// through one tcpWorker to one peer. Each sender's order survives into its
+// job's inbox, the frames queued while a write is in flight leave in a
+// single later write, and a lone frame on an idle connection is written at
+// once, by itself.
 func TestTCPCoalescedFIFO(t *testing.T) {
 	a, b := loopbackPair(t)
 	cc := &countConn{Conn: a, gate: make(chan struct{})}
-	w := &tcpWorker{self: 0, n: 2, peers: make([]tcpPeer, 2), box: newMailbox()}
+	w := &tcpWorker{self: 0, n: 2, peers: make([]tcpPeer, 2), in: newInboxTable(0)}
 	w.peers[1].out = newOutbox(cc)
-	box := newMailbox()
-	go pump(b, box, nil)
+	in := newInboxTable(0)
+	go pump(b, in, nil)
 
 	const senders, each = 4, 500
+	boxes := make([]*mailbox, senders+1)
+	for s := 1; s <= senders; s++ {
+		boxes[s] = in.open(int32(s))
+	}
 	var wg sync.WaitGroup
 	for s := 1; s <= senders; s++ {
 		wg.Add(1)
@@ -169,14 +174,15 @@ func TestTCPCoalescedFIFO(t *testing.T) {
 	}
 	wg.Wait() // every frame is queued; the first write is still held at the gate
 	close(cc.gate)
-	next := make([]int64, senders+1)
-	for got := 0; got < senders*each; got++ {
-		m, err := box.recv(testCtx(t))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if next[m.Job]++; m.SP != next[m.Job] || m.From != 0 {
-			t.Fatalf("job %d: frame %d arrived in position %d (from %d)", m.Job, m.SP, next[m.Job], m.From)
+	for s := 1; s <= senders; s++ {
+		for i := int64(1); i <= each; i++ {
+			m, err := boxes[s].recv(testCtx(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Job != int32(s) || m.SP != i || m.From != 0 {
+				t.Fatalf("job %d: frame %d of job %d arrived in position %d (from %d)", s, m.SP, m.Job, i, m.From)
+			}
 		}
 	}
 	held := cc.writes.Load()
@@ -187,7 +193,7 @@ func TestTCPCoalescedFIFO(t *testing.T) {
 	if err := w.Send(1, &Msg{Kind: KProbe, Round: 9}); err != nil {
 		t.Fatal(err)
 	}
-	if m, err := box.recv(testCtx(t)); err != nil || m.Kind != KProbe || m.Round != 9 {
+	if m, err := in.box.recv(testCtx(t)); err != nil || m.Kind != KProbe || m.Round != 9 {
 		t.Fatalf("lone frame: %+v, %v", m, err)
 	}
 	if n := cc.writes.Load() - held; n != 1 {
@@ -255,7 +261,7 @@ func TestOutboxStickyWriteError(t *testing.T) {
 // the frames that arrived before the drop.
 func TestTCPSeveredPeerYieldsDown(t *testing.T) {
 	a, b := loopbackPair(t)
-	d := &tcpDriver{self: 2, box: newMailbox(), conns: []*outbox{newOutbox(a)}}
+	d := &tcpDriver{self: 2, in: newInboxTable(0), conns: []*outbox{newOutbox(a)}}
 	go pumpWorkerConn(d, 0, 3, a)
 	peer := newOutbox(b)
 	if err := peer.send(&Msg{Kind: KAck, From: 0, Round: 1}); err != nil {
@@ -439,8 +445,8 @@ func benchChanEcho(b *testing.B) Endpoint {
 
 func benchLoopbackEcho(b *testing.B) Endpoint {
 	x, y := loopbackPair(b)
-	echo := &tcpDriver{self: 1, box: newMailbox(), conns: []*outbox{newOutbox(y)}}
-	go pump(y, echo.box, nil)
+	echo := &tcpDriver{self: 1, in: newInboxTable(0), conns: []*outbox{newOutbox(y)}}
+	go pump(y, echo.in, nil)
 	go func() {
 		for {
 			m, err := echo.Recv(context.Background())
@@ -450,8 +456,8 @@ func benchLoopbackEcho(b *testing.B) Endpoint {
 			echo.Send(0, m)
 		}
 	}()
-	d := &tcpDriver{self: 0, box: newMailbox(), conns: []*outbox{newOutbox(x)}}
-	go pump(x, d.box, nil)
+	d := &tcpDriver{self: 0, in: newInboxTable(0), conns: []*outbox{newOutbox(x)}}
+	go pump(x, d.in, nil)
 	b.Cleanup(func() { d.Close(); echo.Close() })
 	return d
 }

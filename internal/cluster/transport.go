@@ -183,14 +183,145 @@ func (b *mailbox) close() {
 	}
 }
 
-// chanTransport is the in-process transport: one mailbox per endpoint,
+// hostStashMax bounds the frames an inbox table holds for jobs that have
+// not started on its endpoint (peer traffic can race the KJobStart on the
+// driver's stream). Beyond it frames are dropped; recovery-armed jobs
+// replay, others would have failed anyway.
+const hostStashMax = 1 << 16
+
+// inboxTable is one endpoint's receive side on every transport. Fleet-level
+// frames (Job 0) and job lifecycle (KJobStart, KJobEnd) queue in box for the
+// endpoint's owner; every other frame goes straight into its job's inbox,
+// drained by that job's worker (or driver loop). Lifecycle frames change
+// the routing where they are delivered, in stream order: KJobStart opens
+// the inbox every later frame of the job enters (adopting the one frames
+// that raced it wait in, or replacing a started predecessor's, which the
+// owner retires); KJobEnd closes it and tombstones the job. So a job's
+// frames from one sender enter one inbox first to last: per-pair FIFO
+// holds by construction.
+type inboxTable struct {
+	box   *mailbox
+	delay time.Duration // injected latency of every inbox
+
+	mu     sync.Mutex
+	jobs   map[int32]jobInbox
+	held   int // frames in not-yet-started inboxes, at most hostStashMax
+	closed bool
+}
+
+// jobInbox is a routed job's mailbox (nil: the job ended); held counts the
+// frames that reached it before the job started (zero once opened).
+type jobInbox struct {
+	box  *mailbox
+	held int
+}
+
+func newInboxTable(delay time.Duration) *inboxTable {
+	return &inboxTable{box: newDelayMailbox(delay), delay: delay, jobs: make(map[int32]jobInbox)}
+}
+
+func (t *inboxTable) put(m *Msg) { t.putAll([]*Msg{m}) }
+
+// putAll delivers frames in order, with one inbox hand-over per run of
+// same-job frames.
+func (t *inboxTable) putAll(ms []*Msg) {
+	for len(ms) > 0 {
+		m, n := ms[0], 1
+		switch m.Kind {
+		case KJobStart:
+			m.Cfg.inbox = t.open(m.Job)
+			t.box.put(m)
+		case KJobEnd:
+			t.end(m.Job)
+			t.box.put(m)
+		default:
+			for n < len(ms) && ms[n].Job == m.Job && ms[n].Kind != KJobStart && ms[n].Kind != KJobEnd {
+				n++
+			}
+			if box := t.route(m.Job, ms[:n]); box != nil {
+				box.putAll(ms[:n])
+			}
+		}
+		ms = ms[n:]
+	}
+}
+
+// route returns where ms go (box for fleet-level frames, else the job's
+// open inbox), or nil when it held them for a job not started here or
+// dropped them (ended job, closed table, hold bound reached).
+func (t *inboxTable) route(job int32, ms []*Msg) *mailbox {
+	if job == 0 {
+		return t.box
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e, ok := t.jobs[job]
+	if ok && e.held == 0 {
+		return e.box // nil for an ended job
+	}
+	if t.closed || t.held+len(ms) > hostStashMax {
+		return nil
+	}
+	if !ok {
+		e.box = newDelayMailbox(t.delay)
+	}
+	e.box.putAll(ms)
+	e.held += len(ms)
+	t.held += len(ms)
+	t.jobs[job] = e
+	return nil
+}
+
+// open opens the job's inbox and returns it.
+func (t *inboxTable) open(job int32) *mailbox {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e := t.jobs[job]
+	if e.held == 0 {
+		e.box = newDelayMailbox(t.delay)
+	}
+	if t.closed {
+		e.box.close()
+	}
+	t.held -= e.held
+	t.jobs[job] = jobInbox{box: e.box}
+	return e.box
+}
+
+// end closes the job's inbox and drops every later frame of the job.
+func (t *inboxTable) end(job int32) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if e := t.jobs[job]; e.box != nil {
+		e.box.close()
+		t.held -= e.held
+	}
+	t.jobs[job] = jobInbox{}
+}
+
+// shut closes every inbox and drops all later job frames: the endpoint's
+// owner is gone.
+func (t *inboxTable) shut() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, e := range t.jobs {
+		if e.box != nil {
+			e.box.close()
+		}
+	}
+	clear(t.jobs)
+	t.held, t.closed = 0, true
+}
+
+// chanTransport is the in-process transport: one inbox table per endpoint,
 // message pointers handed over directly. There is no shared program state —
 // the only thing workers share is the wire.
 //
 // The transport doubles as the fault injector: with killPE/killAfter armed
-// it severs PE killPE's endpoint — sends dropped, receives closed — on the
-// first frame that PE sends past killAfter once it has been sent a KSpawn,
-// and puts a KDown notice in the driver's mailbox, exactly the observable
+// it severs PE killPE's endpoint — sends dropped, receives closed (which
+// wakes the PE's fleet host to close its jobs' inboxes) — on the first
+// frame that PE sends past killAfter once it has been sent a KSpawn, and
+// puts a KDown notice in the driver's mailbox, exactly the observable
 // shape of a worker process dying mid-run with its socket resetting. The
 // count advances on data frames and KAcks (probe answers and idle reports)
 // only: acks tick every round even on a PE whose work is entirely local,
@@ -202,14 +333,14 @@ func (b *mailbox) close() {
 // reports while the entry SP runs, and could otherwise die before any
 // fan-out reached it.
 //
-// replace installs a fresh mailbox for a PE and returns a new endpoint
+// replace installs a fresh inbox table for a PE and returns a new endpoint
 // bound to it — the respawn half of recovery. The dead endpoint keeps
-// pointing at its orphaned mailbox, so a zombie worker can neither consume
+// pointing at its orphaned table, so a zombie worker can neither consume
 // the replacement's messages nor have its own heard (senders resolve
-// mailboxes at send time, under the lock).
+// tables at send time, under the lock).
 type chanTransport struct {
 	mu      sync.RWMutex
-	boxes   []*mailbox
+	ins     []*inboxTable
 	latency time.Duration
 
 	killPE    int   // PE to fault-inject; -1 disarmed
@@ -220,15 +351,15 @@ type chanTransport struct {
 }
 
 // chanEndpoint is one endpoint of a chanTransport. The receive side binds
-// to the mailbox current at creation; the send side resolves the target's
-// mailbox per send, so replacement takes effect for everyone at once.
+// to the inbox table current at creation; the send side resolves the
+// target's table per send, so replacement takes effect for everyone at once.
 // dead is atomic because a fleet host shares one endpoint across every
 // job's worker goroutine: the kill can fire inside one job's send while
 // another job is mid-send.
 type chanEndpoint struct {
 	net  *chanTransport
 	self int
-	box  *mailbox
+	in   *inboxTable
 	dead atomic.Bool // fault injection fired: the "machine" is off
 }
 
@@ -236,27 +367,27 @@ type chanEndpoint struct {
 // latency, when non-zero, is injected on every hop. killPE/killAfter arm
 // the fault injector (killPE -1 disarms it).
 func newChanNet(n int, latency time.Duration, killPE int, killAfter int64) *chanTransport {
-	t := &chanTransport{boxes: make([]*mailbox, n+1), latency: latency, killPE: killPE, killAfter: killAfter}
-	for i := range t.boxes {
-		t.boxes[i] = newDelayMailbox(latency)
+	t := &chanTransport{ins: make([]*inboxTable, n+1), latency: latency, killPE: killPE, killAfter: killAfter}
+	for i := range t.ins {
+		t.ins[i] = newInboxTable(latency)
 	}
 	return t
 }
 
-// endpoint returns endpoint i bound to its current mailbox.
-func (t *chanTransport) endpoint(i int) Endpoint {
-	return &chanEndpoint{net: t, self: i, box: t.boxes[i]}
+// endpoint returns endpoint i bound to its current inbox table.
+func (t *chanTransport) endpoint(i int) *chanEndpoint {
+	return &chanEndpoint{net: t, self: i, in: t.ins[i]}
 }
 
-// replace installs a fresh mailbox for pe — dropping whatever undelivered
-// frames the dead incarnation had queued — and returns the replacement's
-// endpoint (never fault-injected: the kill fires once).
-func (t *chanTransport) replace(pe int) Endpoint {
-	b := newDelayMailbox(t.latency)
+// replace installs a fresh inbox table for pe — dropping whatever
+// undelivered frames the dead incarnation had queued — and returns the
+// replacement's endpoint (never fault-injected: the kill fires once).
+func (t *chanTransport) replace(pe int) *chanEndpoint {
+	in := newInboxTable(t.latency)
 	t.mu.Lock()
-	t.boxes[pe] = b
+	t.ins[pe] = in
 	t.mu.Unlock()
-	return &chanEndpoint{net: t, self: pe, box: b}
+	return &chanEndpoint{net: t, self: pe, in: in}
 }
 
 // newChanTransport builds endpoints for n workers plus the driver (index
@@ -276,10 +407,10 @@ func (e *chanEndpoint) Send(to int, m *Msg) error {
 		return ErrClosed
 	}
 	t := e.net
-	if to < 0 || to >= len(t.boxes) {
+	if to < 0 || to >= len(t.ins) {
 		return fmt.Errorf("cluster: send to unknown endpoint %d", to)
 	}
-	driver := len(t.boxes) - 1
+	driver := len(t.ins) - 1
 	if to == t.killPE && m.Kind == KSpawn {
 		t.assigned.Store(true)
 	}
@@ -288,18 +419,19 @@ func (e *chanEndpoint) Send(to int, m *Msg) error {
 			// The fault fires: this frame is lost on the wire, the endpoint
 			// goes dark, and the driver hears the "connection reset".
 			e.dead.Store(true)
+			e.in.box.close()
 			t.mu.RLock()
-			box := t.boxes[driver]
+			in := t.ins[driver]
 			t.mu.RUnlock()
-			box.put(&Msg{Kind: KDown, From: int32(e.self)})
+			in.put(&Msg{Kind: KDown, From: int32(e.self)})
 			return ErrClosed
 		}
 	}
 	m.From = int32(e.self)
 	t.mu.RLock()
-	box := t.boxes[to]
+	in := t.ins[to]
 	t.mu.RUnlock()
-	box.put(m)
+	in.put(m)
 	return nil
 }
 
@@ -309,18 +441,18 @@ func (e *chanEndpoint) RecvUntil(ctx context.Context, wake <-chan time.Time) (*M
 	if e.dead.Load() {
 		return nil, ErrClosed
 	}
-	return e.box.recvUntil(ctx, wake)
+	return e.in.box.recvUntil(ctx, wake)
 }
 
 func (e *chanEndpoint) TryRecv() (*Msg, bool) {
 	if e.dead.Load() {
 		return nil, false
 	}
-	m, ok, _, _ := e.box.pop()
+	m, ok, _, _ := e.in.box.pop()
 	return m, ok
 }
 
 func (e *chanEndpoint) Close() error {
-	e.box.close()
+	e.in.box.close()
 	return nil
 }

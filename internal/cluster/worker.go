@@ -1050,8 +1050,8 @@ func (w *worker) handle(m *Msg) {
 	}
 	// Birth-epoch fence: a replacement joins at its recovery's new epoch,
 	// and any peer frame stamped with an older one was in flight toward
-	// its dead predecessor (on a fleet, the re-homed host faithfully
-	// stashes and delivers traffic a severed mailbox used to drop). The
+	// its dead predecessor (on a fleet, the re-homed PE's fresh inbox table
+	// holds and delivers traffic a severed mailbox used to drop). The
 	// predecessor's requests died with it and everything durable is
 	// replayed under the new epoch, so a pre-birth frame can only
 	// duplicate or corrupt. Driver frames are exempt: the driver's stream
