@@ -1,14 +1,195 @@
 package cluster
 
-// Driver-side half of adaptive repartitioning: the driver is the rebind
-// coordinator. Workers flush per-(loop, sweep, iteration) instruction
-// costs with every probe ack (KCostReport); the coordinator merges them
-// and, once a sweep's observations are complete enough to trust, asks the
-// split planner for new cuts and broadcasts them (KRebound). All of this
-// traffic is driver control-plane, so it is invisible to the four-counter
-// termination sums, and the cuts themselves reach the program only by
-// being stamped onto a later SPAWND fan-out — there is no stop-the-world
-// barrier to compose with stealing or termination probing.
+import (
+	"fmt"
+	"math"
+	"sort"
+
+	"repro/internal/cluster/trace"
+	"repro/internal/isa"
+)
+
+// The adapt layer (Config.Adapt): runtime-adaptive repartitioning of Range
+// Filter bounds. A worker bills executed instructions to the (loop, sweep,
+// iteration) that caused them, flushes the bills to the driver before every
+// probe ack, installs the cut vectors the driver broadcasts, and stamps each
+// PE's bounds onto the next SPAWND fan-out of the loop. The core calls in
+// when a tagged SP runs (openSeg, billTo), when one spawns (inheritCost,
+// mintSweep), on every probe (flushCosts) and for KRebound (rebound).
+
+// adaptState is a worker's half of adaptive repartitioning, nil when
+// Config.Adapt is off or the job has one PE.
+type adaptState struct {
+	// cuts holds the latest KRebound cut vector per distributed loop
+	// template; a SPAWND fan-out of such a loop stamps each copy with its
+	// PE's explicit bounds, so one spawner fixes one consistent partition
+	// per sweep. costAcc accumulates executed-instruction counts per (loop,
+	// sweep, iteration) between probe flushes; nextSweep numbers this
+	// worker's fan-outs (packed with the PE index into a globally unique
+	// sweep ID); cs is the cost segment of the run step is executing.
+	cuts      map[int][]int64
+	costAcc   map[costKey]int64
+	nextSweep int64
+	cs        costSeg
+}
+
+// costKey identifies one cost-accounting bucket: the Range-Filtered loop
+// template, the SPAWND fan-out (sweep), and the iteration index.
+type costKey struct {
+	loop  int32
+	sweep int64
+	iter  int64
+}
+
+// costSeg is the cost attribution of one run segment: a tagged instance
+// charges every completed instruction to its (loop, sweep, iteration)
+// bucket. A distributed loop copy charges to the current value of its loop
+// variable — the executor stops the run whenever an instruction writes it
+// (Exec.Watch) — so its own control overhead lands on the iteration being
+// driven; everything else carries the iteration frozen at spawn time.
+// While a copy's loop variable holds no integer there is no iteration to
+// bill.
+type costSeg struct {
+	iter  int64 // the iteration being billed
+	bill  bool  // false while the loop variable holds no integer
+	from  int64 // w.instrs when the stretch billed to iter began
+	start int64 // w.instrs when the segment began
+}
+
+func newAdaptState() *adaptState {
+	return &adaptState{cuts: make(map[int][]int64), costAcc: make(map[costKey]int64)}
+}
+
+// openSeg starts the cost segment of a tagged instance.
+func (w *worker) openSeg(sp *spInst) {
+	w.adapt.cs = costSeg{iter: sp.costIter, bill: true, from: w.instrs, start: w.instrs}
+	if sp.tmpl.Distributed && sp.tmpl.Loop != nil {
+		w.x.Watch = int32(sp.tmpl.Loop.VarSlot)
+		w.readIter(sp)
+	}
+}
+
+// readIter points the segment at the iteration in the loop variable.
+func (w *worker) readIter(sp *spInst) {
+	cs := &w.adapt.cs
+	v := sp.frame[w.x.Watch]
+	if cs.bill = v.Kind == isa.KindInt; cs.bill {
+		cs.iter = v.I
+	}
+}
+
+// billTo charges the instructions completed since the stretch began, up to
+// the count upto, to the stretch's iteration, and starts the next stretch.
+func (w *worker) billTo(sp *spInst, upto int64) {
+	a := w.adapt
+	if n := upto - a.cs.from; n > 0 && a.cs.bill {
+		a.costAcc[costKey{loop: sp.costLoop, sweep: sp.costSweep, iter: a.cs.iter}] += n
+	}
+	a.cs.from = upto
+}
+
+// inheritCost tags a plain SPAWN's child with its tagged spawner's (loop,
+// sweep) and the iteration the spawner was executing when it was created,
+// so the child joins the spawner's cost subtree.
+func (w *worker) inheritCost(sp, child *spInst) {
+	iter := w.adapt.cs.iter
+	if w.instrs == w.adapt.cs.start {
+		iter = sp.costIter // the segment has not read its loop variable yet
+	}
+	child.costLoop, child.costSweep, child.costIter = sp.costLoop, sp.costSweep, iter
+}
+
+// mintSweep makes a distributed loop's fan-out a sweep boundary: this
+// spawner mints the sweep ID the copies charge their costs to and stamps
+// each copy with its PE's bounds from the latest rebound — one spawner,
+// one consistent partition, no install race with a rebound broadcast in
+// flight.
+func (w *worker) mintSweep(loop int) (sweep int64, cuts []int64) {
+	a := w.adapt
+	a.nextSweep++
+	return packJobID(w.job, w.pe, w.inc, a.nextSweep), a.cuts[loop]
+}
+
+// rebound installs a KRebound cut vector for its loop template.
+func (w *worker) rebound(m *Msg) {
+	a := w.adapt
+	if a == nil {
+		w.unexpected(m)
+		return
+	}
+	cuts := m.Lists.Cuts
+	if len(cuts) != w.n-1 {
+		w.fail(fmt.Errorf("rebound for template %d with %d cuts, want %d", m.Tmpl, len(cuts), w.n-1))
+		return
+	}
+	a.cuts[int(m.Tmpl)] = cuts
+	w.rec(trace.EvRebound, int64(m.Tmpl), 0)
+}
+
+// flushCosts sends the accumulated cost buckets to the driver as one
+// KCostReport per (loop, sweep) pair and clears them. It runs before the
+// probe ack: per-sender FIFO then guarantees the driver has merged this
+// worker's reports by the time it evaluates the round, so a rebind decision
+// made at a round boundary never misses costs the round's acks imply.
+// Buckets are flushed in sorted order so the report stream is deterministic
+// for a given accumulation state.
+func (w *worker) flushCosts() {
+	acc := w.adapt.costAcc
+	if len(acc) == 0 {
+		return
+	}
+	keys := make([]costKey, 0, len(acc))
+	for k := range acc {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		if a.loop != b.loop {
+			return a.loop < b.loop
+		}
+		if a.sweep != b.sweep {
+			return a.sweep < b.sweep
+		}
+		return a.iter < b.iter
+	})
+	var cur *Msg
+	for _, k := range keys {
+		if cur == nil || cur.Tmpl != k.loop || cur.Sweep != k.sweep {
+			if cur != nil {
+				w.send(w.driverID(), cur)
+			}
+			cur = &Msg{Kind: KCostReport, Tmpl: k.loop, Sweep: k.sweep, Lists: &MsgLists{}}
+		}
+		cur.Lists.Iters = append(cur.Lists.Iters, k.iter)
+		cur.Lists.Costs = append(cur.Lists.Costs, acc[k])
+	}
+	w.send(w.driverID(), cur)
+	clear(acc)
+}
+
+// cutBounds returns PE pe's index range under a rebound cut vector:
+// (cuts[pe-1], cuts[pe]], with ∓inf at the two ends. Because the ranges
+// tile all of ℤ, clamping them against the loop's real bounds partitions
+// any iteration range exactly — a range that shifted or shrank since the
+// costs were observed degrades balance, never correctness.
+func cutBounds(cuts []int64, pe, n int) (lo, hi int64) {
+	lo, hi = math.MinInt64, math.MaxInt64
+	if pe > 0 {
+		lo = cuts[pe-1] + 1
+	}
+	if pe < n-1 {
+		hi = cuts[pe]
+	}
+	return lo, hi
+}
+
+// The driver's half: the driver is the rebind coordinator. It merges the
+// workers' KCostReports and, once a sweep's observations are complete
+// enough to trust, asks the split planner for new cuts and broadcasts them
+// (KRebound). All of this traffic is driver control-plane, so it is
+// invisible to the four-counter termination sums, and the cuts reach the
+// program only by being stamped onto a later SPAWND fan-out — there is no
+// stop-the-world barrier to compose with stealing or termination probing.
 //
 // A sweep is considered finished when a newer sweep of the same loop has
 // reported costs and one further complete probe round has passed. The

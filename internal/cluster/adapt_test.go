@@ -51,7 +51,7 @@ func TestAdaptRelaxAgreesWithSimAndRebinds(t *testing.T) {
 		coord := &pumpedCoord{ad: newAdaptCoord(pes), every: 8}
 		ws, arrays := pumpedRun(t, *k, 12, pes, Config{Adapt: true}, nil, coord)
 		checkGathered(t, arrays, wantVals, wantMasks)
-		if coord.ad.rebounds == 0 || len(ws[0].cuts) == 0 {
+		if coord.ad.rebounds == 0 || len(ws[0].adapt.cuts) == 0 {
 			t.Errorf("adapt@%d: no rebound broadcasts — adaptation never engaged", pes)
 		}
 		t.Logf("adapt@%d: rebounds=%d in %d probe rounds (pumped), %d free-running",

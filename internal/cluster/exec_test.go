@@ -217,6 +217,7 @@ func TestSpawnHaltAllocs(t *testing.T) {
 func TestAdaptBillsEachIteration(t *testing.T) {
 	const n = 3
 	w := newHotWorker(t)
+	w.adapt = newAdaptState()
 	sp := w.instantiate(w.prog.Template(5), []isa.Value{isa.Int(n)})
 	sp.costLoop, sp.costSweep = 5, 77
 	for w.readyHead != len(w.ready) {
@@ -229,7 +230,7 @@ func TestAdaptBillsEachIteration(t *testing.T) {
 	// closing IADD, JUMP, CMPLT and BRFALSE. Each child adds its IADD.
 	want := map[int64]int64{0: 2 + 3 + 1, 1: 2 + 3 + 1, 2: 2 + 3 + 1, n: 4}
 	got := map[int64]int64{}
-	for k, c := range w.costAcc {
+	for k, c := range w.adapt.costAcc {
 		if k.loop != 5 || k.sweep != 77 {
 			t.Fatalf("charge to loop %d sweep %d", k.loop, k.sweep)
 		}

@@ -18,8 +18,8 @@ import (
 // other.
 //
 // The key to coexistence is that nothing per-run is shared: each submitted
-// job gets its own worker instance per PE (istructure shard, run queue,
-// recovery log, trace ring) and its own driver loop, and every frame is
+// job gets its own worker per PE — the core's shard and run queue plus the
+// layers its knobs arm — and its own driver loop, and every frame is
 // stamped with the job ID so the single physical wire multiplexes many
 // logical clusters: each endpoint's inbox table puts a job's frames
 // straight into that job's inbox, one hop from sender to receiver. Job IDs
@@ -458,13 +458,15 @@ func (f *Fleet) Submit(ctx context.Context, prog *isa.Program, cfg Config, args 
 		return nil, fmt.Errorf("cluster: starting job: %w", startErr)
 	}
 	// With recovery armed a failed start frame is just an early death:
-	// the first probe round times out and the respawner takes over.
+	// the first probe round times out and respawnJob takes over.
 
-	var rsp respawner
+	var respawn respawnFunc
 	if cfg.Recover {
-		rsp = &fleetRespawner{f: f, job: id}
+		respawn = func(pe int, epoch int32, incs []int32) ([]string, error) {
+			return f.respawnJob(id, pe, epoch, incs)
+		}
 	}
-	res, err := drive(ctx, jep, cfg, entry, args, rsp)
+	res, err := drive(ctx, jep, cfg, entry, args, respawn)
 	f.endJobEverywhere(id)
 	return res, err
 }
@@ -476,19 +478,10 @@ func (f *Fleet) endJobEverywhere(id int32) {
 	}
 }
 
-// fleetRespawner adapts a job's recovery to the shared fleet: the first
-// job to respawn onto a dead PE re-homes the host (fresh mailbox on chan,
-// spare address on TCP); every job then restarts its own worker instance
-// there with its bumped incarnation vector.
-type fleetRespawner struct {
-	f   *Fleet
-	job int32
-}
-
-func (r *fleetRespawner) respawn(pe int, inc, epoch int32, incs []int32) ([]string, error) {
-	return r.f.respawnJob(r.job, pe, epoch, incs)
-}
-
+// respawnJob adapts a job's recovery to the shared fleet: the first job to
+// respawn onto a dead PE re-homes the host (fresh mailbox on chan, spare
+// address on TCP); every job then restarts its own worker instance there
+// with its bumped incarnation vector.
 func (f *Fleet) respawnJob(job int32, pe int, epoch int32, incs []int32) ([]string, error) {
 	f.mu.Lock()
 	fj := f.jobs[job]

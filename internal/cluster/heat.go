@@ -2,23 +2,23 @@ package cluster
 
 import (
 	"repro/internal/cluster/trace"
-	"repro/internal/isa"
 	"repro/internal/istructure"
 )
 
-// This file is the worker-side half of the unified page-heat machinery.
-// The shard's heat table (istructure/heat.go) records what happened to
-// every page; this layer turns the record into three decisions:
+// The heat layer (Config.Heat) turns the shard's page-heat table
+// (istructure/heat.go), which records what happened to every page, into
+// two decisions:
 //
-//   - page-granular steal locality (whenever Config.Steal is on): steal
-//     requests advertise the thief's hot pages, and the victim ranks
-//     candidates by the rows their operand frames would touch there;
-//   - streaming prefetch (Config.Heat): a detected sequential scan asks
-//     the owner for the next page before the miss, via an SP-0 KReadReq
-//     answered on the ordinary KPage path — recovery, replay, and the
-//     four-counter termination sums need no new cases;
-//   - the adaptive cache cap (Config.Heat): CachePages self-tunes between
-//     a floor and a ceiling from per-probe-round refetch pressure.
+//   - streaming prefetch: a detected sequential scan asks the owner for the
+//     next page before the miss, via an SP-0 KReadReq answered on the
+//     ordinary KPage path — recovery, replay, and the four-counter
+//     termination sums need no new cases;
+//   - the adaptive cache cap: CachePages self-tunes between a floor and a
+//     ceiling from per-probe-round refetch pressure.
+//
+// The core calls in on every remote read (heatRead), when a page installs
+// (heatInstalled) and on every probe (capTick). The table itself, and the
+// steal layer's hot-page summary read from it, work with the layer off.
 
 // heatKey identifies one (array, page) on the worker side.
 type heatKey struct {
@@ -26,11 +26,9 @@ type heatKey struct {
 	page int
 }
 
-// heatState is the worker's page-heat bookkeeping.
+// heatState is a worker's half of the heat layer, nil when Config.Heat is
+// off.
 type heatState struct {
-	// on mirrors Config.Heat for this worker.
-	on bool
-
 	// inflight dedups prefetch requests: one per page until its KPage
 	// lands (or a demand fetch of the same page overtakes it).
 	inflight map[heatKey]struct{}
@@ -50,35 +48,29 @@ type heatState struct {
 	prefetchHits int64 // prefetched pages that later served a demand read
 }
 
-// newHeatState arms the worker-side heat machinery.
-func newHeatState(cachePages int) heatState {
-	return heatState{
-		on:       true,
-		inflight: make(map[heatKey]struct{}),
-		arrived:  make(map[heatKey]struct{}),
-		gov:      newCapGovernor(cachePages),
-	}
-}
-
 // prefetchRun is the sequential-run length that triggers a streaming
 // prefetch: two consecutive pages touched in order is taken as a scan.
 const prefetchRun = 2
 
-// maybePrefetch issues a streaming prefetch for the page after the one
-// holding off when the heat table shows a sequential scan ending there.
-// Called on the remote-read path for both hits and misses: the scan's
-// own misses start the chain, and the hits keep it one page ahead.
+// heatRead observes one remote read of element off: a cache hit credits
+// the prefetch that staged its page, and hit or miss, a sequential scan
+// ending at the page prefetches the next one — the scan's own misses
+// start the chain, and the hits keep it one page ahead.
 //
 // The request is an SP-0 KReadReq — SP 0 is never a live instance ID, so
 // the owner ships the page without queuing a waiter and the arrival
 // installs without a delivery. Already-local, already-inflight,
 // self-owned and out-of-range pages are skipped.
-func (w *worker) maybePrefetch(a *istructure.Array, off int) {
-	if !w.heat.on {
-		return
-	}
-	h := a.Header()
+func (w *worker) heatRead(a *istructure.Array, off int, hit bool) {
+	ht, h := w.heat, a.Header()
 	page := h.PageOf(off)
+	if hit && len(ht.arrived) > 0 {
+		k := heatKey{h.ID, page}
+		if _, ok := ht.arrived[k]; ok {
+			delete(ht.arrived, k)
+			ht.prefetchHits++
+		}
+	}
 	if a.ScanRun(page) < prefetchRun {
 		return
 	}
@@ -87,7 +79,7 @@ func (w *worker) maybePrefetch(a *istructure.Array, off int) {
 		return
 	}
 	k := heatKey{h.ID, page}
-	if _, dup := w.heat.inflight[k]; dup {
+	if _, dup := ht.inflight[k]; dup {
 		return
 	}
 	first := page * h.PageElems
@@ -95,80 +87,39 @@ func (w *worker) maybePrefetch(a *istructure.Array, off int) {
 	if owner == w.pe {
 		return
 	}
-	w.heat.inflight[k] = struct{}{}
-	w.heat.prefetches++
+	ht.inflight[k] = struct{}{}
+	ht.prefetches++
 	w.rec(trace.EvPrefetch, h.ID, int64(page))
-	w.send(owner, &Msg{
-		Kind:  KReadReq,
-		Arr:   h.ID,
-		Off:   int32(first),
-		ReqPE: int32(w.pe),
-	})
+	w.send(owner, &Msg{Kind: KReadReq, Arr: h.ID, Off: int32(first), ReqPE: int32(w.pe)})
 }
 
-// notePrefetchHit credits a demand cache hit to the prefetch that staged
-// the page, once per prefetched page.
-func (w *worker) notePrefetchHit(arr int64, page int) {
-	if len(w.heat.arrived) == 0 {
-		return // heat off, or no prefetched page is waiting for its credit
-	}
+// heatInstalled notes a page that just entered the cache: it is no longer
+// in flight, and a prefetched one waits for the demand hit it earns
+// credit for.
+func (w *worker) heatInstalled(arr int64, page int, prefetched bool) {
 	k := heatKey{arr, page}
-	if _, ok := w.heat.arrived[k]; ok {
-		delete(w.heat.arrived, k)
-		w.heat.prefetchHits++
+	delete(w.heat.inflight, k)
+	if prefetched {
+		w.heat.arrived[k] = struct{}{}
 	}
 }
 
-// hotPagePairs flattens the shard's page-granular locality summary into
-// the wire encoding: (array, page) pairs in one int64 slice. Array IDs
-// use the high bits of their 64-bit space, so the pair encoding — not a
-// packed single word — is what keeps the page index intact.
-func (w *worker) hotPagePairs(limit int) []int64 {
-	hps := w.shard.HotPages(limit)
-	if len(hps) == 0 {
-		return nil
+// capTick moves the adaptive cache cap on the probe cadence: the round's
+// refetch and eviction deltas are the pressure signal, and a cap move
+// takes effect immediately (growth) or at the next install (shrink, via
+// InstallPage's shrink loop).
+func (w *worker) capTick() {
+	ht := w.heat
+	if !ht.gov.enabled() {
+		return
 	}
-	out := make([]int64, 0, 2*len(hps))
-	for _, hp := range hps {
-		out = append(out, hp.Arr, int64(hp.Page))
+	rd := w.shard.Refetches - ht.lastRefetches
+	ed := w.shard.Evictions - ht.lastEvicts
+	ht.lastRefetches, ht.lastEvicts = w.shard.Refetches, w.shard.Evictions
+	if cap, changed := ht.gov.tick(rd, ed); changed {
+		w.shard.CacheCap = cap
+		w.rec(trace.EvCacheResize, int64(cap), rd)
 	}
-	return out
-}
-
-// pageScore counts how many of the thief's resident pages this SP's
-// operands would actually touch: for each array operand in the frame,
-// the pages holding the rows named by the frame's integer operands. Two
-// iterations of a sweep over one shared array name the same array, but
-// iteration i scores here on the page holding row i, which is exactly
-// what the thief has or hasn't.
-func (w *worker) pageScore(sp *spInst, pages map[heatKey]struct{}) int {
-	n := 0
-	for _, v := range sp.frame {
-		if v.Kind != isa.KindArray {
-			continue
-		}
-		h := w.shard.Header(v.I)
-		if h == nil {
-			continue
-		}
-		for _, iv := range sp.frame {
-			if iv.Kind != isa.KindInt {
-				continue
-			}
-			row := iv.I
-			if row < 1 || row > int64(h.Dims[0]) {
-				continue
-			}
-			off := int(row) - 1
-			if len(h.Dims) == 2 {
-				off = (int(row) - 1) * h.RowLen()
-			}
-			if _, ok := pages[heatKey{v.I, h.PageOf(off)}]; ok {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // capGovernor self-tunes the shard's CachePages bound between a floor

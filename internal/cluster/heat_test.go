@@ -108,11 +108,11 @@ func TestPageGranularStealReducesPostStealFetches(t *testing.T) {
 		ws, _ := pumpedRun(t, k, 26, 8, Config{Steal: true, CachePages: 8, Heat: heat}, nil, nil)
 		var st stats
 		for _, w := range ws {
-			st.steals += w.steals
+			st.steals += w.steal.steals
 			st.misses += w.shard.CacheMisses
 			st.hits += w.shard.CacheHits
-			st.prefetches += w.heat.prefetches
-			st.prefetchHits += w.heat.prefetchHits
+			st.prefetches += w.counters().Prefetches
+			st.prefetchHits += w.counters().PrefetchHits
 		}
 		return st
 	}

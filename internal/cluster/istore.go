@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster/trace"
 	"repro/internal/isa"
@@ -27,6 +28,28 @@ func allocMsg(h *istructure.Header) *Msg {
 		Origin: int32(h.Origin), Dist: h.Dist}
 }
 
+// allocHeader is allocMsg's inverse: the header a KAlloc frame describes,
+// under a job's page size and PE count.
+func allocHeader(m *Msg, pageElems, n int) (*istructure.Header, error) {
+	dims := make([]int, len(m.Dims))
+	for i, d := range m.Dims {
+		dims[i] = int(d)
+	}
+	return istructure.NewHeader(m.Arr, m.Name, dims, pageElems, n, int(m.Origin), m.Dist)
+}
+
+// dumpMsg snapshots elements [lo, hi) of an owned segment as a KDump frame
+// and reports whether any of them is present.
+func dumpMsg(a *istructure.Array, lo, hi int) (m *Msg, some bool) {
+	m = &Msg{Kind: KDump, Arr: a.Header().ID, Off: int32(lo), Vals: make([]isa.Value, hi-lo), Set: make([]bool, hi-lo)}
+	for off := lo; off < hi; off++ {
+		if v, present := a.Peek(off); present {
+			m.Vals[off-lo], m.Set[off-lo], some = v, true, true
+		}
+	}
+	return m, some
+}
+
 // execAlloc implements ALLOC/ALLOCD: build the header, install the local
 // segment, broadcast the header to every other PE and the driver, and hand
 // the array ID to the allocating SP.
@@ -49,8 +72,8 @@ func (w *worker) execAlloc(sp *spInst, ins *isa.DInstr, args []int, name string)
 		return
 	}
 	w.installArray(h)
-	if w.recover {
-		w.allocLog = append(w.allocLog, h)
+	if w.recover != nil {
+		w.recover.allocLog = append(w.recover.allocLog, h)
 	}
 	for pe := 0; pe <= w.n; pe++ { // every other worker, plus the driver
 		if pe == w.pe {
@@ -61,18 +84,18 @@ func (w *worker) execAlloc(sp *spInst, ins *isa.DInstr, args []int, name string)
 	sp.frame[ins.Dst] = isa.Array(id)
 }
 
-// installArray installs a header, wakes SPs suspended on it, and replays
-// remote messages that arrived before the broadcast.
+// installArray installs a header, wakes SPs suspended on it, and
+// dispatches the frames parked for it (see dispatch).
 func (w *worker) installArray(h *istructure.Header) {
 	fresh := w.shard.Header(h.ID) == nil
 	if err := w.shard.Install(h); err != nil {
 		w.fail(err)
 		return
 	}
-	if fresh {
+	if fresh && w.recover != nil {
 		// The install order is the checkpoint-dump iteration order; a
 		// replayed duplicate broadcast must not enter the list twice.
-		w.arrays = append(w.arrays, h.ID)
+		w.recover.arrays = append(w.recover.arrays, h.ID)
 	}
 	if sps := w.waitArray[h.ID]; len(sps) > 0 {
 		for _, sp := range sps {
@@ -83,16 +106,7 @@ func (w *worker) installArray(h *istructure.Header) {
 	if msgs := w.pending[h.ID]; len(msgs) > 0 {
 		delete(w.pending, h.ID)
 		for _, m := range msgs {
-			switch m.Kind {
-			case KReadReq:
-				w.handleReadReq(m)
-			case KWrite:
-				w.handleWrite(m)
-			case KDumpReq:
-				w.handleDumpReq(m)
-			case KRestore:
-				w.handleRestore(m)
-			}
+			w.dispatch(m)
 		}
 	}
 }
@@ -128,19 +142,22 @@ func (w *worker) execRead(sp *spInst, ins *isa.DInstr, idx []int) isa.Step {
 
 	if v, _, hit := a.CacheLookup(off); hit {
 		w.shard.CacheHits++
-		w.notePrefetchHit(h.ID, h.PageOf(off))
 		sp.frame[dst] = v
-		w.maybePrefetch(a, off)
+		if w.heat != nil {
+			w.heatRead(a, off, true)
+		}
 		return isa.Next
 	}
 	w.shard.CacheMisses++
 	w.rec(trace.EvPageFetch, h.ID, int64(h.PageOf(off)))
-	w.maybePrefetch(a, off)
+	if w.heat != nil {
+		w.heatRead(a, off, false)
+	}
 	owner := h.OwnerOf(off)
-	if w.recover {
+	if w.recover != nil {
 		// Track the in-flight read so it can be re-issued if the owner is
 		// respawned before answering (the entry clears on delivery).
-		w.outReads[outReadKey{sp: sp.id, slot: ins.Dst}] =
+		w.recover.outReads[outReadKey{sp: sp.id, slot: ins.Dst}] =
 			outRead{arr: h.ID, off: int32(off), owner: owner}
 	}
 	w.send(owner, &Msg{
@@ -174,11 +191,11 @@ func (w *worker) execWrite(sp *spInst, ins *isa.DInstr, idx []int) isa.Step {
 		return isa.Next
 	}
 	owner := h.OwnerOf(off)
-	if w.recover {
+	if r := w.recover; r != nil {
 		// Log the remote write: if the owner is respawned with an empty
 		// shard, the log replays and the single-assignment store absorbs
 		// any overlap with re-executed work idempotently.
-		w.writeLog[owner] = append(w.writeLog[owner], writeRec{arr: h.ID, off: int32(off), val: val})
+		r.writeLog[owner] = append(r.writeLog[owner], writeRec{arr: h.ID, off: int32(off), val: val})
 	}
 	w.send(owner, &Msg{Kind: KWrite, Arr: h.ID, Off: int32(off), Val: val})
 	return isa.Next
@@ -206,62 +223,29 @@ func (w *worker) ownerWrite(a *istructure.Array, off int, val isa.Value) {
 // A prefetch hint (SP 0 — never a live instance ID) ships the page
 // snapshot as-is and never queues a waiter: nothing blocks on a prefetch,
 // so an unproductive hint must cost at most the request frame.
-func (w *worker) handleReadReq(m *Msg) {
-	a := w.shard.Array(m.Arr)
-	if a == nil {
-		w.pending[m.Arr] = append(w.pending[m.Arr], m)
-		return
-	}
+func (w *worker) handleReadReq(a *istructure.Array, m *Msg) {
 	off := int(m.Off)
-	if m.SP == 0 {
-		pageIdx, pg, _, err := a.ExtractPage(off)
-		if err != nil {
-			return // page not owned here (stale hint): drop silently
-		}
-		any := false
-		for _, set := range pg.Set {
-			if set {
-				any = true
-				break
-			}
-		}
-		if !any {
-			// An all-absent snapshot would occupy a cache frame at the
-			// requester for nothing; the scan will re-ask via a demand
-			// read when it actually arrives at the page.
-			return
-		}
-		w.send(int(m.ReqPE), &Msg{
-			Kind: KPage,
-			Arr:  m.Arr,
-			Page: int32(pageIdx),
-			Off:  m.Off,
-			Vals: pg.Vals,
-			Set:  pg.Set,
-		})
-		return
-	}
-	if _, present := a.Peek(off); present {
-		pageIdx, pg, _, err := a.ExtractPage(off)
-		if err != nil {
+	if _, present := a.Peek(off); !present && m.SP != 0 {
+		if err := w.shard.QueueRemote(m.Arr, off, istructure.RemoteWaiter{PE: int(m.ReqPE), SP: m.SP, Slot: int(m.Slot)}); err != nil {
 			w.fail(err)
-			return
 		}
-		w.send(int(m.ReqPE), &Msg{
-			Kind: KPage,
-			Arr:  m.Arr,
-			Page: int32(pageIdx),
-			Off:  m.Off,
-			SP:   m.SP,
-			Slot: m.Slot,
-			Vals: pg.Vals,
-			Set:  pg.Set,
-		})
 		return
 	}
-	if err := w.shard.QueueRemote(m.Arr, off, istructure.RemoteWaiter{PE: int(m.ReqPE), SP: m.SP, Slot: int(m.Slot)}); err != nil {
+	pageIdx, pg, _, err := a.ExtractPage(off)
+	switch {
+	case err != nil && m.SP == 0:
+		return // page not owned here (stale hint): drop silently
+	case err != nil:
 		w.fail(err)
+		return
+	case m.SP == 0 && !slices.Contains(pg.Set, true):
+		// An all-absent snapshot would occupy a cache frame at the
+		// requester for nothing; the scan will re-ask via a demand read
+		// when it actually arrives at the page.
+		return
 	}
+	w.send(int(m.ReqPE), &Msg{Kind: KPage, Arr: m.Arr, Page: int32(pageIdx), Off: m.Off,
+		SP: m.SP, Slot: m.Slot, Vals: pg.Vals, Set: pg.Set})
 }
 
 // handlePage installs a shipped page in the software cache and delivers the
@@ -280,16 +264,12 @@ func (w *worker) handlePage(m *Msg) {
 	}
 	pg := &istructure.CachedPage{Vals: m.Vals, Set: m.Set}
 	a.InstallPage(int(m.Page), pg)
-	if w.heat.on {
-		delete(w.heat.inflight, heatKey{m.Arr, int(m.Page)})
+	if w.heat != nil {
+		w.heatInstalled(m.Arr, int(m.Page), m.SP == 0)
 	}
 	if m.SP == 0 {
 		// A prefetched page: the install is the whole job. No element was
-		// requested, so neither the presence check nor a delivery applies;
-		// the first demand hit on the page credits the prefetch.
-		if w.heat.on {
-			w.heat.arrived[heatKey{m.Arr, int(m.Page)}] = struct{}{}
-		}
+		// requested, so neither the presence check nor a delivery applies.
 		return
 	}
 	i := int(m.Off) - int(m.Page)*a.Header().PageElems
@@ -301,12 +281,7 @@ func (w *worker) handlePage(m *Msg) {
 }
 
 // handleWrite performs a remote write at the owner.
-func (w *worker) handleWrite(m *Msg) {
-	a := w.shard.Array(m.Arr)
-	if a == nil {
-		w.pending[m.Arr] = append(w.pending[m.Arr], m)
-		return
-	}
+func (w *worker) handleWrite(a *istructure.Array, m *Msg) {
 	w.ownerWrite(a, int(m.Off), m.Val)
 }
 
@@ -315,12 +290,7 @@ func (w *worker) handleWrite(m *Msg) {
 // releasing any deferred readers already queued against the empty shard.
 // Kind information survives the round trip — the driver snapshots raw
 // values, not a rendered form.
-func (w *worker) handleRestore(m *Msg) {
-	a := w.shard.Array(m.Arr)
-	if a == nil {
-		w.pending[m.Arr] = append(w.pending[m.Arr], m)
-		return
-	}
+func (w *worker) handleRestore(a *istructure.Array, m *Msg) {
 	for i, set := range m.Set {
 		if set {
 			w.ownerWrite(a, int(m.Off)+i, m.Vals[i])
@@ -330,20 +300,8 @@ func (w *worker) handleRestore(m *Msg) {
 
 // handleDumpReq ships this PE's owned segment of an array to the driver
 // (result gathering after termination).
-func (w *worker) handleDumpReq(m *Msg) {
-	a := w.shard.Array(m.Arr)
-	if a == nil {
-		w.pending[m.Arr] = append(w.pending[m.Arr], m)
-		return
-	}
+func (w *worker) handleDumpReq(a *istructure.Array, m *Msg) {
 	lo, hi := a.Header().SegmentElems(w.pe)
-	vals := make([]isa.Value, hi-lo)
-	set := make([]bool, hi-lo)
-	for off := lo; off < hi; off++ {
-		if v, present := a.Peek(off); present {
-			vals[off-lo] = v
-			set[off-lo] = true
-		}
-	}
-	w.send(w.driverID(), &Msg{Kind: KDump, Arr: m.Arr, Off: int32(lo), Vals: vals, Set: set})
+	d, _ := dumpMsg(a, lo, hi)
+	w.send(w.driverID(), d)
 }

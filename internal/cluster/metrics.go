@@ -38,8 +38,8 @@ var (
 )
 
 // Counters are one worker's cumulative counters as of a probe answer. A
-// worker fills them in report; a new counter is a field here, its entry in
-// counterFields, and its line in report.
+// worker fills them in worker.counters; a new counter is a field here, its
+// entry in counterFields, and its line there.
 type Counters struct {
 	MsgsSent      int64 // worker-to-worker data messages sent
 	MsgsRecv      int64 // worker-to-worker data messages received

@@ -215,8 +215,8 @@ func TestFenceDropsStaleFrames(t *testing.T) {
 	if w.recv != 0 {
 		t.Fatalf("stale data frames were counted: recv = %d", w.recv)
 	}
-	if w.staleMsgs != int64(len(stale)) {
-		t.Fatalf("staleMsgs = %d, want %d", w.staleMsgs, len(stale))
+	if w.recover.staleMsgs != int64(len(stale)) {
+		t.Fatalf("staleMsgs = %d, want %d", w.recover.staleMsgs, len(stale))
 	}
 	if len(w.insts) != 0 {
 		t.Fatalf("stale grant installed %d SPs", len(w.insts))
@@ -249,11 +249,11 @@ func TestEarlyEpochFramesWaitForRecover(t *testing.T) {
 	for _, m := range held {
 		w.handle(m)
 	}
-	if w.epoch != 0 || w.recv != 0 || w.flushed != 0 || w.shard.Array(arr) != nil {
-		t.Fatalf("early frames took effect: epoch %d recv %d flushed %d", w.epoch, w.recv, w.flushed)
+	if w.epoch != 0 || w.recv != 0 || w.recover.flushed != 0 || w.shard.Array(arr) != nil {
+		t.Fatalf("early frames took effect: epoch %d recv %d flushed %d", w.epoch, w.recv, w.recover.flushed)
 	}
-	if !slices.Equal(w.early, held) {
-		t.Fatalf("held %d frames, want all %d in arrival order", len(w.early), len(held))
+	if !slices.Equal(w.recover.early, held) {
+		t.Fatalf("held %d frames, want all %d in arrival order", len(w.recover.early), len(held))
 	}
 	if m, ok := eps[1].TryRecv(); ok {
 		t.Fatalf("an early frame made the worker send a %v", m.Kind)
@@ -272,17 +272,17 @@ func TestEarlyEpochFramesWaitForRecover(t *testing.T) {
 	recoverTo(1)
 	// The alloc ran before the write that needs it; both count in epoch 1,
 	// and the peer's marker counts although the bump cleared the markers.
-	if w.failed || w.epoch != 1 || w.recv != 2 || w.flushed != 1 || len(w.pending) != 0 || !present(3) {
+	if w.failed || w.epoch != 1 || w.recv != 2 || w.recover.flushed != 1 || len(w.pending) != 0 || !present(3) {
 		t.Fatalf("after KRecover 1: failed %v epoch %d recv %d flushed %d pending %d written %v",
-			w.failed, w.epoch, w.recv, w.flushed, len(w.pending), present(3))
+			w.failed, w.epoch, w.recv, w.recover.flushed, len(w.pending), present(3))
 	}
-	if len(w.early) != 1 || w.early[0] != held[3] || present(4) {
-		t.Fatalf("the epoch-2 frame did not go back to waiting: %d held, applied %v", len(w.early), present(4))
+	if len(w.recover.early) != 1 || w.recover.early[0] != held[3] || present(4) {
+		t.Fatalf("the epoch-2 frame did not go back to waiting: %d held, applied %v", len(w.recover.early), present(4))
 	}
 	recoverTo(2)
-	if w.epoch != 2 || w.recv != 1 || w.flushed != 0 || len(w.early) != 0 || !present(4) {
+	if w.epoch != 2 || w.recv != 1 || w.recover.flushed != 0 || len(w.recover.early) != 0 || !present(4) {
 		t.Fatalf("after KRecover 2: epoch %d recv %d flushed %d held %d written %v",
-			w.epoch, w.recv, w.flushed, len(w.early), present(4))
+			w.epoch, w.recv, w.recover.flushed, len(w.recover.early), present(4))
 	}
 }
 
@@ -292,13 +292,13 @@ func TestEarlyEpochFramesWaitForRecover(t *testing.T) {
 func TestStaleLocalTokenDropped(t *testing.T) {
 	w, _ := fenceWorker(t, nil)
 	w.inc = 1
-	w.recovered = false
+	w.recover.recovered = false
 	w.deliver(packIncID(0, 0, 5), 0, isa.Int(1))
 	if w.failed {
 		t.Fatal("stale-incarnation token failed the worker")
 	}
-	if w.staleMsgs != 1 {
-		t.Fatalf("staleMsgs = %d, want 1", w.staleMsgs)
+	if w.recover.staleMsgs != 1 {
+		t.Fatalf("staleMsgs = %d, want 1", w.recover.staleMsgs)
 	}
 	w.deliver(packIncID(0, 1, 5), 0, isa.Int(1))
 	if !w.failed {

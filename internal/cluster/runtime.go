@@ -124,10 +124,10 @@ func Execute(ctx context.Context, prog *isa.Program, cfg Config, args ...isa.Val
 
 // drive is the driver loop: spawn the entry SP on PE 0, then alternate
 // between handling worker messages and termination probes; on termination,
-// gather every array and stop the workers. rsp, when non-nil and
+// gather every array and stop the workers. respawn, when non-nil and
 // cfg.Recover is set, lets the driver survive worker deaths by respawning
 // and replaying them instead of failing the run.
-func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, args []isa.Value, rsp respawner) (*Result, error) {
+func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, args []isa.Value, respawn respawnFunc) (*Result, error) {
 	n := cfg.NumPEs
 	res := &Result{
 		NumPEs: n,
@@ -136,8 +136,12 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 	}
 	det := newDetector(n)
 	ad := newAdaptCoord(n)
-	rec := newRecovery(n, cfg.Recover, rsp)
-	rec.peers = append([]string(nil), cfg.Workers...)
+	rec := &recovery{enabled: cfg.Recover && respawn != nil, n: n, incs: make([]int32, n), respawn: respawn,
+		peers: append([]string(nil), cfg.Workers...)}
+	// Replay-log checkpoints ride the adapt coordinator's sweep retirement
+	// (ckpt.go).
+	ck := &ckptCoord{}
+	ckpts := rec.enabled && cfg.Adapt
 
 	// Per-job budgets (admission control): MaxElems is enforced exactly at
 	// each KAlloc broadcast (the driver sees every allocation before any
@@ -145,27 +149,6 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 	// round from the workers' acked instruction counters — round-lagged,
 	// but a job can only overshoot by one round's worth of work.
 	var allocElems int64
-
-	// Replay-log GC rides the adapt coordinator's sweep retirement: when a
-	// sweep is provably complete the driver checkpoints — every worker
-	// marks its write-log cut, dumps its owned segments once all peers'
-	// marks arrived, and on the driver's all-acked confirmation drops the
-	// logged writes now covered by the driver's snapshot plus the retired
-	// sweeps' fan-out entries (minus any a worker vetoed as still live).
-	var (
-		ckptSeq     int64   // monotone checkpoint IDs (Msg.Seq, nonzero)
-		ckptOpen    bool    // one checkpoint in flight at a time
-		ckptID      int64   // the open checkpoint's ID
-		ckptAcks    int     // workers that finished dumping
-		ckptSweeps  []int64 // sweeps the open checkpoint proposes to GC
-		ckptVetoed  []int64 // sweeps some worker reported still running
-		ckptPending []int64 // retired sweeps awaiting the next checkpoint
-		checkpoints int64
-	)
-	// An array can be checkpoint-dumped by its owner before the
-	// allocator's KAlloc broadcast reaches the driver (different FIFO
-	// streams); such dumps wait here for their header.
-	var pendingDumps map[int64][]*Msg
 
 	// Observability (Config.Trace): the timeline builder turns each
 	// completed probe round's acks into one delta-encoded sample per PE;
@@ -198,32 +181,47 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 			prevAcks[pe] = a
 		}
 	}
-	stopAll := func() {
+	defer func() {
 		for pe := 0; pe < n; pe++ {
 			_ = ep.Send(pe, &Msg{Kind: KStop})
 		}
-	}
+	}()
 	cancelled := func(err error) error {
-		stopAll()
 		return fmt.Errorf("cluster: run cancelled (deadlocked dataflow program? %d live SPs): %w", det.liveSPs(), err)
 	}
 	// The driver's one timer: every bounded wait below re-arms it.
 	timer := time.NewTimer(cfg.ProbeInterval)
 	defer timer.Stop()
 
-	rec.logEntry(int32(entry.ID), args)
+	// The entry spawn is logged so a dead PE 0 can be replayed.
+	rec.log = append(rec.log, fanout{tmpl: int32(entry.ID), args: append([]isa.Value(nil), args...), from: -1})
 	if err := ep.Send(0, &Msg{Kind: KSpawn, Tmpl: int32(entry.ID), Args: args}); err != nil {
 		return nil, err
 	}
 
-	// handle processes one driver-bound message; it returns an error for
-	// KFail and flags round completion for KAck. A frame from a dead
-	// incarnation is dropped whole, and a KDown notice queues its PE for
-	// recovery (or fails the run when recovery is off).
 	round := int32(0)
 	roundComplete := false
 	probeReset := false
 	var down []int
+	// toAll sends every PE a fresh frame from mk. A send bouncing off a dead
+	// connection is a death notice in its own right: with recovery on the PE
+	// joins down, to be recovered like any other, and otherwise the run
+	// fails.
+	toAll := func(mk func() *Msg) error {
+		for pe := 0; pe < n; pe++ {
+			if err := ep.Send(pe, mk()); err != nil {
+				if !rec.enabled {
+					return err
+				}
+				down = append(down, pe)
+			}
+		}
+		return nil
+	}
+	// handle processes one driver-bound message; it returns an error for
+	// KFail and flags round completion for KAck. A frame from a dead
+	// incarnation is dropped whole, and a KDown notice queues its PE for
+	// recovery (or fails the run when recovery is off).
 	handle := func(m *Msg) error {
 		if rec.fenced(m) {
 			return nil
@@ -233,17 +231,13 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 			val := m.Val
 			res.Value = &val
 		case KAlloc:
-			dims := make([]int, len(m.Dims))
-			for i, d := range m.Dims {
-				dims[i] = int(d)
-			}
 			if res.arrays[m.Arr] != nil {
 				// Duplicate broadcast (a recovery replay re-ran the
 				// allocating SP): array IDs are deterministic, so keep the
 				// assembled state — it may already hold checkpoint dumps.
 				return nil
 			}
-			h, err := istructure.NewHeader(m.Arr, m.Name, dims, cfg.PageElems, n, int(m.Origin), m.Dist)
+			h, err := allocHeader(m, cfg.PageElems, n)
 			if err != nil {
 				return err
 			}
@@ -261,12 +255,11 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 				res.nameSeq = append(res.nameSeq, h.Name)
 			}
 			res.byName[h.Name] = m.Arr
-			for _, d := range pendingDumps[m.Arr] {
+			for _, d := range ck.release(m.Arr) {
 				if err := g.merge(d); err != nil {
 					return err
 				}
 			}
-			delete(pendingDumps, m.Arr)
 		case KFail:
 			return fmt.Errorf("cluster: %s", m.Name)
 		case KAck:
@@ -286,61 +279,19 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 			}
 			down = append(down, int(m.From))
 		case KDump:
-			g := res.arrays[m.Arr]
-			if g == nil {
-				if m.Seq != 0 {
-					// Checkpoint dump racing the allocator's KAlloc
-					// broadcast on another stream: hold it for the header.
-					if pendingDumps == nil {
-						pendingDumps = make(map[int64][]*Msg)
-					}
-					pendingDumps[m.Arr] = append(pendingDumps[m.Arr], m)
-					return nil
-				}
+			if g := res.arrays[m.Arr]; g != nil {
+				return g.merge(m)
+			}
+			// A checkpoint dump can race the allocator's KAlloc broadcast
+			// on another stream: it waits for the header.
+			if !ck.hold(m) {
 				return fmt.Errorf("cluster: dump for unknown array %d", m.Arr)
 			}
-			if err := g.merge(m); err != nil {
-				return err
-			}
 		case KCkptAck:
-			if !ckptOpen || m.Seq != ckptID {
-				return nil // stale ack from an aborted checkpoint
+			if ok, effective := ck.ack(m, n); ok != nil {
+				rec.log = dropSweeps(rec.log, effective)
+				return toAll(ok)
 			}
-			ckptAcks++
-			ckptVetoed = append(ckptVetoed, m.Lists.Iters...)
-			if ckptAcks < n {
-				return nil
-			}
-			// Every worker dumped: the driver's snapshot now covers all
-			// pre-cut logged writes. Confirm, GC the driver's own fan-out
-			// log, and release the workers' logs — minus sweeps some
-			// worker reported still live (those retry next checkpoint).
-			vetoed := make(map[int64]bool, len(ckptVetoed))
-			for _, s := range ckptVetoed {
-				vetoed[s] = true
-			}
-			var effective []int64
-			for _, s := range ckptSweeps {
-				if vetoed[s] {
-					ckptPending = append(ckptPending, s)
-				} else {
-					effective = append(effective, s)
-				}
-			}
-			for pe := 0; pe < n; pe++ {
-				ok := &Msg{Kind: KCkptOK, Seq: ckptID, Lists: &MsgLists{Iters: append([]int64(nil), effective...)}}
-				if err := ep.Send(pe, ok); err != nil {
-					if rec.enabled {
-						down = append(down, pe)
-						continue
-					}
-					return err
-				}
-			}
-			rec.dropSweeps(effective)
-			checkpoints++
-			ckptOpen = false
-			ckptSweeps, ckptVetoed = nil, nil
 		default:
 			return fmt.Errorf("cluster: driver got unexpected %s message", m.Kind)
 		}
@@ -348,57 +299,39 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 	}
 
 	// Probe rounds with geometric back-off: tight while the run is short,
-	// cheap while it is long. The cadence is for what rides it mid-run (cost
-	// flushes and rebinds, the heat cap governor, steal revival, budget and
-	// stall checks) — detection does not wait for it: the moment the latest
-	// reports look terminated the next round starts at once (see the
-	// inter-round wait). Adaptive repartitioning rides the probe
-	// cadence (cost flushes and rebind decisions happen at round
-	// boundaries), so the back-off additionally resets whenever a new
-	// sweep starts reporting: a sweep in flight means a rebind decision
-	// is imminent and must not wait tens of sweep-lengths for the next
-	// round, while a run whose sweeps have stopped arriving (or that
-	// never rebinds at all) pays no lasting probe overhead.
-	// recoverNow survives the deaths collected in `down`: respawn, announce,
-	// replay, then restart the detector and adapt coordinator in the new
-	// epoch (their accumulated state mixes incarnations and counting
-	// epochs, and replay regenerates the observations that still matter).
-	recoverNow := func() error {
-		dead := down
-		down = nil
-		// Abort any checkpoint in flight: its marks and acks mix
-		// incarnations. The sweeps return to the pending pool — nothing
-		// was GC'd (logs only drop on KCkptOK), so nothing is lost.
-		if ckptOpen {
-			ckptOpen = false
-			ckptPending = append(ckptPending, ckptSweeps...)
-			ckptSweeps, ckptVetoed = nil, nil
-		}
-		if err := rec.perform(ep, dead, res); err != nil {
-			return err
-		}
-		det.reset(rec.epoch)
-		ad = newAdaptCoord(n)
-		return nil
-	}
-
+	// cheap while it is long. The cadence is for what rides it mid-run (the
+	// layers' probe duties, rebinds, checkpoints, budget and stall checks);
+	// detection does not wait for it — the moment the latest reports look
+	// terminated the next round starts at once (see the inter-round wait).
+	// The back-off resets whenever a new sweep starts reporting costs: a
+	// rebind decision is then imminent and must not wait tens of
+	// sweep-lengths, while a run whose sweeps have stopped arriving (or
+	// that never rebinds at all) pays no lasting probe overhead.
 	interval := cfg.ProbeInterval
 	maxInterval := 50 * cfg.ProbeInterval
 	for {
+		if len(down) > 0 {
+			// Survive the deaths collected in down: abort any open
+			// checkpoint, respawn, announce, replay, then restart the
+			// detector and adapt coordinator in the new epoch (their
+			// accumulated state mixes incarnations and counting epochs, and
+			// replay regenerates the observations that still matter). The
+			// disturbed round proved nothing; probe tightly again while the
+			// replacements replay.
+			ck.abort()
+			if err := rec.perform(ep, down, res); err != nil {
+				return nil, err
+			}
+			down = nil
+			det.reset(rec.epoch)
+			ad = newAdaptCoord(n)
+			interval = cfg.ProbeInterval
+		}
 		round++
 		roundComplete = false
 		det.begin(round)
-		for pe := 0; pe < n; pe++ {
-			if err := ep.Send(pe, &Msg{Kind: KProbe, Round: round}); err != nil {
-				// A probe bouncing off a dead connection is a death notice
-				// in its own right; recover it like one when possible.
-				if rec.enabled {
-					down = append(down, pe)
-					continue
-				}
-				stopAll()
-				return nil, err
-			}
+		if err := toAll(func() *Msg { return &Msg{Kind: KProbe, Round: round} }); err != nil {
+			return nil, err
 		}
 		// The round deadline turns a dead or wedged worker into a
 		// diagnosable failure — or, with recovery enabled, into a recovery:
@@ -411,40 +344,30 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 		// instead of hanging until the run context expires.
 		for !roundComplete && len(down) == 0 {
 			m, stalled, err := recvWithin(ctx, ep, timer, cfg.RoundTimeout)
-			if err != nil {
-				if stalled && rec.enabled {
-					down = det.unacked()
-					break
+			switch {
+			case err == nil:
+				if err := handle(m); err != nil {
+					return nil, err
 				}
-				if stalled {
-					// With tracing on, pull each PE's last trace events
-					// before tearing the cluster down: a wedged-but-alive
-					// worker still answers KTraceReq from its message loop,
-					// and the event tail says what it was doing when the
-					// round stalled — far more than last-ack counters can.
-					diag := ""
-					if cfg.Trace {
-						diag = stallTraceDump(ctx, ep, timer, n, rec)
-					}
-					stopAll()
-					return nil, fmt.Errorf("cluster: probe round %d stalled for %v (worker dead or wedged?): %s%s",
-						round, cfg.RoundTimeout, det.stallReport(), diag)
+			case stalled && rec.enabled:
+				down = det.unacked()
+			case stalled:
+				// With tracing on, pull each PE's last trace events
+				// before tearing the cluster down: a wedged-but-alive
+				// worker still answers KTraceReq from its message loop,
+				// and the event tail says what it was doing when the
+				// round stalled — far more than last-ack counters can.
+				diag := ""
+				if cfg.Trace {
+					diag = stallTraceDump(ctx, ep, timer, n, rec)
 				}
+				return nil, fmt.Errorf("cluster: probe round %d stalled for %v (worker dead or wedged?): %s%s",
+					round, cfg.RoundTimeout, det.stallReport(), diag)
+			default:
 				return nil, cancelled(err)
-			}
-			if herr := handle(m); herr != nil {
-				stopAll()
-				return nil, herr
 			}
 		}
 		if len(down) > 0 {
-			if err := recoverNow(); err != nil {
-				stopAll()
-				return nil, err
-			}
-			// The disturbed round proves nothing; probe tightly again while
-			// the replacements replay.
-			interval = cfg.ProbeInterval
 			continue
 		}
 		sampleTimeline(round)
@@ -454,7 +377,6 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 				instrs += det.acks[pe].Instrs
 			}
 			if instrs > cfg.MaxInstrs {
-				stopAll()
 				return nil, fmt.Errorf("cluster: job exceeded its instruction budget: %d instructions executed, budget %d (Config.MaxInstrs)",
 					instrs, cfg.MaxInstrs)
 			}
@@ -462,63 +384,29 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 		if det.roundDone() {
 			break
 		}
-		// Rebind check at the round boundary: every worker has flushed its
-		// cost observations at least once this round (the flush precedes
-		// the ack on the same FIFO stream), so the coordinator's view is as
-		// fresh as the round itself. A broadcast bouncing off a dead
-		// connection is a death notice like a failed probe: recover it when
-		// possible (losing the rebind itself is harmless — the coordinator
-		// restarts and replans).
+		// Rebinds and checkpoint kickoff at the round boundary: every worker
+		// has flushed its cost observations at least once this round (the
+		// flush precedes the ack on the same FIFO stream), so the
+		// coordinator's view is as fresh as the round itself. Losing a
+		// rebind to a death is harmless — the coordinator restarts and
+		// replans. Sweeps retired since the last checkpoint are proposed
+		// for replay-log GC, one checkpoint in flight at a time.
 		for _, rb := range ad.tick(round) {
-			for pe := 0; pe < n; pe++ {
-				m := &Msg{Kind: KRebound, Tmpl: rb.tmpl, Lists: &MsgLists{Cuts: append([]int64(nil), rb.cuts...)}}
-				if err := ep.Send(pe, m); err != nil {
-					if rec.enabled {
-						down = append(down, pe)
-						continue
-					}
-					stopAll()
+			if err := toAll(func() *Msg {
+				return &Msg{Kind: KRebound, Tmpl: rb.tmpl, Lists: &MsgLists{Cuts: append([]int64(nil), rb.cuts...)}}
+			}); err != nil {
+				return nil, err
+			}
+		}
+		if ckpts && len(down) == 0 {
+			if mk := ck.propose(ad.drainRetired()); mk != nil {
+				if err := toAll(mk); err != nil {
 					return nil, err
 				}
 			}
 		}
 		if len(down) > 0 {
-			if err := recoverNow(); err != nil {
-				stopAll()
-				return nil, err
-			}
-			interval = cfg.ProbeInterval
 			continue
-		}
-		// Checkpoint kickoff rides the same round boundary as rebinds:
-		// sweeps the adapt coordinator has retired since the last
-		// checkpoint are proposed for replay-log GC (one checkpoint in
-		// flight at a time; new retirements queue for the next one).
-		if rec.enabled && cfg.Adapt {
-			ckptPending = append(ckptPending, ad.drainRetired()...)
-			if !ckptOpen && len(ckptPending) > 0 {
-				ckptSeq++
-				ckptID = ckptSeq
-				ckptSweeps = ckptPending
-				ckptPending = nil
-				ckptAcks = 0
-				ckptVetoed = nil
-				ckptOpen = true
-				for pe := 0; pe < n; pe++ {
-					m := &Msg{Kind: KCkpt, Seq: ckptID, Lists: &MsgLists{Iters: append([]int64(nil), ckptSweeps...)}}
-					if err := ep.Send(pe, m); err != nil {
-						down = append(down, pe)
-					}
-				}
-				if len(down) > 0 {
-					if err := recoverNow(); err != nil {
-						stopAll()
-						return nil, err
-					}
-					interval = cfg.ProbeInterval
-					continue
-				}
-			}
 		}
 		// Inter-round wait: handle whatever arrives until the interval is
 		// up — or until the latest reports look terminated, which starts
@@ -535,9 +423,8 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 			case err != nil:
 				return nil, cancelled(err)
 			default:
-				if herr := handle(m); herr != nil {
-					stopAll()
-					return nil, herr
+				if err := handle(m); err != nil {
+					return nil, err
 				}
 			}
 		}
@@ -553,7 +440,7 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 	res.Stats.Rebounds = ad.rebounds
 	res.Stats.Recoveries = rec.recoveries
 	res.Stats.ReplayedSPs += rec.replayed
-	res.Stats.Checkpoints = checkpoints
+	res.Stats.Checkpoints = ck.done
 	res.PEInstrs = det.perPEInstrs()
 	res.PEStats = det.perPEStats()
 
@@ -566,7 +453,6 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 				continue
 			}
 			if err := ep.Send(pe, &Msg{Kind: KDumpReq, Arr: id}); err != nil {
-				stopAll()
 				return nil, err
 			}
 			expect++
@@ -582,7 +468,6 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 	for expect > 0 {
 		m, stalled, err := recvWithin(ctx, ep, timer, cfg.RoundTimeout)
 		if err != nil {
-			stopAll()
 			if stalled {
 				return nil, fmt.Errorf("cluster: result gather stalled for %v with %d dump segments outstanding (worker dead or wedged?)",
 					cfg.RoundTimeout, expect)
@@ -597,12 +482,10 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 			// like any other, but not one of the requested segments.
 			expect--
 		}
-		if herr := handle(m); herr != nil {
-			stopAll()
-			return nil, herr
+		if err := handle(m); err != nil {
+			return nil, err
 		}
 		if len(down) > 0 {
-			stopAll()
 			return nil, fmt.Errorf("cluster: worker %d died during result gather (its finished segments are lost)", down[0])
 		}
 	}
@@ -614,7 +497,6 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 		pts := gatherTraces(ctx, ep, timer, n, traceGatherWait(cfg.RoundTimeout), rec)
 		res.Trace = &trace.Trace{NumPEs: n, PEs: pts, Timeline: tb.Done()}
 	}
-	stopAll()
 	return res, nil
 }
 

@@ -153,10 +153,10 @@ func TestStealProtocolGrantForwardLateToken(t *testing.T) {
 	w1.maybeSteal()
 	drainOnly(w0, eps[0])
 	drainOnly(w1, eps[1])
-	if w1.steals != 1 || w1.insts[id1] == nil {
-		t.Fatalf("steals=%d insts[id1]=%v, want the first SP stolen to PE 1", w1.steals, w1.insts[id1])
+	if w1.steal.steals != 1 || w1.insts[id1] == nil {
+		t.Fatalf("steals=%d insts[id1]=%v, want the first SP stolen to PE 1", w1.steal.steals, w1.insts[id1])
 	}
-	if to, ok := w0.forwards[id1]; !ok || to != 1 {
+	if to, ok := w0.steal.forwards[id1]; !ok || to != 1 {
 		t.Fatalf("victim forwarding stub = (%d, %v), want (1, true)", to, ok)
 	}
 	if w0.insts[id1] != nil {
@@ -170,8 +170,8 @@ func TestStealProtocolGrantForwardLateToken(t *testing.T) {
 		t.Fatal(err)
 	}
 	pump()
-	if w0.forwarded != 1 {
-		t.Fatalf("victim forwarded %d tokens, want 1", w0.forwarded)
+	if w0.steal.forwarded != 1 {
+		t.Fatalf("victim forwarded %d tokens, want 1", w0.steal.forwarded)
 	}
 	m, ok := driver.TryRecv()
 	if !ok || m.Kind != KToken || m.Val.F != 2.5 {
@@ -187,9 +187,9 @@ func TestStealProtocolGrantForwardLateToken(t *testing.T) {
 		t.Fatal(err)
 	}
 	pump()
-	if w1.lateTokens != 1 || w1.failed || w0.failed {
+	if w1.steal.lateTokens != 1 || w1.failed || w0.failed {
 		t.Fatalf("late token: lateTokens=%d failed=%v/%v, want 1 drop and no failure",
-			w1.lateTokens, w0.failed, w1.failed)
+			w1.steal.lateTokens, w0.failed, w1.failed)
 	}
 
 	// Unblock the remaining home SP so the cluster quiesces, then check
@@ -266,10 +266,10 @@ func TestStealBackClearsStaleStub(t *testing.T) {
 	if w0.insts[id1] == nil {
 		t.Fatal("steal-back did not return id1 to PE 0")
 	}
-	if _, stale := w0.forwards[id1]; stale {
+	if _, stale := w0.steal.forwards[id1]; stale {
 		t.Fatal("steal-back left PE 0's stale forwarding stub in place (token relay cycle)")
 	}
-	if to, ok := w1.forwards[id1]; !ok || to != 0 {
+	if to, ok := w1.steal.forwards[id1]; !ok || to != 0 {
 		t.Fatalf("PE 1 stub = (%d, %v), want (0, true)", to, ok)
 	}
 
@@ -289,9 +289,9 @@ func TestStealBackClearsStaleStub(t *testing.T) {
 		t.Fatal(err)
 	}
 	pump()
-	if w0.lateTokens != 1 || w0.failed || w1.failed {
+	if w0.steal.lateTokens != 1 || w0.failed || w1.failed {
 		t.Fatalf("late token through stub chain: lateTokens=%d failed=%v/%v, want 1/false/false",
-			w0.lateTokens, w0.failed, w1.failed)
+			w0.steal.lateTokens, w0.failed, w1.failed)
 	}
 }
 
@@ -317,17 +317,17 @@ func TestStealDeclinedWhenUnloaded(t *testing.T) {
 	pump()
 	w1.maybeSteal()
 	pump()
-	if w1.steals != 0 || w1.stealFails != 1 || w1.stealWait != 1 {
+	if w1.steal.steals != 0 || w1.steal.fails != 1 || w1.steal.wait != 1 {
 		t.Fatalf("after decline: steals=%d fails=%d wait=%d, want 0/1/1",
-			w1.steals, w1.stealFails, w1.stealWait)
+			w1.steal.steals, w1.steal.fails, w1.steal.wait)
 	}
 	// The next idle wake-up only pays down the backoff; no request goes
 	// out until it reaches zero.
 	w1.maybeSteal()
 	pump()
-	if w1.stealFails != 1 || w1.stealWait != 0 || w1.steals != 0 {
+	if w1.steal.fails != 1 || w1.steal.wait != 0 || w1.steal.steals != 0 {
 		t.Fatalf("backoff wake-up: fails=%d wait=%d steals=%d, want 1/0/0",
-			w1.stealFails, w1.stealWait, w1.steals)
+			w1.steal.fails, w1.steal.wait, w1.steal.steals)
 	}
 	// Repeated declines reach dormancy (2 sweeps of the single peer);
 	// after that, no further requests are sent.
@@ -335,11 +335,11 @@ func TestStealDeclinedWhenUnloaded(t *testing.T) {
 		w1.maybeSteal()
 		pump()
 	}
-	if w1.stealFails < w1.stealDormantAfter() {
-		t.Fatalf("fails=%d, want dormancy at %d", w1.stealFails, w1.stealDormantAfter())
+	if w1.steal.fails < w1.stealDormantAfter() {
+		t.Fatalf("fails=%d, want dormancy at %d", w1.steal.fails, w1.stealDormantAfter())
 	}
 	w1.maybeSteal()
-	if w1.stealOutstanding {
+	if w1.steal.outstanding {
 		t.Fatal("dormant worker still sent a steal request")
 	}
 
@@ -349,11 +349,11 @@ func TestStealDeclinedWhenUnloaded(t *testing.T) {
 	for i := 0; i < stealReviveProbes; i++ {
 		w1.handle(&Msg{Kind: KProbe, Round: int32(i + 1), From: int32(w1.driverID())})
 	}
-	if w1.stealFails != 0 {
-		t.Fatalf("fails=%d after %d probe rounds, want dormancy revived", w1.stealFails, stealReviveProbes)
+	if w1.steal.fails != 0 {
+		t.Fatalf("fails=%d after %d probe rounds, want dormancy revived", w1.steal.fails, stealReviveProbes)
 	}
 	w1.maybeSteal()
-	if !w1.stealOutstanding {
+	if !w1.steal.outstanding {
 		t.Fatal("revived worker sent no steal request")
 	}
 	pump()
@@ -375,10 +375,10 @@ func stepOneRound(ws []*worker, eps []Endpoint) bool {
 		if w.readyHead != len(w.ready) {
 			w.step()
 			progress = true
-		} else {
-			before := w.stealOutstanding
+		} else if w.steal != nil {
+			before := w.steal.outstanding
 			w.maybeSteal()
-			progress = progress || (w.stealOutstanding && !before)
+			progress = progress || (w.steal.outstanding && !before)
 		}
 	}
 	return progress
@@ -396,7 +396,7 @@ func TestStealDeterminacyPumpedTriangular(t *testing.T) {
 	ws, arrays := pumpedRun(t, k, n, pes, Config{Steal: true}, nil, nil)
 	var steals int64
 	for _, w := range ws {
-		steals += w.steals
+		steals += w.steal.steals
 	}
 	if steals == 0 {
 		t.Fatal("no steals under a skewed triangular load with idle PEs")
@@ -528,7 +528,7 @@ func TestStealGrantBatchHalfOldestFirst(t *testing.T) {
 		if want := packID(0, int64(i+1)); it.SP != want {
 			t.Errorf("batch[%d] = SP %d, want %d (oldest first)", i, it.SP, want)
 		}
-		if _, stub := w0.forwards[it.SP]; !stub {
+		if _, stub := w0.steal.forwards[it.SP]; !stub {
 			t.Errorf("no forwarding stub for granted SP %d", it.SP)
 		}
 		if w0.insts[it.SP] != nil {
@@ -536,8 +536,8 @@ func TestStealGrantBatchHalfOldestFirst(t *testing.T) {
 		}
 	}
 	w1.handle(grant)
-	if w1.steals != 3 || len(w1.insts) != 3 {
-		t.Fatalf("thief installed %d SPs (%d steals), want 3", len(w1.insts), w1.steals)
+	if w1.steal.steals != 3 || len(w1.insts) != 3 {
+		t.Fatalf("thief installed %d SPs (%d steals), want 3", len(w1.insts), w1.steal.steals)
 	}
 }
 
