@@ -7,7 +7,6 @@ package pods_test
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/bench"
 )
@@ -162,68 +161,6 @@ func BenchmarkAblationNoCache(b *testing.B) {
 		slowdown = float64(nocache.Time) / float64(full.Time)
 	}
 	b.ReportMetric(slowdown, "nocache-slowdown")
-}
-
-// BenchmarkBackends runs the three execution backends head-to-head on the
-// paper kernels (experiment BACK): the same partitioned program on the
-// discrete-event simulator, the shared-memory goroutine runtime, and the
-// message-passing cluster runtime. Compare sub-benchmark wall times to see
-// what share-nothing message passing costs (and buys) at this scale.
-func BenchmarkBackends(b *testing.B) {
-	const n, pes = 16, 4
-	for _, kernel := range []string{"matmul", "heat", "pipeline"} {
-		for _, backend := range bench.BackendNames {
-			b.Run(kernel+"/"+backend, func(b *testing.B) {
-				var wall time.Duration
-				for i := 0; i < b.N; i++ {
-					d, err := bench.RunBackend(kernel, n, pes, backend)
-					if err != nil {
-						b.Fatal(err)
-					}
-					wall += d
-				}
-				b.ReportMetric(float64(wall.Microseconds())/1000/float64(b.N), "wall-ms")
-			})
-		}
-	}
-}
-
-// BenchmarkSkewSteal regenerates the SKEW experiment on a reduced axis
-// (triangular + mirror at 4 PEs) and reports how much of the skewed
-// kernel's makespan — the maximum per-PE instruction count, the wall-clock
-// bound on one-core-per-PE hardware — work stealing recovers.
-func BenchmarkSkewSteal(b *testing.B) {
-	var ratio, util float64
-	for i := 0; i < b.N; i++ {
-		r, err := bench.Skew(48, []int{4}, "triangular")
-		if err != nil {
-			b.Fatal(err)
-		}
-		c := r.Cells["triangular"][4]
-		ratio = float64(c[0].Makespan) / float64(c[1].Makespan)
-		util = c[1].Util
-	}
-	b.ReportMetric(ratio, "makespan-off/on:tri@4PE")
-	b.ReportMetric(util, "util-on:tri@4PE")
-}
-
-// BenchmarkAdaptRebind regenerates the ADAPT experiment on a reduced axis
-// (relax at 8 PEs) and reports how much of the drifting-skew kernel's
-// makespan adaptive repartitioning recovers over the static split, plus
-// the utilization the adaptive arm reaches.
-func BenchmarkAdaptRebind(b *testing.B) {
-	var ratio, util float64
-	for i := 0; i < b.N; i++ {
-		r, err := bench.Adapt(48, 5, []int{8})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cell := r.Cells[8]
-		ratio = float64(cell[0][0].Makespan) / float64(cell[0][1].Makespan)
-		util = cell[0][1].Util
-	}
-	b.ReportMetric(ratio, "makespan-static/adapt:relax@8PE")
-	b.ReportMetric(util, "util-adapt:relax@8PE")
 }
 
 // BenchmarkSimulatorThroughput measures raw simulator speed (virtual

@@ -10,20 +10,9 @@
 //	X1  — generic matrix-multiply example
 //	ABL — ablations (distribution off, cache off, control-driven)
 //	PAGE — page-size sensitivity sweep ([BIC89] "not a critical parameter")
-//	BACK — the three execution backends (sim, podsrt, cluster) head-to-head
-//	       on the paper kernels (matmul, heat, pipeline)
-//	SKEW — work stealing on/off × PE counts on the skewed kernels
-//	       (triangular, mirror): makespan, utilization recovered
-//	ADAPT — adaptive Range-Filter repartitioning on/off × work stealing
-//	       on/off × PE counts on the drifting-skew relax kernel: makespan,
-//	       utilization, rebound count
-//	CACHE — bounded page cache with CLOCK eviction: hit rate, makespan,
-//	       evictions and refetches vs. the per-shard page cap on heat,
-//	       relax, and matmul (cap 0 = unbounded control arm)
 //
-// Wall-clock performance is judged by benchmark/ (BENCHMARK.json); apart
-// from BACK's informal head-to-head, every number here is virtual time or
-// an instruction count.
+// Every number here is the simulator's virtual time or an instruction
+// count; wall-clock performance is judged by benchmark/ (BENCHMARK.json).
 //
 // Usage:
 //
@@ -46,194 +35,118 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "podsbench:", err)
 		os.Exit(1)
 	}
 }
 
-// experiments are the ids -exp accepts besides "all", in run order.
-var experiments = []string{"T1", "T2", "F8", "F9", "F10", "E1", "X1", "ABL", "PAGE", "BACK", "SKEW", "ADAPT", "CACHE"}
+// axes are the problem sizes and PE counts the experiments sweep.
+type axes struct {
+	pes, sizes        []int
+	e1n, ablN, ablPEs int
+}
 
-func run(argv []string) error {
+var (
+	paperAxes = axes{bench.DefaultPECounts, bench.DefaultSizes, 32, 32, 16}
+	quickAxes = axes{[]int{1, 4, 16}, []int{8, 16}, 16, 16, 8}
+)
+
+// result is a rendered table or figure; the figures also write CSV.
+type result interface{ Format() string }
+
+type csvResult interface {
+	WriteCSV(io.Writer) error
+}
+
+// text is a table that needs no run.
+type text string
+
+func (t text) Format() string { return string(t) }
+
+func wrap[R result](r R, err error) (result, error) { return r, err }
+
+// experiments are the ids -exp accepts besides "all", in run order; csv
+// names the file a figure writes under -csv.
+var experiments = []struct {
+	id, csv string
+	run     func(axes) (result, error)
+}{
+	{"T1", "", func(axes) (result, error) { return text(bench.TableT1()), nil }},
+	{"T2", "", func(axes) (result, error) { return text(bench.TableT2()), nil }},
+	{"F8", "figure8.csv", func(a axes) (result, error) { return wrap(bench.Figure8(16, a.pes)) }},
+	{"F9", "figure9.csv", func(a axes) (result, error) { return wrap(bench.Figure9(a.sizes, a.pes)) }},
+	{"F10", "figure10.csv", func(a axes) (result, error) { return wrap(bench.Figure10(a.sizes, a.pes)) }},
+	{"E1", "", func(a axes) (result, error) { return wrap(bench.EfficiencyE1(a.e1n)) }},
+	{"X1", "", func(a axes) (result, error) { return wrap(bench.MatmulX1(32, a.pes)) }},
+	{"ABL", "", func(a axes) (result, error) { return wrap(bench.Ablations(a.ablN, a.ablPEs)) }},
+	{"PAGE", "", func(a axes) (result, error) {
+		return wrap(bench.PageSweep(a.ablN, a.ablPEs, []int{8, 16, 32, 64, 128}))
+	}},
+}
+
+func run(argv []string, out io.Writer) error {
+	var ids []string
+	for _, e := range experiments {
+		ids = append(ids, e.id)
+	}
 	fs := flag.NewFlagSet("podsbench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment id ("+strings.Join(experiments, ",")+") or 'all'")
+	exp := fs.String("exp", "all", "experiment id ("+strings.Join(ids, ",")+") or 'all'")
 	quick := fs.Bool("quick", false, "reduced axes (smaller sizes, fewer PE counts)")
 	csvDir := fs.String("csv", "", "also write figure data as CSV files into this directory")
 	if err := fs.Parse(argv); err != nil {
 		return err
 	}
-
-	pes := bench.DefaultPECounts
-	sizes := bench.DefaultSizes
-	e1n := 32
-	ablN, ablPEs := 32, 16
-	backN, backPEs := 24, 8
-	skewN, skewPEs := 96, []int{1, 2, 4, 8}
-	adaptN, adaptSweeps, adaptPEs := 64, 6, []int{1, 2, 4, 8}
-	cacheN, cachePEs, cacheCaps := 32, 8, []int{0, 2, 4, 8, 16, 32}
+	a := paperAxes
 	if *quick {
-		pes = []int{1, 4, 16}
-		sizes = []int{8, 16}
-		e1n = 16
-		ablN, ablPEs = 16, 8
-		backN, backPEs = 12, 4
-		skewN, skewPEs = 32, []int{1, 4}
-		adaptN, adaptSweeps, adaptPEs = 32, 4, []int{1, 8}
-		cacheN, cachePEs, cacheCaps = 16, 4, []int{0, 2, 8}
+		a = quickAxes
 	}
 
 	want := map[string]bool{}
 	for _, e := range strings.Split(strings.ToUpper(*exp), ",") {
 		e = strings.TrimSpace(e)
-		if e != "ALL" && !slices.Contains(experiments, e) {
-			return fmt.Errorf("unknown experiment %q (valid: %s, or all)", e, strings.Join(experiments, ","))
+		if e != "ALL" && !slices.Contains(ids, e) {
+			return fmt.Errorf("unknown experiment %q (valid: %s, or all)", e, strings.Join(ids, ","))
 		}
 		want[e] = true
 	}
-	all := want["ALL"]
-	section := func(id string) bool { return all || want[id] }
 	hr := strings.Repeat("=", 78)
 
 	start := time.Now()
-	if section("T1") {
-		fmt.Println(hr)
-		fmt.Print(bench.TableT1())
-	}
-	if section("T2") {
-		fmt.Println(hr)
-		fmt.Print(bench.TableT2())
-	}
-	if section("F8") {
-		fmt.Println(hr)
-		r, err := bench.Figure8(16, pes)
+	for _, e := range experiments {
+		if !want["ALL"] && !want[e.id] {
+			continue
+		}
+		fmt.Fprintln(out, hr)
+		r, err := e.run(a)
 		if err != nil {
 			return err
 		}
-		fmt.Print(r.Format())
-		if err := emitCSV(*csvDir, "figure8.csv", r.WriteCSV); err != nil {
-			return err
+		fmt.Fprint(out, r.Format())
+		if e.csv != "" && *csvDir != "" {
+			if err := emitCSV(out, filepath.Join(*csvDir, e.csv), r.(csvResult)); err != nil {
+				return err
+			}
 		}
 	}
-	if section("F9") {
-		fmt.Println(hr)
-		r, err := bench.Figure9(sizes, pes)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Format())
-		if err := emitCSV(*csvDir, "figure9.csv", r.WriteCSV); err != nil {
-			return err
-		}
-	}
-	if section("F10") {
-		fmt.Println(hr)
-		r, err := bench.Figure10(sizes, pes)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Format())
-		if err := emitCSV(*csvDir, "figure10.csv", r.WriteCSV); err != nil {
-			return err
-		}
-	}
-	if section("E1") {
-		fmt.Println(hr)
-		r, err := bench.EfficiencyE1(e1n)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Format())
-	}
-	if section("X1") {
-		fmt.Println(hr)
-		r, err := bench.MatmulX1(32, pes)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Format())
-	}
-	if section("ABL") {
-		fmt.Println(hr)
-		r, err := bench.Ablations(ablN, ablPEs)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Format())
-	}
-	if section("PAGE") {
-		fmt.Println(hr)
-		r, err := bench.PageSweep(ablN, ablPEs, []int{8, 16, 32, 64, 128})
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Format())
-	}
-	if section("BACK") {
-		fmt.Println(hr)
-		r, err := bench.Backends(backN, backPEs)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Format())
-		if err := emitCSV(*csvDir, "backends.csv", r.WriteCSV); err != nil {
-			return err
-		}
-	}
-	if section("SKEW") {
-		fmt.Println(hr)
-		r, err := bench.Skew(skewN, skewPEs)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Format())
-		if err := emitCSV(*csvDir, "skew.csv", r.WriteCSV); err != nil {
-			return err
-		}
-	}
-	if section("ADAPT") {
-		fmt.Println(hr)
-		r, err := bench.Adapt(adaptN, adaptSweeps, adaptPEs)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Format())
-		if err := emitCSV(*csvDir, "adapt.csv", r.WriteCSV); err != nil {
-			return err
-		}
-	}
-	if section("CACHE") {
-		fmt.Println(hr)
-		r, err := bench.Cache(cacheN, cachePEs, cacheCaps)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Format())
-		if err := emitCSV(*csvDir, "cache.csv", r.WriteCSV); err != nil {
-			return err
-		}
-	}
-	fmt.Println(hr)
-	fmt.Printf("total wall time: %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintln(out, hr)
+	fmt.Fprintf(out, "total wall time: %v\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
-// emitCSV writes one figure's data into dir (no-op when dir is empty).
-func emitCSV(dir, name string, write func(io.Writer) error) error {
-	if dir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// emitCSV writes one figure's data to path and notes it on out.
+func emitCSV(out io.Writer, path string, r csvResult) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	f, err := os.Create(filepath.Join(dir, name))
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := write(f); err != nil {
+	if err := r.WriteCSV(f); err != nil {
 		return err
 	}
-	fmt.Printf("(wrote %s)\n", filepath.Join(dir, name))
+	fmt.Fprintf(out, "(wrote %s)\n", path)
 	return nil
 }

@@ -184,99 +184,3 @@ func TestCSVWriters(t *testing.T) {
 		t.Errorf("f9 csv: %s", b.String())
 	}
 }
-
-// TestCacheShape pins the CACHE experiment's structural claims: the
-// unbounded control arm never evicts, a tight cap really evicts and
-// refetches on a remote-read-heavy kernel, hit rates are well-formed, and
-// the bounded arm's hit rate cannot beat the unbounded one (eviction can
-// only lose hits). Results are schedule-dependent in magnitude but not in
-// these invariants — the cluster counters are gathered after termination.
-func TestCacheShape(t *testing.T) {
-	r, err := Cache(16, 4, []int{0, 2}, "heat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	unbounded, capped := r.Cells["heat"][0], r.Cells["heat"][2]
-	if unbounded.Evictions != 0 || unbounded.Refetches != 0 {
-		t.Fatalf("unbounded arm evicted (%d evictions, %d refetches) — control is contaminated",
-			unbounded.Evictions, unbounded.Refetches)
-	}
-	if capped.Evictions == 0 {
-		t.Fatal("cap 2 never evicted on heat — the bound was not exercised")
-	}
-	for _, c := range []CacheCell{unbounded, capped} {
-		if c.HitRate < 0 || c.HitRate > 1 {
-			t.Fatalf("hit rate %v out of [0,1]", c.HitRate)
-		}
-		if c.Makespan <= 0 {
-			t.Fatalf("makespan %d, want positive", c.Makespan)
-		}
-	}
-	// Schedule noise can move individual hits either way, but eviction
-	// cannot systematically create them: allow a small tolerance only.
-	if capped.HitRate > unbounded.HitRate+0.05 {
-		t.Errorf("capped hit rate %.3f beats unbounded %.3f — eviction cannot create hits",
-			capped.HitRate, unbounded.HitRate)
-	}
-	out := r.Format()
-	if !strings.Contains(out, "CACHE") || !strings.Contains(out, "hitrate") {
-		t.Errorf("format output malformed:\n%s", out)
-	}
-	var b strings.Builder
-	if err := r.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(b.String(), "kernel,cap,heat,makespan,hit_rate,hits,misses,evictions,refetches,prefetches,prefetch_hits,cap_end\n") {
-		t.Errorf("cache csv: %s", b.String())
-	}
-	if strings.Contains(b.String(), "triread+steal") {
-		t.Errorf("cache csv carries a triread+steal row; the steal-locality counts are pinned in the cluster tests: %s", b.String())
-	}
-}
-
-// TestAdaptShape pins the ADAPT experiment's headline claim: on the
-// drifting-skew relax kernel at 8 PEs, adaptive repartitioning must beat
-// the static split — lower makespan, higher utilization — and must have
-// actually rebounded to do it. Rebind timing depends on the wall-clock
-// probe cadence racing real execution, so one unlucky run on a loaded
-// machine can land its rebinds too late to clear the margin; the claim is
-// that the mechanism works, not that every schedule is lucky, so the test
-// accepts the best of three attempts before failing.
-func TestAdaptShape(t *testing.T) {
-	var r *AdaptResult
-	var static, adapt AdaptCell
-	for attempt := 1; ; attempt++ {
-		var err error
-		r, err = Adapt(48, 5, []int{8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cell := r.Cells[8]
-		static, adapt = cell[0][0], cell[0][1]
-		if static.Rebounds != 0 {
-			t.Fatalf("static arm issued %d rebounds — control is contaminated", static.Rebounds)
-		}
-		won := adapt.Rebounds > 0 &&
-			float64(adapt.Makespan) < 0.95*float64(static.Makespan) &&
-			adapt.Util > static.Util
-		if won {
-			break
-		}
-		t.Logf("attempt %d: rebounds=%d makespan %d vs static %d, util %.2f vs %.2f",
-			attempt, adapt.Rebounds, adapt.Makespan, static.Makespan, adapt.Util, static.Util)
-		if attempt == 3 {
-			t.Fatalf("adaptation never beat the static split by >5%% in %d attempts", attempt)
-		}
-	}
-	out := r.Format()
-	if !strings.Contains(out, "ADAPT") || !strings.Contains(out, "rebounds") {
-		t.Errorf("format output malformed:\n%s", out)
-	}
-	var b strings.Builder
-	if err := r.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(b.String(), "pes,steal,adapt,makespan,util,rebounds,steals\n") {
-		t.Errorf("adapt csv: %s", b.String())
-	}
-}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -18,44 +19,45 @@ func compileKernel(t *testing.T, name string) (*kernels.Kernel, *isa.Program) {
 	return &k, compile(t, k.File(), k.Source)
 }
 
-// TestAdaptRelaxAgreesWithSimAndRebinds runs the drifting-skew kernel with
-// adaptation on at several PE counts and checks both halves of the
-// contract: the results stay bit-for-bit identical to the simulator no
-// matter how the bounds moved, and the coordinator actually moved them
-// (rebound broadcasts were observed wherever a rebind is possible).
-//
-// Free-running, whether a rebind lands before a run this small is over is
-// a race between the probe timer and the interpreter, so the rebind half
-// runs on the pumped schedule: the same workers and the same coordinator,
-// with a probe round every few pumping rounds instead of every few
-// microseconds. The free-running half keeps checking agreement with the
-// bounds moving whenever they happen to.
+// TestAdaptRelaxAgreesWithSimAndRebinds pins what adaptive repartitioning
+// buys on the drifting-skew relax kernel, whose expensive rows rotate
+// across sweeps so no fixed split stays right: n=48 (4 sweeps) on eight
+// hand-pumped workers, with a probe round every 8 pumping rounds instead
+// of every few microseconds. Adapt off, the makespan is 823,575
+// instructions at utilization 0.623; adapt on, 2 rebounds bring it to
+// 618,270 at 0.830. Both arms repeat exactly on a second run and gather
+// arrays bit-for-bit the simulator's, however the bounds moved.
 func TestAdaptRelaxAgreesWithSimAndRebinds(t *testing.T) {
 	k, prog := compileKernel(t, "relax")
-	args := k.Args(12)
-	wantVals, wantMasks := simArraysMasked(t, prog, 1, k.Arrays, args...)
-	for _, pes := range []int{2, 4, 8} {
-		res, err := Execute(testCtx(t), prog, Config{
-			NumPEs:    pes,
-			PageElems: 8,
-			Adapt:     true,
-			// A tight probe cadence makes rebinds land between the tiny
-			// test sweeps instead of after the run is already over.
-			ProbeInterval: 20 * time.Microsecond,
-		}, args...)
-		if err != nil {
-			t.Fatalf("adapt@%d: %v", pes, err)
+	const n, pes = 48, 8
+	wantVals, wantMasks := simArraysMasked(t, prog, pes, k.Arrays, k.Args(n)...)
+	type stats struct {
+		makespan int64
+		util     float64
+		rebounds int64
+	}
+	run := func(adapt bool) stats {
+		var coord *pumpedCoord
+		if adapt {
+			coord = &pumpedCoord{ad: newAdaptCoord(pes), every: 8}
 		}
-		checkAgainstSimMasked(t, res, wantVals, wantMasks)
-
-		coord := &pumpedCoord{ad: newAdaptCoord(pes), every: 8}
-		ws, arrays := pumpedRun(t, *k, 12, pes, Config{Adapt: true}, nil, coord)
+		ws, arrays := pumpedRun(t, *k, n, pes, Config{Adapt: adapt}, nil, coord)
 		checkGathered(t, arrays, wantVals, wantMasks)
-		if coord.ad.rebounds == 0 || len(ws[0].adapt.cuts) == 0 {
-			t.Errorf("adapt@%d: no rebound broadcasts — adaptation never engaged", pes)
+		var st stats
+		st.makespan, st.util = makespan(ws)
+		if coord != nil {
+			st.rebounds = coord.ad.rebounds
 		}
-		t.Logf("adapt@%d: rebounds=%d in %d probe rounds (pumped), %d free-running",
-			pes, coord.ad.rebounds, coord.round, res.Stats.Rebounds)
+		return st
+	}
+	for _, tc := range []struct {
+		adapt bool
+		want  stats
+	}{
+		{false, stats{823_575, 0.623, 0}},
+		{true, stats{618_270, 0.830, 2}},
+	} {
+		pinTwice(t, fmt.Sprintf("adapt=%v", tc.adapt), tc.want, func() stats { return run(tc.adapt) })
 	}
 }
 

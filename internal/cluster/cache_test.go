@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/istructure"
@@ -58,15 +59,19 @@ func (c *pumpedCoord) step(t *testing.T, driver Endpoint, pes, rounds int, progr
 
 // pumpedRun executes a kernel on hand-pumped workers — stepOneRound, a
 // deterministic, adversarially fair schedule — with the job's knobs taken
-// from cfg (its geometry is fixed here), and returns the workers and
-// gathered arrays at quiescence. perRound, when non-nil, observes the
-// workers after every pumping round (invariant checks mid-run); coord,
-// when non-nil, drives probe rounds and rebinds (cfg.Adapt).
+// from cfg, and returns the workers and gathered arrays at quiescence. The
+// page size is cfg.PageElems (8 when unset) and arrays of two pages or
+// more are distributed. perRound, when non-nil, observes the workers after
+// every pumping round (invariant checks mid-run); coord, when non-nil,
+// drives probe rounds and rebinds (cfg.Adapt).
 func pumpedRun(t *testing.T, k kernels.Kernel, n, pes int, cfg Config,
 	perRound func([]*worker), coord *pumpedCoord) ([]*worker, map[int64]*gathered) {
 	t.Helper()
 	prog := compile(t, k.File(), k.Source)
-	cfg.NumPEs, cfg.PageElems, cfg.DistThreshold = pes, 8, 16
+	if cfg.PageElems == 0 {
+		cfg.PageElems = 8
+	}
+	cfg.NumPEs, cfg.DistThreshold = pes, 2*cfg.PageElems
 	eps := newChanTransport(pes, 0)
 	ws := make([]*worker, pes)
 	for pe := range ws {
@@ -152,6 +157,35 @@ func pumpedRun(t *testing.T, k kernels.Kernel, n, pes int, cfg Config,
 	}
 	drainDriver()
 	return ws, arrays
+}
+
+// makespan returns a pumped run's makespan — the most instructions any PE
+// executed — and its utilization, mean ÷ max per-PE instructions: the
+// load-balance bound a fixed schedule states.
+func makespan(ws []*worker) (int64, float64) {
+	var most, sum int64
+	for _, w := range ws {
+		n := w.counters().Instrs
+		sum += n
+		most = max(most, n)
+	}
+	return most, round3(float64(sum) / float64(int64(len(ws))*most))
+}
+
+// round3 rounds a pinned ratio to the three places its test states.
+func round3(x float64) float64 { return math.Round(1000*x) / 1000 }
+
+// pinTwice runs one arm of a pinned pumped-schedule test twice: the
+// schedule is deterministic, so the runs must agree, and must equal want.
+func pinTwice[S comparable](t *testing.T, arm string, want S, run func() S) {
+	t.Helper()
+	got := run()
+	if again := run(); again != got {
+		t.Fatalf("%s: pumped schedule not deterministic: %+v then %+v", arm, got, again)
+	}
+	if got != want {
+		t.Errorf("%s: got %+v, want %+v", arm, got, want)
+	}
 }
 
 // checkGathered compares pumped-run arrays bit-for-bit against the

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/kernels"
@@ -123,49 +124,58 @@ func TestPageGranularStealReducesPostStealFetches(t *testing.T) {
 		{false, stats{31, 42, 405, 0, 0}},
 		{true, stats{31, 35, 431, 27, 13}},
 	} {
-		got := run(tc.heat)
-		if again := run(tc.heat); again != got {
-			t.Fatalf("heat=%v: pumped schedule not deterministic: %+v then %+v", tc.heat, got, again)
-		}
-		if got != tc.want {
-			t.Errorf("heat=%v: steals/misses/hits/prefetches/prefetch hits = %+v, want %+v", tc.heat, got, tc.want)
-		}
+		pinTwice(t, fmt.Sprintf("heat=%v", tc.heat), tc.want, func() stats { return run(tc.heat) })
 	}
 }
 
-// TestStreamingPrefetchOnSequentialScan runs matmul — row-major scans
-// over every operand — under a tight page cap and checks that the heat
-// arm streams pages ahead of the scan and that some of them serve demand
-// reads, while the heat-off arm issues none.
+// TestStreamingPrefetchOnSequentialScan pins the hit rate of the bounded
+// page cache against its cap, heat off and on, on matmul — every row task
+// re-reads all of B, so the working set exceeds any small cap: n=16 on
+// eight hand-pumped workers with 32-element pages. Unbounded (cap 0) the
+// hit rate is 0.980. At cap 2 the plain bound falls to 0.496 and streaming
+// prefetch wins back 0.615 with 1,152 prefetches, every one of which
+// serves a demand read; at cap 4, 0.496 against 0.680 (the same 1,152); at
+// cap 8 the bound no longer bites (0.980 / 0.986, 36 prefetches). Each arm
+// repeats exactly on a second run and gathers arrays bit-for-bit the
+// simulator's.
 func TestStreamingPrefetchOnSequentialScan(t *testing.T) {
 	k, ok := kernels.ByName("matmul")
 	if !ok {
 		t.Fatal("matmul kernel missing")
 	}
-	prog := compile(t, k.File(), k.Source)
-	ctx := testCtx(t)
-	const n, pes = 16, 4
-	offRes, err := Execute(ctx, prog, Config{NumPEs: pes, CachePages: 2}, k.Args(n)...)
-	if err != nil {
-		t.Fatal(err)
+	const n, pes = 16, 8
+	wantVals, wantMasks := simArraysMasked(t, compile(t, k.File(), k.Source), pes, k.Arrays, k.Args(n)...)
+	type stats struct {
+		hitRate                  float64
+		prefetches, prefetchHits int64
 	}
-	onRes, err := Execute(ctx, prog, Config{NumPEs: pes, CachePages: 2, Heat: true}, k.Args(n)...)
-	if err != nil {
-		t.Fatal(err)
+	run := func(cap int, heat bool) stats {
+		ws, arrays := pumpedRun(t, k, n, pes, Config{PageElems: 32, CachePages: cap, Heat: heat}, nil, nil)
+		checkGathered(t, arrays, wantVals, wantMasks)
+		var hits, misses int64
+		var st stats
+		for _, w := range ws {
+			c := w.counters()
+			hits, misses = hits+c.CacheHits, misses+c.CacheMisses
+			st.prefetches, st.prefetchHits = st.prefetches+c.Prefetches, st.prefetchHits+c.PrefetchHits
+		}
+		st.hitRate = round3(float64(hits) / float64(hits+misses))
+		return st
 	}
-	if got := offRes.Stats.Prefetches; got != 0 {
-		t.Fatalf("heat off: %d prefetches issued", got)
-	}
-	st := onRes.Stats
-	t.Logf("heat on: prefetches=%d hits=%d cacheHits=%d cacheMisses=%d capEnd=%d",
-		st.Prefetches, st.PrefetchHits, st.CacheHits, st.CacheMisses, st.CacheCapNow)
-	if st.Prefetches == 0 {
-		t.Fatal("heat on: sequential scans never triggered a prefetch")
-	}
-	if st.PrefetchHits == 0 {
-		t.Fatal("heat on: no prefetched page ever served a demand read")
-	}
-	if st.CacheCapNow < int64(2*pes) {
-		t.Fatalf("summed final cache cap %d below the configured floor %d", st.CacheCapNow, 2*pes)
+	for _, tc := range []struct {
+		cap  int
+		heat bool
+		want stats
+	}{
+		{0, false, stats{0.980, 0, 0}},
+		{2, false, stats{0.496, 0, 0}},
+		{2, true, stats{0.615, 1152, 1152}},
+		{4, false, stats{0.496, 0, 0}},
+		{4, true, stats{0.680, 1152, 1152}},
+		{8, false, stats{0.980, 0, 0}},
+		{8, true, stats{0.986, 36, 36}},
+	} {
+		pinTwice(t, fmt.Sprintf("cap=%d heat=%v", tc.cap, tc.heat), tc.want,
+			func() stats { return run(tc.cap, tc.heat) })
 	}
 }

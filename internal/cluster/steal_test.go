@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -81,27 +82,35 @@ func checkAgainstSimMasked(t *testing.T, res *Result, wantVals map[string][]floa
 	}
 }
 
+// drainOnly delivers a worker's pending messages without running its
+// ready SPs, so a test controls exactly when instances start executing.
+// It reports whether any message was delivered.
+func drainOnly(w *worker, ep Endpoint) bool {
+	got := false
+	for {
+		m, ok := ep.TryRecv()
+		if !ok {
+			return got
+		}
+		w.handle(m)
+		got = true
+	}
+}
+
 // pumpWorker drains one worker's mailbox and runs its ready SPs to
 // quiescence, single-threaded and deterministic.
 func pumpWorker(w *worker, ep Endpoint) bool {
 	progress := false
 	for {
-		stepped := false
-		for {
-			m, ok := ep.TryRecv()
-			if !ok {
-				break
-			}
-			w.handle(m)
-			progress, stepped = true, true
-		}
+		stepped := drainOnly(w, ep)
 		for w.readyHead != len(w.ready) {
 			w.step()
-			progress, stepped = true, true
+			stepped = true
 		}
 		if !stepped {
 			return progress
 		}
+		progress = true
 	}
 }
 
@@ -118,17 +127,6 @@ func TestStealProtocolGrantForwardLateToken(t *testing.T) {
 	w0 := newWorker(0, cfg, prog, eps[0])
 	w1 := newWorker(1, cfg, prog, eps[1])
 	driver := eps[2]
-	// drainOnly delivers pending messages without running ready SPs, so
-	// the test controls exactly when instances start executing.
-	drainOnly := func(w *worker, ep Endpoint) {
-		for {
-			m, ok := ep.TryRecv()
-			if !ok {
-				return
-			}
-			w.handle(m)
-		}
-	}
 	pump := func() {
 		for pumpWorker(w0, eps[0]) || pumpWorker(w1, eps[1]) {
 		}
@@ -228,15 +226,6 @@ func TestStealBackClearsStaleStub(t *testing.T) {
 	w0 := newWorker(0, cfg, prog, eps[0])
 	w1 := newWorker(1, cfg, prog, eps[1])
 	driver := eps[2]
-	drainOnly := func(w *worker, ep Endpoint) {
-		for {
-			m, ok := ep.TryRecv()
-			if !ok {
-				return
-			}
-			w.handle(m)
-		}
-	}
 
 	// PE 0 holds two unstarted SPs; PE 1 steals the oldest (id1).
 	for i := 0; i < 2; i++ {
@@ -364,14 +353,7 @@ func TestStealDeclinedWhenUnloaded(t *testing.T) {
 func stepOneRound(ws []*worker, eps []Endpoint) bool {
 	progress := false
 	for i, w := range ws {
-		for {
-			m, ok := eps[i].TryRecv()
-			if !ok {
-				break
-			}
-			w.handle(m)
-			progress = true
-		}
+		progress = drainOnly(w, eps[i]) || progress
 		if w.readyHead != len(w.ready) {
 			w.step()
 			progress = true
@@ -384,25 +366,41 @@ func stepOneRound(ws []*worker, eps []Endpoint) bool {
 	return progress
 }
 
-// TestStealDeterminacyPumpedTriangular runs the triangular kernel on four
-// hand-pumped workers — a deterministic, adversarially fair schedule with
-// stealing enabled — and asserts both that steals actually happen and that
-// the gathered array is bit-for-bit the simulator's (Church-Rosser under
-// migration).
+// TestStealDeterminacyPumpedTriangular pins what work stealing buys on the
+// skewed triangular kernel (row i costs O(i²), so the static split leaves
+// the last PE's block dominant): n=96 on eight hand-pumped workers, a
+// deterministic, adversarially fair schedule. Steal off, the makespan is
+// 517,249 instructions at utilization 0.388; steal on, 47 steals bring it
+// to 275,369 at 0.729. Both arms repeat exactly on a second run and gather
+// arrays bit-for-bit the simulator's (Church-Rosser under migration).
 func TestStealDeterminacyPumpedTriangular(t *testing.T) {
 	k, _ := kernels.ByName("triangular")
-	const n, pes = 24, 4
+	const n, pes = 96, 8
 	wantVals, wantMasks := simArraysMasked(t, compile(t, k.File(), k.Source), pes, k.Arrays, k.Args(n)...)
-	ws, arrays := pumpedRun(t, k, n, pes, Config{Steal: true}, nil, nil)
-	var steals int64
-	for _, w := range ws {
-		steals += w.steal.steals
+	type stats struct {
+		makespan int64
+		util     float64
+		steals   int64
 	}
-	if steals == 0 {
-		t.Fatal("no steals under a skewed triangular load with idle PEs")
+	run := func(steal bool) stats {
+		ws, arrays := pumpedRun(t, k, n, pes, Config{Steal: steal}, nil, nil)
+		checkGathered(t, arrays, wantVals, wantMasks)
+		var st stats
+		st.makespan, st.util = makespan(ws)
+		for _, w := range ws {
+			st.steals += w.counters().Steals
+		}
+		return st
 	}
-	t.Logf("triangular pumped @%dPE: %d steals", pes, steals)
-	checkGathered(t, arrays, wantVals, wantMasks)
+	for _, tc := range []struct {
+		steal bool
+		want  stats
+	}{
+		{false, stats{517_249, 0.388, 0}},
+		{true, stats{275_369, 0.729, 47}},
+	} {
+		pinTwice(t, fmt.Sprintf("steal=%v", tc.steal), tc.want, func() stats { return run(tc.steal) })
+	}
 }
 
 // kernelsAgreeWithSim runs every kernel at 1, 2, 4 and 8 PEs under each
@@ -443,50 +441,6 @@ func TestEvictionKeepsKernelsDeterminate(t *testing.T) {
 	kernelsAgreeWithSim(t, Config{CachePages: 2}, Config{CachePages: 2, Steal: true, Adapt: true})
 }
 
-// TestStealTriangularEndToEnd runs the skewed kernel on the real goroutine
-// cluster with stealing on, checks agreement, and reports the realized
-// rebalance. Steal counts depend on host scheduling, so only the
-// load-movement direction is asserted, never an exact figure.
-func TestStealTriangularEndToEnd(t *testing.T) {
-	k, _ := kernels.ByName("triangular")
-	prog := compile(t, k.File(), k.Source)
-	const n = 48
-	wantVals, wantMasks := simArraysMasked(t, prog, 4, k.Arrays, k.Args(n)...)
-
-	off, err := Execute(testCtx(t), prog, Config{NumPEs: 4}, k.Args(n)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	on, err := Execute(testCtx(t), prog, Config{NumPEs: 4, Steal: true}, k.Args(n)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkAgainstSimMasked(t, on, wantVals, wantMasks)
-	if off.Stats.Steals != 0 {
-		t.Fatalf("steal-off run reports %d steals", off.Stats.Steals)
-	}
-	t.Logf("triangular@4PE: steal-off perPE=%v, steal-on perPE=%v (%d steals)",
-		off.PEInstrs, on.PEInstrs, on.Stats.Steals)
-	// Host scheduling decides how many steals land, so the makespan
-	// usually improves but is not guaranteed to on every run; only a
-	// catastrophic regression (a PE hoarding far beyond the static
-	// maximum share) is a hard failure.
-	if lim := maxOf(off.PEInstrs) + maxOf(off.PEInstrs)/4; maxOf(on.PEInstrs) > lim {
-		t.Errorf("stealing ballooned the makespan: max per-PE instrs %d > %d",
-			maxOf(on.PEInstrs), lim)
-	}
-}
-
-func maxOf(vs []int64) int64 {
-	var m int64
-	for _, v := range vs {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // TestStealGrantBatchHalfOldestFirst pins the batched victim policy: a
 // victim with k stealable SPs grants ⌈k/2⌉ in one KStealGrant, and with no
 // locality signal the batch is the oldest not-yet-started SPs in age order.
@@ -503,13 +457,7 @@ func TestStealGrantBatchHalfOldestFirst(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for {
-		m, ok := eps[0].TryRecv()
-		if !ok {
-			break
-		}
-		w0.handle(m)
-	}
+	drainOnly(w0, eps[0])
 
 	w1.maybeSteal()
 	if m, ok := eps[0].TryRecv(); ok {
@@ -565,13 +513,7 @@ func TestStealLocalityPreference(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for {
-		m, ok := eps[0].TryRecv()
-		if !ok {
-			break
-		}
-		w0.handle(m)
-	}
+	drainOnly(w0, eps[0])
 	// The thief holds the page of row 2.
 	w0.handle(&Msg{Kind: KStealReq, From: 1, Lists: &MsgLists{HotPages: []int64{77, 1}}})
 	grant, ok := eps[1].TryRecv()
@@ -606,13 +548,7 @@ func TestStealMidDequeGrantNoShift(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for {
-		m, ok := eps[0].TryRecv()
-		if !ok {
-			break
-		}
-		w0.handle(m)
-	}
+	drainOnly(w0, eps[0])
 	// Mark the bottom SP as started (in flight): it is pinned, so the
 	// grant must skip it and take the next-oldest.
 	started, third := w0.ready[0], w0.ready[2]
