@@ -75,6 +75,7 @@ func pumpedRun(t *testing.T, k kernels.Kernel, n, pes int, cfg Config,
 	eps := newChanTransport(pes, 0)
 	ws := make([]*worker, pes)
 	for pe := range ws {
+		eps[pe] = &countingEP{Endpoint: eps[pe]}
 		ws[pe] = newWorker(pe, &cfg, prog, eps[pe])
 	}
 	driver := eps[pes]
@@ -157,6 +158,17 @@ func pumpedRun(t *testing.T, k kernels.Kernel, n, pes int, cfg Config,
 	}
 	drainDriver()
 	return ws, arrays
+}
+
+// countingEP counts the frames a pumped worker sends, by kind.
+type countingEP struct {
+	Endpoint
+	sent [256]int64 // indexed by MsgKind
+}
+
+func (c *countingEP) Send(to int, m *Msg) error {
+	c.sent[m.Kind]++
+	return c.Endpoint.Send(to, m)
 }
 
 // makespan returns a pumped run's makespan — the most instructions any PE

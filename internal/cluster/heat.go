@@ -16,27 +16,20 @@ import (
 //   - the adaptive cache cap: CachePages self-tunes between a floor and a
 //     ceiling from per-probe-round refetch pressure.
 //
-// The core calls in on every remote read (heatRead), when a page installs
-// (heatInstalled) and on every probe (capTick). The table itself, and the
-// steal layer's hot-page summary read from it, work with the layer off.
-
-// heatKey identifies one (array, page) on the worker side.
-type heatKey struct {
-	arr  int64
-	page int
-}
+// The core calls in on every remote read (heatRead) and on every probe
+// (capTick), and marks each prefetched page that installs as arrived. A
+// prefetch enters the core's in-flight page table (istore.go) like a demand
+// request, so neither kind asks for a page already requested. The heat
+// table itself, and the steal layer's hot-page summary read from it, work
+// with the layer off.
 
 // heatState is a worker's half of the heat layer, nil when Config.Heat is
 // off.
 type heatState struct {
-	// inflight dedups prefetch requests: one per page until its KPage
-	// lands (or a demand fetch of the same page overtakes it).
-	inflight map[heatKey]struct{}
-
 	// arrived marks pages installed by a prefetch that have not yet
 	// served a demand read; the first cache hit on such a page counts as
 	// a PrefetchHit and clears the mark.
-	arrived map[heatKey]struct{}
+	arrived map[pageKey]struct{}
 
 	// gov is the adaptive-cap governor; last* are the counter values at
 	// the previous probe round, for delta extraction.
@@ -59,13 +52,13 @@ const prefetchRun = 2
 //
 // The request is an SP-0 KReadReq — SP 0 is never a live instance ID, so
 // the owner ships the page without queuing a waiter and the arrival
-// installs without a delivery. Already-local, already-inflight,
+// installs without a delivery. Already-local, already-requested,
 // self-owned and out-of-range pages are skipped.
 func (w *worker) heatRead(a *istructure.Array, off int, hit bool) {
 	ht, h := w.heat, a.Header()
 	page := h.PageOf(off)
 	if hit && len(ht.arrived) > 0 {
-		k := heatKey{h.ID, page}
+		k := pageKey{h.ID, page}
 		if _, ok := ht.arrived[k]; ok {
 			delete(ht.arrived, k)
 			ht.prefetchHits++
@@ -78,8 +71,8 @@ func (w *worker) heatRead(a *istructure.Array, off int, hit bool) {
 	if page >= h.Pages() || a.PageLocal(page) {
 		return
 	}
-	k := heatKey{h.ID, page}
-	if _, dup := ht.inflight[k]; dup {
+	k := pageKey{h.ID, page}
+	if _, dup := w.inflight[k]; dup {
 		return
 	}
 	first := page * h.PageElems
@@ -87,21 +80,10 @@ func (w *worker) heatRead(a *istructure.Array, off int, hit bool) {
 	if owner == w.pe {
 		return
 	}
-	ht.inflight[k] = struct{}{}
+	w.inflight[k] = pageReq{}
 	ht.prefetches++
 	w.rec(trace.EvPrefetch, h.ID, int64(page))
 	w.send(owner, &Msg{Kind: KReadReq, Arr: h.ID, Off: int32(first), ReqPE: int32(w.pe)})
-}
-
-// heatInstalled notes a page that just entered the cache: it is no longer
-// in flight, and a prefetched one waits for the demand hit it earns
-// credit for.
-func (w *worker) heatInstalled(arr int64, page int, prefetched bool) {
-	k := heatKey{arr, page}
-	delete(w.heat.inflight, k)
-	if prefetched {
-		w.heat.arrived[k] = struct{}{}
-	}
 }
 
 // capTick moves the adaptive cache cap on the probe cadence: the round's

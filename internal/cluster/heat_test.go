@@ -133,11 +133,14 @@ func TestPageGranularStealReducesPostStealFetches(t *testing.T) {
 // re-reads all of B, so the working set exceeds any small cap: n=16 on
 // eight hand-pumped workers with 32-element pages. Unbounded (cap 0) the
 // hit rate is 0.980. At cap 2 the plain bound falls to 0.496 and streaming
-// prefetch wins back 0.615 with 1,152 prefetches, every one of which
-// serves a demand read; at cap 4, 0.496 against 0.680 (the same 1,152); at
+// prefetch wins back 0.614 with 1,152 prefetches, every one of which
+// serves a demand read; at cap 4, 0.496 against 0.681 (the same 1,152); at
 // cap 8 the bound no longer bites (0.980 / 0.986, 36 prefetches). Each arm
 // repeats exactly on a second run and gathers arrays bit-for-bit the
-// simulator's.
+// simulator's. The in-flight page table moved the two heat-on arms from
+// 0.615 and 0.680: owners now also ship the page with each read they queue
+// as deferred, and those extra installs shift what a two- or four-page
+// cache evicts (this schedule makes no joins).
 func TestStreamingPrefetchOnSequentialScan(t *testing.T) {
 	k, ok := kernels.ByName("matmul")
 	if !ok {
@@ -169,9 +172,9 @@ func TestStreamingPrefetchOnSequentialScan(t *testing.T) {
 	}{
 		{0, false, stats{0.980, 0, 0}},
 		{2, false, stats{0.496, 0, 0}},
-		{2, true, stats{0.615, 1152, 1152}},
+		{2, true, stats{0.614, 1152, 1152}},
 		{4, false, stats{0.496, 0, 0}},
-		{4, true, stats{0.680, 1152, 1152}},
+		{4, true, stats{0.681, 1152, 1152}},
 		{8, false, stats{0.980, 0, 0}},
 		{8, true, stats{0.986, 36, 36}},
 	} {

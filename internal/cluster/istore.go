@@ -14,6 +14,34 @@ import (
 // shard; remote accesses become KReadReq / KWrite messages to the owner,
 // and the owner answers reads with whole-page shipments (KPage) or queues
 // them as remote deferred reads released by the eventual write (§4, §5.1).
+//
+// A remote page is asked for once at a time: the in-flight page table holds
+// every page with a request outstanding, and a miss on such a page waits on
+// the table instead of asking again. Only the first demand miss (the page's
+// leader) sends a KReadReq and logs an outstanding read for recovery; the
+// reads that join it are covered by the leader's request, because whatever
+// KPage arrives for the page answers them all.
+
+// pageKey identifies one (array, page) on the worker side.
+type pageKey struct {
+	arr  int64
+	page int
+}
+
+// pageReq is one in-flight page table entry: whether a demand request is
+// among the requests outstanding for the page (else only a prefetch is,
+// which the owner may drop), and the local reads that joined it.
+type pageReq struct {
+	demand  bool
+	waiters []pageWaiter
+}
+
+// pageWaiter is one joined read: the element and its delivery target.
+type pageWaiter struct {
+	sp   int64
+	slot int32
+	off  int32
+}
 
 // allocMsg builds one KAlloc frame describing h — the single definition of
 // the alloc broadcast's wire shape, shared by the original broadcast and
@@ -113,10 +141,11 @@ func (w *worker) installArray(h *istructure.Header) {
 
 // execRead implements AREAD. Local present elements are immediate hits;
 // local absent elements become deferred reads (the SP blocks when a later
-// instruction consumes the slot); remote elements probe the page cache and
-// otherwise ask the owner. The array is resolved to its handle once; the
-// local and cache-hit paths then touch no map and allocate nothing.
-// Suspends on a missing header (pc not advanced).
+// instruction consumes the slot); remote elements probe the page cache,
+// then join the page's in-flight demand request, and otherwise ask the
+// owner. The array is resolved to its handle once; the local and cache-hit
+// paths then touch no map and allocate nothing. Suspends on a missing
+// header (pc not advanced).
 func (w *worker) execRead(sp *spInst, ins *isa.DInstr, idx []int) isa.Step {
 	a := w.array(sp, ins.A)
 	if a == nil {
@@ -148,27 +177,37 @@ func (w *worker) execRead(sp *spInst, ins *isa.DInstr, idx []int) isa.Step {
 		}
 		return isa.Next
 	}
-	w.shard.CacheMisses++
-	w.rec(trace.EvPageFetch, h.ID, int64(h.PageOf(off)))
 	if w.heat != nil {
 		w.heatRead(a, off, false)
 	}
+	k := pageKey{h.ID, h.PageOf(off)}
+	e := w.inflight[k]
+	if e.demand {
+		w.joins++
+		e.waiters = append(e.waiters, pageWaiter{sp: sp.id, slot: ins.Dst, off: int32(off)})
+		w.inflight[k] = e
+		return isa.Next
+	}
+	// No request for the page, or only a prefetch the owner may drop: this
+	// read asks itself and leads the page.
+	e.demand = true
+	w.inflight[k] = e
+	w.shard.CacheMisses++
+	w.rec(trace.EvPageFetch, h.ID, int64(k.page))
+	w.readReq(h, off, sp.id, ins.Dst)
+	return isa.Next
+}
+
+// readReq asks the owner of element off for it on behalf of (sp, slot).
+// With recovery on the request is logged until its delivery, so it can be
+// re-issued if the owner is respawned before answering.
+func (w *worker) readReq(h *istructure.Header, off int, sp int64, slot int32) {
 	owner := h.OwnerOf(off)
 	if w.recover != nil {
-		// Track the in-flight read so it can be re-issued if the owner is
-		// respawned before answering (the entry clears on delivery).
-		w.recover.outReads[outReadKey{sp: sp.id, slot: ins.Dst}] =
+		w.recover.outReads[outReadKey{sp: sp, slot: slot}] =
 			outRead{arr: h.ID, off: int32(off), owner: owner}
 	}
-	w.send(owner, &Msg{
-		Kind:  KReadReq,
-		Arr:   h.ID,
-		Off:   int32(off),
-		ReqPE: int32(w.pe),
-		SP:    sp.id,
-		Slot:  ins.Dst,
-	})
-	return isa.Next
+	w.send(owner, &Msg{Kind: KReadReq, Arr: h.ID, Off: int32(off), ReqPE: int32(w.pe), SP: sp, Slot: slot})
 }
 
 // execWrite implements AWRITE: owned elements are written in place (and
@@ -218,18 +257,20 @@ func (w *worker) ownerWrite(a *istructure.Array, off int, val isa.Value) {
 	}
 }
 
-// handleReadReq serves a remote read at the owner: present elements ship
-// the whole containing page; absent elements queue a remote deferred read.
-// A prefetch hint (SP 0 — never a live instance ID) ships the page
-// snapshot as-is and never queues a waiter: nothing blocks on a prefetch,
-// so an unproductive hint must cost at most the request frame.
+// handleReadReq serves a remote read at the owner: it ships the snapshot
+// of the whole containing page, and an absent element also queues a remote
+// deferred read. The snapshot goes out even then: reads of other elements
+// of the page may have joined the request at the requester, and they wait
+// on this page. A prefetch hint (SP 0 — never a live instance ID) never
+// queues a waiter: nothing blocks on a prefetch, so an unproductive hint
+// must cost at most the request frame.
 func (w *worker) handleReadReq(a *istructure.Array, m *Msg) {
 	off := int(m.Off)
 	if _, present := a.Peek(off); !present && m.SP != 0 {
 		if err := w.shard.QueueRemote(m.Arr, off, istructure.RemoteWaiter{PE: int(m.ReqPE), SP: m.SP, Slot: int(m.Slot)}); err != nil {
 			w.fail(err)
+			return
 		}
-		return
 	}
 	pageIdx, pg, _, err := a.ExtractPage(off)
 	switch {
@@ -248,12 +289,16 @@ func (w *worker) handleReadReq(a *istructure.Array, m *Msg) {
 		SP: m.SP, Slot: m.Slot, Vals: pg.Vals, Set: pg.Set})
 }
 
-// handlePage installs a shipped page in the software cache and delivers the
-// requested element to the waiting SP. With Config.CachePages set the
-// install may evict a colder page (CLOCK, inside the shard) — and counts as
-// a refetch if this page was itself evicted earlier; the element is
-// delivered from the shipped snapshot either way, so even a page that is
-// evicted again immediately cannot lose the read that fetched it.
+// handlePage installs a shipped page in the software cache and answers the
+// reads waiting on it: the requesting SP if the snapshot holds its element
+// (else the owner queued it, and its KToken delivers), and every read that
+// joined the page's in-flight entry — from the snapshot when it holds the
+// element, otherwise by asking the owner again, where the read becomes an
+// ordinary deferred read. With Config.CachePages set the install may evict
+// a colder page (CLOCK, inside the shard) — and counts as a refetch if this
+// page was itself evicted earlier; reads are answered from the shipped
+// snapshot either way, so even a page that is evicted again immediately
+// cannot lose one. A prefetched page (SP 0) requested no element.
 func (w *worker) handlePage(m *Msg) {
 	a := w.shard.Array(m.Arr)
 	if a == nil {
@@ -262,22 +307,35 @@ func (w *worker) handlePage(m *Msg) {
 		w.fail(fmt.Errorf("page for unknown array %d", m.Arr))
 		return
 	}
+	h, k := a.Header(), pageKey{m.Arr, int(m.Page)}
+	base := k.page * h.PageElems
 	pg := &istructure.CachedPage{Vals: m.Vals, Set: m.Set}
-	a.InstallPage(int(m.Page), pg)
-	if w.heat != nil {
-		w.heatInstalled(m.Arr, int(m.Page), m.SP == 0)
+	a.InstallPage(k.page, pg)
+	if w.heat != nil && m.SP == 0 {
+		w.heat.arrived[k] = struct{}{} // waits for the demand hit it earns credit for
 	}
-	if m.SP == 0 {
-		// A prefetched page: the install is the whole job. No element was
-		// requested, so neither the presence check nor a delivery applies.
+	if m.SP != 0 {
+		i := int(m.Off) - base
+		if i < 0 || i >= len(pg.Vals) {
+			w.fail(fmt.Errorf("page %d of array %d shipped for offset %d outside it", m.Page, m.Arr, m.Off))
+			return
+		}
+		if pg.Set[i] {
+			w.deliver(m.SP, int(m.Slot), pg.Vals[i])
+		}
+	}
+	e, ok := w.inflight[k]
+	if !ok {
 		return
 	}
-	i := int(m.Off) - int(m.Page)*a.Header().PageElems
-	if i < 0 || i >= len(pg.Vals) || !pg.Set[i] {
-		w.fail(fmt.Errorf("page %d of array %d shipped without requested element", m.Page, m.Arr))
-		return
+	delete(w.inflight, k)
+	for _, wt := range e.waiters {
+		if i := int(wt.off) - base; i < len(pg.Vals) && pg.Set[i] {
+			w.deliver(wt.sp, int(wt.slot), pg.Vals[i])
+		} else {
+			w.readReq(h, int(wt.off), wt.sp, wt.slot)
+		}
 	}
-	w.deliver(m.SP, int(m.Slot), pg.Vals[i])
 }
 
 // handleWrite performs a remote write at the owner.

@@ -45,7 +45,8 @@ type Counters struct {
 	MsgsRecv      int64 // worker-to-worker data messages received
 	DeferredReads int64 // I-structure reads queued on absent elements
 	CacheHits     int64 // remote reads satisfied from the page cache
-	CacheMisses   int64 // remote reads that fetched a page
+	CacheMisses   int64 // remote reads that sent a page request
+	ReadJoins     int64 // remote reads that waited on a page already requested
 	Steals        int64 // SP instances migrated in by work stealing
 	Forwards      int64 // tokens relayed through forwarding stubs
 	Instrs        int64 // instructions executed
@@ -69,6 +70,7 @@ var counterFields = [...]struct {
 	{func(c *Counters) *int64 { return &c.DeferredReads }, nil},
 	{func(c *Counters) *int64 { return &c.CacheHits }, mHits},
 	{func(c *Counters) *int64 { return &c.CacheMisses }, mMisses},
+	{func(c *Counters) *int64 { return &c.ReadJoins }, nil},
 	{func(c *Counters) *int64 { return &c.Steals }, mSteals},
 	{func(c *Counters) *int64 { return &c.Forwards }, nil},
 	{func(c *Counters) *int64 { return &c.Instrs }, mInstrs},

@@ -76,8 +76,8 @@ type Result struct {
 	NumPEs int
 
 	// PEInstrs is each worker's executed-instruction count — the per-PE
-	// load distribution (the SKEW experiment derives its balance metric
-	// from it).
+	// load distribution, whose max is the run's makespan and whose mean
+	// over max its utilization.
 	PEInstrs []int64
 
 	// PEStats is each worker's full counter breakdown (the per-PE

@@ -185,9 +185,9 @@ func (w *worker) stealBatch(hotPages []int64) []*spInst {
 		// Rank by the operand rows the thief actually holds, scoring each
 		// candidate once (the comparator would otherwise rescan every
 		// operand frame O(log k) times per candidate).
-		pageSet := make(map[heatKey]struct{}, len(hotPages)/2)
+		pageSet := make(map[pageKey]struct{}, len(hotPages)/2)
 		for i := 0; i+1 < len(hotPages); i += 2 {
-			pageSet[heatKey{hotPages[i], int(hotPages[i+1])}] = struct{}{}
+			pageSet[pageKey{hotPages[i], int(hotPages[i+1])}] = struct{}{}
 		}
 		scores := make(map[int]int, len(cand))
 		for _, idx := range cand {
@@ -396,7 +396,7 @@ func (w *worker) hotPagePairs(limit int) []int64 {
 // iterations of a sweep over one shared array name the same array, but
 // iteration i scores here on the page holding row i, which is exactly
 // what the thief has or hasn't.
-func (w *worker) pageScore(sp *spInst, pages map[heatKey]struct{}) int {
+func (w *worker) pageScore(sp *spInst, pages map[pageKey]struct{}) int {
 	n := 0
 	for _, v := range sp.frame {
 		if v.Kind != isa.KindArray {
@@ -418,7 +418,7 @@ func (w *worker) pageScore(sp *spInst, pages map[heatKey]struct{}) int {
 			if len(h.Dims) == 2 {
 				off = (int(row) - 1) * h.RowLen()
 			}
-			if _, ok := pages[heatKey{v.I, h.PageOf(off)}]; ok {
+			if _, ok := pages[pageKey{v.I, h.PageOf(off)}]; ok {
 				n++
 			}
 		}

@@ -192,7 +192,7 @@ func (d *detector) stallReport() string {
 }
 
 // perPEInstrs reports each worker's executed-instruction count from the
-// latest acks (the SKEW experiment's load-balance metric).
+// latest acks (Result.PEInstrs: makespan and utilization).
 func (d *detector) perPEInstrs() []int64 {
 	out := make([]int64, len(d.acks))
 	for i, a := range d.acks {

@@ -70,7 +70,7 @@ func TestMsgCodecRoundTrip(t *testing.T) {
 		{Kind: KAck, Round: 3, Epoch: 1, Ack: &AckStats{Flushed: true, Counters: Counters{MsgsSent: 4, MsgsRecv: 4, ReplayedSPs: 2}}},
 		{Kind: KStealReq, From: 1, Lists: &MsgLists{HotPages: []int64{packID(0, 1), 3, packID(2, 5), 0}}},
 		{Kind: KAck, Round: 9, Ack: &AckStats{Counters: Counters{MsgsSent: 8, MsgsRecv: 8, CacheHits: 40, CacheMisses: 3,
-			Prefetches: 6, PrefetchHits: 4, CacheCapNow: 24}}},
+			ReadJoins: 5, Prefetches: 6, PrefetchHits: 4, CacheCapNow: 24}}},
 		{Kind: KTrace, From: 1, Lists: &MsgLists{TraceEvs: []int64{1, 2, 3, 4, 5}, TraceDrops: 7}},
 		{Kind: KJobStart, Job: 2, Epoch: 1, Cfg: &MsgCfg{Job: Config{PageElems: 8, DistThreshold: 16, CachePages: 2,
 			Steal: true, Heat: true, Recover: true}, Incs: []int32{0, 0, 0, 1}, Prog: []byte("{}")}},

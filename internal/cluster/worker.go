@@ -131,9 +131,15 @@ type worker struct {
 	// detection (driver traffic is control-plane and excluded).
 	sent, recv int64
 
-	// instrs counts executed instructions (the per-PE load metric the
-	// SKEW experiment reports).
+	// instrs counts executed instructions (the per-PE load behind
+	// Result.PEInstrs' makespan and utilization).
 	instrs int64
+
+	// inflight is the in-flight page table (istore.go): every remote page
+	// with a request outstanding, and the reads that joined it. joins
+	// counts those reads.
+	inflight map[pageKey]pageReq
+	joins    int64
 
 	// x is the executor state, pointed at cur — the SP step last ran —
 	// for each run.
@@ -205,6 +211,7 @@ func newWorker(pe int, cfg *Config, prog *isa.Program, ep Endpoint) *worker {
 		insts:     make(map[int64]*spInst),
 		waitArray: make(map[int64][]*spInst),
 		pending:   make(map[int64][]*Msg),
+		inflight:  make(map[pageKey]pageReq),
 	}
 	w.x.Backend = w
 	w.shard.CacheCap = cfg.CachePages
@@ -217,8 +224,7 @@ func newWorker(pe int, cfg *Config, prog *isa.Program, ep Endpoint) *worker {
 		w.adapt = newAdaptState()
 	}
 	if cfg.Heat {
-		w.heat = &heatState{inflight: make(map[heatKey]struct{}), arrived: make(map[heatKey]struct{}),
-			gov: newCapGovernor(cfg.CachePages)}
+		w.heat = &heatState{arrived: make(map[pageKey]struct{}), gov: newCapGovernor(cfg.CachePages)}
 	}
 	if cfg.Trace {
 		w.tr = trace.New(cfg.TraceCap, cfg.TraceSample)
@@ -359,6 +365,7 @@ func (w *worker) counters() Counters {
 		DeferredReads: w.shard.DeferredReads,
 		CacheHits:     w.shard.CacheHits,
 		CacheMisses:   w.shard.CacheMisses,
+		ReadJoins:     w.joins,
 		Instrs:        w.instrs,
 		Evictions:     w.shard.Evictions,
 		Refetches:     w.shard.Refetches,

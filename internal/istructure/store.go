@@ -91,7 +91,7 @@ type Shard struct {
 	// Stats.
 	DeferredReads int64 // reads enqueued on absent local elements
 	CacheHits     int64 // remote reads satisfied from the page cache
-	CacheMisses   int64 // remote reads that had to fetch a page
+	CacheMisses   int64 // remote reads that sent a page request
 	Evictions     int64 // cached pages evicted by the CLOCK bound
 	Refetches     int64 // page installs that re-fetch a previously evicted page
 	DupWrites     int64 // identical rewrites absorbed by Idempotent mode

@@ -50,6 +50,48 @@ func TestBackendAgreementWithWorkerKill(t *testing.T) {
 	}
 }
 
+// TestKillIndexSweep kills PE 1 after every frame index from 1 to 64 on
+// the kernels and rows whose remote reads join in-flight pages: matmul,
+// heat and relax at 2 and 4 PEs, under the base, evict and heat+evict
+// rows (the steal rows carry the gauntlet's known hang). Only a page's
+// first read logs an outstanding read for replay; the reads that joined it
+// wait on whatever page arrives, so a kill between the request and its
+// page must still wake them. Every run must match the simulator, and each
+// row's unkilled matmul and heat runs (2 and 4 PEs together) must make
+// joins, or the sweep would not cover them.
+func TestKillIndexSweep(t *testing.T) {
+	rows := []string{"base", "evict", "heat+evict"}
+	for _, name := range []string{"matmul", "heat", "relax"} {
+		k, _ := kernels.ByName(name)
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			p, want := compileWithReference(t, k)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			for _, row := range rows {
+				i := slices.IndexFunc(knobSets, func(ks knobSet) bool { return ks.name == row })
+				var joins int64
+				for _, pes := range []int{2, 4} {
+					cfg := knobSets[i].cfg
+					cfg.NumPEs = pes
+					res, err := p.ExecuteCluster(ctx, cfg, k.Args(determinacyN)...)
+					if err != nil {
+						t.Fatalf("%s@%d: %v", row, pes, err)
+					}
+					assertSame(t, row, gather(t, k, row, res.Array), want)
+					joins += res.Stats().ReadJoins
+					for after := int64(1); after <= 64; after++ {
+						killedRun(t, p, k, row, knobSets[i].cfg, pes, after, want)
+					}
+				}
+				if name != "relax" && joins == 0 {
+					t.Errorf("%s %s: no unkilled read joined an in-flight page", name, row)
+				}
+			}
+		})
+	}
+}
+
 // TestKnobGauntlet crosses every knobSets row with a worker death — PE 1
 // killed after 2 and after 8 frames, at 2, 4 and 8 PEs — runs every row's
 // jobs at once on a fleet whose PE 1 dies mid-run, and exports a traced run
