@@ -5,12 +5,19 @@ package isa
 type Class uint8
 
 // Instruction classes. The zero class is the trap: the sentinel a decoded
-// template carries one past its last instruction.
+// template carries one past its last instruction. Every class from
+// ClassScalar up is a scalar instruction. decode gives a pair class to one
+// whose successor reads only its result or nothing, so that the successor
+// needs no presence check and cannot fail, and Run executes the two in one
+// dispatch.
 const (
-	ClassTrap    Class = iota
-	ClassScalar        // EvalScalar ops: frame in, frame out; only IDIV/IMOD can fail
-	ClassControl       // NOP/CONST/MOVE/CLEAR/SELF and branches: frame and pc only, cannot fail
-	ClassEffect        // I-structure access, allocation, Range-Filter queries, SPAWN/SPAWND/SEND/HALT: may suspend, send or fail
+	ClassTrap       Class = iota
+	ClassControl          // NOP/CONST/MOVE/CLEAR/SELF and branches: frame and pc only, cannot fail
+	ClassEffect           // I-structure access, allocation, Range-Filter queries, SPAWN/SPAWND/SEND/HALT: may suspend, send or fail
+	ClassScalar           // EvalScalar ops: frame in, frame out; only IDIV/IMOD can fail
+	ClassPairBranch       // scalar, then BRTRUE/BRFALSE on its Dst
+	ClassPairMove         // scalar, then MOVE from its Dst
+	ClassPairJump         // scalar, then JUMP
 )
 
 // ClassOf returns the class of a defined opcode (ClassTrap for anything
@@ -108,7 +115,25 @@ func decode(t *Template) *Decoded {
 			Target: int32(target),
 			Imm:    in.Imm,
 		}
+		if pc > 0 && d.Code[pc-1].Class == ClassScalar {
+			d.Code[pc-1].Class = pairClass(in, d.Code[pc-1].Dst)
+		}
 	}
 	d.Code[n] = DInstr{Dst: None, A: None, B: None, In: int32(len(d.Slots)), Target: int32(n)}
 	return d
+}
+
+// pairClass is the class of a scalar instruction writing dst whose
+// successor is next: a pair class when next only reads dst or reads
+// nothing, ClassScalar otherwise.
+func pairClass(next *Instr, dst int32) Class {
+	switch {
+	case (next.Op == BRTRUE || next.Op == BRFALSE) && int32(next.A) == dst:
+		return ClassPairBranch
+	case next.Op == MOVE && int32(next.A) == dst:
+		return ClassPairMove
+	case next.Op == JUMP:
+		return ClassPairJump
+	}
+	return ClassScalar
 }

@@ -3,6 +3,7 @@ package isa
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // TestClassOfCoversEveryOpcode: every defined opcode has a class, the
@@ -22,20 +23,53 @@ func TestClassOfCoversEveryOpcode(t *testing.T) {
 	}
 }
 
+// TestDInstrSize pins the decoded instruction at 48 bytes: the pair marks
+// live in Class, not in a field of their own.
+func TestDInstrSize(t *testing.T) {
+	if n := unsafe.Sizeof(DInstr{}); n != 48 {
+		t.Fatalf("DInstr is %d bytes, want 48", n)
+	}
+}
+
 // TestDecodedMirrorsCode: the decoded form carries every operand of every
 // instruction, lists the inputs in Instr.Inputs order, ends in the trap,
-// and is built once per template.
+// and is built once per template. Its class is the opcode's, except that a
+// scalar instruction is marked as the head of a pair exactly when its
+// successor is a branch on its Dst, a MOVE from its Dst or a JUMP.
 func TestDecodedMirrorsCode(t *testing.T) {
-	rd := NewInstr(AREAD)
-	rd.Dst, rd.A, rd.Args = 4, 0, []int{1, 2}
-	wr := NewInstr(AWRITE)
-	wr.A, wr.B, wr.Args = 0, 4, []int{2, 1}
-	br := NewInstr(BRTRUE)
-	br.A, br.Target = 3, 0
-	k := NewInstr(CONST)
-	k.Dst, k.Imm = 3, Bool(false)
-	tm := &Template{Name: "t", NParams: 3, NSlots: 5,
-		Code: []Instr{rd, wr, k, br, NewInstr(HALT)}}
+	ins := func(op Opcode, dst, a, b int) Instr {
+		in := NewInstr(op)
+		in.Dst, in.A, in.B = dst, a, b
+		return in
+	}
+	jump := func(op Opcode, a, target int) Instr {
+		in := NewInstr(op)
+		in.A, in.Target = a, target
+		return in
+	}
+	rd := ins(AREAD, 4, 0, None)
+	rd.Args = []int{1, 2}
+	wr := ins(AWRITE, None, 0, 4)
+	wr.Args = []int{2, 1}
+	k := ins(CONST, 3, None, None)
+	k.Imm = Bool(false)
+	tm := &Template{Name: "t", NParams: 3, NSlots: 8, Code: []Instr{
+		rd, wr, k,
+		jump(BRTRUE, 3, 0),    // 3: after a CONST: no pair
+		ins(CMPLT, 5, 1, 2),   // 4: pair with the branch on s5
+		jump(BRFALSE, 5, 12),  // 5
+		ins(CMPGT, 6, 1, 2),   // 6: the branch tests s5, not s6
+		jump(BRTRUE, 5, 12),   // 7
+		ins(FADD, 6, 4, 4),    // 8: pair with the MOVE from s6
+		ins(MOVE, 7, 6, None), // 9
+		ins(FSUB, 6, 4, 4),    // 10: the MOVE reads s4, not s6
+		ins(MOVE, 7, 4, None), // 11
+		ins(IADD, 1, 1, 2),    // 12: followed by a scalar
+		ins(IADD, 1, 1, 2),    // 13: pair with the JUMP
+		jump(JUMP, None, 4),   // 14
+		NewInstr(HALT),        // 15
+	}}
+	marks := map[int]Class{4: ClassPairBranch, 8: ClassPairMove, 13: ClassPairJump}
 	if err := tm.Validate(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -48,9 +82,13 @@ func TestDecodedMirrorsCode(t *testing.T) {
 	}
 	for pc := range tm.Code {
 		in, di := &tm.Code[pc], &d.Code[pc]
-		if di.Op != in.Op || di.Class != ClassOf(in.Op) || int(di.Dst) != in.Dst ||
+		class, ok := marks[pc]
+		if !ok {
+			class = ClassOf(in.Op)
+		}
+		if di.Op != in.Op || di.Class != class || int(di.Dst) != in.Dst ||
 			int(di.A) != in.A || int(di.B) != in.B || di.Imm != in.Imm {
-			t.Errorf("pc %d: decoded %+v from %s", pc, *di, in.String())
+			t.Errorf("pc %d: decoded %+v from %s, want class %d", pc, *di, in.String(), class)
 		}
 		if in.Op.IsBranch() && int(di.Target) != in.Target {
 			t.Errorf("pc %d: decoded target %d, want %d", pc, di.Target, in.Target)

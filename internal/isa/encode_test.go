@@ -5,11 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/idlang"
 	"repro/internal/isa"
-	"repro/internal/partition"
 	"repro/internal/sim"
-	"repro/internal/translate"
 )
 
 const roundtripSrc = `
@@ -28,24 +25,8 @@ func main(n: int) -> float {
 }
 `
 
-func compileProg(t *testing.T) *isa.Program {
-	t.Helper()
-	gp, err := idlang.Compile("rt.id", roundtripSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := translate.Translate(gp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := partition.Partition(prog, partition.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	return prog
-}
-
 func TestPodsRoundtrip(t *testing.T) {
-	prog := compileProg(t)
+	prog := compile(t, "rt.id", roundtripSrc)
 	data, err := isa.MarshalPods(prog)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +57,7 @@ func TestPodsRoundtrip(t *testing.T) {
 }
 
 func TestDeserializedProgramRuns(t *testing.T) {
-	prog := compileProg(t)
+	prog := compile(t, "rt.id", roundtripSrc)
 	data, err := isa.MarshalPods(prog)
 	if err != nil {
 		t.Fatal(err)

@@ -56,8 +56,6 @@ type Exec struct {
 
 	Blocked int   // the absent slot, after Block
 	Err     error // what went wrong, after Fault
-
-	watch int32 // Watch, or a slot no instruction writes
 }
 
 // operandKind is the kind an effect's A operand must have, by opcode: array
@@ -76,13 +74,13 @@ var operandKind = [NumOpcodes]Kind{
 // accounting happen here without calling the backend; every other effect
 // is one call to x.Backend.Effect.
 func Run(x *Exec) Step {
-	code, f, pc, n := x.Code, x.F, x.PC, x.N
-	if x.watch = x.Watch; x.watch == None {
-		x.watch = math.MinInt32
+	code, f, pc, n, watch := x.Code, x.F, x.PC, x.N, x.Watch
+	if watch == None {
+		watch = math.MinInt32 // a slot no instruction writes
 	}
 	for {
 		in := &code[pc]
-		if in.Class == ClassScalar {
+		if in.Class >= ClassScalar {
 			a := f[in.A]
 			if a.Kind == KindInvalid {
 				return x.block(pc, n, int(in.A))
@@ -99,11 +97,80 @@ func Run(x *Exec) Step {
 					x.Now += x.CmpExtra
 				}
 			}
-			v, err := EvalScalar(in.Op, a, c)
-			if err != nil {
-				return x.fault(pc, n, fmt.Errorf("pc %d: %w", pc, err))
+			// The int-int and float-float cases of the hot opcodes, exactly
+			// as EvalScalar computes them; every other opcode, operand mix
+			// and fault is EvalScalar's (v stays invalid).
+			var v Value
+			switch in.Op {
+			case IADD:
+				if a.Kind == KindInt && c.Kind == KindInt {
+					v = Int(a.I + c.I)
+				}
+			case ISUB:
+				if a.Kind == KindInt && c.Kind == KindInt {
+					v = Int(a.I - c.I)
+				}
+			case IMUL:
+				if a.Kind == KindInt && c.Kind == KindInt {
+					v = Int(a.I * c.I)
+				}
+			case FADD:
+				if a.Kind == KindFloat && c.Kind == KindFloat {
+					v = Float(a.F + c.F)
+				}
+			case FSUB:
+				if a.Kind == KindFloat && c.Kind == KindFloat {
+					v = Float(a.F - c.F)
+				}
+			case FMUL:
+				if a.Kind == KindFloat && c.Kind == KindFloat {
+					v = Float(a.F * c.F)
+				}
+			case CMPLT, CMPLE, CMPGT, CMPGE, CMPEQ, CMPNE:
+				if a.Kind == KindInt && c.Kind == KindInt {
+					v = Bool(holds(in.Op, a.I < c.I, a.I > c.I))
+				} else if a.Kind == KindFloat && c.Kind == KindFloat {
+					v = Bool(holds(in.Op, a.F < c.F, a.F > c.F))
+				}
+			case ITOF:
+				if a.Kind == KindInt {
+					v = Float(float64(a.I))
+				}
+			case FSQRT:
+				if a.Kind == KindFloat {
+					v = Float(math.Sqrt(a.F))
+				}
+			}
+			if v.Kind == KindInvalid {
+				var err error
+				if v, err = EvalScalar(in.Op, a, c); err != nil {
+					return x.fault(pc, n, fmt.Errorf("pc %d: %w", pc, err))
+				}
 			}
 			f[in.Dst] = v
+			// A pair: the successor reads only v or nothing, so it needs no
+			// presence check and cannot fail. Unless the head wrote the
+			// watched slot (it stops the run), the successor runs here,
+			// paying its own cost and count.
+			if in.Class != ClassScalar && in.Dst != watch {
+				n++
+				pc++
+				if x.Cost != nil {
+					x.Now += x.Cost[pc]
+				}
+				next := &code[pc]
+				switch in.Class {
+				case ClassPairBranch:
+					if v.AsBool() == (next.Op == BRTRUE) {
+						pc = int(next.Target) - 1
+					}
+				case ClassPairMove:
+					f[next.Dst] = v
+					in = next // the MOVE's Dst is the one the watch check reads
+				default: // ClassPairJump
+					pc = int(next.Target) - 1
+				}
+			}
 		} else {
 			for _, s := range x.Inputs(in) {
 				if f[s].Kind == KindInvalid {
@@ -152,7 +219,7 @@ func Run(x *Exec) Step {
 		}
 		n++
 		pc++
-		if in.Dst == x.watch {
+		if in.Dst == watch {
 			x.PC, x.N = pc, n
 			return Watched
 		}

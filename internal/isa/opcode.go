@@ -44,10 +44,12 @@ const (
 	CMPEQ // Dst = A == B
 	CMPNE // Dst = A != B
 
-	// Bitwise/logical (paper: bitwise logical 0.558 µs).
-	AND // Dst = A && B (on bools) / A & B (on ints)
-	OR  // Dst = A || B / A | B
-	NOT // Dst = !A / ^A
+	// Logical (paper: bitwise logical 0.558 µs). Operands are read for
+	// their truthiness (nonzero is true, ints and floats alike) and the
+	// result is a bool: on ints these are not bitwise.
+	AND // Dst = A && B
+	OR  // Dst = A || B
+	NOT // Dst = !A
 
 	// Min/max — used by Range Filters and as frontend intrinsics.
 	MAX // Dst = max(A, B)

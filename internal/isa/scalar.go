@@ -18,12 +18,12 @@ func IsScalar(op Opcode) bool {
 	return false
 }
 
-// EvalScalar computes a pure scalar operation; unary ops ignore b. Every
-// execution backend evaluates scalar opcodes through this one helper, so
-// their arithmetic cannot diverge — the same single-source-of-truth
-// guarantee rtcfg provides for geometry defaults, and a precondition for
-// the Church-Rosser backend-agreement tests. Integer division or modulo by
-// zero is an error.
+// EvalScalar computes a pure scalar operation; unary ops ignore b. It is
+// the one definition of scalar semantics: every backend runs scalar opcodes
+// on Run, whose inline cases compute exactly what this does (a test holds
+// them to it) and which calls this for everything else, so backends'
+// arithmetic cannot diverge — a precondition for the Church-Rosser
+// backend-agreement tests. Integer division or modulo by zero is an error.
 func EvalScalar(op Opcode, a, b Value) (Value, error) {
 	switch op {
 	case IADD:
@@ -85,38 +85,31 @@ func EvalScalar(op Opcode, a, b Value) (Value, error) {
 // compareValues orders two values — as floats when either side is a float,
 // as integers otherwise — and applies the comparison op.
 func compareValues(op Opcode, a, b Value) Value {
-	var c int
 	if a.Kind == KindFloat || b.Kind == KindFloat {
 		x, y := a.AsFloat(), b.AsFloat()
-		switch {
-		case x < y:
-			c = -1
-		case x > y:
-			c = 1
-		}
-	} else {
-		x, y := a.AsInt(), b.AsInt()
-		switch {
-		case x < y:
-			c = -1
-		case x > y:
-			c = 1
-		}
+		return Bool(holds(op, x < y, x > y))
 	}
+	x, y := a.AsInt(), b.AsInt()
+	return Bool(holds(op, x < y, x > y))
+}
+
+// holds applies the comparison op to an ordering of its operands: lt when
+// a < b, gt when a > b, neither when they are equal or unordered (a NaN
+// orders equal to everything).
+func holds(op Opcode, lt, gt bool) bool {
 	switch op {
 	case CMPLT:
-		return Bool(c < 0)
+		return lt
 	case CMPLE:
-		return Bool(c <= 0)
+		return !gt
 	case CMPGT:
-		return Bool(c > 0)
+		return gt
 	case CMPGE:
-		return Bool(c >= 0)
+		return !lt
 	case CMPEQ:
-		return Bool(c == 0)
-	default:
-		return Bool(c != 0)
+		return !lt && !gt
 	}
+	return lt || gt
 }
 
 // minmaxValues picks the extremum, preserving integer identity for

@@ -26,6 +26,15 @@ func TestEvalScalar(t *testing.T) {
 		{AND, Bool(true), Bool(false), Bool(false)},
 		{OR, Bool(true), Bool(false), Bool(true)},
 		{NOT, Bool(false), Value{}, Bool(true)},
+		// On ints the logical ops read truthiness and yield a bool, not
+		// bits: 6 AND 3 is true (not 2), 4 OR 0 is true (not 4), NOT 5 is
+		// false (not -6).
+		{AND, Int(6), Int(3), Bool(true)},
+		{AND, Int(6), Int(0), Bool(false)},
+		{OR, Int(4), Int(0), Bool(true)},
+		{OR, Int(0), Int(0), Bool(false)},
+		{NOT, Int(5), Value{}, Bool(false)},
+		{NOT, Int(0), Value{}, Bool(true)},
 		// Integer MAX/MIN preserve the integer kind.
 		{MAX, Int(3), Int(7), Int(7)},
 		{MIN, Int(3), Int(7), Int(3)},

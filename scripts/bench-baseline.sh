@@ -22,8 +22,8 @@ for seed in 1 2 3 4 5; do
 		bash benchmark/run.sh --workload all --seed "$seed" --seconds 12 --trace "$trace" --out "$tmp" >&2
 	done
 done
-go test -run '^$' -bench 'WorkerExec|Shard|EncodeMsg|DecodeMsg|RoundTrip|SubmitFloor|ProbeRound|SimEvent|SimSimple|RuntimeSimple' \
-	-benchmem -count 5 ./internal/cluster ./internal/istructure ./internal/sim ./internal/podsrt >"$tmp/layers.txt"
+go test -run '^$' -bench 'RunKernelLoop|WorkerExec|Shard|EncodeMsg|DecodeMsg|RoundTrip|SubmitFloor|ProbeRound|SimEvent|SimSimple|RuntimeSimple' \
+	-benchmem -count 5 ./internal/isa ./internal/cluster ./internal/istructure ./internal/sim ./internal/podsrt >"$tmp/layers.txt"
 
 mv "$tmp/results.jsonl" BENCH_RESULTS.jsonl
 mv "$tmp/layers.txt" BENCH_LAYERS.txt
