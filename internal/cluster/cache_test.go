@@ -75,7 +75,7 @@ func pumpedRun(t *testing.T, k kernels.Kernel, n, pes int, cfg Config,
 	eps := newChanTransport(pes, 0)
 	ws := make([]*worker, pes)
 	for pe := range ws {
-		eps[pe] = &countingEP{Endpoint: eps[pe]}
+		eps[pe].out = &countingEP{Endpoint: eps[pe].out}
 		ws[pe] = newWorker(pe, &cfg, prog, eps[pe])
 	}
 	driver := eps[pes]
@@ -83,7 +83,7 @@ func pumpedRun(t *testing.T, k kernels.Kernel, n, pes int, cfg Config,
 	arrays := make(map[int64]*gathered)
 	drainDriver := func() {
 		for {
-			m, ok := driver.TryRecv()
+			m, ok := driver.in.tryRecv()
 			if !ok {
 				return
 			}
@@ -101,7 +101,8 @@ func pumpedRun(t *testing.T, k kernels.Kernel, n, pes int, cfg Config,
 			case KFail:
 				t.Fatalf("worker failed: %s", m.Name)
 			case KDump:
-				if err := arrays[m.Arr].merge(m); err != nil {
+				g := arrays[m.Arr]
+				if err := mergeDump(g.h.Name, g.vals, g.mask, nil, m); err != nil {
 					t.Fatal(err)
 				}
 			case KCostReport:
@@ -123,7 +124,7 @@ func pumpedRun(t *testing.T, k kernels.Kernel, n, pes int, cfg Config,
 		if rounds > 50_000_000 {
 			t.Fatal("pumped run did not quiesce")
 		}
-		progress := stepOneRound(ws, eps)
+		progress := stepOneRound(ws)
 		drainDriver()
 		if coord != nil {
 			progress = coord.step(t, driver, pes, rounds, progress)
@@ -153,7 +154,7 @@ func pumpedRun(t *testing.T, k kernels.Kernel, n, pes int, cfg Config,
 			}
 		}
 	}
-	for stepOneRound(ws, eps) {
+	for stepOneRound(ws) {
 		drainDriver()
 	}
 	drainDriver()
@@ -205,7 +206,7 @@ func pinTwice[S comparable](t *testing.T, arm string, want S, run func() S) {
 func checkGathered(t *testing.T, arrays map[int64]*gathered,
 	wantVals map[string][]float64, wantMasks map[string][]bool) {
 	t.Helper()
-	for name, ref := range wantVals {
+	for name := range wantVals {
 		var g *gathered
 		for _, cand := range arrays {
 			if cand.h.Name == name {
@@ -215,17 +216,7 @@ func checkGathered(t *testing.T, arrays map[int64]*gathered,
 		if g == nil {
 			t.Fatalf("array %q never allocated", name)
 		}
-		if len(g.vals) != len(ref) {
-			t.Fatalf("%s: %d elements, want %d", name, len(g.vals), len(ref))
-		}
-		for i := range ref {
-			if g.mask[i] != wantMasks[name][i] {
-				t.Fatalf("%s[%d]: written=%v, want %v", name, i, g.mask[i], wantMasks[name][i])
-			}
-			if g.mask[i] && g.vals[i] != ref[i] {
-				t.Fatalf("%s[%d] = %v, want %v (cluster disagrees with sim)", name, i, g.vals[i], ref[i])
-			}
-		}
+		checkArray(t, name, g.vals, g.mask, wantVals[name], wantMasks[name])
 	}
 }
 

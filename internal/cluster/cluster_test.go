@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -9,7 +10,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/partition"
-	"repro/internal/sim"
 	"repro/internal/translate"
 )
 
@@ -73,31 +73,17 @@ func TestIDPacking(t *testing.T) {
 	}
 }
 
-// simArrays runs the simulator as the reference backend.
+// simArrays runs the simulator as the reference backend, for kernels that
+// write every element of the named arrays.
 func simArrays(t *testing.T, prog *isa.Program, pes int, names []string, args ...isa.Value) map[string][]float64 {
 	t.Helper()
-	m, err := sim.New(prog, sim.Config{NumPEs: pes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(args...); err != nil {
-		t.Fatal(err)
-	}
-	out := make(map[string][]float64)
-	for _, name := range names {
-		vals, mask, _, err := m.ReadArray(name)
-		if err != nil {
-			t.Fatal(err)
+	vals, masks := simArraysMasked(t, prog, pes, names, args...)
+	for name, mask := range masks {
+		if i := slices.Index(mask, false); i >= 0 {
+			t.Fatalf("sim: %s[%d] never written", name, i)
 		}
-		for i, okv := range mask {
-			if !okv {
-				t.Fatalf("sim: %s[%d] never written", name, i)
-			}
-			_ = i
-		}
-		out[name] = vals
 	}
-	return out
+	return vals
 }
 
 func checkAgainstSim(t *testing.T, res *Result, want map[string][]float64) {

@@ -114,7 +114,7 @@ func hotPrograms() *isa.Program {
 // broadcasts land on.
 type hotWorker struct {
 	*worker
-	driver Endpoint
+	driver *jobEndpoint
 }
 
 func newHotWorker(tb testing.TB) hotWorker {
@@ -136,7 +136,7 @@ func (w hotWorker) run(tb testing.TB, tmpl int, args ...isa.Value) int64 {
 		w.step()
 	}
 	for {
-		if _, ok := w.driver.TryRecv(); !ok {
+		if _, ok := w.driver.in.tryRecv(); !ok {
 			break
 		}
 	}

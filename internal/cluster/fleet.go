@@ -6,7 +6,6 @@ import (
 	"math"
 	"net"
 	"sync"
-	"time"
 
 	"repro/internal/isa"
 )
@@ -40,27 +39,20 @@ func (e *jobEndpoint) Send(to int, m *Msg) error {
 	return e.out.Send(to, m)
 }
 
-func (e *jobEndpoint) Recv(ctx context.Context) (*Msg, error) { return e.in.recv(ctx) }
-
-func (e *jobEndpoint) RecvUntil(ctx context.Context, wake <-chan time.Time) (*Msg, error) {
-	return e.in.recvUntil(ctx, wake)
-}
-
-func (e *jobEndpoint) TryRecv() (*Msg, bool) {
-	m, ok, _, _ := e.in.pop()
-	return m, ok
-}
-
 func (e *jobEndpoint) Close() error {
 	e.in.close()
 	return nil
 }
 
-// Repoint forwards peer-address updates to the underlying transport (TCP
-// workers re-dial a re-homed peer; the channel transport has nothing to do).
-func (e *jobEndpoint) Repoint(peers []string) {
-	if rp, ok := e.out.(interface{ Repoint([]string) }); ok {
-		rp.Repoint(peers)
+// repoint installs an updated peer address list after a recovery (the
+// channel transport has nothing to do): a TCP peer whose address changed
+// was replaced, so its cached connection (which may point at the dead
+// incarnation) is dropped and redialed lazily on the next send.
+func (e *jobEndpoint) repoint(peers []string) {
+	if t, ok := e.out.(*tcpEndpoint); ok {
+		for i := 0; i < len(peers) && i < len(t.links)-1; i++ {
+			t.repoint(i, peers[i], nil)
+		}
 	}
 }
 
@@ -94,7 +86,7 @@ func (h *fleetHost) serve(ctx context.Context) {
 		h.wg.Wait()
 	}()
 	for {
-		m, err := h.ep.Recv(ctx)
+		m, err := h.in.box.recv(ctx)
 		if err != nil {
 			return
 		}
@@ -185,7 +177,7 @@ type Fleet struct {
 
 	in   *inboxTable // the driver endpoint's: every job's inbox opens here
 	cnet *chanTransport
-	td   *tcpDriver
+	tcp  *tcpEndpoint
 }
 
 // fleetJob is the driver-side record of a live job: its inbox and what
@@ -240,7 +232,7 @@ func OpenFleet(ctx context.Context, cfg Config) (*Fleet, error) {
 // dialTCP connects to every worker address, announces the fleet geometry
 // with a fleet-level KInit, and starts a liveness pump per connection.
 func (f *Fleet) dialTCP(ctx context.Context, cfg Config) error {
-	d := &tcpDriver{self: f.n, in: newInboxTable(0)}
+	d := &tcpEndpoint{self: f.n, in: newInboxTable(0), links: make([]tcpLink, f.n)}
 	var dialer net.Dialer
 	for i, addr := range cfg.Workers {
 		conn, err := dialer.DialContext(ctx, "tcp", addr)
@@ -249,14 +241,14 @@ func (f *Fleet) dialTCP(ctx context.Context, cfg Config) error {
 			return fmt.Errorf("cluster: dialing worker %d at %s: %w", i, addr, err)
 		}
 		o := newOutbox(conn)
-		d.conns = append(d.conns, o)
+		d.links[i] = tcpLink{addr: addr, out: o}
 		if err := o.send(fleetInitMsg(i, cfg.Workers)); err != nil {
 			d.Close()
 			return fmt.Errorf("cluster: init worker %d at %s: %w", i, addr, err)
 		}
-		go pumpWorkerConn(d, i, 0, conn)
+		go d.pumpWorker(i, 0, conn)
 	}
-	f.td, f.ep, f.in = d, d, d.in
+	f.tcp, f.ep, f.in = d, d, d.in
 	f.peers = append([]string(nil), cfg.Workers...)
 	f.sparesLeft = append([]string(nil), cfg.Spares...)
 	return nil
@@ -294,7 +286,7 @@ func (f *Fleet) lookupProg(job int32, wire []byte) (*isa.Program, error) {
 func (f *Fleet) dispatch() {
 	defer f.wg.Done()
 	for {
-		m, err := f.ep.Recv(f.ctx)
+		m, err := f.in.box.recv(f.ctx)
 		if err != nil {
 			f.mu.Lock()
 			for _, fj := range f.jobs {
@@ -395,7 +387,7 @@ func (f *Fleet) Submit(ctx context.Context, prog *isa.Program, cfg Config, args 
 	}
 
 	var progBytes []byte
-	if f.td != nil {
+	if f.tcp != nil {
 		b, err := isa.MarshalPods(prog)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: marshal program: %w", err)
@@ -422,7 +414,7 @@ func (f *Fleet) Submit(ctx context.Context, prog *isa.Program, cfg Config, args 
 	id := f.allocJobIDLocked()
 	fj := &fleetJob{box: f.in.open(id), cfg: cfg, prog: progBytes}
 	f.jobs[id] = fj
-	if f.td == nil {
+	if f.tcp == nil {
 		f.progs[id] = prog
 	}
 	// A host that died before this job existed is down for it too: the job
@@ -503,7 +495,7 @@ func (f *Fleet) respawnJob(job int32, pe int, epoch int32, incs []int32) ([]stri
 		f.deadPending[pe] = false
 	}
 	var peers []string
-	if f.td != nil {
+	if f.tcp != nil {
 		peers = append([]string(nil), f.peers...)
 	}
 	cfg := fj.cfg
@@ -552,8 +544,8 @@ func (f *Fleet) rehomeLocked(pe int, gen int32) error {
 		conn.Close()
 		return fmt.Errorf("init spare %s: %w", addr, err)
 	}
-	f.td.repoint(pe, o)
-	go pumpWorkerConn(f.td, pe, gen, conn)
+	f.tcp.repoint(pe, addr, o)
+	go f.tcp.pumpWorker(pe, gen, conn)
 	return nil
 }
 

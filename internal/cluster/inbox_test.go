@@ -395,3 +395,30 @@ func TestFleetLateJobHearsOfDeadHost(t *testing.T) {
 		t.Errorf("job B recovered %d times, want >= 1", res.Stats.Recoveries)
 	}
 }
+
+// TestChanSeverDiscardsQueued: the fault injector's kill severs the PE's
+// fleet host from everything still queued for it. The frames waiting in
+// its box are discarded and the box closes, so the host acts on nothing
+// more: its receive fails with ErrClosed at once, and the driver hears a
+// KDown.
+func TestChanSeverDiscardsQueued(t *testing.T) {
+	cn := newChanNet(2, 0, 0, 0)
+	pe, driver := cn.endpoint(0), cn.endpoint(2)
+	for _, m := range []*Msg{{Kind: KSpawn}, {Kind: KStop}} {
+		if err := driver.Send(0, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pe.Send(1, &Msg{Kind: KAck}); err != ErrClosed {
+		t.Fatalf("the kill did not fire: send returned %v", err)
+	}
+	if m, ok := pe.in.box.tryRecv(); ok {
+		t.Fatalf("the severed box still delivered a %v", m.Kind)
+	}
+	if m, err := pe.in.box.recv(testCtx(t)); err != ErrClosed {
+		t.Fatalf("receive on the severed box: %v, %v; want ErrClosed", m, err)
+	}
+	if m, ok := cn.ins[2].box.tryRecv(); !ok || m.Kind != KDown || m.From != 0 {
+		t.Fatalf("driver got %+v, want PE 0's KDown", m)
+	}
+}

@@ -58,14 +58,14 @@ func TestOffLayerFramesFailCleanly(t *testing.T) {
 					m.From = 1 // a peer's frame
 				}
 				w.handle(m)
-				got, ok := eps[2].TryRecv()
+				got, ok := eps[2].in.tryRecv()
 				if want := "unexpected " + m.Kind.String() + " message"; !ok || got.Kind != KFail || !strings.Contains(got.Name, want) {
 					t.Fatalf("got %+v, want a KFail %q", got, want)
 				}
 				if w.epoch != 0 || len(w.insts) != 0 {
 					t.Fatalf("the frame took effect: epoch %d, %d live SPs", w.epoch, len(w.insts))
 				}
-				if extra, ok := eps[1].TryRecv(); ok {
+				if extra, ok := eps[1].in.tryRecv(); ok {
 					t.Fatalf("the worker answered the peer with a %v", extra.Kind)
 				}
 			})

@@ -115,7 +115,7 @@ func main(n: int) {
 				ws, arrays := pumpedRun(t, k, tc.n, 2, Config{Heat: tc.heat}, nil, nil)
 				checkGathered(t, arrays, wantVals, wantMasks)
 				c := ws[tc.reader].counters()
-				reader, owner := ws[tc.reader].ep.(*countingEP), ws[tc.owner].ep.(*countingEP)
+				reader, owner := ws[tc.reader].ep.out.(*countingEP), ws[tc.owner].ep.out.(*countingEP)
 				return pageTableReads{
 					misses: c.CacheMisses,
 					joins:  c.ReadJoins,

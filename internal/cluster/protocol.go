@@ -4,10 +4,10 @@
 // a typed message protocol — token delivery, SPAWND broadcast, remote
 // I-structure read with deferred-read queueing, page request/ship with
 // invalidation-free single-assignment caching, and distributed termination
-// detection — over a pluggable Transport. Two transports exist: an
-// in-process channel transport (one goroutine + mailbox per PE, zero shared
-// state) and a TCP transport (length-prefixed frames over net.Conn, so PEs
-// can run as separate OS processes; see cmd/podsd).
+// detection — sent through an Endpoint and received from mailboxes. Two
+// endpoints exist: an in-process channel transport (one goroutine + mailbox
+// per PE, zero shared state) and a TCP transport (length-prefixed frames
+// over net.Conn, so PEs can run as separate OS processes; see cmd/podsd).
 //
 // Unlike internal/podsrt, which models a shared-memory multiprocessor with
 // a single mutex-protected I-structure store, this runtime is faithful to

@@ -321,9 +321,7 @@ func (w *worker) applyRecover(m *Msg) {
 		}
 	}
 	if len(m.Cfg.Peers) > 0 {
-		if rp, ok := w.ep.(interface{ Repoint([]string) }); ok {
-			rp.Repoint(m.Cfg.Peers)
-		}
+		w.ep.repoint(m.Cfg.Peers)
 	}
 	for _, k := range dead {
 		w.replayFor(k)

@@ -11,64 +11,11 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/kernels"
-	"repro/internal/sim"
 )
 
 // Tests for worker-failure recovery: the fault injector killing a PE
 // mid-run, the incarnation fence in isolation, and TCP re-homing onto a
 // spare worker.
-
-// maskedRef is one reference array: values plus written-mask (kernels like
-// triangular legitimately leave elements unwritten).
-type maskedRef struct {
-	vals []float64
-	mask []bool
-}
-
-// simMaskedArrays runs the simulator as the reference backend, keeping the
-// presence masks so partially-written arrays compare exactly.
-func simMaskedArrays(t *testing.T, prog *isa.Program, pes int, names []string, args ...isa.Value) map[string]maskedRef {
-	t.Helper()
-	m, err := sim.New(prog, sim.Config{NumPEs: pes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(args...); err != nil {
-		t.Fatal(err)
-	}
-	out := make(map[string]maskedRef)
-	for _, name := range names {
-		vals, mask, _, err := m.ReadArray(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[name] = maskedRef{vals: vals, mask: mask}
-	}
-	return out
-}
-
-// checkMasked diffs a cluster result against the masked reference bit for
-// bit — values and presence both.
-func checkMasked(t *testing.T, res *Result, want map[string]maskedRef) {
-	t.Helper()
-	for name, ref := range want {
-		vals, mask, _, err := res.ReadArray(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(vals) != len(ref.vals) {
-			t.Fatalf("%s: %d elements, want %d", name, len(vals), len(ref.vals))
-		}
-		for i := range vals {
-			if mask[i] != ref.mask[i] {
-				t.Fatalf("%s[%d]: written=%v, want %v", name, i, mask[i], ref.mask[i])
-			}
-			if ref.mask[i] && vals[i] != ref.vals[i] {
-				t.Fatalf("%s[%d] = %v, want %v (recovered run diverged)", name, i, vals[i], ref.vals[i])
-			}
-		}
-	}
-}
 
 // runKilled executes a kernel with PE killPE fault-injected after
 // killAfter worker-to-worker frames and recovery enabled, then checks the
@@ -76,7 +23,7 @@ func checkMasked(t *testing.T, res *Result, want map[string]maskedRef) {
 func runKilled(t *testing.T, k kernels.Kernel, n, pes, killPE int, killAfter int64, cfg Config) *Result {
 	t.Helper()
 	prog := compile(t, k.File(), k.Source)
-	want := simMaskedArrays(t, prog, pes, k.Arrays, k.Args(n)...)
+	wantVals, wantMasks := simArraysMasked(t, prog, pes, k.Arrays, k.Args(n)...)
 	cfg.NumPEs = pes
 	cfg.Recover = true
 	cfg.KillPE = killPE
@@ -85,7 +32,7 @@ func runKilled(t *testing.T, k kernels.Kernel, n, pes, killPE int, killAfter int
 	if err != nil {
 		t.Fatalf("killed run (pes=%d kill=%d after=%d): %v", pes, killPE, killAfter, err)
 	}
-	checkMasked(t, res, want)
+	checkAgainstSimMasked(t, res, wantVals, wantMasks)
 	return res
 }
 
@@ -182,7 +129,7 @@ func TestRecoverDisabledStillFails(t *testing.T) {
 
 // fenceWorker builds a worker wired to a private transport, with recovery
 // armed and the given peer-incarnation vector.
-func fenceWorker(t *testing.T, incs []int32) (*worker, []Endpoint) {
+func fenceWorker(t *testing.T, incs []int32) (*worker, []*jobEndpoint) {
 	t.Helper()
 	prog := compile(t, "fence.id", `
 func main(n: int) {
@@ -255,13 +202,13 @@ func TestEarlyEpochFramesWaitForRecover(t *testing.T) {
 	if !slices.Equal(w.recover.early, held) {
 		t.Fatalf("held %d frames, want all %d in arrival order", len(w.recover.early), len(held))
 	}
-	if m, ok := eps[1].TryRecv(); ok {
+	if m, ok := eps[1].in.tryRecv(); ok {
 		t.Fatalf("an early frame made the worker send a %v", m.Kind)
 	}
 
 	recoverTo := func(epoch int32) {
 		w.handle(&Msg{Kind: KRecover, From: 2, Epoch: epoch, Cfg: &MsgCfg{Incs: []int32{0, 0}}})
-		if m, ok := eps[1].TryRecv(); !ok || m.Kind != KFlush || m.Epoch != epoch {
+		if m, ok := eps[1].in.tryRecv(); !ok || m.Kind != KFlush || m.Epoch != epoch {
 			t.Fatalf("epoch %d: no flush marker of that epoch went to the peer (got %+v)", epoch, m)
 		}
 	}
@@ -382,7 +329,7 @@ func TestRecoverTCPSpare(t *testing.T) {
 	// Long-running arguments: enough gate-serialized sweeps that the kill
 	// timer below reliably lands mid-run over loopback TCP.
 	args := []isa.Value{isa.Int(12), isa.Int(96)}
-	want := simMaskedArrays(t, prog, 4, k.Arrays, args...)
+	wantVals, wantMasks := simArraysMasked(t, prog, 4, k.Arrays, args...)
 
 	var wg sync.WaitGroup
 	t.Cleanup(wg.Wait)
@@ -406,7 +353,7 @@ func TestRecoverTCPSpare(t *testing.T) {
 	if err != nil {
 		t.Fatalf("TCP run with spare: %v", err)
 	}
-	checkMasked(t, res, want)
+	checkAgainstSimMasked(t, res, wantVals, wantMasks)
 	if res.Stats.Recoveries < 1 {
 		t.Skip("run finished before the kill landed (recoveries=0); results verified anyway")
 	}

@@ -40,22 +40,23 @@ type gathered struct {
 	mask []bool
 }
 
-// merge folds one worker's KDump segment into the assembled array. The
-// offsets come off the wire, so they are validated against the assembled
-// size — a corrupt or duplicated dump must fail the run, not panic the
-// driver.
-func (g *gathered) merge(m *Msg) error {
+// mergeDump folds a KDump segment into an assembled array's values and
+// mask (and raw values, when non-nil): a worker's on the driver, or the job
+// server's on a submitting client. The offsets come off the wire, so they
+// are validated against the assembled size — a corrupt or duplicated dump
+// must fail the run, not panic the receiver.
+func mergeDump(name string, vals []float64, mask []bool, raw []isa.Value, m *Msg) error {
 	base := int(m.Off)
-	if base < 0 || len(m.Vals) != len(m.Set) || base > len(g.vals)-len(m.Vals) {
+	if base < 0 || len(m.Vals) != len(m.Set) || base > len(vals)-len(m.Vals) {
 		return fmt.Errorf("cluster: dump segment [%d,%d) with %d presence bits does not fit array %q (%d elements)",
-			base, base+len(m.Vals), len(m.Set), g.h.Name, len(g.vals))
+			base, base+len(m.Vals), len(m.Set), name, len(vals))
 	}
 	for i, v := range m.Vals {
 		if m.Set[i] {
-			g.vals[base+i] = v.AsFloat()
-			g.mask[base+i] = true
-			if g.raw != nil {
-				g.raw[base+i] = v
+			vals[base+i] = v.AsFloat()
+			mask[base+i] = true
+			if raw != nil {
+				raw[base+i] = v
 			}
 		}
 	}
@@ -127,7 +128,7 @@ func Execute(ctx context.Context, prog *isa.Program, cfg Config, args ...isa.Val
 // gather every array and stop the workers. respawn, when non-nil and
 // cfg.Recover is set, lets the driver survive worker deaths by respawning
 // and replaying them instead of failing the run.
-func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, args []isa.Value, respawn respawnFunc) (*Result, error) {
+func drive(ctx context.Context, ep *jobEndpoint, cfg Config, entry *isa.Template, args []isa.Value, respawn respawnFunc) (*Result, error) {
 	n := cfg.NumPEs
 	res := &Result{
 		NumPEs: n,
@@ -256,7 +257,7 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 			}
 			res.byName[h.Name] = m.Arr
 			for _, d := range ck.release(m.Arr) {
-				if err := g.merge(d); err != nil {
+				if err := mergeDump(g.h.Name, g.vals, g.mask, g.raw, d); err != nil {
 					return err
 				}
 			}
@@ -280,7 +281,7 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 			down = append(down, int(m.From))
 		case KDump:
 			if g := res.arrays[m.Arr]; g != nil {
-				return g.merge(m)
+				return mergeDump(g.h.Name, g.vals, g.mask, g.raw, m)
 			}
 			// A checkpoint dump can race the allocator's KAlloc broadcast
 			// on another stream: it waits for the header.
@@ -416,7 +417,7 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 		ticked := false
 		timer.Reset(interval)
 		for !ticked && len(down) == 0 && !det.armed() {
-			m, err := ep.RecvUntil(ctx, timer.C)
+			m, err := ep.in.recvUntil(ctx, timer.C)
 			switch {
 			case err == errWake:
 				ticked = true
@@ -528,7 +529,7 @@ func traceGatherWait(roundTimeout time.Duration) time.Duration {
 // message loop) contributes an empty PETrace instead of failing the
 // gather. Driver-bound frames of any other kind arriving in the window are
 // stale post-termination traffic and are dropped.
-func gatherTraces(ctx context.Context, ep Endpoint, t *time.Timer, n int, wait time.Duration, rec *recovery) []trace.PETrace {
+func gatherTraces(ctx context.Context, ep *jobEndpoint, t *time.Timer, n int, wait time.Duration, rec *recovery) []trace.PETrace {
 	out := make([]trace.PETrace, n)
 	got := make([]bool, n)
 	need := 0
@@ -563,7 +564,7 @@ func gatherTraces(ctx context.Context, ep Endpoint, t *time.Timer, n int, wait t
 // round's error message. The wait per receive is short: the PEs that can
 // still talk answer immediately, and the one the round is stalled on
 // probably never will.
-func stallTraceDump(ctx context.Context, ep Endpoint, t *time.Timer, n int, rec *recovery) string {
+func stallTraceDump(ctx context.Context, ep *jobEndpoint, t *time.Timer, n int, rec *recovery) string {
 	pts := gatherTraces(ctx, ep, t, n, 500*time.Millisecond, rec)
 	var b strings.Builder
 	for pe := range pts {
@@ -579,13 +580,13 @@ func stallTraceDump(ctx context.Context, ep Endpoint, t *time.Timer, n int, rec 
 // message: it fires only on genuine silence, never on a phase that is slow
 // but progressing. stalled distinguishes the bound from the caller's
 // context ending.
-func recvWithin(ctx context.Context, ep Endpoint, t *time.Timer, within time.Duration) (m *Msg, stalled bool, err error) {
+func recvWithin(ctx context.Context, ep *jobEndpoint, t *time.Timer, within time.Duration) (m *Msg, stalled bool, err error) {
 	if within <= 0 {
-		m, err = ep.Recv(ctx)
+		m, err = ep.in.recv(ctx)
 		return m, false, err
 	}
 	t.Reset(within)
-	m, err = ep.RecvUntil(ctx, t.C)
+	m, err = ep.in.recvUntil(ctx, t.C)
 	t.Stop()
 	return m, err == errWake, err
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 
 	"repro/internal/isa"
@@ -247,14 +248,17 @@ func submitWire(ctx context.Context, addr string, wire []byte, cfg Config, args 
 		case KDump:
 			idx, seen := byName[m.Name]
 			if !seen {
+				// The first segment sizes the array. A negative extent, or
+				// more elements than KDump's int32 offsets address, is a
+				// broken server, not an allocation to attempt.
 				dims := make([]int, len(m.Dims))
 				elems := 1
 				for i, d := range m.Dims {
+					if d < 0 || (d > 0 && elems > math.MaxInt32/int(d)) {
+						return nil, fmt.Errorf("cluster: job server reply: array %q has dims %v", m.Name, m.Dims)
+					}
 					dims[i] = int(d)
 					elems *= int(d)
-				}
-				if elems < 0 {
-					elems = 0
 				}
 				idx = len(reply.Arrays)
 				byName[m.Name] = idx
@@ -265,15 +269,8 @@ func submitWire(ctx context.Context, addr string, wire []byte, cfg Config, args 
 				})
 			}
 			a := &reply.Arrays[idx]
-			off := int(m.Off)
-			for i, v := range m.Vals {
-				if off+i >= len(a.Vals) {
-					break
-				}
-				if i < len(m.Set) && m.Set[i] {
-					a.Vals[off+i] = v.F
-					a.Mask[off+i] = true
-				}
+			if err := mergeDump(a.Name, a.Vals, a.Mask, nil, m); err != nil {
+				return nil, err
 			}
 		case KResult:
 			if m.Slot == 1 {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -63,21 +64,28 @@ func simArraysMasked(t *testing.T, prog *isa.Program, pes int, names []string,
 // the simulator on both values and written-masks.
 func checkAgainstSimMasked(t *testing.T, res *Result, wantVals map[string][]float64, wantMasks map[string][]bool) {
 	t.Helper()
-	for name, ref := range wantVals {
+	for name := range wantVals {
 		vals, mask, _, err := res.ReadArray(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(vals) != len(ref) {
-			t.Fatalf("%s: %d elements, want %d", name, len(vals), len(ref))
+		checkArray(t, name, vals, mask, wantVals[name], wantMasks[name])
+	}
+}
+
+// checkArray compares one assembled array with the simulator's, values and
+// written-mask both.
+func checkArray(t *testing.T, name string, vals []float64, mask []bool, wantVals []float64, wantMask []bool) {
+	t.Helper()
+	if len(vals) != len(wantVals) {
+		t.Fatalf("%s: %d elements, want %d", name, len(vals), len(wantVals))
+	}
+	for i := range wantVals {
+		if mask[i] != wantMask[i] {
+			t.Fatalf("%s[%d]: written=%v, want %v", name, i, mask[i], wantMask[i])
 		}
-		for i := range ref {
-			if mask[i] != wantMasks[name][i] {
-				t.Fatalf("%s[%d]: written=%v, want %v", name, i, mask[i], wantMasks[name][i])
-			}
-			if mask[i] && vals[i] != ref[i] {
-				t.Fatalf("%s[%d] = %v, want %v (cluster disagrees with sim)", name, i, vals[i], ref[i])
-			}
+		if mask[i] && vals[i] != wantVals[i] {
+			t.Fatalf("%s[%d] = %v, want %v (cluster disagrees with sim)", name, i, vals[i], wantVals[i])
 		}
 	}
 }
@@ -85,10 +93,10 @@ func checkAgainstSimMasked(t *testing.T, res *Result, wantVals map[string][]floa
 // drainOnly delivers a worker's pending messages without running its
 // ready SPs, so a test controls exactly when instances start executing.
 // It reports whether any message was delivered.
-func drainOnly(w *worker, ep Endpoint) bool {
+func drainOnly(w *worker) bool {
 	got := false
 	for {
-		m, ok := ep.TryRecv()
+		m, ok := w.ep.in.tryRecv()
 		if !ok {
 			return got
 		}
@@ -99,10 +107,10 @@ func drainOnly(w *worker, ep Endpoint) bool {
 
 // pumpWorker drains one worker's mailbox and runs its ready SPs to
 // quiescence, single-threaded and deterministic.
-func pumpWorker(w *worker, ep Endpoint) bool {
+func pumpWorker(w *worker) bool {
 	progress := false
 	for {
-		stepped := drainOnly(w, ep)
+		stepped := drainOnly(w)
 		for w.readyHead != len(w.ready) {
 			w.step()
 			stepped = true
@@ -128,7 +136,7 @@ func TestStealProtocolGrantForwardLateToken(t *testing.T) {
 	w1 := newWorker(1, cfg, prog, eps[1])
 	driver := eps[2]
 	pump := func() {
-		for pumpWorker(w0, eps[0]) || pumpWorker(w1, eps[1]) {
+		for pumpWorker(w0) || pumpWorker(w1) {
 		}
 	}
 
@@ -140,7 +148,7 @@ func TestStealProtocolGrantForwardLateToken(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	drainOnly(w0, eps[0])
+	drainOnly(w0)
 	id1, id2 := packID(0, 1), packID(0, 2)
 	if len(w0.insts) != 2 {
 		t.Fatalf("PE 0 has %d live SPs, want 2", len(w0.insts))
@@ -149,8 +157,8 @@ func TestStealProtocolGrantForwardLateToken(t *testing.T) {
 	// PE 1 is idle: its first steal attempt targets PE 0 and must be
 	// granted the oldest instance.
 	w1.maybeSteal()
-	drainOnly(w0, eps[0])
-	drainOnly(w1, eps[1])
+	drainOnly(w0)
+	drainOnly(w1)
 	if w1.steal.steals != 1 || w1.insts[id1] == nil {
 		t.Fatalf("steals=%d insts[id1]=%v, want the first SP stolen to PE 1", w1.steal.steals, w1.insts[id1])
 	}
@@ -171,7 +179,7 @@ func TestStealProtocolGrantForwardLateToken(t *testing.T) {
 	if w0.steal.forwarded != 1 {
 		t.Fatalf("victim forwarded %d tokens, want 1", w0.steal.forwarded)
 	}
-	m, ok := driver.TryRecv()
+	m, ok := driver.in.tryRecv()
 	if !ok || m.Kind != KToken || m.Val.F != 2.5 {
 		t.Fatalf("driver got %+v, want the stolen SP's result token 0+2.5", m)
 	}
@@ -196,7 +204,7 @@ func TestStealProtocolGrantForwardLateToken(t *testing.T) {
 		t.Fatal(err)
 	}
 	pump()
-	if _, ok := driver.TryRecv(); !ok {
+	if _, ok := driver.in.tryRecv(); !ok {
 		t.Fatal("home SP produced no result")
 	}
 	if w0.sent+w1.sent != w0.recv+w1.recv {
@@ -234,11 +242,11 @@ func TestStealBackClearsStaleStub(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	drainOnly(w0, eps[0])
+	drainOnly(w0)
 	id1 := packID(0, 1)
 	w1.maybeSteal()
-	drainOnly(w0, eps[0])
-	drainOnly(w1, eps[1])
+	drainOnly(w0)
+	drainOnly(w1)
 	if w1.insts[id1] == nil {
 		t.Fatal("first steal did not move id1 to PE 1")
 	}
@@ -248,10 +256,10 @@ func TestStealBackClearsStaleStub(t *testing.T) {
 		Args: []isa.Value{isa.SPRef(0), isa.Float(0)}}); err != nil {
 		t.Fatal(err)
 	}
-	drainOnly(w1, eps[1])
+	drainOnly(w1)
 	w0.maybeSteal()
-	drainOnly(w1, eps[1])
-	drainOnly(w0, eps[0])
+	drainOnly(w1)
+	drainOnly(w0)
 	if w0.insts[id1] == nil {
 		t.Fatal("steal-back did not return id1 to PE 0")
 	}
@@ -265,7 +273,7 @@ func TestStealBackClearsStaleStub(t *testing.T) {
 	// Run everything down, then push a late token through PE 1's stub: it
 	// must come home and be dropped, not orbit.
 	pump := func() {
-		for pumpWorker(w0, eps[0]) || pumpWorker(w1, eps[1]) {
+		for pumpWorker(w0) || pumpWorker(w1) {
 		}
 	}
 	for _, id := range []int64{id1, packID(0, 2), packID(1, 1)} {
@@ -294,7 +302,7 @@ func TestStealDeclinedWhenUnloaded(t *testing.T) {
 	w1 := newWorker(1, cfg, prog, eps[1])
 	driver := eps[2]
 	pump := func() {
-		for pumpWorker(w0, eps[0]) || pumpWorker(w1, eps[1]) {
+		for pumpWorker(w0) || pumpWorker(w1) {
 		}
 	}
 
@@ -350,10 +358,10 @@ func TestStealDeclinedWhenUnloaded(t *testing.T) {
 
 // stepOneRound gives every worker one drain plus at most one step — a
 // deterministic stand-in for N PEs progressing in parallel.
-func stepOneRound(ws []*worker, eps []Endpoint) bool {
+func stepOneRound(ws []*worker) bool {
 	progress := false
-	for i, w := range ws {
-		progress = drainOnly(w, eps[i]) || progress
+	for _, w := range ws {
+		progress = drainOnly(w) || progress
 		if w.readyHead != len(w.ready) {
 			w.step()
 			progress = true
@@ -457,15 +465,15 @@ func TestStealGrantBatchHalfOldestFirst(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	drainOnly(w0, eps[0])
+	drainOnly(w0)
 
 	w1.maybeSteal()
-	if m, ok := eps[0].TryRecv(); ok {
+	if m, ok := eps[0].in.tryRecv(); ok {
 		w0.handle(m)
 	} else {
 		t.Fatal("no steal request reached the victim")
 	}
-	grant, ok := eps[1].TryRecv()
+	grant, ok := eps[1].in.tryRecv()
 	if !ok || grant.Kind != KStealGrant {
 		t.Fatalf("thief got %+v, want a grant", grant)
 	}
@@ -513,10 +521,10 @@ func TestStealLocalityPreference(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	drainOnly(w0, eps[0])
+	drainOnly(w0)
 	// The thief holds the page of row 2.
 	w0.handle(&Msg{Kind: KStealReq, From: 1, Lists: &MsgLists{HotPages: []int64{77, 1}}})
-	grant, ok := eps[1].TryRecv()
+	grant, ok := eps[1].in.tryRecv()
 	if !ok || grant.Kind != KStealGrant {
 		t.Fatalf("got %+v, want a grant", grant)
 	}
@@ -548,7 +556,7 @@ func TestStealMidDequeGrantNoShift(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	drainOnly(w0, eps[0])
+	drainOnly(w0)
 	// Mark the bottom SP as started (in flight): it is pinned, so the
 	// grant must skip it and take the next-oldest.
 	started, third := w0.ready[0], w0.ready[2]
@@ -580,7 +588,7 @@ func TestReadyDequeBoundedGrowth(t *testing.T) {
 			Args: []isa.Value{isa.SPRef(0), isa.Float(0)}}); err != nil {
 			t.Fatal(err)
 		}
-		m, ok := eps[0].TryRecv()
+		m, ok := eps[0].in.tryRecv()
 		if !ok {
 			t.Fatal("spawn not delivered")
 		}
@@ -614,7 +622,7 @@ func TestDumpBoundsChecked(t *testing.T) {
 
 	good := &Msg{Kind: KDump, Arr: 7, Off: 4,
 		Vals: []isa.Value{isa.Float(1), isa.Float(2)}, Set: []bool{true, true}}
-	if err := g.merge(roundTrip(t, good)); err != nil {
+	if err := mergeDump("A", g.vals, g.mask, nil, roundTrip(t, good)); err != nil {
 		t.Fatalf("in-bounds dump rejected: %v", err)
 	}
 	bad := []*Msg{
@@ -624,8 +632,44 @@ func TestDumpBoundsChecked(t *testing.T) {
 		{Kind: KDump, Arr: 7, Off: 0, Vals: []isa.Value{isa.Float(1)}, Set: []bool{true, true}},
 	}
 	for i, m := range bad {
-		if err := g.merge(roundTrip(t, m)); err == nil {
+		if err := mergeDump("A", g.vals, g.mask, nil, roundTrip(t, m)); err == nil {
 			t.Errorf("malformed dump %d accepted (vals=%d set=%d off=%d)", i, len(m.Vals), len(m.Set), m.Off)
+		}
+	}
+}
+
+// TestSubmitRejectsBadDump is its client-side twin: a job server's KDump
+// segment that does not fit its array, or dims that are negative or
+// address more elements than int32 offsets can, fail the submit with an
+// error instead of panicking the client. One fake server per bad frame.
+func TestSubmitRejectsBadDump(t *testing.T) {
+	bad := []*Msg{
+		{Kind: KDump, Name: "A", Dims: []int32{4}, Off: -1, Vals: []isa.Value{isa.Float(1)}, Set: []bool{true}},
+		{Kind: KDump, Name: "A", Dims: []int32{4}, Off: 3, Vals: make([]isa.Value, 2), Set: make([]bool, 2)},
+		{Kind: KDump, Name: "A", Dims: []int32{4}, Vals: make([]isa.Value, 2), Set: make([]bool, 1)},
+		{Kind: KDump, Name: "A", Dims: []int32{-4}},
+		{Kind: KDump, Name: "A", Dims: []int32{1 << 16, 1 << 16}},
+	}
+	for i, m := range bad {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			if _, err := newFrameReader(conn).next(); err == nil { // the KSubmit
+				writeFrame(conn, m)
+				writeFrame(conn, &Msg{Kind: KResult})
+			}
+		}()
+		_, err = submitWire(testCtx(t), ln.Addr().String(), nil, Config{}, nil)
+		ln.Close()
+		if err == nil {
+			t.Errorf("bad dump %d accepted (dims %v, off %d, %d vals, %d set)", i, m.Dims, m.Off, len(m.Vals), len(m.Set))
 		}
 	}
 }
@@ -642,7 +686,7 @@ func roundTrip(t *testing.T, m *Msg) *Msg {
 }
 
 // TestLatencyMailboxOrdering pins the latency-injection mechanics at the
-// mailbox level: an undue message is invisible to TryRecv, Recv waits it
+// mailbox level: an undue message is invisible to tryRecv, recv waits it
 // out, and per-pair FIFO survives the delay.
 func TestLatencyMailboxOrdering(t *testing.T) {
 	b := newDelayMailbox(20 * time.Millisecond)

@@ -275,174 +275,93 @@ func pump(conn net.Conn, in *inboxTable, onInit func(net.Conn)) {
 	}
 }
 
-// tcpDriver is the driver's endpoint: one dialed connection per worker.
-// The mutex guards only the table — re-homing swaps a dead worker's slot
-// — and is never held across a write; every concurrent job's driver loop
-// sends through the slot's outbox.
-type tcpDriver struct {
-	self int
-	in   *inboxTable
-
-	mu    sync.Mutex
-	conns []*outbox
-}
-
-func (d *tcpDriver) Send(to int, m *Msg) error {
-	d.mu.Lock()
-	if to < 0 || to >= len(d.conns) {
-		d.mu.Unlock()
-		return fmt.Errorf("cluster: send to unknown worker %d", to)
-	}
-	o := d.conns[to]
-	d.mu.Unlock()
-	m.From = int32(d.self)
-	return o.send(m)
-}
-
-// repoint swaps pe's connection for a re-homed replacement. The old
-// connection's pump (if still running) exits on the close; its KDown
-// notice carries the old host generation and is fenced by the fleet.
-func (d *tcpDriver) repoint(pe int, o *outbox) {
-	d.mu.Lock()
-	old := d.conns[pe]
-	d.conns[pe] = o
-	d.mu.Unlock()
-	old.conn.Close() // dead: nothing worth flushing
-}
-
-func (d *tcpDriver) Recv(ctx context.Context) (*Msg, error) { return d.in.box.recv(ctx) }
-func (d *tcpDriver) RecvUntil(ctx context.Context, wake <-chan time.Time) (*Msg, error) {
-	return d.in.box.recvUntil(ctx, wake)
-}
-
-func (d *tcpDriver) TryRecv() (*Msg, bool) {
-	m, ok, _, _ := d.in.box.pop()
-	return m, ok
-}
-
-func (d *tcpDriver) Close() error {
-	d.mu.Lock()
-	conns := d.conns
-	d.mu.Unlock()
-	for _, o := range conns {
-		o.close()
-	}
-	d.in.box.close()
-	return nil
-}
-
-// pumpWorkerConn pumps one worker connection into the driver's table and
-// synthesizes a KDown notice when it drops: a worker dying mid-run is
-// detected at connection-loss speed, and the notice carries the host
-// generation the connection served so a replaced worker's teardown is
-// fenced instead of re-triggering recovery. After d.Close() the box is
-// closed, so the put is a no-op during normal cleanup.
-func pumpWorkerConn(d *tcpDriver, pe int, inc int32, conn net.Conn) {
-	pump(conn, d.in, nil)
-	d.in.put(&Msg{Kind: KDown, From: int32(pe), Inc: inc})
-}
-
-// tcpWorker is a worker's endpoint: the accepted driver connection plus
-// lazily dialed peer connections. Every job instance hosted on this PE
-// sends through this one endpoint; mu guards the driver slot, each peer
-// slot has its own lock (held across that peer's dial, which only senders
-// to the same peer wait for).
-type tcpWorker struct {
+// tcpEndpoint is the driver's or a worker's endpoint on the TCP transport:
+// the inbox table its connections' pumps fill, and one link per party it
+// sends to, indexed by endpoint ID, which every job hosted on the party
+// sends through concurrently. The driver's links are dialed up front and
+// never redialed: re-homing swaps in the spare's connection. A worker's
+// link to the driver (index NumPEs) is the connection its KInit came on;
+// its peer links dial lazily from the address table, which a recovery's
+// KRecover updates (jobEndpoint.repoint).
+type tcpEndpoint struct {
 	self  int
-	n     int
-	peers []tcpPeer
-
-	mu     sync.Mutex
-	driver *outbox
-
-	in *inboxTable
+	in    *inboxTable
+	links []tcpLink
 }
 
-// tcpPeer is one lazily dialed peer connection.
-type tcpPeer struct {
+// tcpLink is the outbox toward one party plus the address it is dialed
+// from. Its lock is never held across a write, only across the dial of a
+// nil out on the next send, which only senders to the same party wait for.
+type tcpLink struct {
 	mu   sync.Mutex
 	addr string
 	out  *outbox
 }
 
-func (t *tcpWorker) Send(to int, m *Msg) error {
-	m.From = int32(t.self)
-	if to == t.n {
-		t.mu.Lock()
-		o := t.driver
-		t.mu.Unlock()
-		if o == nil {
-			return errors.New("cluster: no driver connection")
-		}
-		return o.send(m)
-	}
-	if to < 0 || to >= t.n {
+func (t *tcpEndpoint) Send(to int, m *Msg) error {
+	if to < 0 || to >= len(t.links) {
 		return fmt.Errorf("cluster: send to unknown endpoint %d", to)
 	}
-	p := &t.peers[to]
-	p.mu.Lock()
-	if p.out == nil {
-		conn, err := net.Dial("tcp", p.addr)
+	m.From = int32(t.self)
+	l := &t.links[to]
+	l.mu.Lock()
+	if l.out == nil {
+		conn, err := net.Dial("tcp", l.addr)
 		if err != nil {
-			p.mu.Unlock()
-			return fmt.Errorf("cluster: dialing peer %d at %s: %w", to, p.addr, err)
+			l.mu.Unlock()
+			return fmt.Errorf("cluster: dialing peer %d at %s: %w", to, l.addr, err)
 		}
-		p.out = newOutbox(conn)
+		l.out = newOutbox(conn)
 	}
-	o := p.out
-	p.mu.Unlock()
+	o := l.out
+	l.mu.Unlock()
 	return o.send(m)
 }
 
-// Repoint installs an updated peer address list after a recovery: a peer
-// whose address changed was replaced, so its cached connection (which may
-// point at the dead incarnation) is dropped and redialed lazily on the
-// next send.
-func (t *tcpWorker) Repoint(peers []string) {
-	for i, addr := range peers {
-		if i >= t.n {
-			break
-		}
-		p := &t.peers[i]
-		p.mu.Lock()
-		if p.addr != addr {
-			p.addr = addr
-			if p.out != nil {
-				p.out.conn.Close()
-				p.out = nil
-			}
-		}
-		p.mu.Unlock()
+// repoint moves link `to` to addr with outbox out (nil: dial addr on the
+// next send), closing the connection it replaces unflushed: it served a
+// dead incarnation. On the driver, that connection's pump exits on the
+// close; its KDown carries the old host generation and is fenced by the
+// fleet. A lazy move to the address the link already has is a no-op, so
+// jobs that each announce the same re-homing redial it once.
+func (t *tcpEndpoint) repoint(to int, addr string, out *outbox) {
+	l := &t.links[to]
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if out == nil && l.addr == addr {
+		return
 	}
-}
-
-func (t *tcpWorker) Recv(ctx context.Context) (*Msg, error) { return t.in.box.recv(ctx) }
-func (t *tcpWorker) RecvUntil(ctx context.Context, wake <-chan time.Time) (*Msg, error) {
-	return t.in.box.recvUntil(ctx, wake)
-}
-
-func (t *tcpWorker) TryRecv() (*Msg, bool) {
-	m, ok, _, _ := t.in.box.pop()
-	return m, ok
-}
-
-func (t *tcpWorker) Close() error {
-	t.mu.Lock()
-	o := t.driver
-	t.mu.Unlock()
-	if o != nil {
-		o.close()
+	if l.out != nil {
+		l.out.conn.Close()
 	}
-	for i := range t.peers {
-		p := &t.peers[i]
-		p.mu.Lock()
-		if p.out != nil {
-			p.out.close()
+	l.addr, l.out = addr, out
+}
+
+// Close flushes and closes every link, a worker's driver link first, and
+// closes the table's box.
+func (t *tcpEndpoint) Close() error {
+	for i := len(t.links) - 1; i >= 0; i-- {
+		l := &t.links[i]
+		l.mu.Lock()
+		o := l.out
+		l.mu.Unlock()
+		if o != nil {
+			o.close()
 		}
-		p.mu.Unlock()
 	}
 	t.in.box.close()
 	return nil
+}
+
+// pumpWorker pumps the driver's connection to worker pe into its table and
+// synthesizes a KDown notice when it drops: a worker dying mid-run is
+// detected at connection-loss speed, and the notice carries the host
+// generation the connection served so a replaced worker's teardown is
+// fenced instead of re-triggering recovery. After Close the box is closed,
+// so the put is a no-op during normal cleanup.
+func (t *tcpEndpoint) pumpWorker(pe int, inc int32, conn net.Conn) {
+	pump(conn, t.in, nil)
+	t.in.put(&Msg{Kind: KDown, From: int32(pe), Inc: inc})
 }
 
 // ServeWorker runs one TCP worker PE on ln until the driver session ends
@@ -454,32 +373,34 @@ func (t *tcpWorker) Close() error {
 // call serves one driver session; a long-lived `podsd -worker` process
 // serves sessions in a loop, staying up across drivers and jobs.
 func ServeWorker(ctx context.Context, ln net.Listener) error {
-	t := &tcpWorker{in: newInboxTable(0)}
+	t := &tcpEndpoint{in: newInboxTable(0)} // self and links arrive with the KInit
+	var (
+		mu       sync.Mutex
+		accepted []net.Conn
+		driver   net.Conn // the connection the KInit came on
+	)
 	onInit := func(conn net.Conn) {
-		t.mu.Lock()
-		t.driver = newOutbox(conn)
-		t.mu.Unlock()
+		mu.Lock()
+		driver = conn
+		mu.Unlock()
 	}
-
-	var accepted []net.Conn
-	var amu sync.Mutex
 	go func() {
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			amu.Lock()
+			mu.Lock()
 			accepted = append(accepted, conn)
-			amu.Unlock()
+			mu.Unlock()
 			go func(conn net.Conn) {
 				pump(conn, t.in, onInit)
 				// If the driver's connection drops without a KStop (driver
 				// killed mid-run), close the mailbox so the host drains
 				// what it has and exits instead of hanging forever.
-				t.mu.Lock()
-				isDriver := t.driver != nil && conn == t.driver.conn
-				t.mu.Unlock()
+				mu.Lock()
+				isDriver := conn == driver
+				mu.Unlock()
 				if isDriver {
 					t.in.box.close()
 				}
@@ -489,11 +410,11 @@ func ServeWorker(ctx context.Context, ln net.Listener) error {
 	defer func() {
 		ln.Close()
 		t.Close() // first: flushes the driver connection before it is closed below
-		amu.Lock()
+		mu.Lock()
 		for _, c := range accepted {
 			c.Close()
 		}
-		amu.Unlock()
+		mu.Unlock()
 	}()
 
 	// Wait for the driver's fleet configuration; job frames from eager
@@ -508,16 +429,16 @@ func ServeWorker(ctx context.Context, ln net.Listener) error {
 			init = m
 		}
 	}
-	t.self = int(init.Cfg.PE)
-	t.n = int(init.Cfg.NumPEs)
-	t.peers = make([]tcpPeer, t.n)
-	for i := range t.peers {
-		if i < len(init.Cfg.Peers) {
-			t.peers[i].addr = init.Cfg.Peers[i]
-		}
+	n := int(init.Cfg.NumPEs)
+	t.self, t.links = int(init.Cfg.PE), make([]tcpLink, n+1)
+	for i := 0; i < n && i < len(init.Cfg.Peers); i++ {
+		t.links[i].addr = init.Cfg.Peers[i]
 	}
+	mu.Lock()
+	t.links[n].out = newOutbox(driver)
+	mu.Unlock()
 	var memo progMemo
-	h := newFleetHost(t.self, t.n, t, t.in, func(_ int32, wire []byte) (*isa.Program, error) {
+	h := newFleetHost(t.self, n, t, t.in, func(_ int32, wire []byte) (*isa.Program, error) {
 		if len(wire) == 0 {
 			return nil, errors.New("job start carried no program")
 		}

@@ -142,15 +142,15 @@ func loopbackPair(t testing.TB) (dialed, accepted net.Conn) {
 }
 
 // TestTCPCoalescedFIFO: several jobs' goroutines send numbered frames
-// through one tcpWorker to one peer. Each sender's order survives into its
+// through one worker's tcpEndpoint to one peer. Each sender's order survives into its
 // job's inbox, the frames queued while a write is in flight leave in a
 // single later write, and a lone frame on an idle connection is written at
 // once, by itself.
 func TestTCPCoalescedFIFO(t *testing.T) {
 	a, b := loopbackPair(t)
 	cc := &countConn{Conn: a, gate: make(chan struct{})}
-	w := &tcpWorker{self: 0, n: 2, peers: make([]tcpPeer, 2), in: newInboxTable(0)}
-	w.peers[1].out = newOutbox(cc)
+	w := &tcpEndpoint{self: 0, in: newInboxTable(0), links: make([]tcpLink, 3)}
+	w.links[1].out = newOutbox(cc)
 	in := newInboxTable(0)
 	go pump(b, in, nil)
 
@@ -261,15 +261,15 @@ func TestOutboxStickyWriteError(t *testing.T) {
 // the frames that arrived before the drop.
 func TestTCPSeveredPeerYieldsDown(t *testing.T) {
 	a, b := loopbackPair(t)
-	d := &tcpDriver{self: 2, in: newInboxTable(0), conns: []*outbox{newOutbox(a)}}
-	go pumpWorkerConn(d, 0, 3, a)
+	d := &tcpEndpoint{self: 2, in: newInboxTable(0), links: []tcpLink{{out: newOutbox(a)}}}
+	go d.pumpWorker(0, 3, a)
 	peer := newOutbox(b)
 	if err := peer.send(&Msg{Kind: KAck, From: 0, Round: 1}); err != nil {
 		t.Fatal(err)
 	}
 	peer.close()
 	for _, want := range []MsgKind{KAck, KDown} {
-		m, err := d.Recv(testCtx(t))
+		m, err := d.in.box.recv(testCtx(t))
 		if err != nil || m.Kind != want {
 			t.Fatalf("got %+v, %v; want a %v", m, err, want)
 		}
@@ -426,13 +426,13 @@ func TestProgMemo(t *testing.T) {
 
 // --- layer (d): one transport crossing, chan and loopback TCP ---
 
-// echoEndpoints returns endpoint 0 of a two-party transport whose party 1
+// benchChanEcho returns party 0 of a two-party transport whose party 1
 // sends every message it receives straight back.
-func benchChanEcho(b *testing.B) Endpoint {
+func benchChanEcho(b *testing.B) *jobEndpoint {
 	eps := newChanTransport(2, 0)
 	go func() {
 		for {
-			m, err := eps[1].Recv(context.Background())
+			m, err := eps[1].in.recv(context.Background())
 			if err != nil {
 				return
 			}
@@ -443,29 +443,29 @@ func benchChanEcho(b *testing.B) Endpoint {
 	return eps[0]
 }
 
-func benchLoopbackEcho(b *testing.B) Endpoint {
+func benchLoopbackEcho(b *testing.B) *jobEndpoint {
 	x, y := loopbackPair(b)
-	echo := &tcpDriver{self: 1, in: newInboxTable(0), conns: []*outbox{newOutbox(y)}}
+	echo := &tcpEndpoint{self: 1, in: newInboxTable(0), links: []tcpLink{{out: newOutbox(y)}}}
 	go pump(y, echo.in, nil)
 	go func() {
 		for {
-			m, err := echo.Recv(context.Background())
+			m, err := echo.in.box.recv(context.Background())
 			if err != nil {
 				return
 			}
 			echo.Send(0, m)
 		}
 	}()
-	d := &tcpDriver{self: 0, in: newInboxTable(0), conns: []*outbox{newOutbox(x)}}
+	d := &tcpEndpoint{self: 0, in: newInboxTable(0), links: []tcpLink{{out: newOutbox(x)}}}
 	go pump(x, d.in, nil)
 	b.Cleanup(func() { d.Close(); echo.Close() })
-	return d
+	return &jobEndpoint{out: d, in: d.in.box}
 }
 
 // benchRoundTrip sends burst token frames and waits for all their echoes,
 // b.N times: burst 1 is a ping-pong (latency of one crossing and back),
 // burst 64 the amortized per-frame cost when the path can batch.
-func benchRoundTrip(b *testing.B, ep Endpoint, burst int) {
+func benchRoundTrip(b *testing.B, ep *jobEndpoint, burst int) {
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -476,7 +476,7 @@ func benchRoundTrip(b *testing.B, ep Endpoint, burst int) {
 			}
 		}
 		for j := 0; j < burst; j++ {
-			if _, err := ep.Recv(ctx); err != nil {
+			if _, err := ep.in.recv(ctx); err != nil {
 				b.Fatal(err)
 			}
 		}

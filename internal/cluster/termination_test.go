@@ -340,8 +340,8 @@ func main(n: int) {
 		}()
 	}
 
-	driverEp := &dropDumpReqEndpoint{Endpoint: eps[cfg.NumPEs], dropTo: 1}
-	_, err := drive(ctx, driverEp, cfg, prog.Entry(), []isa.Value{isa.Int(8)}, nil)
+	eps[cfg.NumPEs].out = &dropDumpReqEndpoint{Endpoint: eps[cfg.NumPEs].out, dropTo: 1}
+	_, err := drive(ctx, eps[cfg.NumPEs], cfg, prog.Entry(), []isa.Value{isa.Int(8)}, nil)
 	if err == nil {
 		t.Fatal("drive returned no error although PE 1's dump request was lost")
 	}
@@ -410,14 +410,6 @@ func TestDriveRoundDeadlineReportsSilentWorker(t *testing.T) {
 	}
 }
 
-// stopWhenIdle ends worker.run at the point where it would block: run only
-// calls Recv after TryRecv came up empty, so a test can queue frames, call
-// run on its own goroutine, and inspect what the worker sent once it had
-// nothing left to do.
-type stopWhenIdle struct{ Endpoint }
-
-func (stopWhenIdle) Recv(context.Context) (*Msg, error) { return nil, ErrClosed }
-
 // TestWorkerPushesQuiescenceOncePerState drives one worker's run loop by
 // hand: it reports to the driver, unsolicited, exactly once per change of
 // its idle state — not when nothing changed, not after a probe ack or a
@@ -432,15 +424,19 @@ func main(n: int) {
 }`)
 	eps := newChanTransport(2, 0)
 	peer, driver := eps[1], eps[2]
-	w := newWorker(0, &Config{NumPEs: 2, PageElems: 8, DistThreshold: 16, Steal: true}, prog, stopWhenIdle{eps[0]})
+	w := newWorker(0, &Config{NumPEs: 2, PageElems: 8, DistThreshold: 16, Steal: true}, prog, eps[0])
 	w.enableRecovery(0, 0, nil)
+	// A done context makes run return where it would block: it receives
+	// only after its inbox came up empty.
+	idle, stop := context.WithCancel(context.Background())
+	stop()
 
 	// turn delivers the frames, runs the worker until it would block, and
 	// returns what reached the driver (pushes are KAcks with Round 0) and
 	// the peer.
-	drain := func(ep Endpoint) (ms []*Msg) {
+	drain := func(ep *jobEndpoint) (ms []*Msg) {
 		for {
-			m, ok := ep.TryRecv()
+			m, ok := ep.in.tryRecv()
 			if !ok {
 				return ms
 			}
@@ -454,7 +450,7 @@ func main(n: int) {
 				t.Fatal(err)
 			}
 		}
-		w.run(context.Background())
+		w.run(idle)
 		if w.failed {
 			t.Fatal("worker failed")
 		}
@@ -575,10 +571,10 @@ func TestTerminationIndependentOfProbeTimer(t *testing.T) {
 			if res := submit(floor, Config{}, isa.Int(41)); res.Value == nil || res.Value.AsInt() != 42 {
 				t.Fatalf("floor job returned %v, want 42", res.Value)
 			}
-			checkMasked(t, submit(heatProg, Config{}, heat.Args(10)...),
-				simMaskedArrays(t, heatProg, 2, heat.Arrays, heat.Args(10)...))
-			checkMasked(t, submit(triProg, Config{Steal: true, Adapt: true}, tri.Args(12)...),
-				simMaskedArrays(t, triProg, 2, tri.Arrays, tri.Args(12)...))
+			heatVals, heatMasks := simArraysMasked(t, heatProg, 2, heat.Arrays, heat.Args(10)...)
+			checkAgainstSimMasked(t, submit(heatProg, Config{}, heat.Args(10)...), heatVals, heatMasks)
+			triVals, triMasks := simArraysMasked(t, triProg, 2, tri.Arrays, tri.Args(12)...)
+			checkAgainstSimMasked(t, submit(triProg, Config{Steal: true, Adapt: true}, tri.Args(12)...), triVals, triMasks)
 		})
 	}
 }
@@ -634,7 +630,7 @@ func BenchmarkProbeRound(b *testing.B) {
 			}
 		}
 		for done := false; !done; {
-			m, err := eps[n].Recv(ctx)
+			m, err := eps[n].in.recv(ctx)
 			if err != nil {
 				b.Fatal(err)
 			}

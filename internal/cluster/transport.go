@@ -9,18 +9,21 @@ import (
 	"time"
 )
 
-// ErrClosed is returned by Endpoint.Recv after Close.
+// ErrClosed is returned by a mailbox receive once the box is closed and
+// drained, and by Endpoint.Send after Close.
 var ErrClosed = errors.New("cluster: endpoint closed")
 
-// errWake is returned by Endpoint.RecvUntil when the caller's wake channel
+// errWake is returned by mailbox.recvUntil when the caller's wake channel
 // fired before a message arrived.
 var errWake = errors.New("cluster: receive deadline reached")
 
-// Endpoint is one party on a cluster transport: worker PEs 0..N-1 plus the
-// driver at ID N. Sends are asynchronous, reliable, and FIFO per
-// (sender, receiver) pair — the ordering contract the protocol relies on
-// (e.g. an alloc broadcast reaches a PE before any spawn the allocator
-// sends it afterwards). Recv returns messages in arrival order.
+// Endpoint is the send side of one party on a cluster transport: worker PEs
+// 0..N-1 plus the driver at ID N. Sends are asynchronous, reliable, and
+// FIFO per (sender, receiver) pair — the ordering contract the protocol
+// relies on (e.g. an alloc broadcast reaches a PE before any spawn the
+// allocator sends it afterwards). Every party receives from a mailbox of
+// its own (its endpoint's inbox table routes each arriving frame to one),
+// in arrival order; no transport has a receive method.
 //
 // A sent Msg is owned by the receiver: the sender must not retain or
 // mutate it (or any slice it references) after Send returns.
@@ -29,19 +32,7 @@ type Endpoint interface {
 	// delivery.
 	Send(to int, m *Msg) error
 
-	// Recv blocks until a message arrives, the context is done, or the
-	// endpoint is closed.
-	Recv(ctx context.Context) (*Msg, error)
-
-	// RecvUntil is Recv bounded by a caller-owned deadline: it fails with
-	// errWake once wake delivers (the channel of a timer the caller re-arms;
-	// nil waits like Recv).
-	RecvUntil(ctx context.Context, wake <-chan time.Time) (*Msg, error)
-
-	// TryRecv returns the next message if one is already queued.
-	TryRecv() (*Msg, bool)
-
-	// Close releases the endpoint. Pending and subsequent Recvs fail with
+	// Close releases the endpoint. Receives from its mailbox fail with
 	// ErrClosed once the queue drains.
 	Close() error
 }
@@ -133,7 +124,15 @@ func (b *mailbox) pop() (m *Msg, ok bool, wait time.Duration, closed bool) {
 	return nil, false, 0, b.closed
 }
 
+// recv blocks until a message is due, the context is done, or the box is
+// closed and drained (ErrClosed).
 func (b *mailbox) recv(ctx context.Context) (*Msg, error) { return b.recvUntil(ctx, nil) }
+
+// tryRecv returns the next message if one is already due.
+func (b *mailbox) tryRecv() (*Msg, bool) {
+	m, ok, _, _ := b.pop()
+	return m, ok
+}
 
 // recvUntil is recv with a caller-owned deadline: it returns errWake once
 // wake delivers (a nil wake never does). The caller arms one reusable timer
@@ -181,6 +180,16 @@ func (b *mailbox) close() {
 	case b.notify <- struct{}{}:
 	default:
 	}
+}
+
+// sever closes the box and discards what it holds in one step, so a
+// receive fails with ErrClosed at once: the fault injector's kill.
+func (b *mailbox) sever() {
+	b.mu.Lock()
+	clear(b.q)
+	b.q, b.head, b.closed = b.q[:0], 0, true
+	b.mu.Unlock()
+	b.close() // wakes a blocked receiver
 }
 
 // hostStashMax bounds the frames an inbox table holds for jobs that have
@@ -318,8 +327,9 @@ func (t *inboxTable) shut() {
 // the only thing workers share is the wire.
 //
 // The transport doubles as the fault injector: with killPE/killAfter armed
-// it severs PE killPE's endpoint — sends dropped, receives closed (which
-// wakes the PE's fleet host to close its jobs' inboxes) — on the first
+// it severs PE killPE's endpoint — sends dropped, its fleet-level box
+// closed with every queued frame discarded (which wakes the PE's fleet host
+// to close its jobs' inboxes, acting on nothing more) — on the first
 // frame that PE sends past killAfter once it has been sent a KSpawn, and
 // puts a KDown notice in the driver's mailbox, exactly the observable
 // shape of a worker process dying mid-run with its socket resetting. The
@@ -350,9 +360,10 @@ type chanTransport struct {
 	killed    atomic.Bool
 }
 
-// chanEndpoint is one endpoint of a chanTransport. The receive side binds
-// to the inbox table current at creation; the send side resolves the
-// target's table per send, so replacement takes effect for everyone at once.
+// chanEndpoint is the send side of one party on a chanTransport; the party
+// receives from in, the inbox table current at the endpoint's creation.
+// Sends resolve the target's table per send, so replacement takes effect
+// for everyone at once.
 // dead is atomic because a fleet host shares one endpoint across every
 // job's worker goroutine: the kill can fire inside one job's send while
 // another job is mid-send.
@@ -390,14 +401,15 @@ func (t *chanTransport) replace(pe int) *chanEndpoint {
 	return &chanEndpoint{net: t, self: pe, in: in}
 }
 
-// newChanTransport builds endpoints for n workers plus the driver (index
-// n) with no fault injection. latency, when non-zero, is injected on every
+// newChanTransport builds n workers plus the driver (index n) with no fault
+// injection, each as a fleet-level (job 0) jobEndpoint: its endpoint's
+// sends and its table's box. latency, when non-zero, is injected on every
 // hop: a sent message only becomes receivable after that delay.
-func newChanTransport(n int, latency time.Duration) []Endpoint {
+func newChanTransport(n int, latency time.Duration) []*jobEndpoint {
 	t := newChanNet(n, latency, -1, 0)
-	eps := make([]Endpoint, n+1)
+	eps := make([]*jobEndpoint, n+1)
 	for i := range eps {
-		eps[i] = t.endpoint(i)
+		eps[i] = &jobEndpoint{out: t.endpoint(i), in: t.ins[i].box}
 	}
 	return eps
 }
@@ -419,7 +431,7 @@ func (e *chanEndpoint) Send(to int, m *Msg) error {
 			// The fault fires: this frame is lost on the wire, the endpoint
 			// goes dark, and the driver hears the "connection reset".
 			e.dead.Store(true)
-			e.in.box.close()
+			e.in.box.sever()
 			t.mu.RLock()
 			in := t.ins[driver]
 			t.mu.RUnlock()
@@ -433,23 +445,6 @@ func (e *chanEndpoint) Send(to int, m *Msg) error {
 	t.mu.RUnlock()
 	in.put(m)
 	return nil
-}
-
-func (e *chanEndpoint) Recv(ctx context.Context) (*Msg, error) { return e.RecvUntil(ctx, nil) }
-
-func (e *chanEndpoint) RecvUntil(ctx context.Context, wake <-chan time.Time) (*Msg, error) {
-	if e.dead.Load() {
-		return nil, ErrClosed
-	}
-	return e.in.box.recvUntil(ctx, wake)
-}
-
-func (e *chanEndpoint) TryRecv() (*Msg, bool) {
-	if e.dead.Load() {
-		return nil, false
-	}
-	m, ok, _, _ := e.in.box.pop()
-	return m, ok
 }
 
 func (e *chanEndpoint) Close() error {

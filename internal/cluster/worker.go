@@ -82,13 +82,13 @@ type spInst struct {
 
 // worker is one PE: its own I-structure shard, its own SP instances and run
 // queue, and an endpoint. Everything here is confined to the worker's
-// goroutine (or process); the only communication is Endpoint.Send/Recv.
+// goroutine (or process); it talks only through its job endpoint.
 type worker struct {
 	pe   int
 	n    int
 	geo  rtcfg.Geometry
 	prog *isa.Program
-	ep   Endpoint
+	ep   *jobEndpoint
 
 	shard *istructure.Shard
 	insts map[int64]*spInst
@@ -199,7 +199,7 @@ func (w *worker) qdepth() int64 {
 // newWorker builds PE pe of a job from its filled Config, with the steal,
 // adapt and heat layers its knobs ask for. Recovery is armed separately
 // (enableRecovery), with the incarnation state the job start carries.
-func newWorker(pe int, cfg *Config, prog *isa.Program, ep Endpoint) *worker {
+func newWorker(pe int, cfg *Config, prog *isa.Program, ep *jobEndpoint) *worker {
 	n := cfg.NumPEs
 	w := &worker{
 		pe:        pe,
@@ -402,7 +402,7 @@ func (w *worker) report(round int32) {
 func (w *worker) run(ctx context.Context) {
 	for !w.stopped {
 		for {
-			m, ok := w.ep.TryRecv()
+			m, ok := w.ep.in.tryRecv()
 			if !ok {
 				break
 			}
@@ -420,7 +420,7 @@ func (w *worker) run(ctx context.Context) {
 				w.report(0)
 			}
 			w.maybeSteal()
-			m, err := w.ep.Recv(ctx)
+			m, err := w.ep.in.recv(ctx)
 			if err != nil {
 				return
 			}
