@@ -84,15 +84,15 @@ func run(argv []string) error {
 	maxInstrs := fs.Int64("max-instrs", 0, "per-job executed-instruction budget cap (0 = unlimited); -serve caps clients, driver/-submit sets the job's own budget")
 	maxElems := fs.Int64("max-elems", 0, "per-job allocated-element budget cap (0 = unlimited); -serve caps clients, driver/-submit sets the job's own budget")
 	workers := fs.String("workers", "", "comma-separated worker addresses (driver mode; empty = in-process)")
-	spares := fs.String("spares", "", "comma-separated standby worker addresses a recovery can re-home a dead PE onto (implies -recover)")
-	recoverFlag := fs.Bool("recover", false, "survive worker deaths by respawn + single-assignment replay instead of failing the run")
+	spares := fs.String("spares", "", "comma-separated standby worker addresses a recovery can re-home a dead PE onto (implies -recover, so excludes -steal)")
+	recoverFlag := fs.Bool("recover", false, "survive worker deaths by respawn + single-assignment replay instead of failing the run (excludes -steal; with -serve, every submitted job that asks for stealing fails)")
 	pes := fs.Int("pes", 0, "number of in-process worker PEs (default 4)")
 	argsFlag := fs.String("args", "", "comma-separated integer arguments for main")
 	builtin := fs.String("builtin", "", "run a built-in kernel: matmul | heat | pipeline | mirror | triangular | triread | relax")
 	dump := fs.String("dump", "", "print the named array after the run")
 	pageElems := fs.Int("page", 0, "I-structure page size in elements (default 32)")
 	cachePages := fs.Int("cache", 0, "cap each PE's remote page cache at this many pages, CLOCK-evicted (0 = unbounded)")
-	steal := fs.Bool("steal", false, "enable dynamic work stealing between PEs")
+	steal := fs.Bool("steal", false, "enable dynamic work stealing between PEs (excludes -recover and -spares)")
 	adapt := fs.Bool("adapt", false, "enable adaptive repartitioning of Range Filter bounds between sweeps")
 	heat := fs.Bool("heat", false, "enable the page-heat machinery: streaming prefetch and the adaptive cache cap")
 	latency := fs.Duration("latency", 0, "inject per-hop latency into the in-process transport")

@@ -42,9 +42,9 @@ const fastProbe = 20 * time.Microsecond
 // governor and prefetcher fire too; the trace rows' small ring exercises
 // the drop-oldest path, and trace frames never move the four-counter sums.
 // TestBackendAgreement runs every row, TestBackendAgreementConcurrentJobs
-// submits every row at once to one fleet, TestBackendAgreementWithWorkerKill
-// crosses the killRows with a worker death, and TestKnobGauntlet crosses
-// every row with one.
+// submits every row at once to one fleet, and
+// TestBackendAgreementWithWorkerKill crosses every row without Steal with a
+// worker death (Config rejects Steal with Recover).
 var knobSets = []knobSet{
 	{"base", pods.ClusterConfig{PageElems: determinacyPage}},
 	{"steal", pods.ClusterConfig{PageElems: determinacyPage, Steal: true}},
@@ -57,8 +57,8 @@ var knobSets = []knobSet{
 	{"heat+evict+adapt+steal", pods.ClusterConfig{PageElems: determinacyPage, CachePages: 2, Heat: true,
 		Adapt: true, Steal: true, ProbeInterval: fastProbe}},
 	{"trace", pods.ClusterConfig{PageElems: determinacyPage, Trace: true, TraceCap: 256}},
-	{"trace+evict+adapt+steal+recover", pods.ClusterConfig{PageElems: determinacyPage, CachePages: 2,
-		Adapt: true, Steal: true, Recover: true, ProbeInterval: fastProbe, Trace: true, TraceCap: 256}},
+	{"trace+evict+adapt+recover", pods.ClusterConfig{PageElems: determinacyPage, CachePages: 2,
+		Adapt: true, Recover: true, ProbeInterval: fastProbe, Trace: true, TraceCap: 256}},
 	{"heat+evict+adapt+steal+trace", pods.ClusterConfig{PageElems: determinacyPage, CachePages: 2, Heat: true,
 		Adapt: true, Steal: true, ProbeInterval: fastProbe, Trace: true, TraceCap: 256}},
 }

@@ -26,8 +26,9 @@ func TestBackendAgreementConcurrentJobs(t *testing.T) {
 
 // runConcurrentJobs opens a 4-PE fleet with fleetCfg's fleet-level fields,
 // submits every kernel under every knobSets row at once — with recovery
-// armed on every job when recoverJobs is set — and checks each job against
-// the simulator bit for bit.
+// armed and stealing off on every job when recoverJobs is set, since
+// Config rejects Steal with Recover — and checks each job against the
+// simulator bit for bit.
 func runConcurrentJobs(t *testing.T, fleetCfg pods.ClusterConfig, recoverJobs bool) {
 	const fleetPEs = 4
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
@@ -45,7 +46,9 @@ func runConcurrentJobs(t *testing.T, fleetCfg pods.ClusterConfig, recoverJobs bo
 		p, want := compileWithReference(t, k)
 		for _, ks := range knobSets {
 			cfg := ks.cfg
-			cfg.Recover = cfg.Recover || recoverJobs
+			if recoverJobs {
+				cfg.Recover, cfg.Steal = true, false
+			}
 			cases = append(cases, jobCase{k: k, p: p, label: k.Name + "/" + ks.name, cfg: cfg, want: want})
 		}
 	}

@@ -90,8 +90,8 @@ func (w *worker) handleCkptMark(m *Msg) {
 // ships every owned segment to the driver stamped with the checkpoint ID
 // (so the driver's result gather cannot mistake it for a final dump), then
 // acks with this worker's veto: proposed sweeps that still have an
-// instance live here — queued, running, or granted away and not yet
-// reported done — whose writes a pre-veto GC could lose.
+// instance live here — queued or running — whose writes a pre-veto GC
+// could lose.
 func (w *worker) maybeCkptDump() {
 	r := w.recover
 	seq := r.ckpt.id
@@ -120,11 +120,6 @@ func (w *worker) maybeCkptDump() {
 	for _, sp := range w.insts {
 		if proposed[sp.costSweep] {
 			veto[sp.costSweep] = true
-		}
-	}
-	for _, e := range r.grantLog {
-		if proposed[e.item.Sweep] {
-			veto[e.item.Sweep] = true
 		}
 	}
 	vetoed := make([]int64, 0, len(veto))

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -40,7 +41,8 @@ type Config struct {
 	// (round-robin with backoff) for a not-yet-started SP instance, and
 	// the victim leaves a forwarding stub behind for tokens addressed to
 	// the stolen SP's home ID. Off by default — static SPAWND
-	// partitioning only.
+	// partitioning only. Excludes Recover: recovery does not replay steal
+	// grants, so a run may set one of the two knobs, not both.
 	Steal bool
 
 	// Adapt enables runtime-adaptive repartitioning of Range Filter
@@ -81,8 +83,9 @@ type Config struct {
 	// respawned (a new goroutine on the channel transport; the next Spares
 	// address on TCP), and its root SPAWND assignments are replayed
 	// against the surviving shards — sound because single assignment makes
-	// re-execution idempotent. Off by default: recovery costs write/grant
-	// logging on every worker while it is armed.
+	// re-execution idempotent. Off by default: recovery costs write
+	// logging on every worker while it is armed. Excludes Steal: a run
+	// may set one of the two knobs, not both.
 	Recover bool
 
 	// Spares lists standby TCP worker addresses (each running
@@ -174,6 +177,9 @@ func (c *Config) wireKnobs() (ints []*int, flags []*bool, budgets []*int64) {
 		[]*int64{&c.MaxInstrs, &c.MaxElems}
 }
 
+// errStealRecover rejects a config that sets both Steal and Recover.
+var errStealRecover = errors.New("cluster: Steal and Recover exclude each other")
+
 // fill applies the shared backend defaults and validates the result.
 func (c *Config) fill() error {
 	if len(c.Workers) > 0 {
@@ -198,6 +204,9 @@ func (c *Config) fill() error {
 	}
 	if c.RoundTimeout == 0 {
 		c.RoundTimeout = 30 * time.Second
+	}
+	if c.Steal && c.Recover {
+		return errStealRecover
 	}
 	if len(c.Spares) > 0 && len(c.Workers) == 0 {
 		return fmt.Errorf("cluster: %d spare addresses without TCP workers", len(c.Spares))

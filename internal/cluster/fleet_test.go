@@ -130,64 +130,6 @@ func TestFleetAdmissionCap(t *testing.T) {
 	fleet.mu.Unlock()
 }
 
-// --- steal-grant sequence fence ---
-
-// TestStealGrantSeqFence pins the duplicate-grant dedup in isolation: a
-// re-delivered KStealGrant at an already-applied sequence number from the
-// same (victim, incarnation) is dropped whole — not failed, not
-// re-installed — while higher sequences and other incarnations install
-// normally (a respawned victim's numbering legitimately restarts).
-func TestStealGrantSeqFence(t *testing.T) {
-	prog := taskProgram()
-	eps := newChanTransport(2, 0)
-	w := newWorker(1, &Config{NumPEs: 2, PageElems: 8, DistThreshold: 16, Steal: true}, prog, eps[1])
-
-	item := func(seq int64) StealItem {
-		return StealItem{
-			SP:   packID(0, seq),
-			Tmpl: 0,
-			Args: make([]isa.Value, 4), // taskProgram's template: NSlots 4
-		}
-	}
-
-	w.installStolen(&Msg{Kind: KStealGrant, From: 0, Seq: 1, Lists: &MsgLists{Batch: []StealItem{item(1)}}})
-	if w.steal.steals != 1 || len(w.insts) != 1 {
-		t.Fatalf("first grant installed %d SPs (%d steals), want 1", len(w.insts), w.steal.steals)
-	}
-
-	// Re-delivery of the same grant (retry after a lost ack, or a replayed
-	// wire): must be dropped before any per-item check can fail the run —
-	// even though its SP is still live here.
-	w.installStolen(&Msg{Kind: KStealGrant, From: 0, Seq: 1, Lists: &MsgLists{Batch: []StealItem{item(1)}}})
-	if w.failed {
-		t.Fatal("re-delivered grant failed the worker")
-	}
-	if w.steal.dupGrants != 1 {
-		t.Fatalf("dupGrants = %d, want 1", w.steal.dupGrants)
-	}
-	if w.steal.steals != 1 || len(w.insts) != 1 {
-		t.Fatalf("re-delivered grant changed state: %d SPs, %d steals", len(w.insts), w.steal.steals)
-	}
-
-	// A stale lower sequence arriving late is equally dead.
-	w.installStolen(&Msg{Kind: KStealGrant, From: 0, Seq: 2, Lists: &MsgLists{Batch: []StealItem{item(2)}}})
-	w.installStolen(&Msg{Kind: KStealGrant, From: 0, Seq: 1, Lists: &MsgLists{Batch: []StealItem{item(3)}}})
-	if w.steal.dupGrants != 2 || w.steal.steals != 2 {
-		t.Fatalf("after stale low-seq grant: dupGrants = %d, steals = %d; want 2, 2",
-			w.steal.dupGrants, w.steal.steals)
-	}
-
-	// The victim's next incarnation restarts its numbering: Seq 1 under
-	// Inc 1 is a fresh grant, not a duplicate of Inc 0's Seq 1.
-	reborn := StealItem{SP: packIncID(0, 1, 9), Tmpl: 0,
-		Args: make([]isa.Value, 4)}
-	w.installStolen(&Msg{Kind: KStealGrant, From: 0, Inc: 1, Seq: 1, Lists: &MsgLists{Batch: []StealItem{reborn}}})
-	if w.failed || w.steal.steals != 3 {
-		t.Fatalf("new-incarnation Seq 1 grant not installed: failed=%v steals=%d",
-			w.failed, w.steal.steals)
-	}
-}
-
 // --- replay-log GC checkpoints ---
 
 // TestReplayLogGCCheckpoints: with recovery and adaptation both on, the
@@ -355,6 +297,44 @@ func TestServeJobsServerBudgetCap(t *testing.T) {
 	if !strings.Contains(err.Error(), "budget") {
 		t.Fatalf("capped server failed with %q; want the element-budget diagnostic", err)
 	}
+}
+
+// TestStealRecoverRejectedAtEveryEntry: Config rejects Steal with Recover,
+// and each way a job's config can arrive ends in the same error — Execute,
+// Fleet.Submit, and a job server whose fleet sets Recover receiving a
+// KSubmit that asks for Steal. A KFail carries only the error's text, and
+// SubmitJob returns that text unwrapped (every other failure it reports is
+// prefixed), so each path is compared by text.
+func TestStealRecoverRejectedAtEveryEntry(t *testing.T) {
+	ctx := testCtx(t)
+	k, prog := compileKernel(t, "triangular")
+	args := k.Args(6)
+	both := Config{NumPEs: 2, Steal: true, Recover: true}
+	check := func(path string, err error) {
+		t.Helper()
+		if err == nil || err.Error() != errStealRecover.Error() {
+			t.Errorf("%s: %v, want %q", path, err, errStealRecover)
+		}
+	}
+
+	_, err := Execute(ctx, prog, both, args...)
+	check("Execute", err)
+
+	fleet, err := OpenFleet(ctx, Config{NumPEs: 2, Recover: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+	_, err = fleet.Submit(ctx, prog, both, args...)
+	check("Fleet.Submit", err)
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go fleet.ServeJobs(ctx, ln)
+	_, err = SubmitJob(ctx, ln.Addr().String(), prog, Config{Steal: true}, args...)
+	check("ServeJobs", err)
 }
 
 // TestClampBudget pins the budget-merge table: zero is unlimited on both

@@ -10,18 +10,18 @@ import (
 // TestOffLayerFramesFailCleanly: every PE of a job shares one Config, so a
 // worker never legitimately receives a frame of a layer its job left off —
 // but a hostile TCP peer can send one. For each layer, a worker with that
-// layer off and every other one on must answer each of the layer's kinds
-// with an "unexpected … message" KFail: never a panic (the layer's state is
-// nil), and never the frame's effect.
+// layer off and every other one on (never Steal with Recover, which Config
+// rejects) must answer each of the layer's kinds with an "unexpected …
+// message" KFail: never a panic (the layer's state is nil), and never the
+// frame's effect.
 func TestOffLayerFramesFailCleanly(t *testing.T) {
 	stealKinds := []func() *Msg{
 		func() *Msg { return &Msg{Kind: KStealReq, Lists: &MsgLists{HotPages: []int64{1, 0}}} },
 		func() *Msg {
-			return &Msg{Kind: KStealGrant, Seq: 1, Lists: &MsgLists{Batch: []StealItem{
+			return &Msg{Kind: KStealGrant, Lists: &MsgLists{Batch: []StealItem{
 				{SP: packID(1, 1), Tmpl: 0, CostLoop: -1, Args: make([]isa.Value, 4)}}}}
 		},
 		func() *Msg { return &Msg{Kind: KStealNone} },
-		func() *Msg { return &Msg{Kind: KStealDone, SP: packID(0, 1)} },
 	}
 	recoverKinds := []func() *Msg{
 		func() *Msg { return &Msg{Kind: KCkpt, Seq: 1, Lists: &MsgLists{Iters: []int64{7}}} },
@@ -29,17 +29,14 @@ func TestOffLayerFramesFailCleanly(t *testing.T) {
 		func() *Msg { return &Msg{Kind: KCkptOK, Seq: 1, Lists: &MsgLists{Iters: []int64{7}}} },
 		func() *Msg { return &Msg{Kind: KRecover, From: 2, Cfg: &MsgCfg{Incs: []int32{0, 1}}} },
 		func() *Msg { return &Msg{Kind: KFlush} },
-		// Without recovery no grant is ever logged, so no completion notice
-		// is ever sent either.
-		func() *Msg { return &Msg{Kind: KStealDone, SP: packID(0, 1)} },
 	}
 	for _, layer := range []struct {
 		name  string
-		cfg   Config // every knob on but the layer's own
+		cfg   Config // the other knobs on, never Steal with Recover
 		kinds []func() *Msg
 	}{
 		{"steal", Config{Adapt: true, Heat: true, Recover: true}, stealKinds},
-		{"adapt", Config{Steal: true, Heat: true, Recover: true}, []func() *Msg{
+		{"adapt", Config{Heat: true, Recover: true}, []func() *Msg{
 			func() *Msg { return &Msg{Kind: KRebound, Tmpl: 0, Lists: &MsgLists{Cuts: []int64{3}}} },
 		}},
 		{"recover", Config{Steal: true, Adapt: true, Heat: true}, recoverKinds},

@@ -135,8 +135,8 @@ const (
 	// updated worker address list (TCP — the dead PE's slot now names its
 	// spare). Survivors zero their termination counters, fence the dead
 	// incarnations, repoint the transport, and replay their share of the
-	// lost state: logged remote writes, outstanding remote reads, and
-	// steal grants made to the dead incarnation.
+	// lost state: allocated headers, logged remote writes, their own
+	// fan-outs, and outstanding remote reads.
 	KRecover
 
 	// KDown reports a dead worker to the driver: From names it, Inc the
@@ -145,13 +145,6 @@ const (
 	// and never crosses a wire, so a worker death is detected at
 	// connection-loss speed instead of waiting out a probe-round deadline.
 	KDown
-
-	// KStealDone tells the grantor of a stolen SP that it ran to completion
-	// on the thief (SP names the home ID). Each hop of a steal chain drops
-	// its forwarding stub and grant record and relays the notice toward the
-	// home PE, so a later recovery does not re-instantiate work that
-	// already finished. Sent only when recovery is enabled; control-plane.
-	KStealDone
 
 	// KFlush is an epoch flush marker: a worker that adopts a new counting
 	// epoch sends one to every peer (after repointing at the replacement
@@ -266,10 +259,9 @@ type Msg struct {
 
 	Round int32 // termination-detection round (probe, ack)
 
-	// Seq is a multi-purpose sequence number: the victim-minted per-thief
-	// grant sequence on KStealGrant (so a re-delivered completed grant is
-	// detected and dropped), the checkpoint ID on KCkpt* and checkpoint
-	// dumps, and the client correlation tag on KSubmit/KResult.
+	// Seq is a multi-purpose sequence number: the checkpoint ID on KCkpt*
+	// and checkpoint dumps, and the client correlation tag on KSubmit and
+	// the KResult or KFail that answers it.
 	Seq int64
 
 	// SP routing (spawn, token, readReq, page).
@@ -408,14 +400,13 @@ var kinds = [...]struct {
 	KDump:       {"dump", wSeq | wElem | wPage | wName | wDims},
 	KStop:       {"stop", 0},
 	KStealReq:   {"stealReq", wSteal},
-	KStealGrant: {"stealGrant", wSeq | wSteal},
+	KStealGrant: {"stealGrant", wSteal},
 	KStealNone:  {"stealNone", 0},
 	KCostReport: {"costReport", wSpawn | wSweep | wAdapt},
 	KRebound:    {"rebound", wSpawn | wAdapt},
 	KSpawnLog:   {"spawnLog", wSpawn | wSweep | wAdapt},
 	KRecover:    {"recover", wCfg},
 	KDown:       {"down", 0},
-	KStealDone:  {"stealDone", wSP},
 	KFlush:      {"flush", 0},
 	KTraceReq:   {"traceReq", 0},
 	KTrace:      {"trace", wTrace},

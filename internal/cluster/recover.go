@@ -20,8 +20,8 @@ import (
 //     redialed spare address on TCP,
 //  3. announces KRecover to the survivors, who zero their termination
 //     counters, fence the dead incarnation, and replay their share of the
-//     lost state (logged remote writes, outstanding reads, steal grants,
-//     their own fan-outs),
+//     lost state (logged remote writes, outstanding reads, their own
+//     fan-outs),
 //  4. re-sends every array header to the replacement, replays the root
 //     assignments no worker can (the entry spawn and the fan-outs of a dead
 //     spawner), and restores the replacement's owned segments from the last
@@ -34,6 +34,9 @@ import (
 // replayed: the dead PE's statistics (its counters restart at zero), its
 // adapt cost observations (the coordinator restarts), and any in-flight
 // frames between survivors — those were never lost.
+//
+// Config rejects Recover with Steal, so every SP lives on the PE that
+// spawned it and the fan-out logs name every assignment a dead PE held.
 //
 // The core calls the worker half on every frame it receives (admit), when
 // a token finds no live SP (staleMsgs), on a remote read, write, alloc or
@@ -49,19 +52,16 @@ type recoverState struct {
 	early     []*Msg  // peer frames of an epoch whose KRecover has not arrived yet
 	staleMsgs int64   // frames and tokens dropped by incarnation fencing
 	deadSends int64   // peer sends dropped on transport failure (replay covers them)
-	replayed  int64   // SPs this worker re-sent or re-instantiated for replacements
+	replayed  int64   // SPs this worker re-sent for replacements
 
 	// The replay logs: this worker's share of a dead peer's replayable
 	// state. writeLog holds the remote writes it sent each PE, outReads its
 	// in-flight remote reads (re-issued when the owner is respawned with an
-	// empty shard), grantLog deep copies of steal grants (re-instantiated
-	// when the thief dies holding them; dropped when KStealDone reports
-	// completion), allocLog the arrays it allocated (broadcasts replayed)
+	// empty shard), allocLog the arrays it allocated (broadcasts replayed)
 	// and fanoutLog the SPAWND fan-outs it performed. arrays lists every
 	// installed array ID, the iteration order of checkpoint dumps.
 	writeLog  map[int][]writeRec
 	outReads  map[outReadKey]outRead
-	grantLog  map[int64]grantRec
 	allocLog  []*istructure.Header
 	fanoutLog []fanout
 	arrays    []int64
@@ -100,15 +100,6 @@ type outRead struct {
 	arr   int64
 	off   int32
 	owner int
-}
-
-// grantRec is a deep copy of one steal grant: enough to re-instantiate the
-// SP if the thief dies holding it. from is where this worker itself got
-// the SP (-1 if home-spawned here) — the hop a KStealDone is relayed to.
-type grantRec struct {
-	item  StealItem
-	thief int
-	from  int
 }
 
 // fanout is one logged root assignment, the one record both halves keep: a
@@ -160,7 +151,7 @@ func dropSweeps(log []fanout, sweeps []int64) []fanout {
 }
 
 // enableRecovery arms the recovery layer: incarnation fencing, epoch-reset
-// termination counting, write/grant logging, outstanding-read tracking,
+// termination counting, write logging, outstanding-read tracking,
 // and idempotent absorption of replayed writes. inc is this worker's own
 // incarnation (>0 for a replacement), epoch the counting epoch it joins,
 // incs the known incarnation of every PE.
@@ -175,7 +166,6 @@ func (w *worker) enableRecovery(inc, epoch int32, incs []int32) {
 		recovered: inc > 0 || epoch > 0,
 		writeLog:  make(map[int][]writeRec),
 		outReads:  make(map[outReadKey]outRead),
-		grantLog:  make(map[int64]grantRec),
 		flushFrom: make([]bool, w.n),
 	}
 	w.shard.Idempotent = true
@@ -341,8 +331,8 @@ func (w *worker) applyRecover(m *Msg) {
 // replayFor re-creates this worker's share of a respawned PE k's lost
 // state. Single assignment is what makes each piece replayable without
 // coordination: re-sent writes are absorbed idempotently, re-issued reads
-// fetch immutable data, and re-instantiated SPs regenerate exactly the
-// values their first execution produced.
+// fetch immutable data, and re-spawned SPs regenerate exactly the values
+// their first execution produced.
 func (w *worker) replayFor(k int) {
 	r := w.recover
 	// Headers this worker allocated: the original broadcast to k may have
@@ -375,38 +365,6 @@ func (w *worker) replayFor(k int) {
 			w.send(k, &Msg{Kind: KReadReq, Arr: rd.arr, Off: rd.off,
 				ReqPE: int32(w.pe), SP: key.sp, Slot: key.slot})
 		}
-	}
-	// SPs granted to the dead incarnation are re-instantiated from the
-	// grant-time copies (adopt drops each record) and run here as if the
-	// steal never happened.
-	for _, e := range r.grantLog {
-		if e.thief != k {
-			continue
-		}
-		if !w.adopt(&e.item, e.from, 0) {
-			return
-		}
-		r.replayed++
-	}
-	// Conversely, not-yet-started SPs the dead incarnation granted *to*
-	// this worker are discarded: their grantor (or the replacement's
-	// replay) re-creates them, and an untouched queue entry has produced
-	// no observable effect, so dropping it is always safe and prevents
-	// double execution.
-	var gone []int
-	for i := w.readyHead; i < len(w.ready); i++ {
-		if sp := w.ready[i]; sp != nil && sp.stolen && sp.pc == 0 &&
-			sp.grantedFrom == k && sp.grantedInc < r.incs[k] {
-			gone = append(gone, i)
-		}
-	}
-	for _, sp := range w.takeReady(gone) {
-		delete(w.insts, sp.id)
-	}
-	// A steal request addressed to the dead incarnation will never be
-	// answered; clear the in-flight latch so this worker can ask again.
-	if s := w.steal; s != nil && s.outstanding && s.victim == k {
-		s.outstanding = false
 	}
 }
 

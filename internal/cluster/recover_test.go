@@ -88,10 +88,10 @@ func TestRecoverKillPEZero(t *testing.T) {
 	}
 }
 
-// TestRecoverWithDynamicMechanisms kills a PE while stealing, adaptive
-// repartitioning, and a page-cache cap are all engaged — recovery has to
+// TestRecoverWithDynamicMechanisms kills a PE while adaptive
+// repartitioning and a page-cache cap are both engaged — recovery has to
 // discard or re-mint the dead incarnation's share of each mechanism's
-// state.
+// state. Stealing stays off: Config rejects it with Recover.
 func TestRecoverWithDynamicMechanisms(t *testing.T) {
 	for _, name := range []string{"triangular", "relax"} {
 		k, _ := kernels.ByName(name)
@@ -100,7 +100,7 @@ func TestRecoverWithDynamicMechanisms(t *testing.T) {
 			n = 8
 		}
 		res := runKilled(t, k, n, 4, 2, 2, Config{
-			PageElems: 8, Steal: true, Adapt: true, CachePages: 2,
+			PageElems: 8, Adapt: true, CachePages: 2,
 			ProbeInterval: 20 * time.Microsecond,
 		})
 		if res.Stats.Recoveries < 1 {
@@ -137,7 +137,7 @@ func main(n: int) {
 	A[1] = 1.0;
 }`)
 	eps := newChanTransport(2, 0)
-	w := newWorker(0, &Config{NumPEs: 2, PageElems: 8, DistThreshold: 16, Steal: true}, prog, eps[0])
+	w := newWorker(0, &Config{NumPEs: 2, PageElems: 8, DistThreshold: 16}, prog, eps[0])
 	w.enableRecovery(0, 0, incs)
 	return w, eps
 }

@@ -14,8 +14,10 @@ import (
 // backlog in one batch and leaves a forwarding stub per granted home ID; the
 // thief runs the batch as if it had been spawned there. The core calls in
 // when it goes idle (maybeSteal), on every probe (stealProbe), when a token
-// finds no live SP (relay), when a stolen-in SP halts (retireGrant) and for
-// the four steal kinds (stealMsg); enqueue resets the backoff.
+// finds no live SP (relay), when a stolen-in SP halts (it enters halted) and
+// for the three steal kinds (stealMsg); enqueue resets the backoff. Config
+// rejects Steal with Recover, so a worker never runs this layer and the
+// recovery layer at once.
 
 // stealState is a worker's half of work stealing, nil when Config.Steal is
 // off or the job has one PE.
@@ -38,22 +40,6 @@ type stealState struct {
 	steals        int64 // SPs stolen and installed here
 	forwarded     int64 // tokens relayed through forwarding stubs
 	lateTokens    int64 // tokens dropped for halted SPs
-
-	// Steal-grant replay protection. A victim numbers the grants it sends
-	// each thief (grantSeq); a thief remembers the highest grant sequence
-	// applied per (victim, incarnation) (seenGrant) and drops a whole grant
-	// at or below that mark, so a re-delivered completed grant can never
-	// double-apply its SPs. Incarnation-keyed: a respawned victim's counters
-	// legitimately restart from 1.
-	grantSeq  map[int]int64
-	seenGrant map[grantKey]int64
-	dupGrants int64 // grants dropped by the sequence fence
-}
-
-// grantKey identifies one victim incarnation in a thief's seenGrant table.
-type grantKey struct {
-	pe  int
-	inc int32
 }
 
 // stealReviveProbes is the number of probe rounds a dormant worker waits
@@ -116,11 +102,10 @@ func (w *worker) stealProbe() {
 }
 
 // stealMsg handles the steal protocol's frames. Every PE of a job shares
-// one Config, so a worker without the layer never legitimately sees one;
-// KStealDone travels only with recovery armed as well.
+// one Config, so a worker without the layer never legitimately sees one.
 func (w *worker) stealMsg(m *Msg) {
 	s := w.steal
-	if s == nil || (m.Kind == KStealDone && w.recover == nil) {
+	if s == nil {
 		w.unexpected(m)
 		return
 	}
@@ -134,8 +119,6 @@ func (w *worker) stealMsg(m *Msg) {
 		s.fails++
 		s.wait = s.fails
 		w.rec(trace.EvStealNone, int64(m.From), 0)
-	case KStealDone:
-		w.handleStealDone(m)
 	}
 }
 
@@ -163,16 +146,6 @@ func (w *worker) stealBatch(hotPages []int64) []*spInst {
 	for i := w.readyHead; i < len(w.ready); i++ {
 		sp := w.ready[i]
 		if sp == nil || sp.pc != 0 || sp.tmpl.Distributed {
-			continue
-		}
-		if w.recover != nil && sp.stolen {
-			// With recovery armed, a stolen-in SP is pinned: re-granting it
-			// would chain grant records across PEs, and a middle hop dying
-			// after the SP started at the final thief would make its
-			// grantor re-instantiate a second live copy under the same home
-			// ID — the two copies would race for each other's tokens. A
-			// one-hop migration keeps exactly one re-instantiation
-			// authority per grant.
 			continue
 		}
 		cand = append(cand, i)
@@ -220,7 +193,6 @@ func (w *worker) handleStealReq(m *Msg) {
 		w.send(thief, &Msg{Kind: KStealNone})
 		return
 	}
-	s := w.steal
 	items := make([]StealItem, len(batch))
 	for i, sp := range batch {
 		// The SP leaves this worker's live set the moment it is granted;
@@ -228,7 +200,7 @@ func (w *worker) handleStealReq(m *Msg) {
 		// round cannot terminate around the migrating batch. One stub per
 		// item relays tokens addressed to the home IDs.
 		delete(w.insts, sp.id)
-		s.forwards[sp.id] = thief
+		w.steal.forwards[sp.id] = thief
 		// The frame travels with the grant; the receiver owns it now (this
 		// worker never releases the instance to its free list). The
 		// cost-attribution tag travels too, so a migrated iteration keeps
@@ -241,24 +213,16 @@ func (w *worker) handleStealReq(m *Msg) {
 			CostIter: sp.costIter,
 			Args:     sp.frame,
 		}
-		if w.recover != nil {
-			// A deep copy stays behind: if the thief's incarnation dies
-			// holding the SP, this worker re-instantiates it from the copy.
-			// The record is dropped when KStealDone reports completion.
-			it := items[i]
-			it.Args = append([]isa.Value(nil), sp.frame...)
-			w.recover.grantLog[sp.id] = grantRec{item: it, thief: thief, from: sp.grantedFrom}
-		}
 	}
 	w.rec(trace.EvStealGrant, int64(thief), int64(len(items)))
-	// Grants to each thief are numbered from 1 so the thief can fence a
-	// re-delivered (replayed) grant it has already applied.
-	s.grantSeq[thief]++
-	w.send(thief, &Msg{Kind: KStealGrant, Seq: s.grantSeq[thief], Lists: &MsgLists{Batch: items}})
+	w.send(thief, &Msg{Kind: KStealGrant, Lists: &MsgLists{Batch: items}})
 }
 
 // installStolen installs each granted SP under its home ID and runs it as
-// if it had been spawned here.
+// if it had been spawned here. A stub this worker still holds for an ID is
+// cleared: re-acquiring an SP it once granted away must not leave a stub
+// that forms a relay cycle once the SP halts here (relay prefers forwards
+// over halted).
 func (w *worker) installStolen(m *Msg) {
 	s := w.steal
 	s.outstanding = false
@@ -267,65 +231,32 @@ func (w *worker) installStolen(m *Msg) {
 		w.fail(errors.New("empty steal grant"))
 		return
 	}
-	// Grant-sequence fence: a victim numbers its grants per thief, and a
-	// re-delivered grant at or below the highest sequence already applied
-	// from this (victim, incarnation) is dropped whole — its SPs were
-	// installed (and may have run to completion) the first time, so
-	// re-applying would fail the duplicate-live-SP check at best and run the
-	// work twice at worst. Keyed by incarnation: a respawned victim's
-	// numbering legitimately restarts from 1.
-	key := grantKey{pe: int(m.From), inc: m.Inc}
-	if m.Seq != 0 {
-		if m.Seq <= s.seenGrant[key] {
-			s.dupGrants++
-			return
-		}
-		s.seenGrant[key] = m.Seq
-	}
 	w.rec(trace.EvStealIn, int64(m.From), int64(len(batch)))
 	for i := range batch {
-		if !w.adopt(&batch[i], int(m.From), m.Inc) {
+		it := &batch[i]
+		tmpl := w.prog.Template(int(it.Tmpl))
+		var err error
+		switch {
+		case tmpl == nil:
+			err = fmt.Errorf("steal grant with unknown template %d", it.Tmpl)
+		case len(it.Args) != tmpl.NSlots:
+			err = fmt.Errorf("steal grant for %q with %d slots, want %d", tmpl.Name, len(it.Args), tmpl.NSlots)
+		case w.insts[it.SP] != nil:
+			err = fmt.Errorf("steal grant duplicates live SP %d", it.SP)
+		}
+		if err != nil {
+			w.fail(err)
 			return
 		}
+		delete(s.forwards, it.SP)
+		sp := &spInst{id: it.SP, tmpl: tmpl, frame: it.Args, blocked: isa.None, stolen: true, costLoop: -1}
+		if w.adapt != nil {
+			sp.costLoop, sp.costSweep, sp.costIter = it.CostLoop, it.Sweep, it.CostIter
+		}
+		w.insts[sp.id] = sp
+		w.enqueue(sp)
 		s.steals++
 	}
-}
-
-// adopt turns one granted SP into a live instance under its home ID and
-// queues it: an item of a steal grant from PE from at incarnation inc, or
-// a grant-log copy re-instantiated after its thief died (from is then
-// where this worker itself got the SP, -1 if home-spawned here). Any stub
-// or grant record this worker still holds for the ID is cleared:
-// re-acquiring an SP it once granted away must not leave a stub that forms
-// a relay cycle once the SP halts here (relay prefers forwards over
-// halted).
-func (w *worker) adopt(it *StealItem, from int, inc int32) bool {
-	tmpl := w.prog.Template(int(it.Tmpl))
-	var err error
-	switch {
-	case tmpl == nil:
-		err = fmt.Errorf("steal grant with unknown template %d", it.Tmpl)
-	case len(it.Args) != tmpl.NSlots:
-		err = fmt.Errorf("steal grant for %q with %d slots, want %d", tmpl.Name, len(it.Args), tmpl.NSlots)
-	case w.insts[it.SP] != nil:
-		err = fmt.Errorf("steal grant duplicates live SP %d", it.SP)
-	}
-	if err != nil {
-		w.fail(err)
-		return false
-	}
-	delete(w.steal.forwards, it.SP)
-	if w.recover != nil {
-		delete(w.recover.grantLog, it.SP)
-	}
-	sp := &spInst{id: it.SP, tmpl: tmpl, frame: it.Args, blocked: isa.None,
-		stolen: from >= 0, grantedFrom: from, grantedInc: inc, costLoop: -1}
-	if w.adapt != nil {
-		sp.costLoop, sp.costSweep, sp.costIter = it.CostLoop, it.Sweep, it.CostIter
-	}
-	w.insts[sp.id] = sp
-	w.enqueue(sp)
-	return true
 }
 
 // relay handles a token for an SP this worker does not hold but migrated:
@@ -345,33 +276,6 @@ func (w *worker) relay(id int64, slot int, v isa.Value) bool {
 		return true
 	}
 	return false
-}
-
-// retireGrant marks a migrated SP done here — a stolen-in SP that halted,
-// or one whose thief reported completion — so late tokens for it drop
-// instead of relaying. With recovery armed the completion travels one hop
-// back toward its home, to the PE it came from (none if from < 0), so
-// every grant record (and stub chain) retires instead of being
-// re-instantiated by a later recovery.
-func (w *worker) retireGrant(id int64, from int) {
-	w.steal.halted[id] = struct{}{}
-	if w.recover != nil && from >= 0 {
-		w.send(from, &Msg{Kind: KStealDone, SP: id})
-	}
-}
-
-// handleStealDone retires one completed steal grant: the stub becomes a
-// halted tombstone (late tokens drop here instead of relaying to a thief
-// that would drop them anyway), the grant record is freed, and the notice
-// is relayed one hop toward the SP's home so the whole chain cleans up.
-func (w *worker) handleStealDone(m *Msg) {
-	e, ok := w.recover.grantLog[m.SP]
-	if !ok {
-		return
-	}
-	delete(w.recover.grantLog, m.SP)
-	delete(w.steal.forwards, m.SP)
-	w.retireGrant(m.SP, e.from)
 }
 
 // hotPagePairs flattens the shard's page-granular locality summary into

@@ -47,7 +47,7 @@ func TestMsgCodecRoundTrip(t *testing.T) {
 		{Kind: KInit, Cfg: &MsgCfg{PE: 1, NumPEs: 4, Peers: []string{"a:1", "b:2"}}},
 		{Kind: KStop},
 		{Kind: KStealReq, From: 2, Lists: &MsgLists{}},
-		{Kind: KStealGrant, Seq: 3, Lists: &MsgLists{Batch: []StealItem{
+		{Kind: KStealGrant, Lists: &MsgLists{Batch: []StealItem{
 			{SP: packID(1, 9), Tmpl: 3,
 				Args:     []isa.Value{isa.Int(7), {}},
 				CostLoop: 5, Sweep: packID(0, 2), CostIter: 41},
@@ -65,7 +65,6 @@ func TestMsgCodecRoundTrip(t *testing.T) {
 		{Kind: KSpawnLog, From: 1, Inc: 2, Tmpl: 6, Sweep: packIncID(1, 2, 3),
 			Args: []isa.Value{isa.Int(8)}, Lists: &MsgLists{Cuts: []int64{3, 7, 11}}},
 		{Kind: KRecover, Epoch: 2, Cfg: &MsgCfg{Incs: []int32{0, 1, 0, 2}, Peers: []string{"a:1", "s:9"}}},
-		{Kind: KStealDone, From: 2, SP: packIncID(0, 0, 4)},
 		{Kind: KFlush, From: 1, Epoch: 2, Inc: 1},
 		{Kind: KAck, Round: 3, Epoch: 1, Ack: &AckStats{Flushed: true, Counters: Counters{MsgsSent: 4, MsgsRecv: 4, ReplayedSPs: 2}}},
 		{Kind: KStealReq, From: 1, Lists: &MsgLists{HotPages: []int64{packID(0, 1), 3, packID(2, 5), 0}}},
@@ -73,7 +72,7 @@ func TestMsgCodecRoundTrip(t *testing.T) {
 			ReadJoins: 5, Prefetches: 6, PrefetchHits: 4, CacheCapNow: 24}}},
 		{Kind: KTrace, From: 1, Lists: &MsgLists{TraceEvs: []int64{1, 2, 3, 4, 5}, TraceDrops: 7}},
 		{Kind: KJobStart, Job: 2, Epoch: 1, Cfg: &MsgCfg{Job: Config{PageElems: 8, DistThreshold: 16, CachePages: 2,
-			Steal: true, Heat: true, Recover: true}, Incs: []int32{0, 0, 0, 1}, Prog: []byte("{}")}},
+			Adapt: true, Heat: true, Recover: true}, Incs: []int32{0, 0, 0, 1}, Prog: []byte("{}")}},
 		{Kind: KSubmit, Job: 1, Seq: 7, Name: "triread", Args: []isa.Value{isa.Int(26)},
 			Cfg: &MsgCfg{Job: Config{CachePages: 4, Heat: true, MaxInstrs: 1 << 40}, Prog: []byte("p")}},
 		{Kind: KResult, Seq: 7, Slot: 1, Val: isa.Float(-0.5)},

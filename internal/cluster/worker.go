@@ -40,16 +40,7 @@ type spInst struct {
 	// instances can legally see tokens arrive after their HALT (the extra
 	// relay hop through the home PE's forwarding stub is what lets a
 	// token trail completion), so only they enter the halted set.
-	// grantedFrom is the PE the grant came from (-1 for home-spawned
-	// instances) and grantedInc that PE's incarnation when it granted: the
-	// completion notice that lets grantors drop their stubs and grant
-	// records travels back along grantedFrom, and a not-yet-started stolen
-	// instance is discarded when its grantor's incarnation dies (the
-	// grantor re-instantiates it, so keeping the copy would run the work
-	// twice).
-	stolen      bool
-	grantedFrom int
-	grantedInc  int32
+	stolen bool
 
 	// The adapt layer's cost tag (Config.Adapt). costLoop/costSweep/costIter
 	// name the (Range-Filtered loop template, SPAWND fan-out, iteration)
@@ -217,7 +208,6 @@ func newWorker(pe int, cfg *Config, prog *isa.Program, ep *jobEndpoint) *worker 
 	w.shard.CacheCap = cfg.CachePages
 	if cfg.Steal && n > 1 {
 		w.steal = &stealState{forwards: make(map[int64]int), halted: make(map[int64]struct{}),
-			grantSeq: make(map[int]int64), seenGrant: make(map[grantKey]int64),
 			victim: pe} // first attempt targets (pe+1) mod n
 	}
 	if cfg.Adapt && n > 1 {
@@ -510,7 +500,7 @@ func (w *worker) dispatch(m *Msg) {
 		w.rec(trace.EvProbe, int64(m.Round), w.qdepth())
 		w.report(m.Round)
 
-	case KStealReq, KStealGrant, KStealNone, KStealDone:
+	case KStealReq, KStealGrant, KStealNone:
 		w.stealMsg(m)
 
 	case KRebound:
@@ -569,7 +559,6 @@ func (w *worker) spawnLocal(tmpl *isa.Template, nargs int) *spInst {
 	sp.id = packJobID(w.job, w.pe, w.inc, w.nextSP)
 	sp.tmpl = tmpl
 	sp.blocked = isa.None
-	sp.grantedFrom = -1
 	sp.costLoop = -1
 	w.insts[sp.id] = sp
 	w.enqueue(sp)
@@ -768,7 +757,7 @@ func (w *worker) step() {
 		}
 		delete(w.insts, sp.id)
 		if sp.stolen {
-			w.retireGrant(sp.id, sp.grantedFrom)
+			w.steal.halted[sp.id] = struct{}{}
 		}
 		w.release(sp)
 	}
