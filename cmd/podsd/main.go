@@ -16,10 +16,10 @@
 //	podsd -workers 127.0.0.1:7101,127.0.0.1:7102 -args 16 prog.id  # TCP
 //	podsd -builtin matmul -pes 8 -args 12 -dump C
 //
-// With -spares, a TCP driver survives worker deaths: a dead PE is fenced
-// behind a fresh incarnation, re-homed onto the next spare address, and
-// its assignments are replayed — single assignment makes the re-execution
-// idempotent, so the results are bit-identical to an undisturbed run:
+// With -spares, a TCP driver survives worker deaths: a dead PE is re-homed
+// onto the next spare address and the job runs again from its program and
+// arguments — PODS programs are determinate, so the results are
+// bit-identical to an undisturbed run:
 //
 //	podsd -workers w1:7101,w2:7101 -spares w3:7101 -builtin relax -args 16,8
 //
@@ -84,8 +84,8 @@ func run(argv []string) error {
 	maxInstrs := fs.Int64("max-instrs", 0, "per-job executed-instruction budget cap (0 = unlimited); -serve caps clients, driver/-submit sets the job's own budget")
 	maxElems := fs.Int64("max-elems", 0, "per-job allocated-element budget cap (0 = unlimited); -serve caps clients, driver/-submit sets the job's own budget")
 	workers := fs.String("workers", "", "comma-separated worker addresses (driver mode; empty = in-process)")
-	spares := fs.String("spares", "", "comma-separated standby worker addresses a recovery can re-home a dead PE onto (implies -recover, so excludes -steal)")
-	recoverFlag := fs.Bool("recover", false, "survive worker deaths by respawn + single-assignment replay instead of failing the run (excludes -steal; with -serve, every submitted job that asks for stealing fails)")
+	spares := fs.String("spares", "", "comma-separated standby worker addresses a recovery can re-home a dead PE onto, one per death (implies -recover, so excludes -steal)")
+	recoverFlag := fs.Bool("recover", false, "survive worker deaths, mid-run or during the result gather, by re-homing the dead PE and running the job again instead of failing it (excludes -steal; with -serve, every submitted job that asks for stealing fails)")
 	pes := fs.Int("pes", 0, "number of in-process worker PEs (default 4)")
 	argsFlag := fs.String("args", "", "comma-separated integer arguments for main")
 	builtin := fs.String("builtin", "", "run a built-in kernel: matmul | heat | pipeline | mirror | triangular | triread | relax")
@@ -205,9 +205,9 @@ func run(argv []string) error {
 	}
 	n := res.NumPEs
 	st := res.Stats
-	fmt.Printf("%s on %d PEs (%s): %.3f ms wall, %d msgs, %d deferred reads, %d/%d cache hits/misses, %d/%d evictions/refetches, %d/%d prefetches/hits, %d steals, %d forwards, %d rebounds, %d recoveries, %d replayed\n",
+	fmt.Printf("%s on %d PEs (%s): %.3f ms wall, %d msgs, %d deferred reads, %d/%d cache hits/misses, %d/%d evictions/refetches, %d/%d prefetches/hits, %d steals, %d forwards, %d rebounds, %d recoveries\n",
 		name, n, transport, float64(wall.Microseconds())/1000, st.MsgsSent, st.DeferredReads, st.CacheHits, st.CacheMisses,
-		st.Evictions, st.Refetches, st.Prefetches, st.PrefetchHits, st.Steals, st.Forwards, st.Rebounds, st.Recoveries, st.ReplayedSPs)
+		st.Evictions, st.Refetches, st.Prefetches, st.PrefetchHits, st.Steals, st.Forwards, st.Rebounds, st.Recoveries)
 	if res.Value != nil {
 		fmt.Printf("result: %s\n", res.Value)
 	}

@@ -107,7 +107,7 @@ func (w *worker) inheritCost(sp, child *spInst) {
 func (w *worker) mintSweep(loop int) (sweep int64, cuts []int64) {
 	a := w.adapt
 	a.nextSweep++
-	return packJobID(w.job, w.pe, w.inc, a.nextSweep), a.cuts[loop]
+	return packJobID(w.job, w.pe, a.nextSweep), a.cuts[loop]
 }
 
 // rebound installs a KRebound cut vector for its loop template.
@@ -236,7 +236,6 @@ type adaptCoord struct {
 	n        int
 	loops    map[int32]*loopCosts
 	rebounds int64
-	retired  []int64 // sweeps retired since the last drainRetired
 }
 
 // adaptHysteresis is the minimum fractional predicted-makespan improvement
@@ -332,23 +331,11 @@ func (a *adaptCoord) tick(round int32) []rebind {
 const maxPlanSpan = 1 << 22
 
 // retire drops sweeps order[0..idx] from the tables, remembering their IDs
-// so stragglers cannot revive them. Retired IDs also accumulate for the
-// driver's replay-log GC: a retired sweep is one whose successor has
-// reported (plus a straggler round), the coordinator's strongest
-// completion signal.
+// so stragglers cannot revive them.
 func (a *adaptCoord) retire(lc *loopCosts, idx int) {
 	for _, id := range lc.order[:idx+1] {
 		delete(lc.sweeps, id)
 		lc.done[id] = struct{}{}
-		a.retired = append(a.retired, id)
 	}
 	lc.order = append(lc.order[:0], lc.order[idx+1:]...)
-}
-
-// drainRetired hands the sweeps retired since the last call to the caller
-// (the driver's checkpoint kickoff).
-func (a *adaptCoord) drainRetired() []int64 {
-	out := a.retired
-	a.retired = nil
-	return out
 }

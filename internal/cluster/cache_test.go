@@ -102,7 +102,7 @@ func pumpedRun(t *testing.T, k kernels.Kernel, n, pes int, cfg Config,
 				t.Fatalf("worker failed: %s", m.Name)
 			case KDump:
 				g := arrays[m.Arr]
-				if err := mergeDump(g.h.Name, g.vals, g.mask, nil, m); err != nil {
+				if err := mergeDump(g.h.Name, g.vals, g.mask, m); err != nil {
 					t.Fatal(err)
 				}
 			case KCostReport:

@@ -47,28 +47,16 @@ func TestIDPacking(t *testing.T) {
 	if peOf(0) != -1 {
 		t.Errorf("peOf(0) = %d, want -1 (driver environment)", peOf(0))
 	}
-	for _, inc := range []int32{0, 1, 7, 255} {
-		id := packIncID(3, inc, 99)
-		if got := incOf(id); got != inc {
-			t.Errorf("incOf(packIncID(3, %d, 99)) = %d", inc, got)
-		}
-		if got := peOf(id); got != 3 {
-			t.Errorf("peOf(packIncID(3, %d, 99)) = %d, want 3", inc, got)
-		}
-	}
 	for _, job := range []int32{0, 1, 9, jobMask} {
-		id := packJobID(job, 3, 2, 99)
+		id := packJobID(job, 3, 99)
 		if got := jobOf(id); got != job {
-			t.Errorf("jobOf(packJobID(%d, 3, 2, 99)) = %d", job, got)
+			t.Errorf("jobOf(packJobID(%d, 3, 99)) = %d", job, got)
 		}
 		if got, want := peOf(id), 3; got != want {
 			t.Errorf("peOf(packJobID(%d, ...)) = %d, want %d", job, got, want)
 		}
-		if got, want := incOf(id), int32(2); got != want {
-			t.Errorf("incOf(packJobID(%d, ...)) = %d, want %d", job, got, want)
-		}
 	}
-	if packJobID(0, 4, 1, 7) != packIncID(4, 1, 7) {
+	if packJobID(0, 4, 7) != packID(4, 7) {
 		t.Error("job 0 must pack identically to a single-job ID")
 	}
 }

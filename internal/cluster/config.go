@@ -41,8 +41,8 @@ type Config struct {
 	// (round-robin with backoff) for a not-yet-started SP instance, and
 	// the victim leaves a forwarding stub behind for tokens addressed to
 	// the stolen SP's home ID. Off by default — static SPAWND
-	// partitioning only. Excludes Recover: recovery does not replay steal
-	// grants, so a run may set one of the two knobs, not both.
+	// partitioning only. Excludes Recover: a run may set one of the two
+	// knobs, not both.
 	Steal bool
 
 	// Adapt enables runtime-adaptive repartitioning of Range Filter
@@ -74,33 +74,35 @@ type Config struct {
 	// would otherwise leave ExecuteCluster hanging silently until its
 	// context expires; when a round exceeds this deadline the run fails
 	// with each PE's last-ack state (round, live SPs, message counters)
-	// instead — or, with Recover set, respawns and replays the silent PEs.
-	// Defaults to 30s; negative disables the deadline.
+	// instead — or, with Recover set, runs the job again. The result
+	// gather has the same deadline. Defaults to 30s; negative disables it.
 	RoundTimeout time.Duration
 
-	// Recover makes the driver survive worker deaths instead of failing
-	// the run: the dead PE is fenced behind a fresh incarnation number,
-	// respawned (a new goroutine on the channel transport; the next Spares
-	// address on TCP), and its root SPAWND assignments are replayed
-	// against the surviving shards — sound because single assignment makes
-	// re-execution idempotent. Off by default: recovery costs write
-	// logging on every worker while it is armed. Excludes Steal: a run
-	// may set one of the two knobs, not both.
+	// Recover makes a job survive worker deaths instead of failing: when
+	// a worker dies mid-run or during the result gather (or a probe round
+	// or the gather stalls), the job stops on every PE, the dead PE's host
+	// is re-homed (a new goroutine on the channel transport; the next
+	// Spares address on TCP), and the job runs again from its program and
+	// arguments. PODS programs are determinate, so the results are the
+	// same; Stats.Recoveries counts the re-runs, and a job that loses a
+	// worker on every one of a few runs fails. A run without a death costs
+	// nothing extra. Excludes Steal: a run may set one of the two knobs,
+	// not both.
 	Recover bool
 
 	// Spares lists standby TCP worker addresses (each running
 	// `podsd -worker`) a recovery may re-home a dead PE onto. Only
-	// meaningful with Workers and Recover set; each recovery consumes one
-	// spare.
+	// meaningful with Workers and Recover set; each re-homed PE consumes
+	// one spare.
 	Spares []string
 
 	// KillPE / KillAfter arm the channel transport's deterministic fault
 	// injector: PE KillPE's endpoint is severed — sends dropped, receives
 	// closed, a down notice surfaced to the driver — on the first frame it
 	// sends past KillAfter once it has been sent a spawn (data frames and
-	// probe acks count; both stop at termination, so the kill always lands
-	// mid-run and never in the gather phase, whose finished results are
-	// unrecoverable). KillAfter 0 (the default) disarms it; a KillPE
+	// probe acks count; both stop at termination, so the kill lands
+	// mid-run, not in the result gather). KillAfter 0 (the default)
+	// disarms it; a KillPE
 	// outside [0, NumPEs) never fires. Ignored on TCP, where faults are
 	// real (kill the worker process). Fleet-level: ignored on the per-job
 	// config passed to Submit.
@@ -108,7 +110,7 @@ type Config struct {
 	KillAfter int64
 
 	// Trace enables the observability subsystem: every worker records
-	// scheduling/cache/steal/recovery events into a fixed-capacity ring
+	// scheduling/cache/steal events into a fixed-capacity ring
 	// (internal/cluster/trace), the driver assembles a per-probe-round
 	// metrics timeline from the acks, and the run's Result carries both for
 	// export (Chrome trace_event JSON, timeline CSV). Recording is
@@ -123,8 +125,8 @@ type Config struct {
 	TraceCap int
 
 	// TraceSample records every TraceSample-th SP instance's dispatch and
-	// completion (the high-volume events); steals, page traffic, rebounds,
-	// epochs, and probes are always recorded. The sampling counter is
+	// completion (the high-volume events); steals, page traffic, rebounds
+	// and probes are always recorded. The sampling counter is
 	// deterministic, so a given schedule always samples the same
 	// instances. Defaults to 1 (record every SP).
 	TraceSample int

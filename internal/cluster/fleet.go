@@ -2,9 +2,10 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"math"
 	"net"
+	"slices"
 	"sync"
 
 	"repro/internal/isa"
@@ -42,18 +43,6 @@ func (e *jobEndpoint) Send(to int, m *Msg) error {
 func (e *jobEndpoint) Close() error {
 	e.in.close()
 	return nil
-}
-
-// repoint installs an updated peer address list after a recovery (the
-// channel transport has nothing to do): a TCP peer whose address changed
-// was replaced, so its cached connection (which may point at the dead
-// incarnation) is dropped and redialed lazily on the next send.
-func (e *jobEndpoint) repoint(peers []string) {
-	if t, ok := e.out.(*tcpEndpoint); ok {
-		for i := 0; i < len(peers) && i < len(t.links)-1; i++ {
-			t.repoint(i, peers[i], nil)
-		}
-	}
 }
 
 // fleetHost runs job lifecycle on one PE. Its endpoint's inbox table
@@ -95,6 +84,16 @@ func (h *fleetHost) serve(ctx context.Context) {
 			h.startJob(ctx, m)
 		case KJobEnd:
 			delete(h.jobs, m.Job)
+		case KInit:
+			// A TCP peer was re-homed onto a spare: the link to it redials
+			// at its new address.
+			if t, ok := h.ep.(*tcpEndpoint); ok {
+				for pe, addr := range m.Cfg.Peers {
+					if pe < h.n {
+						t.repoint(pe, addr, nil)
+					}
+				}
+			}
 		case KStop:
 			return
 		case KFail:
@@ -109,10 +108,9 @@ func (h *fleetHost) serve(ctx context.Context) {
 	}
 }
 
-// startJob instantiates a worker for the job described by m. A replacement
-// start for a job already running here (driver-side respawn after a stall)
-// retires the old instance first: its frames carry the old incarnation and
-// are fenced by every receiver.
+// startJob instantiates a worker for the job described by m. The driver
+// never starts a job twice, but a second start for a running job retires
+// the first instance, so that it cannot outlive its inbox.
 func (h *fleetHost) startJob(ctx context.Context, m *Msg) {
 	job, c := m.Job, m.Cfg
 	if old := h.jobs[job]; old != nil {
@@ -122,12 +120,7 @@ func (h *fleetHost) startJob(ctx context.Context, m *Msg) {
 	prog, err := h.resolveProg(job, c.Prog)
 	if err != nil {
 		c.inbox.close()
-		// Inc 1<<30 outruns any job-level incarnation fence so the
-		// driver's recovery filter cannot swallow the failure.
-		_ = h.ep.Send(h.n, &Msg{
-			Kind: KFail, Job: job, Inc: 1 << 30,
-			Name: fmt.Sprintf("pe %d: job start: %v", h.pe, err),
-		})
+		_ = h.ep.Send(h.n, &Msg{Kind: KFail, Job: job, Name: fmt.Sprintf("pe %d: job start: %v", h.pe, err)})
 		return
 	}
 
@@ -137,13 +130,6 @@ func (h *fleetHost) startJob(ctx context.Context, m *Msg) {
 	cfg.NumPEs = h.n
 	w := newWorker(h.pe, &cfg, prog, &jobEndpoint{job: job, out: h.ep, in: c.inbox})
 	w.job = job
-	if cfg.Recover {
-		var inc int32
-		if h.pe < len(c.Incs) {
-			inc = c.Incs[h.pe]
-		}
-		w.enableRecovery(inc, m.Epoch, c.Incs)
-	}
 	h.jobs[job] = c.inbox
 	h.wg.Add(1)
 	go func() {
@@ -166,11 +152,11 @@ type Fleet struct {
 	wg     sync.WaitGroup
 
 	mu          sync.Mutex
-	jobs        map[int32]*fleetJob
+	jobs        map[int32]*mailbox     // every live job's driver inbox
 	progs       map[int32]*isa.Program // chan-mode program registry
 	nextJob     int32
 	closed      bool
-	hostInc     []int32  // per-PE host generation (TCP re-homing fence)
+	hostGen     []int32  // per-PE host generation (re-homing fence)
 	deadPending []bool   // host died; not yet re-homed
 	peers       []string // current TCP worker addresses
 	sparesLeft  []string
@@ -178,14 +164,6 @@ type Fleet struct {
 	in   *inboxTable // the driver endpoint's: every job's inbox opens here
 	cnet *chanTransport
 	tcp  *tcpEndpoint
-}
-
-// fleetJob is the driver-side record of a live job: its inbox and what
-// Submit needs to restart workers during recovery.
-type fleetJob struct {
-	box  *mailbox
-	cfg  Config
-	prog []byte // serialized program (TCP mode; nil on the channel transport)
 }
 
 // OpenFleet brings a persistent fleet up. Geometry-free: per-job knobs
@@ -199,11 +177,11 @@ func OpenFleet(ctx context.Context, cfg Config) (*Fleet, error) {
 	f := &Fleet{
 		cfg:   cfg,
 		n:     cfg.NumPEs,
-		jobs:  make(map[int32]*fleetJob),
+		jobs:  make(map[int32]*mailbox),
 		progs: make(map[int32]*isa.Program),
 	}
 	f.ctx, f.cancel = context.WithCancel(ctx)
-	f.hostInc = make([]int32, f.n)
+	f.hostGen = make([]int32, f.n)
 	f.deadPending = make([]bool, f.n)
 
 	if len(cfg.Workers) > 0 {
@@ -289,48 +267,40 @@ func (f *Fleet) dispatch() {
 		m, err := f.in.box.recv(f.ctx)
 		if err != nil {
 			f.mu.Lock()
-			for _, fj := range f.jobs {
-				fj.box.close()
+			for _, box := range f.jobs {
+				box.close()
 			}
 			f.mu.Unlock()
 			return
 		}
 		switch m.Kind {
 		case KDown:
-			f.noteDown(m)
+			f.mu.Lock()
+			f.noteDownLocked(int(m.From), m.Gen)
+			f.mu.Unlock()
 		case KFail:
 			f.mu.Lock()
-			for _, fj := range f.jobs {
+			for _, box := range f.jobs {
 				c := *m
-				fj.box.put(&c)
+				box.put(&c)
 			}
 			f.mu.Unlock()
 		}
 	}
 }
 
-// noteDown records a host death and tells every live job (Submit tells
-// later ones). The copies carry Inc = MaxInt32: job-level incarnation
-// fences must never swallow a death notice, whose authority is the
-// transport, not any incarnation.
-func (f *Fleet) noteDown(m *Msg) {
-	pe := int(m.From)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if pe < 0 || pe >= f.n || m.Inc < f.hostInc[pe] {
-		return // stale notice from an already-re-homed host
+// noteDownLocked records the death of PE pe's host generation gen and
+// tells every live job (a job started later hears of it at its start). A
+// notice for a generation already re-homed, or a host already known dead,
+// changes nothing.
+func (f *Fleet) noteDownLocked(pe int, gen int32) {
+	if pe < 0 || pe >= f.n || gen < f.hostGen[pe] || f.deadPending[pe] {
+		return
 	}
 	f.deadPending[pe] = true
-	for _, fj := range f.jobs {
-		fj.box.put(&Msg{Kind: KDown, From: m.From, Inc: math.MaxInt32})
+	for _, box := range f.jobs {
+		box.put(&Msg{Kind: KDown, From: int32(pe)})
 	}
-}
-
-// jobStartMsg builds one PE's KJobStart: the job's config, recovery state,
-// and (on TCP) the serialized program. incs must be a fresh slice per call
-// — the receiving worker retains and mutates it.
-func jobStartMsg(cfg *Config, prog []byte, epoch int32, incs []int32) *Msg {
-	return &Msg{Kind: KJobStart, Epoch: epoch, Cfg: &MsgCfg{Job: *cfg, Incs: incs, Prog: prog}}
 }
 
 // allocJobIDLocked mints a job ID. IDs whose low 15 bits are zero are
@@ -374,14 +344,9 @@ func (f *Fleet) Submit(ctx context.Context, prog *isa.Program, cfg Config, args 
 	}
 
 	// The job inherits the fleet's transport shape; everything else is per
-	// job. Workers is snapshotted so recovery sees the *current* peer
-	// table (a re-homed PE lives at its spare's address).
-	f.mu.Lock()
-	curPeers := append([]string(nil), f.peers...)
-	f.mu.Unlock()
+	// job.
 	cfg.NumPEs = f.n
-	cfg.Workers = curPeers
-	cfg.Spares = nil
+	cfg.Workers, cfg.Spares = nil, nil
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
@@ -411,56 +376,105 @@ func (f *Fleet) Submit(ctx context.Context, prog *isa.Program, cfg Config, args 
 		mJobsRejected.Add(1)
 		return nil, fmt.Errorf("cluster: job rejected: %d jobs already running (Config.MaxJobs)", maxJobs)
 	}
-	id := f.allocJobIDLocked()
-	fj := &fleetJob{box: f.in.open(id), cfg: cfg, prog: progBytes}
-	f.jobs[id] = fj
-	if f.tcp == nil {
-		f.progs[id] = prog
-	}
-	// A host that died before this job existed is down for it too: the job
-	// must not wait for a probe round to time out to learn of it.
-	for pe, dead := range f.deadPending {
-		if dead {
-			fj.box.put(&Msg{Kind: KDown, From: int32(pe), Inc: math.MaxInt32})
-		}
-	}
+	id, box, gens := f.openJobLocked(prog)
 	f.mu.Unlock()
 	mJobsTotal.Add(1)
 	mJobsActive.Add(1)
-	defer func() {
+	defer mJobsActive.Add(-1)
+
+	// Recovery re-runs the job. PODS programs are determinate, so a run
+	// from the same program and arguments computes the same results; a
+	// Recover job that loses a worker therefore starts again, on the
+	// re-homed hosts, under a fresh job ID in the same admission slot. The
+	// ID is the fence: every late frame of the aborted run is addressed to
+	// an ended job and dropped.
+	for restarts := int64(0); ; restarts++ {
+		res, err := f.run(ctx, id, box, &cfg, progBytes, entry, args)
 		f.mu.Lock()
-		delete(f.jobs, id)
-		delete(f.progs, id)
+		f.closeJobLocked(id)
+		var death *deathError
+		if !errors.As(err, &death) {
+			f.mu.Unlock()
+			if res != nil {
+				res.Stats.Recoveries = restarts
+			}
+			return res, err
+		}
+		// A PE the driver could not reach is dead, as if its host had
+		// sent a KDown: the re-run must not start on it again.
+		if pe := death.unreachable; pe >= 0 {
+			f.noteDownLocked(pe, gens[pe])
+		}
+		switch {
+		case restarts == maxRestarts:
+			err = fmt.Errorf("cluster: job lost a worker on each of its %d runs, the last time: %w", maxRestarts+1, err)
+		case f.closed:
+			err = fmt.Errorf("cluster: fleet is closed")
+		default:
+			err = f.rehomeDeadLocked()
+		}
+		if err != nil {
+			f.mu.Unlock()
+			return nil, err
+		}
+		id, box, gens = f.openJobLocked(prog)
 		f.mu.Unlock()
-		f.in.end(id)
-		mJobsActive.Add(-1)
-	}()
+	}
+}
 
-	jep := &jobEndpoint{job: id, out: f.ep, in: fj.box}
-	var startErr error
+// maxRestarts bounds how often Submit re-runs a Config.Recover job that
+// keeps losing workers.
+const maxRestarts = 8
+
+// openJobLocked admits one run of a job: a fresh job ID, the run's driver
+// inbox, and the host generations the run starts on. A host already dead
+// is down for the run too, which hears so at once instead of waiting out a
+// probe round.
+func (f *Fleet) openJobLocked(prog *isa.Program) (id int32, box *mailbox, gens []int32) {
+	id = f.allocJobIDLocked()
+	box = f.in.open(id)
+	f.jobs[id] = box
+	if f.tcp == nil {
+		f.progs[id] = prog
+	}
+	for pe, dead := range f.deadPending {
+		if dead {
+			box.put(&Msg{Kind: KDown, From: int32(pe)})
+		}
+	}
+	return id, box, slices.Clone(f.hostGen)
+}
+
+// closeJobLocked forgets a run: its inbox ends, and every frame still
+// addressed to it is dropped.
+func (f *Fleet) closeJobLocked(id int32) {
+	delete(f.jobs, id)
+	delete(f.progs, id)
+	f.in.end(id)
+}
+
+// run makes one run of a job: start its worker on every PE, drive it, and
+// end it everywhere.
+func (f *Fleet) run(ctx context.Context, id int32, box *mailbox, cfg *Config, prog []byte, entry *isa.Template, args []isa.Value) (*Result, error) {
+	defer f.endJobEverywhere(id)
+	jep := &jobEndpoint{job: id, out: f.ep, in: box}
 	for pe := 0; pe < f.n; pe++ {
-		// Fresh Msg and incs per PE: the receiver owns them.
-		if err := jep.Send(pe, jobStartMsg(&cfg, progBytes, 0, nil)); err != nil {
-			startErr = err
-			break
+		// A fresh Msg per PE: the receiver owns it.
+		if err := jep.Send(pe, jobStartMsg(cfg, prog)); err != nil {
+			err = fmt.Errorf("cluster: starting job: %w", err)
+			if cfg.Recover {
+				err = &deathError{pe, err}
+			}
+			return nil, err
 		}
 	}
-	if startErr != nil && !cfg.Recover {
-		f.endJobEverywhere(id)
-		return nil, fmt.Errorf("cluster: starting job: %w", startErr)
-	}
-	// With recovery armed a failed start frame is just an early death:
-	// the first probe round times out and respawnJob takes over.
+	return drive(ctx, jep, *cfg, entry, args)
+}
 
-	var respawn respawnFunc
-	if cfg.Recover {
-		respawn = func(pe int, epoch int32, incs []int32) ([]string, error) {
-			return f.respawnJob(id, pe, epoch, incs)
-		}
-	}
-	res, err := drive(ctx, jep, cfg, entry, args, respawn)
-	f.endJobEverywhere(id)
-	return res, err
+// jobStartMsg builds one PE's KJobStart: the job's config and (on TCP) the
+// serialized program.
+func jobStartMsg(cfg *Config, prog []byte) *Msg {
+	return &Msg{Kind: KJobStart, Cfg: &MsgCfg{Job: *cfg, Prog: prog}}
 }
 
 // endJobEverywhere tells every host to tear the job's instance down.
@@ -470,44 +484,19 @@ func (f *Fleet) endJobEverywhere(id int32) {
 	}
 }
 
-// respawnJob adapts a job's recovery to the shared fleet: the first job to
-// respawn onto a dead PE re-homes the host (fresh mailbox on chan, spare
-// address on TCP); every job then restarts its own worker instance there
-// with its bumped incarnation vector.
-func (f *Fleet) respawnJob(job int32, pe int, epoch int32, incs []int32) ([]string, error) {
-	f.mu.Lock()
-	fj := f.jobs[job]
-	if fj == nil {
-		f.mu.Unlock()
-		return nil, fmt.Errorf("job %d is gone", job)
-	}
-	if pe < 0 || pe >= f.n {
-		f.mu.Unlock()
-		return nil, fmt.Errorf("respawn of unknown pe %d", pe)
-	}
-	if f.deadPending[pe] {
-		gen := f.hostInc[pe] + 1
-		f.hostInc[pe] = gen // fences the dead host's late notices first
-		if err := f.rehomeLocked(pe, gen); err != nil {
-			f.mu.Unlock()
-			return nil, err
+// rehomeDeadLocked re-homes the host of every PE known dead.
+func (f *Fleet) rehomeDeadLocked() error {
+	for pe, dead := range f.deadPending {
+		if !dead {
+			continue
+		}
+		f.hostGen[pe]++ // fences the dead host's late notices first
+		if err := f.rehomeLocked(pe, f.hostGen[pe]); err != nil {
+			return fmt.Errorf("cluster: re-homing pe %d: %w", pe, err)
 		}
 		f.deadPending[pe] = false
 	}
-	var peers []string
-	if f.tcp != nil {
-		peers = append([]string(nil), f.peers...)
-	}
-	cfg := fj.cfg
-	prog := fj.prog
-	f.mu.Unlock()
-
-	m := jobStartMsg(&cfg, prog, epoch, append([]int32(nil), incs...))
-	m.Job = job
-	if err := f.ep.Send(pe, m); err != nil {
-		return nil, err
-	}
-	return peers, nil
+	return nil
 }
 
 // startHost runs PE pe's fleet host on the channel transport.
@@ -521,8 +510,8 @@ func (f *Fleet) startHost(pe int, ep *chanEndpoint) {
 }
 
 // rehomeLocked replaces a dead PE's host: a fresh inbox table and host on
-// the channel transport, or the next spare address on TCP (re-announced to
-// the driver pump and, via the returned peer table, to survivors).
+// the channel transport, or the next spare address on TCP, announced to
+// the spare and to every other host in a fleet-level KInit.
 func (f *Fleet) rehomeLocked(pe int, gen int32) error {
 	if f.cnet != nil {
 		f.startHost(pe, f.cnet.replace(pe))
@@ -546,6 +535,11 @@ func (f *Fleet) rehomeLocked(pe int, gen int32) error {
 	}
 	f.tcp.repoint(pe, addr, o)
 	go f.tcp.pumpWorker(pe, gen, conn)
+	for i := 0; i < f.n; i++ {
+		if i != pe {
+			_ = f.ep.Send(i, fleetInitMsg(i, f.peers))
+		}
+	}
 	return nil
 }
 

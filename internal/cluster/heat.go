@@ -11,8 +11,8 @@ import (
 //
 //   - streaming prefetch: a detected sequential scan asks the owner for the
 //     next page before the miss, via an SP-0 KReadReq answered on the
-//     ordinary KPage path — recovery, replay, and the four-counter
-//     termination sums need no new cases;
+//     ordinary KPage path — the four-counter termination sums need no
+//     new cases;
 //   - the adaptive cache cap: CachePages self-tunes between a floor and a
 //     ceiling from per-probe-round refetch pressure.
 //

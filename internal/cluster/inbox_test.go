@@ -105,14 +105,15 @@ func rigWire(t *testing.T, prog *isa.Program) []byte {
 	return b
 }
 
-// start sends job's KJobStart on the driver stream, recovery armed with
-// PE 0 at incarnation inc.
-func (r *inboxRig) start(job, inc int32) {
-	cfg := Config{NumPEs: 2, Recover: true}
+// start sends job's KJobStart on the driver stream, with PE 0's page cache
+// capped at cap pages: every ack echoes the cap (CacheCapNow), which tells
+// two starts of one job apart.
+func (r *inboxRig) start(job int32, cap int) {
+	cfg := Config{NumPEs: 2, CachePages: cap}
 	if err := cfg.fill(); err != nil {
 		r.t.Fatal(err)
 	}
-	m := jobStartMsg(&cfg, r.wire, 0, []int32{inc, 0})
+	m := jobStartMsg(&cfg, r.wire)
 	m.Job = job
 	r.send(rigDriver, m)
 }
@@ -199,21 +200,21 @@ func TestInboxEndedJobDropsLateFrames(t *testing.T) {
 }
 
 // TestInboxReplacementStartRetiresOldInbox: a second KJobStart for a
-// running job (a respawn after a stall) routes every later frame to the
-// new instance; the old one answers nothing more.
+// running job (no driver sends one) routes every later frame to the new
+// instance; the old one answers nothing more.
 func TestInboxReplacementStartRetiresOldInbox(t *testing.T) {
 	eachTransport(t, func(t *testing.T, r *inboxRig) {
 		const job = 11
 		r.start(job, 0)
 		r.probe(rigDriver, job, 1)
-		if m := r.ack(job); m.Round != 1 || m.Inc != 0 {
-			t.Fatalf("first ack: round %d inc %d, want 1/0", m.Round, m.Inc)
+		if m := r.ack(job); m.Round != 1 || m.Ack.CacheCapNow != 0 {
+			t.Fatalf("first ack: round %d cap %d, want 1/0", m.Round, m.Ack.CacheCapNow)
 		}
 		r.start(job, 1)
 		for round := int32(2); round <= 4; round++ {
 			r.probe(rigDriver, job, round)
-			if m := r.ack(job); m.Round != round || m.Inc != 1 {
-				t.Fatalf("after the replacement start: round %d answered by inc %d, want %d by inc 1", m.Round, m.Inc, round)
+			if m := r.ack(job); m.Round != round || m.Ack.CacheCapNow != 1 {
+				t.Fatalf("after the replacement start: round %d answered with cap %d, want %d with cap 1", m.Round, m.Ack.CacheCapNow, round)
 			}
 		}
 	})

@@ -18,9 +18,9 @@ import (
 // A remote page is asked for once at a time: the in-flight page table holds
 // every page with a request outstanding, and a miss on such a page waits on
 // the table instead of asking again. Only the first demand miss (the page's
-// leader) sends a KReadReq and logs an outstanding read for recovery; the
-// reads that join it are covered by the leader's request, because whatever
-// KPage arrives for the page answers them all.
+// leader) sends a KReadReq; the reads that join it are covered by the
+// leader's request, because whatever KPage arrives for the page answers
+// them all.
 
 // pageKey identifies one (array, page) on the worker side.
 type pageKey struct {
@@ -43,10 +43,8 @@ type pageWaiter struct {
 	off  int32
 }
 
-// allocMsg builds one KAlloc frame describing h — the single definition of
-// the alloc broadcast's wire shape, shared by the original broadcast and
-// both replay paths (worker and driver). Each call returns a fresh message
-// with its own slices: a sent Msg is receiver-owned.
+// allocMsg builds one KAlloc frame describing h. Each call returns a fresh
+// message with its own slices: a sent Msg is receiver-owned.
 func allocMsg(h *istructure.Header) *Msg {
 	dims := make([]int32, len(h.Dims))
 	for i, d := range h.Dims {
@@ -66,18 +64,6 @@ func allocHeader(m *Msg, pageElems, n int) (*istructure.Header, error) {
 	return istructure.NewHeader(m.Arr, m.Name, dims, pageElems, n, int(m.Origin), m.Dist)
 }
 
-// dumpMsg snapshots elements [lo, hi) of an owned segment as a KDump frame
-// and reports whether any of them is present.
-func dumpMsg(a *istructure.Array, lo, hi int) (m *Msg, some bool) {
-	m = &Msg{Kind: KDump, Arr: a.Header().ID, Off: int32(lo), Vals: make([]isa.Value, hi-lo), Set: make([]bool, hi-lo)}
-	for off := lo; off < hi; off++ {
-		if v, present := a.Peek(off); present {
-			m.Vals[off-lo], m.Set[off-lo], some = v, true, true
-		}
-	}
-	return m, some
-}
-
 // execAlloc implements ALLOC/ALLOCD: build the header, install the local
 // segment, broadcast the header to every other PE and the driver, and hand
 // the array ID to the allocating SP.
@@ -89,7 +75,7 @@ func (w *worker) execAlloc(sp *spInst, ins *isa.DInstr, args []int, name string)
 		elems *= dims[i]
 	}
 	w.nextArr++
-	id := packJobID(w.job, w.pe, w.inc, w.nextArr)
+	id := packJobID(w.job, w.pe, w.nextArr)
 	if name == "" {
 		name = fmt.Sprintf("anon%d", id)
 	}
@@ -100,9 +86,6 @@ func (w *worker) execAlloc(sp *spInst, ins *isa.DInstr, args []int, name string)
 		return
 	}
 	w.installArray(h)
-	if w.recover != nil {
-		w.recover.allocLog = append(w.recover.allocLog, h)
-	}
 	for pe := 0; pe <= w.n; pe++ { // every other worker, plus the driver
 		if pe == w.pe {
 			continue
@@ -115,15 +98,9 @@ func (w *worker) execAlloc(sp *spInst, ins *isa.DInstr, args []int, name string)
 // installArray installs a header, wakes SPs suspended on it, and
 // dispatches the frames parked for it (see dispatch).
 func (w *worker) installArray(h *istructure.Header) {
-	fresh := w.shard.Header(h.ID) == nil
 	if err := w.shard.Install(h); err != nil {
 		w.fail(err)
 		return
-	}
-	if fresh && w.recover != nil {
-		// The install order is the checkpoint-dump iteration order; a
-		// replayed duplicate broadcast must not enter the list twice.
-		w.recover.arrays = append(w.recover.arrays, h.ID)
 	}
 	if sps := w.waitArray[h.ID]; len(sps) > 0 {
 		for _, sp := range sps {
@@ -199,15 +176,8 @@ func (w *worker) execRead(sp *spInst, ins *isa.DInstr, idx []int) isa.Step {
 }
 
 // readReq asks the owner of element off for it on behalf of (sp, slot).
-// With recovery on the request is logged until its delivery, so it can be
-// re-issued if the owner is respawned before answering.
 func (w *worker) readReq(h *istructure.Header, off int, sp int64, slot int32) {
-	owner := h.OwnerOf(off)
-	if w.recover != nil {
-		w.recover.outReads[outReadKey{sp: sp, slot: slot}] =
-			outRead{arr: h.ID, off: int32(off), owner: owner}
-	}
-	w.send(owner, &Msg{Kind: KReadReq, Arr: h.ID, Off: int32(off), ReqPE: int32(w.pe), SP: sp, Slot: slot})
+	w.send(h.OwnerOf(off), &Msg{Kind: KReadReq, Arr: h.ID, Off: int32(off), ReqPE: int32(w.pe), SP: sp, Slot: slot})
 }
 
 // execWrite implements AWRITE: owned elements are written in place (and
@@ -229,14 +199,7 @@ func (w *worker) execWrite(sp *spInst, ins *isa.DInstr, idx []int) isa.Step {
 		w.ownerWrite(a, off, val)
 		return isa.Next
 	}
-	owner := h.OwnerOf(off)
-	if r := w.recover; r != nil {
-		// Log the remote write: if the owner is respawned with an empty
-		// shard, the log replays and the single-assignment store absorbs
-		// any overlap with re-executed work idempotently.
-		r.writeLog[owner] = append(r.writeLog[owner], writeRec{arr: h.ID, off: int32(off), val: val})
-	}
-	w.send(owner, &Msg{Kind: KWrite, Arr: h.ID, Off: int32(off), Val: val})
+	w.send(h.OwnerOf(off), &Msg{Kind: KWrite, Arr: h.ID, Off: int32(off), Val: val})
 	return isa.Next
 }
 
@@ -343,23 +306,13 @@ func (w *worker) handleWrite(a *istructure.Array, m *Msg) {
 	w.ownerWrite(a, int(m.Off), m.Val)
 }
 
-// handleRestore applies one checkpoint-snapshot chunk to a respawned
-// owner's segment: each present element becomes an idempotent owner write,
-// releasing any deferred readers already queued against the empty shard.
-// Kind information survives the round trip — the driver snapshots raw
-// values, not a rendered form.
-func (w *worker) handleRestore(a *istructure.Array, m *Msg) {
-	for i, set := range m.Set {
-		if set {
-			w.ownerWrite(a, int(m.Off)+i, m.Vals[i])
-		}
-	}
-}
-
 // handleDumpReq ships this PE's owned segment of an array to the driver
 // (result gathering after termination).
 func (w *worker) handleDumpReq(a *istructure.Array, m *Msg) {
 	lo, hi := a.Header().SegmentElems(w.pe)
-	d, _ := dumpMsg(a, lo, hi)
+	d := &Msg{Kind: KDump, Arr: m.Arr, Off: int32(lo), Vals: make([]isa.Value, hi-lo), Set: make([]bool, hi-lo)}
+	for off := lo; off < hi; off++ {
+		d.Vals[off-lo], d.Set[off-lo] = a.Peek(off)
+	}
 	w.send(w.driverID(), d)
 }

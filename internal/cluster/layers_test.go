@@ -23,13 +23,6 @@ func TestOffLayerFramesFailCleanly(t *testing.T) {
 		},
 		func() *Msg { return &Msg{Kind: KStealNone} },
 	}
-	recoverKinds := []func() *Msg{
-		func() *Msg { return &Msg{Kind: KCkpt, Seq: 1, Lists: &MsgLists{Iters: []int64{7}}} },
-		func() *Msg { return &Msg{Kind: KCkptMark, Seq: 1} },
-		func() *Msg { return &Msg{Kind: KCkptOK, Seq: 1, Lists: &MsgLists{Iters: []int64{7}}} },
-		func() *Msg { return &Msg{Kind: KRecover, From: 2, Cfg: &MsgCfg{Incs: []int32{0, 1}}} },
-		func() *Msg { return &Msg{Kind: KFlush} },
-	}
 	for _, layer := range []struct {
 		name  string
 		cfg   Config // the other knobs on, never Steal with Recover
@@ -39,7 +32,6 @@ func TestOffLayerFramesFailCleanly(t *testing.T) {
 		{"adapt", Config{Heat: true, Recover: true}, []func() *Msg{
 			func() *Msg { return &Msg{Kind: KRebound, Tmpl: 0, Lists: &MsgLists{Cuts: []int64{3}}} },
 		}},
-		{"recover", Config{Steal: true, Adapt: true, Heat: true}, recoverKinds},
 	} {
 		for _, mk := range layer.kinds {
 			m := mk()
@@ -48,9 +40,6 @@ func TestOffLayerFramesFailCleanly(t *testing.T) {
 				cfg := layer.cfg
 				cfg.NumPEs, cfg.PageElems, cfg.DistThreshold = 2, 8, 16
 				w := newWorker(0, &cfg, taskProgram(), eps[0])
-				if cfg.Recover {
-					w.enableRecovery(0, 0, nil)
-				}
 				if m.From == 0 {
 					m.From = 1 // a peer's frame
 				}
@@ -59,8 +48,8 @@ func TestOffLayerFramesFailCleanly(t *testing.T) {
 				if want := "unexpected " + m.Kind.String() + " message"; !ok || got.Kind != KFail || !strings.Contains(got.Name, want) {
 					t.Fatalf("got %+v, want a KFail %q", got, want)
 				}
-				if w.epoch != 0 || len(w.insts) != 0 {
-					t.Fatalf("the frame took effect: epoch %d, %d live SPs", w.epoch, len(w.insts))
+				if len(w.insts) != 0 {
+					t.Fatalf("the frame took effect: %d live SPs", len(w.insts))
 				}
 				if extra, ok := eps[1].in.tryRecv(); ok {
 					t.Fatalf("the worker answered the peer with a %v", extra.Kind)

@@ -9,23 +9,21 @@ import (
 )
 
 // Process-wide live metrics, published by every worker in this process at
-// each probe ack (delta-encoded, so restarts of the counters across recovery
-// epochs never subtract). Registered under expvar, which also exposes them
-// on /debug/vars wherever an HTTP server is running; MetricsHandler serves
-// the same counters as a plain-text /metrics endpoint, so the multi-
-// container CI topology can assert a worker is making progress mid-run with
-// one wget. In-process runs publish too — the counters are process-global
+// each probe ack (delta-encoded). Registered under expvar, which also
+// exposes them on /debug/vars wherever an HTTP server is running;
+// MetricsHandler serves the same counters as a plain-text /metrics
+// endpoint, so the multi-container CI topology can assert a worker is
+// making progress mid-run with one wget. In-process runs publish too — the counters are process-global
 // by design (a podsd worker process hosts exactly one worker at a time, and
 // a test binary's totals are still meaningful as totals).
 var (
-	mInstrs  = expvar.NewInt("pods_instrs_total")
-	mMsgs    = expvar.NewInt("pods_msgs_total")
-	mAcks    = expvar.NewInt("pods_acks_total")
-	mSteals  = expvar.NewInt("pods_steals_total")
-	mHits    = expvar.NewInt("pods_cache_hits_total")
-	mMisses  = expvar.NewInt("pods_cache_misses_total")
-	mEvicts  = expvar.NewInt("pods_evictions_total")
-	mReplays = expvar.NewInt("pods_replayed_total")
+	mInstrs = expvar.NewInt("pods_instrs_total")
+	mMsgs   = expvar.NewInt("pods_msgs_total")
+	mAcks   = expvar.NewInt("pods_acks_total")
+	mSteals = expvar.NewInt("pods_steals_total")
+	mHits   = expvar.NewInt("pods_cache_hits_total")
+	mMisses = expvar.NewInt("pods_cache_misses_total")
+	mEvicts = expvar.NewInt("pods_evictions_total")
 
 	mPrefetches   = expvar.NewInt("pods_prefetches_total")
 	mPrefetchHits = expvar.NewInt("pods_prefetch_hits_total")
@@ -52,7 +50,6 @@ type Counters struct {
 	Instrs        int64 // instructions executed
 	Evictions     int64 // cached pages evicted by the cache bound (Config.CachePages)
 	Refetches     int64 // previously evicted pages fetched again
-	ReplayedSPs   int64 // SPs re-sent or re-instantiated for replacement workers
 	Prefetches    int64 // pages requested ahead of the miss (Config.Heat)
 	PrefetchHits  int64 // prefetched pages that later served a demand read
 	CacheCapNow   int64 // current resident-page budget (adaptive cap); Stats sums it over PEs
@@ -76,20 +73,18 @@ var counterFields = [...]struct {
 	{func(c *Counters) *int64 { return &c.Instrs }, mInstrs},
 	{func(c *Counters) *int64 { return &c.Evictions }, mEvicts},
 	{func(c *Counters) *int64 { return &c.Refetches }, nil},
-	{func(c *Counters) *int64 { return &c.ReplayedSPs }, mReplays},
 	{func(c *Counters) *int64 { return &c.Prefetches }, mPrefetches},
 	{func(c *Counters) *int64 { return &c.PrefetchHits }, mPrefetchHits},
 	{func(c *Counters) *int64 { return &c.CacheCapNow }, nil},
 }
 
 // publishMetrics folds this worker's counter growth since the previous
-// probe into the process-wide expvar metrics. Deltas are clamped at zero:
-// a recovery epoch zeroes sent/recv, and a monotone total must not absorb
-// the negative step.
+// probe into the process-wide expvar metrics. Every counter with a metric
+// only grows.
 func (w *worker) publishMetrics(c *Counters) {
 	for _, f := range counterFields {
 		cur, prev := *f.get(c), f.get(&w.pub)
-		if f.metric != nil && cur > *prev {
+		if f.metric != nil {
 			f.metric.Add(cur - *prev)
 		}
 		*prev = cur

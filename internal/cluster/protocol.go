@@ -32,8 +32,9 @@ type MsgKind uint8
 const (
 	// KInit opens a driver session on a TCP worker: its PE index, the PE
 	// count and the peer address list (Cfg.PE, NumPEs, Peers); programs and
-	// knobs arrive per job. Channel-transport workers are configured
-	// in-process and never see it.
+	// knobs arrive per job. A later KInit in the session carries the peer
+	// list again after the driver re-homed a PE onto a spare.
+	// Channel-transport workers are configured in-process and never see it.
 	KInit MsgKind = iota + 1
 
 	// KSpawn instantiates template Tmpl with Args on the receiving PE
@@ -122,39 +123,12 @@ const (
 	// consistent partition no matter when the rebound arrived.
 	KRebound
 
-	// KSpawnLog records one SPAWND fan-out with the driver (Tmpl, Args,
-	// Sweep, and the Cuts that stamped it). Sent by the spawner before the
-	// fan-out itself when recovery is enabled, so the driver can replay a
-	// dead PE's root assignments against a replacement worker. Driver
-	// control-plane: invisible to the four-counter sums.
-	KSpawnLog
-
-	// KRecover announces a completed recovery to the surviving workers:
-	// Epoch is the new counting epoch, Incs the full per-PE incarnation
-	// vector (a PE whose incarnation grew was respawned), and Peers the
-	// updated worker address list (TCP — the dead PE's slot now names its
-	// spare). Survivors zero their termination counters, fence the dead
-	// incarnations, repoint the transport, and replay their share of the
-	// lost state: allocated headers, logged remote writes, their own
-	// fan-outs, and outstanding remote reads.
-	KRecover
-
-	// KDown reports a dead worker to the driver: From names it, Inc the
+	// KDown reports a dead worker to the driver: From names it, Gen the
 	// host generation that died. It is synthesized locally — by the channel
 	// transport's fault injector and by the TCP driver's connection pumps —
 	// and never crosses a wire, so a worker death is detected at
 	// connection-loss speed instead of waiting out a probe-round deadline.
 	KDown
-
-	// KFlush is an epoch flush marker: a worker that adopts a new counting
-	// epoch sends one to every peer (after repointing at the replacement
-	// addresses). Per-pair FIFO puts the marker behind every frame the
-	// sender emitted in older epochs, so once a worker holds markers from
-	// all peers, no pre-epoch frame — invisible to the new epoch's
-	// four-counter sums — can still be in flight toward it; the detector
-	// requires exactly that (the ack's Flushed bit) before it will declare
-	// termination. Control-plane.
-	KFlush
 
 	// KTraceReq asks a worker to flush its trace ring to the driver. Sent
 	// after termination (the gather phase) or when a stalled probe round
@@ -168,15 +142,15 @@ const (
 	KTrace
 
 	// KJobStart creates a per-job worker instance on a fleet host: Job
-	// names the job, Epoch its counting epoch, and Cfg the job's Config
-	// (scheduling knobs and budgets), incarnation vector and (on TCP) the
-	// serialized program. The receiving endpoint's inbox table routes every
-	// later frame stamped with this Job straight to that instance.
+	// names the job, and Cfg carries the job's Config (scheduling knobs and
+	// budgets) and (on TCP) the serialized program. The receiving
+	// endpoint's inbox table routes every later frame stamped with this Job
+	// straight to that instance.
 	KJobStart
 
 	// KJobEnd tears a job down on a fleet host: the host stops the job's
-	// worker instance, frees its shard and logs, and drops any straggler
-	// frames still addressed to the job. Control-plane.
+	// worker instance, frees its shard, and drops any straggler frames
+	// still addressed to the job. Control-plane.
 	KJobEnd
 
 	// KSubmit asks a job server (podsd -serve) to run a program: Prog is
@@ -189,33 +163,6 @@ const (
 	// result (echoing Seq). The server streams each array as a KDump frame
 	// (Name/Dims/Vals/Set) before the KResult; errors arrive as KFail.
 	KResult
-
-	// KCkpt starts a log-GC checkpoint on every worker: Seq is the
-	// checkpoint ID and Iters the sweep IDs the adapt coordinator has
-	// retired since the previous checkpoint. Each worker records its
-	// remote-write log cut, then sends KCkptMark to all peers.
-	KCkpt
-
-	// KCkptMark is the flush marker workers exchange during a checkpoint:
-	// per-pair FIFO puts it behind every remote write its sender logged
-	// before its cut, so a worker holding marks from all peers knows its
-	// owned segments already contain every pre-cut write. Control-plane.
-	KCkptMark
-
-	// KCkptAck tells the driver one worker finished its checkpoint dump
-	// (owned segments shipped as KDump frames). Control-plane.
-	KCkptAck
-
-	// KCkptOK completes a checkpoint: every worker dumped, so workers drop
-	// their pre-cut write-log prefixes and the fan-out log entries of the
-	// sweeps named in the opening KCkpt. Control-plane.
-	KCkptOK
-
-	// KRestore pushes a checkpointed owned segment back to a respawned
-	// worker (Arr/Off/Vals/Set, same shape as KDump): values a GC'd log
-	// can no longer replay are reinstalled as idempotent owner writes,
-	// releasing any deferred readers queued by re-executed SPs.
-	KRestore
 )
 
 func (k MsgKind) String() string {
@@ -250,18 +197,15 @@ type Msg struct {
 	// control).
 	Job int32
 
-	// Failure recovery (every kind). Epoch is the sender's counting epoch
-	// (bumped by one per recovery event); Inc is the sender's incarnation,
-	// checked against the receiver's incarnation vector so frames from a
-	// dead PE's previous life are dropped at the boundary.
-	Epoch int32
-	Inc   int32
-
 	Round int32 // termination-detection round (probe, ack)
 
-	// Seq is a multi-purpose sequence number: the checkpoint ID on KCkpt*
-	// and checkpoint dumps, and the client correlation tag on KSubmit and
-	// the KResult or KFail that answers it.
+	// Gen is the host generation a KDown reports dead, which the fleet
+	// checks against a re-homed PE's current one. In memory only: a KDown
+	// never crosses a wire.
+	Gen int32
+
+	// Seq is the client correlation tag on KSubmit and the KDump, KResult
+	// or KFail frames that answer it.
 	Seq int64
 
 	// SP routing (spawn, token, readReq, page).
@@ -282,41 +226,36 @@ type Msg struct {
 	Origin int32
 	ReqPE  int32
 
-	// Adaptive repartitioning (spawn, costReport, spawnLog). A migrating
+	// Adaptive repartitioning (spawn, costReport). A migrating
 	// SP's cost tag travels per StealItem in the grant batch.
 	Sweep int64 // fan-out identity of a distributed spawn
 	RngLo int64 // adaptive lower index bound for the receiving PE (spawn)
 	RngHi int64 // adaptive upper index bound for the receiving PE (spawn)
 
 	Ack   *AckStats // probe answer (ack)
-	Cfg   *MsgCfg   // worker and job configuration (init, jobStart, submit, recover)
+	Cfg   *MsgCfg   // worker and job configuration (init, jobStart, submit)
 	Lists *MsgLists // adapt lists, steal summaries and batch, trace ring
 }
 
 // AckStats is a worker's answer to a termination probe: its Live SP count
 // and, in Counters, its cumulative worker-to-worker MsgsSent/MsgsRecv (the
-// four-counter detector's inputs), whether it holds epoch flush markers
-// from every peer, and its shard and scheduler counters at the probe. The
-// detector keeps the latest one per PE as is, so Stats and PEStats are
-// sums and copies of its Counters.
+// four-counter detector's inputs), and its shard and scheduler counters at
+// the probe. The detector keeps the latest one per PE as is, so Stats and
+// PEStats are sums and copies of its Counters.
 type AckStats struct {
-	Round   int32 // copied from the ack's Msg.Round by the detector
-	Flushed bool  // epoch flush markers held from every peer
-	Live    int64 // live SP instances
-	QDepth  int64 // ready-queue depth at the probe
+	Round  int32 // copied from the ack's Msg.Round by the detector
+	Live   int64 // live SP instances
+	QDepth int64 // ready-queue depth at the probe
 	Counters
 }
 
 // MsgCfg is the configuration block. KInit uses PE, NumPEs and Peers (a
 // TCP worker's identity and peer table); KJobStart and KSubmit carry the
-// job's Config — only its wireKnobs cross a wire — and serialized program;
-// KJobStart and KRecover carry the incarnation vector, KRecover the updated
-// peer table.
+// job's Config — only its wireKnobs cross a wire — and serialized program.
 type MsgCfg struct {
 	PE     int32
 	NumPEs int32
 	Job    Config
-	Incs   []int32 // full per-PE incarnation vector
 	Peers  []string
 	Prog   []byte
 
@@ -327,9 +266,9 @@ type MsgCfg struct {
 
 // MsgLists holds the variable-length control-plane payloads.
 type MsgLists struct {
-	Iters []int64 // iteration indices of a cost flush (costReport); sweep IDs (ckpt*)
+	Iters []int64 // iteration indices of a cost flush (costReport)
 	Costs []int64 // instruction counts parallel to Iters (costReport)
-	Cuts  []int64 // per-PE last-iteration cut points (rebound, spawnLog)
+	Cuts  []int64 // per-PE last-iteration cut points (rebound)
 
 	HotPages []int64     // thief's hot-page summary as (array, page) pairs (stealReq)
 	Batch    []StealItem // granted SP instances, locality-preferred order (stealGrant)
@@ -354,10 +293,9 @@ type StealItem struct {
 }
 
 // wireBlocks names the field groups a kind carries on the wire after the
-// common header (Kind, From, Job, Epoch, Inc). Both codec halves walk the
-// groups in declaration order and branch on the kind they have already
-// read, so the pair is symmetric by construction and a token frame is 38
-// bytes.
+// common header (Kind, From, Job). Both codec halves walk the groups in
+// declaration order and branch on the kind they have already read, so the
+// pair is symmetric by construction and a token frame is 30 bytes.
 type wireBlocks uint16
 
 const (
@@ -404,21 +342,13 @@ var kinds = [...]struct {
 	KStealNone:  {"stealNone", 0},
 	KCostReport: {"costReport", wSpawn | wSweep | wAdapt},
 	KRebound:    {"rebound", wSpawn | wAdapt},
-	KSpawnLog:   {"spawnLog", wSpawn | wSweep | wAdapt},
-	KRecover:    {"recover", wCfg},
 	KDown:       {"down", 0},
-	KFlush:      {"flush", 0},
 	KTraceReq:   {"traceReq", 0},
 	KTrace:      {"trace", wTrace},
 	KJobStart:   {"jobStart", wCfg},
 	KJobEnd:     {"jobEnd", 0},
 	KSubmit:     {"submit", wSeq | wSpawn | wName | wCfg},
 	KResult:     {"result", wSeq | wSP | wVal},
-	KCkpt:       {"ckpt", wSeq | wAdapt},
-	KCkptMark:   {"ckptMark", wSeq},
-	KCkptAck:    {"ckptAck", wSeq | wAdapt},
-	KCkptOK:     {"ckptOK", wSeq | wAdapt},
-	KRestore:    {"restore", wElem | wPage},
 }
 
 // layout returns the kind's wire blocks; ok is false for a kind that never
@@ -513,8 +443,6 @@ func encodeMsg(b []byte, m *Msg) []byte {
 	b = append(b, byte(m.Kind))
 	b = appendI32(b, m.From)
 	b = appendI32(b, m.Job)
-	b = appendI32(b, m.Epoch)
-	b = appendI32(b, m.Inc)
 	w, _ := m.Kind.layout()
 	if w&wSeq != 0 {
 		b = appendI64(b, m.Seq)
@@ -564,7 +492,6 @@ func encodeMsg(b []byte, m *Msg) []byte {
 	}
 	if w&wAck != 0 {
 		a := orZero(m.Ack)
-		b = appendBool(b, a.Flushed)
 		b = appendI64(b, a.Live)
 		b = appendI64(b, a.QDepth)
 		for _, f := range counterFields {
@@ -585,7 +512,6 @@ func encodeMsg(b []byte, m *Msg) []byte {
 		for _, p := range budgets {
 			b = appendI64(b, *p)
 		}
-		b = appendI32s(b, c.Incs)
 		b = appendU32(b, uint32(len(c.Peers)))
 		for _, p := range c.Peers {
 			b = appendString(b, p)
@@ -726,8 +652,6 @@ func decodeMsg(b []byte) (*Msg, error) {
 	m.Kind = MsgKind(r.u8())
 	m.From = r.i32()
 	m.Job = r.i32()
-	m.Epoch = r.i32()
-	m.Inc = r.i32()
 	w, ok := m.Kind.layout()
 	if !ok && r.err == nil {
 		return nil, fmt.Errorf("cluster: frame of unknown kind %d", uint8(m.Kind))
@@ -781,7 +705,7 @@ func decodeMsg(b []byte) (*Msg, error) {
 		m.RngHi = r.i64()
 	}
 	if w&wAck != 0 {
-		m.Ack = &AckStats{Flushed: r.bool(), Live: r.i64(), QDepth: r.i64()}
+		m.Ack = &AckStats{Live: r.i64(), QDepth: r.i64()}
 		for _, f := range counterFields {
 			*f.get(&m.Ack.Counters) = r.i64()
 		}
@@ -799,7 +723,6 @@ func decodeMsg(b []byte) (*Msg, error) {
 		for _, p := range budgets {
 			*p = r.i64()
 		}
-		c.Incs = r.i32s()
 		if n := r.sliceLen(4); n > 0 {
 			c.Peers = make([]string, n)
 			for i := range c.Peers {
@@ -853,41 +776,28 @@ func decodeMsg(b []byte) (*Msg, error) {
 //
 //	bits 48..62  job namespace (low 15 bits of the job ID; 0 = single-job)
 //	bits 40..47  owning PE index + 1 (the driver environment keeps ID 0)
-//	bits 32..39  minting worker's incarnation
-//	bits  0..31  per-PE sequence number
+//	bits  0..39  per-PE sequence number
 //
-// The incarnation byte makes a replacement worker's IDs distinguishable
-// from its dead predecessor's: a token that arrives at a PE for a local ID
-// minted by an earlier incarnation is provably stale and is dropped, not
-// failed. The job bits give every concurrent job on a shared fleet its own
-// ID namespace, so two jobs' SP and array IDs can never collide in any
-// shared map even though frames are already routed per job.
+// The job bits give every concurrent job on a shared fleet its own ID
+// namespace, so two jobs' SP and array IDs can never collide in any shared
+// map even though frames are already routed per job.
 
 const (
 	jobShift = 48
 	peShift  = 40
-	incShift = 32
 	jobMask  = 0x7fff
 )
 
 func packID(pe int, seq int64) int64 { return int64(pe+1)<<peShift | seq }
 
-// packIncID mints an ID under a specific incarnation.
-func packIncID(pe int, inc int32, seq int64) int64 {
-	return packID(pe, int64(inc)<<incShift|seq)
-}
-
-// packJobID mints an ID under a specific job namespace and incarnation.
-func packJobID(job int32, pe int, inc int32, seq int64) int64 {
-	return (int64(job)&jobMask)<<jobShift | packIncID(pe, inc, seq)
+// packJobID mints an ID under a specific job namespace.
+func packJobID(job int32, pe int, seq int64) int64 {
+	return (int64(job)&jobMask)<<jobShift | packID(pe, seq)
 }
 
 // peOf recovers the owning PE from a packed ID; ID 0 (the driver
 // environment) returns -1. The mask strips the job namespace bits.
 func peOf(id int64) int { return int((id>>peShift)&0xff) - 1 }
-
-// incOf recovers the minting incarnation from a packed ID.
-func incOf(id int64) int32 { return int32(id>>incShift) & 0xff }
 
 // jobOf recovers the job namespace bits from a packed ID.
 func jobOf(id int64) int32 { return int32(id>>jobShift) & jobMask }

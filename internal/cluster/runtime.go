@@ -12,13 +12,12 @@ import (
 )
 
 // Stats aggregates cluster-wide dynamic counts: the workers' Counters
-// summed over their final probe answers (ReplayedSPs adds the root
-// assignments the driver replayed), and the driver's own counts.
+// summed over their final probe answers, and the driver's own counts. All
+// but Recoveries describe the job's last run, the one that finished.
 type Stats struct {
 	Counters
-	Rebounds    int64 // adaptive Range-Filter cut broadcasts (Config.Adapt)
-	Recoveries  int64 // worker deaths survived by respawn + replay (Config.Recover)
-	Checkpoints int64 // completed replay-log GC checkpoints (Recover+Adapt)
+	Rebounds   int64 // adaptive Range-Filter cut broadcasts (Config.Adapt)
+	Recoveries int64 // times the job was re-run after losing a worker (Config.Recover)
 }
 
 // PEStat is one worker's counter breakdown from its final probe answer —
@@ -28,24 +27,19 @@ type PEStat struct {
 	Counters
 }
 
-// gathered is one assembled array after a run. raw keeps the wire values
-// alongside the float view: a checkpoint restore (KRestore) must replay
-// the exact Value a worker wrote — single-assignment idempotence compares
-// full values, not float projections. Only a recovery-armed run restores,
-// so only it pays for raw (nil otherwise).
+// gathered is one assembled array after a run.
 type gathered struct {
 	h    *istructure.Header
 	vals []float64
-	raw  []isa.Value
 	mask []bool
 }
 
 // mergeDump folds a KDump segment into an assembled array's values and
-// mask (and raw values, when non-nil): a worker's on the driver, or the job
-// server's on a submitting client. The offsets come off the wire, so they
-// are validated against the assembled size — a corrupt or duplicated dump
-// must fail the run, not panic the receiver.
-func mergeDump(name string, vals []float64, mask []bool, raw []isa.Value, m *Msg) error {
+// mask: a worker's on the driver, or the job server's on a submitting
+// client. The offsets come off the wire, so they are validated against the
+// assembled size — a corrupt or duplicated dump must fail the run, not
+// panic the receiver.
+func mergeDump(name string, vals []float64, mask []bool, m *Msg) error {
 	base := int(m.Off)
 	if base < 0 || len(m.Vals) != len(m.Set) || base > len(vals)-len(m.Vals) {
 		return fmt.Errorf("cluster: dump segment [%d,%d) with %d presence bits does not fit array %q (%d elements)",
@@ -55,9 +49,6 @@ func mergeDump(name string, vals []float64, mask []bool, raw []isa.Value, m *Msg
 		if m.Set[i] {
 			vals[base+i] = v.AsFloat()
 			mask[base+i] = true
-			if raw != nil {
-				raw[base+i] = v
-			}
 		}
 	}
 	return nil
@@ -123,12 +114,22 @@ func Execute(ctx context.Context, prog *isa.Program, cfg Config, args ...isa.Val
 	return f.Submit(ctx, prog, cfg, args...)
 }
 
+// deathError ends a run of a Config.Recover job that lost a worker: Submit
+// answers it by running the job again. unreachable names the PE a driver
+// send failed on, or is -1 (a KDown notice, which the fleet has already
+// recorded, or a silent round); err says what happened.
+type deathError struct {
+	unreachable int
+	err         error
+}
+
+func (e *deathError) Error() string { return e.err.Error() }
+
 // drive is the driver loop: spawn the entry SP on PE 0, then alternate
 // between handling worker messages and termination probes; on termination,
-// gather every array and stop the workers. respawn, when non-nil and
-// cfg.Recover is set, lets the driver survive worker deaths by respawning
-// and replaying them instead of failing the run.
-func drive(ctx context.Context, ep *jobEndpoint, cfg Config, entry *isa.Template, args []isa.Value, respawn respawnFunc) (*Result, error) {
+// gather every array and stop the workers. A worker death fails the run,
+// or with cfg.Recover returns a *deathError.
+func drive(ctx context.Context, ep *jobEndpoint, cfg Config, entry *isa.Template, args []isa.Value) (*Result, error) {
 	n := cfg.NumPEs
 	res := &Result{
 		NumPEs: n,
@@ -137,12 +138,6 @@ func drive(ctx context.Context, ep *jobEndpoint, cfg Config, entry *isa.Template
 	}
 	det := newDetector(n)
 	ad := newAdaptCoord(n)
-	rec := &recovery{enabled: cfg.Recover && respawn != nil, n: n, incs: make([]int32, n), respawn: respawn,
-		peers: append([]string(nil), cfg.Workers...)}
-	// Replay-log checkpoints ride the adapt coordinator's sweep retirement
-	// (ckpt.go).
-	ck := &ckptCoord{}
-	ckpts := rec.enabled && cfg.Adapt
 
 	// Per-job budgets (admission control): MaxElems is enforced exactly at
 	// each KAlloc broadcast (the driver sees every allocation before any
@@ -169,15 +164,12 @@ func drive(ctx context.Context, ep *jobEndpoint, cfg Config, entry *isa.Template
 		wall := int64(time.Since(driverStart))
 		for pe := 0; pe < n; pe++ {
 			a, p := det.acks[pe], prevAcks[pe]
-			// A recovery epoch zeroes sent/recv mid-run; clamp so the
-			// reset never shows up as negative traffic.
-			d := func(cur, prev int64) int64 { return max(cur-prev, 0) }
 			tb.Add(trace.Sample{
 				Round: int(round), Wall: wall, PE: pe,
-				Instrs: d(a.Instrs, p.Instrs), QDepth: a.QDepth, Live: a.Live,
-				Sent: d(a.MsgsSent, p.MsgsSent), Hits: d(a.CacheHits, p.CacheHits),
-				Misses: d(a.CacheMisses, p.CacheMisses), Evicts: d(a.Evictions, p.Evictions),
-				Steals: d(a.Steals, p.Steals),
+				Instrs: a.Instrs - p.Instrs, QDepth: a.QDepth, Live: a.Live,
+				Sent: a.MsgsSent - p.MsgsSent, Hits: a.CacheHits - p.CacheHits,
+				Misses: a.CacheMisses - p.CacheMisses, Evicts: a.Evictions - p.Evictions,
+				Steals: a.Steals - p.Steals,
 			})
 			prevAcks[pe] = a
 		}
@@ -190,53 +182,51 @@ func drive(ctx context.Context, ep *jobEndpoint, cfg Config, entry *isa.Template
 	cancelled := func(err error) error {
 		return fmt.Errorf("cluster: run cancelled (deadlocked dataflow program? %d live SPs): %w", det.liveSPs(), err)
 	}
+	// died ends the run on a worker death: fatal without recovery, else a
+	// deathError for Submit.
+	died := func(unreachable int, err error) error {
+		if !cfg.Recover {
+			return err
+		}
+		return &deathError{unreachable, err}
+	}
+	// send is ep.Send for a frame the run cannot do without: a send
+	// bouncing off a dead connection is a death notice in its own right.
+	send := func(pe int, m *Msg) error {
+		if err := ep.Send(pe, m); err != nil {
+			return died(pe, err)
+		}
+		return nil
+	}
+	toAll := func(mk func() *Msg) error {
+		for pe := 0; pe < n; pe++ {
+			if err := send(pe, mk()); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	// The driver's one timer: every bounded wait below re-arms it.
 	timer := time.NewTimer(cfg.ProbeInterval)
 	defer timer.Stop()
 
-	// The entry spawn is logged so a dead PE 0 can be replayed.
-	rec.log = append(rec.log, fanout{tmpl: int32(entry.ID), args: append([]isa.Value(nil), args...), from: -1})
-	if err := ep.Send(0, &Msg{Kind: KSpawn, Tmpl: int32(entry.ID), Args: args}); err != nil {
+	if err := send(0, &Msg{Kind: KSpawn, Tmpl: int32(entry.ID), Args: args}); err != nil {
 		return nil, err
 	}
 
 	round := int32(0)
 	roundComplete := false
 	probeReset := false
-	var down []int
-	// toAll sends every PE a fresh frame from mk. A send bouncing off a dead
-	// connection is a death notice in its own right: with recovery on the PE
-	// joins down, to be recovered like any other, and otherwise the run
-	// fails.
-	toAll := func(mk func() *Msg) error {
-		for pe := 0; pe < n; pe++ {
-			if err := ep.Send(pe, mk()); err != nil {
-				if !rec.enabled {
-					return err
-				}
-				down = append(down, pe)
-			}
-		}
-		return nil
-	}
 	// handle processes one driver-bound message; it returns an error for
-	// KFail and flags round completion for KAck. A frame from a dead
-	// incarnation is dropped whole, and a KDown notice queues its PE for
-	// recovery (or fails the run when recovery is off).
+	// KFail and KDown and flags round completion for KAck.
 	handle := func(m *Msg) error {
-		if rec.fenced(m) {
-			return nil
-		}
 		switch m.Kind {
 		case KToken:
 			val := m.Val
 			res.Value = &val
 		case KAlloc:
 			if res.arrays[m.Arr] != nil {
-				// Duplicate broadcast (a recovery replay re-ran the
-				// allocating SP): array IDs are deterministic, so keep the
-				// assembled state — it may already hold checkpoint dumps.
-				return nil
+				return fmt.Errorf("cluster: array %d allocated twice", m.Arr)
 			}
 			h, err := allocHeader(m, cfg.PageElems, n)
 			if err != nil {
@@ -247,20 +237,11 @@ func drive(ctx context.Context, ep *jobEndpoint, cfg Config, entry *isa.Template
 				return fmt.Errorf("cluster: job exceeded its element budget: %d elements allocated, budget %d (Config.MaxElems)",
 					allocElems, cfg.MaxElems)
 			}
-			g := &gathered{h: h, vals: make([]float64, h.Elems()), mask: make([]bool, h.Elems())}
-			if rec.enabled {
-				g.raw = make([]isa.Value, h.Elems())
-			}
-			res.arrays[m.Arr] = g
+			res.arrays[m.Arr] = &gathered{h: h, vals: make([]float64, h.Elems()), mask: make([]bool, h.Elems())}
 			if _, seen := res.byName[h.Name]; !seen {
 				res.nameSeq = append(res.nameSeq, h.Name)
 			}
 			res.byName[h.Name] = m.Arr
-			for _, d := range ck.release(m.Arr) {
-				if err := mergeDump(g.h.Name, g.vals, g.mask, g.raw, d); err != nil {
-					return err
-				}
-			}
 		case KFail:
 			return fmt.Errorf("cluster: %s", m.Name)
 		case KAck:
@@ -272,27 +253,14 @@ func drive(ctx context.Context, ep *jobEndpoint, cfg Config, entry *isa.Template
 			if ad.merge(m, round) {
 				probeReset = true
 			}
-		case KSpawnLog:
-			rec.logFanout(m)
 		case KDown:
-			if !rec.enabled {
-				return fmt.Errorf("cluster: worker %d died mid-run (transport closed); set Config.Recover (and Spares, on TCP) to survive worker failures", m.From)
-			}
-			down = append(down, int(m.From))
+			return died(-1, fmt.Errorf("cluster: worker %d died mid-run (transport closed); set Config.Recover (and Spares, on TCP) to survive worker failures", m.From))
 		case KDump:
-			if g := res.arrays[m.Arr]; g != nil {
-				return mergeDump(g.h.Name, g.vals, g.mask, g.raw, m)
-			}
-			// A checkpoint dump can race the allocator's KAlloc broadcast
-			// on another stream: it waits for the header.
-			if !ck.hold(m) {
+			g := res.arrays[m.Arr]
+			if g == nil {
 				return fmt.Errorf("cluster: dump for unknown array %d", m.Arr)
 			}
-		case KCkptAck:
-			if ok, effective := ck.ack(m, n); ok != nil {
-				rec.log = dropSweeps(rec.log, effective)
-				return toAll(ok)
-			}
+			return mergeDump(g.h.Name, g.vals, g.mask, m)
 		default:
 			return fmt.Errorf("cluster: driver got unexpected %s message", m.Kind)
 		}
@@ -301,33 +269,16 @@ func drive(ctx context.Context, ep *jobEndpoint, cfg Config, entry *isa.Template
 
 	// Probe rounds with geometric back-off: tight while the run is short,
 	// cheap while it is long. The cadence is for what rides it mid-run (the
-	// layers' probe duties, rebinds, checkpoints, budget and stall checks);
-	// detection does not wait for it — the moment the latest reports look
-	// terminated the next round starts at once (see the inter-round wait).
-	// The back-off resets whenever a new sweep starts reporting costs: a
-	// rebind decision is then imminent and must not wait tens of
-	// sweep-lengths, while a run whose sweeps have stopped arriving (or
-	// that never rebinds at all) pays no lasting probe overhead.
+	// layers' probe duties, rebinds, budget and stall checks); detection
+	// does not wait for it — the moment the latest reports look terminated
+	// the next round starts at once (see the inter-round wait). The
+	// back-off resets whenever a new sweep starts reporting costs: a rebind
+	// decision is then imminent and must not wait tens of sweep-lengths,
+	// while a run whose sweeps have stopped arriving (or that never rebinds
+	// at all) pays no lasting probe overhead.
 	interval := cfg.ProbeInterval
 	maxInterval := 50 * cfg.ProbeInterval
 	for {
-		if len(down) > 0 {
-			// Survive the deaths collected in down: abort any open
-			// checkpoint, respawn, announce, replay, then restart the
-			// detector and adapt coordinator in the new epoch (their
-			// accumulated state mixes incarnations and counting epochs, and
-			// replay regenerates the observations that still matter). The
-			// disturbed round proved nothing; probe tightly again while the
-			// replacements replay.
-			ck.abort()
-			if err := rec.perform(ep, down, res); err != nil {
-				return nil, err
-			}
-			down = nil
-			det.reset(rec.epoch)
-			ad = newAdaptCoord(n)
-			interval = cfg.ProbeInterval
-		}
 		round++
 		roundComplete = false
 		det.begin(round)
@@ -335,23 +286,20 @@ func drive(ctx context.Context, ep *jobEndpoint, cfg Config, entry *isa.Template
 			return nil, err
 		}
 		// The round deadline turns a dead or wedged worker into a
-		// diagnosable failure — or, with recovery enabled, into a recovery:
-		// the PEs that never acked the round are respawned and replayed.
-		// The deadline re-arms on every received message, so it measures
-		// genuine silence — no driver-bound traffic at all for the whole
-		// timeout while the round stays open, meaning some PE will never
-		// answer — and can never trip a slow-but-progressing phase. Without
+		// diagnosable failure (with recovery, into a re-run). The deadline
+		// re-arms on every received message, so it measures genuine
+		// silence — no driver-bound traffic at all for the whole timeout
+		// while the round stays open, meaning some PE will never answer —
+		// and can never trip a slow-but-progressing phase. Without
 		// recovery, expiry fails the run with each PE's last-ack state
 		// instead of hanging until the run context expires.
-		for !roundComplete && len(down) == 0 {
+		for !roundComplete {
 			m, stalled, err := recvWithin(ctx, ep, timer, cfg.RoundTimeout)
 			switch {
 			case err == nil:
 				if err := handle(m); err != nil {
 					return nil, err
 				}
-			case stalled && rec.enabled:
-				down = det.unacked()
 			case stalled:
 				// With tracing on, pull each PE's last trace events
 				// before tearing the cluster down: a wedged-but-alive
@@ -359,17 +307,14 @@ func drive(ctx context.Context, ep *jobEndpoint, cfg Config, entry *isa.Template
 				// and the event tail says what it was doing when the
 				// round stalled — far more than last-ack counters can.
 				diag := ""
-				if cfg.Trace {
-					diag = stallTraceDump(ctx, ep, timer, n, rec)
+				if cfg.Trace && !cfg.Recover {
+					diag = stallTraceDump(ctx, ep, timer, n)
 				}
-				return nil, fmt.Errorf("cluster: probe round %d stalled for %v (worker dead or wedged?): %s%s",
-					round, cfg.RoundTimeout, det.stallReport(), diag)
+				return nil, died(-1, fmt.Errorf("cluster: probe round %d stalled for %v (worker dead or wedged?): %s%s",
+					round, cfg.RoundTimeout, det.stallReport(), diag))
 			default:
 				return nil, cancelled(err)
 			}
-		}
-		if len(down) > 0 {
-			continue
 		}
 		sampleTimeline(round)
 		if cfg.MaxInstrs > 0 {
@@ -385,29 +330,16 @@ func drive(ctx context.Context, ep *jobEndpoint, cfg Config, entry *isa.Template
 		if det.roundDone() {
 			break
 		}
-		// Rebinds and checkpoint kickoff at the round boundary: every worker
-		// has flushed its cost observations at least once this round (the
-		// flush precedes the ack on the same FIFO stream), so the
-		// coordinator's view is as fresh as the round itself. Losing a
-		// rebind to a death is harmless — the coordinator restarts and
-		// replans. Sweeps retired since the last checkpoint are proposed
-		// for replay-log GC, one checkpoint in flight at a time.
+		// Rebinds at the round boundary: every worker has flushed its cost
+		// observations at least once this round (the flush precedes the ack
+		// on the same FIFO stream), so the coordinator's view is as fresh
+		// as the round itself.
 		for _, rb := range ad.tick(round) {
 			if err := toAll(func() *Msg {
 				return &Msg{Kind: KRebound, Tmpl: rb.tmpl, Lists: &MsgLists{Cuts: append([]int64(nil), rb.cuts...)}}
 			}); err != nil {
 				return nil, err
 			}
-		}
-		if ckpts && len(down) == 0 {
-			if mk := ck.propose(ad.drainRetired()); mk != nil {
-				if err := toAll(mk); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if len(down) > 0 {
-			continue
 		}
 		// Inter-round wait: handle whatever arrives until the interval is
 		// up — or until the latest reports look terminated, which starts
@@ -416,7 +348,7 @@ func drive(ctx context.Context, ep *jobEndpoint, cfg Config, entry *isa.Template
 		// ran its full length backs the cadence off.
 		ticked := false
 		timer.Reset(interval)
-		for !ticked && len(down) == 0 && !det.armed() {
+		for !ticked && !det.armed() {
 			m, err := ep.in.recvUntil(ctx, timer.C)
 			switch {
 			case err == errWake:
@@ -439,9 +371,6 @@ func drive(ctx context.Context, ep *jobEndpoint, cfg Config, entry *isa.Template
 	}
 	res.Stats.Counters = det.sum()
 	res.Stats.Rebounds = ad.rebounds
-	res.Stats.Recoveries = rec.recoveries
-	res.Stats.ReplayedSPs += rec.replayed
-	res.Stats.Checkpoints = ck.done
 	res.PEInstrs = det.perPEInstrs()
 	res.PEStats = det.perPEStats()
 
@@ -453,7 +382,7 @@ func drive(ctx context.Context, ep *jobEndpoint, cfg Config, entry *isa.Template
 			if lo >= hi {
 				continue
 			}
-			if err := ep.Send(pe, &Msg{Kind: KDumpReq, Arr: id}); err != nil {
+			if err := send(pe, &Msg{Kind: KDumpReq, Arr: id}); err != nil {
 				return nil, err
 			}
 			expect++
@@ -463,31 +392,24 @@ func drive(ctx context.Context, ep *jobEndpoint, cfg Config, entry *isa.Template
 	// round: a worker dying between the final quiet round and its
 	// KDumpReq would otherwise hang the driver here just as silently as a
 	// mid-round death would above, while a large gather that keeps making
-	// progress can take as long as it needs. Recovery does not extend past
-	// termination: a worker dying *here* lost finished results, not
-	// re-runnable work, so the run fails with diagnostics instead.
+	// progress can take as long as it needs. A worker dying here lost
+	// finished results: without recovery the run fails, with it the job
+	// runs again.
 	for expect > 0 {
 		m, stalled, err := recvWithin(ctx, ep, timer, cfg.RoundTimeout)
-		if err != nil {
-			if stalled {
-				return nil, fmt.Errorf("cluster: result gather stalled for %v with %d dump segments outstanding (worker dead or wedged?)",
-					cfg.RoundTimeout, expect)
-			}
+		switch {
+		case stalled:
+			return nil, died(-1, fmt.Errorf("cluster: result gather stalled for %v with %d dump segments outstanding (worker dead or wedged?)",
+				cfg.RoundTimeout, expect))
+		case err != nil:
 			return nil, fmt.Errorf("cluster: gathering results: %w", err)
-		}
-		if rec.fenced(m) {
-			continue
-		}
-		if m.Kind == KDump && m.Seq == 0 {
-			// Seq != 0 marks a straggling checkpoint dump — merged below
-			// like any other, but not one of the requested segments.
+		case m.Kind == KDown:
+			return nil, died(-1, fmt.Errorf("cluster: worker %d died during result gather (its finished segments are lost)", m.From))
+		case m.Kind == KDump:
 			expect--
 		}
 		if err := handle(m); err != nil {
 			return nil, err
-		}
-		if len(down) > 0 {
-			return nil, fmt.Errorf("cluster: worker %d died during result gather (its finished segments are lost)", down[0])
 		}
 	}
 	// Trace gather rides behind the array gather (same FIFO streams, so
@@ -495,7 +417,7 @@ func drive(ctx context.Context, ep *jobEndpoint, cfg Config, entry *isa.Template
 	// is best-effort: the run's results are already in hand, and a PE that
 	// cannot answer any more costs an empty trace, never the run.
 	if cfg.Trace {
-		pts := gatherTraces(ctx, ep, timer, n, traceGatherWait(cfg.RoundTimeout), rec)
+		pts := gatherTraces(ctx, ep, timer, n, traceGatherWait(cfg.RoundTimeout))
 		res.Trace = &trace.Trace{NumPEs: n, PEs: pts, Timeline: tb.Done()}
 	}
 	return res, nil
@@ -529,7 +451,7 @@ func traceGatherWait(roundTimeout time.Duration) time.Duration {
 // message loop) contributes an empty PETrace instead of failing the
 // gather. Driver-bound frames of any other kind arriving in the window are
 // stale post-termination traffic and are dropped.
-func gatherTraces(ctx context.Context, ep *jobEndpoint, t *time.Timer, n int, wait time.Duration, rec *recovery) []trace.PETrace {
+func gatherTraces(ctx context.Context, ep *jobEndpoint, t *time.Timer, n int, wait time.Duration) []trace.PETrace {
 	out := make([]trace.PETrace, n)
 	got := make([]bool, n)
 	need := 0
@@ -542,9 +464,6 @@ func gatherTraces(ctx context.Context, ep *jobEndpoint, t *time.Timer, n int, wa
 		m, _, err := recvWithin(ctx, ep, t, wait)
 		if err != nil {
 			break
-		}
-		if rec != nil && rec.fenced(m) {
-			continue
 		}
 		if m.Kind != KTrace {
 			continue
@@ -564,8 +483,8 @@ func gatherTraces(ctx context.Context, ep *jobEndpoint, t *time.Timer, n int, wa
 // round's error message. The wait per receive is short: the PEs that can
 // still talk answer immediately, and the one the round is stalled on
 // probably never will.
-func stallTraceDump(ctx context.Context, ep *jobEndpoint, t *time.Timer, n int, rec *recovery) string {
-	pts := gatherTraces(ctx, ep, t, n, 500*time.Millisecond, rec)
+func stallTraceDump(ctx context.Context, ep *jobEndpoint, t *time.Timer, n int) string {
+	pts := gatherTraces(ctx, ep, t, n, 500*time.Millisecond)
 	var b strings.Builder
 	for pe := range pts {
 		fmt.Fprintf(&b, "\n  pe %d trace tail (%d events, %d dropped):\n%s",

@@ -269,7 +269,7 @@ func submitWire(ctx context.Context, addr string, wire []byte, cfg Config, args 
 				})
 			}
 			a := &reply.Arrays[idx]
-			if err := mergeDump(a.Name, a.Vals, a.Mask, nil, m); err != nil {
+			if err := mergeDump(a.Name, a.Vals, a.Mask, m); err != nil {
 				return nil, err
 			}
 		case KResult:

@@ -16,8 +16,8 @@ import (
 // when it goes idle (maybeSteal), on every probe (stealProbe), when a token
 // finds no live SP (relay), when a stolen-in SP halts (it enters halted) and
 // for the three steal kinds (stealMsg); enqueue resets the backoff. Config
-// rejects Steal with Recover, so a worker never runs this layer and the
-// recovery layer at once.
+// rejects Steal with Recover: the worker-kill tests do not cross stealing
+// yet.
 
 // stealState is a worker's half of work stealing, nil when Config.Steal is
 // off or the job has one PE.

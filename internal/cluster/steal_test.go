@@ -622,7 +622,7 @@ func TestDumpBoundsChecked(t *testing.T) {
 
 	good := &Msg{Kind: KDump, Arr: 7, Off: 4,
 		Vals: []isa.Value{isa.Float(1), isa.Float(2)}, Set: []bool{true, true}}
-	if err := mergeDump("A", g.vals, g.mask, nil, roundTrip(t, good)); err != nil {
+	if err := mergeDump("A", g.vals, g.mask, roundTrip(t, good)); err != nil {
 		t.Fatalf("in-bounds dump rejected: %v", err)
 	}
 	bad := []*Msg{
@@ -632,7 +632,7 @@ func TestDumpBoundsChecked(t *testing.T) {
 		{Kind: KDump, Arr: 7, Off: 0, Vals: []isa.Value{isa.Float(1)}, Set: []bool{true, true}},
 	}
 	for i, m := range bad {
-		if err := mergeDump("A", g.vals, g.mask, nil, roundTrip(t, m)); err == nil {
+		if err := mergeDump("A", g.vals, g.mask, roundTrip(t, m)); err == nil {
 			t.Errorf("malformed dump %d accepted (vals=%d set=%d off=%d)", i, len(m.Vals), len(m.Set), m.Off)
 		}
 	}

@@ -281,8 +281,8 @@ func pump(conn net.Conn, in *inboxTable, onInit func(net.Conn)) {
 // sends through concurrently. The driver's links are dialed up front and
 // never redialed: re-homing swaps in the spare's connection. A worker's
 // link to the driver (index NumPEs) is the connection its KInit came on;
-// its peer links dial lazily from the address table, which a recovery's
-// KRecover updates (jobEndpoint.repoint).
+// its peer links dial lazily from the address table, which a later KInit
+// updates when the driver re-homes a PE onto a spare.
 type tcpEndpoint struct {
 	self  int
 	in    *inboxTable
@@ -306,10 +306,11 @@ func (t *tcpEndpoint) Send(to int, m *Msg) error {
 	l := &t.links[to]
 	l.mu.Lock()
 	if l.out == nil {
-		conn, err := net.Dial("tcp", l.addr)
+		addr := l.addr
+		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			l.mu.Unlock()
-			return fmt.Errorf("cluster: dialing peer %d at %s: %w", to, l.addr, err)
+			return fmt.Errorf("cluster: dialing peer %d at %s: %w", to, addr, err)
 		}
 		l.out = newOutbox(conn)
 	}
@@ -320,10 +321,10 @@ func (t *tcpEndpoint) Send(to int, m *Msg) error {
 
 // repoint moves link `to` to addr with outbox out (nil: dial addr on the
 // next send), closing the connection it replaces unflushed: it served a
-// dead incarnation. On the driver, that connection's pump exits on the
-// close; its KDown carries the old host generation and is fenced by the
-// fleet. A lazy move to the address the link already has is a no-op, so
-// jobs that each announce the same re-homing redial it once.
+// dead host. On the driver, that connection's pump exits on the close; its
+// KDown carries the old host generation and is fenced by the fleet. A lazy
+// move to the address the link already has is a no-op, so a KInit that
+// repeats the peer table redials only the PE whose address changed.
 func (t *tcpEndpoint) repoint(to int, addr string, out *outbox) {
 	l := &t.links[to]
 	l.mu.Lock()
@@ -357,11 +358,11 @@ func (t *tcpEndpoint) Close() error {
 // synthesizes a KDown notice when it drops: a worker dying mid-run is
 // detected at connection-loss speed, and the notice carries the host
 // generation the connection served so a replaced worker's teardown is
-// fenced instead of re-triggering recovery. After Close the box is closed,
+// fenced instead of marking the new host dead. After Close the box is closed,
 // so the put is a no-op during normal cleanup.
-func (t *tcpEndpoint) pumpWorker(pe int, inc int32, conn net.Conn) {
+func (t *tcpEndpoint) pumpWorker(pe int, gen int32, conn net.Conn) {
 	pump(conn, t.in, nil)
-	t.in.put(&Msg{Kind: KDown, From: int32(pe), Inc: inc})
+	t.in.put(&Msg{Kind: KDown, From: int32(pe), Gen: gen})
 }
 
 // ServeWorker runs one TCP worker PE on ln until the driver session ends

@@ -273,8 +273,8 @@ func TestTCPSeveredPeerYieldsDown(t *testing.T) {
 		if err != nil || m.Kind != want {
 			t.Fatalf("got %+v, %v; want a %v", m, err, want)
 		}
-		if want == KDown && (m.From != 0 || m.Inc != 3) {
-			t.Fatalf("KDown names pe %d generation %d, want 0/3", m.From, m.Inc)
+		if want == KDown && (m.From != 0 || m.Gen != 3) {
+			t.Fatalf("KDown names pe %d generation %d, want 0/3", m.From, m.Gen)
 		}
 	}
 }

@@ -31,14 +31,13 @@ import (
 // detector accumulates reports and probe rounds and decides termination.
 type detector struct {
 	// acks is each PE's latest report, ack or push (per-sender FIFO: arrival
-	// order is report order). Round is the last round the PE acked. A zero
-	// entry is unflushed, so a PE that has not reported yet never looks
-	// quiet.
+	// order is report order). Round is the last round the PE acked. A PE
+	// that has not reported yet holds one live SP, so it never looks quiet.
 	acks []AckStats
 
 	// round is the probe round currently being collected; seen marks the
 	// PEs that have answered it, and got counts how many have. Tracking
-	// both is what makes a duplicated or replayed ack harmless: an ack for
+	// both is what makes a duplicated ack harmless: an ack for
 	// any other round is ignored, and a PE counts at most once per round —
 	// a duplicate can therefore never complete a round in place of a PE
 	// that never answered.
@@ -46,21 +45,19 @@ type detector struct {
 	seen  []bool
 	got   int
 
-	// epoch is the counting epoch reports must belong to. A recovery bumps
-	// it (and every worker zeroes its counters on adoption), so a report
-	// whose sums predate the recovery can never mix into the new epoch's
-	// totals.
-	epoch int32
-
 	// prev holds the first wave's sums — the latest reports as they stood
 	// when the current round began; prevOK marks them as a candidate (every
-	// PE idle and flushed, sent == recv).
+	// PE idle, sent == recv).
 	prevSent, prevRecv int64
 	prevOK             bool
 }
 
 func newDetector(n int) *detector {
-	return &detector{acks: make([]AckStats, n), seen: make([]bool, n)}
+	d := &detector{acks: make([]AckStats, n), seen: make([]bool, n)}
+	for i := range d.acks {
+		d.acks[i].Live = 1
+	}
+	return d
 }
 
 // begin starts collecting a new probe round. The latest reports are frozen
@@ -75,12 +72,12 @@ func (d *detector) begin(round int32) {
 	d.prevSent, d.prevRecv, d.prevOK = d.quiescent()
 }
 
-// record stores one report; reports from another counting epoch or a PE out
-// of range are ignored. A push (Round 0) only replaces the PE's latest
-// report. An ack must answer the current round and counts once per PE;
-// record returns true when it completes the round (every PE answered once).
+// record stores one report; a report from a PE out of range is ignored. A
+// push (Round 0) only replaces the PE's latest report. An ack must answer
+// the current round and counts once per PE; record returns true when it
+// completes the round (every PE answered once).
 func (d *detector) record(pe int, m *Msg) bool {
-	if pe < 0 || pe >= len(d.acks) || m.Epoch != d.epoch {
+	if pe < 0 || pe >= len(d.acks) {
 		return false
 	}
 	round := d.acks[pe].Round
@@ -97,19 +94,15 @@ func (d *detector) record(pe int, m *Msg) bool {
 	return m.Round != 0 && d.got == len(d.acks)
 }
 
-// quiescent sums the latest reports; ok means no PE has a live SP, every
-// PE's counting epoch is flushed and no data message is in flight. The
-// flush matters beyond the classic conditions: a frame sent before an epoch
-// reset is invisible to the new epoch's sums on both ends, so only the
-// flush markers (which trail all older-epoch traffic on each FIFO stream)
-// prove nothing uncounted is still in flight.
+// quiescent sums the latest reports; ok means no PE has a live SP and no
+// data message is in flight.
 func (d *detector) quiescent() (sent, recv int64, ok bool) {
 	ok = true
 	for i := range d.acks {
 		a := &d.acks[i]
 		sent += a.MsgsSent
 		recv += a.MsgsRecv
-		ok = ok && a.Live == 0 && a.Flushed
+		ok = ok && a.Live == 0
 	}
 	return sent, recv, ok && sent == recv
 }
@@ -127,29 +120,6 @@ func (d *detector) armed() bool {
 func (d *detector) roundDone() bool {
 	sent, recv, ok := d.quiescent()
 	return ok && d.prevOK && sent == d.prevSent && recv == d.prevRecv
-}
-
-// reset moves the detector into a new counting epoch after a recovery:
-// every held report belongs to the old epoch and stops vouching for
-// anything (unflushed: it can neither arm nor confirm a round), and
-// subsequent reports must carry the new epoch to count.
-func (d *detector) reset(epoch int32) {
-	d.epoch = epoch
-	for i := range d.acks {
-		d.acks[i].Flushed = false
-	}
-}
-
-// unacked lists the PEs that have not answered the round being collected —
-// the recovery candidates when the round deadline fires.
-func (d *detector) unacked() []int {
-	var out []int
-	for pe, s := range d.seen {
-		if !s {
-			out = append(out, pe)
-		}
-	}
-	return out
 }
 
 // liveSPs sums the live SP counts of the latest acks (deadlock diagnostics).

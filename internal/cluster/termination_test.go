@@ -17,10 +17,9 @@ import (
 // worker pushes, and that the driver needs no probe timer to finish a job.
 
 // detAck records one probe answer on d: PE pe answering round with the
-// given counters and live SP count (epoch 0, trivially flushed). Returns
-// whether the round completed.
+// given counters and live SP count. Returns whether the round completed.
 func detAck(d *detector, pe int, round int32, sent, recv int64, live int32) bool {
-	return d.record(pe, &Msg{Kind: KAck, Round: round, Ack: &AckStats{Live: int64(live), Flushed: true, Counters: Counters{MsgsSent: sent, MsgsRecv: recv}}})
+	return d.record(pe, &Msg{Kind: KAck, Round: round, Ack: &AckStats{Live: int64(live), Counters: Counters{MsgsSent: sent, MsgsRecv: recv}}})
 }
 
 // completeRound collects one full round on d and evaluates it.
@@ -91,29 +90,28 @@ func TestDetectorTwoQuietRoundsRule(t *testing.T) {
 	}
 }
 
-// peState is one PE's four-counter state in a hand-fed wave (epoch 0,
-// flushed).
+// peState is one PE's four-counter state in a hand-fed wave.
 type peState struct{ sent, recv, live int64 }
 
 // detPush records unsolicited reports (Round 0) on d, one per PE from pe0
-// on, in the given counting epoch.
-func detPush(t *testing.T, d *detector, epoch int32, pe0 int, states ...peState) {
+// on.
+func detPush(t *testing.T, d *detector, pe0 int, states ...peState) {
 	t.Helper()
 	for i, s := range states {
-		m := &Msg{Kind: KAck, Epoch: epoch, Ack: &AckStats{Live: s.live, Flushed: true, Counters: Counters{MsgsSent: s.sent, MsgsRecv: s.recv}}}
+		m := &Msg{Kind: KAck, Ack: &AckStats{Live: s.live, Counters: Counters{MsgsSent: s.sent, MsgsRecv: s.recv}}}
 		if d.record(pe0+i, m) {
 			t.Fatalf("a push from pe %d completed a probe round", pe0+i)
 		}
 	}
 }
 
-// detWave collects one complete probe round of per-PE states in the given
-// epoch and evaluates it.
-func detWave(d *detector, round, epoch int32, states ...peState) bool {
+// detWave collects one complete probe round of per-PE states and
+// evaluates it.
+func detWave(d *detector, round int32, states ...peState) bool {
 	d.begin(round)
 	for pe, s := range states {
-		d.record(pe, &Msg{Kind: KAck, Round: round, Epoch: epoch,
-			Ack: &AckStats{Live: s.live, Flushed: true, Counters: Counters{MsgsSent: s.sent, MsgsRecv: s.recv}}})
+		d.record(pe, &Msg{Kind: KAck, Round: round,
+			Ack: &AckStats{Live: s.live, Counters: Counters{MsgsSent: s.sent, MsgsRecv: s.recv}}})
 	}
 	return d.roundDone()
 }
@@ -127,14 +125,14 @@ func TestDetectorPushesArmOneConfirmingRound(t *testing.T) {
 	if d.armed() {
 		t.Fatal("armed before any PE reported")
 	}
-	if detWave(d, 1, 0, peState{4, 3, 0}, peState{3, 3, 1}) || d.armed() {
+	if detWave(d, 1, peState{4, 3, 0}, peState{3, 3, 1}) || d.armed() {
 		t.Fatal("a round with a live SP terminated or armed the detector")
 	}
-	detPush(t, d, 0, 1, peState{3, 4, 0}) // PE 1 drained its queue and went idle
+	detPush(t, d, 1, peState{3, 4, 0}) // PE 1 drained its queue and went idle
 	if !d.armed() {
 		t.Fatal("not armed although every latest report is quiet and 7 sent == 7 received")
 	}
-	if !detWave(d, 2, 0, peState{4, 3, 0}, peState{3, 4, 0}) {
+	if !detWave(d, 2, peState{4, 3, 0}, peState{3, 4, 0}) {
 		t.Fatal("pushed reports plus one matching round did not terminate")
 	}
 }
@@ -145,9 +143,9 @@ func TestDetectorPushesArmOneConfirmingRound(t *testing.T) {
 func TestDetectorPushIsNotAnAck(t *testing.T) {
 	d := newDetector(2)
 	d.begin(1)
-	detPush(t, d, 0, 0, peState{1, 1, 0}, peState{1, 1, 0})
-	if got := d.unacked(); len(got) != 2 {
-		t.Fatalf("unacked after two pushes = %v, want both PEs", got)
+	detPush(t, d, 0, peState{1, 1, 0}, peState{1, 1, 0})
+	if d.got != 0 {
+		t.Fatalf("%d PEs answered round 1 after two pushes, want none", d.got)
 	}
 	detAck(d, 0, 1, 1, 1, 0)
 	if !detAck(d, 1, 1, 1, 1, 0) {
@@ -156,7 +154,7 @@ func TestDetectorPushIsNotAnAck(t *testing.T) {
 	if d.roundDone() {
 		t.Fatal("a round begun before the reports arrived confirmed them")
 	}
-	if !detWave(d, 2, 0, peState{1, 1, 0}, peState{1, 1, 0}) {
+	if !detWave(d, 2, peState{1, 1, 0}, peState{1, 1, 0}) {
 		t.Fatal("the following round did not terminate")
 	}
 }
@@ -166,71 +164,56 @@ func TestDetectorPushIsNotAnAck(t *testing.T) {
 // SP) and must not terminate; it becomes the next first wave instead.
 func TestDetectorStaleReportDoesNotTerminate(t *testing.T) {
 	d := newDetector(2)
-	detPush(t, d, 0, 0, peState{2, 2, 0}, peState{1, 1, 0})
+	detPush(t, d, 0, peState{2, 2, 0}, peState{1, 1, 0})
 	if !d.armed() {
 		t.Fatal("balanced quiet reports did not arm")
 	}
 	// PE 0 sent PE 1 one more message after reporting; both are idle again.
 	moved := []peState{{3, 2, 0}, {1, 2, 0}}
-	if detWave(d, 1, 0, moved...) {
+	if detWave(d, 1, moved...) {
 		t.Fatal("terminated although the round's sums differ from the reported ones")
 	}
 	// Same sums as the round before, but PE 1 is running an SP.
-	if detWave(d, 2, 0, moved[0], peState{1, 2, 1}) || d.armed() {
+	if detWave(d, 2, moved[0], peState{1, 2, 1}) || d.armed() {
 		t.Fatal("terminated or armed with a live SP in the round")
 	}
-	detPush(t, d, 0, 1, moved[1])
-	if !d.armed() || !detWave(d, 3, 0, moved...) {
+	detPush(t, d, 1, moved[1])
+	if !d.armed() || !detWave(d, 3, moved...) {
 		t.Fatal("a stable report/round pair after the traffic did not terminate")
 	}
 }
 
-// TestDetectorIgnoresForeignReports: reports of another counting epoch or
-// from a PE out of range never count, and a reset discards what was held —
-// an old-epoch report can neither arm nor serve as the first wave.
+// TestDetectorIgnoresForeignReports: reports from a PE out of range never
+// count, and a PE that has not reported yet never looks quiet.
 func TestDetectorIgnoresForeignReports(t *testing.T) {
 	d := newDetector(2)
 	quiet := []peState{{5, 5, 0}, {5, 5, 0}}
-	detPush(t, d, 1, 0, quiet...) // from an epoch the detector is not in
-	detPush(t, d, 0, -1, quiet[0])
-	detPush(t, d, 0, 2, quiet[0])
+	detPush(t, d, -1, quiet[0])
+	detPush(t, d, 2, quiet[0])
+	detPush(t, d, 0, quiet[0])
 	if d.armed() {
-		t.Fatal("foreign-epoch or out-of-range reports armed the detector")
+		t.Fatal("out-of-range reports armed the detector, or PE 1 looked quiet before reporting")
 	}
-	detPush(t, d, 0, 0, quiet...)
+	detPush(t, d, 1, quiet[1])
 	if !d.armed() {
-		t.Fatal("current-epoch reports did not arm")
-	}
-	d.reset(1)
-	if d.armed() {
-		t.Fatal("reports held across a reset still arm the detector")
-	}
-	detPush(t, d, 0, 0, quiet...) // stragglers of the old epoch
-	detPush(t, d, 1, 0, peState{0, 0, 0})
-	if d.armed() {
-		t.Fatal("armed with PE 1 unreported in the new epoch")
-	}
-	if detWave(d, 1, 1, peState{0, 0, 0}, peState{0, 0, 0}) {
-		t.Fatal("a held old-epoch report served as the first wave")
-	}
-	if !detWave(d, 2, 1, peState{0, 0, 0}, peState{0, 0, 0}) {
-		t.Fatal("two waves in the new epoch did not terminate")
+		t.Fatal("reports of both PEs did not arm")
 	}
 }
 
 // TestDetectorLiveOrUnflushedPushNeverArms: a push only arms when it says
-// the PE is idle and its counting epoch flushed.
+// the PE is idle, and a PE that has not reported yet holds it off.
 func TestDetectorLiveOrUnflushedPushNeverArms(t *testing.T) {
 	d := newDetector(2)
-	detPush(t, d, 0, 0, peState{1, 1, 0}, peState{1, 1, 1})
+	detPush(t, d, 0, peState{1, 1, 0}, peState{1, 1, 1})
 	if d.armed() {
 		t.Fatal("armed by a push reporting a live SP")
 	}
-	d.record(1, &Msg{Kind: KAck, Ack: &AckStats{Counters: Counters{MsgsSent: 1, MsgsRecv: 1}}})
+	d = newDetector(2)
+	detPush(t, d, 0, peState{0, 0, 0})
 	if d.armed() {
-		t.Fatal("armed by a push whose epoch is not flushed")
+		t.Fatal("armed while PE 1 has not reported")
 	}
-	if detWave(d, 1, 0, peState{1, 1, 0}, peState{1, 1, 0}) {
+	if detWave(d, 1, peState{0, 0, 0}, peState{0, 0, 0}) {
 		t.Fatal("an unarmed first wave let a single quiet round terminate")
 	}
 }
@@ -341,7 +324,7 @@ func main(n: int) {
 	}
 
 	eps[cfg.NumPEs].out = &dropDumpReqEndpoint{Endpoint: eps[cfg.NumPEs].out, dropTo: 1}
-	_, err := drive(ctx, eps[cfg.NumPEs], cfg, prog.Entry(), []isa.Value{isa.Int(8)}, nil)
+	_, err := drive(ctx, eps[cfg.NumPEs], cfg, prog.Entry(), []isa.Value{isa.Int(8)})
 	if err == nil {
 		t.Fatal("drive returned no error although PE 1's dump request was lost")
 	}
@@ -388,7 +371,7 @@ func TestDriveRoundDeadlineReportsSilentWorker(t *testing.T) {
 	}()
 
 	start := time.Now()
-	_, err := drive(ctx, eps[cfg.NumPEs], cfg, prog.Entry(), []isa.Value{isa.SPRef(0), isa.Float(0)}, nil)
+	_, err := drive(ctx, eps[cfg.NumPEs], cfg, prog.Entry(), []isa.Value{isa.SPRef(0), isa.Float(0)})
 	if err == nil {
 		t.Fatal("drive returned no error although PE 1 never acked")
 	}
@@ -414,7 +397,7 @@ func TestDriveRoundDeadlineReportsSilentWorker(t *testing.T) {
 // hand: it reports to the driver, unsolicited, exactly once per change of
 // its idle state — not when nothing changed, not after a probe ack or a
 // steal refusal that told the driver nothing new, not while an SP is
-// suspended on a remote read — and again when a KFlush completes its epoch.
+// suspended on a remote read.
 func TestWorkerPushesQuiescenceOncePerState(t *testing.T) {
 	prog := compile(t, "push.id", `
 func main(n: int) {
@@ -425,7 +408,6 @@ func main(n: int) {
 	eps := newChanTransport(2, 0)
 	peer, driver := eps[1], eps[2]
 	w := newWorker(0, &Config{NumPEs: 2, PageElems: 8, DistThreshold: 16, Steal: true}, prog, eps[0])
-	w.enableRecovery(0, 0, nil)
 	// A done context makes run return where it would block: it receives
 	// only after its inbox came up empty.
 	idle, stop := context.WithCancel(context.Background())
@@ -463,15 +445,13 @@ func main(n: int) {
 		}
 		return pushes, toDriver, drain(peer)
 	}
-	wantPush := func(step string, pushes []*Msg, epoch int32, sent, recv int64, flushed bool) {
+	wantPush := func(step string, pushes []*Msg, sent, recv int64) {
 		t.Helper()
 		if len(pushes) != 1 {
 			t.Fatalf("%s: %d pushes, want exactly 1", step, len(pushes))
 		}
-		m := pushes[0]
-		if a := m.Ack; m.Epoch != epoch || a.MsgsSent != sent || a.MsgsRecv != recv || a.Live != 0 || a.Flushed != flushed {
-			t.Fatalf("%s: pushed epoch %d %+v, want epoch %d sent %d recv %d live 0 flushed %v",
-				step, m.Epoch, *a, epoch, sent, recv, flushed)
+		if a := pushes[0].Ack; a.MsgsSent != sent || a.MsgsRecv != recv || a.Live != 0 {
+			t.Fatalf("%s: pushed %+v, want sent %d recv %d live 0", step, *a, sent, recv)
 		}
 	}
 	noPush := func(step string, pushes []*Msg) {
@@ -482,7 +462,7 @@ func main(n: int) {
 	}
 
 	pushes, _, _ := turn(driver)
-	wantPush("first idle spell", pushes, 0, 0, 0, true)
+	wantPush("first idle spell", pushes, 0, 0)
 	pushes, _, _ = turn(driver)
 	noPush("idle again, nothing changed", pushes)
 	pushes, _, _ = turn(peer, &Msg{Kind: KStealNone})
@@ -510,17 +490,9 @@ func main(n: int) {
 	noPush("still suspended", pushes)
 	sent := w.sent
 	pushes, _, _ = turn(peer, &Msg{Kind: KToken, SP: req.SP, Slot: req.Slot, Val: isa.Float(7)})
-	wantPush("read answered, SP ran to its end", pushes, 0, sent, 1, true)
-
-	// A recovery epoch zeroes the counters and needs a fresh flush proof:
-	// one report of the unflushed state, one more when the peer's marker
-	// completes the epoch.
-	pushes, _, _ = turn(driver, &Msg{Kind: KRecover, Epoch: 1, Cfg: &MsgCfg{Incs: []int32{0, 0}}})
-	wantPush("new epoch, markers outstanding", pushes, 1, 0, 0, false)
-	pushes, _, _ = turn(peer, &Msg{Kind: KFlush, Epoch: 1})
-	wantPush("epoch flushed", pushes, 1, 0, 0, true)
+	wantPush("read answered, SP ran to its end", pushes, sent, 1)
 	pushes, _, _ = turn(driver)
-	noPush("idle in the flushed epoch", pushes)
+	noPush("idle again after the SP ended", pushes)
 }
 
 // TestTerminationIndependentOfProbeTimer: with the probe cadence set to an

@@ -26,7 +26,7 @@ type chromeEvent struct {
 // one thread (tid = PE) of process 0. Sampled SP executions become "X"
 // complete slices by pairing each sp.complete with that SP's most recent
 // dispatch on the same PE; everything else — steals, page traffic, rebounds,
-// epochs, probes, and dispatches that never completed inside the ring —
+// probes, and dispatches that never completed inside the ring —
 // becomes an instant. Timeline samples, when present, add per-PE counter
 // tracks (instrs/round and queue depth). name, when non-nil, maps a template
 // id to a label for SP slices; otherwise slices are named "sp/<tmpl>".
@@ -150,9 +150,6 @@ func instant(e Event, pe int, spName func(int64) string) chromeEvent {
 	case EvRebound:
 		c.Name = e.Kind.String()
 		c.Args["tmpl"] = e.Arg0
-	case EvEpoch:
-		c.Name = e.Kind.String()
-		c.Args["epoch"] = e.Arg0
 	case EvProbe:
 		c.Name = e.Kind.String()
 		c.Args["round"], c.Args["ready"] = e.Arg0, e.Arg1

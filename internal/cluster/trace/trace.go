@@ -55,10 +55,6 @@ const (
 	// Arg0 = template id.
 	EvRebound
 
-	// EvEpoch: this worker adopted a new recovery counting epoch.
-	// Arg0 = epoch.
-	EvEpoch
-
 	// EvProbe: a termination probe was answered. Arg0 = round,
 	// Arg1 = ready-queue depth at the probe.
 	EvProbe
@@ -93,8 +89,6 @@ func (k Kind) String() string {
 		return "page.evict"
 	case EvRebound:
 		return "rebound"
-	case EvEpoch:
-		return "epoch"
 	case EvProbe:
 		return "probe"
 	case EvPrefetch:
@@ -234,7 +228,7 @@ type PETrace struct {
 
 // Sample is one (probe round, PE) row of the driver-side metrics timeline:
 // instantaneous queue depth plus counter deltas since the PE's previous
-// completed round (clamped at zero across recovery epoch resets).
+// completed round.
 type Sample struct {
 	Round  int
 	Wall   int64 // nanoseconds since the driver's run start

@@ -187,13 +187,13 @@ func TestFormatTail(t *testing.T) {
 	r := New(8, 1)
 	fixed(r)
 	r.Record(EvStealReq, 5, 1, 0)
-	r.Record(EvEpoch, 6, 2, 0)
+	r.Record(EvRebound, 6, 2, 0)
 	r.Record(EvProbe, 7, 9, 1)
 	s := FormatTail(r.Events(), 2)
 	if strings.Contains(s, "steal.req") {
 		t.Fatalf("tail of 2 must drop the oldest event:\n%s", s)
 	}
-	if !strings.Contains(s, "epoch") || !strings.Contains(s, "probe") {
+	if !strings.Contains(s, "rebound") || !strings.Contains(s, "probe") {
 		t.Fatalf("tail missing expected events:\n%s", s)
 	}
 	if got := FormatTail(nil, 4); !strings.Contains(got, "no trace events") {

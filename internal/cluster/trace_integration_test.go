@@ -36,7 +36,7 @@ func TestStallDumpIncludesTraceTails(t *testing.T) {
 		w0.run(ctx)
 	}()
 
-	_, err := drive(ctx, eps[cfg.NumPEs], cfg, prog.Entry(), []isa.Value{isa.SPRef(0), isa.Float(0)}, nil)
+	_, err := drive(ctx, eps[cfg.NumPEs], cfg, prog.Entry(), []isa.Value{isa.SPRef(0), isa.Float(0)})
 	if err == nil {
 		t.Fatal("drive returned no error although PE 1 never acked")
 	}
@@ -72,7 +72,7 @@ func main(n: int) {
 	text := b.String()
 	for _, name := range []string{"pods_instrs_total", "pods_msgs_total", "pods_acks_total",
 		"pods_steals_total", "pods_cache_hits_total", "pods_cache_misses_total",
-		"pods_evictions_total", "pods_replayed_total"} {
+		"pods_evictions_total"} {
 		if !strings.Contains(text, name+" ") {
 			t.Errorf("/metrics text missing %s:\n%s", name, text)
 		}

@@ -194,8 +194,8 @@ func (b *mailbox) sever() {
 
 // hostStashMax bounds the frames an inbox table holds for jobs that have
 // not started on its endpoint (peer traffic can race the KJobStart on the
-// driver's stream). Beyond it frames are dropped; recovery-armed jobs
-// replay, others would have failed anyway.
+// driver's stream). Beyond it frames are dropped, and the job they belong
+// to stalls: it fails, or with Recover runs again.
 const hostStashMax = 1 << 16
 
 // inboxTable is one endpoint's receive side on every transport. Fleet-level
@@ -336,15 +336,13 @@ func (t *inboxTable) shut() {
 // count advances on data frames and KAcks (probe answers and idle reports)
 // only: acks tick every round even on a PE whose work is entirely local,
 // and both stop once termination is detected — steal polling and dump
-// segments don't count — so the kill always lands mid-run, never in the
-// gather phase where finished results would be unrecoverable. Waiting for
-// the first KSpawn puts the kill on a PE that holds a logged assignment,
-// so every fired kill has something to replay: an idle PE counts its
-// reports while the entry SP runs, and could otherwise die before any
-// fan-out reached it.
+// segments don't count — so the kill lands mid-run, not in the result
+// gather. Waiting for the first KSpawn puts the kill on a PE that holds
+// work: an idle PE counts its reports while the entry SP runs, and could
+// otherwise die before any fan-out reached it.
 //
 // replace installs a fresh inbox table for a PE and returns a new endpoint
-// bound to it — the respawn half of recovery. The dead endpoint keeps
+// bound to it, for the PE's re-homed host. The dead endpoint keeps
 // pointing at its orphaned table, so a zombie worker can neither consume
 // the replacement's messages nor have its own heard (senders resolve
 // tables at send time, under the lock).
@@ -391,7 +389,7 @@ func (t *chanTransport) endpoint(i int) *chanEndpoint {
 }
 
 // replace installs a fresh inbox table for pe — dropping whatever
-// undelivered frames the dead incarnation had queued — and returns the
+// undelivered frames the dead host had queued — and returns the
 // replacement's endpoint (never fault-injected: the kill fires once).
 func (t *chanTransport) replace(pe int) *chanEndpoint {
 	in := newInboxTable(t.latency)

@@ -61,22 +61,17 @@ func TestMsgCodecRoundTrip(t *testing.T) {
 		{Kind: KCostReport, Tmpl: 6, Sweep: packID(3, 4),
 			Lists: &MsgLists{Iters: []int64{1, 2, 5}, Costs: []int64{10, 20, 50}}},
 		{Kind: KRebound, Tmpl: 6, Lists: &MsgLists{Cuts: []int64{4, 9, 13}}},
-		{Kind: KToken, From: 2, Epoch: 3, Inc: 1, SP: packIncID(1, 1, 9), Slot: 2, Val: isa.Int(5)},
-		{Kind: KSpawnLog, From: 1, Inc: 2, Tmpl: 6, Sweep: packIncID(1, 2, 3),
-			Args: []isa.Value{isa.Int(8)}, Lists: &MsgLists{Cuts: []int64{3, 7, 11}}},
-		{Kind: KRecover, Epoch: 2, Cfg: &MsgCfg{Incs: []int32{0, 1, 0, 2}, Peers: []string{"a:1", "s:9"}}},
-		{Kind: KFlush, From: 1, Epoch: 2, Inc: 1},
-		{Kind: KAck, Round: 3, Epoch: 1, Ack: &AckStats{Flushed: true, Counters: Counters{MsgsSent: 4, MsgsRecv: 4, ReplayedSPs: 2}}},
+		{Kind: KToken, From: 2, Job: 3, SP: packJobID(3, 1, 9), Slot: 2, Val: isa.Int(5)},
+		{Kind: KAck, Round: 3, Ack: &AckStats{Counters: Counters{MsgsSent: 4, MsgsRecv: 4}}},
 		{Kind: KStealReq, From: 1, Lists: &MsgLists{HotPages: []int64{packID(0, 1), 3, packID(2, 5), 0}}},
 		{Kind: KAck, Round: 9, Ack: &AckStats{Counters: Counters{MsgsSent: 8, MsgsRecv: 8, CacheHits: 40, CacheMisses: 3,
 			ReadJoins: 5, Prefetches: 6, PrefetchHits: 4, CacheCapNow: 24}}},
 		{Kind: KTrace, From: 1, Lists: &MsgLists{TraceEvs: []int64{1, 2, 3, 4, 5}, TraceDrops: 7}},
-		{Kind: KJobStart, Job: 2, Epoch: 1, Cfg: &MsgCfg{Job: Config{PageElems: 8, DistThreshold: 16, CachePages: 2,
-			Adapt: true, Heat: true, Recover: true}, Incs: []int32{0, 0, 0, 1}, Prog: []byte("{}")}},
+		{Kind: KJobStart, Job: 2, Cfg: &MsgCfg{Job: Config{PageElems: 8, DistThreshold: 16, CachePages: 2,
+			Adapt: true, Heat: true, Recover: true}, Prog: []byte("{}")}},
 		{Kind: KSubmit, Job: 1, Seq: 7, Name: "triread", Args: []isa.Value{isa.Int(26)},
 			Cfg: &MsgCfg{Job: Config{CachePages: 4, Heat: true, MaxInstrs: 1 << 40}, Prog: []byte("p")}},
 		{Kind: KResult, Seq: 7, Slot: 1, Val: isa.Float(-0.5)},
-		{Kind: KCkpt, Seq: 2, Lists: &MsgLists{Iters: []int64{packID(0, 3)}}},
 	}
 	for _, m := range msgs {
 		b := encodeMsg(nil, m)
@@ -136,7 +131,7 @@ func randMsg(rng *rand.Rand, k MsgKind) *Msg {
 	str := func() string { return string(make([]byte, rng.Intn(4))) + "x"[:rng.Intn(2)] }
 	flip := func() bool { return rng.Intn(2) == 0 }
 
-	m := &Msg{Kind: k, From: rng.Int31n(9), Job: rng.Int31(), Epoch: rng.Int31n(5), Inc: rng.Int31n(5)}
+	m := &Msg{Kind: k, From: rng.Int31n(9), Job: rng.Int31()}
 	w, _ := k.layout()
 	if w&wSeq != 0 {
 		m.Seq = rng.Int63()
@@ -175,13 +170,13 @@ func randMsg(rng *rand.Rand, k MsgKind) *Msg {
 		m.Sweep, m.RngOn, m.RngLo, m.RngHi = rng.Int63(), flip(), -rng.Int63(), rng.Int63()
 	}
 	if w&wAck != 0 {
-		m.Ack = &AckStats{Flushed: flip(), Live: rng.Int63(), QDepth: rng.Int63()}
+		m.Ack = &AckStats{Live: rng.Int63(), QDepth: rng.Int63()}
 		for _, f := range counterFields {
 			*f.get(&m.Ack.Counters) = rng.Int63()
 		}
 	}
 	if w&wCfg != 0 {
-		m.Cfg = &MsgCfg{PE: rng.Int31n(8), NumPEs: rng.Int31n(8), Incs: i32s(), Prog: []byte(str())}
+		m.Cfg = &MsgCfg{PE: rng.Int31n(8), NumPEs: rng.Int31n(8), Prog: []byte(str())}
 		ints, flags, budgets := m.Cfg.Job.wireKnobs()
 		for _, p := range ints {
 			*p = int(rng.Int31())
@@ -247,7 +242,7 @@ func TestMsgCodecRoundTripProperty(t *testing.T) {
 			}
 			// The same message with every other field set encodes identically.
 			full := randMsg(rng, KDump)
-			full.Kind, full.From, full.Job, full.Epoch, full.Inc = m.Kind, m.From, m.Job, m.Epoch, m.Inc
+			full.Kind, full.From, full.Job = m.Kind, m.From, m.Job
 			overlay(full, m, kinds[k].w)
 			if !bytes.Equal(encodeMsg(nil, full), b) {
 				t.Fatalf("%s: fields outside the kind's blocks changed the frame", k)

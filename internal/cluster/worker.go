@@ -16,9 +16,9 @@ import (
 // §5.1). It owns the run deque, the SP lifecycle, the executor binding
 // (step, Effect), token delivery and routing, sends, the quiescence report
 // and the message switch. The mechanisms layered on it — steal.go,
-// adapt.go, heat.go, recover.go with ckpt.go — each keep their state in
-// one struct hanging off the worker, nil exactly when the layer's knob is
-// off, and the core calls them directly at a few named points.
+// adapt.go, heat.go — each keep their state in one struct hanging off the
+// worker, nil exactly when the layer's knob is off, and the core calls them
+// directly at a few named points.
 
 // spInst is one live SP instance on a worker: template, operand frame,
 // program counter, and the slot it is blocked on (isa.None while runnable).
@@ -142,18 +142,15 @@ type worker struct {
 	// object namespaces can never collide.
 	job int32
 
-	// inc is this worker's incarnation (0 for an original, >0 for a
-	// replacement), packed into every ID it mints; epoch is the
-	// termination-counting epoch. Every frame sent carries both. Only the
-	// recovery layer moves them.
-	inc, epoch int32
+	// The layers, each nil exactly when its knob is off (newWorker decides).
+	steal *stealState // Config.Steal: steal.go
+	adapt *adaptState // Config.Adapt: adapt.go
+	heat  *heatState  // Config.Heat: heat.go
 
-	// The layers, each nil exactly when its knob is off (newWorker and
-	// enableRecovery decide).
-	steal   *stealState   // Config.Steal: steal.go
-	adapt   *adaptState   // Config.Adapt: adapt.go
-	heat    *heatState    // Config.Heat: heat.go
-	recover *recoverState // Config.Recover: recover.go, ckpt.go
+	// recover is Config.Recover: a peer this worker cannot reach is dead,
+	// and the driver re-runs the whole job, so a failed peer send drops the
+	// frame instead of failing the run (send).
+	recover bool
 
 	// sliceSteps counts step() calls since the last cooperative yield.
 	sliceSteps int
@@ -166,8 +163,8 @@ type worker struct {
 	pub Counters
 
 	// told is the termination state this worker last reported to the
-	// driver, in a probe ack or an idle push. The zero value matches no real
-	// state (epoch 0 is always flushed), so the first idle spell reports.
+	// driver, in a probe ack or an idle push. newWorker starts it at a state
+	// no worker is in, so the first idle spell reports.
 	told quietState
 
 	failed  bool
@@ -188,8 +185,7 @@ func (w *worker) qdepth() int64 {
 }
 
 // newWorker builds PE pe of a job from its filled Config, with the steal,
-// adapt and heat layers its knobs ask for. Recovery is armed separately
-// (enableRecovery), with the incarnation state the job start carries.
+// adapt and heat layers its knobs ask for.
 func newWorker(pe int, cfg *Config, prog *isa.Program, ep *jobEndpoint) *worker {
 	n := cfg.NumPEs
 	w := &worker{
@@ -203,6 +199,8 @@ func newWorker(pe int, cfg *Config, prog *isa.Program, ep *jobEndpoint) *worker 
 		waitArray: make(map[int64][]*spInst),
 		pending:   make(map[int64][]*Msg),
 		inflight:  make(map[pageKey]pageReq),
+		recover:   cfg.Recover,
+		told:      quietState{live: -1},
 	}
 	w.x.Backend = w
 	w.shard.CacheCap = cfg.CachePages
@@ -231,11 +229,7 @@ func newWorker(pe int, cfg *Config, prog *isa.Program, ep *jobEndpoint) *worker 
 func (w *worker) driverID() int { return w.n }
 
 // send transmits m to endpoint `to`, counting worker-to-worker data traffic.
-// Every frame is stamped with the sender's epoch and incarnation so
-// receivers can fence a dead predecessor's traffic and keep the counting
-// epochs coherent.
 func (w *worker) send(to int, m *Msg) {
-	m.Epoch, m.Inc = w.epoch, w.inc
 	if to != w.driverID() && m.Kind.isData() {
 		w.sent++
 	}
@@ -246,18 +240,12 @@ func (w *worker) send(to int, m *Msg) {
 			w.stopped = true
 			return
 		}
-		if w.recover != nil && to != w.driverID() {
-			// The peer is unreachable — dead, dying, or being replaced.
-			// Dropping the frame is recoverable: every durable effect a
-			// worker sends a peer is covered by a replay log (writes,
-			// headers, fan-outs, grants, outstanding reads), and tokens
-			// addressed to the dead incarnation are moot once its work is
-			// re-executed under fresh IDs. If no recovery comes, the probe
-			// round stalls and fails the run with diagnostics. The sent
-			// count stays in place, keeping the sums unequal until the
-			// recovery epoch resets them — a lost frame can never fake
-			// termination.
-			w.recover.deadSends++
+		if w.recover && to != w.driverID() {
+			// The peer is unreachable: dead, or dying. The driver learns of
+			// the death and re-runs the job from its program and arguments,
+			// so this attempt's results no longer matter. The sent count
+			// stays in place, keeping the sums unequal: a lost frame can
+			// never fake termination.
 			return
 		}
 		w.fail(err)
@@ -266,16 +254,12 @@ func (w *worker) send(to int, m *Msg) {
 
 // fail reports the first fatal error to the driver and stops executing SPs.
 // The worker keeps serving control messages until the driver says stop.
-// The frame is stamped like every other send — a replacement's unstamped
-// KFail would be dropped by the driver's incarnation fence and turn a
-// loud failure into a hang.
 func (w *worker) fail(err error) {
 	if w.failed {
 		return
 	}
 	w.failed = true
-	_ = w.ep.Send(w.driverID(), &Msg{Kind: KFail, Epoch: w.epoch, Inc: w.inc,
-		Name: fmt.Sprintf("pe %d: %v", w.pe, err)})
+	_ = w.ep.Send(w.driverID(), &Msg{Kind: KFail, Name: fmt.Sprintf("pe %d: %v", w.pe, err)})
 }
 
 // unexpected fails the run on a frame this worker has no use for: a kind
@@ -334,16 +318,11 @@ func (w *worker) takeReady(idx []int) []*spInst {
 }
 
 // quietState is what termination detection needs to know of a worker: the
-// four-counter halves, the live SP count, and the counting epoch with its
-// flush proof.
-type quietState struct {
-	sent, recv, live int64
-	flushed          bool
-	epoch            int32
-}
+// four-counter halves and the live SP count.
+type quietState struct{ sent, recv, live int64 }
 
 func (w *worker) quiet() quietState {
-	return quietState{w.sent, w.recv, int64(len(w.insts)), w.epochFlushed(), w.epoch}
+	return quietState{w.sent, w.recv, int64(len(w.insts))}
 }
 
 // counters snapshots this worker's Counters: the core's and its shard's,
@@ -367,9 +346,6 @@ func (w *worker) counters() Counters {
 	if h := w.heat; h != nil {
 		c.Prefetches, c.PrefetchHits = h.prefetches, h.prefetchHits
 	}
-	if r := w.recover; r != nil {
-		c.ReplayedSPs = r.replayed
-	}
 	return c
 }
 
@@ -379,7 +355,7 @@ func (w *worker) counters() Counters {
 // also publish the counters' growth to the process-wide metrics.
 func (w *worker) report(round int32) {
 	w.told = w.quiet()
-	a := &AckStats{Flushed: w.told.flushed, Live: w.told.live, QDepth: w.qdepth(), Counters: w.counters()}
+	a := &AckStats{Live: w.told.live, QDepth: w.qdepth(), Counters: w.counters()}
 	if round != 0 {
 		w.publishMetrics(&a.Counters)
 	}
@@ -438,13 +414,9 @@ func (w *worker) run(ctx context.Context) {
 // yieldEvery is the number of step() calls between cooperative yields.
 const yieldEvery = 64
 
-// handle takes one incoming frame: the recovery layer's fences, the
-// termination count, then dispatch.
+// handle takes one incoming frame: the termination count, then dispatch.
 func (w *worker) handle(m *Msg) {
-	if w.recover != nil && !w.admit(m) {
-		return
-	}
-	if m.Kind.isData() && int(m.From) != w.driverID() && m.Epoch == w.epoch {
+	if m.Kind.isData() && int(m.From) != w.driverID() {
 		w.recv++
 	}
 	w.dispatch(m)
@@ -456,7 +428,7 @@ func (w *worker) handle(m *Msg) {
 func (w *worker) dispatch(m *Msg) {
 	var a *istructure.Array
 	switch m.Kind {
-	case KReadReq, KWrite, KDumpReq, KRestore:
+	case KReadReq, KWrite, KDumpReq:
 		if a = w.shard.Array(m.Arr); a == nil {
 			w.pending[m.Arr] = append(w.pending[m.Arr], m)
 			return
@@ -506,9 +478,6 @@ func (w *worker) dispatch(m *Msg) {
 	case KRebound:
 		w.rebound(m)
 
-	case KRecover, KFlush, KCkpt, KCkptMark, KCkptOK:
-		w.recoverMsg(m)
-
 	case KTraceReq:
 		// Flush the trace ring to the driver. A worker without a recorder
 		// answers with an empty frame so the driver's gather never waits on
@@ -522,9 +491,6 @@ func (w *worker) dispatch(m *Msg) {
 
 	case KDumpReq:
 		w.handleDumpReq(a, m)
-
-	case KRestore:
-		w.handleRestore(a, m)
 
 	case KFail:
 		// A peer's transport pump reported a decode/socket error.
@@ -556,7 +522,7 @@ func (w *worker) spawnLocal(tmpl *isa.Template, nargs int) *spInst {
 		sp = &spInst{frame: make([]isa.Value, n)}
 	}
 	w.nextSP++
-	sp.id = packJobID(w.job, w.pe, w.inc, w.nextSP)
+	sp.id = packJobID(w.job, w.pe, w.nextSP)
 	sp.tmpl = tmpl
 	sp.blocked = isa.None
 	sp.costLoop = -1
@@ -575,7 +541,7 @@ func (w *worker) instantiate(tmpl *isa.Template, args []isa.Value) *spInst {
 }
 
 // spawnCopy instantiates a KSpawn: the entry spawn, or one PE's copy of a
-// fan-out (arrived, replayed, or this spawner's own). A copy of a sweep
+// fan-out (arrived, or this spawner's own). A copy of a sweep
 // charges its subtree to the sweep and, when stamped, overrides its Range
 // Filter with the bounds the spawner computed for this PE.
 func (w *worker) spawnCopy(m *Msg) {
@@ -608,21 +574,12 @@ func (w *worker) release(sp *spInst) {
 
 // deliver places a token into a local SP's frame, waking it if it was
 // blocked on that slot. A token for an SP this worker no longer holds goes
-// to the steal layer first (relay: a forwarding stub, or a stolen SP that
-// halted here). A token for a local ID minted by an earlier incarnation of
-// this PE is a release for work that died and is being re-executed under
-// fresh IDs: dropped and counted. After a recovery, a token for any
-// unknown ID is tolerated the same way — replay re-executes subtrees whose
-// first execution's tokens may still be in flight. In an unrecovered run,
-// a token for an ID this worker has never seen still fails the run.
+// to the steal layer (relay: a forwarding stub, or a stolen SP that halted
+// here); a token for an ID this worker has never seen fails the run.
 func (w *worker) deliver(id int64, slot int, v isa.Value) {
 	sp := w.insts[id]
 	if sp == nil {
-		switch r := w.recover; {
-		case w.steal != nil && w.relay(id, slot, v):
-		case r != nil && (r.recovered || peOf(id) == w.pe && incOf(id) < w.inc):
-			r.staleMsgs++
-		default:
+		if w.steal == nil || !w.relay(id, slot, v) {
 			w.fail(fmt.Errorf("token for dead SP %d", id))
 		}
 		return
@@ -630,9 +587,6 @@ func (w *worker) deliver(id int64, slot int, v isa.Value) {
 	if slot < 0 || slot >= len(sp.frame) {
 		w.fail(fmt.Errorf("token slot %d out of range for SP %q", slot, sp.tmpl.Name))
 		return
-	}
-	if w.recover != nil {
-		delete(w.recover.outReads, outReadKey{sp: id, slot: int32(slot)})
 	}
 	sp.frame[slot] = v
 	if sp.blocked == slot {
@@ -838,17 +792,13 @@ func (w *worker) execSpawn(sp *spInst, ins *isa.DInstr, args []int) {
 	}
 	// Every copy, this PE's included, is built from one fan-out record:
 	// under adaptive repartitioning a Range-Filtered loop's fan-out is a
-	// sweep boundary (mintSweep), and with recovery armed it is logged
-	// before it is performed (logFanout).
-	fo := fanout{tmpl: int32(child.ID), args: make([]isa.Value, len(args)), from: w.pe}
+	// sweep boundary (mintSweep).
+	fo := fanout{tmpl: int32(child.ID), args: make([]isa.Value, len(args))}
 	for i, s := range args {
 		fo.args[i] = f[s]
 	}
 	if w.adapt != nil && child.Distributed {
 		fo.sweep, fo.cuts = w.mintSweep(child.ID)
-	}
-	if w.recover != nil {
-		w.logFanout(fo)
 	}
 	for pe := 0; pe < w.n; pe++ {
 		if m := fo.spawnMsg(pe, w.n); pe == w.pe {
@@ -857,4 +807,27 @@ func (w *worker) execSpawn(sp *spInst, ins *isa.DInstr, args []int) {
 			w.send(pe, m)
 		}
 	}
+}
+
+// fanout is one SPAWND fan-out: the template and arguments every PE's copy
+// gets, plus, under adaptive repartitioning, the sweep it opens and the cut
+// vector that stamps each copy's bounds (replaced wholesale by rebinds,
+// never mutated).
+type fanout struct {
+	tmpl  int32
+	args  []isa.Value
+	sweep int64
+	cuts  []int64
+}
+
+// spawnMsg builds PE pe's KSpawn of the fan-out, stamped with the sweep and,
+// under a rebound, pe's bounds. Every call returns a fresh message with its
+// own arguments: a sent Msg is receiver-owned.
+func (f *fanout) spawnMsg(pe, n int) *Msg {
+	m := &Msg{Kind: KSpawn, Tmpl: f.tmpl, Sweep: f.sweep, Args: append([]isa.Value(nil), f.args...)}
+	if f.cuts != nil {
+		m.RngOn = true
+		m.RngLo, m.RngHi = cutBounds(f.cuts, pe, n)
+	}
+	return m
 }

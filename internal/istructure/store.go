@@ -2,7 +2,6 @@ package istructure
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/isa"
 )
@@ -54,16 +53,6 @@ type Shard struct {
 	// does); a lowered cap takes effect at the next page install.
 	CacheCap int
 
-	// Idempotent tolerates a second write of the *identical* value to an
-	// already-written element as a no-op (counted in DupWrites) instead of
-	// failing it as a single-assignment violation. Failure recovery re-
-	// executes a dead PE's work, and single assignment guarantees a
-	// deterministic program regenerates exactly the values it wrote the
-	// first time — so absorbing the duplicates is sound, while a
-	// *mismatched* rewrite still proves the program (or the recovery) is
-	// broken and keeps failing loudly.
-	Idempotent bool
-
 	// OnEvict, when non-nil, observes every page eviction (the cluster's
 	// trace recorder hooks it). Called from evictAt, the single point a
 	// cached page leaves the shard, with the page's array ID and index.
@@ -94,7 +83,6 @@ type Shard struct {
 	CacheMisses   int64 // remote reads that sent a page request
 	Evictions     int64 // cached pages evicted by the CLOCK bound
 	Refetches     int64 // page installs that re-fetch a previously evicted page
-	DupWrites     int64 // identical rewrites absorbed by Idempotent mode
 }
 
 // cacheSlot is one resident cached page — a frame of the CLOCK ring. Its
@@ -145,14 +133,8 @@ func NewShard(pe int) *Shard {
 
 // Install allocates this PE's segment of an array described by h. Every PE
 // installs the same header (the distributing allocate broadcast of §4.1).
-// In Idempotent mode a duplicate install is a no-op: recovery re-broadcasts
-// every known header because any single broadcast may have died on the
-// wire with its sender.
 func (s *Shard) Install(h *Header) error {
 	if _, dup := s.arrays[h.ID]; dup {
-		if s.Idempotent {
-			return nil
-		}
 		return fmt.Errorf("pe %d: array id %d already installed", s.PE, h.ID)
 	}
 	lo, hi := h.SegmentElems(s.PE)
@@ -278,13 +260,6 @@ func (a *Array) Write(off int, v isa.Value) (local []Waiter, remote []RemoteWait
 		return nil, nil, fmt.Errorf("pe %d: write to non-owned offset %d of array %q", a.s.PE, off, a.h.Name)
 	}
 	if a.set[i] {
-		if a.s.Idempotent && sameValue(a.vals[i], v) {
-			// A replayed write landing on its own first execution's result:
-			// the element is already present, so any waiters were released
-			// by the original write and there is nothing left to do.
-			a.s.DupWrites++
-			return nil, nil, nil
-		}
 		return nil, nil, &SingleAssignmentError{Array: a.h.Name, Off: off}
 	}
 	a.vals[i] = v
@@ -308,13 +283,6 @@ func (s *Shard) Write(id int64, off int, v isa.Value) (local []Waiter, remote []
 		return nil, nil, fmt.Errorf("pe %d: write to unknown array %d", s.PE, id)
 	}
 	return a.Write(off, v)
-}
-
-// sameValue reports bit-exact value equality (floats compared by their
-// bits, so a NaN rewrite of the same NaN is still "identical").
-func sameValue(a, b isa.Value) bool {
-	return a.Kind == b.Kind && a.I == b.I &&
-		math.Float64bits(a.F) == math.Float64bits(b.F)
 }
 
 // QueueRemote records a remote PE waiting for an absent owned element

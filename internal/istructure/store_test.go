@@ -389,44 +389,8 @@ func TestFilledAndPendingCounters(t *testing.T) {
 	}
 }
 
-// TestIdempotentRewrite: in Idempotent mode (failure recovery) a second
-// write of the bit-identical value is absorbed as a no-op, releasing
-// nothing (the first write already released every waiter), while a
-// mismatched rewrite still fails loudly — it proves the program, or the
-// recovery, is broken.
-func TestIdempotentRewrite(t *testing.T) {
-	shards, h := newTestShards(t, []int{4, 4}, 2)
-	s := shards[0]
-	s.Idempotent = true
-	off, _ := h.Offset([]int64{1, 2})
-
-	if _, _, err := s.Write(1, off, isa.Float(2.5)); err != nil {
-		t.Fatal(err)
-	}
-	local, remote, err := s.Write(1, off, isa.Float(2.5))
-	if err != nil {
-		t.Fatalf("identical rewrite errored: %v", err)
-	}
-	if len(local) != 0 || len(remote) != 0 {
-		t.Fatalf("identical rewrite released %d/%d waiters", len(local), len(remote))
-	}
-	if s.DupWrites != 1 {
-		t.Fatalf("DupWrites = %d, want 1", s.DupWrites)
-	}
-
-	var saErr *SingleAssignmentError
-	if _, _, err := s.Write(1, off, isa.Float(3.5)); !errors.As(err, &saErr) {
-		t.Fatalf("mismatched rewrite got %v, want single-assignment violation", err)
-	}
-	// Same float value but different kind is a mismatch too: equality is
-	// bit-exact over the whole value, not a numeric comparison.
-	if _, _, err := s.Write(1, off, isa.Int(2)); !errors.As(err, &saErr) {
-		t.Fatalf("cross-kind rewrite got %v, want single-assignment violation", err)
-	}
-}
-
-// TestIdempotentRewriteOffByDefault pins that strict single assignment is
-// the default: without Idempotent even a bit-identical rewrite fails.
+// TestIdempotentRewriteOffByDefault pins strict single assignment: even a
+// bit-identical rewrite fails. The shard has no mode that absorbs one.
 func TestIdempotentRewriteOffByDefault(t *testing.T) {
 	shards, h := newTestShards(t, []int{4, 4}, 2)
 	off, _ := h.Offset([]int64{1, 2})
@@ -436,24 +400,5 @@ func TestIdempotentRewriteOffByDefault(t *testing.T) {
 	var saErr *SingleAssignmentError
 	if _, _, err := shards[0].Write(1, off, isa.Float(1)); !errors.As(err, &saErr) {
 		t.Fatalf("got %v, want single-assignment violation", err)
-	}
-}
-
-// TestIdempotentDuplicateInstall: recovery re-broadcasts every known
-// header, so a duplicate install must be a no-op in Idempotent mode (and
-// keep failing otherwise — see TestDoubleInstallFails).
-func TestIdempotentDuplicateInstall(t *testing.T) {
-	shards, h := newTestShards(t, []int{4, 4}, 2)
-	shards[0].Idempotent = true
-	off, _ := h.Offset([]int64{1, 2})
-	if _, _, err := shards[0].Write(1, off, isa.Float(7)); err != nil {
-		t.Fatal(err)
-	}
-	if err := shards[0].Install(h); err != nil {
-		t.Fatalf("duplicate install errored: %v", err)
-	}
-	// The re-install must not have wiped the segment.
-	if v, ok := shards[0].Peek(1, off); !ok || v.AsFloat() != 7 {
-		t.Fatalf("Peek after duplicate install = %v/%v, want 7/true", v, ok)
 	}
 }

@@ -245,7 +245,7 @@ func (p *Program) ExecuteCluster(ctx context.Context, cfg ClusterConfig, args ..
 // ClusterFleet is a persistent message-passing cluster: the workers come
 // up once and stay up across any number of jobs, submitted concurrently
 // from any goroutine. Each job gets its own isolated worker instances
-// (I-structure shards, run queues, recovery logs, trace rings) keyed by a
+// (I-structure shards, run queues, page caches, trace rings) keyed by a
 // job ID, so concurrent jobs cannot observe each other. ExecuteCluster is
 // the one-shot special case: open, submit one job, close.
 type ClusterFleet struct {
