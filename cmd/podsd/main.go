@@ -16,10 +16,10 @@
 //	podsd -workers 127.0.0.1:7101,127.0.0.1:7102 -args 16 prog.id  # TCP
 //	podsd -builtin matmul -pes 8 -args 12 -dump C
 //
-// With -spares, a TCP driver survives worker deaths: a dead PE is re-homed
-// onto the next spare address and the job runs again from its program and
-// arguments — PODS programs are determinate, so the results are
-// bit-identical to an undisturbed run:
+// Every job survives a worker death: the dead PE is re-homed (onto the
+// next -spares address, over TCP) and the job runs again from its program
+// and arguments — PODS programs are determinate, so the results are
+// bit-identical to an undisturbed run, stealing or not:
 //
 //	podsd -workers w1:7101,w2:7101 -spares w3:7101 -builtin relax -args 16,8
 //
@@ -84,15 +84,14 @@ func run(argv []string) error {
 	maxInstrs := fs.Int64("max-instrs", 0, "per-job executed-instruction budget cap (0 = unlimited); -serve caps clients, driver/-submit sets the job's own budget")
 	maxElems := fs.Int64("max-elems", 0, "per-job allocated-element budget cap (0 = unlimited); -serve caps clients, driver/-submit sets the job's own budget")
 	workers := fs.String("workers", "", "comma-separated worker addresses (driver mode; empty = in-process)")
-	spares := fs.String("spares", "", "comma-separated standby worker addresses a recovery can re-home a dead PE onto, one per death (implies -recover, so excludes -steal)")
-	recoverFlag := fs.Bool("recover", false, "survive worker deaths, mid-run or during the result gather, by re-homing the dead PE and running the job again instead of failing it (excludes -steal; with -serve, every submitted job that asks for stealing fails)")
+	spares := fs.String("spares", "", "comma-separated standby worker addresses a dead TCP worker's PE is re-homed onto before the job runs again, one per death")
 	pes := fs.Int("pes", 0, "number of in-process worker PEs (default 4)")
 	argsFlag := fs.String("args", "", "comma-separated integer arguments for main")
 	builtin := fs.String("builtin", "", "run a built-in kernel: matmul | heat | pipeline | mirror | triangular | triread | relax")
 	dump := fs.String("dump", "", "print the named array after the run")
 	pageElems := fs.Int("page", 0, "I-structure page size in elements (default 32)")
 	cachePages := fs.Int("cache", 0, "cap each PE's remote page cache at this many pages, CLOCK-evicted (0 = unbounded)")
-	steal := fs.Bool("steal", false, "enable dynamic work stealing between PEs (excludes -recover and -spares)")
+	steal := fs.Bool("steal", false, "enable dynamic work stealing between PEs")
 	adapt := fs.Bool("adapt", false, "enable adaptive repartitioning of Range Filter bounds between sweeps")
 	heat := fs.Bool("heat", false, "enable the page-heat machinery: streaming prefetch and the adaptive cache cap")
 	latency := fs.Duration("latency", 0, "inject per-hop latency into the in-process transport")
@@ -117,14 +116,13 @@ func run(argv []string) error {
 	}
 
 	if *serveAddr != "" {
-		cfg := cluster.Config{NumPEs: *pes, Latency: *latency, Recover: *recoverFlag,
+		cfg := cluster.Config{NumPEs: *pes, Latency: *latency,
 			MaxJobs: *maxJobs, MaxInstrs: *maxInstrs, MaxElems: *maxElems}
 		if *workers != "" {
 			cfg.Workers = strings.Split(*workers, ",")
 		}
 		if *spares != "" {
 			cfg.Spares = strings.Split(*spares, ",")
-			cfg.Recover = true
 		}
 		return serveJobs(*serveAddr, cfg)
 	}
@@ -179,7 +177,7 @@ func run(argv []string) error {
 	}
 
 	cfg := cluster.Config{NumPEs: *pes, PageElems: *pageElems, CachePages: *cachePages,
-		Steal: *steal, Adapt: *adapt, Heat: *heat, Latency: *latency, Recover: *recoverFlag,
+		Steal: *steal, Adapt: *adapt, Heat: *heat, Latency: *latency,
 		TraceCap: *traceCap, TraceSample: *traceSample,
 		MaxInstrs: *maxInstrs, MaxElems: *maxElems}
 	cfg.Trace = *traceOut != "" || *timelineOut != ""
@@ -188,7 +186,6 @@ func run(argv []string) error {
 	}
 	if *spares != "" {
 		cfg.Spares = strings.Split(*spares, ",")
-		cfg.Recover = true
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()

@@ -37,13 +37,14 @@ func main(n: int) -> int {
 }
 
 // TestRunOverTCPWorkers drives in-process TCP workers through the same
-// code path a multi-process deployment uses.
+// code path a multi-process deployment uses, with stealing on and a spare
+// standing by: the two flags go together.
 func TestRunOverTCPWorkers(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var addrs []string
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -57,10 +58,12 @@ func TestRunOverTCPWorkers(t *testing.T) {
 			}
 		}()
 	}
-	err := run([]string{"-builtin", "mirror", "-workers", addrs[0] + "," + addrs[1], "-args", "8"})
+	err := run([]string{"-builtin", "mirror", "-workers", addrs[0] + "," + addrs[1], "-spares", addrs[2],
+		"-steal", "-args", "8"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cancel() // the unused spare serves until then
 	wg.Wait()
 }
 

@@ -43,8 +43,7 @@ const fastProbe = 20 * time.Microsecond
 // the drop-oldest path, and trace frames never move the four-counter sums.
 // TestBackendAgreement runs every row, TestBackendAgreementConcurrentJobs
 // submits every row at once to one fleet, and
-// TestBackendAgreementWithWorkerKill crosses every row without Steal with a
-// worker death (Config rejects Steal with Recover).
+// TestBackendAgreementWithWorkerKill crosses every row with a worker death.
 var knobSets = []knobSet{
 	{"base", pods.ClusterConfig{PageElems: determinacyPage}},
 	{"steal", pods.ClusterConfig{PageElems: determinacyPage, Steal: true}},
@@ -57,8 +56,8 @@ var knobSets = []knobSet{
 	{"heat+evict+adapt+steal", pods.ClusterConfig{PageElems: determinacyPage, CachePages: 2, Heat: true,
 		Adapt: true, Steal: true, ProbeInterval: fastProbe}},
 	{"trace", pods.ClusterConfig{PageElems: determinacyPage, Trace: true, TraceCap: 256}},
-	{"trace+evict+adapt+recover", pods.ClusterConfig{PageElems: determinacyPage, CachePages: 2,
-		Adapt: true, Recover: true, ProbeInterval: fastProbe, Trace: true, TraceCap: 256}},
+	{"trace+evict+adapt", pods.ClusterConfig{PageElems: determinacyPage, CachePages: 2,
+		Adapt: true, ProbeInterval: fastProbe, Trace: true, TraceCap: 256}},
 	{"heat+evict+adapt+steal+trace", pods.ClusterConfig{PageElems: determinacyPage, CachePages: 2, Heat: true,
 		Adapt: true, Steal: true, ProbeInterval: fastProbe, Trace: true, TraceCap: 256}},
 }

@@ -21,15 +21,13 @@ import (
 // TestBackendAgreementConcurrentJobs submits every kernel under every
 // knobSets row at once to one fleet.
 func TestBackendAgreementConcurrentJobs(t *testing.T) {
-	runConcurrentJobs(t, pods.ClusterConfig{}, false)
+	runConcurrentJobs(t, pods.ClusterConfig{})
 }
 
 // runConcurrentJobs opens a 4-PE fleet with fleetCfg's fleet-level fields,
-// submits every kernel under every knobSets row at once — with recovery
-// armed and stealing off on every job when recoverJobs is set, since
-// Config rejects Steal with Recover — and checks each job against the
-// simulator bit for bit.
-func runConcurrentJobs(t *testing.T, fleetCfg pods.ClusterConfig, recoverJobs bool) {
+// submits every kernel under every knobSets row at once, and checks each
+// job against the simulator bit for bit.
+func runConcurrentJobs(t *testing.T, fleetCfg pods.ClusterConfig) {
 	const fleetPEs = 4
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
@@ -45,11 +43,7 @@ func runConcurrentJobs(t *testing.T, fleetCfg pods.ClusterConfig, recoverJobs bo
 	for _, k := range kernels.All() {
 		p, want := compileWithReference(t, k)
 		for _, ks := range knobSets {
-			cfg := ks.cfg
-			if recoverJobs {
-				cfg.Recover, cfg.Steal = true, false
-			}
-			cases = append(cases, jobCase{k: k, p: p, label: k.Name + "/" + ks.name, cfg: cfg, want: want})
+			cases = append(cases, jobCase{k: k, p: p, label: k.Name + "/" + ks.name, cfg: ks.cfg, want: want})
 		}
 	}
 

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -41,8 +40,8 @@ type Config struct {
 	// (round-robin with backoff) for a not-yet-started SP instance, and
 	// the victim leaves a forwarding stub behind for tokens addressed to
 	// the stolen SP's home ID. Off by default — static SPAWND
-	// partitioning only. Excludes Recover: a run may set one of the two
-	// knobs, not both.
+	// partitioning only. Stealing changes only the schedule, so a job that
+	// steals survives a worker death by running again like any other.
 	Steal bool
 
 	// Adapt enables runtime-adaptive repartitioning of Range Filter
@@ -74,26 +73,18 @@ type Config struct {
 	// would otherwise leave ExecuteCluster hanging silently until its
 	// context expires; when a round exceeds this deadline the run fails
 	// with each PE's last-ack state (round, live SPs, message counters)
-	// instead — or, with Recover set, runs the job again. The result
-	// gather has the same deadline. Defaults to 30s; negative disables it.
+	// instead, and with each PE's trace tail when Trace is set. A stall
+	// names no dead PE, so it fails the job rather than running it again.
+	// The result gather has the same deadline. Defaults to 30s; negative
+	// disables it.
 	RoundTimeout time.Duration
 
-	// Recover makes a job survive worker deaths instead of failing: when
-	// a worker dies mid-run or during the result gather (or a probe round
-	// or the gather stalls), the job stops on every PE, the dead PE's host
-	// is re-homed (a new goroutine on the channel transport; the next
-	// Spares address on TCP), and the job runs again from its program and
-	// arguments. PODS programs are determinate, so the results are the
-	// same; Stats.Recoveries counts the re-runs, and a job that loses a
-	// worker on every one of a few runs fails. A run without a death costs
-	// nothing extra. Excludes Steal: a run may set one of the two knobs,
-	// not both.
-	Recover bool
-
 	// Spares lists standby TCP worker addresses (each running
-	// `podsd -worker`) a recovery may re-home a dead PE onto. Only
-	// meaningful with Workers and Recover set; each re-homed PE consumes
-	// one spare.
+	// `podsd -worker`). Every job survives a worker death by running again
+	// from its program and arguments, with the dead PE re-homed: onto a new
+	// goroutine on the channel transport, onto the next spare on TCP. Each
+	// re-homed PE consumes one spare; a TCP death with none left fails the
+	// job. Only meaningful with Workers set.
 	Spares []string
 
 	// KillPE / KillAfter arm the channel transport's deterministic fault
@@ -101,8 +92,8 @@ type Config struct {
 	// closed, a down notice surfaced to the driver — on the first frame it
 	// sends past KillAfter once it has been sent a spawn (data frames and
 	// probe acks count; both stop at termination, so the kill lands
-	// mid-run, not in the result gather). KillAfter 0 (the default)
-	// disarms it; a KillPE
+	// mid-run, not in the result gather), and the job survives it by
+	// running again. KillAfter 0 (the default) disarms it; a KillPE
 	// outside [0, NumPEs) never fires. Ignored on TCP, where faults are
 	// real (kill the worker process). Fleet-level: ignored on the per-job
 	// config passed to Submit.
@@ -175,12 +166,9 @@ const maxTraceCap = 1 << 20
 // or the fleet's (KillPE, KillAfter, MaxJobs) and never crosses a wire.
 func (c *Config) wireKnobs() (ints []*int, flags []*bool, budgets []*int64) {
 	return []*int{&c.PageElems, &c.DistThreshold, &c.CachePages, &c.TraceCap, &c.TraceSample},
-		[]*bool{&c.Steal, &c.Adapt, &c.Recover, &c.Trace, &c.Heat},
+		[]*bool{&c.Steal, &c.Adapt, &c.Trace, &c.Heat},
 		[]*int64{&c.MaxInstrs, &c.MaxElems}
 }
-
-// errStealRecover rejects a config that sets both Steal and Recover.
-var errStealRecover = errors.New("cluster: Steal and Recover exclude each other")
 
 // fill applies the shared backend defaults and validates the result.
 func (c *Config) fill() error {
@@ -206,9 +194,6 @@ func (c *Config) fill() error {
 	}
 	if c.RoundTimeout == 0 {
 		c.RoundTimeout = 30 * time.Second
-	}
-	if c.Steal && c.Recover {
-		return errStealRecover
 	}
 	if len(c.Spares) > 0 && len(c.Workers) == 0 {
 		return fmt.Errorf("cluster: %d spare addresses without TCP workers", len(c.Spares))

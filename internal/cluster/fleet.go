@@ -325,8 +325,9 @@ func (f *Fleet) allocJobIDLocked() int32 {
 
 // Submit runs one program on the fleet and waits for its result. Safe for
 // concurrent use; each call is an isolated job. cfg supplies the job's
-// scheduling knobs, geometry, and budgets — transport fields (Workers,
-// Spares, NumPEs, fault injection) come from the fleet.
+// scheduling knobs, geometry, and budgets (capped by the fleet's) —
+// transport fields (Workers, Spares, NumPEs, fault injection) come from
+// the fleet.
 func (f *Fleet) Submit(ctx context.Context, prog *isa.Program, cfg Config, args ...isa.Value) (*Result, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
@@ -344,9 +345,11 @@ func (f *Fleet) Submit(ctx context.Context, prog *isa.Program, cfg Config, args 
 	}
 
 	// The job inherits the fleet's transport shape; everything else is per
-	// job.
+	// job, with budgets no looser than the fleet's.
 	cfg.NumPEs = f.n
 	cfg.Workers, cfg.Spares = nil, nil
+	cfg.MaxInstrs = clampBudget(cfg.MaxInstrs, f.cfg.MaxInstrs)
+	cfg.MaxElems = clampBudget(cfg.MaxElems, f.cfg.MaxElems)
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
@@ -382,12 +385,12 @@ func (f *Fleet) Submit(ctx context.Context, prog *isa.Program, cfg Config, args 
 	mJobsActive.Add(1)
 	defer mJobsActive.Add(-1)
 
-	// Recovery re-runs the job. PODS programs are determinate, so a run
-	// from the same program and arguments computes the same results; a
-	// Recover job that loses a worker therefore starts again, on the
-	// re-homed hosts, under a fresh job ID in the same admission slot. The
-	// ID is the fence: every late frame of the aborted run is addressed to
-	// an ended job and dropped.
+	// Recovery re-runs the job. PODS programs are determinate, whatever
+	// the schedule, so a run from the same program and arguments computes
+	// the same results; a job that loses a worker therefore starts again,
+	// on the re-homed hosts, under a fresh job ID in the same admission
+	// slot. The ID is the fence: every late frame of the aborted run is
+	// addressed to an ended job and dropped.
 	for restarts := int64(0); ; restarts++ {
 		res, err := f.run(ctx, id, box, &cfg, progBytes, entry, args)
 		f.mu.Lock()
@@ -400,8 +403,8 @@ func (f *Fleet) Submit(ctx context.Context, prog *isa.Program, cfg Config, args 
 			}
 			return res, err
 		}
-		// A PE the driver could not reach is dead, as if its host had
-		// sent a KDown: the re-run must not start on it again.
+		// A PE the driver or a worker could not reach is dead, as if its
+		// host had sent a KDown: the re-run must not start on it again.
 		if pe := death.unreachable; pe >= 0 {
 			f.noteDownLocked(pe, gens[pe])
 		}
@@ -411,7 +414,9 @@ func (f *Fleet) Submit(ctx context.Context, prog *isa.Program, cfg Config, args 
 		case f.closed:
 			err = fmt.Errorf("cluster: fleet is closed")
 		default:
-			err = f.rehomeDeadLocked()
+			if err = f.rehomeDeadLocked(); err != nil {
+				err = fmt.Errorf("%w; %w", death.err, err)
+			}
 		}
 		if err != nil {
 			f.mu.Unlock()
@@ -422,8 +427,21 @@ func (f *Fleet) Submit(ctx context.Context, prog *isa.Program, cfg Config, args 
 	}
 }
 
-// maxRestarts bounds how often Submit re-runs a Config.Recover job that
-// keeps losing workers.
+// clampBudget resolves a job's budget against the fleet's cap: zero means
+// unlimited on both sides, and the effective budget is the tighter of the
+// two.
+func clampBudget(job, fleet int64) int64 {
+	if fleet > 0 && (job <= 0 || job > fleet) {
+		return fleet
+	}
+	if job < 0 {
+		return 0
+	}
+	return job
+}
+
+// maxRestarts bounds how often Submit re-runs a job that keeps losing
+// workers.
 const maxRestarts = 8
 
 // openJobLocked admits one run of a job: a fresh job ID, the run's driver
@@ -461,11 +479,7 @@ func (f *Fleet) run(ctx context.Context, id int32, box *mailbox, cfg *Config, pr
 	for pe := 0; pe < f.n; pe++ {
 		// A fresh Msg per PE: the receiver owns it.
 		if err := jep.Send(pe, jobStartMsg(cfg, prog)); err != nil {
-			err = fmt.Errorf("cluster: starting job: %w", err)
-			if cfg.Recover {
-				err = &deathError{pe, err}
-			}
-			return nil, err
+			return nil, &deathError{pe, fmt.Errorf("cluster: starting job: %w", err)}
 		}
 	}
 	return drive(ctx, jep, *cfg, entry, args)
@@ -492,7 +506,7 @@ func (f *Fleet) rehomeDeadLocked() error {
 		}
 		f.hostGen[pe]++ // fences the dead host's late notices first
 		if err := f.rehomeLocked(pe, f.hostGen[pe]); err != nil {
-			return fmt.Errorf("cluster: re-homing pe %d: %w", pe, err)
+			return fmt.Errorf("re-homing pe %d: %w", pe, err)
 		}
 		f.deadPending[pe] = false
 	}

@@ -269,42 +269,21 @@ func TestServeJobsServerBudgetCap(t *testing.T) {
 	}
 }
 
-// TestStealRecoverRejectedAtEveryEntry: Config rejects Steal with Recover,
-// and each way a job's config can arrive ends in the same error — Execute,
-// Fleet.Submit, and a job server whose fleet sets Recover receiving a
-// KSubmit that asks for Steal. A KFail carries only the error's text, and
-// SubmitJob returns that text unwrapped (every other failure it reports is
-// prefixed), so each path is compared by text.
-func TestStealRecoverRejectedAtEveryEntry(t *testing.T) {
+// TestFleetBudgetCapsEveryJob: the fleet's budget caps bound every job,
+// not only those that arrive through ServeJobs, so a job submitted with no
+// budget of its own (as podsd's HTTP /jobs submits one) is capped too.
+func TestFleetBudgetCapsEveryJob(t *testing.T) {
 	ctx := testCtx(t)
-	k, prog := compileKernel(t, "triangular")
-	args := k.Args(6)
-	both := Config{NumPEs: 2, Steal: true, Recover: true}
-	check := func(path string, err error) {
-		t.Helper()
-		if err == nil || err.Error() != errStealRecover.Error() {
-			t.Errorf("%s: %v, want %q", path, err, errStealRecover)
-		}
-	}
-
-	_, err := Execute(ctx, prog, both, args...)
-	check("Execute", err)
-
-	fleet, err := OpenFleet(ctx, Config{NumPEs: 2, Recover: true})
+	fleet, err := OpenFleet(ctx, Config{NumPEs: 2, MaxInstrs: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fleet.Close()
-	_, err = fleet.Submit(ctx, prog, both, args...)
-	check("Fleet.Submit", err)
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	k, prog := compileKernel(t, "matmul")
+	_, err = fleet.Submit(ctx, prog, Config{}, k.Args(6)...)
+	if err == nil || !strings.Contains(err.Error(), "instruction budget") {
+		t.Fatalf("%v; want the fleet's instruction budget to stop the job", err)
 	}
-	go fleet.ServeJobs(ctx, ln)
-	_, err = SubmitJob(ctx, ln.Addr().String(), prog, Config{Steal: true}, args...)
-	check("ServeJobs", err)
 }
 
 // TestClampBudget pins the budget-merge table: zero is unlimited on both

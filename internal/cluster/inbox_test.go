@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -365,36 +364,6 @@ func TestInboxConcurrentSenders(t *testing.T) {
 			}
 		})
 	})
-}
-
-// TestFleetLateJobHearsOfDeadHost: a job admitted after a host died is
-// told at once. Job A (no recovery) fails when PE 1 dies under it; job B,
-// recovery armed and on the default RoundTimeout, must re-home PE 1 and
-// finish in seconds instead of waiting out a silent probe round.
-func TestFleetLateJobHearsOfDeadHost(t *testing.T) {
-	k, prog := compileKernel(t, "heat")
-	args := k.Args(10)
-	vals, masks := simArraysMasked(t, prog, 4, k.Arrays, args...)
-	f, err := OpenFleet(testCtx(t), Config{NumPEs: 4, KillPE: 1, KillAfter: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-
-	_, err = f.Submit(testCtx(t), prog, Config{PageElems: 8}, args...)
-	if err == nil || !strings.Contains(err.Error(), "died") {
-		t.Fatalf("job A: %v; want the host-death failure", err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	res, err := f.Submit(ctx, prog, Config{PageElems: 8, Recover: true}, args...)
-	if err != nil {
-		t.Fatalf("job B after the death: %v", err)
-	}
-	checkAgainstSimMasked(t, res, vals, masks)
-	if res.Stats.Recoveries < 1 {
-		t.Errorf("job B recovered %d times, want >= 1", res.Stats.Recoveries)
-	}
 }
 
 // TestChanSeverDiscardsQueued: the fault injector's kill severs the PE's

@@ -10,8 +10,7 @@ import (
 // TestOffLayerFramesFailCleanly: every PE of a job shares one Config, so a
 // worker never legitimately receives a frame of a layer its job left off —
 // but a hostile TCP peer can send one. For each layer, a worker with that
-// layer off and every other one on (never Steal with Recover, which Config
-// rejects) must answer each of the layer's kinds with an "unexpected …
+// layer off and every other one on must answer each of the layer's kinds with an "unexpected …
 // message" KFail: never a panic (the layer's state is nil), and never the
 // frame's effect.
 func TestOffLayerFramesFailCleanly(t *testing.T) {
@@ -25,11 +24,11 @@ func TestOffLayerFramesFailCleanly(t *testing.T) {
 	}
 	for _, layer := range []struct {
 		name  string
-		cfg   Config // the other knobs on, never Steal with Recover
+		cfg   Config // the other knobs on
 		kinds []func() *Msg
 	}{
-		{"steal", Config{Adapt: true, Heat: true, Recover: true}, stealKinds},
-		{"adapt", Config{Heat: true, Recover: true}, []func() *Msg{
+		{"steal", Config{Adapt: true, Heat: true}, stealKinds},
+		{"adapt", Config{Steal: true, Heat: true}, []func() *Msg{
 			func() *Msg { return &Msg{Kind: KRebound, Tmpl: 0, Lists: &MsgLists{Cuts: []int64{3}}} },
 		}},
 	} {

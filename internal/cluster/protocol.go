@@ -163,6 +163,10 @@ const (
 	// result (echoing Seq). The server streams each array as a KDump frame
 	// (Name/Dims/Vals/Set) before the KResult; errors arrive as KFail.
 	KResult
+
+	// KLost reports to the driver that a worker's send to peer ReqPE
+	// failed (Name is the send error): that peer is dead.
+	KLost
 )
 
 func (k MsgKind) String() string {
@@ -221,7 +225,7 @@ type Msg struct {
 	Page   int32
 	Vals   []isa.Value
 	Set    []bool
-	Name   string // alloc array name; fail error text
+	Name   string // alloc array name; fail error text; lost send error
 	Dims   []int32
 	Origin int32
 	ReqPE  int32
@@ -349,6 +353,7 @@ var kinds = [...]struct {
 	KJobEnd:     {"jobEnd", 0},
 	KSubmit:     {"submit", wSeq | wSpawn | wName | wCfg},
 	KResult:     {"result", wSeq | wSP | wVal},
+	KLost:       {"lost", wReq | wName},
 }
 
 // layout returns the kind's wire blocks; ok is false for a kind that never

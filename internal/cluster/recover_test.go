@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -13,18 +14,17 @@ import (
 )
 
 // Tests for worker-failure recovery: the fault injector killing a PE
-// mid-run, a death during the result gather, and TCP re-homing onto a
-// spare worker.
+// mid-run, a death during the result gather, TCP re-homing onto a spare
+// worker, a peer a worker cannot reach, and a death with no spare left.
 
 // runKilled executes a kernel with PE killPE fault-injected after
-// killAfter worker-to-worker frames and recovery enabled, then checks the
-// arrays bit-for-bit against the simulator.
+// killAfter worker-to-worker frames, then checks the arrays bit-for-bit
+// against the simulator.
 func runKilled(t *testing.T, k kernels.Kernel, n, pes, killPE int, killAfter int64, cfg Config) *Result {
 	t.Helper()
 	prog := compile(t, k.File(), k.Source)
 	wantVals, wantMasks := simArraysMasked(t, prog, pes, k.Arrays, k.Args(n)...)
 	cfg.NumPEs = pes
-	cfg.Recover = true
 	cfg.KillPE = killPE
 	cfg.KillAfter = killAfter
 	res, err := Execute(testCtx(t), prog, cfg, k.Args(n)...)
@@ -81,9 +81,8 @@ func TestRecoverKillPEZero(t *testing.T) {
 	}
 }
 
-// TestRecoverWithDynamicMechanisms kills a PE while adaptive
-// repartitioning and a page-cache cap are both engaged. Stealing stays
-// off: Config rejects it with Recover.
+// TestRecoverWithDynamicMechanisms kills a PE while stealing, adaptive
+// repartitioning and a page-cache cap are all engaged.
 func TestRecoverWithDynamicMechanisms(t *testing.T) {
 	for _, name := range []string{"triangular", "relax"} {
 		k, _ := kernels.ByName(name)
@@ -92,28 +91,12 @@ func TestRecoverWithDynamicMechanisms(t *testing.T) {
 			n = 8
 		}
 		res := runKilled(t, k, n, 4, 2, 2, Config{
-			PageElems: 8, Adapt: true, CachePages: 2,
+			PageElems: 8, Steal: true, Adapt: true, CachePages: 2,
 			ProbeInterval: 20 * time.Microsecond,
 		})
 		if res.Stats.Recoveries < 1 {
 			t.Errorf("%s: Recoveries = %d, want >= 1", name, res.Stats.Recoveries)
 		}
-	}
-}
-
-// TestRecoverDisabledStillFails pins the pre-recovery contract: with
-// Config.Recover off, a worker death fails the run with a diagnostic
-// instead of hanging or silently succeeding.
-func TestRecoverDisabledStillFails(t *testing.T) {
-	k, _ := kernels.ByName("heat")
-	prog := compile(t, k.File(), k.Source)
-	cfg := Config{NumPEs: 4, PageElems: 8, KillPE: 1, KillAfter: 4, RoundTimeout: 2 * time.Second}
-	_, err := Execute(testCtx(t), prog, cfg, k.Args(10)...)
-	if err == nil {
-		t.Fatal("want failure when a worker dies with recovery disabled")
-	}
-	if !strings.Contains(err.Error(), "died") && !strings.Contains(err.Error(), "stalled") {
-		t.Errorf("error %q does not describe the worker death", err)
 	}
 }
 
@@ -139,7 +122,7 @@ func (e *killOnDump) Send(to int, m *Msg) error {
 
 // TestRecoverDeathDuringGather: PE 1 dies after termination, while the
 // driver gathers the arrays, so some of the finished segments are lost.
-// With Recover set the job runs again and still matches the simulator.
+// The job runs again and still matches the simulator.
 func TestRecoverDeathDuringGather(t *testing.T) {
 	k, prog := compileKernel(t, "matmul")
 	wantVals, wantMasks := simArraysMasked(t, prog, 2, k.Arrays, k.Args(6)...)
@@ -149,7 +132,7 @@ func TestRecoverDeathDuringGather(t *testing.T) {
 	}
 	defer f.Close()
 	f.ep = &killOnDump{Endpoint: f.ep, cn: f.cnet}
-	res, err := f.Submit(testCtx(t), prog, Config{PageElems: 8, Recover: true}, k.Args(6)...)
+	res, err := f.Submit(testCtx(t), prog, Config{PageElems: 8}, k.Args(6)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,6 +154,12 @@ func startServeWorker(t *testing.T, wg *sync.WaitGroup) (addr string, kill func(
 	if err != nil {
 		t.Fatal(err)
 	}
+	return ln.Addr().String(), serveWorkerOn(t, wg, ln)
+}
+
+// serveWorkerOn runs one in-process ServeWorker on ln, as startServeWorker
+// does, and returns its kill function.
+func serveWorkerOn(t *testing.T, wg *sync.WaitGroup, ln net.Listener) (kill func()) {
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	wg.Add(1)
@@ -178,7 +167,7 @@ func startServeWorker(t *testing.T, wg *sync.WaitGroup) (addr string, kill func(
 		defer wg.Done()
 		_ = ServeWorker(ctx, ln)
 	}()
-	return ln.Addr().String(), cancel
+	return cancel
 }
 
 // TestRecoverTCPSpare is the TCP half of recovery end to end, in process:
@@ -195,7 +184,7 @@ func TestRecoverTCPSpare(t *testing.T) {
 
 	var wg sync.WaitGroup
 	t.Cleanup(wg.Wait)
-	cfg := Config{PageElems: 8, Recover: true, ProbeInterval: time.Millisecond}
+	cfg := Config{PageElems: 8, ProbeInterval: time.Millisecond}
 	var kills []func()
 	for i := 0; i < 4; i++ {
 		addr, kill := startServeWorker(t, &wg)
@@ -221,4 +210,121 @@ func TestRecoverTCPSpare(t *testing.T) {
 		t.Skip("run finished before the kill landed (recoveries=0); results verified anyway")
 	}
 	t.Logf("tcp spare recovery: recoveries=%d in %v", res.Stats.Recoveries, time.Since(start))
+}
+
+// firstAccept is a listener that reports when it has accepted its first
+// connection.
+type firstAccept struct {
+	net.Listener
+	once     sync.Once
+	accepted chan struct{}
+}
+
+func (l *firstAccept) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.once.Do(func() { close(l.accepted) })
+	}
+	return c, err
+}
+
+// TestRecoverUnreachablePeer: worker 1 stops listening once it has
+// accepted the driver, so it still answers the driver while PE 0's lazy
+// dial to it, for matmul's alloc broadcast, is refused. PE 0 reports the
+// peer lost. With a spare, PE 1 is re-homed and the job runs again to the
+// simulator's arrays; without one, the job fails at once, naming the
+// dial failure, instead of hanging with every PE still answering probes.
+func TestRecoverUnreachablePeer(t *testing.T) {
+	k, prog := compileKernel(t, "matmul")
+	args := k.Args(6)
+	wantVals, wantMasks := simArraysMasked(t, prog, 2, k.Arrays, args...)
+	for _, spare := range []bool{true, false} {
+		t.Run(fmt.Sprintf("spare=%v", spare), func(t *testing.T) {
+			var wg sync.WaitGroup
+			t.Cleanup(wg.Wait)
+			cfg := Config{NumPEs: 2, PageElems: 8}
+			addr, _ := startServeWorker(t, &wg)
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			w1 := &firstAccept{Listener: ln, accepted: make(chan struct{})}
+			serveWorkerOn(t, &wg, w1)
+			cfg.Workers = []string{addr, ln.Addr().String()}
+			if spare {
+				spareAddr, _ := startServeWorker(t, &wg)
+				cfg.Spares = []string{spareAddr}
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			f, err := OpenFleet(ctx, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			<-w1.accepted
+			ln.Close()
+
+			start := time.Now()
+			res, err := f.Submit(ctx, prog, cfg, args...)
+			if !spare {
+				if err == nil || !strings.Contains(err.Error(), "dialing peer 1") ||
+					!strings.Contains(err.Error(), "re-homing pe 1: no spare worker addresses left") {
+					t.Fatalf("%v; want the dial failure and no spare to re-home onto", err)
+				}
+				if d := time.Since(start); d > 5*time.Second {
+					t.Fatalf("the job took %v to fail", d)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkAgainstSimMasked(t, res, wantVals, wantMasks)
+			if res.Stats.Recoveries != 1 {
+				t.Errorf("Recoveries = %d, want 1", res.Stats.Recoveries)
+			}
+		})
+	}
+}
+
+// TestFleetLateJobHearsOfDeadHost: a job admitted after a host died is
+// told at once. Worker 1 of a TCP fleet without spares is severed before
+// any job, so each Submit must fail at once, keeping the death as the
+// cause, instead of waiting out a silent probe round.
+func TestFleetLateJobHearsOfDeadHost(t *testing.T) {
+	k, prog := compileKernel(t, "matmul")
+	var wg sync.WaitGroup
+	t.Cleanup(wg.Wait)
+	var cfg Config
+	var kills []func()
+	for i := 0; i < 2; i++ {
+		addr, kill := startServeWorker(t, &wg)
+		cfg.Workers = append(cfg.Workers, addr)
+		kills = append(kills, kill)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	f, err := OpenFleet(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	kills[1]()
+	for dead := false; !dead && ctx.Err() == nil; {
+		time.Sleep(time.Millisecond)
+		f.mu.Lock()
+		dead = f.deadPending[1]
+		f.mu.Unlock()
+	}
+	for job := 1; job <= 2; job++ {
+		start := time.Now()
+		_, err := f.Submit(ctx, prog, Config{PageElems: 8}, k.Args(6)...)
+		if want := "cluster: worker 1 died (transport closed); re-homing pe 1: no spare worker addresses left"; err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("job %d: %v; want %q", job, err, want)
+		}
+		if d := time.Since(start); d > 5*time.Second {
+			t.Fatalf("job %d took %v to fail", job, d)
+		}
+	}
 }

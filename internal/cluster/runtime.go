@@ -17,7 +17,7 @@ import (
 type Stats struct {
 	Counters
 	Rebounds   int64 // adaptive Range-Filter cut broadcasts (Config.Adapt)
-	Recoveries int64 // times the job was re-run after losing a worker (Config.Recover)
+	Recoveries int64 // times the job was re-run after losing a worker
 }
 
 // PEStat is one worker's counter breakdown from its final probe answer —
@@ -114,10 +114,10 @@ func Execute(ctx context.Context, prog *isa.Program, cfg Config, args ...isa.Val
 	return f.Submit(ctx, prog, cfg, args...)
 }
 
-// deathError ends a run of a Config.Recover job that lost a worker: Submit
-// answers it by running the job again. unreachable names the PE a driver
-// send failed on, or is -1 (a KDown notice, which the fleet has already
-// recorded, or a silent round); err says what happened.
+// deathError ends a run that lost a worker: Submit answers it by running
+// the job again. unreachable names the PE a driver send failed on or a
+// worker reported lost, or is -1 (a KDown notice, which the fleet has
+// already recorded); err says what happened.
 type deathError struct {
 	unreachable int
 	err         error
@@ -127,8 +127,9 @@ func (e *deathError) Error() string { return e.err.Error() }
 
 // drive is the driver loop: spawn the entry SP on PE 0, then alternate
 // between handling worker messages and termination probes; on termination,
-// gather every array and stop the workers. A worker death fails the run,
-// or with cfg.Recover returns a *deathError.
+// gather every array and stop the workers. A worker death returns a
+// *deathError; a stalled round or gather names no dead PE and is a plain
+// error.
 func drive(ctx context.Context, ep *jobEndpoint, cfg Config, entry *isa.Template, args []isa.Value) (*Result, error) {
 	n := cfg.NumPEs
 	res := &Result{
@@ -182,19 +183,11 @@ func drive(ctx context.Context, ep *jobEndpoint, cfg Config, entry *isa.Template
 	cancelled := func(err error) error {
 		return fmt.Errorf("cluster: run cancelled (deadlocked dataflow program? %d live SPs): %w", det.liveSPs(), err)
 	}
-	// died ends the run on a worker death: fatal without recovery, else a
-	// deathError for Submit.
-	died := func(unreachable int, err error) error {
-		if !cfg.Recover {
-			return err
-		}
-		return &deathError{unreachable, err}
-	}
 	// send is ep.Send for a frame the run cannot do without: a send
 	// bouncing off a dead connection is a death notice in its own right.
 	send := func(pe int, m *Msg) error {
 		if err := ep.Send(pe, m); err != nil {
-			return died(pe, err)
+			return &deathError{pe, err}
 		}
 		return nil
 	}
@@ -218,7 +211,7 @@ func drive(ctx context.Context, ep *jobEndpoint, cfg Config, entry *isa.Template
 	roundComplete := false
 	probeReset := false
 	// handle processes one driver-bound message; it returns an error for
-	// KFail and KDown and flags round completion for KAck.
+	// KFail, KDown and KLost and flags round completion for KAck.
 	handle := func(m *Msg) error {
 		switch m.Kind {
 		case KToken:
@@ -254,7 +247,14 @@ func drive(ctx context.Context, ep *jobEndpoint, cfg Config, entry *isa.Template
 				probeReset = true
 			}
 		case KDown:
-			return died(-1, fmt.Errorf("cluster: worker %d died mid-run (transport closed); set Config.Recover (and Spares, on TCP) to survive worker failures", m.From))
+			return &deathError{-1, fmt.Errorf("cluster: worker %d died (transport closed)", m.From)}
+		case KLost:
+			// A worker could not reach a peer: that peer is as dead as one
+			// a driver send bounced off.
+			if m.ReqPE < 0 || int(m.ReqPE) >= n {
+				return fmt.Errorf("cluster: worker %d reported unknown pe %d lost", m.From, m.ReqPE)
+			}
+			return &deathError{int(m.ReqPE), fmt.Errorf("cluster: worker %d cannot reach pe %d: %s", m.From, m.ReqPE, m.Name)}
 		case KDump:
 			g := res.arrays[m.Arr]
 			if g == nil {
@@ -285,14 +285,15 @@ func drive(ctx context.Context, ep *jobEndpoint, cfg Config, entry *isa.Template
 		if err := toAll(func() *Msg { return &Msg{Kind: KProbe, Round: round} }); err != nil {
 			return nil, err
 		}
-		// The round deadline turns a dead or wedged worker into a
-		// diagnosable failure (with recovery, into a re-run). The deadline
-		// re-arms on every received message, so it measures genuine
-		// silence — no driver-bound traffic at all for the whole timeout
-		// while the round stays open, meaning some PE will never answer —
-		// and can never trip a slow-but-progressing phase. Without
-		// recovery, expiry fails the run with each PE's last-ack state
-		// instead of hanging until the run context expires.
+		// The round deadline turns a wedged worker into a diagnosable
+		// failure. The deadline re-arms on every received message, so it
+		// measures genuine silence — no driver-bound traffic at all for the
+		// whole timeout while the round stays open, meaning some PE will
+		// never answer — and can never trip a slow-but-progressing phase.
+		// Expiry fails the run with each PE's last-ack state instead of
+		// hanging until the run context expires. A stall names no dead PE,
+		// so a re-run would start on the same hosts and stall again: it is
+		// not a death.
 		for !roundComplete {
 			m, stalled, err := recvWithin(ctx, ep, timer, cfg.RoundTimeout)
 			switch {
@@ -307,11 +308,11 @@ func drive(ctx context.Context, ep *jobEndpoint, cfg Config, entry *isa.Template
 				// and the event tail says what it was doing when the
 				// round stalled — far more than last-ack counters can.
 				diag := ""
-				if cfg.Trace && !cfg.Recover {
+				if cfg.Trace {
 					diag = stallTraceDump(ctx, ep, timer, n)
 				}
-				return nil, died(-1, fmt.Errorf("cluster: probe round %d stalled for %v (worker dead or wedged?): %s%s",
-					round, cfg.RoundTimeout, det.stallReport(), diag))
+				return nil, fmt.Errorf("cluster: probe round %d stalled for %v (worker dead or wedged?): %s%s",
+					round, cfg.RoundTimeout, det.stallReport(), diag)
 			default:
 				return nil, cancelled(err)
 			}
@@ -393,18 +394,15 @@ func drive(ctx context.Context, ep *jobEndpoint, cfg Config, entry *isa.Template
 	// KDumpReq would otherwise hang the driver here just as silently as a
 	// mid-round death would above, while a large gather that keeps making
 	// progress can take as long as it needs. A worker dying here lost
-	// finished results: without recovery the run fails, with it the job
-	// runs again.
+	// finished results, so the job runs again.
 	for expect > 0 {
 		m, stalled, err := recvWithin(ctx, ep, timer, cfg.RoundTimeout)
 		switch {
 		case stalled:
-			return nil, died(-1, fmt.Errorf("cluster: result gather stalled for %v with %d dump segments outstanding (worker dead or wedged?)",
-				cfg.RoundTimeout, expect))
+			return nil, fmt.Errorf("cluster: result gather stalled for %v with %d dump segments outstanding (worker dead or wedged?)",
+				cfg.RoundTimeout, expect)
 		case err != nil:
 			return nil, fmt.Errorf("cluster: gathering results: %w", err)
-		case m.Kind == KDown:
-			return nil, died(-1, fmt.Errorf("cluster: worker %d died during result gather (its finished segments are lost)", m.From))
 		case m.Kind == KDump:
 			expect--
 		}

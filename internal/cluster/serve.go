@@ -24,27 +24,13 @@ import (
 //	                 KFail    instead of the above on any error (Name is
 //	                          the error text)
 //
-// The server clamps the client's budgets to its own caps (a client may
-// tighten its budget but never exceed the server's), so one server-side
-// policy bounds every tenant. Admission control, job IDs, and per-job
-// teardown are the Fleet's own (Submit); the protocol layer adds nothing
-// stateful.
+// Budget caps, admission control, job IDs, and per-job teardown are the
+// Fleet's own (Submit clamps every job's budgets to the fleet's caps: a
+// client may tighten its budget but never exceed the server's); the
+// protocol layer adds nothing stateful.
 
 // serveChunk bounds one KDump frame's element count on the client wire.
 const serveChunk = 1 << 16
-
-// clampBudget resolves a client-requested budget against a server cap:
-// zero means unlimited on both sides, and the effective budget is the
-// tighter of the two.
-func clampBudget(client, server int64) int64 {
-	if server > 0 && (client <= 0 || client > server) {
-		return server
-	}
-	if client < 0 {
-		return 0
-	}
-	return client
-}
 
 // ServeJobs accepts job submissions on ln and runs each on the fleet
 // until ctx ends or the listener fails. Each connection is one job; any
@@ -71,8 +57,8 @@ func (f *Fleet) ServeJobs(ctx context.Context, ln net.Listener) error {
 	}
 }
 
-// serveJobConn handles one submission: decode, clamp budgets, run, and
-// stream the results back. All errors are reported to the client as
+// serveJobConn handles one submission: decode, run, and stream the
+// results back. All errors are reported to the client as
 // KFail frames; a broken client connection just abandons the stream (the
 // job itself still ran under the fleet's normal teardown). The reply is
 // written frame by frame, synchronously: a slow client holds the server
@@ -108,15 +94,9 @@ func (f *Fleet) serveJobConn(ctx context.Context, conn net.Conn) {
 		return
 	}
 
-	// The job's knobs are the client's (Submit's fill validates them);
-	// transport, fault injection, and recovery policy are the fleet's.
-	// Budgets are clamped to the server caps so a tenant cannot out-ask the
-	// operator.
-	cfg := m.Cfg.Job
-	cfg.Recover = f.cfg.Recover
-	cfg.MaxInstrs = clampBudget(cfg.MaxInstrs, f.cfg.MaxInstrs)
-	cfg.MaxElems = clampBudget(cfg.MaxElems, f.cfg.MaxElems)
-	res, err := f.Submit(ctx, prog, cfg, m.Args...)
+	// The job's knobs are the client's (Submit validates them and caps
+	// its budgets); transport and fault injection are the fleet's.
+	res, err := f.Submit(ctx, prog, m.Cfg.Job, m.Args...)
 	if err != nil {
 		fail(err)
 		return

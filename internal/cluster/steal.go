@@ -15,9 +15,9 @@ import (
 // thief runs the batch as if it had been spawned there. The core calls in
 // when it goes idle (maybeSteal), on every probe (stealProbe), when a token
 // finds no live SP (relay), when a stolen-in SP halts (it enters halted) and
-// for the three steal kinds (stealMsg); enqueue resets the backoff. Config
-// rejects Steal with Recover: the worker-kill tests do not cross stealing
-// yet.
+// for the three steal kinds (stealMsg); enqueue resets the backoff. A
+// worker death re-runs the whole job, so the layer keeps no state for
+// recovery.
 
 // stealState is a worker's half of work stealing, nil when Config.Steal is
 // off or the job has one PE.

@@ -72,6 +72,7 @@ type outbox struct {
 	spare    []byte    // the drainer's previous buffer, for reuse
 	draining bool
 	err      error // sticky: the first write error, or net.ErrClosed after close
+	gone     bool  // the peer is known dead: sends succeed and write nothing
 }
 
 func newOutbox(conn net.Conn) *outbox {
@@ -109,6 +110,9 @@ func writeFrame(conn net.Conn, m *Msg) error {
 func (o *outbox) send(m *Msg) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	if o.gone {
+		return nil
+	}
 	if o.err != nil {
 		return o.err
 	}
@@ -358,10 +362,20 @@ func (t *tcpEndpoint) Close() error {
 // synthesizes a KDown notice when it drops: a worker dying mid-run is
 // detected at connection-loss speed, and the notice carries the host
 // generation the connection served so a replaced worker's teardown is
-// fenced instead of marking the new host dead. After Close the box is closed,
-// so the put is a no-op during normal cleanup.
+// fenced instead of marking the new host dead. From then on the link drops
+// what is sent to it, as the channel transport does for a dead PE: the
+// KDown is a known-dead host's one death notice. After Close the box is
+// closed, so the put is a no-op during normal cleanup.
 func (t *tcpEndpoint) pumpWorker(pe int, gen int32, conn net.Conn) {
 	pump(conn, t.in, nil)
+	l := &t.links[pe]
+	l.mu.Lock()
+	if o := l.out; o.conn == conn { // not yet re-homed
+		o.mu.Lock()
+		o.gone = true
+		o.mu.Unlock()
+	}
+	l.mu.Unlock()
 	t.in.put(&Msg{Kind: KDown, From: int32(pe), Gen: gen})
 }
 
@@ -378,6 +392,7 @@ func ServeWorker(ctx context.Context, ln net.Listener) error {
 	var (
 		mu       sync.Mutex
 		accepted []net.Conn
+		ended    bool     // the session is over: a late accept closes at once
 		driver   net.Conn // the connection the KInit came on
 	)
 	onInit := func(conn net.Conn) {
@@ -392,6 +407,9 @@ func ServeWorker(ctx context.Context, ln net.Listener) error {
 				return
 			}
 			mu.Lock()
+			if ended {
+				conn.Close() // accepted as the session ended
+			}
 			accepted = append(accepted, conn)
 			mu.Unlock()
 			go func(conn net.Conn) {
@@ -412,6 +430,7 @@ func ServeWorker(ctx context.Context, ln net.Listener) error {
 		ln.Close()
 		t.Close() // first: flushes the driver connection before it is closed below
 		mu.Lock()
+		ended = true
 		for _, c := range accepted {
 			c.Close()
 		}

@@ -195,7 +195,7 @@ func (b *mailbox) sever() {
 // hostStashMax bounds the frames an inbox table holds for jobs that have
 // not started on its endpoint (peer traffic can race the KJobStart on the
 // driver's stream). Beyond it frames are dropped, and the job they belong
-// to stalls: it fails, or with Recover runs again.
+// to stalls and fails with the stall report.
 const hostStashMax = 1 << 16
 
 // inboxTable is one endpoint's receive side on every transport. Fleet-level

@@ -147,11 +147,6 @@ type worker struct {
 	adapt *adaptState // Config.Adapt: adapt.go
 	heat  *heatState  // Config.Heat: heat.go
 
-	// recover is Config.Recover: a peer this worker cannot reach is dead,
-	// and the driver re-runs the whole job, so a failed peer send drops the
-	// frame instead of failing the run (send).
-	recover bool
-
 	// sliceSteps counts step() calls since the last cooperative yield.
 	sliceSteps int
 
@@ -167,7 +162,7 @@ type worker struct {
 	// no worker is in, so the first idle spell reports.
 	told quietState
 
-	failed  bool
+	failed  bool // reported a KFail or a KLost: runs no more SPs
 	stopped bool
 }
 
@@ -199,7 +194,6 @@ func newWorker(pe int, cfg *Config, prog *isa.Program, ep *jobEndpoint) *worker 
 		waitArray: make(map[int64][]*spInst),
 		pending:   make(map[int64][]*Msg),
 		inflight:  make(map[pageKey]pageReq),
-		recover:   cfg.Recover,
 		told:      quietState{live: -1},
 	}
 	w.x.Backend = w
@@ -240,15 +234,18 @@ func (w *worker) send(to int, m *Msg) {
 			w.stopped = true
 			return
 		}
-		if w.recover && to != w.driverID() {
-			// The peer is unreachable: dead, or dying. The driver learns of
-			// the death and re-runs the job from its program and arguments,
-			// so this attempt's results no longer matter. The sent count
-			// stays in place, keeping the sums unequal: a lost frame can
-			// never fake termination.
+		if to < 0 || to >= w.n {
+			w.fail(err) // the driver, or no endpoint at all
 			return
 		}
-		w.fail(err)
+		// The peer is dead. The frame is dropped, and the first such peer
+		// reported to the driver, which re-runs the job: this run is over,
+		// as if the worker had failed. The sent count stays in place, so a
+		// lost frame can never fake termination.
+		if !w.failed {
+			w.failed = true
+			_ = w.ep.Send(w.driverID(), &Msg{Kind: KLost, ReqPE: int32(to), Name: err.Error()})
+		}
 	}
 }
 

@@ -25,18 +25,14 @@ const killAfterFrames = 2
 
 var killPEs = []int{2, 4, 8}
 
-// TestBackendAgreementWithWorkerKill crosses every knobSets row without
-// Steal (Config rejects it with Recover) with a worker death: PE 1 killed
-// after 2 and after 8 frames, at 2, 4 and 8 PEs.
+// TestBackendAgreementWithWorkerKill crosses every knobSets row with a
+// worker death: PE 1 killed after 2 and after 8 frames, at 2, 4 and 8 PEs.
 func TestBackendAgreementWithWorkerKill(t *testing.T) {
 	for _, k := range kernels.All() {
 		t.Run(k.Name, func(t *testing.T) {
 			t.Parallel()
 			p, want := compileWithReference(t, k)
 			for _, ks := range knobSets {
-				if ks.cfg.Steal {
-					continue
-				}
 				for _, pes := range killPEs {
 					for _, after := range []int64{killAfterFrames, 8} {
 						killedRun(t, p, k, ks.name, ks.cfg, pes, after, want)
@@ -51,11 +47,13 @@ func TestBackendAgreementWithWorkerKill(t *testing.T) {
 // the kernels and rows whose remote reads join in-flight pages: matmul,
 // heat and relax at 2 and 4 PEs, under the base, evict and heat+evict
 // rows, so kills fall between a page request and the page the reads that
-// joined it wait on. Every run must match the simulator, and each row's
-// unkilled matmul and heat runs (2 and 4 PEs together) must make joins, or
-// the sweep would not cover them.
+// joined it wait on, and under the steal and heat+evict+adapt+steal rows,
+// so they also fall between a steal grant and the tokens it forwards.
+// Every run must match the simulator, and each row's unkilled matmul and
+// heat runs (2 and 4 PEs together) must make joins, or the sweep would not
+// cover them.
 func TestKillIndexSweep(t *testing.T) {
-	rows := []string{"base", "evict", "heat+evict"}
+	rows := []string{"base", "evict", "heat+evict", "steal", "heat+evict+adapt+steal"}
 	for _, name := range []string{"matmul", "heat", "relax"} {
 		k, _ := kernels.ByName(name)
 		t.Run(name, func(t *testing.T) {
@@ -92,7 +90,7 @@ func TestKillIndexSweep(t *testing.T) {
 // results, and exports a traced run of a job that ran again after a kill.
 func TestKnobGauntlet(t *testing.T) {
 	t.Run("fleet", func(t *testing.T) {
-		runConcurrentJobs(t, pods.ClusterConfig{KillPE: 1, KillAfter: 8}, true)
+		runConcurrentJobs(t, pods.ClusterConfig{KillPE: 1, KillAfter: 8})
 	})
 	t.Run("traced-export", func(t *testing.T) {
 		res := tracedRelaxRun(t, true)
@@ -104,8 +102,8 @@ func TestKnobGauntlet(t *testing.T) {
 	})
 }
 
-// killedRun runs cfg at pes PEs with recovery on while PE 1 dies after
-// `after` frames, and checks the arrays against want.
+// killedRun runs cfg at pes PEs while PE 1 dies after `after` frames, and
+// checks the arrays against want.
 func killedRun(t *testing.T, p *pods.Program, k kernels.Kernel, name string, cfg pods.ClusterConfig,
 	pes int, after int64, want arraySet) {
 	t.Helper()
@@ -113,7 +111,6 @@ func killedRun(t *testing.T, p *pods.Program, k kernels.Kernel, name string, cfg
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	cfg.NumPEs = pes
-	cfg.Recover = true
 	cfg.KillPE, cfg.KillAfter = 1, after
 	res, err := p.ExecuteCluster(ctx, cfg, k.Args(determinacyN)...)
 	if err != nil {

@@ -18,9 +18,8 @@ import (
 
 // tracedRelaxRun runs relax traced at 8 PEs with stealing and adaptation
 // on. With kill, PE 1 also dies after killAfterFrames frames under a
-// two-page cache cap and is recovered, so the rings are gathered across a
-// recovery epoch; stealing is then off, since Config rejects it with
-// Recover.
+// two-page cache cap and the job runs again, so the rings are gathered
+// from a re-run.
 func tracedRelaxRun(t *testing.T, kill bool) *pods.ClusterResult {
 	t.Helper()
 	k, _ := kernels.ByName("relax")
@@ -32,8 +31,7 @@ func tracedRelaxRun(t *testing.T, kill bool) *pods.ClusterResult {
 	defer cancel()
 	cfg := pods.ClusterConfig{NumPEs: 8, Steal: true, Adapt: true, Trace: true}
 	if kill {
-		cfg.CachePages, cfg.Recover, cfg.KillPE, cfg.KillAfter = 2, true, 1, killAfterFrames
-		cfg.Steal = false
+		cfg.CachePages, cfg.KillPE, cfg.KillAfter = 2, 1, killAfterFrames
 	}
 	res, err := p.ExecuteCluster(ctx, cfg, k.Args(24)...)
 	if err != nil {
