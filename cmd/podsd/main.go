@@ -441,7 +441,8 @@ func serveWorker(addr string) error {
 		addr = ln.Addr().String()
 		fmt.Printf("podsd worker listening on %s\n", ln.Addr())
 		if err := cluster.ServeWorker(context.Background(), ln); err != nil {
-			return err
+			// A refused session (a malformed KInit) ends only that session.
+			fmt.Fprintf(os.Stderr, "podsd worker: %v\n", err)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package pods_test
 
 import (
+	"context"
 	"fmt"
 
 	pods "repro"
@@ -48,6 +49,28 @@ func main(n: int) {
 	vals, _, dims, _ := res.Array("A")
 	fmt.Println(dims, vals)
 	// Output: [4] [1 4 9 16]
+}
+
+// ExampleProgram_ExecuteCluster runs a program for real on four
+// share-nothing workers: the fill is spread over them, the distributed
+// loop follows the data, and the gathered array equals the simulator's.
+func ExampleProgram_ExecuteCluster() {
+	p := pods.MustCompile("fill.id", `
+func main(n: int) -> int {
+	A = array(n);
+	for i = 1 to n {
+		A[i] = float(i * i);
+	}
+	return n;
+}`)
+	res, err := p.ExecuteCluster(context.Background(), pods.ClusterConfig{NumPEs: 4, PageElems: 2}, pods.Int(8))
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	vals, _, _, _ := res.Array("A")
+	fmt.Println(res.Value.I, vals)
+	// Output: 8 [1 4 9 16 25 36 49 64]
 }
 
 // ExampleProgram_PartitionReport shows the partitioner's §4.2.4 decisions:

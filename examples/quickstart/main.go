@@ -1,6 +1,6 @@
 // Quickstart: compile a tiny single-assignment (Idlite) program through the
 // PODS pipeline, simulate it on a distributed-memory machine, and run the
-// same binary program for real on goroutines.
+// same binary program for real on share-nothing cluster workers.
 package main
 
 import (
@@ -50,12 +50,12 @@ func main() {
 		fmt.Printf("         %s\n", res)
 	}
 
-	// Run the same SP program natively on goroutines.
+	// Run the same SP program for real on 4 message-passing workers.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	out, err := p.Execute(ctx, pods.RunConfig{VirtualPEs: 4}, pods.Int(64))
+	out, err := p.ExecuteCluster(ctx, pods.ClusterConfig{NumPEs: 4}, pods.Int(64))
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\ngoroutine runtime result: %v (must match the simulator)\n", out.Value.F)
+	fmt.Printf("\ncluster runtime result: %v (must match the simulator)\n", out.Value.F)
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/isa"
-	"repro/internal/podsrt"
 	"repro/internal/sim"
 )
 
@@ -82,13 +81,6 @@ func TestIllTypedProgramsFailEverywhere(t *testing.T) {
 			}
 			res, err := m.Run()
 			check("sim", res != nil, err)
-
-			rt, err := podsrt.New(prog, podsrt.Config{VirtualPEs: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			v, err := rt.Run(ctx)
-			check("podsrt", v != nil, err)
 
 			cres, err := cluster.Execute(ctx, prog, cluster.Config{NumPEs: 2})
 			check("cluster", cres != nil, err)

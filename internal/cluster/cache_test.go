@@ -71,7 +71,7 @@ func pumpedRun(t *testing.T, k kernels.Kernel, n, pes int, cfg Config,
 	if cfg.PageElems == 0 {
 		cfg.PageElems = 8
 	}
-	cfg.NumPEs, cfg.DistThreshold = pes, 2*cfg.PageElems
+	cfg.NumPEs = pes
 	eps := newChanTransport(pes, 0)
 	ws := make([]*worker, pes)
 	for pe := range ws {

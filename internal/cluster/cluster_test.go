@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,11 +38,13 @@ func testCtx(t *testing.T) context.Context {
 }
 
 func TestIDPacking(t *testing.T) {
-	// The PE field is one byte storing pe+1, so 254 is the largest index.
-	for _, pe := range []int{0, 1, 31, 254} {
-		id := packID(pe, 12345)
-		if got := peOf(id); got != pe {
-			t.Errorf("peOf(packID(%d, _)) = %d", pe, got)
+	// The PE field is one byte storing pe+1, so every index below maxPEs
+	// (255) round-trips, under any job namespace.
+	for pe := 0; pe < maxPEs; pe++ {
+		for _, job := range []int32{0, jobMask} {
+			if got := peOf(packJobID(job, pe, 1<<peShift-1)); got != pe {
+				t.Errorf("peOf(packJobID(%d, %d, _)) = %d", job, pe, got)
+			}
 		}
 	}
 	if peOf(0) != -1 {
@@ -183,6 +186,29 @@ func main(n: int) {
 	_, err := Execute(ctx, prog, Config{NumPEs: 2}, isa.Int(8))
 	if err == nil {
 		t.Fatal("want deadlock error for read of never-written element")
+	}
+}
+
+// TestExecuteRejectsTooManyPEs: a PE index past the ID's one-byte PE field
+// would read back as another PE (or as the driver), so a run on more PEs
+// than an ID can name is refused before any worker starts.
+func TestExecuteRejectsTooManyPEs(t *testing.T) {
+	prog := compile(t, "fill.id", `
+func main(n: int) -> int {
+	A = array(n);
+	for i = 1 to n {
+		A[i] = float(i);
+	}
+	return n;
+}`)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	_, err := Execute(ctx, prog, Config{NumPEs: maxPEs + 1, PageElems: 1}, isa.Int(2*(maxPEs+1)))
+	if err == nil || !strings.Contains(err.Error(), "maximum 255") {
+		t.Fatalf("Execute on %d PEs: err = %v, want the 255-PE bound", maxPEs+1, err)
+	}
+	if err := (&Config{NumPEs: maxPEs}).fill(); err != nil {
+		t.Errorf("fill refused %d PEs: %v", maxPEs, err)
 	}
 }
 

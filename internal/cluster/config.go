@@ -18,10 +18,6 @@ type Config struct {
 	// follow the same geometry as the simulator. Defaults to 32.
 	PageElems int
 
-	// DistThreshold is the minimum element count for an ALLOCD array to be
-	// physically spread over the PEs. Defaults to 2 pages.
-	DistThreshold int
-
 	// Workers lists TCP worker addresses ("host:port", one per PE, each
 	// running `podsd -worker`). When empty the run uses the in-process
 	// channel transport with NumPEs worker goroutines.
@@ -165,7 +161,7 @@ const maxTraceCap = 1 << 20
 // driver's (NumPEs, Workers, Spares, ProbeInterval, RoundTimeout, Latency)
 // or the fleet's (KillPE, KillAfter, MaxJobs) and never crosses a wire.
 func (c *Config) wireKnobs() (ints []*int, flags []*bool, budgets []*int64) {
-	return []*int{&c.PageElems, &c.DistThreshold, &c.CachePages, &c.TraceCap, &c.TraceSample},
+	return []*int{&c.PageElems, &c.CachePages, &c.TraceCap, &c.TraceSample},
 		[]*bool{&c.Steal, &c.Adapt, &c.Trace, &c.Heat},
 		[]*int64{&c.MaxInstrs, &c.MaxElems}
 }
@@ -178,11 +174,14 @@ func (c *Config) fill() error {
 		}
 		c.NumPEs = len(c.Workers)
 	}
-	g := rtcfg.Geometry{PEs: c.NumPEs, PageElems: c.PageElems, DistThreshold: c.DistThreshold}
+	g := rtcfg.Geometry{PEs: c.NumPEs, PageElems: c.PageElems}
 	if err := g.Fill(rtcfg.DefaultPEs); err != nil {
 		return fmt.Errorf("cluster: %w", err)
 	}
-	c.NumPEs, c.PageElems, c.DistThreshold = g.PEs, g.PageElems, g.DistThreshold
+	c.NumPEs, c.PageElems = g.PEs, g.PageElems
+	if c.NumPEs > maxPEs {
+		return fmt.Errorf("cluster: %d PEs exceeds the maximum %d a packed SP or array ID can name", c.NumPEs, maxPEs)
+	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 100 * time.Microsecond
 	}

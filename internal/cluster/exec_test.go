@@ -124,7 +124,7 @@ func newHotWorker(tb testing.TB) hotWorker {
 		tb.Fatal(err)
 	}
 	eps := newChanTransport(1, 0)
-	return hotWorker{newWorker(0, &Config{NumPEs: 1, PageElems: 32, DistThreshold: 64}, prog, eps[0]), eps[1]}
+	return hotWorker{newWorker(0, &Config{NumPEs: 1, PageElems: 32}, prog, eps[0]), eps[1]}
 }
 
 // run executes one instance of template tmpl to quiescence and returns the

@@ -79,7 +79,7 @@ func (w *worker) execAlloc(sp *spInst, ins *isa.DInstr, args []int, name string)
 	if name == "" {
 		name = fmt.Sprintf("anon%d", id)
 	}
-	dist := ins.Op == isa.ALLOCD && elems >= w.geo.DistThreshold && w.n > 1
+	dist := ins.Op == isa.ALLOCD && w.geo.Distributes(elems)
 	h, err := istructure.NewHeader(id, name, dims, w.geo.PageElems, w.n, w.pe, dist)
 	if err != nil {
 		w.fail(fmt.Errorf("%q: %w", sp.tmpl.Name, err))

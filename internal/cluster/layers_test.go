@@ -37,7 +37,7 @@ func TestOffLayerFramesFailCleanly(t *testing.T) {
 			t.Run(layer.name+"-off/"+m.Kind.String(), func(t *testing.T) {
 				eps := newChanTransport(2, 0)
 				cfg := layer.cfg
-				cfg.NumPEs, cfg.PageElems, cfg.DistThreshold = 2, 8, 16
+				cfg.NumPEs, cfg.PageElems = 2, 8
 				w := newWorker(0, &cfg, taskProgram(), eps[0])
 				if m.From == 0 {
 					m.From = 1 // a peer's frame

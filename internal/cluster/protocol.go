@@ -9,10 +9,9 @@
 // per PE, zero shared state) and a TCP transport (length-prefixed frames
 // over net.Conn, so PEs can run as separate OS processes; see cmd/podsd).
 //
-// Unlike internal/podsrt, which models a shared-memory multiprocessor with
-// a single mutex-protected I-structure store, this runtime is faithful to
-// the paper's iPSC/2 setting: no worker ever touches another worker's
-// memory, and every remote array access costs a real message round-trip.
+// The runtime is faithful to the paper's iPSC/2 setting: no worker ever
+// touches another worker's memory, and every remote array access costs a
+// real message round-trip.
 package cluster
 
 import (
@@ -791,6 +790,10 @@ const (
 	jobShift = 48
 	peShift  = 40
 	jobMask  = 0x7fff
+
+	// maxPEs is the largest PE count an ID can name: the PE field is the
+	// byte between peShift and jobShift, and it stores pe+1.
+	maxPEs = 1<<(jobShift-peShift) - 1
 )
 
 func packID(pe int, seq int64) int64 { return int64(pe+1)<<peShift | seq }
@@ -802,7 +805,7 @@ func packJobID(job int32, pe int, seq int64) int64 {
 
 // peOf recovers the owning PE from a packed ID; ID 0 (the driver
 // environment) returns -1. The mask strips the job namespace bits.
-func peOf(id int64) int { return int((id>>peShift)&0xff) - 1 }
+func peOf(id int64) int { return int((id>>peShift)&maxPEs) - 1 }
 
 // jobOf recovers the job namespace bits from a packed ID.
 func jobOf(id int64) int32 { return int32(id>>jobShift) & jobMask }

@@ -131,7 +131,7 @@ func pumpWorker(w *worker) bool {
 func TestStealProtocolGrantForwardLateToken(t *testing.T) {
 	prog := taskProgram()
 	eps := newChanTransport(2, 0)
-	cfg := &Config{NumPEs: 2, PageElems: 8, DistThreshold: 16, Steal: true}
+	cfg := &Config{NumPEs: 2, PageElems: 8, Steal: true}
 	w0 := newWorker(0, cfg, prog, eps[0])
 	w1 := newWorker(1, cfg, prog, eps[1])
 	driver := eps[2]
@@ -230,7 +230,7 @@ func TestStealProtocolGrantForwardLateToken(t *testing.T) {
 func TestStealBackClearsStaleStub(t *testing.T) {
 	prog := taskProgram()
 	eps := newChanTransport(2, 0)
-	cfg := &Config{NumPEs: 2, PageElems: 8, DistThreshold: 16, Steal: true}
+	cfg := &Config{NumPEs: 2, PageElems: 8, Steal: true}
 	w0 := newWorker(0, cfg, prog, eps[0])
 	w1 := newWorker(1, cfg, prog, eps[1])
 	driver := eps[2]
@@ -297,7 +297,7 @@ func TestStealBackClearsStaleStub(t *testing.T) {
 func TestStealDeclinedWhenUnloaded(t *testing.T) {
 	prog := taskProgram()
 	eps := newChanTransport(2, 0)
-	cfg := &Config{NumPEs: 2, PageElems: 8, DistThreshold: 16, Steal: true}
+	cfg := &Config{NumPEs: 2, PageElems: 8, Steal: true}
 	w0 := newWorker(0, cfg, prog, eps[0])
 	w1 := newWorker(1, cfg, prog, eps[1])
 	driver := eps[2]
@@ -455,7 +455,7 @@ func TestEvictionKeepsKernelsDeterminate(t *testing.T) {
 func TestStealGrantBatchHalfOldestFirst(t *testing.T) {
 	prog := taskProgram()
 	eps := newChanTransport(2, 0)
-	cfg := &Config{NumPEs: 2, PageElems: 8, DistThreshold: 16, Steal: true}
+	cfg := &Config{NumPEs: 2, PageElems: 8, Steal: true}
 	w0 := newWorker(0, cfg, prog, eps[0])
 	w1 := newWorker(1, cfg, prog, eps[1])
 	driver := eps[2]
@@ -504,7 +504,7 @@ func TestStealGrantBatchHalfOldestFirst(t *testing.T) {
 func TestStealLocalityPreference(t *testing.T) {
 	prog := taskProgram()
 	eps := newChanTransport(2, 0)
-	cfg := &Config{NumPEs: 2, PageElems: 8, DistThreshold: 16, Steal: true}
+	cfg := &Config{NumPEs: 2, PageElems: 8, Steal: true}
 	w0 := newWorker(0, cfg, prog, eps[0])
 	// Array 77 is 3×8: row r lives on page r-1.
 	h, err := istructure.NewHeader(77, "X", []int{3, 8}, 8, 2, 0, true)
@@ -548,7 +548,7 @@ func TestStealLocalityPreference(t *testing.T) {
 func TestStealMidDequeGrantNoShift(t *testing.T) {
 	prog := taskProgram()
 	eps := newChanTransport(2, 0)
-	cfg := &Config{NumPEs: 2, PageElems: 8, DistThreshold: 16, Steal: true}
+	cfg := &Config{NumPEs: 2, PageElems: 8, Steal: true}
 	w0 := newWorker(0, cfg, prog, eps[0])
 	for i := 0; i < 3; i++ {
 		if err := eps[2].Send(0, &Msg{Kind: KSpawn, Tmpl: 0,
@@ -581,7 +581,7 @@ func TestStealMidDequeGrantNoShift(t *testing.T) {
 func TestReadyDequeBoundedGrowth(t *testing.T) {
 	prog := taskProgram()
 	eps := newChanTransport(2, 0)
-	cfg := &Config{NumPEs: 2, PageElems: 8, DistThreshold: 16, Steal: true}
+	cfg := &Config{NumPEs: 2, PageElems: 8, Steal: true}
 	w0 := newWorker(0, cfg, prog, eps[0])
 	spawn := func() {
 		if err := eps[2].Send(0, &Msg{Kind: KSpawn, Tmpl: 0,

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/isa"
 	"repro/internal/kernels"
@@ -276,6 +278,44 @@ func TestTCPSeveredPeerYieldsDown(t *testing.T) {
 		if want == KDown && (m.From != 0 || m.Gen != 3) {
 			t.Fatalf("KDown names pe %d generation %d, want 0/3", m.From, m.Gen)
 		}
+	}
+}
+
+// TestTCPWorkerRefusesMalformedInit: a worker sizes its link table from
+// its KInit, so a KInit whose PE count no packed ID can name, or whose PE
+// index lies outside it, ends the session with an error: no panic, no
+// giant allocation, and the driver's connection is closed.
+func TestTCPWorkerRefusesMalformedInit(t *testing.T) {
+	ctx := testCtx(t)
+	for _, c := range []MsgCfg{
+		{PE: 0, NumPEs: -5},
+		{PE: 0, NumPEs: 0},
+		{PE: 0, NumPEs: maxPEs + 1},
+		{PE: 0, NumPEs: 1<<31 - 1},
+		{PE: -1, NumPEs: 2},
+		{PE: 2, NumPEs: 2},
+	} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- ServeWorker(ctx, ln) }()
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeFrame(conn, &Msg{Kind: KInit, Cfg: &c}); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err == nil || !strings.Contains(err.Error(), "refused KInit") {
+			t.Errorf("KInit for PE %d of %d: ServeWorker returned %v, want a refusal", c.PE, c.NumPEs, err)
+		}
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+			t.Errorf("KInit for PE %d of %d: driver connection read %v, want EOF", c.PE, c.NumPEs, err)
+		}
+		conn.Close()
 	}
 }
 

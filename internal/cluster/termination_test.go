@@ -407,7 +407,7 @@ func main(n: int) {
 }`)
 	eps := newChanTransport(2, 0)
 	peer, driver := eps[1], eps[2]
-	w := newWorker(0, &Config{NumPEs: 2, PageElems: 8, DistThreshold: 16, Steal: true}, prog, eps[0])
+	w := newWorker(0, &Config{NumPEs: 2, PageElems: 8, Steal: true}, prog, eps[0])
 	// A done context makes run return where it would block: it receives
 	// only after its inbox came up empty.
 	idle, stop := context.WithCancel(context.Background())
@@ -579,7 +579,7 @@ func BenchmarkProbeRound(b *testing.B) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	for pe := 0; pe < n; pe++ {
-		w := newWorker(pe, &Config{NumPEs: n, PageElems: 32, DistThreshold: 16}, taskProgram(), eps[pe])
+		w := newWorker(pe, &Config{NumPEs: n, PageElems: 32}, taskProgram(), eps[pe])
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

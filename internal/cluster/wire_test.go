@@ -69,7 +69,7 @@ func TestMsgCodecRoundTrip(t *testing.T) {
 		{Kind: KAck, Round: 9, Ack: &AckStats{Counters: Counters{MsgsSent: 8, MsgsRecv: 8, CacheHits: 40, CacheMisses: 3,
 			ReadJoins: 5, Prefetches: 6, PrefetchHits: 4, CacheCapNow: 24}}},
 		{Kind: KTrace, From: 1, Lists: &MsgLists{TraceEvs: []int64{1, 2, 3, 4, 5}, TraceDrops: 7}},
-		{Kind: KJobStart, Job: 2, Cfg: &MsgCfg{Job: Config{PageElems: 8, DistThreshold: 16, CachePages: 2,
+		{Kind: KJobStart, Job: 2, Cfg: &MsgCfg{Job: Config{PageElems: 8, CachePages: 2,
 			Adapt: true, Heat: true}, Prog: []byte("{}")}},
 		{Kind: KSubmit, Job: 1, Seq: 7, Name: "triread", Args: []isa.Value{isa.Int(26)},
 			Cfg: &MsgCfg{Job: Config{CachePages: 4, Heat: true, MaxInstrs: 1 << 40}, Prog: []byte("p")}},
@@ -341,12 +341,13 @@ func TestMsgCodecTruncated(t *testing.T) {
 	}
 }
 
-// TestDecodeHostileGrantSeed: the corpus seed hostile-grant-huge-batch is a
-// KStealGrant whose last four bytes claim 2^31 batch items. It must fail on
-// the batch-length bound, not on trailing bytes (which would mean the seed
-// no longer matches the wSteal layout and tests nothing).
-func TestDecodeHostileGrantSeed(t *testing.T) {
-	raw, err := os.ReadFile("testdata/fuzz/FuzzDecodeMsg/hostile-grant-huge-batch")
+// hostileSeed decodes the FuzzDecodeMsg corpus seed name, which must end
+// on the four bytes of an oversized slice length, and requires the decode
+// to fail on that length, not on trailing bytes (which would mean the seed
+// no longer matches its kind's layout and tests nothing).
+func hostileSeed(t *testing.T, name, count, wantErr string) {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/fuzz/FuzzDecodeMsg/" + name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,13 +356,26 @@ func TestDecodeHostileGrantSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasSuffix(s, "\x00\x00\x00\x80") {
-		t.Fatalf("seed %q does not end on the 0x80000000 batch count", s)
+	if !strings.HasSuffix(s, count) {
+		t.Fatalf("seed %q does not end on the count %q", s, count)
 	}
-	_, err = decodeMsg([]byte(s))
-	if err == nil || err.Error() != "cluster: frame slice length 2147483648 exceeds payload" {
-		t.Fatalf("decode of the hostile grant: %v, want the batch-length bound", err)
+	if _, err = decodeMsg([]byte(s)); err == nil || err.Error() != wantErr {
+		t.Fatalf("decode of %s: %v, want %q", name, err, wantErr)
 	}
+}
+
+// TestDecodeHostileGrantSeed: hostile-grant-huge-batch is a KStealGrant
+// whose last four bytes claim 2^31 batch items.
+func TestDecodeHostileGrantSeed(t *testing.T) {
+	hostileSeed(t, "hostile-grant-huge-batch", "\x00\x00\x00\x80",
+		"cluster: frame slice length 2147483648 exceeds payload")
+}
+
+// TestDecodeHostileInitSeed: hostile-init-huge-peers is a KInit whose last
+// four bytes claim 2^31-1 peer addresses.
+func TestDecodeHostileInitSeed(t *testing.T) {
+	hostileSeed(t, "hostile-init-huge-peers", "\xff\xff\xff\x7f",
+		"cluster: frame slice length 2147483647 exceeds payload")
 }
 
 // TestDecodeMsgNoAlias: nothing a decoded Msg holds may point into the

@@ -186,7 +186,7 @@ func newWorker(pe int, cfg *Config, prog *isa.Program, ep *jobEndpoint) *worker 
 	w := &worker{
 		pe:        pe,
 		n:         n,
-		geo:       rtcfg.Geometry{PEs: n, PageElems: cfg.PageElems, DistThreshold: cfg.DistThreshold},
+		geo:       rtcfg.Geometry{PEs: n, PageElems: cfg.PageElems},
 		prog:      prog,
 		ep:        ep,
 		shard:     istructure.NewShard(pe),

@@ -3,8 +3,8 @@
 // dataflow graphs, the Translator turns code blocks into Subcompact
 // Processes, the Partitioner inserts the distribution primitives
 // (distributing allocate, LD, Range Filters), and the result can be run on
-// any of the three backends: the instruction-level machine simulator, the
-// shared-memory goroutine runtime, or the message-passing cluster runtime.
+// either backend: the instruction-level machine simulator or the
+// message-passing cluster runtime.
 package core
 
 import (
@@ -16,7 +16,6 @@ import (
 	"repro/internal/idlang"
 	"repro/internal/isa"
 	"repro/internal/partition"
-	"repro/internal/podsrt"
 	"repro/internal/sim"
 	"repro/internal/translate"
 )
@@ -71,19 +70,6 @@ func (s *System) Simulate(cfg sim.Config, args ...isa.Value) (*sim.Result, *sim.
 		return nil, nil, err
 	}
 	return res, m, nil
-}
-
-// Execute runs the program on the concurrent goroutine runtime.
-func (s *System) Execute(ctx context.Context, cfg podsrt.Config, args ...isa.Value) (*isa.Value, *podsrt.Runtime, error) {
-	rt, err := podsrt.New(s.Program, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	v, err := rt.Run(ctx, args...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return v, rt, nil
 }
 
 // ExecuteCluster runs the program on the message-passing distributed-memory

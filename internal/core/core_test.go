@@ -6,9 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/isa"
-	"repro/internal/podsrt"
 	"repro/internal/sim"
 )
 
@@ -47,12 +47,12 @@ func TestPipelineBothEngines(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	v, _, err := sys.Execute(ctx, podsrt.Config{VirtualPEs: 4}, isa.Int(n))
+	cres, err := sys.ExecuteCluster(ctx, cluster.Config{NumPEs: 4}, isa.Int(n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v == nil || v.F != want {
-		t.Fatalf("runtime: %+v, want %v", v, want)
+	if cres.Value == nil || cres.Value.F != want {
+		t.Fatalf("cluster: %+v, want %v", cres.Value, want)
 	}
 }
 

@@ -25,7 +25,7 @@ func run(t *testing.T, src string, pes int, args ...isa.Value) (*sim.Result, *si
 	if _, err := partition.Partition(prog, partition.Options{}); err != nil {
 		t.Fatalf("partition: %v", err)
 	}
-	m, err := sim.New(prog, sim.Config{NumPEs: pes, PageElems: 8, DistThreshold: 16})
+	m, err := sim.New(prog, sim.Config{NumPEs: pes, PageElems: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func main(n: int) {
 	if len(rep.Serial) != 1 {
 		t.Fatalf("sweep loop should be reported serial:\n%s", rep)
 	}
-	m, err := sim.New(prog, sim.Config{NumPEs: 4, PageElems: 8, DistThreshold: 16})
+	m, err := sim.New(prog, sim.Config{NumPEs: 4, PageElems: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +521,7 @@ func main(n: int) {
 			}
 		}
 	}
-	m, err := sim.New(prog, sim.Config{NumPEs: 4, PageElems: 8, DistThreshold: 16})
+	m, err := sim.New(prog, sim.Config{NumPEs: 4, PageElems: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,7 +171,7 @@ func main(n: int) {
 			return false
 		}
 		for _, pes := range []int{1, 3} {
-			m, err := sim.New(prog, sim.Config{NumPEs: pes, PageElems: 8, DistThreshold: 16})
+			m, err := sim.New(prog, sim.Config{NumPEs: pes, PageElems: 8})
 			if err != nil {
 				return false
 			}

@@ -4,9 +4,9 @@
 //
 // The PODS translator (internal/translate) lowers dataflow graphs into this
 // ISA; the partitioner (internal/partition) rewrites it for distribution; and
-// Run, the one executor, runs it for all three backends — the discrete-event
-// simulator (internal/sim), the goroutine runtime (internal/podsrt) and the
-// cluster runtime (internal/cluster) — each supplying only the effects.
+// Run, the one executor, runs it for both backends — the discrete-event
+// simulator (internal/sim) and the cluster runtime (internal/cluster) — each
+// supplying only the effects.
 package isa
 
 import (

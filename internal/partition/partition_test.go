@@ -88,7 +88,7 @@ func TestColumnRangeFilterExecutes(t *testing.T) {
 	prog, _ := compile(t, colFilterSrc)
 	const n = 12
 	for _, pes := range []int{1, 2, 4, 8} {
-		m, err := sim.New(prog, sim.Config{NumPEs: pes, PageElems: 8, DistThreshold: 16})
+		m, err := sim.New(prog, sim.Config{NumPEs: pes, PageElems: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func TestDescendingRowFilter(t *testing.T) {
 	}
 	const n = 10
 	for _, pes := range []int{1, 4} {
-		m, err := sim.New(prog, sim.Config{NumPEs: pes, PageElems: 8, DistThreshold: 16})
+		m, err := sim.New(prog, sim.Config{NumPEs: pes, PageElems: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func main(n: int) {
 	}
 	const n = 40
 	for _, pes := range []int{1, 3, 8} {
-		m, err := sim.New(prog, sim.Config{NumPEs: pes, PageElems: 8, DistThreshold: 16})
+		m, err := sim.New(prog, sim.Config{NumPEs: pes, PageElems: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,15 +1,16 @@
 // Package podsrt executes translated PODS programs with real concurrency:
 // one goroutine per Subcompact Process, channels for inter-SP tokens, and a
-// shared I-structure store with deferred reads. It is the "run it on a real
-// shared-memory multiprocessor" counterpart to the timing-accurate
-// discrete-event simulator in internal/sim — goroutines play the role of
-// SPs and channel sends the role of dataflow tokens (the mapping the paper's
-// model invites on modern hardware).
+// shared I-structure store with deferred reads.
 //
-// Distribution still matters: the runtime honours SPAWND/Range-Filter
-// semantics by assigning each SP instance a virtual PE, so the same
-// partitioned program runs unchanged and the Church-Rosser property can be
-// checked against the simulator's results.
+// It is no longer a backend: programs run on the simulator (internal/sim)
+// or on the cluster runtime (internal/cluster), and nothing outside this
+// package and the benchmark harness imports it. It is kept only as the
+// benchmark's comparison runtime (benchmark/layers.go runs SIMPLE on it),
+// until that comparison is retired with it.
+//
+// The runtime honours SPAWND/Range-Filter semantics by assigning each SP
+// instance a virtual PE, so the same partitioned program runs unchanged and
+// its arrays can be checked against the simulator's.
 package podsrt
 
 import (
@@ -31,17 +32,14 @@ type Config struct {
 	// PageElems sets the logical partitioning geometry (Range Filters
 	// follow it exactly as in the simulator). Defaults to 32.
 	PageElems int
-
-	// DistThreshold mirrors sim.Config.DistThreshold. Defaults to 2 pages.
-	DistThreshold int
 }
 
 func (c *Config) fill() error {
-	g := rtcfg.Geometry{PEs: c.VirtualPEs, PageElems: c.PageElems, DistThreshold: c.DistThreshold}
+	g := rtcfg.Geometry{PEs: c.VirtualPEs, PageElems: c.PageElems}
 	if err := g.Fill(rtcfg.DefaultPEs); err != nil {
 		return err
 	}
-	c.VirtualPEs, c.PageElems, c.DistThreshold = g.PEs, g.PageElems, g.DistThreshold
+	c.VirtualPEs, c.PageElems = g.PEs, g.PageElems
 	return nil
 }
 
@@ -231,7 +229,7 @@ func (r *Runtime) alloc(name string, dims []int, dist bool) (int64, error) {
 	for _, d := range dims {
 		elems *= d
 	}
-	physDist := dist && elems >= r.cfg.DistThreshold
+	physDist := dist && rtcfg.Geometry{PEs: r.cfg.VirtualPEs, PageElems: r.cfg.PageElems}.Distributes(elems)
 	h, err := istructure.NewHeader(id, name, dims, r.cfg.PageElems, r.cfg.VirtualPEs, 0, physDist)
 	if err != nil {
 		return 0, err

@@ -34,7 +34,7 @@ func compile(t testing.TB, src string) *isa.Program {
 
 func runRT(t *testing.T, prog *isa.Program, pes int, args ...isa.Value) (*isa.Value, *podsrt.Runtime) {
 	t.Helper()
-	rt, err := podsrt.New(prog, podsrt.Config{VirtualPEs: pes, PageElems: 8, DistThreshold: 16})
+	rt, err := podsrt.New(prog, podsrt.Config{VirtualPEs: pes, PageElems: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func main(n: int) {
 	const n = 6
 	prog := compile(t, src)
 
-	mach, err := sim.New(prog, sim.Config{NumPEs: 4, PageElems: 8, DistThreshold: 16})
+	mach, err := sim.New(prog, sim.Config{NumPEs: 4, PageElems: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func BenchmarkRuntimeSimple(b *testing.B) {
 	prog := compile(b, simple.Source)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rt, err := podsrt.New(prog, podsrt.Config{VirtualPEs: 4, PageElems: 8, DistThreshold: 16})
+		rt, err := podsrt.New(prog, podsrt.Config{VirtualPEs: 4, PageElems: 8})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,9 +1,9 @@
-// Package rtcfg holds the partitioning-geometry defaults shared by every
-// execution backend (the simulator, the goroutine runtime, and the cluster
-// runtime). Keeping them in one validated helper guarantees the backends
-// cannot silently diverge on what "default" means — a prerequisite for the
-// Church-Rosser agreement tests, which compare array contents produced by
-// different backends under identical geometry.
+// Package rtcfg holds the partitioning geometry shared by both execution
+// backends (the simulator and the cluster runtime): its defaults and its
+// distribution rule. Keeping them in one validated helper guarantees the
+// backends cannot silently diverge on what "default" means — a
+// prerequisite for the Church-Rosser agreement tests, which compare array
+// contents produced by different backends under identical geometry.
 package rtcfg
 
 import (
@@ -13,22 +13,19 @@ import (
 )
 
 // DefaultPEs is the default worker/virtual-PE count for the concurrent
-// backends (podsrt, cluster). The simulator defaults to 1 PE instead, so it
-// passes its own default to Fill.
+// backends. The simulator defaults to 1 PE instead, so it passes its own
+// default to Fill.
 const DefaultPEs = 4
 
-// MaxPEs bounds the PE count. The cluster runtime packs the PE index into
-// the high bits of SP and array IDs, and no experiment in the paper goes
-// beyond 32 PEs, so a generous-but-finite bound catches garbage configs.
+// MaxPEs is a generous-but-finite PE bound that catches garbage configs.
+// The cluster's is tighter: its packed IDs give the PE index one byte.
 const MaxPEs = 1 << 16
 
 // Geometry is the partitioning geometry every backend agrees on: how many
-// PEs exist, how large an I-structure page is, and above what element count
-// an array is physically distributed.
+// PEs exist and how large an I-structure page is.
 type Geometry struct {
-	PEs           int
-	PageElems     int
-	DistThreshold int
+	PEs       int
+	PageElems int
 }
 
 // Fill applies the shared defaults in place (zero or negative fields take
@@ -42,13 +39,14 @@ func (g *Geometry) Fill(defaultPEs int) error {
 	if g.PageElems <= 0 {
 		g.PageElems = timing.DefaultPageElems
 	}
-	if g.DistThreshold <= 0 {
-		// An array smaller than two pages cannot meaningfully be spread:
-		// every PE but one would own nothing.
-		g.DistThreshold = 2 * g.PageElems
-	}
 	if g.PEs > MaxPEs {
 		return fmt.Errorf("rtcfg: %d PEs exceeds the supported maximum %d", g.PEs, MaxPEs)
 	}
 	return nil
+}
+
+// Distributes reports whether an ALLOCD of elems elements spreads the
+// array over the PEs. Under two pages it stays on the allocating PE.
+func (g Geometry) Distributes(elems int) bool {
+	return g.PEs > 1 && elems >= 2*g.PageElems
 }

@@ -17,28 +17,41 @@ func TestFillDefaults(t *testing.T) {
 	if g.PageElems != timing.DefaultPageElems {
 		t.Errorf("PageElems = %d, want %d", g.PageElems, timing.DefaultPageElems)
 	}
-	if g.DistThreshold != 2*timing.DefaultPageElems {
-		t.Errorf("DistThreshold = %d, want %d", g.DistThreshold, 2*timing.DefaultPageElems)
-	}
 }
 
 func TestFillKeepsExplicit(t *testing.T) {
-	g := Geometry{PEs: 7, PageElems: 16, DistThreshold: 5}
+	g := Geometry{PEs: 7, PageElems: 16}
 	if err := g.Fill(1); err != nil {
 		t.Fatal(err)
 	}
-	if g.PEs != 7 || g.PageElems != 16 || g.DistThreshold != 5 {
+	if g.PEs != 7 || g.PageElems != 16 {
 		t.Errorf("explicit values changed: %+v", g)
 	}
 }
 
-func TestFillDistThresholdTracksPageElems(t *testing.T) {
-	g := Geometry{PageElems: 8}
-	if err := g.Fill(1); err != nil {
-		t.Fatal(err)
-	}
-	if g.DistThreshold != 16 {
-		t.Errorf("DistThreshold = %d, want 16 (2 × explicit PageElems)", g.DistThreshold)
+// TestDistributesBoundary pins the distribution rule at its edges: two
+// pages spread, one element fewer does not, and one PE never spreads.
+func TestDistributesBoundary(t *testing.T) {
+	for _, tc := range []struct {
+		pes, page, elems int
+		want             bool
+	}{
+		{4, 8, 15, false},
+		{4, 8, 16, true},
+		{4, 8, 17, true},
+		{2, 1, 1, false},
+		{2, 1, 2, true},
+		{1, 8, 16, false},
+		{1, 8, 1 << 20, false},
+		{16, 4, 8, true},
+		{4, 32, 63, false},
+		{4, 32, 64, true},
+	} {
+		g := Geometry{PEs: tc.pes, PageElems: tc.page}
+		if got := g.Distributes(tc.elems); got != tc.want {
+			t.Errorf("Geometry{PEs: %d, PageElems: %d}.Distributes(%d) = %v, want %v",
+				tc.pes, tc.page, tc.elems, got, tc.want)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/istructure"
+	"repro/internal/rtcfg"
 	"repro/internal/timing"
 )
 
@@ -41,7 +42,8 @@ func (p *pe) performAlloc(sp *spInst, ins *isa.DInstr, args []int, now int64) is
 	}
 	m.nextArray++
 	id := m.nextArray
-	dist := ins.Op == isa.ALLOCD && m.cfg.NumPEs > 1 && elems >= m.cfg.DistThreshold && !m.cfg.ZeroOverhead
+	geo := rtcfg.Geometry{PEs: m.cfg.NumPEs, PageElems: m.cfg.PageElems}
+	dist := ins.Op == isa.ALLOCD && geo.Distributes(elems) && !m.cfg.ZeroOverhead
 	name := sp.code.tmpl.Code[sp.pc].Comment
 	if name == "" {
 		name = fmt.Sprintf("anon%d", id)

@@ -17,10 +17,6 @@ type Config struct {
 	// PageElems is the I-structure page size in elements (paper: 32).
 	PageElems int
 
-	// DistThreshold is the minimum element count for an ALLOCD array to be
-	// physically distributed; smaller arrays stay on the allocating PE.
-	DistThreshold int
-
 	// Stall switches the machine into the Pingali&Rogers-style baseline
 	// (§6): control-driven execution with no latency tolerance — the EU
 	// waits out every remote array access instead of context-switching to
@@ -50,11 +46,11 @@ type Config struct {
 }
 
 func (c *Config) fill() error {
-	g := rtcfg.Geometry{PEs: c.NumPEs, PageElems: c.PageElems, DistThreshold: c.DistThreshold}
+	g := rtcfg.Geometry{PEs: c.NumPEs, PageElems: c.PageElems}
 	if err := g.Fill(1); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
-	c.NumPEs, c.PageElems, c.DistThreshold = g.PEs, g.PageElems, g.DistThreshold
+	c.NumPEs, c.PageElems = g.PEs, g.PageElems
 	if c.MaxEvents <= 0 {
 		c.MaxEvents = 2_000_000_000
 	}

@@ -57,7 +57,7 @@ func goldenRuns() []goldenRun {
 	}
 	for _, name := range []string{"matmul", "relax", "triangular", "heat"} {
 		k, _ := kernels.ByName(name)
-		for _, cfg := range []sim.Config{{NumPEs: 2}, {NumPEs: 8}, {NumPEs: 4, PageElems: 8, DistThreshold: 16}} {
+		for _, cfg := range []sim.Config{{NumPEs: 2}, {NumPEs: 8}, {NumPEs: 4, PageElems: 8}} {
 			add(fmt.Sprintf("%s/n=12/pes=%d/page=%d", name, cfg.NumPEs, cfg.PageElems), func() (*sim.Result, error) {
 				prog, err := bench.Compile(k.File(), k.Source, true)
 				if err != nil {
@@ -197,7 +197,7 @@ func TestGoldenTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	m, err := sim.New(prog, sim.Config{NumPEs: 2, PageElems: 4, DistThreshold: 8, Stall: true, Trace: &buf})
+	m, err := sim.New(prog, sim.Config{NumPEs: 2, PageElems: 4, Stall: true, Trace: &buf})
 	if err != nil {
 		t.Fatal(err)
 	}

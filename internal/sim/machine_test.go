@@ -239,7 +239,7 @@ func distributedFillProgram() *isa.Program {
 
 func TestDistributedFillAcrossPEs(t *testing.T) {
 	for _, pes := range []int{1, 2, 4, 8} {
-		m, err := New(distributedFillProgram(), Config{NumPEs: pes, PageElems: 8, DistThreshold: 16})
+		m, err := New(distributedFillProgram(), Config{NumPEs: pes, PageElems: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +274,7 @@ func TestDistributedFillAcrossPEs(t *testing.T) {
 func TestDistributedSpeedup(t *testing.T) {
 	times := map[int]int64{}
 	for _, pes := range []int{1, 8} {
-		m, err := New(distributedFillProgram(), Config{NumPEs: pes, PageElems: 8, DistThreshold: 16})
+		m, err := New(distributedFillProgram(), Config{NumPEs: pes, PageElems: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -48,7 +48,7 @@ func TestUniformFilterTilesRange(t *testing.T) {
 	f := func(nU, pesU uint8) bool {
 		n := int(nU%60) + 1
 		pes := int(pesU%16) + 1
-		m, err := New(uniformFillProgram(), Config{NumPEs: pes, PageElems: 8, DistThreshold: 16})
+		m, err := New(uniformFillProgram(), Config{NumPEs: pes, PageElems: 8})
 		if err != nil {
 			return false
 		}
@@ -74,9 +74,10 @@ func TestUniformFilterTilesRange(t *testing.T) {
 }
 
 // TestMorePEsThanRows: a distributed fill where most PEs own nothing must
-// still terminate with the correct result (empty RF ranges).
+// still terminate with the correct result (empty RF ranges). The 8-element
+// array is two 4-element pages, so it is spread over the 16 PEs.
 func TestMorePEsThanRows(t *testing.T) {
-	m, err := New(distributedFillProgram(), Config{NumPEs: 16, PageElems: 8, DistThreshold: 8})
+	m, err := New(distributedFillProgram(), Config{NumPEs: 16, PageElems: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestRemoteWriteAndDeferredRemoteRead(t *testing.T) {
 	a.halt()
 	prog := &isa.Program{Templates: []*isa.Template{a.done(), r.done(), w.done()}, EntryID: 0}
 
-	m, err := New(prog, Config{NumPEs: 4, PageElems: 8, DistThreshold: 16})
+	m, err := New(prog, Config{NumPEs: 4, PageElems: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestRemoteWriteAndDeferredRemoteRead(t *testing.T) {
 func TestStallModeDeterministicAndCorrect(t *testing.T) {
 	// The P&R baseline must still produce identical array contents.
 	for _, stall := range []bool{false, true} {
-		m, err := New(distributedFillProgram(), Config{NumPEs: 4, PageElems: 8, DistThreshold: 16, Stall: stall})
+		m, err := New(distributedFillProgram(), Config{NumPEs: 4, PageElems: 8, Stall: stall})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +303,7 @@ func TestTraceOutput(t *testing.T) {
 }
 
 func TestPerPEAndImbalance(t *testing.T) {
-	m, err := New(distributedFillProgram(), Config{NumPEs: 4, PageElems: 8, DistThreshold: 16})
+	m, err := New(distributedFillProgram(), Config{NumPEs: 4, PageElems: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

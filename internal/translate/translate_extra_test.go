@@ -105,7 +105,7 @@ func main(n: int) {
 	if _, err := partition.Partition(prog, partition.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	m, err := sim.New(prog, sim.Config{NumPEs: 2, PageElems: 8, DistThreshold: 8})
+	m, err := sim.New(prog, sim.Config{NumPEs: 2, PageElems: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

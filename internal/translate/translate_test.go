@@ -136,7 +136,7 @@ func runFill2D(t *testing.T, pes, n, m int) (*sim.Result, *sim.Machine) {
 	if _, err := partition.Partition(prog, partition.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	mach, err := sim.New(prog, sim.Config{NumPEs: pes, PageElems: 8, DistThreshold: 16})
+	mach, err := sim.New(prog, sim.Config{NumPEs: pes, PageElems: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestDisableDistributionAblation(t *testing.T) {
 			t.Fatal("DisableDistribution must leave all loops local")
 		}
 	}
-	mach, err := sim.New(prog, sim.Config{NumPEs: 4, PageElems: 8, DistThreshold: 16})
+	mach, err := sim.New(prog, sim.Config{NumPEs: 4, PageElems: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

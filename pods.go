@@ -18,12 +18,11 @@
 //	vals, _, dims, err := res.Array("A")            // I-structure contents
 //
 // Simulate runs the instruction-level machine simulator parameterized with
-// the paper's measured iPSC/2 timings; Execute runs the same program for
-// real on goroutines over one shared I-structure store; ExecuteCluster runs
-// it on a message-passing distributed-memory runtime whose PEs share
-// nothing and can even be separate OS processes (see cmd/podsd). See
-// DESIGN.md for the system inventory, the backend matrix, and the
-// experiment index.
+// the paper's measured iPSC/2 timings; ExecuteCluster runs the same program
+// for real on a message-passing distributed-memory runtime whose PEs share
+// nothing and can even be separate OS processes (see cmd/podsd). The two
+// backends produce the same arrays at every PE count. See DESIGN.md for the
+// system inventory, the backend matrix, and the experiment index.
 package pods
 
 import (
@@ -36,7 +35,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/isa"
-	"repro/internal/podsrt"
 	"repro/internal/sim"
 )
 
@@ -52,9 +50,6 @@ func Float(v float64) Value { return isa.Float(v) }
 // SimConfig parameterizes the machine simulator. See sim.Config for the
 // full documentation of every knob.
 type SimConfig = sim.Config
-
-// RunConfig parameterizes the goroutine runtime.
-type RunConfig = podsrt.Config
 
 // ClusterConfig parameterizes the message-passing cluster runtime.
 type ClusterConfig = cluster.Config
@@ -133,28 +128,6 @@ func (p *Program) Simulate(cfg SimConfig, args ...Value) (*SimResult, error) {
 		return nil, err
 	}
 	return &SimResult{Result: res, machine: m}, nil
-}
-
-// ExecResult is a completed native (goroutine) run.
-type ExecResult struct {
-	// Value is the program's returned value (nil for void main).
-	Value *Value
-	rt    *podsrt.Runtime
-}
-
-// Array gathers a named array written by the program.
-func (r *ExecResult) Array(name string) (vals []float64, mask []bool, dims []int, err error) {
-	return r.rt.ReadArray(name)
-}
-
-// Execute runs the program for real on goroutines (one per SP). The context
-// bounds the run; a deadlocked dataflow program is reported when it expires.
-func (p *Program) Execute(ctx context.Context, cfg RunConfig, args ...Value) (*ExecResult, error) {
-	v, rt, err := p.sys.Execute(ctx, cfg, args...)
-	if err != nil {
-		return nil, err
-	}
-	return &ExecResult{Value: v, rt: rt}, nil
 }
 
 // ClusterTrace is a cluster run's gathered observability data (per-PE

@@ -59,7 +59,7 @@ func main(a: int, b: int) -> int {
 }`)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	res, err := p.Execute(ctx, pods.RunConfig{VirtualPEs: 2}, pods.Int(6), pods.Int(7))
+	res, err := p.ExecuteCluster(ctx, pods.ClusterConfig{NumPEs: 2}, pods.Int(6), pods.Int(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,5 +113,48 @@ func TestFacadeFromGraph(t *testing.T) {
 func TestFacadeCompileError(t *testing.T) {
 	if _, err := pods.Compile("bad.id", "func main() { x = ; }"); err == nil {
 		t.Fatal("want compile error")
+	}
+}
+
+// TestDistributionBoundary: both backends spread an ALLOCD array over the
+// PEs from two pages up, and only then. One element short, the array stays
+// on its allocating PE, so the serial sum there reads nothing remote; at
+// exactly two pages the second page lives on the other PE.
+func TestDistributionBoundary(t *testing.T) {
+	p := pods.MustCompile("sum.id", `
+func main(n: int) -> float {
+	A = array(n);
+	for i = 1 to n {
+		A[i] = float(i);
+	}
+	s = 0.0;
+	for k = 1 to n {
+		next s = s + A[k];
+	}
+	return s;
+}`)
+	const page = 8
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, n := range []int{2*page - 1, 2 * page} {
+		spread, sum := n >= 2*page, float64(n*(n+1)/2)
+		sres, err := p.Simulate(pods.SimConfig{NumPEs: 2, PageElems: page}, pods.Int(int64(n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sres.MainValue.F != sum || (sres.Counts.RemoteReads > 0) != spread {
+			t.Errorf("sim, n=%d: sum %v (want %v), %d remote reads, want spread=%v",
+				n, sres.MainValue.F, sum, sres.Counts.RemoteReads, spread)
+		}
+		cres, err := p.ExecuteCluster(ctx, pods.ClusterConfig{NumPEs: 2, PageElems: page}, pods.Int(int64(n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := cres.Stats()
+		remote := st.CacheHits + st.CacheMisses + st.ReadJoins
+		if cres.Value.F != sum || (remote > 0) != spread {
+			t.Errorf("cluster, n=%d: sum %v (want %v), %d remote reads, want spread=%v",
+				n, cres.Value.F, sum, remote, spread)
+		}
 	}
 }
