@@ -165,8 +165,11 @@ func checkTraced(t *testing.T, label string, cfg pods.ClusterConfig, res *pods.C
 }
 
 // TestClusterDeferredRemoteReadsObserved pins down that the mirror kernel
-// actually exercises the remote deferred-read machinery at 4 PEs (the
-// agreement above would be vacuous for the message paths otherwise).
+// actually exercises the remote read machinery at 4 PEs (the agreement
+// above would be vacuous for the message paths otherwise). Whether a
+// consumer outruns its producer, and so defers a read, depends on the
+// host's schedule; internal/cluster's TestMirrorDeferredReadsPumped pins
+// that count on a deterministic one.
 func TestClusterDeferredRemoteReadsObserved(t *testing.T) {
 	k, _ := kernels.ByName("mirror")
 	p, err := pods.Compile(k.File(), k.Source)
@@ -187,8 +190,5 @@ func TestClusterDeferredRemoteReadsObserved(t *testing.T) {
 	}
 	if st.CacheMisses == 0 {
 		t.Error("no page fetches: remote reads never left the PE")
-	}
-	if st.DeferredReads == 0 {
-		t.Error("no deferred reads: consumers never outran producers, so the remote deferred-read path is untested")
 	}
 }

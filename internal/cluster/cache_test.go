@@ -246,3 +246,92 @@ func TestCacheCapHardBoundDuringRun(t *testing.T) {
 	t.Logf("mirror@4PE cap=%d: %d evictions, %d hits", cap, evictions, hits)
 	checkGathered(t, arrays, wantVals, wantMasks)
 }
+
+// TestShippedPagesMatchOwner guards the read-only contract of shipped
+// pages: a full page travels as a view of its owner's segment (KPage), so
+// a receiver that wrote into one would corrupt the owner's array. Matmul
+// n=16 on eight pumped workers with a 4-page cache and heat on churns
+// through evictions and refetches. At quiescence every element present in
+// a resident cached page equals its owner's, and the gathered arrays are
+// the simulator's: a write into a view would show in the second, a write
+// into a copied partial page in the first. The same kernel and mirror then
+// run on free-running goroutines, where under -race an owner writing one
+// element while a receiver reads a view of its neighbours is the
+// concurrency the views add.
+func TestShippedPagesMatchOwner(t *testing.T) {
+	k, _ := kernels.ByName("matmul")
+	const n, pes = 16, 8
+	prog := compile(t, k.File(), k.Source)
+	wantVals, wantMasks := simArraysMasked(t, prog, pes, k.Arrays, k.Args(n)...)
+	cfg := Config{PageElems: 32, CachePages: 4, Heat: true}
+	ws, arrays := pumpedRun(t, k, n, pes, cfg, nil, nil)
+	checkGathered(t, arrays, wantVals, wantMasks)
+	var resident, full int
+	for id, g := range arrays {
+		h := g.h
+		for page := range h.Pages() {
+			lo := page * h.PageElems
+			hi := min(lo+h.PageElems, h.Elems())
+			owner := ws[h.OwnerOf(lo)].shard.Array(id)
+			for _, w := range ws {
+				a := w.shard.Array(id)
+				if a == owner {
+					continue
+				}
+				if _, hitPage, _ := a.CacheLookup(lo); !hitPage {
+					continue
+				}
+				resident++
+				set := 0
+				for off := lo; off < hi; off++ {
+					v, _, hitElem := a.CacheLookup(off)
+					if !hitElem {
+						continue
+					}
+					set++
+					if ov, ok := owner.Peek(off); !ok || v != ov {
+						t.Fatalf("pe %d: cached %s[%d] = %v, owner has %v (present %v)", w.pe, h.Name, off, v, ov, ok)
+					}
+				}
+				if set == hi-lo {
+					full++
+				}
+			}
+		}
+	}
+	if full == 0 {
+		t.Fatalf("no resident cached page is full (%d resident): no view was shipped", resident)
+	}
+	t.Logf("matmul@%d cap=4 heat: %d resident cached pages, %d full", pes, resident, full)
+
+	for _, name := range []string{"matmul", "mirror"} {
+		k, _ := kernels.ByName(name)
+		prog := compile(t, k.File(), k.Source)
+		wantVals, wantMasks := simArraysMasked(t, prog, 4, k.Arrays, k.Args(n)...)
+		res, err := Execute(testCtx(t), prog, Config{NumPEs: 4, PageElems: 8, CachePages: 4, Heat: true}, k.Args(n)...)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		checkAgainstSimMasked(t, res, wantVals, wantMasks)
+	}
+}
+
+// TestDumpAliasesSegment: the result gather ships a worker's owned segment
+// itself, not a copy — after termination no element can change.
+func TestDumpAliasesSegment(t *testing.T) {
+	w := newHotWorker(t)
+	id := w.filledArray(t, 40).AsInt()
+	a := w.shard.Array(id)
+	w.handleDumpReq(a, &Msg{Kind: KDumpReq, Arr: id})
+	m, ok := w.driver.in.tryRecv()
+	if !ok || m.Kind != KDump {
+		t.Fatalf("no KDump at the driver (got %+v)", m)
+	}
+	base, vals, set := a.Segment()
+	if int(m.Off) != base || len(m.Vals) != 40 || len(m.Set) != 40 {
+		t.Fatalf("dump [%d, +%d) with %d bits, want [%d, +40)", m.Off, len(m.Vals), len(m.Set), base)
+	}
+	if &m.Vals[0] != &vals[0] || &m.Set[0] != &set[0] {
+		t.Fatal("KDump carries a copy of the segment, not the segment")
+	}
+}

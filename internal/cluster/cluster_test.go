@@ -129,6 +129,27 @@ func TestExecuteMirrorDeferredRemoteReads(t *testing.T) {
 	}
 }
 
+// TestMirrorDeferredReadsPumped pins that mirror n=16 at 4 PEs (8-element
+// pages) exercises the remote deferred-read path: on the deterministic
+// pumped schedule, consumers outrun producers on 16 reads, which their
+// owners queue and answer with a KToken on write. On a free-running
+// schedule the count depends on the host (producers sometimes finish
+// first), so the root package's determinacy test does not assert it.
+func TestMirrorDeferredReadsPumped(t *testing.T) {
+	k, _ := kernels.ByName("mirror")
+	const n, pes = 16, 4
+	wantVals, wantMasks := simArraysMasked(t, compile(t, k.File(), k.Source), pes, k.Arrays, k.Args(n)...)
+	pinTwice(t, "mirror@4", int64(16), func() int64 {
+		ws, arrays := pumpedRun(t, k, n, pes, Config{}, nil, nil)
+		checkGathered(t, arrays, wantVals, wantMasks)
+		var deferred int64
+		for _, w := range ws {
+			deferred += w.counters().DeferredReads
+		}
+		return deferred
+	})
+}
+
 func TestExecuteReturnsValue(t *testing.T) {
 	prog := compile(t, "ret.id", `
 func main(a: int, b: int) -> int {

@@ -44,7 +44,8 @@ type pageWaiter struct {
 }
 
 // allocMsg builds one KAlloc frame describing h. Each call returns a fresh
-// message with its own slices: a sent Msg is receiver-owned.
+// message with its own slices: a sent Msg is receiver-owned (only a KPage
+// or KDump shares its read-only Vals/Set with the sender, see Endpoint).
 func allocMsg(h *istructure.Header) *Msg {
 	dims := make([]int32, len(h.Dims))
 	for i, d := range h.Dims {
@@ -307,12 +308,10 @@ func (w *worker) handleWrite(a *istructure.Array, m *Msg) {
 }
 
 // handleDumpReq ships this PE's owned segment of an array to the driver
-// (result gathering after termination).
+// (result gathering after termination). After termination no element can
+// change, so the frame carries the segment itself, not a copy; the driver
+// only reads it (mergeDump), and TCP encodes a copy into the frame.
 func (w *worker) handleDumpReq(a *istructure.Array, m *Msg) {
-	lo, hi := a.Header().SegmentElems(w.pe)
-	d := &Msg{Kind: KDump, Arr: m.Arr, Off: int32(lo), Vals: make([]isa.Value, hi-lo), Set: make([]bool, hi-lo)}
-	for off := lo; off < hi; off++ {
-		d.Vals[off-lo], d.Set[off-lo] = a.Peek(off)
-	}
-	w.send(w.driverID(), d)
+	lo, vals, set := a.Segment()
+	w.send(w.driverID(), &Msg{Kind: KDump, Arr: m.Arr, Off: int32(lo), Vals: vals, Set: set})
 }

@@ -58,7 +58,9 @@ const (
 	// KPage ships a snapshot of page Page of array Arr (Vals/Set), plus
 	// the originally requested element Off for SP/Slot delivery. Single
 	// assignment makes the cache invalidation-free: present entries are
-	// final, absent entries may only be filled by a later refetch.
+	// final, absent entries may only be filled by a later refetch. A full
+	// page's Vals/Set are read-only views of the owner's segment, not
+	// copies; a partial page is copied.
 	KPage
 
 	// KWrite stores Val at element Off of array Arr on the owning PE.
@@ -78,7 +80,7 @@ const (
 	KDumpReq
 
 	// KDump returns a segment: values and presence bits starting at linear
-	// offset Off.
+	// offset Off. A worker's Vals/Set are its segment itself, read-only.
 	KDump
 
 	// KStop shuts a worker down.

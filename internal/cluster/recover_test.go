@@ -104,7 +104,9 @@ func TestRecoverWithDynamicMechanisms(t *testing.T) {
 
 // killOnDump wraps a fleet's driver endpoint: on the driver's first
 // KDumpReq it kills PE 1 on the channel transport (its host's box severed,
-// a down notice to the driver) before passing the request on.
+// every job inbox on it shut, a down notice to the driver) before passing
+// the request on. With its job inbox still open, PE 1 would answer the
+// gather, and the job could finish before the fleet heard of the death.
 type killOnDump struct {
 	Endpoint
 	cn    *chanTransport
@@ -115,6 +117,7 @@ func (e *killOnDump) Send(to int, m *Msg) error {
 	if m.Kind == KDumpReq && !e.fired {
 		e.fired = true
 		e.cn.ins[1].box.sever()
+		e.cn.ins[1].shut()
 		e.cn.ins[len(e.cn.ins)-1].put(&Msg{Kind: KDown, From: 1})
 	}
 	return e.Endpoint.Send(to, m)

@@ -26,7 +26,10 @@ var errWake = errors.New("cluster: receive deadline reached")
 // in arrival order; no transport has a receive method.
 //
 // A sent Msg is owned by the receiver: the sender must not retain or
-// mutate it (or any slice it references) after Send returns.
+// mutate it (or any slice it references) after Send returns. The one
+// exception is final I-structure data: the Vals/Set of a full KPage and of
+// a KDump are views of the sender's segment, which it keeps, and which
+// neither side writes again.
 type Endpoint interface {
 	// Send enqueues m for endpoint `to` and returns without waiting for
 	// delivery.

@@ -99,6 +99,39 @@ func BenchmarkShardCacheLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkShardExtractPage: the owner's side of a page shipment. One op is
+// one page extract. A full page ships as a view of the segment; a partial
+// page (here, each page's last element unwritten) is copied.
+func BenchmarkShardExtractPage(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		skip int // pages keep element skip unwritten; -1 writes every element
+	}{{"full", -1}, {"partial", 31}} {
+		b.Run(tc.name, func(b *testing.B) {
+			_, a := benchArray(b, 1)
+			h := a.Header()
+			for off := 0; off < h.Elems(); off++ {
+				if off%h.PageElems == tc.skip {
+					continue
+				}
+				if _, _, err := a.Write(off, isa.Float(float64(off))); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i, off := 0, 0; i < b.N; i++ {
+				if _, _, _, err := a.ExtractPage(off); err != nil {
+					b.Fatal(err)
+				}
+				if off += h.PageElems; off >= h.Elems() {
+					off = 0
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkShardTouchPage: the heat-table update every access pays.
 func BenchmarkShardTouchPage(b *testing.B) {
 	s, a := benchArray(b, 1)

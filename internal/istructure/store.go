@@ -2,6 +2,7 @@ package istructure
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/isa"
 )
@@ -121,6 +122,9 @@ type Array struct {
 // the time the page was shipped. Single assignment means entries never go
 // stale — absent entries may be filled by a later refetch, present entries
 // are final (§4: "a cached page will never have to be sent back").
+//
+// A full page's slices are views of the owner's segment (ExtractPage), so a
+// CachedPage is read-only: no holder may write Vals or Set.
 type CachedPage struct {
 	Vals []isa.Value
 	Set  []bool
@@ -230,6 +234,13 @@ func (a *Array) Peek(off int) (isa.Value, bool) {
 	return a.vals[i], true
 }
 
+// Segment returns this PE's owned segment: its first linear offset, and the
+// segment's values and presence bits themselves, not copies. The slices are
+// read-only; an unwritten element reads as the zero Value.
+func (a *Array) Segment() (base int, vals []isa.Value, set []bool) {
+	return a.base, a.vals, a.set
+}
+
 // Peek is Array.Peek by array ID.
 func (s *Shard) Peek(id int64, off int) (isa.Value, bool) {
 	a := s.Array(id)
@@ -302,23 +313,27 @@ func (s *Shard) QueueRemote(id int64, off int, rw RemoteWaiter) error {
 
 // ExtractPage snapshots the owned page containing off for shipment to a
 // requester ("this PE extracts the entire page containing that element and
-// returns it", §4). The snapshot covers the intersection of the page with
+// returns it", §4). Segments are whole pages, so an owned page lies inside
 // this PE's segment.
+//
+// A full page is final (single assignment), and is shipped as a read-only
+// view of the segment rather than a copy: "a cached page will never have to
+// be sent back" (§4). Its capacity is clipped to the page, so no append can
+// reach a neighbouring page. A partial page is copied, because the owner
+// keeps writing its absent elements.
 func (a *Array) ExtractPage(off int) (pageIdx int, pg *CachedPage, elems int, err error) {
 	h := a.h
 	pageIdx = h.PageOf(off)
-	plo := pageIdx * h.PageElems
-	phi := min(plo+h.PageElems, h.elems)
-	lo := max(plo, a.base)
-	hi := min(phi, a.base+len(a.vals))
-	if lo >= hi {
+	if !a.Owns(off) {
 		return 0, nil, 0, fmt.Errorf("pe %d: page %d of array %q not owned", a.s.PE, pageIdx, h.Name)
 	}
-	n := phi - plo
-	pg = &CachedPage{Vals: make([]isa.Value, n), Set: make([]bool, n)}
-	copy(pg.Vals[lo-plo:], a.vals[lo-a.base:hi-a.base])
-	copy(pg.Set[lo-plo:], a.set[lo-a.base:hi-a.base])
-	return pageIdx, pg, n, nil
+	lo := pageIdx*h.PageElems - a.base
+	hi := min(lo+h.PageElems, len(a.vals))
+	vals, set := a.vals[lo:hi:hi], a.set[lo:hi:hi]
+	if slices.Contains(set, false) {
+		vals, set = slices.Clone(vals), slices.Clone(set)
+	}
+	return pageIdx, &CachedPage{Vals: vals, Set: set}, hi - lo, nil
 }
 
 // ExtractPage is Array.ExtractPage by array ID.

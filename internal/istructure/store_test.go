@@ -279,6 +279,75 @@ func TestExtractPageErrors(t *testing.T) {
 	}
 }
 
+// TestExtractPageViews: a full page ships as a view of the owner's segment,
+// its capacity clipped to the page; a partial page ships as a copy, which a
+// later owner write does not reach.
+func TestExtractPageViews(t *testing.T) {
+	// 44 elements in 8-element pages on 2 PEs: PE 1 owns pages 3..5, the
+	// last of them 4 elements long.
+	h, err := NewHeader(1, "A", []int{44}, 8, 2, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewShard(1)
+	if err := s.Install(h); err != nil {
+		t.Fatal(err)
+	}
+	a := s.Array(1)
+	base, vals, set := a.Segment()
+	if base != 24 || len(vals) != 20 {
+		t.Fatalf("segment [%d, +%d), want [24, +20)", base, len(vals))
+	}
+	const gap = 35 // page 4 stays partial
+	for off := base; off < h.Elems(); off++ {
+		if off == gap {
+			continue
+		}
+		if _, _, err := a.Write(off, isa.Float(float64(off))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct{ off, page, lo, n int }{{26, 3, 0, 8}, {41, 5, 16, 4}} {
+		pageIdx, pg, elems, err := a.ExtractPage(tc.off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pageIdx != tc.page || elems != tc.n || len(pg.Vals) != tc.n || len(pg.Set) != tc.n {
+			t.Fatalf("offset %d: page %d of %d elements (%d vals, %d bits), want page %d of %d",
+				tc.off, pageIdx, elems, len(pg.Vals), len(pg.Set), tc.page, tc.n)
+		}
+		if &pg.Vals[0] != &vals[tc.lo] || &pg.Set[0] != &set[tc.lo] {
+			t.Errorf("full page %d is a copy, not a view of the segment", tc.page)
+		}
+		if cap(pg.Vals) != tc.n || cap(pg.Set) != tc.n {
+			t.Errorf("full page %d: cap %d/%d, want %d: an append could reach the next page",
+				tc.page, cap(pg.Vals), cap(pg.Set), tc.n)
+		}
+	}
+
+	_, pg, elems, err := a.ExtractPage(gap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elems != 8 || &pg.Vals[0] == &vals[8] || &pg.Set[0] == &set[8] {
+		t.Fatal("partial page 4 shares the segment")
+	}
+	if _, _, err := a.Write(gap, isa.Float(1)); err != nil {
+		t.Fatal(err)
+	}
+	if i := gap - 32; pg.Set[i] || pg.Vals[i] != (isa.Value{}) {
+		t.Errorf("a write after extraction shows in the partial snapshot: %v %v", pg.Vals[i], pg.Set[i])
+	}
+
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, _, _, err := a.ExtractPage(26); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 1 {
+		t.Errorf("full-page extract: %.0f allocs, want at most 1 (the CachedPage header)", allocs)
+	}
+}
+
 // cachePage builds a full present page snapshot for cache tests.
 func cachePage(elems int, base float64) *CachedPage {
 	pg := &CachedPage{Vals: make([]isa.Value, elems), Set: make([]bool, elems)}

@@ -237,8 +237,9 @@ func (p *pe) sendPage(t int64, a *istructure.Array, r msg) {
 	m.send(p, sendEnd, r)
 }
 
-// receivePage is the requester's AM taking a page in: the cache owns the
-// snapshot from here on, and the element that was asked for is delivered.
+// receivePage is the requester's AM taking a page in: the cache keeps the
+// snapshot from here on (read-only: a full page's is a view of the owner's
+// segment), and the element that was asked for is delivered.
 func (m *Machine) receivePage(t int64, r msg) {
 	p := m.pes[r.dst]
 	a := p.arrs[r.arr]
