@@ -57,5 +57,5 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\ncluster runtime result: %v (must match the simulator)\n", out.Value.F)
+	fmt.Printf("\ncluster runtime result: %v (must match the simulator)\n", out.Value.F())
 }

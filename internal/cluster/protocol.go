@@ -17,7 +17,6 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/isa"
 )
@@ -383,8 +382,8 @@ func (k MsgKind) isData() bool {
 
 // The wire encoding is field-ordered binary: fixed-width little-endian
 // scalars, length-prefixed slices and strings, an isa.Value as its kind
-// byte plus the one 8-byte payload the kind selects (F for floats, I
-// otherwise). A block whose pointer is nil encodes as its zero value;
+// byte plus its 8-byte payload I (a float's IEEE bits), exactly the
+// in-memory Value. A block whose pointer is nil encodes as its zero value;
 // decodeMsg always allocates the blocks a kind carries, so a handler may
 // dereference them on any frame that came off a wire.
 
@@ -409,9 +408,6 @@ func appendValues(b []byte, vs []isa.Value) []byte {
 
 func appendValue(b []byte, v isa.Value) []byte {
 	b = append(b, byte(v.Kind))
-	if v.Kind == isa.KindFloat {
-		return appendI64(b, int64(math.Float64bits(v.F)))
-	}
 	return appendI64(b, v.I)
 }
 
@@ -588,11 +584,7 @@ func (r *reader) i64() int64  { return int64(binary.LittleEndian.Uint64(r.take(8
 const valueSize = 9
 
 func decodeValue(b []byte) isa.Value {
-	k, p := isa.Kind(b[0]), binary.LittleEndian.Uint64(b[1:])
-	if k == isa.KindFloat {
-		return isa.Value{Kind: k, F: math.Float64frombits(p)}
-	}
-	return isa.Value{Kind: k, I: int64(p)}
+	return isa.Value{Kind: isa.Kind(b[0]), I: int64(binary.LittleEndian.Uint64(b[1:]))}
 }
 
 func (r *reader) value() isa.Value { return decodeValue(r.take(valueSize)) }

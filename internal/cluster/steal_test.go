@@ -180,7 +180,7 @@ func TestStealProtocolGrantForwardLateToken(t *testing.T) {
 		t.Fatalf("victim forwarded %d tokens, want 1", w0.steal.forwarded)
 	}
 	m, ok := driver.in.tryRecv()
-	if !ok || m.Kind != KToken || m.Val.F != 2.5 {
+	if !ok || m.Kind != KToken || m.Val.F() != 2.5 {
 		t.Fatalf("driver got %+v, want the stolen SP's result token 0+2.5", m)
 	}
 	if w1.insts[id1] != nil {

@@ -7,7 +7,6 @@ import (
 	"os"
 	"reflect"
 	"runtime"
-	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -347,6 +346,18 @@ func TestMsgCodecTruncated(t *testing.T) {
 // no longer matches its kind's layout and tests nothing).
 func hostileSeed(t *testing.T, name, count, wantErr string) {
 	t.Helper()
+	s := readSeed(t, name)
+	if !strings.HasSuffix(s, count) {
+		t.Fatalf("seed %q does not end on the count %q", s, count)
+	}
+	if _, err := decodeMsg([]byte(s)); err == nil || err.Error() != wantErr {
+		t.Fatalf("decode of %s: %v, want %q", name, err, wantErr)
+	}
+}
+
+// readSeed returns the bytes of the FuzzDecodeMsg corpus seed name.
+func readSeed(t *testing.T, name string) string {
+	t.Helper()
 	raw, err := os.ReadFile("testdata/fuzz/FuzzDecodeMsg/" + name)
 	if err != nil {
 		t.Fatal(err)
@@ -356,11 +367,23 @@ func hostileSeed(t *testing.T, name, count, wantErr string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasSuffix(s, count) {
-		t.Fatalf("seed %q does not end on the count %q", s, count)
+	return s
+}
+
+// TestDecodeSignalingNaNSeed: token-signaling-nan is a KToken whose float
+// payload is a signaling NaN, not the bits math.NaN returns. The value is
+// its bits, so they survive the decode and the re-encoding unchanged.
+func TestDecodeSignalingNaNSeed(t *testing.T) {
+	s := readSeed(t, "token-signaling-nan")
+	m, err := decodeMsg([]byte(s))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err = decodeMsg([]byte(s)); err == nil || err.Error() != wantErr {
-		t.Fatalf("decode of %s: %v, want %q", name, err, wantErr)
+	if m.Kind != KToken || m.Val.Kind != isa.KindFloat || uint64(m.Val.I) != 0x7ff400000000beef || !math.IsNaN(m.Val.F()) {
+		t.Fatalf("decoded %s with value %v (bits %#x), want a token carrying the NaN 0x7ff400000000beef", m.Kind, m.Val, uint64(m.Val.I))
+	}
+	if b := encodeMsg(nil, m); string(b) != s {
+		t.Fatalf("re-encoded as %q, want %q", b, s)
 	}
 }
 
@@ -427,7 +450,7 @@ func FuzzDecodeMsg(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m *Msg
 		var err error
-		// An isa.Value is 9 bytes on the wire and 24 in memory, a string 4
+		// An isa.Value is 9 bytes on the wire and 16 in memory, a string 4
 		// and 16: 4x covers every element type; the constant covers the
 		// Msg, its blocks and the error.
 		if got := allocatedBy(3, func() { m, err = decodeMsg(data) }); got > uint64(4*len(data)+2048) {
@@ -437,41 +460,16 @@ func FuzzDecodeMsg(f *testing.F) {
 			return
 		}
 		if b := encodeMsg(nil, m); !bytes.Equal(b, data) {
-			// Bools and value payloads have non-canonical encodings that
-			// decode fine; the canonical form must then be a fixed point.
+			// A bool has non-canonical encodings (any non-zero byte reads
+			// as true); the canonical form must then decode to the same
+			// Msg. A Value is its payload bits, NaNs included, so
+			// DeepEqual compares the two decodings bit for bit.
 			m2, err := decodeMsg(b)
-			if err != nil || !reflect.DeepEqual(nanBits(m), nanBits(m2)) {
+			if err != nil || !reflect.DeepEqual(m, m2) {
 				t.Fatalf("re-encoded frame decodes differently: %v", err)
 			}
 		}
 	})
-}
-
-// nanBits returns a copy of m in which every NaN float value carries its
-// bits in I instead of F, so reflect.DeepEqual, whose float == never finds
-// a NaN equal to itself, compares two decodings of a frame bit for bit.
-func nanBits(m *Msg) *Msg {
-	c := *m
-	fix := func(vs []isa.Value) []isa.Value {
-		out := slices.Clone(vs)
-		for i, v := range out {
-			if math.IsNaN(v.F) {
-				out[i] = isa.Value{Kind: v.Kind, I: int64(math.Float64bits(v.F))}
-			}
-		}
-		return out
-	}
-	c.Val = fix([]isa.Value{c.Val})[0]
-	c.Args, c.Vals = fix(c.Args), fix(c.Vals)
-	if c.Lists != nil {
-		l := *c.Lists
-		l.Batch = slices.Clone(l.Batch)
-		for i := range l.Batch {
-			l.Batch[i].Args = fix(l.Batch[i].Args)
-		}
-		c.Lists = &l
-	}
-	return &c
 }
 
 // hotFrames are the message shapes of the data plane, at the sizes the

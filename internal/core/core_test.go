@@ -51,7 +51,7 @@ func TestPipelineBothEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cres.Value == nil || cres.Value.F != want {
+	if cres.Value == nil || cres.Value.F() != want {
 		t.Fatalf("cluster: %+v, want %v", cres.Value, want)
 	}
 }

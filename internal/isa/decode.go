@@ -37,7 +37,7 @@ func ClassOf(op Opcode) Class {
 }
 
 // DInstr is one instruction in decoded form: everything an interpreter
-// needs per dispatch in 48 bytes, against Instr's ~104 (which also carries
+// needs per dispatch in 40 bytes, against Instr's ~96 (which also carries
 // the listing comment and a slice header). Slot operands are int32 (None
 // stays -1). The instruction's input slots — A, B, then Args, in the order
 // operand presence is checked — are Decoded.Slots[In : In+NIn].

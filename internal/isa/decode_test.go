@@ -23,11 +23,20 @@ func TestClassOfCoversEveryOpcode(t *testing.T) {
 	}
 }
 
-// TestDInstrSize pins the decoded instruction at 48 bytes: the pair marks
-// live in Class, not in a field of their own.
+// TestDInstrSize pins the decoded instruction at 40 bytes: the pair marks
+// live in Class, not in a field of their own, and Imm is a 16-byte Value.
 func TestDInstrSize(t *testing.T) {
-	if n := unsafe.Sizeof(DInstr{}); n != 48 {
-		t.Fatalf("DInstr is %d bytes, want 48", n)
+	if n := unsafe.Sizeof(DInstr{}); n != 40 {
+		t.Fatalf("DInstr is %d bytes, want 40", n)
+	}
+}
+
+// TestValueSize pins Value at 16 bytes: a kind and one 8-byte payload, a
+// float's bits included, so no frame slot or I-structure element carries
+// a second payload word.
+func TestValueSize(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n != 16 {
+		t.Fatalf("Value is %d bytes, want 16", n)
 	}
 }
 

@@ -21,18 +21,19 @@ type podsFile struct {
 	Program *Program `json:"program"`
 }
 
-// jsonInstr mirrors Instr with stable field names.
+// jsonInstr mirrors Instr with stable field names. A float immediate is
+// written as immF, any other kind as immI.
 type jsonInstr struct {
-	Op      string  `json:"op"`
-	Dst     int     `json:"dst"`
-	A       int     `json:"a"`
-	B       int     `json:"b"`
-	Args    []int   `json:"args,omitempty"`
-	ImmKind string  `json:"immKind,omitempty"`
-	ImmI    int64   `json:"immI,omitempty"`
-	ImmF    float64 `json:"immF,omitempty"`
-	Target  int     `json:"target"`
-	Comment string  `json:"comment,omitempty"`
+	Op      string   `json:"op"`
+	Dst     int      `json:"dst"`
+	A       int      `json:"a"`
+	B       int      `json:"b"`
+	Args    []int    `json:"args,omitempty"`
+	ImmKind string   `json:"immKind,omitempty"`
+	ImmI    int64    `json:"immI,omitempty"`
+	ImmF    *float64 `json:"immF,omitempty"` // a pointer, so -0.0 is written
+	Target  int      `json:"target"`
+	Comment string   `json:"comment,omitempty"`
 }
 
 var opByName = func() map[string]Opcode {
@@ -56,8 +57,13 @@ func (in Instr) MarshalJSON() ([]byte, error) {
 	}
 	if in.Imm.Kind != KindInvalid {
 		j.ImmKind = in.Imm.Kind.String()
-		j.ImmI = in.Imm.I
-		j.ImmF = in.Imm.F
+		switch {
+		case in.Imm.Kind != KindFloat:
+			j.ImmI = in.Imm.I
+		case in.Imm.I != 0:
+			f := in.Imm.F()
+			j.ImmF = &f
+		}
 	}
 	return json.Marshal(j)
 }
@@ -86,7 +92,14 @@ func (in *Instr) UnmarshalJSON(data []byte) error {
 		if !ok {
 			return fmt.Errorf("isa: unknown value kind %q", j.ImmKind)
 		}
-		in.Imm = Value{Kind: k, I: j.ImmI, F: j.ImmF}
+		switch {
+		case k != KindFloat:
+			in.Imm = Value{Kind: k, I: j.ImmI}
+		case j.ImmF != nil:
+			in.Imm = Float(*j.ImmF)
+		default:
+			in.Imm = Float(0)
+		}
 	}
 	return nil
 }

@@ -109,9 +109,10 @@ func TestWriteRefusesInvalidProgram(t *testing.T) {
 // FuzzUnmarshalPods: UnmarshalPods parses untrusted bytes (a .pods file, a
 // job submitted to podsd -serve). It must never panic; a program it accepts
 // must pass Validate, decode, and come back equal from MarshalPods and
-// UnmarshalPods. The committed corpus (testdata/fuzz) holds matmul's .pods
-// and the two shapes Validate once let through: a null template entry and a
-// template whose ID is not its index.
+// UnmarshalPods. The committed corpus (testdata/fuzz) holds matmul's .pods,
+// the two shapes Validate once let through (a null template entry and a
+// template whose ID is not its index), and a -0.0 float immediate, which
+// immF once dropped as a zero.
 func FuzzUnmarshalPods(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := isa.UnmarshalPods(data)

@@ -116,21 +116,21 @@ func Run(x *Exec) Step {
 				}
 			case FADD:
 				if a.Kind == KindFloat && c.Kind == KindFloat {
-					v = Float(a.F + c.F)
+					v = Float(a.F() + c.F())
 				}
 			case FSUB:
 				if a.Kind == KindFloat && c.Kind == KindFloat {
-					v = Float(a.F - c.F)
+					v = Float(a.F() - c.F())
 				}
 			case FMUL:
 				if a.Kind == KindFloat && c.Kind == KindFloat {
-					v = Float(a.F * c.F)
+					v = Float(a.F() * c.F())
 				}
 			case CMPLT, CMPLE, CMPGT, CMPGE, CMPEQ, CMPNE:
 				if a.Kind == KindInt && c.Kind == KindInt {
 					v = Bool(holds(in.Op, a.I < c.I, a.I > c.I))
 				} else if a.Kind == KindFloat && c.Kind == KindFloat {
-					v = Bool(holds(in.Op, a.F < c.F, a.F > c.F))
+					v = Bool(holds(in.Op, a.F() < c.F(), a.F() > c.F()))
 				}
 			case ITOF:
 				if a.Kind == KindInt {
@@ -138,7 +138,7 @@ func Run(x *Exec) Step {
 				}
 			case FSQRT:
 				if a.Kind == KindFloat {
-					v = Float(math.Sqrt(a.F))
+					v = Float(math.Sqrt(a.F()))
 				}
 			}
 			if v.Kind == KindInvalid {

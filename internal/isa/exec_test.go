@@ -210,7 +210,7 @@ func checkRunMatchesStepper(t *testing.T, tm *isa.Template, watch int, costed bo
 				tm.Name, watch, costed, stops, got, run.PC, run.N, run.Now, run.Blocked, want, ref.PC, ref.N, ref.Now, ref.Blocked)
 		}
 		for s := range run.F {
-			if !sameBits(run.F[s], ref.F[s]) {
+			if run.F[s] != ref.F[s] {
 				t.Fatalf("%s watch %d cost %v, stop %d: slot %d is %v after Run, %v after the stepper",
 					tm.Name, watch, costed, stops, s, run.F[s], ref.F[s])
 			}
@@ -227,10 +227,6 @@ func checkRunMatchesStepper(t *testing.T, tm *isa.Template, watch int, costed bo
 			return
 		}
 	}
-}
-
-func sameBits(a, b isa.Value) bool {
-	return a.Kind == b.Kind && a.I == b.I && math.Float64bits(a.F) == math.Float64bits(b.F)
 }
 
 // written lists the slots tm's instructions write, each once.
@@ -313,7 +309,7 @@ func TestRunMatchesEvalScalar(t *testing.T) {
 				want, err := isa.EvalScalar(op, a, b)
 				x := &isa.Exec{Decoded: tm.Decoded(), F: []isa.Value{a, b, {}}, Watch: isa.None}
 				st := isa.Run(x)
-				if (st == isa.Fault) != (err != nil) || !sameBits(x.F[2], want) {
+				if (st == isa.Fault) != (err != nil) || x.F[2] != want {
 					t.Errorf("%s %v %v: Run gives %v (step %d), EvalScalar %v (%v)", op, a, b, x.F[2], st, want, err)
 				}
 			}

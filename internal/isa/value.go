@@ -45,19 +45,27 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is a dataflow token payload. Exactly one of I/F is meaningful,
-// selected by Kind; KindBool stores 0/1 in I.
+// Value is a dataflow token payload: a kind and one 8-byte payload, the
+// same 9 bytes the cluster codec writes. KindFloat keeps the IEEE-754 bits
+// of the float in I (read them with F); KindBool stores 0/1 in I.
+//
+// Because I holds a float's bits, == on two Values compares floats bitwise:
+// a NaN equals itself and -0.0 differs from +0.0. Runtime code must not
+// compare Values with ==; Equal is the semantic equality.
 type Value struct {
 	Kind Kind
 	I    int64
-	F    float64
 }
 
 // Int returns an integer Value.
 func Int(v int64) Value { return Value{Kind: KindInt, I: v} }
 
 // Float returns a floating-point Value.
-func Float(v float64) Value { return Value{Kind: KindFloat, F: v} }
+func Float(v float64) Value { return Value{Kind: KindFloat, I: int64(math.Float64bits(v))} }
+
+// F returns the float a KindFloat value holds; for other kinds the result
+// is meaningless.
+func (v Value) F() float64 { return math.Float64frombits(uint64(v.I)) }
 
 // Bool returns a boolean Value.
 func Bool(v bool) Value {
@@ -78,7 +86,7 @@ func SPRef(id int64) Value { return Value{Kind: KindSP, I: id} }
 // matching the frontend's explicit int() conversion semantics.
 func (v Value) AsInt() int64 {
 	if v.Kind == KindFloat {
-		return int64(v.F)
+		return int64(v.F())
 	}
 	return v.I
 }
@@ -86,7 +94,7 @@ func (v Value) AsInt() int64 {
 // AsFloat converts the value to float64.
 func (v Value) AsFloat() float64 {
 	if v.Kind == KindFloat {
-		return v.F
+		return v.F()
 	}
 	return float64(v.I)
 }
@@ -94,7 +102,7 @@ func (v Value) AsFloat() float64 {
 // AsBool reports the truthiness of the value.
 func (v Value) AsBool() bool {
 	if v.Kind == KindFloat {
-		return v.F != 0
+		return v.F() != 0
 	}
 	return v.I != 0
 }
@@ -119,10 +127,11 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.I, 10)
 	case KindFloat:
-		if v.F == math.Trunc(v.F) && math.Abs(v.F) < 1e15 {
-			return strconv.FormatFloat(v.F, 'f', 1, 64)
+		f := v.F()
+		if f == math.Trunc(f) && math.Abs(f) < 1e15 {
+			return strconv.FormatFloat(f, 'f', 1, 64)
 		}
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.FormatFloat(f, 'g', -1, 64)
 	case KindBool:
 		if v.I != 0 {
 			return "true"

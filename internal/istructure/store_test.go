@@ -33,7 +33,7 @@ func TestWriteThenRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	v, res, err := shards[owner].ReadLocal(1, off, Waiter{})
-	if err != nil || res != ReadHit || v.F != 3.5 {
+	if err != nil || res != ReadHit || v.F() != 3.5 {
 		t.Fatalf("read = %v res=%d err=%v, want hit 3.5", v, res, err)
 	}
 }
@@ -115,7 +115,7 @@ func TestPageExtractInstallLookup(t *testing.T) {
 	other := 1 - owner
 	shards[other].InstallPage(1, pageIdx, pg)
 	v, hitPage, hitElem := shards[other].CacheLookup(1, h, off)
-	if !hitPage || !hitElem || v.F != 2.25 {
+	if !hitPage || !hitElem || v.F() != 2.25 {
 		t.Fatalf("cache lookup = %v %v %v, want hit 2.25", v, hitPage, hitElem)
 	}
 	// An element absent at extraction time stays a miss.

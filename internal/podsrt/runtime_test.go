@@ -238,7 +238,7 @@ func main(x: int) -> float {
 	return g;
 }`)
 	v, _ := runRT(t, prog, 2, isa.Int(81))
-	if v == nil || v.F < 8.999999 || v.F > 9.000001 {
+	if v == nil || v.F() < 8.999999 || v.F() > 9.000001 {
 		t.Fatalf("sqrt(81) ≈ %+v, want ≈ 9", v)
 	}
 }

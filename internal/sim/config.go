@@ -102,7 +102,8 @@ type Result struct {
 	MainValue *ReturnedValue
 }
 
-// ReturnedValue wraps the program's result token.
+// ReturnedValue wraps the program's result token: F holds a float
+// result, I any other kind's payload.
 type ReturnedValue struct {
 	Kind string
 	I    int64

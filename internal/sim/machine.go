@@ -303,7 +303,11 @@ func (m *Machine) Run(args ...isa.Value) (*Result, error) {
 		res.PEs[i] = UnitStats{EU: p.eu.busy, MU: p.mu.busy, MM: p.mm.busy, AM: p.am.busy, RU: p.ru.busy}
 	}
 	if m.mainResult != nil {
-		res.MainValue = &ReturnedValue{Kind: m.mainResult.Kind.String(), I: m.mainResult.I, F: m.mainResult.F}
+		v := *m.mainResult
+		res.MainValue = &ReturnedValue{Kind: v.Kind.String(), I: v.I}
+		if v.Kind == isa.KindFloat {
+			res.MainValue.I, res.MainValue.F = 0, v.F()
+		}
 	}
 	for _, p := range m.pes {
 		res.Counts.DeferredReads += p.shard.DeferredReads

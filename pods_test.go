@@ -152,9 +152,9 @@ func main(n: int) -> float {
 		}
 		st := cres.Stats()
 		remote := st.CacheHits + st.CacheMisses + st.ReadJoins
-		if cres.Value.F != sum || (remote > 0) != spread {
+		if cres.Value.F() != sum || (remote > 0) != spread {
 			t.Errorf("cluster, n=%d: sum %v (want %v), %d remote reads, want spread=%v",
-				n, cres.Value.F, sum, remote, spread)
+				n, cres.Value.F(), sum, remote, spread)
 		}
 	}
 }
