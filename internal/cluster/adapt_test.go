@@ -22,33 +22,18 @@ func compileKernel(t *testing.T, name string) (*kernels.Kernel, *isa.Program) {
 // TestAdaptRelaxAgreesWithSimAndRebinds pins what adaptive repartitioning
 // buys on the drifting-skew relax kernel, whose expensive rows rotate
 // across sweeps so no fixed split stays right: n=48 (4 sweeps) on eight
-// hand-pumped workers, with a probe round every 8 pumping rounds instead
-// of every few microseconds. Adapt off, the makespan is 823,575
-// instructions at utilization 0.623; adapt on, 2 rebounds bring it to
-// 618,270 at 0.830. Both arms repeat exactly on a second run and gather
-// arrays bit-for-bit the simulator's, however the bounds moved.
+// workers on the harness's zero schedule, with a ProbeInterval of 4 rounds
+// (backing off as drive's cadence does) instead of microseconds. Adapt
+// off, the makespan is 823,575 instructions at utilization 0.623; adapt
+// on, 2 rebounds bring it to 618,270 at 0.830. Both arms repeat exactly on
+// a second run and gather arrays bit-for-bit the simulator's, however the
+// bounds moved.
 func TestAdaptRelaxAgreesWithSimAndRebinds(t *testing.T) {
-	k, prog := compileKernel(t, "relax")
-	const n, pes = 48, 8
-	wantVals, wantMasks := simArraysMasked(t, prog, pes, k.Arrays, k.Args(n)...)
+	k, _ := kernels.ByName("relax")
 	type stats struct {
 		makespan int64
 		util     float64
 		rebounds int64
-	}
-	run := func(adapt bool) stats {
-		var coord *pumpedCoord
-		if adapt {
-			coord = &pumpedCoord{ad: newAdaptCoord(pes), every: 8}
-		}
-		ws, arrays := pumpedRun(t, *k, n, pes, Config{Adapt: adapt}, nil, coord)
-		checkGathered(t, arrays, wantVals, wantMasks)
-		var st stats
-		st.makespan, st.util = makespan(ws)
-		if coord != nil {
-			st.rebounds = coord.ad.rebounds
-		}
-		return st
 	}
 	for _, tc := range []struct {
 		adapt bool
@@ -57,7 +42,12 @@ func TestAdaptRelaxAgreesWithSimAndRebinds(t *testing.T) {
 		{false, stats{823_575, 0.623, 0}},
 		{true, stats{618_270, 0.830, 2}},
 	} {
-		pinTwice(t, fmt.Sprintf("adapt=%v", tc.adapt), tc.want, func() stats { return run(tc.adapt) })
+		pinTwice(t, fmt.Sprintf("adapt=%v", tc.adapt), tc.want, func() stats {
+			_, res := harnessRun(t, k, 48, 8, Config{Adapt: tc.adapt, ProbeInterval: 4}, schedule{})
+			st := stats{rebounds: res.Stats.Rebounds}
+			st.makespan, st.util = makespan(res)
+			return st
+		})
 	}
 }
 

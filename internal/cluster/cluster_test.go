@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -64,51 +63,17 @@ func TestIDPacking(t *testing.T) {
 	}
 }
 
-// simArrays runs the simulator as the reference backend, for kernels that
-// write every element of the named arrays.
-func simArrays(t *testing.T, prog *isa.Program, pes int, names []string, args ...isa.Value) map[string][]float64 {
-	t.Helper()
-	vals, masks := simArraysMasked(t, prog, pes, names, args...)
-	for name, mask := range masks {
-		if i := slices.Index(mask, false); i >= 0 {
-			t.Fatalf("sim: %s[%d] never written", name, i)
-		}
-	}
-	return vals
-}
-
-func checkAgainstSim(t *testing.T, res *Result, want map[string][]float64) {
-	t.Helper()
-	for name, ref := range want {
-		vals, mask, _, err := res.ReadArray(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(vals) != len(ref) {
-			t.Fatalf("%s: %d elements, want %d", name, len(vals), len(ref))
-		}
-		for i := range vals {
-			if !mask[i] {
-				t.Fatalf("%s[%d] never written in cluster run", name, i)
-			}
-			if vals[i] != ref[i] {
-				t.Fatalf("%s[%d] = %v, cluster disagrees with sim's %v", name, i, vals[i], ref[i])
-			}
-		}
-	}
-}
-
 func TestExecuteMatmulAgreesWithSim(t *testing.T) {
 	k, _ := kernels.ByName("matmul")
 	prog := compile(t, k.File(), k.Source)
 	const n = 8
-	want := simArrays(t, prog, 4, k.Arrays, k.Args(n)...)
+	want, masks := simArraysMasked(t, prog, 4, k.Arrays, k.Args(n)...)
 	for _, pes := range []int{1, 2, 4, 8} {
 		res, err := Execute(testCtx(t), prog, Config{NumPEs: pes}, k.Args(n)...)
 		if err != nil {
 			t.Fatalf("%d PEs: %v", pes, err)
 		}
-		checkAgainstSim(t, res, want)
+		checkAgainstSimMasked(t, res, want, masks)
 	}
 }
 
@@ -116,12 +81,12 @@ func TestExecuteMirrorDeferredRemoteReads(t *testing.T) {
 	k, _ := kernels.ByName("mirror")
 	prog := compile(t, k.File(), k.Source)
 	const n = 12
-	want := simArrays(t, prog, 4, k.Arrays, k.Args(n)...)
+	want, masks := simArraysMasked(t, prog, 4, k.Arrays, k.Args(n)...)
 	res, err := Execute(testCtx(t), prog, Config{NumPEs: 4}, k.Args(n)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAgainstSim(t, res, want)
+	checkAgainstSimMasked(t, res, want, masks)
 	t.Logf("mirror @4PE: deferred=%d hits=%d misses=%d msgs=%d",
 		res.Stats.DeferredReads, res.Stats.CacheHits, res.Stats.CacheMisses, res.Stats.MsgsSent)
 	if res.Stats.MsgsSent == 0 {
@@ -130,23 +95,16 @@ func TestExecuteMirrorDeferredRemoteReads(t *testing.T) {
 }
 
 // TestMirrorDeferredReadsPumped pins that mirror n=16 at 4 PEs (8-element
-// pages) exercises the remote deferred-read path: on the deterministic
-// pumped schedule, consumers outrun producers on 16 reads, which their
+// pages) exercises the remote deferred-read path: on the harness's zero
+// schedule, consumers outrun producers on 16 reads, which their
 // owners queue and answer with a KToken on write. On a free-running
 // schedule the count depends on the host (producers sometimes finish
 // first), so the root package's determinacy test does not assert it.
 func TestMirrorDeferredReadsPumped(t *testing.T) {
 	k, _ := kernels.ByName("mirror")
-	const n, pes = 16, 4
-	wantVals, wantMasks := simArraysMasked(t, compile(t, k.File(), k.Source), pes, k.Arrays, k.Args(n)...)
 	pinTwice(t, "mirror@4", int64(16), func() int64 {
-		ws, arrays := pumpedRun(t, k, n, pes, Config{}, nil, nil)
-		checkGathered(t, arrays, wantVals, wantMasks)
-		var deferred int64
-		for _, w := range ws {
-			deferred += w.counters().DeferredReads
-		}
-		return deferred
+		_, res := harnessRun(t, k, 16, 4, Config{}, schedule{})
+		return res.Stats.DeferredReads
 	})
 }
 
@@ -247,4 +205,16 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("fill accepted %+v", bad)
 		}
 	}
+}
+
+// newChanTransport builds n workers plus the driver (index n) on a channel
+// transport with no fault injection, each as a fleet-level (job 0)
+// jobEndpoint; latency, when non-zero, is injected on every hop.
+func newChanTransport(n int, latency time.Duration) []*jobEndpoint {
+	t := newChanNet(n, latency, -1, 0)
+	eps := make([]*jobEndpoint, n+1)
+	for i := range eps {
+		eps[i] = &jobEndpoint{out: t.endpoint(i), in: t.ins[i].box}
+	}
+	return eps
 }

@@ -40,11 +40,6 @@ func (e *jobEndpoint) Send(to int, m *Msg) error {
 	return e.out.Send(to, m)
 }
 
-func (e *jobEndpoint) Close() error {
-	e.in.close()
-	return nil
-}
-
 // fleetHost runs job lifecycle on one PE. Its endpoint's inbox table
 // delivers every job frame straight to the job's worker, so the host sees
 // only fleet-level frames, KJobStart (start a worker on the inbox the table
@@ -224,7 +219,7 @@ func (f *Fleet) dialTCP(ctx context.Context, cfg Config) error {
 			d.Close()
 			return fmt.Errorf("cluster: init worker %d at %s: %w", i, addr, err)
 		}
-		go d.pumpWorker(i, 0, conn)
+		go d.pumpLink(i, 0, conn)
 	}
 	f.tcp, f.ep, f.in = d, d, d.in
 	f.peers = append([]string(nil), cfg.Workers...)
@@ -548,7 +543,7 @@ func (f *Fleet) rehomeLocked(pe int, gen int32) error {
 		return fmt.Errorf("init spare %s: %w", addr, err)
 	}
 	f.tcp.repoint(pe, addr, o)
-	go f.tcp.pumpWorker(pe, gen, conn)
+	go f.tcp.pumpLink(pe, gen, conn)
 	for i := 0; i < f.n; i++ {
 		if i != pe {
 			_ = f.ep.Send(i, fleetInitMsg(i, f.peers))

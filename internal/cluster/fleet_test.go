@@ -151,7 +151,7 @@ func TestServeJobsRoundTrip(t *testing.T) {
 
 	k, prog := compileKernel(t, "matmul")
 	n := 10
-	want := simArrays(t, prog, 4, k.Arrays, k.Args(n)...)
+	want, masks := simArraysMasked(t, prog, 4, k.Arrays, k.Args(n)...)
 
 	reply, err := SubmitJob(ctx, ln.Addr().String(), prog, Config{PageElems: 8}, k.Args(n)...)
 	if err != nil {
@@ -166,8 +166,8 @@ func TestServeJobsRoundTrip(t *testing.T) {
 			t.Fatalf("%s: %d elements streamed, want %d", name, len(a.Vals), len(ref))
 		}
 		for i := range ref {
-			if !a.Mask[i] {
-				t.Fatalf("%s[%d] not marked written in the streamed reply", name, i)
+			if a.Mask[i] != masks[name][i] {
+				t.Fatalf("%s[%d]: written=%v in the streamed reply, want %v", name, i, a.Mask[i], masks[name][i])
 			}
 			if a.Vals[i] != ref[i] {
 				t.Fatalf("%s[%d] = %v, want %v (server reply disagrees with sim)",

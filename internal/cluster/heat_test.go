@@ -90,8 +90,7 @@ func TestCapGovernorHysteresis(t *testing.T) {
 }
 
 // TestPageGranularStealReducesPostStealFetches pins the post-steal fetch
-// counts of page-granular steal grants on the deterministic pumped
-// schedule: triread (the triangular kernel with reads of one shared
+// counts of page-granular steal grants on the harness's zero schedule: triread (the triangular kernel with reads of one shared
 // array) at 8 PEs, cap 8, stealing on, 31 steals in both arms. Heat off,
 // the grants alone pay 42 demand fetches; heat on, streaming prefetch
 // brings it to 35. The array-granular policy the page summary replaced
@@ -100,23 +99,8 @@ func TestCapGovernorHysteresis(t *testing.T) {
 // these reads through deferred tokens and cannot show the difference.
 // Each arm runs twice and must repeat exactly.
 func TestPageGranularStealReducesPostStealFetches(t *testing.T) {
-	k, ok := kernels.ByName("triread")
-	if !ok {
-		t.Fatal("triread kernel missing")
-	}
+	k, _ := kernels.ByName("triread")
 	type stats struct{ steals, misses, hits, prefetches, prefetchHits int64 }
-	run := func(heat bool) stats {
-		ws, _ := pumpedRun(t, k, 26, 8, Config{Steal: true, CachePages: 8, Heat: heat}, nil, nil)
-		var st stats
-		for _, w := range ws {
-			st.steals += w.steal.steals
-			st.misses += w.shard.CacheMisses
-			st.hits += w.shard.CacheHits
-			st.prefetches += w.counters().Prefetches
-			st.prefetchHits += w.counters().PrefetchHits
-		}
-		return st
-	}
 	for _, tc := range []struct {
 		heat bool
 		want stats
@@ -124,15 +108,19 @@ func TestPageGranularStealReducesPostStealFetches(t *testing.T) {
 		{false, stats{31, 42, 405, 0, 0}},
 		{true, stats{31, 35, 431, 27, 13}},
 	} {
-		pinTwice(t, fmt.Sprintf("heat=%v", tc.heat), tc.want, func() stats { return run(tc.heat) })
+		pinTwice(t, fmt.Sprintf("heat=%v", tc.heat), tc.want, func() stats {
+			_, res := harnessRun(t, k, 26, 8, Config{Steal: true, CachePages: 8, Heat: tc.heat}, schedule{})
+			c := res.Stats
+			return stats{c.Steals, c.CacheMisses, c.CacheHits, c.Prefetches, c.PrefetchHits}
+		})
 	}
 }
 
 // TestStreamingPrefetchOnSequentialScan pins the hit rate of the bounded
 // page cache against its cap, heat off and on, on matmul — every row task
 // re-reads all of B, so the working set exceeds any small cap: n=16 on
-// eight hand-pumped workers with 32-element pages. Unbounded (cap 0) the
-// hit rate is 0.980. At cap 2 the plain bound falls to 0.496 and streaming
+// eight workers on the harness's zero schedule with 32-element pages.
+// Unbounded (cap 0) the hit rate is 0.980. At cap 2 the plain bound falls to 0.496 and streaming
 // prefetch wins back 0.614 with 1,152 prefetches, every one of which
 // serves a demand read; at cap 4, 0.496 against 0.681 (the same 1,152); at
 // cap 8 the bound no longer bites (0.980 / 0.986, 36 prefetches). Each arm
@@ -142,28 +130,10 @@ func TestPageGranularStealReducesPostStealFetches(t *testing.T) {
 // as deferred, and those extra installs shift what a two- or four-page
 // cache evicts (this schedule makes no joins).
 func TestStreamingPrefetchOnSequentialScan(t *testing.T) {
-	k, ok := kernels.ByName("matmul")
-	if !ok {
-		t.Fatal("matmul kernel missing")
-	}
-	const n, pes = 16, 8
-	wantVals, wantMasks := simArraysMasked(t, compile(t, k.File(), k.Source), pes, k.Arrays, k.Args(n)...)
+	k, _ := kernels.ByName("matmul")
 	type stats struct {
 		hitRate                  float64
 		prefetches, prefetchHits int64
-	}
-	run := func(cap int, heat bool) stats {
-		ws, arrays := pumpedRun(t, k, n, pes, Config{PageElems: 32, CachePages: cap, Heat: heat}, nil, nil)
-		checkGathered(t, arrays, wantVals, wantMasks)
-		var hits, misses int64
-		var st stats
-		for _, w := range ws {
-			c := w.counters()
-			hits, misses = hits+c.CacheHits, misses+c.CacheMisses
-			st.prefetches, st.prefetchHits = st.prefetches+c.Prefetches, st.prefetchHits+c.PrefetchHits
-		}
-		st.hitRate = round3(float64(hits) / float64(hits+misses))
-		return st
 	}
 	for _, tc := range []struct {
 		cap  int
@@ -178,7 +148,10 @@ func TestStreamingPrefetchOnSequentialScan(t *testing.T) {
 		{8, false, stats{0.980, 0, 0}},
 		{8, true, stats{0.986, 36, 36}},
 	} {
-		pinTwice(t, fmt.Sprintf("cap=%d heat=%v", tc.cap, tc.heat), tc.want,
-			func() stats { return run(tc.cap, tc.heat) })
+		pinTwice(t, fmt.Sprintf("cap=%d heat=%v", tc.cap, tc.heat), tc.want, func() stats {
+			_, res := harnessRun(t, k, 16, 8, Config{PageElems: 32, CachePages: tc.cap, Heat: tc.heat}, schedule{})
+			c := res.Stats
+			return stats{round3(float64(c.CacheHits) / float64(c.CacheHits+c.CacheMisses)), c.Prefetches, c.PrefetchHits}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/isa"
@@ -110,42 +111,54 @@ func main(n: int) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			k := kernels.Kernel{Name: "pagetable", Source: tc.src, Args: intArg, Arrays: []string{"B"}}
-			wantVals, wantMasks := simArraysMasked(t, compile(t, k.File(), k.Source), 2, k.Arrays, k.Args(tc.n)...)
 			pinTwice(t, tc.name, tc.want, func() pageTableReads {
-				ws, arrays := pumpedRun(t, k, tc.n, 2, Config{Heat: tc.heat}, nil, nil)
-				checkGathered(t, arrays, wantVals, wantMasks)
-				c := ws[tc.reader].counters()
-				reader, owner := ws[tc.reader].ep.out.(*countingEP), ws[tc.owner].ep.out.(*countingEP)
+				h, res := harnessRun(t, k, tc.n, 2, Config{Heat: tc.heat}, schedule{})
+				c, reader, owner := res.PEStats[tc.reader], h.sent[tc.reader], h.sent[tc.owner]
 				return pageTableReads{
 					misses: c.CacheMisses,
 					joins:  c.ReadJoins,
-					reasks: reader.sent[KReadReq] - c.CacheMisses - c.Prefetches,
-					pages:  owner.sent[KPage],
-					tokens: owner.sent[KToken],
+					reasks: reader[KReadReq] - c.CacheMisses - c.Prefetches,
+					pages:  owner[KPage],
+					tokens: owner[KToken],
 				}
 			})
 		})
 	}
 }
 
-// TestMatmulPageTableCounts pins matmul n=16 on eight pumped workers
-// (8-element pages, unbounded cache). The parent of the page table sent
-// 511 messages for 238 misses. On this schedule a KPage always lands before
-// the requester's next step, so no read ever finds its page in flight: 0
+// TestMatmulPageTableCounts pins matmul n=16 on eight workers (8-element
+// pages, unbounded cache). The parent of the page table sent 511 messages
+// for 238 misses. On the zero schedule a KPage always lands before the
+// requester's next step, so no read ever finds its page in flight: 0
 // joins, the same 238 misses, and 14 more messages — the page snapshots
-// now shipped with the reads the owners queue as deferred. The joins show
-// on free-running schedules, where pages stay in flight (the kill sweep's
-// unkilled runs and the benchmark's cluster.cache_misses).
+// now shipped with the reads the owners queue as deferred. On seed 3
+// (frames delayed up to 8 rounds) pages stay in flight: 204 reads join
+// one, and only 224 miss. Either way the data frames the harness carried
+// between PEs are the ones the workers counted.
 func TestMatmulPageTableCounts(t *testing.T) {
 	k, _ := kernels.ByName("matmul")
 	type counts struct{ sent, misses, joins int64 }
-	pinTwice(t, "matmul@8", counts{525, 238, 0}, func() counts {
-		ws, _ := pumpedRun(t, k, 16, 8, Config{}, nil, nil)
-		var c counts
-		for _, w := range ws {
-			x := w.counters()
-			c.sent, c.misses, c.joins = c.sent+x.MsgsSent, c.misses+x.CacheMisses, c.joins+x.ReadJoins
-		}
-		return c
-	})
+	for _, tc := range []struct {
+		sch  schedule
+		want counts
+	}{
+		{schedule{}, counts{525, 238, 0}},
+		{schedule{seed: 3}, counts{483, 224, 204}},
+	} {
+		pinTwice(t, fmt.Sprintf("matmul@8 %+v", tc.sch), tc.want, func() counts {
+			h, res := harnessRun(t, k, 16, 8, Config{}, tc.sch)
+			var data int64
+			for _, sent := range h.sent {
+				for kind, n := range sent {
+					if MsgKind(kind).isData() {
+						data += n
+					}
+				}
+			}
+			if data != res.Stats.MsgsSent {
+				t.Fatalf("%+v: the harness carried %d data frames between PEs, Stats.MsgsSent is %d", tc.sch, data, res.Stats.MsgsSent)
+			}
+			return counts{res.Stats.MsgsSent, res.Stats.CacheMisses, res.Stats.ReadJoins}
+		})
+	}
 }

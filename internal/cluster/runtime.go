@@ -125,164 +125,243 @@ type deathError struct {
 
 func (e *deathError) Error() string { return e.err.Error() }
 
+// driver is one run's driver state: result assembly, the termination
+// detector, the adapt coordinator, budgets, the metrics timeline and the
+// probe cadence. Its methods never wait. drive runs them under the wall
+// clock; the tests' seeded harness runs them under a virtual one.
+type driver struct {
+	ep  jobEndpoint
+	cfg Config
+	n   int
+	res *Result
+	det detector
+	ad  adaptCoord
+
+	// Per-job budgets (admission control): MaxElems is enforced exactly at
+	// each KAlloc broadcast (the driver sees every allocation before any
+	// element is written); MaxInstrs at each completed probe round from the
+	// acked instruction counters — round-lagged, but a job can only
+	// overshoot by one round's worth of work.
+	allocElems int64
+
+	// Observability (Config.Trace): the timeline builder turns each
+	// completed round's acks into one delta-encoded sample per PE, taken
+	// against the previous completed round's counters (prevAcks).
+	tb       *trace.TimelineBuilder
+	prevAcks []AckStats
+	start    time.Time
+
+	round         int32
+	roundComplete bool // every PE acked round
+	probeReset    bool // a new sweep reported costs: reset the back-off
+	interval      time.Duration
+	expect        int // dump segments the gather still waits for
+}
+
+func newDriver(ep *jobEndpoint, cfg Config) driver {
+	n := cfg.NumPEs
+	d := driver{ep: *ep, cfg: cfg, n: n, det: *newDetector(n), ad: *newAdaptCoord(n),
+		start: time.Now(), interval: cfg.ProbeInterval,
+		res: &Result{NumPEs: n, arrays: make(map[int64]*gathered), byName: make(map[string]int64)}}
+	if cfg.Trace {
+		d.tb = trace.NewTimelineBuilder(timelineCap)
+		d.prevAcks = make([]AckStats, n)
+	}
+	return d
+}
+
+// send is ep.Send for a frame the run cannot do without: a send bouncing
+// off a dead connection is a death notice in its own right.
+func (d *driver) send(pe int, m *Msg) error {
+	if err := d.ep.Send(pe, m); err != nil {
+		return &deathError{pe, err}
+	}
+	return nil
+}
+
+func (d *driver) toAll(mk func() *Msg) error {
+	for pe := 0; pe < d.n; pe++ {
+		if err := d.send(pe, mk()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// handle processes one driver-bound message; it returns an error for KFail,
+// KDown and KLost and flags round completion for KAck.
+func (d *driver) handle(m *Msg) error {
+	res := d.res
+	switch m.Kind {
+	case KToken:
+		res.Value = &m.Val
+	case KAlloc:
+		if res.arrays[m.Arr] != nil {
+			return fmt.Errorf("cluster: array %d allocated twice", m.Arr)
+		}
+		h, err := allocHeader(m, d.cfg.PageElems, d.n)
+		if err != nil {
+			return err
+		}
+		d.allocElems += int64(h.Elems())
+		if d.cfg.MaxElems > 0 && d.allocElems > d.cfg.MaxElems {
+			return fmt.Errorf("cluster: job exceeded its element budget: %d elements allocated, budget %d (Config.MaxElems)",
+				d.allocElems, d.cfg.MaxElems)
+		}
+		res.arrays[m.Arr] = &gathered{h: h, vals: make([]float64, h.Elems()), mask: make([]bool, h.Elems())}
+		if _, seen := res.byName[h.Name]; !seen {
+			res.nameSeq = append(res.nameSeq, h.Name)
+		}
+		res.byName[h.Name] = m.Arr
+	case KFail:
+		return fmt.Errorf("cluster: %s", m.Name)
+	case KAck:
+		// The detector ignores stale-round and duplicate acks itself.
+		d.roundComplete = d.det.record(int(m.From), m) || d.roundComplete
+	case KCostReport:
+		d.probeReset = d.ad.merge(m, d.round) || d.probeReset
+	case KDown:
+		return &deathError{-1, fmt.Errorf("cluster: worker %d died (transport closed)", m.From)}
+	case KLost:
+		// A worker could not reach a peer: that peer is as dead as one
+		// a driver send bounced off.
+		if m.ReqPE < 0 || int(m.ReqPE) >= d.n {
+			return fmt.Errorf("cluster: worker %d reported unknown pe %d lost", m.From, m.ReqPE)
+		}
+		return &deathError{int(m.ReqPE), fmt.Errorf("cluster: worker %d cannot reach pe %d: %s", m.From, m.ReqPE, m.Name)}
+	case KDump:
+		g := res.arrays[m.Arr]
+		if g == nil {
+			return fmt.Errorf("cluster: dump for unknown array %d", m.Arr)
+		}
+		d.expect--
+		return mergeDump(g.h.Name, g.vals, g.mask, m)
+	default:
+		return fmt.Errorf("cluster: driver got unexpected %s message", m.Kind)
+	}
+	return nil
+}
+
+// openRound starts the next probe round.
+func (d *driver) openRound() error {
+	d.round++
+	d.roundComplete = false
+	d.det.begin(d.round)
+	return d.toAll(func() *Msg { return &Msg{Kind: KProbe, Round: d.round} })
+}
+
+// closeRound acts on a completed round: the timeline sample, the
+// instruction budget, the termination check (done), and otherwise the
+// rebinds. Rebinds go out at the round boundary: every worker has flushed
+// its cost observations at least once this round (the flush precedes the
+// ack on the same FIFO stream), so the coordinator's view is as fresh as
+// the round itself.
+func (d *driver) closeRound() (done bool, err error) {
+	if d.tb != nil {
+		wall := int64(time.Since(d.start))
+		for pe := 0; pe < d.n; pe++ {
+			a, p := d.det.acks[pe], d.prevAcks[pe]
+			d.tb.Add(trace.Sample{
+				Round: int(d.round), Wall: wall, PE: pe,
+				Instrs: a.Instrs - p.Instrs, QDepth: a.QDepth, Live: a.Live,
+				Sent: a.MsgsSent - p.MsgsSent, Hits: a.CacheHits - p.CacheHits,
+				Misses: a.CacheMisses - p.CacheMisses, Evicts: a.Evictions - p.Evictions,
+				Steals: a.Steals - p.Steals,
+			})
+			d.prevAcks[pe] = a
+		}
+	}
+	if d.cfg.MaxInstrs > 0 && d.det.sum().Instrs > d.cfg.MaxInstrs {
+		return false, fmt.Errorf("cluster: job exceeded its instruction budget: %d instructions executed, budget %d (Config.MaxInstrs)",
+			d.det.sum().Instrs, d.cfg.MaxInstrs)
+	}
+	if d.det.roundDone() {
+		return true, nil
+	}
+	for _, rb := range d.ad.tick(d.round) {
+		if err := d.toAll(func() *Msg {
+			return &Msg{Kind: KRebound, Tmpl: rb.tmpl, Lists: &MsgLists{Cuts: append([]int64(nil), rb.cuts...)}}
+		}); err != nil {
+			return false, err
+		}
+	}
+	return false, nil
+}
+
+// backoff sets the next inter-round wait. Probe rounds back off
+// geometrically: tight while the run is short, cheap while it is long. The
+// cadence is for what rides it mid-run (the layers' probe duties, rebinds,
+// budget and stall checks); detection does not wait for it — the moment
+// the latest reports look terminated the next round starts at once. Only
+// a wait that ran its full length (ticked) backs the cadence off, and it
+// resets whenever a new sweep starts reporting costs: a rebind decision is
+// then imminent and must not wait tens of sweep-lengths, while a run whose
+// sweeps have stopped arriving (or that never rebinds at all) pays no
+// lasting probe overhead.
+func (d *driver) backoff(ticked bool) {
+	if d.probeReset {
+		d.interval = d.cfg.ProbeInterval
+		d.probeReset = false
+	} else if ticked && d.interval < 50*d.cfg.ProbeInterval {
+		d.interval *= 2
+	}
+}
+
+// gather ends the rounds: the final acks become the run's statistics, and
+// each owning PE is asked for its segment of every array.
+func (d *driver) gather() error {
+	d.res.Stats.Counters = d.det.sum()
+	d.res.Stats.Rebounds = d.ad.rebounds
+	d.res.PEInstrs = d.det.perPEInstrs()
+	d.res.PEStats = d.det.perPEStats()
+	for id, g := range d.res.arrays {
+		for pe := 0; pe < d.n; pe++ {
+			if lo, hi := g.h.SegmentElems(pe); lo < hi {
+				if err := d.send(pe, &Msg{Kind: KDumpReq, Arr: id}); err != nil {
+					return err
+				}
+				d.expect++
+			}
+		}
+	}
+	return nil
+}
+
+// stalled is the error of a round or gather that heard nothing for
+// RoundTimeout; diag is the stalled round's trace tails, if any.
+func (d *driver) stalled(diag string) error {
+	if d.expect > 0 {
+		return fmt.Errorf("cluster: result gather stalled for %v with %d dump segments outstanding (worker dead or wedged?)",
+			d.cfg.RoundTimeout, d.expect)
+	}
+	return fmt.Errorf("cluster: probe round %d stalled for %v (worker dead or wedged?): %s%s",
+		d.round, d.cfg.RoundTimeout, d.det.stallReport(), diag)
+}
+
 // drive is the driver loop: spawn the entry SP on PE 0, then alternate
 // between handling worker messages and termination probes; on termination,
 // gather every array and stop the workers. A worker death returns a
 // *deathError; a stalled round or gather names no dead PE and is a plain
 // error.
 func drive(ctx context.Context, ep *jobEndpoint, cfg Config, entry *isa.Template, args []isa.Value) (*Result, error) {
-	n := cfg.NumPEs
-	res := &Result{
-		NumPEs: n,
-		arrays: make(map[int64]*gathered),
-		byName: make(map[string]int64),
-	}
-	det := newDetector(n)
-	ad := newAdaptCoord(n)
-
-	// Per-job budgets (admission control): MaxElems is enforced exactly at
-	// each KAlloc broadcast (the driver sees every allocation before any
-	// element is written); MaxInstrs is enforced at each completed probe
-	// round from the workers' acked instruction counters — round-lagged,
-	// but a job can only overshoot by one round's worth of work.
-	var allocElems int64
-
-	// Observability (Config.Trace): the timeline builder turns each
-	// completed probe round's acks into one delta-encoded sample per PE;
-	// prevAcks holds the previous completed round's counters the deltas are
-	// taken against.
-	var tb *trace.TimelineBuilder
-	var prevAcks []AckStats
-	driverStart := time.Now()
-	if cfg.Trace {
-		tb = trace.NewTimelineBuilder(timelineCap)
-		prevAcks = make([]AckStats, n)
-	}
-	sampleTimeline := func(round int32) {
-		if tb == nil {
-			return
-		}
-		wall := int64(time.Since(driverStart))
-		for pe := 0; pe < n; pe++ {
-			a, p := det.acks[pe], prevAcks[pe]
-			tb.Add(trace.Sample{
-				Round: int(round), Wall: wall, PE: pe,
-				Instrs: a.Instrs - p.Instrs, QDepth: a.QDepth, Live: a.Live,
-				Sent: a.MsgsSent - p.MsgsSent, Hits: a.CacheHits - p.CacheHits,
-				Misses: a.CacheMisses - p.CacheMisses, Evicts: a.Evictions - p.Evictions,
-				Steals: a.Steals - p.Steals,
-			})
-			prevAcks[pe] = a
-		}
-	}
+	d := newDriver(ep, cfg)
 	defer func() {
-		for pe := 0; pe < n; pe++ {
+		for pe := 0; pe < d.n; pe++ {
 			_ = ep.Send(pe, &Msg{Kind: KStop})
 		}
 	}()
 	cancelled := func(err error) error {
-		return fmt.Errorf("cluster: run cancelled (deadlocked dataflow program? %d live SPs): %w", det.liveSPs(), err)
-	}
-	// send is ep.Send for a frame the run cannot do without: a send
-	// bouncing off a dead connection is a death notice in its own right.
-	send := func(pe int, m *Msg) error {
-		if err := ep.Send(pe, m); err != nil {
-			return &deathError{pe, err}
-		}
-		return nil
-	}
-	toAll := func(mk func() *Msg) error {
-		for pe := 0; pe < n; pe++ {
-			if err := send(pe, mk()); err != nil {
-				return err
-			}
-		}
-		return nil
+		return fmt.Errorf("cluster: run cancelled (deadlocked dataflow program? %d live SPs): %w", d.det.liveSPs(), err)
 	}
 	// The driver's one timer: every bounded wait below re-arms it.
 	timer := time.NewTimer(cfg.ProbeInterval)
 	defer timer.Stop()
 
-	if err := send(0, &Msg{Kind: KSpawn, Tmpl: int32(entry.ID), Args: args}); err != nil {
+	if err := d.send(0, &Msg{Kind: KSpawn, Tmpl: int32(entry.ID), Args: args}); err != nil {
 		return nil, err
 	}
-
-	round := int32(0)
-	roundComplete := false
-	probeReset := false
-	// handle processes one driver-bound message; it returns an error for
-	// KFail, KDown and KLost and flags round completion for KAck.
-	handle := func(m *Msg) error {
-		switch m.Kind {
-		case KToken:
-			val := m.Val
-			res.Value = &val
-		case KAlloc:
-			if res.arrays[m.Arr] != nil {
-				return fmt.Errorf("cluster: array %d allocated twice", m.Arr)
-			}
-			h, err := allocHeader(m, cfg.PageElems, n)
-			if err != nil {
-				return err
-			}
-			allocElems += int64(h.Elems())
-			if cfg.MaxElems > 0 && allocElems > cfg.MaxElems {
-				return fmt.Errorf("cluster: job exceeded its element budget: %d elements allocated, budget %d (Config.MaxElems)",
-					allocElems, cfg.MaxElems)
-			}
-			res.arrays[m.Arr] = &gathered{h: h, vals: make([]float64, h.Elems()), mask: make([]bool, h.Elems())}
-			if _, seen := res.byName[h.Name]; !seen {
-				res.nameSeq = append(res.nameSeq, h.Name)
-			}
-			res.byName[h.Name] = m.Arr
-		case KFail:
-			return fmt.Errorf("cluster: %s", m.Name)
-		case KAck:
-			// The detector ignores stale-round and duplicate acks itself.
-			if det.record(int(m.From), m) {
-				roundComplete = true
-			}
-		case KCostReport:
-			if ad.merge(m, round) {
-				probeReset = true
-			}
-		case KDown:
-			return &deathError{-1, fmt.Errorf("cluster: worker %d died (transport closed)", m.From)}
-		case KLost:
-			// A worker could not reach a peer: that peer is as dead as one
-			// a driver send bounced off.
-			if m.ReqPE < 0 || int(m.ReqPE) >= n {
-				return fmt.Errorf("cluster: worker %d reported unknown pe %d lost", m.From, m.ReqPE)
-			}
-			return &deathError{int(m.ReqPE), fmt.Errorf("cluster: worker %d cannot reach pe %d: %s", m.From, m.ReqPE, m.Name)}
-		case KDump:
-			g := res.arrays[m.Arr]
-			if g == nil {
-				return fmt.Errorf("cluster: dump for unknown array %d", m.Arr)
-			}
-			return mergeDump(g.h.Name, g.vals, g.mask, m)
-		default:
-			return fmt.Errorf("cluster: driver got unexpected %s message", m.Kind)
-		}
-		return nil
-	}
-
-	// Probe rounds with geometric back-off: tight while the run is short,
-	// cheap while it is long. The cadence is for what rides it mid-run (the
-	// layers' probe duties, rebinds, budget and stall checks); detection
-	// does not wait for it — the moment the latest reports look terminated
-	// the next round starts at once (see the inter-round wait). The
-	// back-off resets whenever a new sweep starts reporting costs: a rebind
-	// decision is then imminent and must not wait tens of sweep-lengths,
-	// while a run whose sweeps have stopped arriving (or that never rebinds
-	// at all) pays no lasting probe overhead.
-	interval := cfg.ProbeInterval
-	maxInterval := 50 * cfg.ProbeInterval
 	for {
-		round++
-		roundComplete = false
-		det.begin(round)
-		if err := toAll(func() *Msg { return &Msg{Kind: KProbe, Round: round} }); err != nil {
+		if err := d.openRound(); err != nil {
 			return nil, err
 		}
 		// The round deadline turns a wedged worker into a diagnosable
@@ -294,13 +373,11 @@ func drive(ctx context.Context, ep *jobEndpoint, cfg Config, entry *isa.Template
 		// hanging until the run context expires. A stall names no dead PE,
 		// so a re-run would start on the same hosts and stall again: it is
 		// not a death.
-		for !roundComplete {
+		for !d.roundComplete {
 			m, stalled, err := recvWithin(ctx, ep, timer, cfg.RoundTimeout)
 			switch {
 			case err == nil:
-				if err := handle(m); err != nil {
-					return nil, err
-				}
+				err = d.handle(m)
 			case stalled:
 				// With tracing on, pull each PE's last trace events
 				// before tearing the cluster down: a wedged-but-alive
@@ -309,47 +386,30 @@ func drive(ctx context.Context, ep *jobEndpoint, cfg Config, entry *isa.Template
 				// round stalled — far more than last-ack counters can.
 				diag := ""
 				if cfg.Trace {
-					diag = stallTraceDump(ctx, ep, timer, n)
+					diag = stallTraceDump(ctx, ep, timer, d.n)
 				}
-				return nil, fmt.Errorf("cluster: probe round %d stalled for %v (worker dead or wedged?): %s%s",
-					round, cfg.RoundTimeout, det.stallReport(), diag)
+				err = d.stalled(diag)
 			default:
-				return nil, cancelled(err)
+				err = cancelled(err)
 			}
-		}
-		sampleTimeline(round)
-		if cfg.MaxInstrs > 0 {
-			var instrs int64
-			for pe := 0; pe < n; pe++ {
-				instrs += det.acks[pe].Instrs
-			}
-			if instrs > cfg.MaxInstrs {
-				return nil, fmt.Errorf("cluster: job exceeded its instruction budget: %d instructions executed, budget %d (Config.MaxInstrs)",
-					instrs, cfg.MaxInstrs)
-			}
-		}
-		if det.roundDone() {
-			break
-		}
-		// Rebinds at the round boundary: every worker has flushed its cost
-		// observations at least once this round (the flush precedes the ack
-		// on the same FIFO stream), so the coordinator's view is as fresh
-		// as the round itself.
-		for _, rb := range ad.tick(round) {
-			if err := toAll(func() *Msg {
-				return &Msg{Kind: KRebound, Tmpl: rb.tmpl, Lists: &MsgLists{Cuts: append([]int64(nil), rb.cuts...)}}
-			}); err != nil {
+			if err != nil {
 				return nil, err
 			}
+		}
+		done, err := d.closeRound()
+		if err != nil {
+			return nil, err
+		}
+		if done {
+			break
 		}
 		// Inter-round wait: handle whatever arrives until the interval is
 		// up — or until the latest reports look terminated, which starts
 		// the confirming round now (so a quiet round is never followed by a
-		// sleep, and a job's end never waits on a timer). Only a wait that
-		// ran its full length backs the cadence off.
+		// sleep, and a job's end never waits on a timer).
 		ticked := false
-		timer.Reset(interval)
-		for !ticked && !det.armed() {
+		timer.Reset(d.interval)
+		for !ticked && !d.det.armed() {
 			m, err := ep.in.recvUntil(ctx, timer.C)
 			switch {
 			case err == errWake:
@@ -357,37 +417,16 @@ func drive(ctx context.Context, ep *jobEndpoint, cfg Config, entry *isa.Template
 			case err != nil:
 				return nil, cancelled(err)
 			default:
-				if err := handle(m); err != nil {
+				if err := d.handle(m); err != nil {
 					return nil, err
 				}
 			}
 		}
 		timer.Stop()
-		if probeReset {
-			interval = cfg.ProbeInterval
-			probeReset = false
-		} else if ticked && interval < maxInterval {
-			interval *= 2
-		}
+		d.backoff(ticked)
 	}
-	res.Stats.Counters = det.sum()
-	res.Stats.Rebounds = ad.rebounds
-	res.PEInstrs = det.perPEInstrs()
-	res.PEStats = det.perPEStats()
-
-	// Gather: ask each owning PE for its segment of every array.
-	expect := 0
-	for id, g := range res.arrays {
-		for pe := 0; pe < n; pe++ {
-			lo, hi := g.h.SegmentElems(pe)
-			if lo >= hi {
-				continue
-			}
-			if err := send(pe, &Msg{Kind: KDumpReq, Arr: id}); err != nil {
-				return nil, err
-			}
-			expect++
-		}
+	if err := d.gather(); err != nil {
+		return nil, err
 	}
 	// The gather phase gets the same re-arming stall guard as a probe
 	// round: a worker dying between the final quiet round and its
@@ -395,18 +434,15 @@ func drive(ctx context.Context, ep *jobEndpoint, cfg Config, entry *isa.Template
 	// mid-round death would above, while a large gather that keeps making
 	// progress can take as long as it needs. A worker dying here lost
 	// finished results, so the job runs again.
-	for expect > 0 {
+	for d.expect > 0 {
 		m, stalled, err := recvWithin(ctx, ep, timer, cfg.RoundTimeout)
 		switch {
 		case stalled:
-			return nil, fmt.Errorf("cluster: result gather stalled for %v with %d dump segments outstanding (worker dead or wedged?)",
-				cfg.RoundTimeout, expect)
+			return nil, d.stalled("")
 		case err != nil:
 			return nil, fmt.Errorf("cluster: gathering results: %w", err)
-		case m.Kind == KDump:
-			expect--
 		}
-		if err := handle(m); err != nil {
+		if err := d.handle(m); err != nil {
 			return nil, err
 		}
 	}
@@ -415,10 +451,10 @@ func drive(ctx context.Context, ep *jobEndpoint, cfg Config, entry *isa.Template
 	// is best-effort: the run's results are already in hand, and a PE that
 	// cannot answer any more costs an empty trace, never the run.
 	if cfg.Trace {
-		pts := gatherTraces(ctx, ep, timer, n, traceGatherWait(cfg.RoundTimeout))
-		res.Trace = &trace.Trace{NumPEs: n, PEs: pts, Timeline: tb.Done()}
+		pts := gatherTraces(ctx, ep, timer, d.n, traceGatherWait(cfg.RoundTimeout))
+		d.res.Trace = &trace.Trace{NumPEs: d.n, PEs: pts, Timeline: d.tb.Done()}
 	}
-	return res, nil
+	return d.res, nil
 }
 
 // timelineCap bounds the driver-side metrics timeline in samples (one per
@@ -434,47 +470,55 @@ const stallTailEvents = 8
 // gather. The run is already complete, so the wait only covers a flush of
 // an in-memory ring: far shorter than a full round deadline.
 func traceGatherWait(roundTimeout time.Duration) time.Duration {
-	w := 2 * time.Second
-	if roundTimeout > 0 && roundTimeout < w {
-		w = roundTimeout
+	if roundTimeout <= 0 {
+		roundTimeout = 2 * time.Second
 	}
-	if w < 100*time.Millisecond {
-		w = 100 * time.Millisecond
-	}
-	return w
+	return max(100*time.Millisecond, min(roundTimeout, 2*time.Second))
 }
 
-// gatherTraces asks every worker for its trace ring and collects the
-// answers best-effort: a PE that cannot answer (dead, or wedged below its
-// message loop) contributes an empty PETrace instead of failing the
-// gather. Driver-bound frames of any other kind arriving in the window are
-// stale post-termination traffic and are dropped.
-func gatherTraces(ctx context.Context, ep *jobEndpoint, t *time.Timer, n int, wait time.Duration) []trace.PETrace {
-	out := make([]trace.PETrace, n)
-	got := make([]bool, n)
-	need := 0
+// traceGather collects the workers' trace rings best-effort: a PE that
+// cannot answer (dead, or wedged below its message loop) keeps an empty
+// PETrace instead of failing the gather.
+type traceGather struct {
+	pts  []trace.PETrace
+	got  []bool
+	need int
+}
+
+// requestTraces asks every worker for its trace ring.
+func requestTraces(ep *jobEndpoint, n int) *traceGather {
+	g := &traceGather{pts: make([]trace.PETrace, n), got: make([]bool, n)}
 	for pe := 0; pe < n; pe++ {
 		if err := ep.Send(pe, &Msg{Kind: KTraceReq}); err == nil {
-			need++
+			g.need++
 		}
 	}
-	for need > 0 {
+	return g
+}
+
+// take records one answer. Driver-bound frames of any other kind arriving
+// in the window are stale post-termination traffic and are dropped.
+func (g *traceGather) take(m *Msg) {
+	pe := int(m.From)
+	if m.Kind != KTrace || pe < 0 || pe >= len(g.got) || g.got[pe] {
+		return
+	}
+	g.got[pe] = true
+	g.need--
+	g.pts[pe] = trace.PETrace{Events: trace.Unflatten(m.Lists.TraceEvs), Drops: m.Lists.TraceDrops}
+}
+
+// gatherTraces runs a trace gather, each receive bounded by wait.
+func gatherTraces(ctx context.Context, ep *jobEndpoint, t *time.Timer, n int, wait time.Duration) []trace.PETrace {
+	g := requestTraces(ep, n)
+	for g.need > 0 {
 		m, _, err := recvWithin(ctx, ep, t, wait)
 		if err != nil {
 			break
 		}
-		if m.Kind != KTrace {
-			continue
-		}
-		pe := int(m.From)
-		if pe < 0 || pe >= n || got[pe] {
-			continue
-		}
-		got[pe] = true
-		need--
-		out[pe] = trace.PETrace{Events: trace.Unflatten(m.Lists.TraceEvs), Drops: m.Lists.TraceDrops}
+		g.take(m)
 	}
-	return out
+	return g.pts
 }
 
 // stallTraceDump formats each PE's trailing trace events for a stalled

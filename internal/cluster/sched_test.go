@@ -1,0 +1,185 @@
+package cluster
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+
+	"repro/internal/isa"
+	"repro/internal/kernels"
+)
+
+// The seeded schedule sweep: every kernel under each row's knobs at 2, 4
+// and 8 PEs, on many seeded harness schedules, plus a worker kill at every
+// frame index of the first 64 on the kernels whose remote reads join
+// in-flight pages. Each run must gather the simulator's arrays, declare
+// termination only with no live SP and no data frame held or queued
+// anywhere, and end within sweepRounds; a run whose PE died must end in a
+// death, and the job's re-run on fresh workers must gather the
+// simulator's arrays.
+
+const (
+	sweepN      = 10
+	sweepRounds = 1 << 16
+)
+
+// sweepRows are the knob rows the sweep crosses with every kernel. The
+// adapt rows' cadence is a few rounds, so rebinds land in these small
+// runs.
+var sweepRows = []struct {
+	name string
+	cfg  Config
+}{
+	{"base", Config{}},
+	{"steal", Config{Steal: true}},
+	{"adapt", Config{Adapt: true, ProbeInterval: 8}},
+	{"evict", Config{CachePages: 2}},
+	{"heat+evict", Config{CachePages: 2, Heat: true}},
+	{"heat+evict+adapt+steal+trace", Config{CachePages: 2, Heat: true, Adapt: true, Steal: true,
+		ProbeInterval: 8, Trace: true, TraceCap: 256}},
+}
+
+// schedCase names one sweep run; it is all a failure needs to replay.
+type schedCase struct {
+	kernel, row string
+	pes         int
+	seed        uint64
+	kill        int64
+}
+
+func (c schedCase) String() string {
+	return fmt.Sprintf("{%q, %q, %d, %d, %d}", c.kernel, c.row, c.pes, c.seed, c.kill)
+}
+
+// schedCases are committed sweep cases, replayed by TestScheduleCases: a
+// failure the sweep finds lands here once mended. The sweep has found none;
+// the one case kills PE 1 mid-run with every layer on.
+var schedCases = []schedCase{
+	{"relax", "heat+evict+adapt+steal+trace", 4, 33, 33},
+}
+
+// sweepRef is a kernel compiled once with its simulator arrays.
+type sweepRef struct {
+	t            *testing.T
+	k            kernels.Kernel
+	prog         *isa.Program
+	vals         map[string][]float64
+	masks        map[string][]bool
+	rounds, max  int64 // rounds run, and the most one run took
+	kills, joins int64 // runs whose PE died; read joins in the unkilled runs
+}
+
+func newSweepRef(t *testing.T, name string) *sweepRef {
+	k, ok := kernels.ByName(name)
+	if !ok {
+		t.Fatalf("unknown kernel %q", name)
+	}
+	r := &sweepRef{t: t, k: k, prog: compile(t, k.File(), k.Source)}
+	r.vals, r.masks = simArraysMasked(t, r.prog, 4, k.Arrays, k.Args(sweepN)...)
+	return r
+}
+
+// run makes one sweep run and checks it.
+func (r *sweepRef) run(c schedCase) error {
+	i := 0
+	for i < len(sweepRows) && sweepRows[i].name != c.row {
+		i++
+	}
+	if i == len(sweepRows) {
+		return fmt.Errorf("unknown row %q", c.row)
+	}
+	cfg := sweepRows[i].cfg
+	cfg.NumPEs, cfg.PageElems = c.pes, 8
+	res, h, err := r.once(cfg, schedule{seed: c.seed, killAt: c.kill})
+	if h.dead >= 0 {
+		r.kills++
+		var death *deathError
+		if !errors.As(err, &death) {
+			return fmt.Errorf("pe %d died, but the driver returned %v, not a death (result %v)", killPE, err, res != nil)
+		}
+		res, _, err = r.once(cfg, schedule{seed: c.seed})
+	}
+	if err != nil {
+		return err
+	}
+	r.joins += res.Stats.ReadJoins
+	return diffArrays(res, r.vals, r.masks)
+}
+
+func (r *sweepRef) once(cfg Config, sch schedule) (*Result, *harness, error) {
+	h := newHarness(r.t, r.prog, cfg, sch)
+	h.maxRounds = sweepRounds
+	res, err := h.run(r.k.Args(sweepN)...)
+	r.rounds += h.rounds
+	r.max = max(r.max, h.rounds)
+	return res, h, err
+}
+
+// sweep runs cases on one kernel's reference, reporting each failure
+// with its replay line.
+func (r *sweepRef) sweep(cases []schedCase) {
+	t := r.t
+	t.Helper()
+	failed := 0
+	for _, c := range cases {
+		if err := r.run(c); err != nil {
+			t.Errorf("%v: %v\n\treplay: add %v to schedCases and run go test -run TestScheduleCases", c, err, c)
+			if failed++; failed == 5 {
+				t.Fatal("stopping after 5 failures")
+			}
+		}
+	}
+	t.Logf("%d runs (%d killed), %d rounds, at most %d in one run, %d read joins", len(cases), r.kills, r.rounds, r.max, r.joins)
+}
+
+// TestSeededSchedules is the sweep without kills: seeds × every kernel ×
+// every row × 2, 4 and 8 PEs.
+func TestSeededSchedules(t *testing.T) {
+	for _, k := range kernels.All() {
+		t.Run(k.Name, func(t *testing.T) {
+			t.Parallel()
+			r := newSweepRef(t, k.Name)
+			var cases []schedCase
+			for _, row := range sweepRows {
+				for _, pes := range []int{2, 4, 8} {
+					for seed := uint64(1); seed <= sweepSeeds; seed++ {
+						cases = append(cases, schedCase{k.Name, row.name, pes, seed, 0})
+					}
+				}
+			}
+			r.sweep(cases)
+		})
+	}
+}
+
+// TestKillSchedules kills PE 1 at each of its first 64 data frames and
+// acks, on matmul, heat and relax at 2 and 4 PEs under every row, each kill
+// index on its own seed.
+func TestKillSchedules(t *testing.T) {
+	for _, name := range []string{"matmul", "heat", "relax"} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			r := newSweepRef(t, name)
+			var cases []schedCase
+			for _, row := range sweepRows {
+				for _, pes := range []int{2, 4} {
+					for kill := int64(1); kill <= 64; kill += killStride {
+						cases = append(cases, schedCase{name, row.name, pes, uint64(kill), kill})
+					}
+				}
+			}
+			r.sweep(cases)
+		})
+	}
+}
+
+// TestScheduleCases replays the committed cases.
+func TestScheduleCases(t *testing.T) {
+	refs := make(map[string]*sweepRef)
+	for _, c := range schedCases {
+		if refs[c.kernel] == nil {
+			refs[c.kernel] = newSweepRef(t, c.kernel)
+		}
+		refs[c.kernel].sweep([]schedCase{c})
+	}
+}

@@ -64,62 +64,39 @@ func simArraysMasked(t *testing.T, prog *isa.Program, pes int, names []string,
 // the simulator on both values and written-masks.
 func checkAgainstSimMasked(t *testing.T, res *Result, wantVals map[string][]float64, wantMasks map[string][]bool) {
 	t.Helper()
-	for name := range wantVals {
+	if err := diffArrays(res, wantVals, wantMasks); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// diffArrays reports the first difference between a cluster result's
+// arrays and the simulator's, values and written-masks both.
+func diffArrays(res *Result, wantVals map[string][]float64, wantMasks map[string][]bool) error {
+	for name, want := range wantVals {
 		vals, mask, _, err := res.ReadArray(name)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		checkArray(t, name, vals, mask, wantVals[name], wantMasks[name])
+		if len(vals) != len(want) {
+			return fmt.Errorf("%s: %d elements, want %d", name, len(vals), len(want))
+		}
+		for i := range want {
+			if mask[i] != wantMasks[name][i] {
+				return fmt.Errorf("%s[%d]: written=%v, want %v", name, i, mask[i], wantMasks[name][i])
+			}
+			if mask[i] && vals[i] != want[i] {
+				return fmt.Errorf("%s[%d] = %v, want %v (cluster disagrees with sim)", name, i, vals[i], want[i])
+			}
+		}
 	}
+	return nil
 }
 
-// checkArray compares one assembled array with the simulator's, values and
-// written-mask both.
-func checkArray(t *testing.T, name string, vals []float64, mask []bool, wantVals []float64, wantMask []bool) {
-	t.Helper()
-	if len(vals) != len(wantVals) {
-		t.Fatalf("%s: %d elements, want %d", name, len(vals), len(wantVals))
-	}
-	for i := range wantVals {
-		if mask[i] != wantMask[i] {
-			t.Fatalf("%s[%d]: written=%v, want %v", name, i, mask[i], wantMask[i])
-		}
-		if mask[i] && vals[i] != wantVals[i] {
-			t.Fatalf("%s[%d] = %v, want %v (cluster disagrees with sim)", name, i, vals[i], wantVals[i])
-		}
-	}
-}
-
-// drainOnly delivers a worker's pending messages without running its
-// ready SPs, so a test controls exactly when instances start executing.
-// It reports whether any message was delivered.
-func drainOnly(w *worker) bool {
-	got := false
-	for {
-		m, ok := w.ep.in.tryRecv()
-		if !ok {
-			return got
-		}
-		w.handle(m)
-		got = true
-	}
-}
-
-// pumpWorker drains one worker's mailbox and runs its ready SPs to
-// quiescence, single-threaded and deterministic.
-func pumpWorker(w *worker) bool {
-	progress := false
-	for {
-		stepped := drainOnly(w)
-		for w.readyHead != len(w.ready) {
-			w.step()
-			stepped = true
-		}
-		if !stepped {
-			return progress
-		}
-		progress = true
-	}
+// stealPair is the scripted steal tests' job: two PEs running taskProgram
+// with stealing on, on the zero schedule.
+func stealPair(t *testing.T) (h *harness, w0, w1 *worker) {
+	h = newHarness(t, taskProgram(), Config{NumPEs: 2, PageElems: 8, Steal: true}, schedule{})
+	return h, h.ws[0], h.ws[1]
 }
 
 // TestStealProtocolGrantForwardLateToken walks the whole steal protocol
@@ -129,26 +106,15 @@ func pumpWorker(w *worker) bool {
 // dropped, a token for a genuinely unknown SP still fails the run, and the
 // sent/recv counters balance at quiescence (termination soundness).
 func TestStealProtocolGrantForwardLateToken(t *testing.T) {
-	prog := taskProgram()
-	eps := newChanTransport(2, 0)
-	cfg := &Config{NumPEs: 2, PageElems: 8, Steal: true}
-	w0 := newWorker(0, cfg, prog, eps[0])
-	w1 := newWorker(1, cfg, prog, eps[1])
-	driver := eps[2]
-	pump := func() {
-		for pumpWorker(w0) || pumpWorker(w1) {
-		}
-	}
+	h, w0, w1 := stealPair(t)
+	driver := h.boxes[2]
 
 	// Two task SPs spawned on PE 0, delivered but not yet run: both sit
 	// in the ready queue at pc 0.
 	for i := 0; i < 2; i++ {
-		if err := driver.Send(0, &Msg{Kind: KSpawn, Tmpl: 0,
-			Args: []isa.Value{isa.SPRef(0), isa.Float(float64(i))}}); err != nil {
-			t.Fatal(err)
-		}
+		h.inject(0, &Msg{Kind: KSpawn, Args: []isa.Value{isa.SPRef(0), isa.Float(float64(i))}})
 	}
-	drainOnly(w0)
+	h.drain(w0)
 	id1, id2 := packID(0, 1), packID(0, 2)
 	if len(w0.insts) != 2 {
 		t.Fatalf("PE 0 has %d live SPs, want 2", len(w0.insts))
@@ -157,8 +123,8 @@ func TestStealProtocolGrantForwardLateToken(t *testing.T) {
 	// PE 1 is idle: its first steal attempt targets PE 0 and must be
 	// granted the oldest instance.
 	w1.maybeSteal()
-	drainOnly(w0)
-	drainOnly(w1)
+	h.drain(w0)
+	h.drain(w1)
 	if w1.steal.steals != 1 || w1.insts[id1] == nil {
 		t.Fatalf("steals=%d insts[id1]=%v, want the first SP stolen to PE 1", w1.steal.steals, w1.insts[id1])
 	}
@@ -172,14 +138,12 @@ func TestStealProtocolGrantForwardLateToken(t *testing.T) {
 	// A token addressed to the stolen SP's home ID arrives at the victim:
 	// it must be relayed to the thief, wake the SP there, and produce the
 	// result at the driver.
-	if err := driver.Send(0, &Msg{Kind: KToken, SP: id1, Slot: 2, Val: isa.Float(2.5)}); err != nil {
-		t.Fatal(err)
-	}
-	pump()
+	h.inject(0, &Msg{Kind: KToken, SP: id1, Slot: 2, Val: isa.Float(2.5)})
+	h.settle()
 	if w0.steal.forwarded != 1 {
 		t.Fatalf("victim forwarded %d tokens, want 1", w0.steal.forwarded)
 	}
-	m, ok := driver.in.tryRecv()
+	m, ok := driver.tryRecv()
 	if !ok || m.Kind != KToken || m.Val.F() != 2.5 {
 		t.Fatalf("driver got %+v, want the stolen SP's result token 0+2.5", m)
 	}
@@ -189,10 +153,8 @@ func TestStealProtocolGrantForwardLateToken(t *testing.T) {
 
 	// A second token trailing the stolen SP's HALT takes the same stub
 	// path and must be dropped by the thief, not fail the run.
-	if err := driver.Send(0, &Msg{Kind: KToken, SP: id1, Slot: 2, Val: isa.Float(9)}); err != nil {
-		t.Fatal(err)
-	}
-	pump()
+	h.inject(0, &Msg{Kind: KToken, SP: id1, Slot: 2, Val: isa.Float(9)})
+	h.settle()
 	if w1.steal.lateTokens != 1 || w1.failed || w0.failed {
 		t.Fatalf("late token: lateTokens=%d failed=%v/%v, want 1 drop and no failure",
 			w1.steal.lateTokens, w0.failed, w1.failed)
@@ -200,11 +162,9 @@ func TestStealProtocolGrantForwardLateToken(t *testing.T) {
 
 	// Unblock the remaining home SP so the cluster quiesces, then check
 	// the four-counter invariant: every counted send was received.
-	if err := driver.Send(0, &Msg{Kind: KToken, SP: id2, Slot: 2, Val: isa.Float(1)}); err != nil {
-		t.Fatal(err)
-	}
-	pump()
-	if _, ok := driver.in.tryRecv(); !ok {
+	h.inject(0, &Msg{Kind: KToken, SP: id2, Slot: 2, Val: isa.Float(1)})
+	h.settle()
+	if _, ok := driver.tryRecv(); !ok {
 		t.Fatal("home SP produced no result")
 	}
 	if w0.sent+w1.sent != w0.recv+w1.recv {
@@ -213,10 +173,8 @@ func TestStealProtocolGrantForwardLateToken(t *testing.T) {
 	}
 
 	// A token for an ID no worker has ever seen is still a hard failure.
-	if err := driver.Send(1, &Msg{Kind: KToken, SP: packID(1, 99), Slot: 2, Val: isa.Float(0)}); err != nil {
-		t.Fatal(err)
-	}
-	pump()
+	h.inject(1, &Msg{Kind: KToken, SP: packID(1, 99), Slot: 2, Val: isa.Float(0)})
+	h.settle()
 	if !w1.failed {
 		t.Fatal("token for unknown SP did not fail the worker")
 	}
@@ -228,38 +186,27 @@ func TestStealProtocolGrantForwardLateToken(t *testing.T) {
 // halts, a late token would relay home→thief→home forever (each hop counts
 // in sent/recv, so the run would also never terminate).
 func TestStealBackClearsStaleStub(t *testing.T) {
-	prog := taskProgram()
-	eps := newChanTransport(2, 0)
-	cfg := &Config{NumPEs: 2, PageElems: 8, Steal: true}
-	w0 := newWorker(0, cfg, prog, eps[0])
-	w1 := newWorker(1, cfg, prog, eps[1])
-	driver := eps[2]
+	h, w0, w1 := stealPair(t)
 
 	// PE 0 holds two unstarted SPs; PE 1 steals the oldest (id1).
 	for i := 0; i < 2; i++ {
-		if err := driver.Send(0, &Msg{Kind: KSpawn, Tmpl: 0,
-			Args: []isa.Value{isa.SPRef(0), isa.Float(0)}}); err != nil {
-			t.Fatal(err)
-		}
+		h.inject(0, &Msg{Kind: KSpawn, Args: []isa.Value{isa.SPRef(0), isa.Float(0)}})
 	}
-	drainOnly(w0)
+	h.drain(w0)
 	id1 := packID(0, 1)
 	w1.maybeSteal()
-	drainOnly(w0)
-	drainOnly(w1)
+	h.drain(w0)
+	h.drain(w1)
 	if w1.insts[id1] == nil {
 		t.Fatal("first steal did not move id1 to PE 1")
 	}
 
 	// Load PE 1 with a second unstarted SP, then let PE 0 steal id1 back.
-	if err := driver.Send(1, &Msg{Kind: KSpawn, Tmpl: 0,
-		Args: []isa.Value{isa.SPRef(0), isa.Float(0)}}); err != nil {
-		t.Fatal(err)
-	}
-	drainOnly(w1)
+	h.inject(1, &Msg{Kind: KSpawn, Args: []isa.Value{isa.SPRef(0), isa.Float(0)}})
+	h.drain(w1)
 	w0.maybeSteal()
-	drainOnly(w1)
-	drainOnly(w0)
+	h.drain(w1)
+	h.drain(w0)
 	if w0.insts[id1] == nil {
 		t.Fatal("steal-back did not return id1 to PE 0")
 	}
@@ -272,20 +219,12 @@ func TestStealBackClearsStaleStub(t *testing.T) {
 
 	// Run everything down, then push a late token through PE 1's stub: it
 	// must come home and be dropped, not orbit.
-	pump := func() {
-		for pumpWorker(w0) || pumpWorker(w1) {
-		}
-	}
 	for _, id := range []int64{id1, packID(0, 2), packID(1, 1)} {
-		if err := driver.Send(peOf(id), &Msg{Kind: KToken, SP: id, Slot: 2, Val: isa.Float(1)}); err != nil {
-			t.Fatal(err)
-		}
+		h.inject(peOf(id), &Msg{Kind: KToken, SP: id, Slot: 2, Val: isa.Float(1)})
 	}
-	pump()
-	if err := driver.Send(1, &Msg{Kind: KToken, SP: id1, Slot: 2, Val: isa.Float(9)}); err != nil {
-		t.Fatal(err)
-	}
-	pump()
+	h.settle()
+	h.inject(1, &Msg{Kind: KToken, SP: id1, Slot: 2, Val: isa.Float(9)})
+	h.settle()
 	if w0.steal.lateTokens != 1 || w0.failed || w1.failed {
 		t.Fatalf("late token through stub chain: lateTokens=%d failed=%v/%v, want 1/false/false",
 			w0.steal.lateTokens, w0.failed, w1.failed)
@@ -295,25 +234,13 @@ func TestStealBackClearsStaleStub(t *testing.T) {
 // TestStealDeclinedWhenUnloaded pins the victim policy: a victim with one
 // (or zero) queued SPs answers KStealNone and the thief's backoff grows.
 func TestStealDeclinedWhenUnloaded(t *testing.T) {
-	prog := taskProgram()
-	eps := newChanTransport(2, 0)
-	cfg := &Config{NumPEs: 2, PageElems: 8, Steal: true}
-	w0 := newWorker(0, cfg, prog, eps[0])
-	w1 := newWorker(1, cfg, prog, eps[1])
-	driver := eps[2]
-	pump := func() {
-		for pumpWorker(w0) || pumpWorker(w1) {
-		}
-	}
+	h, _, w1 := stealPair(t)
 
 	// One blocked SP on PE 0: stealing it would leave the victim empty.
-	if err := driver.Send(0, &Msg{Kind: KSpawn, Tmpl: 0,
-		Args: []isa.Value{isa.SPRef(0), isa.Float(0)}}); err != nil {
-		t.Fatal(err)
-	}
-	pump()
+	h.inject(0, &Msg{Kind: KSpawn, Args: []isa.Value{isa.SPRef(0), isa.Float(0)}})
+	h.settle()
 	w1.maybeSteal()
-	pump()
+	h.settle()
 	if w1.steal.steals != 0 || w1.steal.fails != 1 || w1.steal.wait != 1 {
 		t.Fatalf("after decline: steals=%d fails=%d wait=%d, want 0/1/1",
 			w1.steal.steals, w1.steal.fails, w1.steal.wait)
@@ -321,7 +248,7 @@ func TestStealDeclinedWhenUnloaded(t *testing.T) {
 	// The next idle wake-up only pays down the backoff; no request goes
 	// out until it reaches zero.
 	w1.maybeSteal()
-	pump()
+	h.settle()
 	if w1.steal.fails != 1 || w1.steal.wait != 0 || w1.steal.steals != 0 {
 		t.Fatalf("backoff wake-up: fails=%d wait=%d steals=%d, want 1/0/0",
 			w1.steal.fails, w1.steal.wait, w1.steal.steals)
@@ -330,7 +257,7 @@ func TestStealDeclinedWhenUnloaded(t *testing.T) {
 	// after that, no further requests are sent.
 	for i := 0; i < 16; i++ {
 		w1.maybeSteal()
-		pump()
+		h.settle()
 	}
 	if w1.steal.fails < w1.stealDormantAfter() {
 		t.Fatalf("fails=%d, want dormancy at %d", w1.steal.fails, w1.stealDormantAfter())
@@ -353,52 +280,22 @@ func TestStealDeclinedWhenUnloaded(t *testing.T) {
 	if !w1.steal.outstanding {
 		t.Fatal("revived worker sent no steal request")
 	}
-	pump()
-}
-
-// stepOneRound gives every worker one drain plus at most one step — a
-// deterministic stand-in for N PEs progressing in parallel.
-func stepOneRound(ws []*worker) bool {
-	progress := false
-	for _, w := range ws {
-		progress = drainOnly(w) || progress
-		if w.readyHead != len(w.ready) {
-			w.step()
-			progress = true
-		} else if w.steal != nil {
-			before := w.steal.outstanding
-			w.maybeSteal()
-			progress = progress || (w.steal.outstanding && !before)
-		}
-	}
-	return progress
+	h.settle()
 }
 
 // TestStealDeterminacyPumpedTriangular pins what work stealing buys on the
 // skewed triangular kernel (row i costs O(i²), so the static split leaves
-// the last PE's block dominant): n=96 on eight hand-pumped workers, a
-// deterministic, adversarially fair schedule. Steal off, the makespan is
+// the last PE's block dominant): n=96 on eight workers on the harness's
+// zero schedule, deterministic and adversarially fair. Steal off, the makespan is
 // 517,249 instructions at utilization 0.388; steal on, 47 steals bring it
 // to 275,369 at 0.729. Both arms repeat exactly on a second run and gather
 // arrays bit-for-bit the simulator's (Church-Rosser under migration).
 func TestStealDeterminacyPumpedTriangular(t *testing.T) {
 	k, _ := kernels.ByName("triangular")
-	const n, pes = 96, 8
-	wantVals, wantMasks := simArraysMasked(t, compile(t, k.File(), k.Source), pes, k.Arrays, k.Args(n)...)
 	type stats struct {
 		makespan int64
 		util     float64
 		steals   int64
-	}
-	run := func(steal bool) stats {
-		ws, arrays := pumpedRun(t, k, n, pes, Config{Steal: steal}, nil, nil)
-		checkGathered(t, arrays, wantVals, wantMasks)
-		var st stats
-		st.makespan, st.util = makespan(ws)
-		for _, w := range ws {
-			st.steals += w.counters().Steals
-		}
-		return st
 	}
 	for _, tc := range []struct {
 		steal bool
@@ -407,7 +304,12 @@ func TestStealDeterminacyPumpedTriangular(t *testing.T) {
 		{false, stats{517_249, 0.388, 0}},
 		{true, stats{275_369, 0.729, 47}},
 	} {
-		pinTwice(t, fmt.Sprintf("steal=%v", tc.steal), tc.want, func() stats { return run(tc.steal) })
+		pinTwice(t, fmt.Sprintf("steal=%v", tc.steal), tc.want, func() stats {
+			_, res := harnessRun(t, k, 96, 8, Config{Steal: tc.steal}, schedule{})
+			st := stats{steals: res.Stats.Steals}
+			st.makespan, st.util = makespan(res)
+			return st
+		})
 	}
 }
 
@@ -453,27 +355,17 @@ func TestEvictionKeepsKernelsDeterminate(t *testing.T) {
 // victim with k stealable SPs grants ⌈k/2⌉ in one KStealGrant, and with no
 // locality signal the batch is the oldest not-yet-started SPs in age order.
 func TestStealGrantBatchHalfOldestFirst(t *testing.T) {
-	prog := taskProgram()
-	eps := newChanTransport(2, 0)
-	cfg := &Config{NumPEs: 2, PageElems: 8, Steal: true}
-	w0 := newWorker(0, cfg, prog, eps[0])
-	w1 := newWorker(1, cfg, prog, eps[1])
-	driver := eps[2]
+	h, w0, w1 := stealPair(t)
 	for i := 0; i < 5; i++ {
-		if err := driver.Send(0, &Msg{Kind: KSpawn, Tmpl: 0,
-			Args: []isa.Value{isa.SPRef(0), isa.Float(float64(i))}}); err != nil {
-			t.Fatal(err)
-		}
+		h.inject(0, &Msg{Kind: KSpawn, Args: []isa.Value{isa.SPRef(0), isa.Float(float64(i))}})
 	}
-	drainOnly(w0)
+	h.drain(w0)
 
 	w1.maybeSteal()
-	if m, ok := eps[0].in.tryRecv(); ok {
-		w0.handle(m)
-	} else {
+	if !h.drain(w0) {
 		t.Fatal("no steal request reached the victim")
 	}
-	grant, ok := eps[1].in.tryRecv()
+	grant, ok := h.boxes[1].tryRecv()
 	if !ok || grant.Kind != KStealGrant {
 		t.Fatalf("thief got %+v, want a grant", grant)
 	}
@@ -502,29 +394,23 @@ func TestStealGrantBatchHalfOldestFirst(t *testing.T) {
 // locality. All three candidates read the same array, so only the page
 // holding each one's row tells them apart.
 func TestStealLocalityPreference(t *testing.T) {
-	prog := taskProgram()
-	eps := newChanTransport(2, 0)
-	cfg := &Config{NumPEs: 2, PageElems: 8, Steal: true}
-	w0 := newWorker(0, cfg, prog, eps[0])
+	h, w0, _ := stealPair(t)
 	// Array 77 is 3×8: row r lives on page r-1.
-	h, err := istructure.NewHeader(77, "X", []int{3, 8}, 8, 2, 0, true)
+	hdr, err := istructure.NewHeader(77, "X", []int{3, 8}, 8, 2, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w0.shard.Install(h); err != nil {
+	if err := w0.shard.Install(hdr); err != nil {
 		t.Fatal(err)
 	}
 	// Three unstarted SPs, each framing (Array(77), Int(r)) for rows 1–3.
 	for r := int64(1); r <= 3; r++ {
-		if err := eps[2].Send(0, &Msg{Kind: KSpawn, Tmpl: 0,
-			Args: []isa.Value{isa.Array(77), isa.Int(r)}}); err != nil {
-			t.Fatal(err)
-		}
+		h.inject(0, &Msg{Kind: KSpawn, Args: []isa.Value{isa.Array(77), isa.Int(r)}})
 	}
-	drainOnly(w0)
+	h.drain(w0)
 	// The thief holds the page of row 2.
 	w0.handle(&Msg{Kind: KStealReq, From: 1, Lists: &MsgLists{HotPages: []int64{77, 1}}})
-	grant, ok := eps[1].in.tryRecv()
+	grant, ok := h.boxes[1].tryRecv()
 	if !ok || grant.Kind != KStealGrant {
 		t.Fatalf("got %+v, want a grant", grant)
 	}
@@ -546,17 +432,11 @@ func TestStealLocalityPreference(t *testing.T) {
 // tombstone instead of shifting the tail, and the skipped entry must stay
 // where it was.
 func TestStealMidDequeGrantNoShift(t *testing.T) {
-	prog := taskProgram()
-	eps := newChanTransport(2, 0)
-	cfg := &Config{NumPEs: 2, PageElems: 8, Steal: true}
-	w0 := newWorker(0, cfg, prog, eps[0])
+	h, w0, _ := stealPair(t)
 	for i := 0; i < 3; i++ {
-		if err := eps[2].Send(0, &Msg{Kind: KSpawn, Tmpl: 0,
-			Args: []isa.Value{isa.SPRef(0), isa.Float(0)}}); err != nil {
-			t.Fatal(err)
-		}
+		h.inject(0, &Msg{Kind: KSpawn, Args: []isa.Value{isa.SPRef(0), isa.Float(0)}})
 	}
-	drainOnly(w0)
+	h.drain(w0)
 	// Mark the bottom SP as started (in flight): it is pinned, so the
 	// grant must skip it and take the next-oldest.
 	started, third := w0.ready[0], w0.ready[2]
@@ -579,20 +459,10 @@ func TestStealMidDequeGrantNoShift(t *testing.T) {
 // — the dead prefix and tombstones are compacted once they exceed half
 // the slice.
 func TestReadyDequeBoundedGrowth(t *testing.T) {
-	prog := taskProgram()
-	eps := newChanTransport(2, 0)
-	cfg := &Config{NumPEs: 2, PageElems: 8, Steal: true}
-	w0 := newWorker(0, cfg, prog, eps[0])
+	h, w0, _ := stealPair(t)
 	spawn := func() {
-		if err := eps[2].Send(0, &Msg{Kind: KSpawn, Tmpl: 0,
-			Args: []isa.Value{isa.SPRef(0), isa.Float(0)}}); err != nil {
-			t.Fatal(err)
-		}
-		m, ok := eps[0].in.tryRecv()
-		if !ok {
-			t.Fatal("spawn not delivered")
-		}
-		w0.handle(m)
+		h.inject(0, &Msg{Kind: KSpawn, Args: []isa.Value{isa.SPRef(0), isa.Float(0)}})
+		h.drain(w0)
 	}
 	spawn()
 	for round := 0; round < 10_000; round++ {

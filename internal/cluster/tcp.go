@@ -358,7 +358,7 @@ func (t *tcpEndpoint) Close() error {
 	return nil
 }
 
-// pumpWorker pumps the driver's connection to worker pe into its table and
+// pumpLink pumps the driver's connection to worker pe into its table and
 // synthesizes a KDown notice when it drops: a worker dying mid-run is
 // detected at connection-loss speed, and the notice carries the host
 // generation the connection served so a replaced worker's teardown is
@@ -366,7 +366,7 @@ func (t *tcpEndpoint) Close() error {
 // what is sent to it, as the channel transport does for a dead PE: the
 // KDown is a known-dead host's one death notice. After Close the box is
 // closed, so the put is a no-op during normal cleanup.
-func (t *tcpEndpoint) pumpWorker(pe int, gen int32, conn net.Conn) {
+func (t *tcpEndpoint) pumpLink(pe int, gen int32, conn net.Conn) {
 	pump(conn, t.in, nil)
 	l := &t.links[pe]
 	l.mu.Lock()

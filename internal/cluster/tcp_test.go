@@ -46,7 +46,7 @@ func TestTCPMatmulAgreesWithSim(t *testing.T) {
 	k, _ := kernels.ByName("matmul")
 	prog := compile(t, k.File(), k.Source)
 	const n = 8
-	want := simArrays(t, prog, 4, k.Arrays, k.Args(n)...)
+	want, masks := simArraysMasked(t, prog, 4, k.Arrays, k.Args(n)...)
 
 	ctx := testCtx(t)
 	addrs, join := startTCPWorkers(t, ctx, 4)
@@ -55,7 +55,7 @@ func TestTCPMatmulAgreesWithSim(t *testing.T) {
 		t.Fatal(err)
 	}
 	join()
-	checkAgainstSim(t, res, want)
+	checkAgainstSimMasked(t, res, want, masks)
 	if res.Stats.MsgsSent == 0 {
 		t.Error("TCP run sent no inter-PE messages")
 	}
@@ -264,7 +264,7 @@ func TestOutboxStickyWriteError(t *testing.T) {
 func TestTCPSeveredPeerYieldsDown(t *testing.T) {
 	a, b := loopbackPair(t)
 	d := &tcpEndpoint{self: 2, in: newInboxTable(0), links: []tcpLink{{out: newOutbox(a)}}}
-	go d.pumpWorker(0, 3, a)
+	go d.pumpLink(0, 3, a)
 	peer := newOutbox(b)
 	if err := peer.send(&Msg{Kind: KAck, From: 0, Round: 1}); err != nil {
 		t.Fatal(err)
@@ -479,7 +479,7 @@ func benchChanEcho(b *testing.B) *jobEndpoint {
 			eps[1].Send(0, m)
 		}
 	}()
-	b.Cleanup(func() { eps[1].Close() })
+	b.Cleanup(eps[1].in.close)
 	return eps[0]
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/isa"
+	"repro/internal/kernels"
 )
 
 // Unit tests for the four-counter termination detector in isolation: round
@@ -339,7 +340,7 @@ func main(n: int) {
 	cancel()
 	wg.Wait()
 	for _, ep := range eps {
-		ep.Close()
+		ep.in.close()
 	}
 }
 
@@ -389,12 +390,12 @@ func TestDriveRoundDeadlineReportsSilentWorker(t *testing.T) {
 	cancel()
 	wg.Wait()
 	for _, ep := range eps {
-		ep.Close()
+		ep.in.close()
 	}
 }
 
-// TestWorkerPushesQuiescenceOncePerState drives one worker's run loop by
-// hand: it reports to the driver, unsolicited, exactly once per change of
+// TestWorkerPushesQuiescenceOncePerState gives one worker harness turns:
+// it reports to the driver, unsolicited, exactly once per change of
 // its idle state — not when nothing changed, not after a probe ack or a
 // steal refusal that told the driver nothing new, not while an SP is
 // suspended on a remote read.
@@ -405,45 +406,33 @@ func main(n: int) {
 	B = array(n);
 	B[1] = A[n];
 }`)
-	eps := newChanTransport(2, 0)
-	peer, driver := eps[1], eps[2]
-	w := newWorker(0, &Config{NumPEs: 2, PageElems: 8, Steal: true}, prog, eps[0])
-	// A done context makes run return where it would block: it receives
-	// only after its inbox came up empty.
-	idle, stop := context.WithCancel(context.Background())
-	stop()
+	h := newHarness(t, prog, Config{NumPEs: 2, PageElems: 8, Steal: true}, schedule{})
+	w, peer, driver := h.ws[0], 1, 2
 
-	// turn delivers the frames, runs the worker until it would block, and
-	// returns what reached the driver (pushes are KAcks with Round 0) and
-	// the peer.
-	drain := func(ep *jobEndpoint) (ms []*Msg) {
-		for {
-			m, ok := ep.in.tryRecv()
-			if !ok {
-				return ms
-			}
-			ms = append(ms, m)
-		}
-	}
-	turn := func(from Endpoint, in ...*Msg) (pushes, toDriver, toPeer []*Msg) {
+	// turn sends PE 0 the frames from party `from`, gives it turns until one
+	// moves nothing (it would block), and returns what reached the driver
+	// (pushes are KAcks with Round 0) and the peer.
+	turn := func(from int, in ...*Msg) (pushes, toDriver, toPeer []*Msg) {
 		t.Helper()
 		for _, m := range in {
-			if err := from.Send(0, m); err != nil {
-				t.Fatal(err)
-			}
+			_ = harnessEP{h, from}.Send(0, m)
 		}
-		w.run(idle)
+		for h.turn(w, true) {
+		}
 		if w.failed {
 			t.Fatal("worker failed")
 		}
-		for _, m := range drain(driver) {
+		for m, ok := h.boxes[driver].tryRecv(); ok; m, ok = h.boxes[driver].tryRecv() {
 			if m.Kind == KAck && m.Round == 0 {
 				pushes = append(pushes, m)
 			} else {
 				toDriver = append(toDriver, m)
 			}
 		}
-		return pushes, toDriver, drain(peer)
+		for m, ok := h.boxes[peer].tryRecv(); ok; m, ok = h.boxes[peer].tryRecv() {
+			toPeer = append(toPeer, m)
+		}
+		return pushes, toDriver, toPeer
 	}
 	wantPush := func(step string, pushes []*Msg, sent, recv int64) {
 		t.Helper()
@@ -500,8 +489,23 @@ func main(n: int) {
 // only because workers report going idle and the driver confirms at once.
 // The floor job, a kernel with arrays and a steal+adapt job each complete
 // well inside 5 s on a 2-PE fleet: chan, chan with injected latency, and
-// loopback TCP.
+// loopback TCP. On the harness, where the hour is virtual and the clock
+// skips to it once nothing can move, every kernel on the base, steal and
+// adapt+steal rows, at 4 PEs on the zero schedule and three seeds, ends
+// with the timer never having fired.
 func TestTerminationIndependentOfProbeTimer(t *testing.T) {
+	t.Run("harness", func(t *testing.T) {
+		for _, k := range kernels.All() {
+			for _, cfg := range []Config{{}, {Steal: true}, {Adapt: true, Steal: true}} {
+				for seed := range uint64(4) {
+					cfg.ProbeInterval = time.Hour
+					if h, _ := harnessRun(t, k, 10, 4, cfg, schedule{seed: seed}); h.ticks != 0 {
+						t.Errorf("%s %+v seed %d: the probe timer fired %d times", k.Name, cfg, seed, h.ticks)
+					}
+				}
+			}
+		}
+	})
 	floor := compile(t, "floor.id", `func main(n: int) -> int { return n + 1; }`)
 	heat, heatProg := compileKernel(t, "heat")
 	tri, triProg := compileKernel(t, "triangular")

@@ -48,7 +48,7 @@ func TestStallDumpIncludesTraceTails(t *testing.T) {
 	cancel()
 	wg.Wait()
 	for _, ep := range eps {
-		ep.Close()
+		ep.in.close()
 	}
 }
 

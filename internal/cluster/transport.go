@@ -402,19 +402,6 @@ func (t *chanTransport) replace(pe int) *chanEndpoint {
 	return &chanEndpoint{net: t, self: pe, in: in}
 }
 
-// newChanTransport builds n workers plus the driver (index n) with no fault
-// injection, each as a fleet-level (job 0) jobEndpoint: its endpoint's
-// sends and its table's box. latency, when non-zero, is injected on every
-// hop: a sent message only becomes receivable after that delay.
-func newChanTransport(n int, latency time.Duration) []*jobEndpoint {
-	t := newChanNet(n, latency, -1, 0)
-	eps := make([]*jobEndpoint, n+1)
-	for i := range eps {
-		eps[i] = &jobEndpoint{out: t.endpoint(i), in: t.ins[i].box}
-	}
-	return eps
-}
-
 func (e *chanEndpoint) Send(to int, m *Msg) error {
 	if e.dead.Load() {
 		return ErrClosed

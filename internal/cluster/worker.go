@@ -375,14 +375,7 @@ func (w *worker) run(ctx context.Context) {
 			}
 		}
 		if w.failed || w.readyHead == len(w.ready) {
-			// About to block with nothing live: tell the driver, unless it
-			// already knows this exact state. A PE suspended on a remote
-			// read, or bouncing between probes and steal refusals, stays
-			// silent.
-			if len(w.insts) == 0 && !w.failed && w.quiet() != w.told {
-				w.report(0)
-			}
-			w.maybeSteal()
+			w.idle()
 			m, err := w.ep.in.recv(ctx)
 			if err != nil {
 				return
@@ -406,6 +399,17 @@ func (w *worker) run(ctx context.Context) {
 			runtime.Gosched()
 		}
 	}
+}
+
+// idle is the run loop's about-to-block branch. With nothing live it tells
+// the driver, unless the driver already knows this exact state (a PE
+// suspended on a remote read, or bouncing between probes and steal
+// refusals, stays silent); then it tries to steal.
+func (w *worker) idle() {
+	if len(w.insts) == 0 && !w.failed && w.quiet() != w.told {
+		w.report(0)
+	}
+	w.maybeSteal()
 }
 
 // yieldEvery is the number of step() calls between cooperative yields.

@@ -59,15 +59,17 @@ func TestKillIndexSweep(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			p, want := compileWithReference(t, k)
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
 			for _, row := range rows {
 				i := slices.IndexFunc(knobSets, func(ks knobSet) bool { return ks.name == row })
 				var joins int64
 				for _, pes := range []int{2, 4} {
 					cfg := knobSets[i].cfg
 					cfg.NumPEs = pes
+					// Each run has its own deadline, as each killed run does: one
+					// for the whole sweep expires on a loaded host under -race.
+					ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 					res, err := p.ExecuteCluster(ctx, cfg, k.Args(determinacyN)...)
+					cancel()
 					if err != nil {
 						t.Fatalf("%s@%d: %v", row, pes, err)
 					}
