@@ -43,8 +43,8 @@ func TestTCPMultiProcessAgainstInProcess(t *testing.T) {
 	configs := []cluster.Config{
 		{},
 		{Steal: true},
-		{Adapt: true, ProbeInterval: 20 * time.Microsecond},
-		{Steal: true, Adapt: true, ProbeInterval: 20 * time.Microsecond},
+		{Adapt: true},
+		{Steal: true, Adapt: true},
 	}
 	for ki, k := range kernels.All() {
 		t.Run(k.Name, func(t *testing.T) {
@@ -58,8 +58,9 @@ func TestTCPMultiProcessAgainstInProcess(t *testing.T) {
 
 			cfg := configs[ki%len(configs)]
 			if k.Name == "relax" {
-				// The drifting-skew kernel is the one whose rebinds engage;
-				// make sure it runs them (with steals) over real sockets.
+				// The drifting-skew kernel is the one whose rebinds can
+				// engage: run it with adaptation and stealing over real
+				// sockets (its rebinds are logged, not asserted).
 				cfg = configs[3]
 			}
 			cfg.PageElems = pageElems

@@ -1,14 +1,13 @@
-// Concurrent-jobs determinacy: many programs running at once on one
-// persistent fleet must each produce exactly the arrays the simulator
-// produces for them alone. The fleet multiplexes every job over the same workers and
-// wires, so this is the end-to-end check that job-keyed state (shards,
-// run queues, termination counters, recovery logs, trace rings) really
-// isolates tenants — any cross-job leak shows up as a bitwise diff.
+// Fleet admission at the facade: an over-budget job fails alone while its
+// neighbours on the same fleet still match a solo run. The concurrent-jobs
+// determinacy tests, every kernel under every knob row at once on one
+// fleet, are internal/cluster's TestBackendAgreementConcurrentJobs and
+// TestKnobGauntlet.
 package pods_test
 
 import (
 	"context"
-	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -18,70 +17,11 @@ import (
 	"repro/internal/kernels"
 )
 
-// TestBackendAgreementConcurrentJobs submits every kernel under every
-// knobSets row at once to one fleet.
-func TestBackendAgreementConcurrentJobs(t *testing.T) {
-	runConcurrentJobs(t, pods.ClusterConfig{})
-}
-
-// runConcurrentJobs opens a 4-PE fleet with fleetCfg's fleet-level fields,
-// submits every kernel under every knobSets row at once, and checks each
-// job against the simulator bit for bit.
-func runConcurrentJobs(t *testing.T, fleetCfg pods.ClusterConfig) {
-	const fleetPEs = 4
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-
-	type jobCase struct {
-		k     kernels.Kernel
-		p     *pods.Program
-		label string
-		cfg   pods.ClusterConfig
-		want  arraySet
-	}
-	var cases []jobCase
-	for _, k := range kernels.All() {
-		p, want := compileWithReference(t, k)
-		for _, ks := range knobSets {
-			cases = append(cases, jobCase{k: k, p: p, label: k.Name + "/" + ks.name, cfg: ks.cfg, want: want})
-		}
-	}
-
-	// One fleet, every job in flight at once.
-	fleetCfg.NumPEs, fleetCfg.MaxJobs = fleetPEs, len(cases)+1
-	fleet, err := pods.OpenClusterFleet(ctx, fleetCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fleet.Close()
-
-	var wg sync.WaitGroup
-	errs := make([]error, len(cases))
-	results := make([]*pods.ClusterResult, len(cases))
-	for i := range cases {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c := cases[i]
-			results[i], errs[i] = fleet.Submit(ctx, c.p, c.cfg, c.k.Args(determinacyN)...)
-		}(i)
-	}
-	wg.Wait()
-
-	for i, c := range cases {
-		if errs[i] != nil {
-			t.Fatalf("fleet %s: %v", c.label, errs[i])
-		}
-		assertSame(t, "fleet "+c.label, gather(t, c.k, c.label, results[i].Array), c.want)
-		checkTraced(t, "fleet "+c.label, c.cfg, results[i])
-	}
-}
-
 // TestFleetBudgetRejectionIsolation pins the admission-control contract:
 // an over-budget job fails with a budget error while neighbors submitted
 // concurrently to the same fleet still match their solo runs exactly.
 func TestFleetBudgetRejectionIsolation(t *testing.T) {
-	const fleetPEs = 4
+	const fleetPEs, n = 4, 10
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
@@ -90,12 +30,12 @@ func TestFleetBudgetRejectionIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := pods.ClusterConfig{PageElems: determinacyPage}
-	solo, err := p.ExecuteCluster(ctx, withPEs(cfg, fleetPEs), k.Args(determinacyN)...)
+	cfg := pods.ClusterConfig{PageElems: 8}
+	solo, err := p.ExecuteCluster(ctx, pods.ClusterConfig{NumPEs: fleetPEs, PageElems: 8}, k.Args(n)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := gather(t, k, "solo", solo.Array)
+	want := arrays(t, k, solo)
 
 	fleet, err := pods.OpenClusterFleet(ctx, pods.ClusterConfig{NumPEs: fleetPEs})
 	if err != nil {
@@ -111,7 +51,7 @@ func TestFleetBudgetRejectionIsolation(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = fleet.Submit(ctx, p, cfg, k.Args(determinacyN)...)
+			results[i], errs[i] = fleet.Submit(ctx, p, cfg, k.Args(n)...)
 		}(i)
 	}
 	// Concurrently, a job whose element budget cannot even hold one of
@@ -119,7 +59,7 @@ func TestFleetBudgetRejectionIsolation(t *testing.T) {
 	// a transport error — without touching the neighbors.
 	over := cfg
 	over.MaxElems = 1
-	_, err = fleet.Submit(ctx, p, over, k.Args(determinacyN)...)
+	_, err = fleet.Submit(ctx, p, over, k.Args(n)...)
 	if err == nil {
 		t.Fatal("over-budget job succeeded; want a budget rejection")
 	}
@@ -131,13 +71,23 @@ func TestFleetBudgetRejectionIsolation(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("neighbor %d: %v", i, errs[i])
 		}
-		assertSame(t, fmt.Sprintf("neighbor %d", i), gather(t, k, "neighbor", results[i].Array), want)
+		if !reflect.DeepEqual(arrays(t, k, results[i]), want) {
+			t.Errorf("neighbor %d: arrays differ from the solo run's", i)
+		}
 	}
 }
 
-// withPEs returns cfg with the PE count set (solo-run helper; fleet
-// submissions inherit the count from the fleet instead).
-func withPEs(cfg pods.ClusterConfig, pes int) pods.ClusterConfig {
-	cfg.NumPEs = pes
-	return cfg
+// arrays reads every array of k from a run: values, written-masks and
+// shapes.
+func arrays(t *testing.T, k kernels.Kernel, res *pods.ClusterResult) []any {
+	t.Helper()
+	var out []any
+	for _, name := range k.Arrays {
+		vals, mask, dims, err := res.Array(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out = append(out, vals, mask, dims)
+	}
+	return out
 }

@@ -22,7 +22,7 @@ func compileKernel(t *testing.T, name string) (*kernels.Kernel, *isa.Program) {
 // TestAdaptRelaxAgreesWithSimAndRebinds pins what adaptive repartitioning
 // buys on the drifting-skew relax kernel, whose expensive rows rotate
 // across sweeps so no fixed split stays right: n=48 (4 sweeps) on eight
-// workers on the harness's zero schedule, with a ProbeInterval of 4 rounds
+// workers on the harness's zero schedule, with a probe cadence of 4 rounds
 // (backing off as drive's cadence does) instead of microseconds. Adapt
 // off, the makespan is 823,575 instructions at utilization 0.623; adapt
 // on, 2 rebounds bring it to 618,270 at 0.830. Both arms repeat exactly on
@@ -43,7 +43,7 @@ func TestAdaptRelaxAgreesWithSimAndRebinds(t *testing.T) {
 		{true, stats{618_270, 0.830, 2}},
 	} {
 		pinTwice(t, fmt.Sprintf("adapt=%v", tc.adapt), tc.want, func() stats {
-			_, res := harnessRun(t, k, 48, 8, Config{Adapt: tc.adapt, ProbeInterval: 4}, schedule{})
+			_, res := harnessRun(t, k, 48, 8, Config{Adapt: tc.adapt}, schedule{probe: 4})
 			st := stats{rebounds: res.Stats.Rebounds}
 			st.makespan, st.util = makespan(res)
 			return st
@@ -60,14 +60,8 @@ func TestAdaptWithStealingAgreesWithSim(t *testing.T) {
 	args := k.Args(12)
 	wantVals, wantMasks := simArraysMasked(t, prog, 1, k.Arrays, args...)
 	for _, latency := range []time.Duration{0, 200 * time.Microsecond} {
-		res, err := Execute(testCtx(t), prog, Config{
-			NumPEs:        4,
-			PageElems:     8,
-			Adapt:         true,
-			Steal:         true,
-			Latency:       latency,
-			ProbeInterval: 20 * time.Microsecond,
-		}, args...)
+		cfg := Config{NumPEs: 4, PageElems: 8, Adapt: true, Steal: true, Latency: latency}
+		res, err := execWith(testCtx(t), prog, cfg, seams{probe: fastProbe}, args...)
 		if err != nil {
 			t.Fatalf("adapt+steal latency=%v: %v", latency, err)
 		}

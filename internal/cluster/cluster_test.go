@@ -92,6 +92,9 @@ func TestExecuteMirrorDeferredRemoteReads(t *testing.T) {
 	if res.Stats.MsgsSent == 0 {
 		t.Error("4-PE mirror run sent no inter-PE messages — not message passing at all")
 	}
+	if res.Stats.CacheMisses == 0 {
+		t.Error("no page fetches: remote reads never left the PE")
+	}
 }
 
 // TestMirrorDeferredReadsPumped pins that mirror n=16 at 4 PEs (8-element
@@ -154,6 +157,7 @@ func main(n: int) {
 }
 
 func TestExecuteDeadlockReported(t *testing.T) {
+	t.Parallel() // it waits two seconds, beside the CPU-bound tests
 	prog := compile(t, "dead.id", `
 func main(n: int) {
 	A = array(n);
@@ -211,7 +215,7 @@ func TestConfigValidation(t *testing.T) {
 // transport with no fault injection, each as a fleet-level (job 0)
 // jobEndpoint; latency, when non-zero, is injected on every hop.
 func newChanTransport(n int, latency time.Duration) []*jobEndpoint {
-	t := newChanNet(n, latency, -1, 0)
+	t := newChanNet(n, latency)
 	eps := make([]*jobEndpoint, n+1)
 	for i := range eps {
 		eps[i] = &jobEndpoint{out: t.endpoint(i), in: t.ins[i].box}

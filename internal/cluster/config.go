@@ -23,15 +23,6 @@ type Config struct {
 	// channel transport with NumPEs worker goroutines.
 	Workers []string
 
-	// ProbeInterval is the mid-run cadence of the driver's probe rounds —
-	// what paces adapt cost flushes and rebinds, the heat cap governor,
-	// steal revival and the MaxInstrs check. Defaults to 100µs (the driver
-	// backs off geometrically up to 50× this while the program is still
-	// running). It is not the detection latency: workers report going idle
-	// and the driver confirms with an immediate round, so a finished job
-	// never waits out an interval.
-	ProbeInterval time.Duration
-
 	// Steal enables dynamic work stealing: an idle worker asks a peer
 	// (round-robin with backoff) for a not-yet-started SP instance, and
 	// the victim leaves a forwarding stub behind for tokens addressed to
@@ -82,19 +73,6 @@ type Config struct {
 	// re-homed PE consumes one spare; a TCP death with none left fails the
 	// job. Only meaningful with Workers set.
 	Spares []string
-
-	// KillPE / KillAfter arm the channel transport's deterministic fault
-	// injector: PE KillPE's endpoint is severed — sends dropped, receives
-	// closed, a down notice surfaced to the driver — on the first frame it
-	// sends past KillAfter once it has been sent a spawn (data frames and
-	// probe acks count; both stop at termination, so the kill lands
-	// mid-run, not in the result gather), and the job survives it by
-	// running again. KillAfter 0 (the default) disarms it; a KillPE
-	// outside [0, NumPEs) never fires. Ignored on TCP, where faults are
-	// real (kill the worker process). Fleet-level: ignored on the per-job
-	// config passed to Submit.
-	KillPE    int
-	KillAfter int64
 
 	// Trace enables the observability subsystem: every worker records
 	// scheduling/cache/steal events into a fixed-capacity ring
@@ -158,8 +136,8 @@ const maxTraceCap = 1 << 20
 
 // wireKnobs lists the job-level fields — what KJobStart and KSubmit carry
 // — grouped by wire type, for both codec halves. The rest of Config is the
-// driver's (NumPEs, Workers, Spares, ProbeInterval, RoundTimeout, Latency)
-// or the fleet's (KillPE, KillAfter, MaxJobs) and never crosses a wire.
+// driver's (NumPEs, Workers, Spares, RoundTimeout, Latency) or the fleet's
+// (MaxJobs) and never crosses a wire.
 func (c *Config) wireKnobs() (ints []*int, flags []*bool, budgets []*int64) {
 	return []*int{&c.PageElems, &c.CachePages, &c.TraceCap, &c.TraceSample},
 		[]*bool{&c.Steal, &c.Adapt, &c.Trace, &c.Heat},
@@ -182,9 +160,6 @@ func (c *Config) fill() error {
 	if c.NumPEs > maxPEs {
 		return fmt.Errorf("cluster: %d PEs exceeds the maximum %d a packed SP or array ID can name", c.NumPEs, maxPEs)
 	}
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = 100 * time.Microsecond
-	}
 	if c.Latency < 0 {
 		return fmt.Errorf("cluster: negative injected latency %v", c.Latency)
 	}
@@ -196,9 +171,6 @@ func (c *Config) fill() error {
 	}
 	if len(c.Spares) > 0 && len(c.Workers) == 0 {
 		return fmt.Errorf("cluster: %d spare addresses without TCP workers", len(c.Spares))
-	}
-	if c.KillAfter < 0 {
-		return fmt.Errorf("cluster: negative KillAfter %d", c.KillAfter)
 	}
 	if c.TraceCap < 0 || c.TraceCap > maxTraceCap || c.TraceSample < 0 {
 		return fmt.Errorf("cluster: trace bound out of range (cap %d, at most %d; sample %d)", c.TraceCap, maxTraceCap, c.TraceSample)

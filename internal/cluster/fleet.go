@@ -7,6 +7,7 @@ import (
 	"net"
 	"slices"
 	"sync"
+	"time"
 
 	"repro/internal/isa"
 )
@@ -138,9 +139,10 @@ func (h *fleetHost) startJob(ctx context.Context, m *Msg) {
 // runs one program on the fleet; any number of Submits may be in flight
 // concurrently, bounded by Config.MaxJobs.
 type Fleet struct {
-	cfg Config
-	n   int
-	ep  Endpoint
+	cfg   Config
+	n     int
+	ep    Endpoint
+	probe time.Duration // its drivers' probe cadence: probeInterval, or a test's set before Submit
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -163,8 +165,7 @@ type Fleet struct {
 
 // OpenFleet brings a persistent fleet up. Geometry-free: per-job knobs
 // (page size, stealing, budgets, ...) are chosen at Submit time; the fleet
-// config fixes the transport, PE count, fault injection, and the
-// concurrent-job cap.
+// config fixes the transport, PE count and the concurrent-job cap.
 func OpenFleet(ctx context.Context, cfg Config) (*Fleet, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -172,6 +173,7 @@ func OpenFleet(ctx context.Context, cfg Config) (*Fleet, error) {
 	f := &Fleet{
 		cfg:   cfg,
 		n:     cfg.NumPEs,
+		probe: probeInterval,
 		jobs:  make(map[int32]*mailbox),
 		progs: make(map[int32]*isa.Program),
 	}
@@ -185,11 +187,7 @@ func OpenFleet(ctx context.Context, cfg Config) (*Fleet, error) {
 			return nil, err
 		}
 	} else {
-		killPE := -1
-		if cfg.KillAfter > 0 && cfg.KillPE >= 0 && cfg.KillPE < f.n {
-			killPE = cfg.KillPE
-		}
-		f.cnet = newChanNet(f.n, cfg.Latency, killPE, cfg.KillAfter)
+		f.cnet = newChanNet(f.n, cfg.Latency)
 		for pe := 0; pe < f.n; pe++ {
 			f.startHost(pe, f.cnet.endpoint(pe))
 		}
@@ -321,8 +319,7 @@ func (f *Fleet) allocJobIDLocked() int32 {
 // Submit runs one program on the fleet and waits for its result. Safe for
 // concurrent use; each call is an isolated job. cfg supplies the job's
 // scheduling knobs, geometry, and budgets (capped by the fleet's) —
-// transport fields (Workers, Spares, NumPEs, fault injection) come from
-// the fleet.
+// transport fields (Workers, Spares, NumPEs) come from the fleet.
 func (f *Fleet) Submit(ctx context.Context, prog *isa.Program, cfg Config, args ...isa.Value) (*Result, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
@@ -477,7 +474,7 @@ func (f *Fleet) run(ctx context.Context, id int32, box *mailbox, cfg *Config, pr
 			return nil, &deathError{pe, fmt.Errorf("cluster: starting job: %w", err)}
 		}
 	}
-	return drive(ctx, jep, *cfg, entry, args)
+	return drive(ctx, jep, *cfg, f.probe, entry, args)
 }
 
 // jobStartMsg builds one PE's KJobStart: the job's config and (on TCP) the

@@ -34,6 +34,7 @@ func TestFleetTCPConcurrentJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fleet.Close()
+	seams{probe: fastProbe}.set(fleet) // the relax job's rebinds ride it
 
 	jobs := []struct {
 		kernel string
@@ -42,7 +43,7 @@ func TestFleetTCPConcurrentJobs(t *testing.T) {
 	}{
 		{"matmul", 10, Config{PageElems: 8}},
 		{"heat", 10, Config{PageElems: 8, Steal: true}},
-		{"relax", 8, Config{PageElems: 8, Adapt: true, ProbeInterval: 20 * time.Microsecond}},
+		{"relax", 8, Config{PageElems: 8, Adapt: true}},
 		{"triangular", 10, Config{PageElems: 8, Steal: true, CachePages: 2}},
 	}
 
@@ -186,6 +187,7 @@ func TestServeJobsSlowClient(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stalls for over two seconds")
 	}
+	t.Parallel() // beside the CPU-bound tests
 	ctx := testCtx(t)
 	fleet, err := OpenFleet(ctx, Config{NumPEs: 2})
 	if err != nil {

@@ -18,15 +18,16 @@ import (
 // the driver a turn of drive's loop (handle, openRound, closeRound,
 // backoff, gather). Frames are released per (sender, receiver) pair in send
 // order, each after a seeded delay; seeded stalls skip PEs' turns. Time is
-// virtual, a round a nanosecond: ProbeInterval and RoundTimeout count
+// virtual, a round a nanosecond: the probe cadence and RoundTimeout count
 // rounds, and once every PE would block with nothing in flight the clock
 // skips to the driver's next deadline. The zero schedule delays and stalls
 // nothing; the pinned results in this package are measured on it.
 
 // schedule is one harness schedule.
 type schedule struct {
-	seed   uint64 // 0: the zero schedule
-	killAt int64  // PE killPE dies on the killAt-th data frame or ack it sends (0: never)
+	seed   uint64        // 0: the zero schedule
+	killAt int64         // PE killPE dies on the killAt-th data frame or ack it sends (0: never)
+	probe  time.Duration // the driver's probe cadence in rounds (0: the seed picks it)
 }
 
 const killPE = 1
@@ -37,16 +38,18 @@ type harness struct {
 	ws                     []*worker
 	boxes                  []*mailbox // every party's mailbox: PEs 0..n-1, the driver at n
 	held                   []heldFrame
-	lastDue                []int64      // per (from, to) pair: keeps each pair's dues in send order
-	blocked                []bool       // the PE's last turn idled and moved nothing: it would block
-	now, rounds, maxRounds int64        // the virtual clock, and the rounds run and allowed
-	ticks                  int          // inter-round waits that ran their full length
-	rng                    *rand.Rand   // nil on the zero schedule
-	delay, stall           int          // per-frame delay bound (rounds); per-turn stall chance (%)
-	killAt, kill           int64        // the kill's frame index, and PE killPE's count so far
-	dead                   int          // the killed PE, or -1
-	sent                   [][256]int64 // frames sent from PE to PE, by sender and kind
-	each                   func()       // runs after every round
+	lastDue                []int64       // per (from, to) pair: keeps each pair's dues in send order
+	delay                  []int         // per (from, to) pair: the frame delay bound (rounds)
+	blocked                []bool        // the PE's last turn idled and moved nothing: it would block
+	now, rounds, maxRounds int64         // the virtual clock, and the rounds run and allowed
+	ticks                  int           // inter-round waits that ran their full length
+	rng                    *rand.Rand    // nil on the zero schedule
+	stall                  int           // per-turn stall chance (%)
+	probe                  time.Duration // the driver's probe cadence (rounds)
+	killAt, kill           int64         // the kill's frame index, and PE killPE's count so far
+	dead                   int           // the killed PE, or -1
+	sent                   [][256]int64  // frames sent from PE to PE, by sender and kind
+	each                   func()        // runs after every round
 }
 
 type heldFrame struct {
@@ -55,22 +58,35 @@ type heldFrame struct {
 }
 
 // newHarness builds a job's workers on sch, cfg filled with the backends'
-// defaults. A seed picks the frame delay bound, the stall chance and, unless
-// cfg sets one, the probe cadence.
+// defaults. A seed picks the frame delay bounds, the stall chance and,
+// unless sch sets one, the probe cadence (probeInterval on the zero
+// schedule). An even seed gives every pair one delay bound; an odd seed
+// skews them, each pair drawing its own from {0, 0, 1, 64}, so one PE's
+// probes or acks can lag far behind the others'.
 func newHarness(t testing.TB, prog *isa.Program, cfg Config, sch schedule) *harness {
-	if sch.seed != 0 && cfg.ProbeInterval == 0 {
-		cfg.ProbeInterval = []time.Duration{8, 64, 512, 100_000}[sch.seed%4]
-	}
 	if err := cfg.fill(); err != nil {
 		t.Fatal(err)
 	}
 	n := cfg.NumPEs
 	h := &harness{prog: prog, cfg: cfg, boxes: make([]*mailbox, n+1), lastDue: make([]int64, (n+1)*(n+1)),
-		blocked: make([]bool, n), maxRounds: 1 << 24, killAt: sch.killAt, dead: -1, sent: make([][256]int64, n)}
+		delay: make([]int, (n+1)*(n+1)), blocked: make([]bool, n), maxRounds: 1 << 24, probe: sch.probe,
+		killAt: sch.killAt, dead: -1, sent: make([][256]int64, n)}
+	if h.probe == 0 {
+		h.probe = probeInterval
+		if sch.seed != 0 {
+			h.probe = []time.Duration{8, 64, 512, 100_000}[sch.seed%4]
+		}
+	}
 	if sch.seed != 0 {
 		h.rng = rand.New(rand.NewPCG(sch.seed, 0x5eed))
-		h.delay = []int{0, 1, 3, 8, 32}[h.rng.IntN(5)]
+		delay := []int{0, 1, 3, 8, 32}[h.rng.IntN(5)]
 		h.stall = []int{0, 10, 40}[h.rng.IntN(3)]
+		for i := range h.delay {
+			h.delay[i] = delay
+			if sch.seed%2 == 1 {
+				h.delay[i] = []int{0, 0, 1, 64}[h.rng.IntN(4)]
+			}
+		}
 	}
 	for i := range h.boxes {
 		h.boxes[i] = newMailbox()
@@ -114,11 +130,11 @@ func (e harnessEP) Send(to int, m *Msg) error {
 	if e.self < n && to < n {
 		h.sent[e.self][m.Kind]++
 	}
+	pair := e.self*(n+1) + to
 	due := h.now
 	if h.rng != nil {
-		due += int64(h.rng.IntN(h.delay + 1))
+		due += int64(h.rng.IntN(h.delay[pair] + 1))
 	}
-	pair := e.self*(n+1) + to
 	due = max(due, h.lastDue[pair])
 	h.lastDue[pair] = due
 	if due <= h.now {
@@ -222,7 +238,7 @@ const (
 // data frames left, and no end within maxRounds, are errors too.
 func (h *harness) run(args ...isa.Value) (*Result, error) {
 	n := len(h.ws)
-	d := newDriver(h.endpoint(n), h.cfg)
+	d := newDriver(h.endpoint(n), h.cfg, h.probe)
 	err := d.send(0, &Msg{Kind: KSpawn, Tmpl: int32(h.prog.EntryID), Args: args})
 	if err == nil {
 		err = d.openRound()

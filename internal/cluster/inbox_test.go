@@ -32,7 +32,7 @@ func newChanRig(t *testing.T) *inboxRig {
 	r := &inboxRig{t: t, boxes: make(map[int32]*mailbox)}
 	_, prog := compileKernel(t, "matmul")
 	r.wire = rigWire(t, prog)
-	cn := newChanNet(2, 0, -1, 0)
+	cn := newChanNet(2, 0)
 	r.drv = cn.ins[2]
 	ep := cn.endpoint(0)
 	h := newFleetHost(0, 2, ep, ep.in, func(int32, []byte) (*isa.Program, error) { return prog, nil })
@@ -342,7 +342,7 @@ func TestInboxConcurrentSenders(t *testing.T) {
 	}
 
 	t.Run("chan", func(t *testing.T) {
-		cn := newChanNet(senders, 0, -1, 0)
+		cn := newChanNet(senders, 0)
 		check(t, cn.ins[0], func(from int, m *Msg) {
 			if err := cn.endpoint(from).Send(0, m); err != nil {
 				t.Error(err)
@@ -372,7 +372,8 @@ func TestInboxConcurrentSenders(t *testing.T) {
 // more: its receive fails with ErrClosed at once, and the driver hears a
 // KDown.
 func TestChanSeverDiscardsQueued(t *testing.T) {
-	cn := newChanNet(2, 0, 0, 0)
+	cn := newChanNet(2, 0)
+	cn.arm(0, 0)
 	pe, driver := cn.endpoint(0), cn.endpoint(2)
 	for _, m := range []*Msg{{Kind: KSpawn}, {Kind: KStop}} {
 		if err := driver.Send(0, m); err != nil {

@@ -17,19 +17,17 @@ import (
 // mid-run, a death during the result gather, TCP re-homing onto a spare
 // worker, a peer a worker cannot reach, and a death with no spare left.
 
-// runKilled executes a kernel with PE killPE fault-injected after
-// killAfter worker-to-worker frames, then checks the arrays bit-for-bit
-// against the simulator.
-func runKilled(t *testing.T, k kernels.Kernel, n, pes, killPE int, killAfter int64, cfg Config) *Result {
+// runKilled executes a kernel on a fleet with s set, which kills PE s.pe
+// after s.after frames, then checks the arrays bit-for-bit against the
+// simulator.
+func runKilled(t *testing.T, k kernels.Kernel, n, pes int, s seams, cfg Config) *Result {
 	t.Helper()
 	prog := compile(t, k.File(), k.Source)
 	wantVals, wantMasks := simArraysMasked(t, prog, pes, k.Arrays, k.Args(n)...)
 	cfg.NumPEs = pes
-	cfg.KillPE = killPE
-	cfg.KillAfter = killAfter
-	res, err := Execute(testCtx(t), prog, cfg, k.Args(n)...)
+	res, err := execWith(testCtx(t), prog, cfg, s, k.Args(n)...)
 	if err != nil {
-		t.Fatalf("killed run (pes=%d kill=%d after=%d): %v", pes, killPE, killAfter, err)
+		t.Fatalf("killed run (pes=%d kill=%d after=%d): %v", pes, s.pe, s.after, err)
 	}
 	checkAgainstSimMasked(t, res, wantVals, wantMasks)
 	return res
@@ -38,7 +36,7 @@ func runKilled(t *testing.T, k kernels.Kernel, n, pes, killPE int, killAfter int
 func TestRecoverKillMidRun(t *testing.T) {
 	k, _ := kernels.ByName("heat")
 	for _, pes := range []int{2, 4, 8} {
-		res := runKilled(t, k, 10, pes, 1, 4, Config{PageElems: 8})
+		res := runKilled(t, k, 10, pes, seams{pe: 1, after: 4}, Config{PageElems: 8})
 		if res.Stats.Recoveries < 1 {
 			t.Errorf("%d PEs: Recoveries = %d, want >= 1 (kill never fired?)", pes, res.Stats.Recoveries)
 		}
@@ -65,7 +63,7 @@ func main(n: int) {
 		}
 	}
 }`}
-	res := runKilled(t, k, 10, 2, 1, 2, Config{PageElems: 8})
+	res := runKilled(t, k, 10, 2, seams{pe: 1, after: 2}, Config{PageElems: 8})
 	if res.Stats.Recoveries < 1 {
 		t.Errorf("Recoveries = %d, want >= 1", res.Stats.Recoveries)
 	}
@@ -75,7 +73,7 @@ func main(n: int) {
 // must still converge to the reference results.
 func TestRecoverKillPEZero(t *testing.T) {
 	k, _ := kernels.ByName("heat")
-	res := runKilled(t, k, 10, 4, 0, 6, Config{PageElems: 8})
+	res := runKilled(t, k, 10, 4, seams{pe: 0, after: 6}, Config{PageElems: 8})
 	if res.Stats.Recoveries < 1 {
 		t.Errorf("Recoveries = %d, want >= 1", res.Stats.Recoveries)
 	}
@@ -90,10 +88,8 @@ func TestRecoverWithDynamicMechanisms(t *testing.T) {
 		if name == "relax" {
 			n = 8
 		}
-		res := runKilled(t, k, n, 4, 2, 2, Config{
-			PageElems: 8, Steal: true, Adapt: true, CachePages: 2,
-			ProbeInterval: 20 * time.Microsecond,
-		})
+		res := runKilled(t, k, n, 4, seams{probe: fastProbe, pe: 2, after: 2},
+			Config{PageElems: 8, Steal: true, Adapt: true, CachePages: 2})
 		if res.Stats.Recoveries < 1 {
 			t.Errorf("%s: Recoveries = %d, want >= 1", name, res.Stats.Recoveries)
 		}
@@ -187,7 +183,7 @@ func TestRecoverTCPSpare(t *testing.T) {
 
 	var wg sync.WaitGroup
 	t.Cleanup(wg.Wait)
-	cfg := Config{PageElems: 8, ProbeInterval: time.Millisecond}
+	cfg := Config{PageElems: 8}
 	var kills []func()
 	for i := 0; i < 4; i++ {
 		addr, kill := startServeWorker(t, &wg)
@@ -204,7 +200,7 @@ func TestRecoverTCPSpare(t *testing.T) {
 	defer timer.Stop()
 
 	start := time.Now()
-	res, err := Execute(testCtx(t), prog, cfg, args...)
+	res, err := execWith(testCtx(t), prog, cfg, seams{probe: time.Millisecond}, args...)
 	if err != nil {
 		t.Fatalf("TCP run with spare: %v", err)
 	}

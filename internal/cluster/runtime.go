@@ -125,6 +125,14 @@ type deathError struct {
 
 func (e *deathError) Error() string { return e.err.Error() }
 
+// probeInterval is the mid-run cadence of the driver's probe rounds — what
+// paces adapt cost flushes and rebinds, the heat cap governor, steal
+// revival and the MaxInstrs check. The driver backs off geometrically up to
+// 50× this while the program is still running. It is not the detection
+// latency: workers report going idle and the driver confirms with an
+// immediate round, so a finished job never waits out an interval.
+const probeInterval = 100 * time.Microsecond
+
 // driver is one run's driver state: result assembly, the termination
 // detector, the adapt coordinator, budgets, the metrics timeline and the
 // probe cadence. Its methods never wait. drive runs them under the wall
@@ -152,16 +160,17 @@ type driver struct {
 	start    time.Time
 
 	round         int32
-	roundComplete bool // every PE acked round
-	probeReset    bool // a new sweep reported costs: reset the back-off
+	roundComplete bool          // every PE acked round
+	probeReset    bool          // a new sweep reported costs: reset the back-off
+	probe         time.Duration // the base cadence: probeInterval, or a test's
 	interval      time.Duration
 	expect        int // dump segments the gather still waits for
 }
 
-func newDriver(ep *jobEndpoint, cfg Config) driver {
+func newDriver(ep *jobEndpoint, cfg Config, probe time.Duration) driver {
 	n := cfg.NumPEs
 	d := driver{ep: *ep, cfg: cfg, n: n, det: *newDetector(n), ad: *newAdaptCoord(n),
-		start: time.Now(), interval: cfg.ProbeInterval,
+		start: time.Now(), probe: probe, interval: probe,
 		res: &Result{NumPEs: n, arrays: make(map[int64]*gathered), byName: make(map[string]int64)}}
 	if cfg.Trace {
 		d.tb = trace.NewTimelineBuilder(timelineCap)
@@ -300,9 +309,9 @@ func (d *driver) closeRound() (done bool, err error) {
 // lasting probe overhead.
 func (d *driver) backoff(ticked bool) {
 	if d.probeReset {
-		d.interval = d.cfg.ProbeInterval
+		d.interval = d.probe
 		d.probeReset = false
-	} else if ticked && d.interval < 50*d.cfg.ProbeInterval {
+	} else if ticked && d.interval < 50*d.probe {
 		d.interval *= 2
 	}
 }
@@ -340,11 +349,11 @@ func (d *driver) stalled(diag string) error {
 
 // drive is the driver loop: spawn the entry SP on PE 0, then alternate
 // between handling worker messages and termination probes; on termination,
-// gather every array and stop the workers. A worker death returns a
-// *deathError; a stalled round or gather names no dead PE and is a plain
-// error.
-func drive(ctx context.Context, ep *jobEndpoint, cfg Config, entry *isa.Template, args []isa.Value) (*Result, error) {
-	d := newDriver(ep, cfg)
+// gather every array and stop the workers. Probe rounds start at the
+// cadence probe. A worker death returns a *deathError; a stalled round or
+// gather names no dead PE and is a plain error.
+func drive(ctx context.Context, ep *jobEndpoint, cfg Config, probe time.Duration, entry *isa.Template, args []isa.Value) (*Result, error) {
+	d := newDriver(ep, cfg, probe)
 	defer func() {
 		for pe := 0; pe < d.n; pe++ {
 			_ = ep.Send(pe, &Msg{Kind: KStop})
@@ -354,7 +363,7 @@ func drive(ctx context.Context, ep *jobEndpoint, cfg Config, entry *isa.Template
 		return fmt.Errorf("cluster: run cancelled (deadlocked dataflow program? %d live SPs): %w", d.det.liveSPs(), err)
 	}
 	// The driver's one timer: every bounded wait below re-arms it.
-	timer := time.NewTimer(cfg.ProbeInterval)
+	timer := time.NewTimer(probe)
 	defer timer.Stop()
 
 	if err := d.send(0, &Msg{Kind: KSpawn, Tmpl: int32(entry.ID), Args: args}); err != nil {

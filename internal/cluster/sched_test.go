@@ -18,26 +18,12 @@ import (
 // death, and the job's re-run on fresh workers must gather the
 // simulator's arrays.
 
-const (
-	sweepN      = 10
-	sweepRounds = 1 << 16
-)
+const sweepRounds = 1 << 16
 
-// sweepRows are the knob rows the sweep crosses with every kernel. The
-// adapt rows' cadence is a few rounds, so rebinds land in these small
-// runs.
-var sweepRows = []struct {
-	name string
-	cfg  Config
-}{
-	{"base", Config{}},
-	{"steal", Config{Steal: true}},
-	{"adapt", Config{Adapt: true, ProbeInterval: 8}},
-	{"evict", Config{CachePages: 2}},
-	{"heat+evict", Config{CachePages: 2, Heat: true}},
-	{"heat+evict+adapt+steal+trace", Config{CachePages: 2, Heat: true, Adapt: true, Steal: true,
-		ProbeInterval: 8, Trace: true, TraceCap: 256}},
-}
+// sweepRows are the knobRows rows the sweep crosses with every kernel. The
+// adapt rows probe every 8 rounds, so rebinds land in these small runs; the
+// other rows probe at the seeded cadence.
+var sweepRows = []string{"base", "steal", "adapt", "evict", "heat+evict", "heat+evict+adapt+steal+trace"}
 
 // schedCase names one sweep run; it is all a failure needs to replay.
 type schedCase struct {
@@ -58,8 +44,9 @@ var schedCases = []schedCase{
 	{"relax", "heat+evict+adapt+steal+trace", 4, 33, 33},
 }
 
-// sweepRef is a kernel compiled once with its simulator arrays.
-type sweepRef struct {
+// kernelRef is a kernel compiled once with its simulator arrays at 1 PE,
+// and the seeded sweep's counts over the runs it checked.
+type kernelRef struct {
 	t            *testing.T
 	k            kernels.Kernel
 	prog         *isa.Program
@@ -69,35 +56,33 @@ type sweepRef struct {
 	kills, joins int64 // runs whose PE died; read joins in the unkilled runs
 }
 
-func newSweepRef(t *testing.T, name string) *sweepRef {
+func newKernelRef(t *testing.T, name string) *kernelRef {
 	k, ok := kernels.ByName(name)
 	if !ok {
 		t.Fatalf("unknown kernel %q", name)
 	}
-	r := &sweepRef{t: t, k: k, prog: compile(t, k.File(), k.Source)}
-	r.vals, r.masks = simArraysMasked(t, r.prog, 4, k.Arrays, k.Args(sweepN)...)
+	r := &kernelRef{t: t, k: k, prog: compile(t, k.File(), k.Source)}
+	r.vals, r.masks = simArraysMasked(t, r.prog, 1, k.Arrays, k.Args(kernelN)...)
 	return r
 }
 
 // run makes one sweep run and checks it.
-func (r *sweepRef) run(c schedCase) error {
-	i := 0
-	for i < len(sweepRows) && sweepRows[i].name != c.row {
-		i++
-	}
-	if i == len(sweepRows) {
-		return fmt.Errorf("unknown row %q", c.row)
-	}
-	cfg := sweepRows[i].cfg
+func (r *kernelRef) run(c schedCase) error {
+	cfg := rowNamed(r.t, c.row).cfg
 	cfg.NumPEs, cfg.PageElems = c.pes, 8
-	res, h, err := r.once(cfg, schedule{seed: c.seed, killAt: c.kill})
+	sch := schedule{seed: c.seed, killAt: c.kill}
+	if cfg.Adapt {
+		sch.probe = 8
+	}
+	res, h, err := r.once(cfg, sch)
 	if h.dead >= 0 {
 		r.kills++
 		var death *deathError
 		if !errors.As(err, &death) {
 			return fmt.Errorf("pe %d died, but the driver returned %v, not a death (result %v)", killPE, err, res != nil)
 		}
-		res, _, err = r.once(cfg, schedule{seed: c.seed})
+		sch.killAt = 0
+		res, _, err = r.once(cfg, sch)
 	}
 	if err != nil {
 		return err
@@ -106,10 +91,10 @@ func (r *sweepRef) run(c schedCase) error {
 	return diffArrays(res, r.vals, r.masks)
 }
 
-func (r *sweepRef) once(cfg Config, sch schedule) (*Result, *harness, error) {
+func (r *kernelRef) once(cfg Config, sch schedule) (*Result, *harness, error) {
 	h := newHarness(r.t, r.prog, cfg, sch)
 	h.maxRounds = sweepRounds
-	res, err := h.run(r.k.Args(sweepN)...)
+	res, err := h.run(r.k.Args(kernelN)...)
 	r.rounds += h.rounds
 	r.max = max(r.max, h.rounds)
 	return res, h, err
@@ -117,7 +102,7 @@ func (r *sweepRef) once(cfg Config, sch schedule) (*Result, *harness, error) {
 
 // sweep runs cases on one kernel's reference, reporting each failure
 // with its replay line.
-func (r *sweepRef) sweep(cases []schedCase) {
+func (r *kernelRef) sweep(cases []schedCase) {
 	t := r.t
 	t.Helper()
 	failed := 0
@@ -138,12 +123,12 @@ func TestSeededSchedules(t *testing.T) {
 	for _, k := range kernels.All() {
 		t.Run(k.Name, func(t *testing.T) {
 			t.Parallel()
-			r := newSweepRef(t, k.Name)
+			r := newKernelRef(t, k.Name)
 			var cases []schedCase
 			for _, row := range sweepRows {
 				for _, pes := range []int{2, 4, 8} {
 					for seed := uint64(1); seed <= sweepSeeds; seed++ {
-						cases = append(cases, schedCase{k.Name, row.name, pes, seed, 0})
+						cases = append(cases, schedCase{k.Name, row, pes, seed, 0})
 					}
 				}
 			}
@@ -159,12 +144,12 @@ func TestKillSchedules(t *testing.T) {
 	for _, name := range []string{"matmul", "heat", "relax"} {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			r := newSweepRef(t, name)
+			r := newKernelRef(t, name)
 			var cases []schedCase
 			for _, row := range sweepRows {
 				for _, pes := range []int{2, 4} {
 					for kill := int64(1); kill <= 64; kill += killStride {
-						cases = append(cases, schedCase{name, row.name, pes, uint64(kill), kill})
+						cases = append(cases, schedCase{name, row, pes, uint64(kill), kill})
 					}
 				}
 			}
@@ -175,10 +160,10 @@ func TestKillSchedules(t *testing.T) {
 
 // TestScheduleCases replays the committed cases.
 func TestScheduleCases(t *testing.T) {
-	refs := make(map[string]*sweepRef)
+	refs := make(map[string]*kernelRef)
 	for _, c := range schedCases {
 		if refs[c.kernel] == nil {
-			refs[c.kernel] = newSweepRef(t, c.kernel)
+			refs[c.kernel] = newKernelRef(t, c.kernel)
 		}
 		refs[c.kernel].sweep([]schedCase{c})
 	}

@@ -35,13 +35,13 @@ func taskProgram() *isa.Program {
 	}
 }
 
-// simArraysMasked runs the simulator as the reference backend, returning
-// values and written-masks (kernels like triangular legitimately leave
-// elements unwritten, which plain simArrays rejects).
+// simArraysMasked runs the simulator as the reference backend on 8-element
+// pages, returning values and written-masks (kernels like triangular
+// legitimately leave elements unwritten, which plain simArrays rejects).
 func simArraysMasked(t *testing.T, prog *isa.Program, pes int, names []string,
 	args ...isa.Value) (map[string][]float64, map[string][]bool) {
 	t.Helper()
-	m, err := sim.New(prog, sim.Config{NumPEs: pes})
+	m, err := sim.New(prog, sim.Config{NumPEs: pes, PageElems: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,16 +77,25 @@ func diffArrays(res *Result, wantVals map[string][]float64, wantMasks map[string
 		if err != nil {
 			return err
 		}
-		if len(vals) != len(want) {
-			return fmt.Errorf("%s: %d elements, want %d", name, len(vals), len(want))
+		if err := diffArray(name, vals, mask, want, wantMasks[name]); err != nil {
+			return err
 		}
-		for i := range want {
-			if mask[i] != wantMasks[name][i] {
-				return fmt.Errorf("%s[%d]: written=%v, want %v", name, i, mask[i], wantMasks[name][i])
-			}
-			if mask[i] && vals[i] != want[i] {
-				return fmt.Errorf("%s[%d] = %v, want %v (cluster disagrees with sim)", name, i, vals[i], want[i])
-			}
+	}
+	return nil
+}
+
+// diffArray reports the first difference between two runs' copies of an
+// array, values and written-masks both.
+func diffArray(name string, vals []float64, mask []bool, want []float64, wantMask []bool) error {
+	if len(vals) != len(want) {
+		return fmt.Errorf("%s: %d elements, want %d", name, len(vals), len(want))
+	}
+	for i := range want {
+		if mask[i] != wantMask[i] {
+			return fmt.Errorf("%s[%d]: written=%v, want %v", name, i, mask[i], wantMask[i])
+		}
+		if mask[i] && vals[i] != want[i] {
+			return fmt.Errorf("%s[%d] = %v, want %v (backends disagree)", name, i, vals[i], want[i])
 		}
 	}
 	return nil
@@ -311,44 +320,6 @@ func TestStealDeterminacyPumpedTriangular(t *testing.T) {
 			return st
 		})
 	}
-}
-
-// kernelsAgreeWithSim runs every kernel at 1, 2, 4 and 8 PEs under each
-// config (NumPEs and PageElems are set here) and compares the cluster's
-// arrays bit-for-bit against the simulator.
-func kernelsAgreeWithSim(t *testing.T, cfgs ...Config) {
-	const n = 8
-	for _, k := range kernels.All() {
-		t.Run(k.Name, func(t *testing.T) {
-			prog := compile(t, k.File(), k.Source)
-			wantVals, wantMasks := simArraysMasked(t, prog, 4, k.Arrays, k.Args(n)...)
-			for _, pes := range []int{1, 2, 4, 8} {
-				for _, cfg := range cfgs {
-					cfg.NumPEs, cfg.PageElems = pes, 8
-					res, err := Execute(testCtx(t), prog, cfg, k.Args(n)...)
-					if err != nil {
-						t.Fatalf("%d PEs %+v: %v", pes, cfg, err)
-					}
-					checkAgainstSimMasked(t, res, wantVals, wantMasks)
-				}
-			}
-		})
-	}
-}
-
-// TestClusterDeterminacyDefaultKnob: the static scheduler (every knob at
-// its default) agrees with the simulator on every kernel.
-func TestClusterDeterminacyDefaultKnob(t *testing.T) { kernelsAgreeWithSim(t, Config{}) }
-
-// TestStealKeepsKernelsDeterminate: migration with stealing on is never
-// observable in the results.
-func TestStealKeepsKernelsDeterminate(t *testing.T) { kernelsAgreeWithSim(t, Config{Steal: true}) }
-
-// TestEvictionKeepsKernelsDeterminate: with a two-page cache cap,
-// evictions and refetches mid-run are not observable, alone or combined
-// with stealing and adaptation.
-func TestEvictionKeepsKernelsDeterminate(t *testing.T) {
-	kernelsAgreeWithSim(t, Config{CachePages: 2}, Config{CachePages: 2, Steal: true, Adapt: true})
 }
 
 // TestStealGrantBatchHalfOldestFirst pins the batched victim policy: a

@@ -305,7 +305,7 @@ func main(n: int) {
 		}
 	}
 }`)
-	cfg := Config{NumPEs: 2, PageElems: 8, ProbeInterval: time.Millisecond}
+	cfg := Config{NumPEs: 2, PageElems: 8}
 	if err := cfg.fill(); err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func main(n: int) {
 	}
 
 	eps[cfg.NumPEs].out = &dropDumpReqEndpoint{Endpoint: eps[cfg.NumPEs].out, dropTo: 1}
-	_, err := drive(ctx, eps[cfg.NumPEs], cfg, prog.Entry(), []isa.Value{isa.Int(8)})
+	_, err := drive(ctx, eps[cfg.NumPEs], cfg, time.Millisecond, prog.Entry(), []isa.Value{isa.Int(8)})
 	if err == nil {
 		t.Fatal("drive returned no error although PE 1's dump request was lost")
 	}
@@ -350,7 +350,7 @@ func main(n: int) {
 // run context expires.
 func TestDriveRoundDeadlineReportsSilentWorker(t *testing.T) {
 	prog := taskProgram()
-	cfg := Config{NumPEs: 2, ProbeInterval: time.Millisecond, RoundTimeout: 150 * time.Millisecond}
+	cfg := Config{NumPEs: 2, RoundTimeout: 150 * time.Millisecond}
 	if err := cfg.fill(); err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestDriveRoundDeadlineReportsSilentWorker(t *testing.T) {
 	}()
 
 	start := time.Now()
-	_, err := drive(ctx, eps[cfg.NumPEs], cfg, prog.Entry(), []isa.Value{isa.SPRef(0), isa.Float(0)})
+	_, err := drive(ctx, eps[cfg.NumPEs], cfg, time.Millisecond, prog.Entry(), []isa.Value{isa.SPRef(0), isa.Float(0)})
 	if err == nil {
 		t.Fatal("drive returned no error although PE 1 never acked")
 	}
@@ -498,8 +498,7 @@ func TestTerminationIndependentOfProbeTimer(t *testing.T) {
 		for _, k := range kernels.All() {
 			for _, cfg := range []Config{{}, {Steal: true}, {Adapt: true, Steal: true}} {
 				for seed := range uint64(4) {
-					cfg.ProbeInterval = time.Hour
-					if h, _ := harnessRun(t, k, 10, 4, cfg, schedule{seed: seed}); h.ticks != 0 {
+					if h, _ := harnessRun(t, k, 10, 4, cfg, schedule{seed: seed, probe: time.Hour}); h.ticks != 0 {
 						t.Errorf("%s %+v seed %d: the probe timer fired %d times", k.Name, cfg, seed, h.ticks)
 					}
 				}
@@ -532,11 +531,11 @@ func TestTerminationIndependentOfProbeTimer(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer f.Close()
+			seams{probe: time.Hour}.set(f)
 			submit := func(prog *isa.Program, cfg Config, args ...isa.Value) *Result {
 				t.Helper()
 				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 				defer cancel()
-				cfg.ProbeInterval = time.Hour
 				cfg.PageElems = 8
 				res, err := f.Submit(ctx, prog, cfg, args...)
 				if err != nil {

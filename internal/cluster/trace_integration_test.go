@@ -15,8 +15,7 @@ import (
 // events — the stall diagnostic a flight recorder exists for.
 func TestStallDumpIncludesTraceTails(t *testing.T) {
 	prog := taskProgram()
-	cfg := Config{NumPEs: 2, ProbeInterval: time.Millisecond,
-		RoundTimeout: 150 * time.Millisecond, Trace: true}
+	cfg := Config{NumPEs: 2, RoundTimeout: 150 * time.Millisecond, Trace: true}
 	if err := cfg.fill(); err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +35,7 @@ func TestStallDumpIncludesTraceTails(t *testing.T) {
 		w0.run(ctx)
 	}()
 
-	_, err := drive(ctx, eps[cfg.NumPEs], cfg, prog.Entry(), []isa.Value{isa.SPRef(0), isa.Float(0)})
+	_, err := drive(ctx, eps[cfg.NumPEs], cfg, time.Millisecond, prog.Entry(), []isa.Value{isa.SPRef(0), isa.Float(0)})
 	if err == nil {
 		t.Fatal("drive returned no error although PE 1 never acked")
 	}

@@ -329,11 +329,11 @@ func (t *inboxTable) shut() {
 // message pointers handed over directly. There is no shared program state —
 // the only thing workers share is the wire.
 //
-// The transport doubles as the fault injector: with killPE/killAfter armed
-// it severs PE killPE's endpoint — sends dropped, its fleet-level box
-// closed with every queued frame discarded (which wakes the PE's fleet host
-// to close its jobs' inboxes, acting on nothing more) — on the first
-// frame that PE sends past killAfter once it has been sent a KSpawn, and
+// The transport doubles as the fault injector, for tests: once armed it
+// severs PE killPE's endpoint — sends dropped, its fleet-level box closed
+// with every queued frame discarded (which wakes the PE's fleet host to
+// close its jobs' inboxes, acting on nothing more) — on the first frame
+// that PE sends past killAfter once it has been sent a KSpawn, and
 // puts a KDown notice in the driver's mailbox, exactly the observable
 // shape of a worker process dying mid-run with its socket resetting. The
 // count advances on data frames and KAcks (probe answers and idle reports)
@@ -376,14 +376,21 @@ type chanEndpoint struct {
 }
 
 // newChanNet builds the transport for n workers plus the driver (index n).
-// latency, when non-zero, is injected on every hop. killPE/killAfter arm
-// the fault injector (killPE -1 disarms it).
-func newChanNet(n int, latency time.Duration, killPE int, killAfter int64) *chanTransport {
-	t := &chanTransport{ins: make([]*inboxTable, n+1), latency: latency, killPE: killPE, killAfter: killAfter}
+// latency, when non-zero, is injected on every hop. The fault injector
+// starts disarmed.
+func newChanNet(n int, latency time.Duration) *chanTransport {
+	t := &chanTransport{ins: make([]*inboxTable, n+1), latency: latency, killPE: -1}
 	for i := range t.ins {
 		t.ins[i] = newInboxTable(latency)
 	}
 	return t
+}
+
+// arm arms the fault injector: PE pe dies on the first frame it sends past
+// after. Sends read the setting without a lock, so arm must precede the
+// first frame: a test arms a fleet's transport before its first Submit.
+func (t *chanTransport) arm(pe int, after int64) {
+	t.killPE, t.killAfter = pe, after
 }
 
 // endpoint returns endpoint i bound to its current inbox table.

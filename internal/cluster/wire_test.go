@@ -298,8 +298,8 @@ func overlay(dst, src *Msg, w wireBlocks) {
 // KJobStart and KSubmit. A knob added to Config but not to wireKnobs
 // fails here instead of being dropped silently on TCP.
 func TestJobConfigCodecComplete(t *testing.T) {
-	notJobLevel := map[string]bool{"NumPEs": true, "Workers": true, "Spares": true, "ProbeInterval": true,
-		"Latency": true, "RoundTimeout": true, "KillPE": true, "KillAfter": true, "MaxJobs": true}
+	notJobLevel := map[string]bool{"NumPEs": true, "Workers": true, "Spares": true,
+		"Latency": true, "RoundTimeout": true, "MaxJobs": true}
 	var cfg Config
 	v := reflect.ValueOf(&cfg).Elem()
 	for i := 0; i < v.NumField(); i++ {

@@ -17,10 +17,9 @@ import (
 )
 
 // tracedRelaxRun runs relax traced at 8 PEs with stealing and adaptation
-// on. With kill, PE 1 also dies after killAfterFrames frames under a
-// two-page cache cap and the job runs again, so the rings are gathered
-// from a re-run.
-func tracedRelaxRun(t *testing.T, kill bool) *pods.ClusterResult {
+// on. internal/cluster's TestKnobGauntlet exports such a run after a
+// worker kill.
+func tracedRelaxRun(t *testing.T) *pods.ClusterResult {
 	t.Helper()
 	k, _ := kernels.ByName("relax")
 	p, err := pods.Compile(k.File(), k.Source)
@@ -29,11 +28,7 @@ func tracedRelaxRun(t *testing.T, kill bool) *pods.ClusterResult {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	cfg := pods.ClusterConfig{NumPEs: 8, Steal: true, Adapt: true, Trace: true}
-	if kill {
-		cfg.CachePages, cfg.KillPE, cfg.KillAfter = 2, 1, killAfterFrames
-	}
-	res, err := p.ExecuteCluster(ctx, cfg, k.Args(24)...)
+	res, err := p.ExecuteCluster(ctx, pods.ClusterConfig{NumPEs: 8, Steal: true, Adapt: true, Trace: true}, k.Args(24)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +36,11 @@ func tracedRelaxRun(t *testing.T, kill bool) *pods.ClusterResult {
 }
 
 func TestTracedRunExportsValidChromeJSON(t *testing.T) {
-	checkChromeTrace(t, tracedRelaxRun(t, false))
+	checkChromeTrace(t, tracedRelaxRun(t))
 }
 
 func TestTracedRunExportsTimelineCSV(t *testing.T) {
-	checkTimelineCSV(t, tracedRelaxRun(t, false))
+	checkTimelineCSV(t, tracedRelaxRun(t))
 }
 
 // checkChromeTrace checks that an 8-PE traced relax run exports a valid
