@@ -375,13 +375,7 @@ func writeTraceFiles(res *cluster.Result, prog *isa.Program, traceOut, timelineO
 		if err != nil {
 			return err
 		}
-		name := func(tmpl int64) string {
-			if t := prog.Template(int(tmpl)); t != nil {
-				return t.Name
-			}
-			return ""
-		}
-		err = trace.WriteChrome(f, tr, name)
+		err = trace.WriteChrome(f, tr, prog.TemplateName)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}

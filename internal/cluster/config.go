@@ -55,17 +55,6 @@ type Config struct {
 	// costs refetches, never correctness.
 	CachePages int
 
-	// RoundTimeout bounds how long the driver waits for one termination-
-	// probe round to complete. A worker that dies or wedges mid-round
-	// would otherwise leave ExecuteCluster hanging silently until its
-	// context expires; when a round exceeds this deadline the run fails
-	// with each PE's last-ack state (round, live SPs, message counters)
-	// instead, and with each PE's trace tail when Trace is set. A stall
-	// names no dead PE, so it fails the job rather than running it again.
-	// The result gather has the same deadline. Defaults to 30s; negative
-	// disables it.
-	RoundTimeout time.Duration
-
 	// Spares lists standby TCP worker addresses (each running
 	// `podsd -worker`). Every job survives a worker death by running again
 	// from its program and arguments, with the dead PE re-homed: onto a new
@@ -109,13 +98,12 @@ type Config struct {
 	MaxInstrs int64
 
 	// Heat enables two decisions on the per-shard page-heat table of
-	// (array, page) → {residency, heat, last touch, sequential-run
-	// length}: sequential scans prefetch the next page before the miss,
-	// and CachePages self-tunes between the configured floor and 8× it
-	// from refetch pressure. The table itself is kept either way, and
-	// steal requests always advertise its hot pages. Off by default: both
-	// ride existing message kinds, so results stay bit-identical either
-	// way.
+	// (array, page) → {residency, heat, sequential-run length}: sequential
+	// scans prefetch the next page before the miss, and CachePages
+	// self-tunes between the configured floor and 8× it from refetch
+	// pressure. The table itself is kept either way, and steal requests
+	// always advertise its hot pages. Off by default: both ride existing
+	// message kinds, so results stay bit-identical either way.
 	Heat bool
 
 	// MaxElems is the job's memory budget in allocated I-structure
@@ -136,8 +124,8 @@ const maxTraceCap = 1 << 20
 
 // wireKnobs lists the job-level fields — what KJobStart and KSubmit carry
 // — grouped by wire type, for both codec halves. The rest of Config is the
-// driver's (NumPEs, Workers, Spares, RoundTimeout, Latency) or the fleet's
-// (MaxJobs) and never crosses a wire.
+// driver's (NumPEs, Workers, Spares, Latency) or the fleet's (MaxJobs) and
+// never crosses a wire.
 func (c *Config) wireKnobs() (ints []*int, flags []*bool, budgets []*int64) {
 	return []*int{&c.PageElems, &c.CachePages, &c.TraceCap, &c.TraceSample},
 		[]*bool{&c.Steal, &c.Adapt, &c.Trace, &c.Heat},
@@ -165,9 +153,6 @@ func (c *Config) fill() error {
 	}
 	if c.CachePages < 0 {
 		return fmt.Errorf("cluster: negative page-cache cap %d", c.CachePages)
-	}
-	if c.RoundTimeout == 0 {
-		c.RoundTimeout = 30 * time.Second
 	}
 	if len(c.Spares) > 0 && len(c.Workers) == 0 {
 		return fmt.Errorf("cluster: %d spare addresses without TCP workers", len(c.Spares))

@@ -46,17 +46,17 @@ func (e *jobEndpoint) Send(to int, m *Msg) error {
 // only fleet-level frames, KJobStart (start a worker on the inbox the table
 // opened) and KJobEnd (forget it: the table closed its inbox).
 type fleetHost struct {
-	pe, n       int
-	ep          Endpoint
-	in          *inboxTable
-	resolveProg func(job int32, wire []byte) (*isa.Program, error)
+	pe, n int
+	ep    Endpoint
+	in    *inboxTable
+	memo  progMemo // the programs decoded from KJobStart wire bytes
 
 	jobs map[int32]*mailbox // inboxes of the workers this host started
 	wg   sync.WaitGroup
 }
 
-func newFleetHost(pe, n int, ep Endpoint, in *inboxTable, resolveProg func(int32, []byte) (*isa.Program, error)) *fleetHost {
-	return &fleetHost{pe: pe, n: n, ep: ep, in: in, resolveProg: resolveProg, jobs: make(map[int32]*mailbox)}
+func newFleetHost(pe, n int, ep Endpoint, in *inboxTable) *fleetHost {
+	return &fleetHost{pe: pe, n: n, ep: ep, in: in, jobs: make(map[int32]*mailbox)}
 }
 
 // serve runs the host until the fleet stops (fleet-level KStop), the
@@ -113,7 +113,11 @@ func (h *fleetHost) startJob(ctx context.Context, m *Msg) {
 		old.close()
 		delete(h.jobs, job)
 	}
-	prog, err := h.resolveProg(job, c.Prog)
+	var err error
+	prog := c.prog // shared on the channel transport, decoded on TCP
+	if prog == nil {
+		prog, err = h.memo.get(c.Prog)
+	}
 	if err != nil {
 		c.inbox.close()
 		_ = h.ep.Send(h.n, &Msg{Kind: KFail, Job: job, Name: fmt.Sprintf("pe %d: job start: %v", h.pe, err)})
@@ -149,8 +153,7 @@ type Fleet struct {
 	wg     sync.WaitGroup
 
 	mu          sync.Mutex
-	jobs        map[int32]*mailbox     // every live job's driver inbox
-	progs       map[int32]*isa.Program // chan-mode program registry
+	jobs        map[int32]*mailbox // every live job's driver inbox
 	nextJob     int32
 	closed      bool
 	hostGen     []int32  // per-PE host generation (re-homing fence)
@@ -175,7 +178,6 @@ func OpenFleet(ctx context.Context, cfg Config) (*Fleet, error) {
 		n:     cfg.NumPEs,
 		probe: probeInterval,
 		jobs:  make(map[int32]*mailbox),
-		progs: make(map[int32]*isa.Program),
 	}
 	f.ctx, f.cancel = context.WithCancel(ctx)
 	f.hostGen = make([]int32, f.n)
@@ -234,21 +236,6 @@ func fleetInitMsg(pe int, peers []string) *Msg {
 		NumPEs: int32(len(peers)),
 		Peers:  append([]string(nil), peers...),
 	}}
-}
-
-// lookupProg resolves a job's program on the channel transport (shared
-// memory: no serialization round-trip) or decodes the wire bytes on TCP.
-func (f *Fleet) lookupProg(job int32, wire []byte) (*isa.Program, error) {
-	if len(wire) > 0 {
-		return isa.UnmarshalPods(wire)
-	}
-	f.mu.Lock()
-	p := f.progs[job]
-	f.mu.Unlock()
-	if p == nil {
-		return nil, fmt.Errorf("no program registered for job %d", job)
-	}
-	return p, nil
 }
 
 // dispatch drains the driver endpoint's fleet-level frames (every job
@@ -371,7 +358,7 @@ func (f *Fleet) Submit(ctx context.Context, prog *isa.Program, cfg Config, args 
 		mJobsRejected.Add(1)
 		return nil, fmt.Errorf("cluster: job rejected: %d jobs already running (Config.MaxJobs)", maxJobs)
 	}
-	id, box, gens := f.openJobLocked(prog)
+	id, box, gens := f.openJobLocked()
 	f.mu.Unlock()
 	mJobsTotal.Add(1)
 	mJobsActive.Add(1)
@@ -384,7 +371,7 @@ func (f *Fleet) Submit(ctx context.Context, prog *isa.Program, cfg Config, args 
 	// slot. The ID is the fence: every late frame of the aborted run is
 	// addressed to an ended job and dropped.
 	for restarts := int64(0); ; restarts++ {
-		res, err := f.run(ctx, id, box, &cfg, progBytes, entry, args)
+		res, err := f.run(ctx, id, box, &cfg, prog, progBytes, args)
 		f.mu.Lock()
 		f.closeJobLocked(id)
 		var death *deathError
@@ -414,7 +401,7 @@ func (f *Fleet) Submit(ctx context.Context, prog *isa.Program, cfg Config, args 
 			f.mu.Unlock()
 			return nil, err
 		}
-		id, box, gens = f.openJobLocked(prog)
+		id, box, gens = f.openJobLocked()
 		f.mu.Unlock()
 	}
 }
@@ -440,13 +427,10 @@ const maxRestarts = 8
 // inbox, and the host generations the run starts on. A host already dead
 // is down for the run too, which hears so at once instead of waiting out a
 // probe round.
-func (f *Fleet) openJobLocked(prog *isa.Program) (id int32, box *mailbox, gens []int32) {
+func (f *Fleet) openJobLocked() (id int32, box *mailbox, gens []int32) {
 	id = f.allocJobIDLocked()
 	box = f.in.open(id)
 	f.jobs[id] = box
-	if f.tcp == nil {
-		f.progs[id] = prog
-	}
 	for pe, dead := range f.deadPending {
 		if dead {
 			box.put(&Msg{Kind: KDown, From: int32(pe)})
@@ -459,28 +443,27 @@ func (f *Fleet) openJobLocked(prog *isa.Program) (id int32, box *mailbox, gens [
 // addressed to it is dropped.
 func (f *Fleet) closeJobLocked(id int32) {
 	delete(f.jobs, id)
-	delete(f.progs, id)
 	f.in.end(id)
 }
 
 // run makes one run of a job: start its worker on every PE, drive it, and
 // end it everywhere.
-func (f *Fleet) run(ctx context.Context, id int32, box *mailbox, cfg *Config, prog []byte, entry *isa.Template, args []isa.Value) (*Result, error) {
+func (f *Fleet) run(ctx context.Context, id int32, box *mailbox, cfg *Config, prog *isa.Program, progBytes []byte, args []isa.Value) (*Result, error) {
 	defer f.endJobEverywhere(id)
 	jep := &jobEndpoint{job: id, out: f.ep, in: box}
 	for pe := 0; pe < f.n; pe++ {
 		// A fresh Msg per PE: the receiver owns it.
-		if err := jep.Send(pe, jobStartMsg(cfg, prog)); err != nil {
+		if err := jep.Send(pe, jobStartMsg(cfg, prog, progBytes)); err != nil {
 			return nil, &deathError{pe, fmt.Errorf("cluster: starting job: %w", err)}
 		}
 	}
-	return drive(ctx, jep, *cfg, f.probe, entry, args)
+	return drive(ctx, jep, *cfg, f.probe, prog.Entry(), args)
 }
 
-// jobStartMsg builds one PE's KJobStart: the job's config and (on TCP) the
-// serialized program.
-func jobStartMsg(cfg *Config, prog []byte) *Msg {
-	return &Msg{Kind: KJobStart, Cfg: &MsgCfg{Job: *cfg, Prog: prog}}
+// jobStartMsg builds one PE's KJobStart: the job's config and its program,
+// shared in memory (a channel host runs prog) and, on TCP, serialized.
+func jobStartMsg(cfg *Config, prog *isa.Program, progBytes []byte) *Msg {
+	return &Msg{Kind: KJobStart, Cfg: &MsgCfg{Job: *cfg, Prog: progBytes, prog: prog}}
 }
 
 // endJobEverywhere tells every host to tear the job's instance down.
@@ -507,7 +490,7 @@ func (f *Fleet) rehomeDeadLocked() error {
 
 // startHost runs PE pe's fleet host on the channel transport.
 func (f *Fleet) startHost(pe int, ep *chanEndpoint) {
-	h := newFleetHost(pe, f.n, ep, ep.in, f.lookupProg)
+	h := newFleetHost(pe, f.n, ep, ep.in)
 	f.wg.Add(1)
 	go func() {
 		defer f.wg.Done()

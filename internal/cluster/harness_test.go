@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand/v2"
 	"testing"
@@ -18,16 +19,19 @@ import (
 // the driver a turn of drive's loop (handle, openRound, closeRound,
 // backoff, gather). Frames are released per (sender, receiver) pair in send
 // order, each after a seeded delay; seeded stalls skip PEs' turns. Time is
-// virtual, a round a nanosecond: the probe cadence and RoundTimeout count
-// rounds, and once every PE would block with nothing in flight the clock
-// skips to the driver's next deadline. The zero schedule delays and stalls
-// nothing; the pinned results in this package are measured on it.
+// virtual, a round a nanosecond: the probe cadence and the stall guard's
+// deadline count rounds, and once every PE would block with nothing in
+// flight the clock skips to the driver's next deadline, so a stalled run
+// fails as drive would, with the stall report (and, traced, the PEs' trace
+// tails). The zero schedule delays and stalls nothing; the pinned results
+// in this package are measured on it.
 
 // schedule is one harness schedule.
 type schedule struct {
-	seed   uint64        // 0: the zero schedule
-	killAt int64         // PE killPE dies on the killAt-th data frame or ack it sends (0: never)
-	probe  time.Duration // the driver's probe cadence in rounds (0: the seed picks it)
+	seed     uint64        // 0: the zero schedule
+	killAt   int64         // PE killPE dies on the killAt-th data frame or ack it sends (0: never)
+	probe    time.Duration // the driver's probe cadence in rounds (0: the seed picks it)
+	deadline time.Duration // the driver's stall guard in rounds (0: roundTimeout)
 }
 
 const killPE = 1
@@ -45,11 +49,13 @@ type harness struct {
 	ticks                  int           // inter-round waits that ran their full length
 	rng                    *rand.Rand    // nil on the zero schedule
 	stall                  int           // per-turn stall chance (%)
-	probe                  time.Duration // the driver's probe cadence (rounds)
+	probe, deadline        time.Duration // the driver's probe cadence and stall guard (rounds)
 	killAt, kill           int64         // the kill's frame index, and PE killPE's count so far
-	dead                   int           // the killed PE, or -1
+	dead                   int           // the killed PE or one a test silenced (no turns), or -1
 	sent                   [][256]int64  // frames sent from PE to PE, by sender and kind
-	each                   func()        // runs after every round
+
+	each func()                    // runs after every round
+	lose func(to int, m *Msg) bool // frames a test loses on the wire
 }
 
 type heldFrame struct {
@@ -70,7 +76,7 @@ func newHarness(t testing.TB, prog *isa.Program, cfg Config, sch schedule) *harn
 	n := cfg.NumPEs
 	h := &harness{prog: prog, cfg: cfg, boxes: make([]*mailbox, n+1), lastDue: make([]int64, (n+1)*(n+1)),
 		delay: make([]int, (n+1)*(n+1)), blocked: make([]bool, n), maxRounds: 1 << 24, probe: sch.probe,
-		killAt: sch.killAt, dead: -1, sent: make([][256]int64, n)}
+		deadline: cmp.Or(sch.deadline, roundTimeout), killAt: sch.killAt, dead: -1, sent: make([][256]int64, n)}
 	if h.probe == 0 {
 		h.probe = probeInterval
 		if sch.seed != 0 {
@@ -114,6 +120,9 @@ func (e harnessEP) Send(to int, m *Msg) error {
 	}
 	if to < 0 || to > n {
 		return fmt.Errorf("harness: send to unknown endpoint %d", to)
+	}
+	if h.lose != nil && h.lose(to, m) {
+		return nil
 	}
 	if e.self == killPE && h.killAt > 0 && (m.Kind.isData() || m.Kind == KAck) {
 		if h.kill++; h.kill == h.killAt {
@@ -238,7 +247,7 @@ const (
 // data frames left, and no end within maxRounds, are errors too.
 func (h *harness) run(args ...isa.Value) (*Result, error) {
 	n := len(h.ws)
-	d := newDriver(h.endpoint(n), h.cfg, h.probe)
+	d := newDriver(h.endpoint(n), h.cfg, h.probe, h.deadline)
 	err := d.send(0, &Msg{Kind: KSpawn, Tmpl: int32(h.prog.EntryID), Args: args})
 	if err == nil {
 		err = d.openRound()
@@ -248,6 +257,7 @@ func (h *harness) run(args ...isa.Value) (*Result, error) {
 	}
 	phase, until, heard := inRound, int64(0), int64(0)
 	var tg *traceGather
+	stalling := false // the trace gather is a stalled round's: its end fails the run
 	for h.rounds < h.maxRounds {
 		h.round()
 		for { // the driver's turn, one frame at a time
@@ -283,6 +293,8 @@ func (h *harness) run(args ...isa.Value) (*Result, error) {
 			case phase == gathering && d.expect == 0:
 				tg, phase, heard = requestTraces(&d.ep, n), tracing, h.now
 				continue
+			case phase == tracing && tg.need == 0 && stalling:
+				return nil, d.stalled(traceTails(tg.pts))
 			case phase == tracing && tg.need == 0:
 				d.res.Trace = &trace.Trace{NumPEs: n, PEs: tg.pts, Timeline: d.tb.Done()}
 				return d.res, nil
@@ -299,19 +311,21 @@ func (h *harness) run(args ...isa.Value) (*Result, error) {
 			}
 		}
 		// The driver's next deadline: the stall guard re-armed by every
-		// frame, the trace gather's wait, or the end of the inter-round wait.
+		// frame, a trace gather's wait, or the end of the inter-round wait.
 		next := until
-		switch timeout := int64(h.cfg.RoundTimeout); {
+		switch {
+		case phase == tracing && stalling:
+			next = heard + int64(stallTraceWait)
 		case phase == tracing:
-			next = heard + int64(traceGatherWait(h.cfg.RoundTimeout))
-		case phase != between && timeout > 0:
-			next = heard + timeout
+			next = heard + int64(traceGatherWait)
 		case phase != between:
-			next = h.now + 1
+			next = heard + int64(h.deadline)
 		}
 		switch {
 		case h.now >= next && phase == tracing:
 			tg.need = 0
+		case h.now >= next && phase == inRound && h.cfg.Trace:
+			tg, phase, heard, stalling = requestTraces(&d.ep, n), tracing, h.now, true
 		case h.now >= next && phase != between:
 			return nil, d.stalled("")
 		case h.still():

@@ -35,7 +35,7 @@ func newChanRig(t *testing.T) *inboxRig {
 	cn := newChanNet(2, 0)
 	r.drv = cn.ins[2]
 	ep := cn.endpoint(0)
-	h := newFleetHost(0, 2, ep, ep.in, func(int32, []byte) (*isa.Program, error) { return prog, nil })
+	h := newFleetHost(0, 2, ep, ep.in)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -112,7 +112,7 @@ func (r *inboxRig) start(job int32, cap int) {
 	if err := cfg.fill(); err != nil {
 		r.t.Fatal(err)
 	}
-	m := jobStartMsg(&cfg, r.wire)
+	m := jobStartMsg(&cfg, nil, r.wire)
 	m.Job = job
 	r.send(rigDriver, m)
 }

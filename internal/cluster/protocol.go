@@ -264,8 +264,10 @@ type MsgCfg struct {
 	Prog   []byte
 
 	// inbox is the job inbox the receiving endpoint's table opened when
-	// this KJobStart was delivered; it never crosses a wire.
+	// this KJobStart was delivered, and prog the job's program on the
+	// channel transport; neither crosses a wire.
 	inbox *mailbox
+	prog  *isa.Program
 }
 
 // MsgLists holds the variable-length control-plane payloads.

@@ -133,6 +133,13 @@ func (e *deathError) Error() string { return e.err.Error() }
 // immediate round, so a finished job never waits out an interval.
 const probeInterval = 100 * time.Microsecond
 
+// roundTimeout is how long a probe round or the result gather may hear
+// nothing before the run fails. A worker that dies or wedges mid-round
+// would otherwise leave the driver hanging silently until its context
+// expires; a stall fails with each PE's last-ack state (round, live SPs,
+// message counters) instead, and with each PE's trace tail when tracing.
+const roundTimeout = 30 * time.Second
+
 // driver is one run's driver state: result assembly, the termination
 // detector, the adapt coordinator, budgets, the metrics timeline and the
 // probe cadence. Its methods never wait. drive runs them under the wall
@@ -164,13 +171,14 @@ type driver struct {
 	probeReset    bool          // a new sweep reported costs: reset the back-off
 	probe         time.Duration // the base cadence: probeInterval, or a test's
 	interval      time.Duration
-	expect        int // dump segments the gather still waits for
+	deadline      time.Duration // the stall guard: roundTimeout, or a test's
+	expect        int           // dump segments the gather still waits for
 }
 
-func newDriver(ep *jobEndpoint, cfg Config, probe time.Duration) driver {
+func newDriver(ep *jobEndpoint, cfg Config, probe, deadline time.Duration) driver {
 	n := cfg.NumPEs
 	d := driver{ep: *ep, cfg: cfg, n: n, det: *newDetector(n), ad: *newAdaptCoord(n),
-		start: time.Now(), probe: probe, interval: probe,
+		start: time.Now(), probe: probe, interval: probe, deadline: deadline,
 		res: &Result{NumPEs: n, arrays: make(map[int64]*gathered), byName: make(map[string]int64)}}
 	if cfg.Trace {
 		d.tb = trace.NewTimelineBuilder(timelineCap)
@@ -336,15 +344,15 @@ func (d *driver) gather() error {
 	return nil
 }
 
-// stalled is the error of a round or gather that heard nothing for
-// RoundTimeout; diag is the stalled round's trace tails, if any.
+// stalled is the error of a round or gather that heard nothing for the
+// deadline; diag is the stalled round's trace tails, if any.
 func (d *driver) stalled(diag string) error {
 	if d.expect > 0 {
 		return fmt.Errorf("cluster: result gather stalled for %v with %d dump segments outstanding (worker dead or wedged?)",
-			d.cfg.RoundTimeout, d.expect)
+			d.deadline, d.expect)
 	}
 	return fmt.Errorf("cluster: probe round %d stalled for %v (worker dead or wedged?): %s%s",
-		d.round, d.cfg.RoundTimeout, d.det.stallReport(), diag)
+		d.round, d.deadline, d.det.stallReport(), diag)
 }
 
 // drive is the driver loop: spawn the entry SP on PE 0, then alternate
@@ -353,7 +361,7 @@ func (d *driver) stalled(diag string) error {
 // cadence probe. A worker death returns a *deathError; a stalled round or
 // gather names no dead PE and is a plain error.
 func drive(ctx context.Context, ep *jobEndpoint, cfg Config, probe time.Duration, entry *isa.Template, args []isa.Value) (*Result, error) {
-	d := newDriver(ep, cfg, probe)
+	d := newDriver(ep, cfg, probe, roundTimeout)
 	defer func() {
 		for pe := 0; pe < d.n; pe++ {
 			_ = ep.Send(pe, &Msg{Kind: KStop})
@@ -383,7 +391,7 @@ func drive(ctx context.Context, ep *jobEndpoint, cfg Config, probe time.Duration
 		// so a re-run would start on the same hosts and stall again: it is
 		// not a death.
 		for !d.roundComplete {
-			m, stalled, err := recvWithin(ctx, ep, timer, cfg.RoundTimeout)
+			m, stalled, err := recvWithin(ctx, ep, timer, d.deadline)
 			switch {
 			case err == nil:
 				err = d.handle(m)
@@ -395,7 +403,7 @@ func drive(ctx context.Context, ep *jobEndpoint, cfg Config, probe time.Duration
 				// round stalled — far more than last-ack counters can.
 				diag := ""
 				if cfg.Trace {
-					diag = stallTraceDump(ctx, ep, timer, d.n)
+					diag = traceTails(gatherTraces(ctx, ep, timer, d.n, stallTraceWait))
 				}
 				err = d.stalled(diag)
 			default:
@@ -444,7 +452,7 @@ func drive(ctx context.Context, ep *jobEndpoint, cfg Config, probe time.Duration
 	// progress can take as long as it needs. A worker dying here lost
 	// finished results, so the job runs again.
 	for d.expect > 0 {
-		m, stalled, err := recvWithin(ctx, ep, timer, cfg.RoundTimeout)
+		m, stalled, err := recvWithin(ctx, ep, timer, d.deadline)
 		switch {
 		case stalled:
 			return nil, d.stalled("")
@@ -460,7 +468,7 @@ func drive(ctx context.Context, ep *jobEndpoint, cfg Config, probe time.Duration
 	// is best-effort: the run's results are already in hand, and a PE that
 	// cannot answer any more costs an empty trace, never the run.
 	if cfg.Trace {
-		pts := gatherTraces(ctx, ep, timer, d.n, traceGatherWait(cfg.RoundTimeout))
+		pts := gatherTraces(ctx, ep, timer, d.n, traceGatherWait)
 		d.res.Trace = &trace.Trace{NumPEs: d.n, PEs: pts, Timeline: d.tb.Done()}
 	}
 	return d.res, nil
@@ -478,12 +486,12 @@ const stallTailEvents = 8
 // traceGatherWait bounds each receive of the post-termination trace
 // gather. The run is already complete, so the wait only covers a flush of
 // an in-memory ring: far shorter than a full round deadline.
-func traceGatherWait(roundTimeout time.Duration) time.Duration {
-	if roundTimeout <= 0 {
-		roundTimeout = 2 * time.Second
-	}
-	return max(100*time.Millisecond, min(roundTimeout, 2*time.Second))
-}
+const traceGatherWait = 2 * time.Second
+
+// stallTraceWait bounds each receive of a stalled round's trace gather. It
+// is short: the PEs that can still talk answer immediately, and the one
+// the round is stalled on probably never will.
+const stallTraceWait = 500 * time.Millisecond
 
 // traceGather collects the workers' trace rings best-effort: a PE that
 // cannot answer (dead, or wedged below its message loop) keeps an empty
@@ -530,12 +538,9 @@ func gatherTraces(ctx context.Context, ep *jobEndpoint, t *time.Timer, n int, wa
 	return g.pts
 }
 
-// stallTraceDump formats each PE's trailing trace events for a stalled
-// round's error message. The wait per receive is short: the PEs that can
-// still talk answer immediately, and the one the round is stalled on
-// probably never will.
-func stallTraceDump(ctx context.Context, ep *jobEndpoint, t *time.Timer, n int) string {
-	pts := gatherTraces(ctx, ep, t, n, 500*time.Millisecond)
+// traceTails formats each PE's trailing trace events for a stalled round's
+// error message.
+func traceTails(pts []trace.PETrace) string {
 	var b strings.Builder
 	for pe := range pts {
 		fmt.Fprintf(&b, "\n  pe %d trace tail (%d events, %d dropped):\n%s",
@@ -545,16 +550,11 @@ func stallTraceDump(ctx context.Context, ep *jobEndpoint, t *time.Timer, n int) 
 }
 
 // recvWithin receives one driver-bound message, bounding the wait to within
-// (0 or negative: unbounded) by re-arming the driver's timer t. The bound
-// covers a single receive, so as a stall guard it re-arms with every
-// message: it fires only on genuine silence, never on a phase that is slow
-// but progressing. stalled distinguishes the bound from the caller's
-// context ending.
+// by re-arming the driver's timer t. The bound covers a single receive, so
+// as a stall guard it re-arms with every message: it fires only on genuine
+// silence, never on a phase that is slow but progressing. stalled
+// distinguishes the bound from the caller's context ending.
 func recvWithin(ctx context.Context, ep *jobEndpoint, t *time.Timer, within time.Duration) (m *Msg, stalled bool, err error) {
-	if within <= 0 {
-		m, err = ep.in.recv(ctx)
-		return m, false, err
-	}
 	t.Reset(within)
 	m, err = ep.in.recvUntil(ctx, t.C)
 	t.Stop()

@@ -460,14 +460,7 @@ func ServeWorker(ctx context.Context, ln net.Listener) error {
 	mu.Lock()
 	t.links[n].out = newOutbox(driver)
 	mu.Unlock()
-	var memo progMemo
-	h := newFleetHost(t.self, n, t, t.in, func(_ int32, wire []byte) (*isa.Program, error) {
-		if len(wire) == 0 {
-			return nil, errors.New("job start carried no program")
-		}
-		return memo.get(wire)
-	})
-	h.serve(ctx)
+	newFleetHost(t.self, n, t, t.in).serve(ctx)
 	return nil
 }
 

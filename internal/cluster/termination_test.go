@@ -276,25 +276,10 @@ func TestDetectorStallReport(t *testing.T) {
 	}
 }
 
-// dropDumpReqEndpoint wraps the driver endpoint and silently loses every
-// KDumpReq addressed to one PE — the observable shape of a worker dying
-// between the final quiet probe round and the result gather.
-type dropDumpReqEndpoint struct {
-	Endpoint
-	dropTo int
-}
-
-func (d *dropDumpReqEndpoint) Send(to int, m *Msg) error {
-	if m.Kind == KDumpReq && to == d.dropTo {
-		return nil // lost on the wire
-	}
-	return d.Endpoint.Send(to, m)
-}
-
 // TestDriveGatherDeadlineReportsLostDump: a worker that terminates cleanly
-// but never serves its dump request must fail the gather phase within the
+// but never serves its dump request must fail the gather phase at the
 // round deadline with an outstanding-segments diagnostic, not hang the
-// driver until the run context expires.
+// driver.
 func TestDriveGatherDeadlineReportsLostDump(t *testing.T) {
 	prog := compile(t, "fill.id", `
 func main(n: int) {
@@ -305,92 +290,38 @@ func main(n: int) {
 		}
 	}
 }`)
-	cfg := Config{NumPEs: 2, PageElems: 8}
-	if err := cfg.fill(); err != nil {
-		t.Fatal(err)
-	}
-	cfg.RoundTimeout = 200 * time.Millisecond
-
-	eps := newChanTransport(cfg.NumPEs, 0)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	var wg sync.WaitGroup
-	for pe := 0; pe < cfg.NumPEs; pe++ {
-		w := newWorker(pe, &cfg, prog, eps[pe])
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w.run(ctx)
-		}()
-	}
-
-	eps[cfg.NumPEs].out = &dropDumpReqEndpoint{Endpoint: eps[cfg.NumPEs].out, dropTo: 1}
-	_, err := drive(ctx, eps[cfg.NumPEs], cfg, time.Millisecond, prog.Entry(), []isa.Value{isa.Int(8)})
-	if err == nil {
-		t.Fatal("drive returned no error although PE 1's dump request was lost")
-	}
-	if ctx.Err() != nil {
-		t.Fatalf("drive only failed via the outer context: %v", err)
-	}
-	for _, want := range []string{"gather stalled", "outstanding"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q missing %q", err, want)
-		}
-	}
-	cancel()
-	wg.Wait()
-	for _, ep := range eps {
-		ep.in.close()
-	}
+	h := newHarness(t, prog, Config{NumPEs: 2, PageElems: 8}, schedule{deadline: 200})
+	// The observable shape of PE 1 dying between the final quiet probe
+	// round and the result gather.
+	h.lose = func(to int, m *Msg) bool { return to == 1 && m.Kind == KDumpReq }
+	_, err := h.run(isa.Int(8))
+	wantStall(t, err, "gather stalled", "outstanding")
 }
 
 // TestDriveRoundDeadlineReportsSilentWorker: a worker that never answers
 // probes (dead, wedged, dropped acks) must fail the run with the per-PE
-// stall diagnostic within Config.RoundTimeout instead of hanging until the
-// run context expires.
+// stall diagnostic once the round has been silent for the deadline,
+// instead of hanging the driver.
 func TestDriveRoundDeadlineReportsSilentWorker(t *testing.T) {
-	prog := taskProgram()
-	cfg := Config{NumPEs: 2, RoundTimeout: 150 * time.Millisecond}
-	if err := cfg.fill(); err != nil {
-		t.Fatal(err)
+	h := newHarness(t, taskProgram(), Config{NumPEs: 2}, schedule{deadline: 150})
+	h.dead = 1 // PE 1 gets no turns: it never serves its mailbox
+	_, err := h.run(isa.SPRef(0), isa.Float(0))
+	wantStall(t, err, "stalled", "pe 1: NO ACK")
+	if h.now < 150 || h.now >= 300 {
+		t.Errorf("the round stalled at virtual time %d, want in [150, 300): one deadline after its last frame", h.now)
 	}
-	cfg.RoundTimeout = 150 * time.Millisecond // keep the test deadline even if fill defaults change
+}
 
-	eps := newChanTransport(cfg.NumPEs, 0)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	// Only PE 0 runs; PE 1 exists on the transport but never serves its
-	// mailbox — the equivalent of a worker dying mid-round (its acks are
-	// dropped forever).
-	var wg sync.WaitGroup
-	w0 := newWorker(0, &cfg, prog, eps[0])
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		w0.run(ctx)
-	}()
-
-	start := time.Now()
-	_, err := drive(ctx, eps[cfg.NumPEs], cfg, time.Millisecond, prog.Entry(), []isa.Value{isa.SPRef(0), isa.Float(0)})
+// wantStall checks that a harness run failed with an error naming every want.
+func wantStall(t *testing.T, err error, want ...string) {
+	t.Helper()
 	if err == nil {
-		t.Fatal("drive returned no error although PE 1 never acked")
+		t.Fatal("the run ended without error although a PE fell silent")
 	}
-	if ctx.Err() != nil {
-		t.Fatalf("drive only failed via the outer context: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("stall detection took %v, want roughly the 150ms round deadline", elapsed)
-	}
-	for _, want := range []string{"stalled", "pe 1: NO ACK"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q missing %q", err, want)
+	for _, w := range want {
+		if !strings.Contains(err.Error(), w) {
+			t.Errorf("error %q missing %q", err, w)
 		}
-	}
-	cancel()
-	wg.Wait()
-	for _, ep := range eps {
-		ep.in.close()
 	}
 }
 

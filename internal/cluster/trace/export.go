@@ -179,7 +179,7 @@ func WriteTimelineCSV(w io.Writer, tl *Timeline) error {
 }
 
 // FormatTail renders a PE's last n events as one human-readable line each —
-// the shape the driver's stall diagnostics embed in the RoundTimeout error.
+// the shape the driver's stall diagnostics embed in a stalled round's error.
 func FormatTail(evs []Event, n int) string {
 	if len(evs) == 0 {
 		return "    (no trace events)"

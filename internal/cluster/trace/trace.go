@@ -112,14 +112,51 @@ type Event struct {
 // eventWords is the flattened wire size of one event in int64 words.
 const eventWords = 5
 
+// ring is a fixed-capacity buffer that overwrites, and counts, its oldest
+// element once full.
+type ring[T any] struct {
+	buf   []T
+	head  int   // index of the oldest element
+	n     int   // live elements (≤ len(buf))
+	drops int64 // elements overwritten on overflow
+}
+
+// newRing returns a ring of the given capacity; capacity < 1 is treated as 1.
+func newRing[T any](capacity int) ring[T] {
+	return ring[T]{buf: make([]T, max(capacity, 1))}
+}
+
+// next returns the slot the next element goes in, which the caller fills:
+// a free one, or, when the ring is full, the oldest element's.
+func (r *ring[T]) next() *T {
+	i := r.head + r.n
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	if r.n == len(r.buf) {
+		if r.head++; r.head == len(r.buf) {
+			r.head = 0
+		}
+		r.drops++
+	} else {
+		r.n++
+	}
+	return &r.buf[i]
+}
+
+// at returns the i-th live element, oldest first.
+func (r *ring[T]) at(i int) *T {
+	if i += r.head; i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	return &r.buf[i]
+}
+
 // Recorder is a fixed-capacity ring of events for one PE. It is not
 // goroutine-safe: exactly one worker goroutine records into it, matching the
 // cluster's share-nothing worker model.
 type Recorder struct {
-	ring  []Event
-	head  int   // index of the oldest event
-	n     int   // live events (≤ len(ring))
-	drops int64 // events overwritten by ring overflow
+	ring ring[Event]
 
 	sample int // record every sample-th sampled decision (≥1)
 	tick   int // sampling counter
@@ -130,14 +167,11 @@ type Recorder struct {
 // New returns a recorder with the given ring capacity and SP-event sampling
 // period. capacity < 1 is treated as 1; sample < 1 as 1 (record everything).
 func New(capacity, sample int) *Recorder {
-	if capacity < 1 {
-		capacity = 1
-	}
 	if sample < 1 {
 		sample = 1
 	}
 	return &Recorder{
-		ring:   make([]Event, capacity),
+		ring:   newRing[Event](capacity),
 		sample: sample,
 		now:    func() int64 { return time.Now().UnixNano() },
 	}
@@ -156,38 +190,20 @@ func (r *Recorder) SampleSP() bool {
 // Record appends one event, overwriting (and counting) the oldest when the
 // ring is full. The fast path allocates nothing.
 func (r *Recorder) Record(k Kind, instr, arg0, arg1 int64) {
-	i := r.head + r.n
-	if n := len(r.ring); i >= n {
-		i -= n
-	}
-	if r.n == len(r.ring) {
-		// Full: the slot being written holds the oldest event.
-		r.head++
-		if r.head == len(r.ring) {
-			r.head = 0
-		}
-		r.drops++
-	} else {
-		r.n++
-	}
-	r.ring[i] = Event{Kind: k, Wall: r.now(), Instr: instr, Arg0: arg0, Arg1: arg1}
+	*r.ring.next() = Event{Kind: k, Wall: r.now(), Instr: instr, Arg0: arg0, Arg1: arg1}
 }
 
 // Len reports the number of live events.
-func (r *Recorder) Len() int { return r.n }
+func (r *Recorder) Len() int { return r.ring.n }
 
 // Drops reports how many events the capacity bound discarded.
-func (r *Recorder) Drops() int64 { return r.drops }
+func (r *Recorder) Drops() int64 { return r.ring.drops }
 
 // Events returns the live events oldest-first (a copy).
 func (r *Recorder) Events() []Event {
-	out := make([]Event, r.n)
-	for i := 0; i < r.n; i++ {
-		j := r.head + i
-		if j >= len(r.ring) {
-			j -= len(r.ring)
-		}
-		out[i] = r.ring[j]
+	out := make([]Event, r.ring.n)
+	for i := range out {
+		out[i] = *r.ring.at(i)
 	}
 	return out
 }
@@ -195,13 +211,9 @@ func (r *Recorder) Events() []Event {
 // Flatten encodes the live events oldest-first as eventWords int64s apiece —
 // the wire form a KTrace frame carries.
 func (r *Recorder) Flatten() []int64 {
-	out := make([]int64, 0, r.n*eventWords)
-	for i := 0; i < r.n; i++ {
-		j := r.head + i
-		if j >= len(r.ring) {
-			j -= len(r.ring)
-		}
-		e := &r.ring[j]
+	out := make([]int64, 0, r.ring.n*eventWords)
+	for i := 0; i < r.ring.n; i++ {
+		e := r.ring.at(i)
 		out = append(out, int64(e.Kind), e.Wall, e.Instr, e.Arg0, e.Arg1)
 	}
 	return out
@@ -254,47 +266,22 @@ type Timeline struct {
 // recorder's never-grow-unboundedly rule, sized for runs with arbitrarily
 // many probe rounds.
 type TimelineBuilder struct {
-	ring  []Sample
-	head  int
-	n     int
-	drops int64
+	ring ring[Sample]
 }
 
 // NewTimelineBuilder returns a builder bounded to capacity samples.
 func NewTimelineBuilder(capacity int) *TimelineBuilder {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &TimelineBuilder{ring: make([]Sample, capacity)}
+	return &TimelineBuilder{ring: newRing[Sample](capacity)}
 }
 
 // Add appends one sample, dropping the oldest when full.
-func (b *TimelineBuilder) Add(s Sample) {
-	i := b.head + b.n
-	if n := len(b.ring); i >= n {
-		i -= n
-	}
-	if b.n == len(b.ring) {
-		b.head++
-		if b.head == len(b.ring) {
-			b.head = 0
-		}
-		b.drops++
-	} else {
-		b.n++
-	}
-	b.ring[i] = s
-}
+func (b *TimelineBuilder) Add(s Sample) { *b.ring.next() = s }
 
 // Done returns the accumulated timeline oldest-first.
 func (b *TimelineBuilder) Done() *Timeline {
-	t := &Timeline{Samples: make([]Sample, b.n), Drops: b.drops}
-	for i := 0; i < b.n; i++ {
-		j := b.head + i
-		if j >= len(b.ring) {
-			j -= len(b.ring)
-		}
-		t.Samples[i] = b.ring[j]
+	t := &Timeline{Samples: make([]Sample, b.ring.n), Drops: b.ring.drops}
+	for i := range t.Samples {
+		t.Samples[i] = *b.ring.at(i)
 	}
 	return t
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -14,41 +13,12 @@ import (
 // round deadline, the error must carry each reachable PE's last trace
 // events — the stall diagnostic a flight recorder exists for.
 func TestStallDumpIncludesTraceTails(t *testing.T) {
-	prog := taskProgram()
-	cfg := Config{NumPEs: 2, RoundTimeout: 150 * time.Millisecond, Trace: true}
-	if err := cfg.fill(); err != nil {
-		t.Fatal(err)
-	}
-	cfg.RoundTimeout = 150 * time.Millisecond
-
-	eps := newChanTransport(cfg.NumPEs, 0)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	// Only PE 0 runs; PE 1 never serves its mailbox (a dead worker). PE 0
-	// can still answer the trace gather, so its tail must appear.
-	var wg sync.WaitGroup
-	w0 := newWorker(0, &cfg, prog, eps[0])
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		w0.run(ctx)
-	}()
-
-	_, err := drive(ctx, eps[cfg.NumPEs], cfg, time.Millisecond, prog.Entry(), []isa.Value{isa.SPRef(0), isa.Float(0)})
-	if err == nil {
-		t.Fatal("drive returned no error although PE 1 never acked")
-	}
-	for _, want := range []string{"stalled", "pe 0 trace tail", "pe 1 trace tail", "(no trace events)"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("stall error missing %q:\n%v", want, err)
-		}
-	}
-	cancel()
-	wg.Wait()
-	for _, ep := range eps {
-		ep.in.close()
-	}
+	h := newHarness(t, taskProgram(), Config{NumPEs: 2, Trace: true}, schedule{})
+	// PE 1 never serves its mailbox (a dead worker). PE 0 can still answer
+	// the trace gather, so its tail must appear.
+	h.dead = 1
+	_, err := h.run(isa.SPRef(0), isa.Float(0))
+	wantStall(t, err, "stalled", "pe 0 trace tail", "pe 1 trace tail", "(no trace events)")
 }
 
 // TestMetricsTextPublishes: after a run the process-wide /metrics text must

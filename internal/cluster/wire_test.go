@@ -299,7 +299,7 @@ func overlay(dst, src *Msg, w wireBlocks) {
 // fails here instead of being dropped silently on TCP.
 func TestJobConfigCodecComplete(t *testing.T) {
 	notJobLevel := map[string]bool{"NumPEs": true, "Workers": true, "Spares": true,
-		"Latency": true, "RoundTimeout": true, "MaxJobs": true}
+		"Latency": true, "MaxJobs": true}
 	var cfg Config
 	v := reflect.ValueOf(&cfg).Elem()
 	for i := 0; i < v.NumField(); i++ {

@@ -639,9 +639,6 @@ func (w *worker) array(sp *spInst, slot int32) *istructure.Array {
 // block or a suspension leaves pc where it was, so the instruction
 // re-executes on wake without counting twice.
 func (w *worker) step() {
-	// The shard's heat table stamps last-touch times with this worker's
-	// instruction counter — deterministic per PE, monotone per step.
-	w.shard.Now = w.instrs
 	var sp *spInst
 	for sp == nil && w.readyHead < len(w.ready) {
 		sp = w.ready[len(w.ready)-1]

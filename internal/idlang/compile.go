@@ -88,7 +88,6 @@ type env struct {
 	freeNodes []int    // the PARENT-side nodes to pass for them
 
 	isLoop   bool
-	loopVar  string
 	carried  []carriedVar
 	loopVars map[string]bool // loop variables visible here (name set)
 
@@ -463,7 +462,7 @@ func (e *env) genFor(st *ForStmt) error {
 	child := &env{
 		c: e.c, parent: e, fn: e.fn, bb: cb,
 		names: map[string]binding{}, imports: map[string]binding{},
-		isLoop: true, loopVar: st.Var, carried: carried,
+		isLoop: true, carried: carried,
 		loopVars: map[string]bool{},
 	}
 	for v := range e.loopVars {

@@ -298,6 +298,15 @@ func (p *Program) Template(id int) *Template {
 	return p.Templates[id]
 }
 
+// TemplateName returns the name of the template with the given ID, or ""
+// — the labeller trace exports take.
+func (p *Program) TemplateName(id int64) string {
+	if t := p.Template(int(id)); t != nil {
+		return t.Name
+	}
+	return ""
+}
+
 // Entry returns the entry template.
 func (p *Program) Entry() *Template { return p.Template(p.EntryID) }
 

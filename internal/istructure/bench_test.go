@@ -134,12 +134,11 @@ func BenchmarkShardExtractPage(b *testing.B) {
 
 // BenchmarkShardTouchPage: the heat-table update every access pays.
 func BenchmarkShardTouchPage(b *testing.B) {
-	s, a := benchArray(b, 1)
+	_, a := benchArray(b, 1)
 	pages := a.Header().Pages()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i, page := 0, 0; i < b.N; i++ {
-		s.Now = int64(i)
 		a.touchPage(page)
 		if page++; page == pages {
 			page = 0

@@ -33,9 +33,6 @@ type pageStat struct {
 	heat  int64
 	sweep int64
 
-	// touch is the instruction stamp (Shard.Now) of the latest access.
-	touch int64
-
 	// evicted/gen implement the refetch window: a page evicted in
 	// generation g counts as a refetch if it is re-installed while the
 	// shard is still in generation g or g+1 — the same two-generation
@@ -77,15 +74,14 @@ func (a *Array) stat(page int) *pageStat {
 	return nil
 }
 
-// touchPage records one access to a page of the array: bumps heat, stamps
-// the touch time, and updates the sequential-run length. It returns the
-// entry so callers can read residency or run state without a second
-// lookup. The page must lie inside the array.
+// touchPage records one access to a page of the array: bumps heat and
+// updates the sequential-run length. It returns the entry so callers can
+// read residency or run state without a second lookup. The page must lie
+// inside the array.
 func (a *Array) touchPage(page int) *pageStat {
 	t := a.table()
 	e := &t[page]
 	e.heat++
-	e.touch = a.s.Now
 	run := int32(1)
 	if page > 0 {
 		if p := &t[page-1]; p.run > 0 && p.run < maxRun {

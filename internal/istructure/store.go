@@ -43,11 +43,6 @@ type Shard struct {
 	arrays map[int64]*Array
 	last   *Array
 
-	// Now is the caller-maintained instruction stamp used for the heat
-	// table's last-touch times (the worker sets it to its executed
-	// instruction count, giving deterministic stamps per PE).
-	Now int64
-
 	// CacheCap bounds the number of resident cached remote pages; 0 means
 	// unbounded (the pre-eviction behavior). Set it before any page is
 	// installed. It may be raised or lowered mid-run (the adaptive cap
@@ -361,7 +356,6 @@ func (a *Array) InstallPage(pageIdx int, pg *CachedPage) {
 		// The touch counts as a reference — the page is demonstrably live.
 		e.slot.pg = pg
 		e.heat++
-		e.touch = s.Now
 		return
 	}
 	if e.evicted && e.gen >= s.evictGen-1 {

@@ -205,14 +205,7 @@ func (p *Program) ExecuteCluster(ctx context.Context, cfg ClusterConfig, args ..
 	if err != nil {
 		return nil, err
 	}
-	prog := p.sys.Program
-	name := func(tmpl int64) string {
-		if t := prog.Template(int(tmpl)); t != nil {
-			return t.Name
-		}
-		return ""
-	}
-	return &ClusterResult{Value: res.Value, res: res, tmplName: name}, nil
+	return &ClusterResult{Value: res.Value, res: res, tmplName: p.sys.Program.TemplateName}, nil
 }
 
 // ClusterFleet is a persistent message-passing cluster: the workers come
@@ -246,14 +239,7 @@ func (f *ClusterFleet) Submit(ctx context.Context, p *Program, cfg ClusterConfig
 	if err != nil {
 		return nil, err
 	}
-	prog := p.sys.Program
-	name := func(tmpl int64) string {
-		if t := prog.Template(int(tmpl)); t != nil {
-			return t.Name
-		}
-		return ""
-	}
-	return &ClusterResult{Value: res.Value, res: res, tmplName: name}, nil
+	return &ClusterResult{Value: res.Value, res: res, tmplName: p.sys.Program.TemplateName}, nil
 }
 
 // Close shuts the fleet down. Jobs still in flight fail; Close is
