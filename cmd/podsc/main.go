@@ -13,9 +13,10 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/isa"
+	"repro/internal/kernels"
+	"repro/internal/partition"
 	"repro/internal/simple"
 )
 
@@ -46,7 +47,7 @@ func run(argv []string) error {
 		case "conduction":
 			src = simple.ConductionSource
 		case "matmul":
-			src = bench.MatmulSource
+			src = kernels.Matmul
 		default:
 			return fmt.Errorf("unknown builtin %q", *builtin)
 		}
@@ -61,15 +62,15 @@ func run(argv []string) error {
 		return fmt.Errorf("usage: podsc [-no-dist] [-listing] prog.id")
 	}
 
-	sys, err := core.CompileSource(name, src, core.Options{DisableDistribution: *noDist})
+	prog, rep, err := core.Compile(name, src, partition.Options{DisableDistribution: *noDist})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: %d SP templates\n\n", name, len(sys.Program.Templates))
-	fmt.Print(sys.Report.String())
+	fmt.Printf("%s: %d SP templates\n\n", name, len(prog.Templates))
+	fmt.Print(rep.String())
 	if *listing {
 		fmt.Println()
-		fmt.Print(sys.Listing())
+		fmt.Print(prog.Listing())
 	}
 	if *out != "" {
 		f, err := os.Create(*out)
@@ -77,7 +78,7 @@ func run(argv []string) error {
 			return err
 		}
 		defer f.Close()
-		if err := isa.WritePods(f, sys.Program); err != nil {
+		if err := isa.WritePods(f, prog); err != nil {
 			return err
 		}
 		fmt.Printf("\nwrote %s\n", *out)

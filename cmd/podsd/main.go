@@ -36,15 +36,13 @@
 // persistent fleet (in-process or over TCP workers) and accepts compiled
 // programs over the framed protocol — any number of jobs run concurrently
 // on the same workers, each isolated under its own job ID, admitted under
-// -max-jobs and per-job -max-instrs / -max-elems budget caps. With
-// -metrics the same fleet also accepts HTTP submissions: POST a .pods
-// program body to /jobs. -submit is the matching client: it compiles (or
-// loads) a program, ships it to a server, and prints the streamed result
-// and arrays exactly like a local run:
+// -max-jobs and per-job -max-instrs / -max-elems budget caps. -submit is
+// the matching client: it compiles (or loads) a program, ships it to a
+// server, and prints the streamed result and arrays exactly like a local
+// run:
 //
 //	podsd -serve 0.0.0.0:7200 -pes 8 -max-jobs 16 -metrics 0.0.0.0:7070
 //	podsd -submit host:7200 -builtin matmul -args 12 -dump C
-//	curl --data-binary @prog.pods 'http://host:7070/jobs?args=16'
 package main
 
 import (
@@ -65,6 +63,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/kernels"
+	"repro/internal/partition"
 )
 
 func main() {
@@ -161,11 +160,9 @@ func run(argv []string) error {
 
 	prog := precompiled
 	if prog == nil {
-		sys, err := core.CompileSource(name, src, core.Options{})
-		if err != nil {
+		if prog, _, err = core.Compile(name, src, partition.Options{}); err != nil {
 			return err
 		}
-		prog = sys.Program
 	}
 
 	if *submitAddr != "" {
@@ -294,9 +291,7 @@ func submitJob(addr, name string, prog *isa.Program, cfg cluster.Config, args []
 }
 
 // serveJobs opens a persistent fleet and serves submitted jobs on addr
-// until the process is killed. With -metrics set, the fleet also accepts
-// HTTP submissions on POST /jobs (body: a compiled .pods program; query:
-// args=1,2 main arguments, dump=NAME to include an array in the reply).
+// until the process is killed.
 func serveJobs(addr string, cfg cluster.Config) error {
 	ctx := context.Background()
 	fleet, err := cluster.OpenFleet(ctx, cfg)
@@ -304,7 +299,6 @@ func serveJobs(addr string, cfg cluster.Config) error {
 		return err
 	}
 	defer fleet.Close()
-	http.HandleFunc("/jobs", jobsHandler(fleet))
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -315,53 +309,6 @@ func serveJobs(addr string, cfg cluster.Config) error {
 	}
 	fmt.Printf("podsd job server on %s (%s transport)\n", ln.Addr(), transport)
 	return fleet.ServeJobs(ctx, ln)
-}
-
-// jobsHandler is the HTTP front door to a serving fleet.
-func jobsHandler(fleet *cluster.Fleet) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST a compiled .pods program", http.StatusMethodNotAllowed)
-			return
-		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		prog, err := isa.UnmarshalPods(body)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("decoding program: %v", err), http.StatusBadRequest)
-			return
-		}
-		args, err := parseArgs(r.URL.Query().Get("args"))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		res, err := fleet.Submit(r.Context(), prog, cluster.Config{}, args...)
-		if err != nil {
-			code := http.StatusInternalServerError
-			if strings.Contains(err.Error(), "rejected") {
-				code = http.StatusTooManyRequests
-			}
-			http.Error(w, err.Error(), code)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if res.Value != nil {
-			fmt.Fprintf(w, "result: %s\n", res.Value)
-		}
-		fmt.Fprintf(w, "arrays: %s\n", strings.Join(res.ArrayNames(), ", "))
-		if d := r.URL.Query().Get("dump"); d != "" {
-			vals, mask, dims, err := res.ReadArray(d)
-			if err != nil {
-				fmt.Fprintf(w, "dump error: %v\n", err)
-				return
-			}
-			printDump(w, d, dims, vals, mask)
-		}
-	}
 }
 
 // writeTraceFiles exports a traced run: Chrome trace_event JSON and/or the

@@ -14,6 +14,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/kernels"
+	"repro/internal/partition"
 )
 
 // TestTCPMultiProcessAgainstInProcess is the real multi-process leg of the
@@ -48,7 +49,7 @@ func TestTCPMultiProcessAgainstInProcess(t *testing.T) {
 	}
 	for ki, k := range kernels.All() {
 		t.Run(k.Name, func(t *testing.T) {
-			sys, err := core.CompileSource(k.File(), k.Source, core.Options{})
+			prog, _, err := core.Compile(k.File(), k.Source, partition.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +69,7 @@ func TestTCPMultiProcessAgainstInProcess(t *testing.T) {
 			// In-process reference run with the same knobs.
 			ref := cfg
 			ref.NumPEs = numWorkers
-			refRes, err := cluster.Execute(ctx, sys.Program, ref, args...)
+			refRes, err := cluster.Execute(ctx, prog, ref, args...)
 			if err != nil {
 				t.Fatalf("in-process run: %v", err)
 			}
@@ -79,7 +80,7 @@ func TestTCPMultiProcessAgainstInProcess(t *testing.T) {
 			for i := range tcp.Workers {
 				tcp.Workers[i] = startWorkerProcess(t, ctx, bin, i)
 			}
-			tcpRes, err := cluster.Execute(ctx, sys.Program, tcp, args...)
+			tcpRes, err := cluster.Execute(ctx, prog, tcp, args...)
 			if err != nil {
 				t.Fatalf("tcp run (steal=%v adapt=%v): %v", cfg.Steal, cfg.Adapt, err)
 			}

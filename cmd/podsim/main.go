@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/kernels"
+	"repro/internal/partition"
 	"repro/internal/sim"
 	"repro/internal/simple"
 )
@@ -94,11 +95,10 @@ func run(argv []string) error {
 
 	prog := precompiled
 	if prog == nil {
-		sys, err := core.CompileSource(name, src, core.Options{DisableDistribution: *noDist})
-		if err != nil {
+		var err error
+		if prog, _, err = core.Compile(name, src, partition.Options{DisableDistribution: *noDist}); err != nil {
 			return err
 		}
-		prog = sys.Program
 	}
 	cfg := sim.Config{
 		NumPEs: *pes, Stall: *stall, DisableCache: *noCache, PageElems: *pageElems,

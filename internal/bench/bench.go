@@ -10,12 +10,11 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/idlang"
+	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/partition"
 	"repro/internal/sim"
 	"repro/internal/simple"
-	"repro/internal/translate"
 )
 
 // Variant selects an execution model for a run.
@@ -53,8 +52,8 @@ var compiled struct {
 	progs map[string]*isa.Program
 }
 
-// Compile compiles Idlite source through translate+partition.
-// Distribution can be disabled for the NoDist ablation.
+// Compile compiles Idlite source with core.Compile, once per (source,
+// distribution) pair. Distribution can be disabled for the NoDist ablation.
 func Compile(name, src string, distribute bool) (*isa.Program, error) {
 	compiled.mu.Lock()
 	defer compiled.mu.Unlock()
@@ -65,15 +64,8 @@ func Compile(name, src string, distribute bool) (*isa.Program, error) {
 	if p, ok := compiled.progs[key]; ok {
 		return p, nil
 	}
-	gp, err := idlang.Compile(name, src)
+	prog, _, err := core.Compile(name, src, partition.Options{DisableDistribution: !distribute})
 	if err != nil {
-		return nil, err
-	}
-	prog, err := translate.Translate(gp)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := partition.Partition(prog, partition.Options{DisableDistribution: !distribute}); err != nil {
 		return nil, err
 	}
 	compiled.progs[key] = prog

@@ -77,11 +77,6 @@ func TableT2() string {
 	return b.String()
 }
 
-// MatmulSource is the generic matrix-multiply example of §5.2 ("a few
-// generic examples, such as matrix multiply") used by experiment X1. The
-// canonical text lives in internal/kernels so all harnesses share it.
-const MatmulSource = kernels.Matmul
-
 // X1Result is the matrix-multiply speed-up experiment.
 type X1Result struct {
 	N       int
@@ -94,7 +89,7 @@ func MatmulX1(n int, peCounts []int) (*X1Result, error) {
 	r := &X1Result{N: n, PEs: peCounts}
 	var base float64
 	for _, pes := range peCounts {
-		res, err := Run(MatmulSource, "matmul.id", n, pes, VariantPODS)
+		res, err := Run(kernels.Matmul, "matmul.id", n, pes, VariantPODS)
 		if err != nil {
 			return nil, err
 		}

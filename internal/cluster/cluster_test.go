@@ -6,24 +6,16 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/idlang"
+	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/partition"
-	"repro/internal/translate"
 )
 
 func compile(t testing.TB, name, src string) *isa.Program {
 	t.Helper()
-	gp, err := idlang.Compile(name, src)
+	prog, _, err := core.Compile(name, src, partition.Options{})
 	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := translate.Translate(gp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := partition.Partition(prog, partition.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	return prog

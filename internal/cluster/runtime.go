@@ -152,6 +152,10 @@ type driver struct {
 	det detector
 	ad  adaptCoord
 
+	// allocIDs lists the arrays in KAlloc arrival order; the gather asks
+	// for them in this order, so a replayed schedule replays its sends.
+	allocIDs []int64
+
 	// Per-job budgets (admission control): MaxElems is enforced exactly at
 	// each KAlloc broadcast (the driver sees every allocation before any
 	// element is written); MaxInstrs at each completed probe round from the
@@ -226,6 +230,7 @@ func (d *driver) handle(m *Msg) error {
 				d.allocElems, d.cfg.MaxElems)
 		}
 		res.arrays[m.Arr] = &gathered{h: h, vals: make([]float64, h.Elems()), mask: make([]bool, h.Elems())}
+		d.allocIDs = append(d.allocIDs, m.Arr)
 		if _, seen := res.byName[h.Name]; !seen {
 			res.nameSeq = append(res.nameSeq, h.Name)
 		}
@@ -331,7 +336,8 @@ func (d *driver) gather() error {
 	d.res.Stats.Rebounds = d.ad.rebounds
 	d.res.PEInstrs = d.det.perPEInstrs()
 	d.res.PEStats = d.det.perPEStats()
-	for id, g := range d.res.arrays {
+	for _, id := range d.allocIDs {
+		g := d.res.arrays[id]
 		for pe := 0; pe < d.n; pe++ {
 			if lo, hi := g.h.SegmentElems(pe); lo < hi {
 				if err := d.send(pe, &Msg{Kind: KDumpReq, Arr: id}); err != nil {

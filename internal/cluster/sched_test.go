@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/isa"
@@ -167,4 +168,34 @@ func TestScheduleCases(t *testing.T) {
 		}
 		refs[c.kernel].sweep([]schedCase{c})
 	}
+}
+
+// TestScheduleReplays runs one sweep case 30 times: a seeded schedule
+// must replay to the same round count, statistics and arrays. pipeline
+// gathers several arrays, and each dump request's send draws a delay from
+// the schedule's one rng, so the gather must send them in a fixed order.
+func TestScheduleReplays(t *testing.T) {
+	r := newKernelRef(t, "pipeline")
+	cfg := rowNamed(t, "base").cfg
+	cfg.NumPEs, cfg.PageElems = 2, 8
+	var first *Result
+	var rounds int64
+	const runs = 30
+	for i := 0; i < runs; i++ {
+		res, h, err := r.once(cfg, schedule{seed: 7})
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if err := diffArrays(res, r.vals, r.masks); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if i == 0 {
+			first, rounds = res, h.rounds
+			continue
+		}
+		if h.rounds != rounds || res.Stats != first.Stats || !slices.Equal(res.PEInstrs, first.PEInstrs) {
+			t.Fatalf("run %d: %d rounds, %+v; run 0: %d rounds, %+v", i, h.rounds, res.Stats, rounds, first.Stats)
+		}
+	}
+	t.Logf("%d runs of %d rounds each", runs, rounds)
 }

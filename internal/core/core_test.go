@@ -1,18 +1,41 @@
 package core_test
 
 import (
-	"context"
 	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/isa"
-	"repro/internal/sim"
+	"repro/internal/partition"
 )
 
-const src = `
+// TestCompileErrorsPropagate: a stage's error comes back with no program,
+// naming the stage that failed.
+func TestCompileErrorsPropagate(t *testing.T) {
+	if prog, _, err := core.Compile("t.id", "func main( {", partition.Options{}); err == nil || prog != nil {
+		t.Fatalf("want parse error and no program, got %v, %v", prog, err)
+	}
+
+	bl := graph.NewBuilder()
+	b := bl.NewBlock("main", graph.BlockMain, nil).Block()
+	b.Nodes = []*graph.Node{
+		{ID: 0, Op: graph.OpIAdd, Type: isa.KindInt, In: []int{1, 1}, HasValue: true},
+		{ID: 1, Op: graph.OpIAdd, Type: isa.KindInt, In: []int{0, 0}, HasValue: true},
+	}
+	b.Body = []int{0, 1}
+	gp, err := bl.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prog, _, err := core.CompileGraph(gp, partition.Options{}); err == nil || prog != nil || !strings.HasPrefix(err.Error(), "translate: ") {
+		t.Fatalf("want translate-stage error, got %v", err)
+	}
+}
+
+// TestDisableDistribution: a centralized compile inserts no LD operator.
+func TestDisableDistribution(t *testing.T) {
+	const src = `
 func main(n: int) -> float {
 	A = array(n);
 	for i = 1 to n {
@@ -25,62 +48,11 @@ func main(n: int) -> float {
 	return s;
 }
 `
-
-func TestPipelineBothEngines(t *testing.T) {
-	sys, err := core.CompileSource("t.id", src, core.Options{})
+	prog, _, err := core.Compile("t.id", src, partition.Options{DisableDistribution: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 16
-	want := 0.0
-	for i := 1; i <= n; i++ {
-		want += float64(i) * 1.5
-	}
-
-	res, _, err := sys.Simulate(sim.Config{NumPEs: 4}, isa.Int(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MainValue == nil || res.MainValue.F != want {
-		t.Fatalf("simulator: %+v, want %v", res.MainValue, want)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	cres, err := sys.ExecuteCluster(ctx, cluster.Config{NumPEs: 4}, isa.Int(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cres.Value == nil || cres.Value.F() != want {
-		t.Fatalf("cluster: %+v, want %v", cres.Value, want)
-	}
-}
-
-func TestListingAndReport(t *testing.T) {
-	sys, err := core.CompileSource("t.id", src, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l := sys.Listing(); !strings.Contains(l, "main") || !strings.Contains(l, "HALT") {
-		t.Errorf("listing:\n%s", l)
-	}
-	if r := sys.Report.String(); !strings.Contains(r, "distribute") {
-		t.Errorf("report:\n%s", r)
-	}
-}
-
-func TestDisableDistribution(t *testing.T) {
-	sys, err := core.CompileSource("t.id", src, core.Options{DisableDistribution: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(sys.Listing(), "SPAWND") {
+	if strings.Contains(prog.Listing(), "SPAWND") {
 		t.Error("centralized compile must not contain LD operators")
-	}
-}
-
-func TestCompileErrorsPropagate(t *testing.T) {
-	if _, err := core.CompileSource("t.id", "func main( {", core.Options{}); err == nil {
-		t.Fatal("want parse error")
 	}
 }

@@ -4,26 +4,19 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/idlang"
 	"repro/internal/isa"
 	"repro/internal/partition"
 	"repro/internal/sim"
-	"repro/internal/translate"
 )
 
 // run compiles source through the whole pipeline and simulates it.
 func run(t *testing.T, src string, pes int, args ...isa.Value) (*sim.Result, *sim.Machine) {
 	t.Helper()
-	gp, err := idlang.Compile("test.id", src)
+	prog, _, err := core.Compile("test.id", src, partition.Options{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
-	}
-	prog, err := translate.Translate(gp)
-	if err != nil {
-		t.Fatalf("translate: %v", err)
-	}
-	if _, err := partition.Partition(prog, partition.Options{}); err != nil {
-		t.Fatalf("partition: %v", err)
 	}
 	m, err := sim.New(prog, sim.Config{NumPEs: pes, PageElems: 8})
 	if err != nil {
@@ -237,15 +230,7 @@ func main(n: int) {
 		V[i] = V[i - 1] + 1.0;
 	}
 }`
-	gp, err := idlang.Compile("test.id", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := translate.Translate(gp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := partition.Partition(prog, partition.Options{})
+	prog, rep, err := core.Compile("test.id", src, partition.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +477,7 @@ func main(n: int) {
 }
 
 func TestWhileNeverDistributed(t *testing.T) {
-	gp, err := idlang.Compile("w.id", `
+	prog, _, err := core.Compile("w.id", `
 func main(n: int) {
 	A = array(n);
 	k = 1;
@@ -500,15 +485,8 @@ func main(n: int) {
 		A[k] = float(k);
 		next k = k + 1;
 	}
-}`)
+}`, partition.Options{})
 	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := translate.Translate(gp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := partition.Partition(prog, partition.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, tm := range prog.Templates {

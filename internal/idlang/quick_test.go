@@ -8,11 +8,10 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/idlang"
+	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/partition"
 	"repro/internal/sim"
-	"repro/internal/translate"
 )
 
 // exprGen builds a random Idlite expression over float bindings while
@@ -91,18 +90,9 @@ func TestRandomExpressionPrograms(t *testing.T) {
 		expr, want := g.expr(5)
 		src := fmt.Sprintf("func main() -> float {\n%s\treturn %s;\n}\n", g.buf.String(), expr)
 
-		gp, err := idlang.Compile("rand.id", src)
+		prog, _, err := core.Compile("rand.id", src, partition.Options{})
 		if err != nil {
 			t.Logf("seed %d: compile error: %v\nsource:\n%s", seed, err, src)
-			return false
-		}
-		prog, err := translate.Translate(gp)
-		if err != nil {
-			t.Logf("seed %d: translate: %v", seed, err)
-			return false
-		}
-		if _, err := partition.Partition(prog, partition.Options{}); err != nil {
-			t.Logf("seed %d: partition: %v", seed, err)
 			return false
 		}
 		m, err := sim.New(prog, sim.Config{NumPEs: 2})
@@ -158,16 +148,9 @@ func main(n: int) {
 		}
 	}
 }`, ai, aj, c, mod)
-		gp, err := idlang.Compile("fill.id", src)
+		prog, _, err := core.Compile("fill.id", src, partition.Options{})
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
-			return false
-		}
-		prog, err := translate.Translate(gp)
-		if err != nil {
-			return false
-		}
-		if _, err := partition.Partition(prog, partition.Options{}); err != nil {
 			return false
 		}
 		for _, pes := range []int{1, 3} {
@@ -229,15 +212,8 @@ func main(n: int) -> int {
 		for k := int64(1); k <= n; k++ {
 			want += a*k + b
 		}
-		gp, err := idlang.Compile("red.id", src)
+		prog, _, err := core.Compile("red.id", src, partition.Options{})
 		if err != nil {
-			return false
-		}
-		prog, err := translate.Translate(gp)
-		if err != nil {
-			return false
-		}
-		if _, err := partition.Partition(prog, partition.Options{}); err != nil {
 			return false
 		}
 		m, err := sim.New(prog, sim.Config{NumPEs: 1})

@@ -7,12 +7,11 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/idlang"
+	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/partition"
 	"repro/internal/simple"
-	"repro/internal/translate"
 )
 
 // step is the reference executor: it runs the one instruction at x.PC as
@@ -134,15 +133,8 @@ func allTemplates(tb testing.TB) []*isa.Template {
 
 func compile(tb testing.TB, file, src string) *isa.Program {
 	tb.Helper()
-	gp, err := idlang.Compile(file, src)
+	prog, _, err := core.Compile(file, src, partition.Options{})
 	if err != nil {
-		tb.Fatal(err)
-	}
-	prog, err := translate.Translate(gp)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if _, err := partition.Partition(prog, partition.Options{}); err != nil {
 		tb.Fatal(err)
 	}
 	return prog

@@ -28,22 +28,16 @@ type Options struct {
 	// ablation benchmarks); allocations still become ALLOCD so memory
 	// layout matches, but no loop is distributed.
 	DisableDistribution bool
-
-	// KeepLocalAllocs leaves ALLOC instructions untouched (every array on
-	// its allocating PE). Used for ablations.
-	KeepLocalAllocs bool
 }
 
 // Partition rewrites prog in place and returns a report of the decisions.
 func Partition(prog *isa.Program, opts Options) (*Report, error) {
 	rep := &Report{}
-	if !opts.KeepLocalAllocs {
-		for _, t := range prog.Templates {
-			for pc := range t.Code {
-				if t.Code[pc].Op == isa.ALLOC {
-					t.Code[pc].Op = isa.ALLOCD
-					rep.DistributedAllocs++
-				}
+	for _, t := range prog.Templates {
+		for pc := range t.Code {
+			if t.Code[pc].Op == isa.ALLOC {
+				t.Code[pc].Op = isa.ALLOCD
+				rep.DistributedAllocs++
 			}
 		}
 	}

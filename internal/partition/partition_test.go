@@ -4,24 +4,15 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/idlang"
+	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/partition"
 	"repro/internal/sim"
-	"repro/internal/translate"
 )
 
 func compile(t *testing.T, src string) (*isa.Program, *partition.Report) {
 	t.Helper()
-	gp, err := idlang.Compile("p.id", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := translate.Translate(gp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := partition.Partition(prog, partition.Options{})
+	prog, rep, err := core.Compile("p.id", src, partition.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,27 +200,6 @@ func main(n: int) {
 		for k := 1; k <= n-1; k++ {
 			if !mask[k-1] || vals[k-1] != float64(k+1)*2 {
 				t.Fatalf("PEs=%d: B[%d]=%v written=%v", pes, k, vals[k-1], mask[k-1])
-			}
-		}
-	}
-}
-
-func TestKeepLocalAllocsOption(t *testing.T) {
-	gp, err := idlang.Compile("p.id", descendingSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := translate.Translate(gp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := partition.Partition(prog, partition.Options{KeepLocalAllocs: true}); err != nil {
-		t.Fatal(err)
-	}
-	for _, tm := range prog.Templates {
-		for _, in := range tm.Code {
-			if in.Op == isa.ALLOCD {
-				t.Fatal("KeepLocalAllocs must leave ALLOC untouched")
 			}
 		}
 	}

@@ -6,27 +6,19 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/idlang"
+	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/istructure"
 	"repro/internal/partition"
 	"repro/internal/podsrt"
 	"repro/internal/sim"
 	"repro/internal/simple"
-	"repro/internal/translate"
 )
 
 func compile(t testing.TB, src string) *isa.Program {
 	t.Helper()
-	gp, err := idlang.Compile("rt.id", src)
+	prog, _, err := core.Compile("rt.id", src, partition.Options{})
 	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := translate.Translate(gp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := partition.Partition(prog, partition.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	return prog

@@ -35,9 +35,6 @@ type Config struct {
 	// cached, and locality of reference is not exploited.
 	DisableCache bool
 
-	// MaxEvents aborts runaway simulations (0 = default limit).
-	MaxEvents int64
-
 	// Trace, when non-nil, receives one line per SP lifecycle event
 	// (spawn, block, unblock, halt, array allocation) with virtual
 	// timestamps — the paper's process-state view (running/ready/blocked)
@@ -51,9 +48,6 @@ func (c *Config) fill() error {
 		return fmt.Errorf("sim: %w", err)
 	}
 	c.NumPEs, c.PageElems = g.PEs, g.PageElems
-	if c.MaxEvents <= 0 {
-		c.MaxEvents = 2_000_000_000
-	}
 	if c.ZeroOverhead && c.NumPEs != 1 {
 		return fmt.Errorf("sim: ZeroOverhead requires NumPEs == 1, got %d", c.NumPEs)
 	}

@@ -146,13 +146,14 @@ type Machine struct {
 	pes      []*pe
 	ran      bool
 
-	events   eventQueue
-	msgs     []msg
-	freeMsgs []int32
-	seq      int64
-	nEvents  int64
-	now      int64
-	horizon  int64 // latest unit-completion time with no callback
+	events    eventQueue
+	msgs      []msg
+	freeMsgs  []int32
+	seq       int64
+	nEvents   int64
+	maxEvents int64 // eventLimit; tests lower it
+	now       int64
+	horizon   int64 // latest unit-completion time with no callback
 
 	nextSP    int64
 	nextArray int64
@@ -180,12 +181,13 @@ func New(prog *isa.Program, cfg Config) (*Machine, error) {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	m := &Machine{
-		cfg:     cfg,
-		tracing: cfg.Trace != nil,
-		prog:    prog,
-		code:    make([]tmplCode, len(prog.Templates)),
-		sps:     make([]*spInst, 1), // ID 0 is the environment
-		byName:  make(map[string]int64),
+		cfg:       cfg,
+		tracing:   cfg.Trace != nil,
+		prog:      prog,
+		code:      make([]tmplCode, len(prog.Templates)),
+		maxEvents: eventLimit,
+		sps:       make([]*spInst, 1), // ID 0 is the environment
+		byName:    make(map[string]int64),
 	}
 	m.pes = make([]*pe, cfg.NumPEs)
 	for i := range m.pes {
@@ -317,11 +319,14 @@ func (m *Machine) Run(args ...isa.Value) (*Result, error) {
 	return res, nil
 }
 
-// countEvent counts one processed event against Config.MaxEvents and
+// eventLimit aborts a runaway (livelocked) simulation.
+const eventLimit = 2_000_000_000
+
+// countEvent counts one processed event against the event guard and
 // reports whether the run may go on.
 func (m *Machine) countEvent() bool {
-	if m.nEvents++; m.nEvents > m.cfg.MaxEvents {
-		m.fail(fmt.Errorf("sim: exceeded %d events (livelock?)", m.cfg.MaxEvents))
+	if m.nEvents++; m.nEvents > m.maxEvents {
+		m.fail(fmt.Errorf("sim: exceeded %d events (livelock?)", m.maxEvents))
 	}
 	return m.failed == nil
 }

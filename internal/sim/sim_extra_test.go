@@ -182,10 +182,11 @@ func TestMaxEventsGuard(t *testing.T) {
 	a.bin(isa.IADD, 1, 1, 2)
 	a.jump("head")
 	prog := &isa.Program{Templates: []*isa.Template{a.done()}, EntryID: 0}
-	m, err := New(prog, Config{NumPEs: 1, MaxEvents: 5000})
+	m, err := New(prog, Config{NumPEs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.maxEvents = 5000
 	_, err = m.Run()
 	if err == nil || !strings.Contains(err.Error(), "events") {
 		t.Fatalf("err = %v, want event-guard error", err)

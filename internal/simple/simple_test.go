@@ -4,27 +4,18 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/idlang"
+	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/partition"
 	"repro/internal/sim"
 	"repro/internal/simple"
-	"repro/internal/translate"
 )
 
 func compileSimple(t *testing.T, src string) (*isa.Program, *partition.Report) {
 	t.Helper()
-	gp, err := idlang.Compile("simple.id", src)
+	prog, rep, err := core.Compile("simple.id", src, partition.Options{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
-	}
-	prog, err := translate.Translate(gp)
-	if err != nil {
-		t.Fatalf("translate: %v", err)
-	}
-	rep, err := partition.Partition(prog, partition.Options{})
-	if err != nil {
-		t.Fatalf("partition: %v", err)
 	}
 	return prog, rep
 }

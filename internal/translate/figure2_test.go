@@ -3,11 +3,11 @@ package translate_test
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/isa"
 	"repro/internal/partition"
 	"repro/internal/sim"
-	"repro/internal/translate"
 )
 
 // TestPaperFigure2 reproduces the paper's running example end to end:
@@ -69,16 +69,12 @@ func TestPaperFigure2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := translate.Translate(gp)
+	prog, rep, err := core.CompileGraph(gp, partition.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(prog.Templates) != 3 {
 		t.Fatalf("Figure 2 has three scopes; got %d SPs", len(prog.Templates))
-	}
-	rep, err := partition.Partition(prog, partition.Options{})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if len(rep.Distributed) != 1 || rep.Distributed[0].Kind != isa.RFRow || rep.Distributed[0].Array != "A" {
 		t.Fatalf("expected exactly the i-level row RF on A:\n%s", rep)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/idlang"
 	"repro/internal/isa"
 	"repro/internal/partition"
@@ -75,7 +76,7 @@ func main() -> float { return g(f(1.0)); }
 func TestUnconsumedLoopResultsNotSent(t *testing.T) {
 	// The carried scalar's final value is never used: the loop template
 	// must not SEND it and the parent must not pass a continuation.
-	prog := compileSrc(t, `
+	prog, _, err := core.Compile("x.id", `
 func main(n: int) {
 	A = array(n);
 	s = 0;
@@ -83,7 +84,10 @@ func main(n: int) {
 		next s = s + i;
 		A[i] = float(i);
 	}
-}`)
+}`, partition.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var loop *isa.Template
 	for _, tm := range prog.Templates {
 		if tm.Kind == isa.TmplLoop {
@@ -102,9 +106,6 @@ func main(n: int) {
 		}
 	}
 	// And the program must still run (the dead-SP token bug regression).
-	if _, err := partition.Partition(prog, partition.Options{}); err != nil {
-		t.Fatal(err)
-	}
 	m, err := sim.New(prog, sim.Config{NumPEs: 2, PageElems: 8})
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package translate_test
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/isa"
 	"repro/internal/partition"
@@ -93,11 +94,7 @@ func TestTranslateFill2DStructure(t *testing.T) {
 
 func TestPartitionFill2D(t *testing.T) {
 	gp := buildFill2D(t)
-	prog, err := translate.Translate(gp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := partition.Partition(prog, partition.Options{})
+	prog, rep, err := core.CompileGraph(gp, partition.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +126,8 @@ func TestPartitionFill2D(t *testing.T) {
 func runFill2D(t *testing.T, pes, n, m int) (*sim.Result, *sim.Machine) {
 	t.Helper()
 	gp := buildFill2D(t)
-	prog, err := translate.Translate(gp)
+	prog, _, err := core.CompileGraph(gp, partition.Options{})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := partition.Partition(prog, partition.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	mach, err := sim.New(prog, sim.Config{NumPEs: pes, PageElems: 8})
@@ -214,11 +208,7 @@ func buildSumLoop(t *testing.T, n int64) *graph.Program {
 
 func TestCarriedScalarSum(t *testing.T) {
 	gp := buildSumLoop(t, 100)
-	prog, err := translate.Translate(gp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := partition.Partition(prog, partition.Options{})
+	prog, rep, err := core.CompileGraph(gp, partition.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,11 +299,8 @@ func TestDataflowCycleRejected(t *testing.T) {
 
 func TestDisableDistributionAblation(t *testing.T) {
 	gp := buildFill2D(t)
-	prog, err := translate.Translate(gp)
+	prog, _, err := core.CompileGraph(gp, partition.Options{DisableDistribution: true})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := partition.Partition(prog, partition.Options{DisableDistribution: true}); err != nil {
 		t.Fatal(err)
 	}
 	for _, tm := range prog.Templates {

@@ -35,6 +35,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/isa"
+	"repro/internal/partition"
 	"repro/internal/sim"
 )
 
@@ -63,27 +64,27 @@ func NewGraphBuilder() *graph.Builder { return graph.NewBuilder() }
 
 // Program is a compiled and partitioned PODS program.
 type Program struct {
-	sys *core.System
+	prog *isa.Program
+	rep  *partition.Report
+}
+
+func newProgram(prog *isa.Program, rep *partition.Report, err error) (*Program, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &Program{prog: prog, rep: rep}, nil
 }
 
 // Compile compiles Idlite source through the full PODS pipeline
 // (frontend → dataflow graph → Translator → Partitioner).
 func Compile(filename, src string) (*Program, error) {
-	sys, err := core.CompileSource(filename, src, core.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return &Program{sys: sys}, nil
+	return newProgram(core.Compile(filename, src, partition.Options{}))
 }
 
 // CompileCentralized compiles without loop distribution (every SP runs on
 // the spawning PE) — useful for ablation studies.
 func CompileCentralized(filename, src string) (*Program, error) {
-	sys, err := core.CompileSource(filename, src, core.Options{DisableDistribution: true})
-	if err != nil {
-		return nil, err
-	}
-	return &Program{sys: sys}, nil
+	return newProgram(core.Compile(filename, src, partition.Options{DisableDistribution: true}))
 }
 
 // FromGraph compiles a builder-constructed dataflow program.
@@ -92,18 +93,14 @@ func FromGraph(b *graph.Builder) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys, err := core.CompileGraph(gp, core.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return &Program{sys: sys}, nil
+	return newProgram(core.CompileGraph(gp, partition.Options{}))
 }
 
 // Listing disassembles the partitioned Subcompact Processes.
-func (p *Program) Listing() string { return p.sys.Listing() }
+func (p *Program) Listing() string { return p.prog.Listing() }
 
 // PartitionReport describes the partitioner's distribution decisions.
-func (p *Program) PartitionReport() string { return p.sys.Report.String() }
+func (p *Program) PartitionReport() string { return p.rep.String() }
 
 // SimResult is a completed simulation plus access to the machine's final
 // I-structure memory.
@@ -123,7 +120,11 @@ func (r *SimResult) Arrays() []string { return r.machine.ArrayNames() }
 
 // Simulate runs the program on the simulated PODS multiprocessor.
 func (p *Program) Simulate(cfg SimConfig, args ...Value) (*SimResult, error) {
-	res, m, err := p.sys.Simulate(cfg, args...)
+	m, err := sim.New(p.prog, cfg)
+	if err != nil {
+		return nil, err
+	}
+	res, err := m.Run(args...)
 	if err != nil {
 		return nil, err
 	}
@@ -201,11 +202,11 @@ func (r *ClusterResult) WriteTimelineCSV(w io.Writer) error {
 // separate processes (`podsd -worker`). The context bounds the run; a
 // deadlocked dataflow program is reported when it expires.
 func (p *Program) ExecuteCluster(ctx context.Context, cfg ClusterConfig, args ...Value) (*ClusterResult, error) {
-	res, err := p.sys.ExecuteCluster(ctx, cfg, args...)
+	res, err := cluster.Execute(ctx, p.prog, cfg, args...)
 	if err != nil {
 		return nil, err
 	}
-	return &ClusterResult{Value: res.Value, res: res, tmplName: p.sys.Program.TemplateName}, nil
+	return &ClusterResult{Value: res.Value, res: res, tmplName: p.prog.TemplateName}, nil
 }
 
 // ClusterFleet is a persistent message-passing cluster: the workers come
@@ -235,11 +236,11 @@ func OpenClusterFleet(ctx context.Context, cfg ClusterConfig) (*ClusterFleet, er
 // scheduling knobs, geometry, and budgets (ClusterConfig.MaxInstrs,
 // MaxElems) — transport fields come from the fleet.
 func (f *ClusterFleet) Submit(ctx context.Context, p *Program, cfg ClusterConfig, args ...Value) (*ClusterResult, error) {
-	res, err := f.f.Submit(ctx, p.sys.Program, cfg, args...)
+	res, err := f.f.Submit(ctx, p.prog, cfg, args...)
 	if err != nil {
 		return nil, err
 	}
-	return &ClusterResult{Value: res.Value, res: res, tmplName: p.sys.Program.TemplateName}, nil
+	return &ClusterResult{Value: res.Value, res: res, tmplName: p.prog.TemplateName}, nil
 }
 
 // Close shuts the fleet down. Jobs still in flight fail; Close is

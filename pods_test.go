@@ -77,6 +77,9 @@ func TestFacadeCentralizedAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if strings.Contains(cent.Listing(), "SPAWND") {
+		t.Error("centralized compile must not contain LD operators")
+	}
 	rFull, err := full.Simulate(pods.SimConfig{NumPEs: 8}, pods.Int(16))
 	if err != nil {
 		t.Fatal(err)
