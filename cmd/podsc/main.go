@@ -12,12 +12,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/partition"
-	"repro/internal/simple"
 )
 
 func main() {
@@ -31,7 +31,7 @@ func run(argv []string) error {
 	fs := flag.NewFlagSet("podsc", flag.ContinueOnError)
 	noDist := fs.Bool("no-dist", false, "disable loop distribution (ablation)")
 	listing := fs.Bool("listing", false, "print the SP disassembly")
-	builtin := fs.String("builtin", "", "compile a built-in program: simple | conduction | matmul")
+	builtin := fs.String("builtin", "", "compile a built-in program: "+strings.Join(kernels.BuiltinNames(), " | "))
 	out := fs.String("o", "", "write the compiled program to a .pods file")
 	if err := fs.Parse(argv); err != nil {
 		return err
@@ -40,15 +40,8 @@ func run(argv []string) error {
 	var name, src string
 	switch {
 	case *builtin != "":
-		name = *builtin + ".id"
-		switch *builtin {
-		case "simple":
-			src = simple.Source
-		case "conduction":
-			src = simple.ConductionSource
-		case "matmul":
-			src = kernels.Matmul
-		default:
+		var ok bool
+		if name, src, ok = kernels.Builtin(*builtin); !ok {
 			return fmt.Errorf("unknown builtin %q", *builtin)
 		}
 	case fs.NArg() == 1:

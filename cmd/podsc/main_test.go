@@ -6,10 +6,17 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/kernels"
 )
 
+// TestCompileBuiltins: every name the tools' one resolver accepts —
+// simple, conduction and every kernel — compiles.
 func TestCompileBuiltins(t *testing.T) {
-	for _, b := range []string{"simple", "conduction", "matmul"} {
+	names := kernels.BuiltinNames()
+	if len(names) != 2+len(kernels.All()) {
+		t.Fatalf("%d builtin names for simple, conduction and %d kernels", len(names), len(kernels.All()))
+	}
+	for _, b := range names {
 		if err := run([]string{"-builtin", b}); err != nil {
 			t.Errorf("builtin %s: %v", b, err)
 		}

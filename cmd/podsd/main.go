@@ -86,7 +86,7 @@ func run(argv []string) error {
 	spares := fs.String("spares", "", "comma-separated standby worker addresses a dead TCP worker's PE is re-homed onto before the job runs again, one per death")
 	pes := fs.Int("pes", 0, "number of in-process worker PEs (default 4)")
 	argsFlag := fs.String("args", "", "comma-separated integer arguments for main")
-	builtin := fs.String("builtin", "", "run a built-in kernel: matmul | heat | pipeline | mirror | triangular | triread | relax")
+	builtin := fs.String("builtin", "", "run a built-in program: "+strings.Join(kernels.BuiltinNames(), " | "))
 	dump := fs.String("dump", "", "print the named array after the run")
 	pageElems := fs.Int("page", 0, "I-structure page size in elements (default 32)")
 	cachePages := fs.Int("cache", 0, "cap each PE's remote page cache at this many pages, CLOCK-evicted (0 = unbounded)")
@@ -130,11 +130,10 @@ func run(argv []string) error {
 	var precompiled *isa.Program
 	switch {
 	case *builtin != "":
-		k, ok := kernels.ByName(*builtin)
-		if !ok {
+		var ok bool
+		if name, src, ok = kernels.Builtin(*builtin); !ok {
 			return fmt.Errorf("unknown builtin %q", *builtin)
 		}
-		name, src = k.File(), k.Source
 	case fs.NArg() == 1:
 		name = fs.Arg(0)
 		data, err := os.ReadFile(name)

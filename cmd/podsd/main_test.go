@@ -67,6 +67,14 @@ func TestRunOverTCPWorkers(t *testing.T) {
 	wg.Wait()
 }
 
+// TestRunBuiltinConduction: podsd resolves the SIMPLE programs as well as
+// the kernels.
+func TestRunBuiltinConduction(t *testing.T) {
+	if err := run([]string{"-builtin", "conduction", "-pes", "2", "-args", "8"}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-builtin", "nope"}); err == nil {
 		t.Fatal("want error for unknown builtin")

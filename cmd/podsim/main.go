@@ -21,7 +21,6 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/partition"
 	"repro/internal/sim"
-	"repro/internal/simple"
 )
 
 func main() {
@@ -35,7 +34,7 @@ func run(argv []string) error {
 	fs := flag.NewFlagSet("podsim", flag.ContinueOnError)
 	pes := fs.Int("pes", 4, "number of processing elements")
 	argsFlag := fs.String("args", "", "comma-separated integer arguments for main")
-	builtin := fs.String("builtin", "", "run a built-in program: simple | conduction | matmul | heat | pipeline | mirror")
+	builtin := fs.String("builtin", "", "run a built-in program: "+strings.Join(kernels.BuiltinNames(), " | "))
 	noDist := fs.Bool("no-dist", false, "disable loop distribution (ablation)")
 	stall := fs.Bool("stall", false, "control-driven baseline (no remote-latency hiding)")
 	noCache := fs.Bool("no-cache", false, "disable the software page cache (ablation)")
@@ -51,18 +50,9 @@ func run(argv []string) error {
 	var precompiled *isa.Program
 	switch {
 	case *builtin != "":
-		name = *builtin + ".id"
-		switch *builtin {
-		case "simple":
-			src = simple.Source
-		case "conduction":
-			src = simple.ConductionSource
-		default:
-			k, ok := kernels.ByName(*builtin)
-			if !ok {
-				return fmt.Errorf("unknown builtin %q", *builtin)
-			}
-			name, src = k.File(), k.Source
+		var ok bool
+		if name, src, ok = kernels.Builtin(*builtin); !ok {
+			return fmt.Errorf("unknown builtin %q", *builtin)
 		}
 	case fs.NArg() == 1:
 		name = fs.Arg(0)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cluster/trace"
 	"repro/internal/isa"
+	"repro/internal/istructure"
 )
 
 // The adapt layer (Config.Adapt): runtime-adaptive repartitioning of Range
@@ -107,7 +108,7 @@ func (w *worker) inheritCost(sp, child *spInst) {
 func (w *worker) mintSweep(loop int) (sweep int64, cuts []int64) {
 	a := w.adapt
 	a.nextSweep++
-	return packJobID(w.job, w.pe, a.nextSweep), a.cuts[loop]
+	return istructure.PackID(w.job, w.pe, a.nextSweep), a.cuts[loop]
 }
 
 // rebound installs a KRebound cut vector for its loop template.

@@ -132,7 +132,7 @@ func TestShippedPagesMatchOwner(t *testing.T) {
 // itself, not a copy — after termination no element can change.
 func TestDumpAliasesSegment(t *testing.T) {
 	w := newHotWorker(t)
-	id := w.filledArray(t, 40).AsInt()
+	id := w.filledArray(t, 1<<20, 40).AsInt()
 	a := w.shard.Array(id)
 	w.handleDumpReq(a, &Msg{Kind: KDumpReq, Arr: id})
 	m, ok := w.driver.in.tryRecv()

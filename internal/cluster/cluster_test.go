@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/isa"
+	"repro/internal/istructure"
 	"repro/internal/kernels"
 	"repro/internal/partition"
 )
@@ -28,30 +29,30 @@ func testCtx(t *testing.T) context.Context {
 	return ctx
 }
 
+// packID mints a single-job ID.
+func packID(pe int, seq int64) int64 { return istructure.PackID(0, pe, seq) }
+
 func TestIDPacking(t *testing.T) {
-	// The PE field is one byte storing pe+1, so every index below maxPEs
+	// The PE field is one byte storing pe+1, so every index below MaxPEs
 	// (255) round-trips, under any job namespace.
-	for pe := 0; pe < maxPEs; pe++ {
-		for _, job := range []int32{0, jobMask} {
-			if got := peOf(packJobID(job, pe, 1<<peShift-1)); got != pe {
-				t.Errorf("peOf(packJobID(%d, %d, _)) = %d", job, pe, got)
+	for pe := 0; pe < istructure.MaxPEs; pe++ {
+		for _, job := range []int32{0, istructure.JobMask} {
+			if got := istructure.PEOf(istructure.PackID(job, pe, 1<<istructure.PEShift-1)); got != pe {
+				t.Errorf("PEOf(PackID(%d, %d, _)) = %d", job, pe, got)
 			}
 		}
 	}
-	if peOf(0) != -1 {
-		t.Errorf("peOf(0) = %d, want -1 (driver environment)", peOf(0))
+	if istructure.PEOf(0) != -1 {
+		t.Errorf("PEOf(0) = %d, want -1 (driver environment)", istructure.PEOf(0))
 	}
-	for _, job := range []int32{0, 1, 9, jobMask} {
-		id := packJobID(job, 3, 99)
-		if got := jobOf(id); got != job {
-			t.Errorf("jobOf(packJobID(%d, 3, 99)) = %d", job, got)
+	for _, job := range []int32{0, 1, 9, istructure.JobMask} {
+		id := istructure.PackID(job, 3, 99)
+		if got := istructure.JobOf(id); got != job {
+			t.Errorf("JobOf(PackID(%d, 3, 99)) = %d", job, got)
 		}
-		if got, want := peOf(id), 3; got != want {
-			t.Errorf("peOf(packJobID(%d, ...)) = %d, want %d", job, got, want)
+		if got, want := istructure.PEOf(id), 3; got != want {
+			t.Errorf("PEOf(PackID(%d, ...)) = %d, want %d", job, got, want)
 		}
-	}
-	if packJobID(0, 4, 7) != packID(4, 7) {
-		t.Error("job 0 must pack identically to a single-job ID")
 	}
 }
 
@@ -178,12 +179,12 @@ func main(n: int) -> int {
 }`)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	_, err := Execute(ctx, prog, Config{NumPEs: maxPEs + 1, PageElems: 1}, isa.Int(2*(maxPEs+1)))
+	_, err := Execute(ctx, prog, Config{NumPEs: istructure.MaxPEs + 1, PageElems: 1}, isa.Int(2*(istructure.MaxPEs+1)))
 	if err == nil || !strings.Contains(err.Error(), "maximum 255") {
-		t.Fatalf("Execute on %d PEs: err = %v, want the 255-PE bound", maxPEs+1, err)
+		t.Fatalf("Execute on %d PEs: err = %v, want the 255-PE bound", istructure.MaxPEs+1, err)
 	}
-	if err := (&Config{NumPEs: maxPEs}).fill(); err != nil {
-		t.Errorf("fill refused %d PEs: %v", maxPEs, err)
+	if err := (&Config{NumPEs: istructure.MaxPEs}).fill(); err != nil {
+		t.Errorf("fill refused %d PEs: %v", istructure.MaxPEs, err)
 	}
 }
 

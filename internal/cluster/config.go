@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/istructure"
 	"repro/internal/rtcfg"
 )
 
@@ -145,8 +146,8 @@ func (c *Config) fill() error {
 		return fmt.Errorf("cluster: %w", err)
 	}
 	c.NumPEs, c.PageElems = g.PEs, g.PageElems
-	if c.NumPEs > maxPEs {
-		return fmt.Errorf("cluster: %d PEs exceeds the maximum %d a packed SP or array ID can name", c.NumPEs, maxPEs)
+	if c.NumPEs > istructure.MaxPEs {
+		return fmt.Errorf("cluster: %d PEs exceeds the maximum %d a packed SP or array ID can name", c.NumPEs, istructure.MaxPEs)
 	}
 	if c.Latency < 0 {
 		return fmt.Errorf("cluster: negative injected latency %v", c.Latency)

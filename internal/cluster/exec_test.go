@@ -43,6 +43,8 @@ const none = isa.None
 //	           pre-filled array passed as the second argument
 //	3 spawner: spawns n instances of template 4 (IADD; HALT), 5 per child
 //	5 copy:    the spawner as a distributed loop copy, loop variable i
+//	6 read4:   n iterations of 12 instructions with one local AREAD of
+//	           each of four pre-filled arrays passed as arguments 2-5
 func hotPrograms() *isa.Program {
 	scalar := []isa.Instr{
 		constant(1, isa.Int(0)),        // i
@@ -86,6 +88,17 @@ func hotPrograms() *isa.Program {
 		branch(isa.JUMP, none, 3),
 		isa.NewInstr(isa.HALT),
 	}
+	read4 := []isa.Instr{
+		constant(5, isa.Int(1)),   // i
+		constant(6, isa.Int(1)),   // one
+		constant(7, isa.Float(0)), // acc
+		instr(isa.CMPLE, 8, 5, 0), // 3: c = i <= n
+		branch(isa.BRFALSE, 8, 15),
+	}
+	for a := 1; a <= 4; a++ {
+		read4 = append(read4, instr(isa.AREAD, 9, a, none, 5), instr(isa.FADD, 7, 7, 9))
+	}
+	read4 = append(read4, instr(isa.IADD, 5, 5, 6), branch(isa.JUMP, none, 3), isa.NewInstr(isa.HALT))
 	spawn := instr(isa.SPAWN, none, none, none, 1)
 	spawn.Imm = isa.Int(4)
 	spawner := []isa.Instr{
@@ -107,6 +120,7 @@ func hotPrograms() *isa.Program {
 		{ID: 4, Name: "child", Kind: isa.TmplFunc, NParams: 1, NSlots: 2, Code: child},
 		{ID: 5, Name: "copy", Kind: isa.TmplLoop, NParams: 1, NSlots: 4, Code: spawner,
 			Distributed: true, Loop: &isa.LoopInfo{Var: "i", VarSlot: 1, LimitSlot: 0}},
+		{ID: 6, Name: "read4", Kind: isa.TmplMain, NParams: 5, NSlots: 10, Code: read4},
 	}}
 }
 
@@ -146,10 +160,11 @@ func (w hotWorker) run(tb testing.TB, tmpl int, args ...isa.Value) int64 {
 	return w.instrs - before
 }
 
-// filledArray installs a local n-element array with every element written.
-func (w hotWorker) filledArray(tb testing.TB, n int) isa.Value {
+// filledArray installs a local n-element array with every element written,
+// under sequence number seq.
+func (w hotWorker) filledArray(tb testing.TB, seq int64, n int) isa.Value {
 	tb.Helper()
-	h, err := istructure.NewHeader(packID(0, 1<<20), "R", []int{n}, w.geo.PageElems, 1, 0, false)
+	h, err := istructure.NewHeader(packID(0, seq), "R", []int{n}, w.geo.PageElems, 1, 0, false)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -169,7 +184,7 @@ func (w hotWorker) filledArray(tb testing.TB, n int) isa.Value {
 // instruction.
 func TestExecAllocFree(t *testing.T) {
 	w := newHotWorker(t)
-	arr := w.filledArray(t, 4096)
+	arr := w.filledArray(t, 1<<20, 4096)
 	for _, tc := range []struct {
 		name string
 		tmpl int
@@ -241,10 +256,13 @@ func TestAdaptBillsEachIteration(t *testing.T) {
 	}
 }
 
-func benchExec(b *testing.B, tmpl int, n int64, args ...isa.Value) {
+// benchExec runs template tmpl with trip count n and, after it, arrays
+// pre-filled n-element arrays.
+func benchExec(b *testing.B, tmpl int, n int64, arrays int) {
 	w := newHotWorker(b)
-	if tmpl == 2 {
-		args = append(args, w.filledArray(b, int(n)))
+	args := []isa.Value{isa.Int(n)}
+	for i := range arrays {
+		args = append(args, w.filledArray(b, 1<<20+int64(i), int(n)))
 	}
 	w.run(b, tmpl, args...)
 	b.ReportAllocs()
@@ -257,11 +275,15 @@ func benchExec(b *testing.B, tmpl int, n int64, args ...isa.Value) {
 }
 
 // BenchmarkWorkerExecScalar: 6 scalar/control instructions per iteration.
-func BenchmarkWorkerExecScalar(b *testing.B) { benchExec(b, 0, 4096, isa.Int(4096)) }
+func BenchmarkWorkerExecScalar(b *testing.B) { benchExec(b, 0, 4096, 0) }
 
 // BenchmarkWorkerExecLocalRead: one local AREAD hit in every 6 instructions.
-func BenchmarkWorkerExecLocalRead(b *testing.B) { benchExec(b, 2, 4096, isa.Int(4096)) }
+func BenchmarkWorkerExecLocalRead(b *testing.B) { benchExec(b, 2, 4096, 1) }
+
+// BenchmarkWorkerExecLocalRead4: one local AREAD hit in every 3
+// instructions, rotating over four arrays as SIMPLE's loops do.
+func BenchmarkWorkerExecLocalRead4(b *testing.B) { benchExec(b, 6, 4096, 4) }
 
 // BenchmarkWorkerExecSpawnHalt: one SPAWN and one child (IADD; HALT) in
 // every 5 instructions.
-func BenchmarkWorkerExecSpawnHalt(b *testing.B) { benchExec(b, 3, 1024, isa.Int(1024)) }
+func BenchmarkWorkerExecSpawnHalt(b *testing.B) { benchExec(b, 3, 1024, 0) }

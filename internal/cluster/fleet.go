@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/isa"
+	"repro/internal/istructure"
 )
 
 // This file turns the one-shot cluster runtime into a job service. A Fleet
@@ -293,7 +294,7 @@ func (f *Fleet) allocJobIDLocked() int32 {
 			f.nextJob = 1
 		}
 		id := f.nextJob
-		if id&jobMask == 0 {
+		if id&istructure.JobMask == 0 {
 			continue
 		}
 		if _, live := f.jobs[id]; live {

@@ -76,7 +76,7 @@ func (w *worker) execAlloc(sp *spInst, ins *isa.DInstr, args []int, name string)
 		elems *= dims[i]
 	}
 	w.nextArr++
-	id := packJobID(w.job, w.pe, w.nextArr)
+	id := istructure.PackID(w.job, w.pe, w.nextArr)
 	if name == "" {
 		name = fmt.Sprintf("anon%d", id)
 	}

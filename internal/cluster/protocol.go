@@ -770,38 +770,3 @@ func decodeMsg(b []byte) (*Msg, error) {
 	}
 	return m, nil
 }
-
-// ID packing: SP instances and arrays are identified by 64-bit IDs
-// allocated without coordination. The layout, high to low:
-//
-//	bits 48..62  job namespace (low 15 bits of the job ID; 0 = single-job)
-//	bits 40..47  owning PE index + 1 (the driver environment keeps ID 0)
-//	bits  0..39  per-PE sequence number
-//
-// The job bits give every concurrent job on a shared fleet its own ID
-// namespace, so two jobs' SP and array IDs can never collide in any shared
-// map even though frames are already routed per job.
-
-const (
-	jobShift = 48
-	peShift  = 40
-	jobMask  = 0x7fff
-
-	// maxPEs is the largest PE count an ID can name: the PE field is the
-	// byte between peShift and jobShift, and it stores pe+1.
-	maxPEs = 1<<(jobShift-peShift) - 1
-)
-
-func packID(pe int, seq int64) int64 { return int64(pe+1)<<peShift | seq }
-
-// packJobID mints an ID under a specific job namespace.
-func packJobID(job int32, pe int, seq int64) int64 {
-	return (int64(job)&jobMask)<<jobShift | packID(pe, seq)
-}
-
-// peOf recovers the owning PE from a packed ID; ID 0 (the driver
-// environment) returns -1. The mask strips the job namespace bits.
-func peOf(id int64) int { return int((id>>peShift)&maxPEs) - 1 }
-
-// jobOf recovers the job namespace bits from a packed ID.
-func jobOf(id int64) int32 { return int32(id>>jobShift) & jobMask }

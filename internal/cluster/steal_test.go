@@ -229,7 +229,7 @@ func TestStealBackClearsStaleStub(t *testing.T) {
 	// Run everything down, then push a late token through PE 1's stub: it
 	// must come home and be dropped, not orbit.
 	for _, id := range []int64{id1, packID(0, 2), packID(1, 1)} {
-		h.inject(peOf(id), &Msg{Kind: KToken, SP: id, Slot: 2, Val: isa.Float(1)})
+		h.inject(istructure.PEOf(id), &Msg{Kind: KToken, SP: id, Slot: 2, Val: isa.Float(1)})
 	}
 	h.settle()
 	h.inject(1, &Msg{Kind: KToken, SP: id1, Slot: 2, Val: isa.Float(9)})

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/isa"
+	"repro/internal/istructure"
 )
 
 // The TCP transport runs each PE as its own endpoint over real sockets, so
@@ -450,8 +451,8 @@ func ServeWorker(ctx context.Context, ln net.Listener) error {
 		}
 	}
 	n := int(init.Cfg.NumPEs)
-	if n < 1 || n > maxPEs || init.Cfg.PE < 0 || int(init.Cfg.PE) >= n {
-		return fmt.Errorf("cluster: refused KInit for PE %d of %d (want 1 ≤ NumPEs ≤ %d, 0 ≤ PE < NumPEs)", init.Cfg.PE, n, maxPEs)
+	if n < 1 || n > istructure.MaxPEs || init.Cfg.PE < 0 || int(init.Cfg.PE) >= n {
+		return fmt.Errorf("cluster: refused KInit for PE %d of %d (want 1 ≤ NumPEs ≤ %d, 0 ≤ PE < NumPEs)", init.Cfg.PE, n, istructure.MaxPEs)
 	}
 	t.self, t.links = int(init.Cfg.PE), make([]tcpLink, n+1)
 	for i := 0; i < n && i < len(init.Cfg.Peers); i++ {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/isa"
+	"repro/internal/istructure"
 	"repro/internal/kernels"
 )
 
@@ -290,7 +291,7 @@ func TestTCPWorkerRefusesMalformedInit(t *testing.T) {
 	for _, c := range []MsgCfg{
 		{PE: 0, NumPEs: -5},
 		{PE: 0, NumPEs: 0},
-		{PE: 0, NumPEs: maxPEs + 1},
+		{PE: 0, NumPEs: istructure.MaxPEs + 1},
 		{PE: 0, NumPEs: 1<<31 - 1},
 		{PE: -1, NumPEs: 2},
 		{PE: 2, NumPEs: 2},

@@ -13,6 +13,7 @@ import (
 	"unsafe"
 
 	"repro/internal/isa"
+	"repro/internal/istructure"
 )
 
 // This file tests and measures the wire codec (protocol.go): round trips
@@ -62,7 +63,7 @@ func TestMsgCodecRoundTrip(t *testing.T) {
 		{Kind: KCostReport, Tmpl: 6, Sweep: packID(3, 4),
 			Lists: &MsgLists{Iters: []int64{1, 2, 5}, Costs: []int64{10, 20, 50}}},
 		{Kind: KRebound, Tmpl: 6, Lists: &MsgLists{Cuts: []int64{4, 9, 13}}},
-		{Kind: KToken, From: 2, Job: 3, SP: packJobID(3, 1, 9), Slot: 2, Val: isa.Int(5)},
+		{Kind: KToken, From: 2, Job: 3, SP: istructure.PackID(3, 1, 9), Slot: 2, Val: isa.Int(5)},
 		{Kind: KAck, Round: 3, Ack: &AckStats{Counters: Counters{MsgsSent: 4, MsgsRecv: 4}}},
 		{Kind: KStealReq, From: 1, Lists: &MsgLists{HotPages: []int64{packID(0, 1), 3, packID(2, 5), 0}}},
 		{Kind: KAck, Round: 9, Ack: &AckStats{Counters: Counters{MsgsSent: 8, MsgsRecv: 8, CacheHits: 40, CacheMisses: 3,

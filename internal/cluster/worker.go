@@ -523,7 +523,7 @@ func (w *worker) spawnLocal(tmpl *isa.Template, nargs int) *spInst {
 		sp = &spInst{frame: make([]isa.Value, n)}
 	}
 	w.nextSP++
-	sp.id = packJobID(w.job, w.pe, w.nextSP)
+	sp.id = istructure.PackID(w.job, w.pe, w.nextSP)
 	sp.tmpl = tmpl
 	sp.blocked = isa.None
 	sp.costLoop = -1
@@ -602,7 +602,7 @@ func (w *worker) deliver(id int64, slot int, v isa.Value) {
 // remote ID this worker migrated (stolen in and away again, or stolen in
 // and halted) skips the round trip through its home PE's stub.
 func (w *worker) route(id int64, slot int, v isa.Value) {
-	switch pe := peOf(id); {
+	switch pe := istructure.PEOf(id); {
 	case pe == w.pe || w.insts[id] != nil:
 		w.deliver(id, slot, v)
 	case pe < 0: // driver environment

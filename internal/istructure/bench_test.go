@@ -1,6 +1,7 @@
 package istructure
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/isa"
@@ -12,7 +13,10 @@ import (
 
 const benchSide = 64 // a 64×64 array: 4096 elements, 128 pages of 32
 
-var benchSink isa.Value
+var (
+	benchSink      isa.Value
+	benchArraySink *Array
+)
 
 // benchArray installs a benchSide² array on PE 0 of numPEs and returns the
 // shard and the array's handle.
@@ -27,6 +31,37 @@ func benchArray(b *testing.B, numPEs int) (*Shard, *Array) {
 		b.Fatal(err)
 	}
 	return s, s.Array(1)
+}
+
+// BenchmarkShardArray: the ID → handle lookup every access pays, rotating
+// over 1, 4 and 16 arrays minted by two PEs, the way SIMPLE's loops move
+// from array to array on consecutive accesses.
+func BenchmarkShardArray(b *testing.B) {
+	for _, k := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("arrays=%d", k), func(b *testing.B) {
+			s := NewShard(0)
+			ids := make([]int64, k)
+			for i := range ids {
+				pe := i % 2
+				ids[i] = PackID(1, pe, int64(i/2+1))
+				h, err := NewHeader(ids[i], "A", []int{64}, 32, 2, pe, true)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := s.Install(h); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i, j := 0, 0; i < b.N; i++ {
+				benchArraySink = s.Array(ids[j])
+				if j++; j == k {
+					j = 0
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkShardReadLocal: a read of an owned, present element.

@@ -7,6 +7,8 @@ package istructure
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/isa"
 	"repro/internal/timing"
@@ -32,11 +34,40 @@ type Header struct {
 	// (the only constructor; the exported fields are never changed
 	// afterwards): element and page counts, the row stride, and the
 	// segment split — the first r segments hold q+1 pages, the rest q,
-	// and cut = r*(q+1) is the first page of the q-page segments.
-	elems, pages int
-	rowLen       int
-	q, r, cut    int
+	// and cut = r*(q+1) is the first page of the q-page segments — with
+	// the reciprocals that divide by the page size, q and q+1.
+	elems, pages         int
+	rowLen               int
+	q, r, cut            int
+	pageDiv, qDiv, q1Div divisor
 }
+
+// maxElems bounds an array's element count so that every offset fits the
+// int32 the cluster's frames carry it in: the range over which the
+// reciprocal divisions are exact.
+const maxElems = math.MaxInt32
+
+// divisor divides an offset-sized numerator, 0 <= n < 2^31, by a fixed d
+// in [1, 2^31) with one 64-bit multiply and a shift instead of an integer
+// divide (Lemire, Kaser and Kurz, "Faster Remainder by Direct Computation",
+// 2019, Theorem 1). With L = ceil(log2 d) and F = 31 + L it holds
+// c = ceil(2^F / d) and computes n/d = floor(c·n / 2^F). That is exact:
+// c·d - 2^F = e < d, so c·n overshoots n·2^F/d by e·n < d·2^31 <= 2^F,
+// less than the 1/d that separates n/d from the next integer after the
+// shift. c <= 2^32, so c·n < 2^63 never overflows. d = 1 and the powers of
+// two take the same path (c = 2^31).
+type divisor struct {
+	mul   uint64
+	shift uint8
+}
+
+func newDivisor(d int) divisor {
+	f := 31 + bits.Len64(uint64(d-1))
+	return divisor{mul: (1<<f + uint64(d) - 1) / uint64(d), shift: uint8(f)}
+}
+
+// div returns n/d for 0 <= n < 2^31.
+func (m divisor) div(n int) int { return int(uint64(n) * m.mul >> m.shift) }
 
 // NewHeader validates the geometry and builds a header.
 func NewHeader(id int64, name string, dims []int, pageElems, numPEs, origin int, dist bool) (*Header, error) {
@@ -51,6 +82,9 @@ func NewHeader(id int64, name string, dims []int, pageElems, numPEs, origin int,
 	if pageElems <= 0 {
 		pageElems = timing.DefaultPageElems
 	}
+	if pageElems > maxElems {
+		return nil, fmt.Errorf("array %q: page size %d exceeds %d elements", name, pageElems, maxElems)
+	}
 	if numPEs <= 0 {
 		return nil, fmt.Errorf("array %q: numPEs %d", name, numPEs)
 	}
@@ -61,12 +95,18 @@ func NewHeader(id int64, name string, dims []int, pageElems, numPEs, origin int,
 		PageElems: pageElems, NumPEs: numPEs, Dist: dist, Origin: origin}
 	h.elems = 1
 	for _, d := range dims {
+		if d > maxElems/h.elems {
+			return nil, fmt.Errorf("array %q: more than %d elements", name, maxElems)
+		}
 		h.elems *= d
 	}
 	h.rowLen = dims[len(dims)-1]
 	h.pages = (h.elems + pageElems - 1) / pageElems
 	h.q, h.r = h.pages/numPEs, h.pages%numPEs
 	h.cut = h.r * (h.q + 1)
+	// q is 0 only when there are fewer pages than PEs, where OwnerOf
+	// never divides by it.
+	h.pageDiv, h.qDiv, h.q1Div = newDivisor(pageElems), newDivisor(max(h.q, 1)), newDivisor(h.q+1)
 	return h, nil
 }
 
@@ -119,8 +159,9 @@ func (h *Header) OffsetOf(frame []isa.Value, slots []int) (int, error) {
 	return off, nil
 }
 
-// PageOf returns the page index containing linear offset off.
-func (h *Header) PageOf(off int) int { return off / h.PageElems }
+// PageOf returns the page index containing linear offset off, which must
+// fit an int32 (0 <= off < 2^31).
+func (h *Header) PageOf(off int) int { return h.pageDiv.div(off) }
 
 // segment boundaries: pages are grouped into NumPEs segments of
 // approximately equal size, assigned to PEs sequentially (§4.1 step 2).
@@ -159,7 +200,8 @@ func (h *Header) SegmentElems(pe int) (lo, hi int) {
 	return lo, hi
 }
 
-// OwnerOf returns the PE owning the element at linear offset off.
+// OwnerOf returns the PE owning the element at linear offset off, which
+// must fit an int32 (0 <= off < 2^31).
 func (h *Header) OwnerOf(off int) int {
 	if !h.Dist {
 		return h.Origin
@@ -174,9 +216,9 @@ func (h *Header) OwnerOf(off int) int {
 		return h.NumPEs - 1
 	}
 	if page < h.cut {
-		return page / (h.q + 1)
+		return h.q1Div.div(page)
 	}
-	return h.r + (page-h.cut)/h.q
+	return h.r + h.qDiv.div(page-h.cut)
 }
 
 // OwnedRows returns the inclusive 1-based range [lo, hi] of dimension-0

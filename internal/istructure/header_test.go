@@ -1,6 +1,8 @@
 package istructure
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -279,6 +281,16 @@ func TestHeaderValidation(t *testing.T) {
 	if h, err := NewHeader(1, "x", []int{4}, 0, 4, 0, true); err != nil || h.PageElems != 32 {
 		t.Errorf("pageElems 0 should default to 32: %v %+v", err, h)
 	}
+	// Offsets must stay 32-bit numbers, the range the reciprocals cover.
+	if _, err := NewHeader(1, "x", []int{1 << 16, 1 << 15}, 32, 4, 0, true); err == nil {
+		t.Error("2^31 elements should fail")
+	}
+	if _, err := NewHeader(1, "x", []int{1 << 16, 1<<15 - 1}, 32, 4, 0, true); err != nil {
+		t.Errorf("2^31 - 2^16 elements: %v", err)
+	}
+	if _, err := NewHeader(1, "x", []int{4}, 1<<31, 4, 0, true); err == nil {
+		t.Error("a 2^31-element page should fail")
+	}
 }
 
 // The geometry NewHeader precomputes, as the formulas it replaced: every
@@ -443,4 +455,69 @@ func TestOffsetOfMatchesOffset(t *testing.T) {
 			t.Errorf("dims %v: OffsetOf accepted %d indices", dims, 3-len(dims))
 		}
 	}
+}
+
+// TestReciprocalDivisionExact: the reciprocal divisions equal plain integer
+// division. PageOf, OwnerOf and SegmentElems agree with the division
+// formulas at every offset of arrays of 1, 2, 4, 9 and 40 pages and a
+// ragged last page, for page sizes 1-130 (1, the powers of two and the
+// primes among them), on 1-9 PEs, distributed and local, and at the largest
+// offset a frame's int32 Off can carry. The divisor itself is checked at
+// the multiples of d and their neighbours up to 2^31-1, for small d and
+// for d near 2^30 and 2^31.
+func TestReciprocalDivisionExact(t *testing.T) {
+	for pageElems := 1; pageElems <= 130; pageElems++ {
+		for numPEs := 1; numPEs <= 9; numPEs++ {
+			for _, pages := range []int{1, 2, 4, 9, 40} {
+				for _, dist := range []bool{true, false} {
+					n := pages*pageElems - pageElems/2
+					h, err := NewHeader(1, "A", []int{n}, pageElems, numPEs, numPEs-1, dist)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for pe := 0; pe < numPEs; pe++ {
+						lo, hi := h.SegmentElems(pe)
+						if flo, fhi := formulaSegmentElems(h, pe); lo != flo || hi != fhi {
+							t.Fatalf("%d elems, page %d, %d PEs, dist %v: SegmentElems(%d) = [%d,%d), division gives [%d,%d)",
+								n, pageElems, numPEs, dist, pe, lo, hi, flo, fhi)
+						}
+					}
+					for off := 0; off < n; off++ {
+						if e := divisionMismatch(h, off); e != "" {
+							t.Fatal(e)
+						}
+					}
+					if e := divisionMismatch(h, math.MaxInt32); e != "" {
+						t.Fatal(e)
+					}
+				}
+			}
+		}
+	}
+	for _, d := range []uint64{1, 2, 3, 7, 10, 64, 127, 130, 1<<30 + 3, 1<<31 - 19, math.MaxInt32} {
+		m := newDivisor(int(d))
+		for _, k := range []uint64{0, 1, 2, 3, 1000, math.MaxInt32 / d, math.MaxInt32/d - 1} {
+			for _, n := range []uint64{k * d, k*d - 1, k*d + 1, k*d + d - 1, math.MaxInt32} {
+				if n > math.MaxInt32 {
+					continue
+				}
+				if got := m.div(int(n)); got != int(n/d) {
+					t.Fatalf("%d/%d = %d by reciprocal, want %d", n, d, got, n/d)
+				}
+			}
+		}
+	}
+}
+
+// divisionMismatch reports where PageOf or OwnerOf at off differs from
+// plain division, or "".
+func divisionMismatch(h *Header, off int) string {
+	if got, want := h.PageOf(off), off/h.PageElems; got != want {
+		return fmt.Sprintf("%d elems, page %d: PageOf(%d) = %d, want %d", h.Elems(), h.PageElems, off, got, want)
+	}
+	if got, want := h.OwnerOf(off), formulaOwnerOf(h, off); got != want {
+		return fmt.Sprintf("%d elems, page %d, %d PEs, dist %v: OwnerOf(%d) = %d, division gives %d",
+			h.Elems(), h.PageElems, h.NumPEs, h.Dist, off, got, want)
+	}
+	return ""
 }

@@ -130,13 +130,13 @@ type HotPage struct {
 // allocation however many pages are local.
 func (s *Shard) HotPages(limit int) []HotPage {
 	var out []HotPage
-	for id, a := range s.arrays {
+	for a := range s.installed {
 		for p := range a.stats {
 			e := &a.stats[p]
 			if e.slot == nil && !e.owned {
 				continue
 			}
-			hp := HotPage{Arr: id, Page: p, Heat: e.heat}
+			hp := HotPage{Arr: a.h.ID, Page: p, Heat: e.heat}
 			i := sort.Search(len(out), func(i int) bool { return hp.hotter(out[i]) })
 			if i >= limit {
 				continue

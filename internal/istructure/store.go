@@ -36,12 +36,13 @@ type RemoteWaiter struct {
 type Shard struct {
 	PE int
 
-	// arrays holds one handle per installed array; last memoizes the most
-	// recently resolved one, so a run of accesses to one array resolves it
-	// without touching the map. The unified page-heat table (see heat.go)
-	// lives in the handles: each carries a dense slice of per-page entries.
-	arrays map[int64]*Array
-	last   *Array
+	// slots, stride and n are the array table (table.go): one handle per
+	// installed array, resolved by ID (Shard.Array). The unified
+	// page-heat table (see heat.go) lives in the handles: each carries a
+	// dense slice of per-page entries.
+	slots  []idSlot
+	stride uint64
+	n      int
 
 	// CacheCap bounds the number of resident cached remote pages; 0 means
 	// unbounded (the pre-eviction behavior). Set it before any page is
@@ -101,6 +102,11 @@ type Array struct {
 	base int // linear offset of first owned element
 	vals []isa.Value
 	set  []bool
+	// queued has one bit per owned element, set while the element has a
+	// deferred reader, local or remote, so that a write probes the waiter
+	// maps only for such an element. It and both maps are allocated with
+	// the array's first deferred reader.
+	queued []uint64
 	// waiting maps owned linear offset → local waiters (deferred reads).
 	waiting map[int][]Waiter
 	// remoteWaiting maps owned linear offset → remote PEs to send the page
@@ -127,41 +133,20 @@ type CachedPage struct {
 
 // NewShard returns an empty shard for a PE.
 func NewShard(pe int) *Shard {
-	return &Shard{PE: pe, arrays: make(map[int64]*Array)}
+	return &Shard{PE: pe}
 }
 
 // Install allocates this PE's segment of an array described by h. Every PE
 // installs the same header (the distributing allocate broadcast of §4.1).
 func (s *Shard) Install(h *Header) error {
-	if _, dup := s.arrays[h.ID]; dup {
+	if s.Array(h.ID) != nil {
 		return fmt.Errorf("pe %d: array id %d already installed", s.PE, h.ID)
 	}
 	lo, hi := h.SegmentElems(s.PE)
 	n := hi - lo
-	s.arrays[h.ID] = &Array{
-		h:             h,
-		s:             s,
-		base:          lo,
-		vals:          make([]isa.Value, n),
-		set:           make([]bool, n),
-		waiting:       make(map[int][]Waiter),
-		remoteWaiting: make(map[int][]RemoteWaiter),
-	}
+	a := &Array{h: h, s: s, base: lo, vals: make([]isa.Value, n), set: make([]bool, n)}
+	s.insert(a)
 	return nil
-}
-
-// Array resolves an array ID to its handle, or nil when the array is not
-// installed here. This is the one lookup an access pays; every further
-// operation goes through the handle.
-func (s *Shard) Array(id int64) *Array {
-	if a := s.last; a != nil && a.h.ID == id {
-		return a
-	}
-	a := s.arrays[id]
-	if a != nil {
-		s.last = a
-	}
-	return a
 }
 
 // Header returns the installed header for an array ID, or nil.
@@ -205,9 +190,22 @@ func (a *Array) ReadLocal(off int, w Waiter) (isa.Value, ReadResult) {
 	if a.set[i] {
 		return a.vals[i], ReadHit
 	}
+	a.markQueued(i)
 	a.waiting[off] = append(a.waiting[off], w)
 	a.s.DeferredReads++
 	return isa.Value{}, ReadDeferred
+}
+
+// markQueued records that owned element i (an index into the segment) has
+// a deferred reader, allocating the bit set and the waiter maps with the
+// array's first.
+func (a *Array) markQueued(i int) {
+	if a.queued == nil {
+		a.queued = make([]uint64, (len(a.vals)+63)/64)
+		a.waiting = make(map[int][]Waiter)
+		a.remoteWaiting = make(map[int][]RemoteWaiter)
+	}
+	a.queued[uint(i)/64] |= 1 << (uint(i) % 64)
 }
 
 // ReadLocal is Array.ReadLocal by array ID.
@@ -270,14 +268,15 @@ func (a *Array) Write(off int, v isa.Value) (local []Waiter, remote []RemoteWait
 	}
 	a.vals[i] = v
 	a.set[i] = true
-	// The queues are empty for almost every write; skip the map probes then.
-	if len(a.waiting) > 0 {
-		local = a.waiting[off]
-		delete(a.waiting, off)
-	}
-	if len(a.remoteWaiting) > 0 {
-		remote = a.remoteWaiting[off]
-		delete(a.remoteWaiting, off)
+	// Almost no written element has a reader queued; only one that does
+	// costs the map probes.
+	if a.queued != nil {
+		if w, bit := &a.queued[uint(i)/64], uint64(1)<<(uint(i)%64); *w&bit != 0 {
+			*w &^= bit
+			local, remote = a.waiting[off], a.remoteWaiting[off]
+			delete(a.waiting, off)
+			delete(a.remoteWaiting, off)
+		}
 	}
 	return local, remote, nil
 }
@@ -301,6 +300,7 @@ func (s *Shard) QueueRemote(id int64, off int, rw RemoteWaiter) error {
 	if !a.Owns(off) {
 		return fmt.Errorf("pe %d: remote queue on non-owned offset %d", s.PE, off)
 	}
+	a.markQueued(off - a.base)
 	a.remoteWaiting[off] = append(a.remoteWaiting[off], rw)
 	s.DeferredReads++
 	return nil
@@ -318,10 +318,10 @@ func (s *Shard) QueueRemote(id int64, off int, rw RemoteWaiter) error {
 // keeps writing its absent elements.
 func (a *Array) ExtractPage(off int) (pageIdx int, pg *CachedPage, elems int, err error) {
 	h := a.h
-	pageIdx = h.PageOf(off)
 	if !a.Owns(off) {
-		return 0, nil, 0, fmt.Errorf("pe %d: page %d of array %q not owned", a.s.PE, pageIdx, h.Name)
+		return 0, nil, 0, fmt.Errorf("pe %d: offset %d of array %q not owned", a.s.PE, off, h.Name)
 	}
+	pageIdx = h.PageOf(off)
 	lo := pageIdx*h.PageElems - a.base
 	hi := min(lo+h.PageElems, len(a.vals))
 	vals, set := a.vals[lo:hi:hi], a.set[lo:hi:hi]
@@ -434,7 +434,7 @@ func (s *Shard) evictAt(i int) {
 	if s.evictGenCount >= evictedGen {
 		s.evictGen++
 		s.evictGenCount = 0
-		for _, a := range s.arrays {
+		for a := range s.installed {
 			for p := range a.stats {
 				if st := &a.stats[p]; st.slot == nil && !st.owned && st.gen < s.evictGen-1 {
 					*st = pageStat{}
@@ -485,7 +485,7 @@ func (s *Shard) CacheLookup(id int64, h *Header, off int) (v isa.Value, hitPage,
 // across all arrays — used for deadlock diagnostics.
 func (s *Shard) PendingReads() int {
 	n := 0
-	for _, a := range s.arrays {
+	for a := range s.installed {
 		for _, ws := range a.waiting {
 			n += len(ws)
 		}
@@ -498,7 +498,7 @@ func (s *Shard) PendingReads() int {
 
 // Filled returns how many owned elements of array id have been written.
 func (s *Shard) Filled(id int64) int {
-	a := s.arrays[id]
+	a := s.Array(id)
 	if a == nil {
 		return 0
 	}

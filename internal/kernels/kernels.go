@@ -4,7 +4,10 @@
 // programs. Each kernel names the arrays a test should gather and compare.
 package kernels
 
-import "repro/internal/isa"
+import (
+	"repro/internal/isa"
+	"repro/internal/simple"
+)
 
 // Kernel is one benchmark workload: an Idlite program plus the argument
 // vector for a given problem size and the arrays whose final contents
@@ -267,4 +270,29 @@ func ByName(name string) (Kernel, bool) {
 		}
 	}
 	return Kernel{}, false
+}
+
+// Builtin resolves a name the command-line tools accept for -builtin:
+// "simple" (the SIMPLE hydrodynamics code), "conduction" (its conduction
+// routine driven standalone), or a kernel of All. It returns the
+// program's filename and source.
+func Builtin(name string) (file, src string, ok bool) {
+	switch name {
+	case "simple":
+		return "simple.id", simple.Source, true
+	case "conduction":
+		return "conduction.id", simple.ConductionSource, true
+	}
+	k, ok := ByName(name)
+	return k.File(), k.Source, ok
+}
+
+// BuiltinNames lists every name Builtin resolves, in the order the tools'
+// help strings show them.
+func BuiltinNames() []string {
+	names := []string{"simple", "conduction"}
+	for _, k := range All() {
+		names = append(names, k.Name)
+	}
+	return names
 }

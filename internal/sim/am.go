@@ -16,14 +16,6 @@ func (m *Machine) send(p *pe, t int64, r msg) {
 	m.serve(&p.ru, t, timing.SmallMessageRUTime, evRU, m.newMsg(r))
 }
 
-// array returns this PE's handle of the array with the given ID, or nil.
-func (p *pe) array(id int64) *istructure.Array {
-	if id <= 0 || id >= int64(len(p.arrs)) {
-		return nil
-	}
-	return p.arrs[id]
-}
-
 // performAlloc implements the (distributing) allocate operator of §4.1.
 // The array ID is delivered split-phase: "the SP initiating the allocation
 // is not blocked while the allocate operation is in progress".
@@ -62,7 +54,6 @@ func (p *pe) performAlloc(sp *spInst, ins *isa.DInstr, args []int, now int64) is
 			m.fail(err)
 			return isa.End
 		}
-		q.arrs = append(q.arrs, q.shard.Array(id))
 	}
 	m.counts.ArraysAlloced++
 	if m.tracing {
@@ -87,7 +78,7 @@ func (p *pe) performAlloc(sp *spInst, ins *isa.DInstr, args []int, now int64) is
 func (m *Machine) allocDone(t int64, r msg) {
 	m.deliver(t, r.sp, r.slot, isa.Array(r.arr))
 	p := m.pes[r.src]
-	if !p.arrs[r.arr].Header().Dist {
+	if !p.shard.Array(r.arr).Header().Dist {
 		return
 	}
 	for _, q := range m.pes {
@@ -104,7 +95,7 @@ func (m *Machine) allocDone(t int64, r msg) {
 func (p *pe) resolveAccess(sp *spInst, arrSlot int32, idxSlots []int) (*istructure.Array, int, bool) {
 	m := p.m
 	id := sp.frame[arrSlot].I
-	a := p.array(id)
+	a := p.shard.Array(id)
 	if a == nil {
 		m.fail(fmt.Errorf("sim: SP %q pc %d: unknown array id %d", sp.code.tmpl.Name, sp.pc, id))
 		return nil, 0, false
@@ -154,7 +145,7 @@ func (p *pe) performRead(sp *spInst, ins *isa.DInstr, args []int, now int64) isa
 		// have ordered it after the producer, so it blocks normally.
 		if _, _, hit := a.CacheLookup(off); hit {
 			p.stallOn = dst
-		} else if _, present := m.pes[r.dst].arrs[r.arr].Peek(off); present {
+		} else if _, present := m.pes[r.dst].shard.Array(r.arr).Peek(off); present {
 			p.stallOn = dst
 		}
 	}
@@ -166,7 +157,7 @@ func (p *pe) performRead(sp *spInst, ins *isa.DInstr, args []int, now int64) isa
 // when the EU issued it.
 func (m *Machine) localRead(t int64, r msg) {
 	w := istructure.Waiter{PE: int(r.src), SP: r.sp, Slot: r.slot}
-	if v, res := m.pes[r.src].arrs[r.arr].ReadLocal(r.off, w); res == istructure.ReadHit {
+	if v, res := m.pes[r.src].shard.Array(r.arr).ReadLocal(r.off, w); res == istructure.ReadHit {
 		// The write landed between issue and AM service.
 		m.deliver(t, r.sp, r.slot, v)
 	}
@@ -180,7 +171,7 @@ func (m *Machine) localRead(t int64, r msg) {
 func (m *Machine) probeCache(t int64, r msg) {
 	p := m.pes[r.src]
 	if !m.cfg.DisableCache {
-		if v, _, hit := p.arrs[r.arr].CacheLookup(r.off); hit {
+		if v, _, hit := p.shard.Array(r.arr).CacheLookup(r.off); hit {
 			p.shard.CacheHits++
 			m.deliver(m.extend(&p.am, t, timing.AMDeliverTime), r.sp, r.slot, v)
 			return
@@ -199,7 +190,7 @@ func (m *Machine) probeCache(t int64, r msg) {
 // the request waits for the write.
 func (m *Machine) serveReadRequest(t int64, r msg) {
 	p := m.pes[r.dst]
-	a := p.arrs[r.arr]
+	a := p.shard.Array(r.arr)
 	v, present := a.Peek(r.off)
 	switch {
 	case !present:
@@ -242,7 +233,7 @@ func (p *pe) sendPage(t int64, a *istructure.Array, r msg) {
 // segment), and the element that was asked for is delivered.
 func (m *Machine) receivePage(t int64, r msg) {
 	p := m.pes[r.dst]
-	a := p.arrs[r.arr]
+	a := p.shard.Array(r.arr)
 	a.InstallPage(r.pageIdx, r.page)
 	i := r.off - r.pageIdx*a.Header().PageElems
 	if i < 0 || i >= len(r.page.Vals) || !r.page.Set[i] {
@@ -304,7 +295,7 @@ func (p *pe) performWrite(sp *spInst, ins *isa.DInstr, args []int, now int64) {
 // releases any deferred local readers and queued remote page requests.
 func (m *Machine) ownerWrite(t int64, r msg) {
 	p := m.pes[r.dst]
-	local, remote, err := p.arrs[r.arr].Write(r.off, r.val)
+	local, remote, err := p.shard.Array(r.arr).Write(r.off, r.val)
 	if err != nil {
 		m.fail(fmt.Errorf("sim: SP %q: %w", m.code[r.tmpl].tmpl.Name, err))
 		return

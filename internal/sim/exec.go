@@ -193,7 +193,7 @@ func (p *pe) performOwnership(sp *spInst, ins *isa.DInstr) {
 	f := sp.frame
 	var h *istructure.Header
 	if ins.Op != isa.UNIFLO && ins.Op != isa.UNIFHI {
-		a := p.array(f[ins.A].I)
+		a := p.shard.Array(f[ins.A].I)
 		if a == nil {
 			p.m.fail(fmt.Errorf("sim: SP %q pc %d: ownership query on unknown array", sp.code.tmpl.Name, sp.pc))
 			return

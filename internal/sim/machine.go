@@ -118,7 +118,6 @@ type pe struct {
 	id    int
 	m     *Machine
 	shard *istructure.Shard
-	arrs  []*istructure.Array // this PE's handle of every array, by array ID
 
 	eu unit // execution unit (managed by exec.go, but busy time lives here)
 	mu unit // matching unit
@@ -191,7 +190,7 @@ func New(prog *isa.Program, cfg Config) (*Machine, error) {
 	}
 	m.pes = make([]*pe, cfg.NumPEs)
 	for i := range m.pes {
-		p := &pe{id: i, m: m, shard: istructure.NewShard(i), stallOn: isa.None, arrs: make([]*istructure.Array, 1)}
+		p := &pe{id: i, m: m, shard: istructure.NewShard(i), stallOn: isa.None}
 		p.x = isa.Exec{Backend: p, CmpExtra: floatCmpExtra, Watch: isa.None}
 		m.pes[i] = p
 	}
@@ -467,12 +466,12 @@ func (m *Machine) ReadArray(name string) (vals []float64, mask []bool, dims []in
 	if !ok {
 		return nil, nil, nil, fmt.Errorf("sim: unknown array %q", name)
 	}
-	h := m.pes[0].arrs[id].Header()
+	h := m.pes[0].shard.Array(id).Header()
 	n := h.Elems()
 	vals = make([]float64, n)
 	mask = make([]bool, n)
 	for off := 0; off < n; off++ {
-		if v, present := m.pes[h.OwnerOf(off)].arrs[id].Peek(off); present {
+		if v, present := m.pes[h.OwnerOf(off)].shard.Peek(id, off); present {
 			vals[off] = v.AsFloat()
 			mask[off] = true
 		}
