@@ -102,9 +102,9 @@ type Config struct {
 	// (array, page) → {residency, heat, sequential-run length}: sequential
 	// scans prefetch the next page before the miss, and CachePages
 	// self-tunes between the configured floor and 8× it from refetch
-	// pressure. The table itself is kept either way, and steal requests
-	// always advertise its hot pages. Off by default: both ride existing
-	// message kinds, so results stay bit-identical either way.
+	// pressure. The table itself is kept either way. Off by default: both
+	// ride existing message kinds, so results stay bit-identical either
+	// way.
 	Heat bool
 
 	// MaxElems is the job's memory budget in allocated I-structure

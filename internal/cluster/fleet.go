@@ -312,16 +312,9 @@ func (f *Fleet) Submit(ctx context.Context, prog *isa.Program, cfg Config, args 
 	if err := prog.Validate(); err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	entry := prog.Entry()
-	want := entry.NParams
-	if entry.HasResult {
-		want -= 2
-	}
-	if len(args) != want {
-		return nil, fmt.Errorf("cluster: entry %q wants %d args, got %d", entry.Name, want, len(args))
-	}
-	if entry.HasResult {
-		args = append(append([]isa.Value{}, args...), isa.SPRef(0), isa.Int(0))
+	args, err := prog.EntryArgs(args)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 
 	// The job inherits the fleet's transport shape; everything else is per

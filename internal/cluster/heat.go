@@ -20,8 +20,7 @@ import (
 // (capTick), and marks each prefetched page that installs as arrived. A
 // prefetch enters the core's in-flight page table (istore.go) like a demand
 // request, so neither kind asks for a page already requested. The heat
-// table itself, and the steal layer's hot-page summary read from it, work
-// with the layer off.
+// table itself is kept with the layer off.
 
 // heatState is a worker's half of the heat layer, nil when Config.Heat is
 // off.

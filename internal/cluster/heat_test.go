@@ -89,24 +89,21 @@ func TestCapGovernorHysteresis(t *testing.T) {
 	}
 }
 
-// TestPageGranularStealReducesPostStealFetches pins the post-steal fetch
-// counts of page-granular steal grants on the harness's zero schedule: triread (the triangular kernel with reads of one shared
-// array) at 8 PEs, cap 8, stealing on, 31 steals in both arms. Heat off,
-// the grants alone pay 42 demand fetches; heat on, streaming prefetch
-// brings it to 35. The array-granular policy the page summary replaced
-// paid 58 on this schedule: at array granularity every candidate reads
-// the same array and scores alike. Free-running schedules resolve most of
-// these reads through deferred tokens and cannot show the difference.
-// Each arm runs twice and must repeat exactly.
-func TestPageGranularStealReducesPostStealFetches(t *testing.T) {
+// TestTrireadStealCacheCounts pins the steal and page-cache counts of
+// triread (the triangular kernel with reads of one shared array) at 8 PEs,
+// cap 8, stealing on, on the harness's zero schedule. Grants are the
+// victim's oldest half. Heat off, 31 steals pay 58 demand fetches; heat
+// on, streaming prefetch brings it to 39 over 34 steals (33 prefetches, 18
+// of them used). Each arm runs twice and must repeat exactly.
+func TestTrireadStealCacheCounts(t *testing.T) {
 	k, _ := kernels.ByName("triread")
 	type stats struct{ steals, misses, hits, prefetches, prefetchHits int64 }
 	for _, tc := range []struct {
 		heat bool
 		want stats
 	}{
-		{false, stats{31, 42, 405, 0, 0}},
-		{true, stats{31, 35, 431, 27, 13}},
+		{false, stats{31, 58, 449, 0, 0}},
+		{true, stats{34, 39, 538, 33, 18}},
 	} {
 		pinTwice(t, fmt.Sprintf("heat=%v", tc.heat), tc.want, func() stats {
 			_, res := harnessRun(t, k, 26, 8, Config{Steal: true, CachePages: 8, Heat: tc.heat}, schedule{})

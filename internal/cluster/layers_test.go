@@ -15,7 +15,7 @@ import (
 // frame's effect.
 func TestOffLayerFramesFailCleanly(t *testing.T) {
 	stealKinds := []func() *Msg{
-		func() *Msg { return &Msg{Kind: KStealReq, Lists: &MsgLists{HotPages: []int64{1, 0}}} },
+		func() *Msg { return &Msg{Kind: KStealReq} },
 		func() *Msg {
 			return &Msg{Kind: KStealGrant, Lists: &MsgLists{Batch: []StealItem{
 				{SP: packID(1, 1), Tmpl: 0, CostLoop: -1, Args: make([]isa.Value, 4)}}}}

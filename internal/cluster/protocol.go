@@ -87,18 +87,15 @@ const (
 
 	// KStealReq asks a peer for not-yet-started SP instances. Sent by an
 	// idle worker (empty ready queue) to a victim chosen round-robin with
-	// backoff. HotPages carries the thief's hot-page summary — the
-	// (array, page) pairs local to it, hottest first — so the victim can
-	// prefer granting SPs whose operand rows the thief already holds.
+	// backoff. It carries nothing beyond the header.
 	KStealReq
 
 	// KStealGrant answers a steal request with a batch of stolen SPs
 	// (Batch): up to half of the victim's stealable backlog in one
-	// message, locality-preferred (SPs whose operand rows lie on the
-	// thief's HotPages first, oldest first within equal locality). Each
-	// item ships the SP's home ID, template, operand frame, and cost tag;
-	// the victim leaves one forwarding stub per item behind so tokens
-	// addressed to the home IDs are relayed to the thief.
+	// message, oldest first. Each item ships the SP's home ID, template,
+	// operand frame, and cost tag; the victim leaves one forwarding stub
+	// per item behind so tokens addressed to the home IDs are relayed to
+	// the thief.
 	KStealGrant
 
 	// KStealNone answers a steal request when the victim has nothing to
@@ -276,8 +273,7 @@ type MsgLists struct {
 	Costs []int64 // instruction counts parallel to Iters (costReport)
 	Cuts  []int64 // per-PE last-iteration cut points (rebound)
 
-	HotPages []int64     // thief's hot-page summary as (array, page) pairs (stealReq)
-	Batch    []StealItem // granted SP instances, locality-preferred order (stealGrant)
+	Batch []StealItem // granted SP instances, oldest first (stealGrant)
 
 	// TraceEvs is a flushed event ring (trace.Recorder.Flatten layout),
 	// TraceDrops the count of events its capacity bound discarded (trace).
@@ -319,7 +315,7 @@ const (
 	wAck                          // Ack
 	wCfg                          // Cfg
 	wAdapt                        // Lists.Iters, Costs, Cuts
-	wSteal                        // Lists.HotPages, Batch
+	wSteal                        // Lists.Batch
 	wTrace                        // Lists.TraceEvs, TraceDrops
 )
 
@@ -343,7 +339,7 @@ var kinds = [...]struct {
 	KDumpReq:    {"dumpReq", wElem},
 	KDump:       {"dump", wSeq | wElem | wPage | wName | wDims},
 	KStop:       {"stop", 0},
-	KStealReq:   {"stealReq", wSteal},
+	KStealReq:   {"stealReq", 0},
 	KStealGrant: {"stealGrant", wSteal},
 	KStealNone:  {"stealNone", 0},
 	KCostReport: {"costReport", wSpawn | wSweep | wAdapt},
@@ -533,7 +529,6 @@ func encodeMsg(b []byte, m *Msg) []byte {
 		b = appendI64s(b, l.Cuts)
 	}
 	if w&wSteal != 0 {
-		b = appendI64s(b, l.HotPages)
 		b = appendU32(b, uint32(len(l.Batch)))
 		for i := range l.Batch {
 			it := &l.Batch[i]
@@ -742,7 +737,6 @@ func decodeMsg(b []byte) (*Msg, error) {
 		m.Lists.Cuts = r.i64s()
 	}
 	if w&wSteal != 0 {
-		m.Lists.HotPages = r.i64s()
 		// Minimum wire size of one item: the five fixed scalars plus an
 		// empty frame's length prefix.
 		if n := r.sliceLen(36); n > 0 {

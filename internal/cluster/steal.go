@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/cluster/trace"
 	"repro/internal/isa"
@@ -46,9 +45,6 @@ type stealState struct {
 // before retrying a full steal sweep.
 const stealReviveProbes = 8
 
-// stealHotMax caps the (array, page) pairs a steal request advertises.
-const stealHotMax = 16
-
 // stealDormantAfter returns the consecutive-failure count after which an
 // idle worker stops asking: two full sweeps of its peers. Termination
 // detection does not need the bound (request/none traffic is not counted
@@ -77,11 +73,7 @@ func (w *worker) maybeSteal() {
 	}
 	s.outstanding = true
 	w.rec(trace.EvStealReq, int64(s.victim), 0)
-	// The request advertises the pages local here, so the victim can
-	// prefer granting SPs whose operand rows this worker already holds — a
-	// stolen iteration that reads a hot row pays cache hits instead of
-	// fresh page fetches, even when every candidate reads one shared array.
-	w.send(s.victim, &Msg{Kind: KStealReq, Lists: &MsgLists{HotPages: w.hotPagePairs(stealHotMax)}})
+	w.send(s.victim, &Msg{Kind: KStealReq})
 }
 
 // stealProbe revives a dormant worker after a few probe rounds: skew that
@@ -122,22 +114,19 @@ func (w *worker) stealMsg(m *Msg) {
 	}
 }
 
-// stealBatch selects and removes up to half of the stealable backlog for a
-// thief whose locality summary is hotPages ((array, page) pairs): nil when
-// the victim is unloaded (fewer than two live entries — it must stay
-// loaded after granting) or holds only in-flight SPs. Selection prefers
-// SPs whose operand rows lie on the thief's pages (more such rows first)
-// and is stable within equal locality, so with no locality signal the
-// grant is the oldest not-yet-started SPs in age order — for a loop nest,
-// whole outer iterations rather than inner fragments. Removal never shifts
-// the deque (takeReady).
+// stealBatch selects and removes up to half of the stealable backlog: nil
+// when the victim is unloaded (fewer than two live entries — it must stay
+// loaded after granting) or holds only in-flight SPs. The grant is the
+// oldest not-yet-started SPs in age order — for a loop nest, whole outer
+// iterations rather than inner fragments. Removal never shifts the deque
+// (takeReady).
 //
 // Distributed (Range-Filtered) templates are pinned: their ROWLO/UNIFLO/…
 // instructions clamp the index range to the executing PE's area of
 // responsibility, so running one on a different PE would recompute that
 // PE's share — a double write, not a migration. Everything else is
 // location-independent: its inputs travel in the operand frame.
-func (w *worker) stealBatch(hotPages []int64) []*spInst {
+func (w *worker) stealBatch() []*spInst {
 	live := int(w.qdepth())
 	if live < 2 {
 		return nil
@@ -154,22 +143,6 @@ func (w *worker) stealBatch(hotPages []int64) []*spInst {
 		return nil
 	}
 	limit := min((len(cand)+1)/2, live-1) // steal-half, rounded up so one SP still moves
-	if len(hotPages) > 1 && len(cand) > 1 {
-		// Rank by the operand rows the thief actually holds, scoring each
-		// candidate once (the comparator would otherwise rescan every
-		// operand frame O(log k) times per candidate).
-		pageSet := make(map[pageKey]struct{}, len(hotPages)/2)
-		for i := 0; i+1 < len(hotPages); i += 2 {
-			pageSet[pageKey{hotPages[i], int(hotPages[i+1])}] = struct{}{}
-		}
-		scores := make(map[int]int, len(cand))
-		for _, idx := range cand {
-			scores[idx] = w.pageScore(w.ready[idx], pageSet)
-		}
-		sort.SliceStable(cand, func(i, j int) bool {
-			return scores[cand[i]] > scores[cand[j]]
-		})
-	}
 	if len(cand) > limit {
 		cand = cand[:limit]
 	}
@@ -187,7 +160,7 @@ func (w *worker) handleStealReq(m *Msg) {
 	}
 	var batch []*spInst
 	if !w.failed {
-		batch = w.stealBatch(m.Lists.HotPages)
+		batch = w.stealBatch()
 	}
 	if len(batch) == 0 {
 		w.send(thief, &Msg{Kind: KStealNone})
@@ -276,56 +249,4 @@ func (w *worker) relay(id int64, slot int, v isa.Value) bool {
 		return true
 	}
 	return false
-}
-
-// hotPagePairs flattens the shard's page-granular locality summary into
-// the wire encoding: (array, page) pairs in one int64 slice. Array IDs
-// use the high bits of their 64-bit space, so the pair encoding — not a
-// packed single word — is what keeps the page index intact.
-func (w *worker) hotPagePairs(limit int) []int64 {
-	hps := w.shard.HotPages(limit)
-	if len(hps) == 0 {
-		return nil
-	}
-	out := make([]int64, 0, 2*len(hps))
-	for _, hp := range hps {
-		out = append(out, hp.Arr, int64(hp.Page))
-	}
-	return out
-}
-
-// pageScore counts how many of the thief's resident pages this SP's
-// operands would actually touch: for each array operand in the frame,
-// the pages holding the rows named by the frame's integer operands. Two
-// iterations of a sweep over one shared array name the same array, but
-// iteration i scores here on the page holding row i, which is exactly
-// what the thief has or hasn't.
-func (w *worker) pageScore(sp *spInst, pages map[pageKey]struct{}) int {
-	n := 0
-	for _, v := range sp.frame {
-		if v.Kind != isa.KindArray {
-			continue
-		}
-		h := w.shard.Header(v.I)
-		if h == nil {
-			continue
-		}
-		for _, iv := range sp.frame {
-			if iv.Kind != isa.KindInt {
-				continue
-			}
-			row := iv.I
-			if row < 1 || row > int64(h.Dims[0]) {
-				continue
-			}
-			off := int(row) - 1
-			if len(h.Dims) == 2 {
-				off = (int(row) - 1) * h.RowLen()
-			}
-			if _, ok := pages[pageKey{v.I, h.PageOf(off)}]; ok {
-				n++
-			}
-		}
-	}
-	return n
 }

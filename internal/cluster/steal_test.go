@@ -323,8 +323,8 @@ func TestStealDeterminacyPumpedTriangular(t *testing.T) {
 }
 
 // TestStealGrantBatchHalfOldestFirst pins the batched victim policy: a
-// victim with k stealable SPs grants ⌈k/2⌉ in one KStealGrant, and with no
-// locality signal the batch is the oldest not-yet-started SPs in age order.
+// victim with k stealable SPs grants ⌈k/2⌉ in one KStealGrant, and the
+// batch is the oldest not-yet-started SPs in age order.
 func TestStealGrantBatchHalfOldestFirst(t *testing.T) {
 	h, w0, w1 := stealPair(t)
 	for i := 0; i < 5; i++ {
@@ -360,44 +360,6 @@ func TestStealGrantBatchHalfOldestFirst(t *testing.T) {
 	}
 }
 
-// TestStealLocalityPreference: the victim prefers granting SPs whose
-// operand rows lie on the thief's hot pages, oldest first within equal
-// locality. All three candidates read the same array, so only the page
-// holding each one's row tells them apart.
-func TestStealLocalityPreference(t *testing.T) {
-	h, w0, _ := stealPair(t)
-	// Array 77 is 3×8: row r lives on page r-1.
-	hdr, err := istructure.NewHeader(77, "X", []int{3, 8}, 8, 2, 0, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w0.shard.Install(hdr); err != nil {
-		t.Fatal(err)
-	}
-	// Three unstarted SPs, each framing (Array(77), Int(r)) for rows 1–3.
-	for r := int64(1); r <= 3; r++ {
-		h.inject(0, &Msg{Kind: KSpawn, Args: []isa.Value{isa.Array(77), isa.Int(r)}})
-	}
-	h.drain(w0)
-	// The thief holds the page of row 2.
-	w0.handle(&Msg{Kind: KStealReq, From: 1, Lists: &MsgLists{HotPages: []int64{77, 1}}})
-	grant, ok := h.boxes[1].tryRecv()
-	if !ok || grant.Kind != KStealGrant {
-		t.Fatalf("got %+v, want a grant", grant)
-	}
-	if len(grant.Lists.Batch) != 2 {
-		t.Fatalf("batch of %d, want 2 (⌈3/2⌉)", len(grant.Lists.Batch))
-	}
-	if grant.Lists.Batch[0].SP != packID(0, 2) {
-		t.Errorf("batch[0] = SP %d, want %d (the hot-row SP preferred over older cold ones)",
-			grant.Lists.Batch[0].SP, packID(0, 2))
-	}
-	if grant.Lists.Batch[1].SP != packID(0, 1) {
-		t.Errorf("batch[1] = SP %d, want %d (oldest of the cold SPs)",
-			grant.Lists.Batch[1].SP, packID(0, 1))
-	}
-}
-
 // TestStealMidDequeGrantNoShift is the regression test for the O(n) copy
 // in the old popStealable: granting around an in-flight entry must leave a
 // tombstone instead of shifting the tail, and the skipped entry must stay
@@ -412,7 +374,7 @@ func TestStealMidDequeGrantNoShift(t *testing.T) {
 	// grant must skip it and take the next-oldest.
 	started, third := w0.ready[0], w0.ready[2]
 	started.pc = 1
-	batch := w0.stealBatch(nil)
+	batch := w0.stealBatch()
 	if len(batch) != 1 || batch[0].id != packID(0, 2) {
 		t.Fatalf("batch = %v, want exactly the second SP", batch)
 	}
@@ -438,7 +400,7 @@ func TestReadyDequeBoundedGrowth(t *testing.T) {
 	spawn()
 	for round := 0; round < 10_000; round++ {
 		spawn() // two live SPs queued, never fully drained
-		if got := w0.stealBatch(nil); len(got) != 1 {
+		if got := w0.stealBatch(); len(got) != 1 {
 			t.Fatalf("round %d: stole %d SPs, want 1", round, len(got))
 		}
 		if dead := w0.readyHead + w0.readyNil; dead > len(w0.ready) {

@@ -48,7 +48,7 @@ func TestMsgCodecRoundTrip(t *testing.T) {
 		{Kind: KDump, Arr: 77, Off: 64, Vals: []isa.Value{isa.Float(1.5)}, Set: []bool{true}},
 		{Kind: KInit, Cfg: &MsgCfg{PE: 1, NumPEs: 4, Peers: []string{"a:1", "b:2"}}},
 		{Kind: KStop},
-		{Kind: KStealReq, From: 2, Lists: &MsgLists{}},
+		{Kind: KStealReq, From: 2},
 		{Kind: KStealGrant, Lists: &MsgLists{Batch: []StealItem{
 			{SP: packID(1, 9), Tmpl: 3,
 				Args:     []isa.Value{isa.Int(7), {}},
@@ -65,7 +65,6 @@ func TestMsgCodecRoundTrip(t *testing.T) {
 		{Kind: KRebound, Tmpl: 6, Lists: &MsgLists{Cuts: []int64{4, 9, 13}}},
 		{Kind: KToken, From: 2, Job: 3, SP: istructure.PackID(3, 1, 9), Slot: 2, Val: isa.Int(5)},
 		{Kind: KAck, Round: 3, Ack: &AckStats{Counters: Counters{MsgsSent: 4, MsgsRecv: 4}}},
-		{Kind: KStealReq, From: 1, Lists: &MsgLists{HotPages: []int64{packID(0, 1), 3, packID(2, 5), 0}}},
 		{Kind: KAck, Round: 9, Ack: &AckStats{Counters: Counters{MsgsSent: 8, MsgsRecv: 8, CacheHits: 40, CacheMisses: 3,
 			ReadJoins: 5, Prefetches: 6, PrefetchHits: 4, CacheCapNow: 24}}},
 		{Kind: KTrace, From: 1, Lists: &MsgLists{TraceEvs: []int64{1, 2, 3, 4, 5}, TraceDrops: 7}},
@@ -88,6 +87,9 @@ func TestMsgCodecRoundTrip(t *testing.T) {
 	}
 	if n := len(encodeMsg(nil, msgs[0])); n > 48 {
 		t.Errorf("token frame is %d bytes, want <= 48", n)
+	}
+	if n := len(encodeMsg(nil, &Msg{Kind: KStealReq, From: 2})); n != 9 {
+		t.Errorf("steal request frame is %d bytes, want the 9-byte header alone", n)
 	}
 }
 
@@ -204,7 +206,6 @@ func randMsg(rng *rand.Rand, k MsgKind) *Msg {
 		m.Lists.Iters, m.Lists.Costs, m.Lists.Cuts = i64s(), i64s(), i64s()
 	}
 	if w&wSteal != 0 {
-		m.Lists.HotPages = i64s()
 		for n := rng.Intn(4); n > 0; n-- {
 			m.Lists.Batch = append(m.Lists.Batch, StealItem{SP: rng.Int63(), Tmpl: rng.Int31(),
 				CostLoop: rng.Int31n(4) - 1, Sweep: rng.Int63(), CostIter: rng.Int63(), Args: values()})

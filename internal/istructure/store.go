@@ -149,14 +149,6 @@ func (s *Shard) Install(h *Header) error {
 	return nil
 }
 
-// Header returns the installed header for an array ID, or nil.
-func (s *Shard) Header(id int64) *Header {
-	if a := s.Array(id); a != nil {
-		return a.h
-	}
-	return nil
-}
-
 // Header returns the array's header.
 func (a *Array) Header() *Header { return a.h }
 
@@ -183,10 +175,9 @@ func (a *Array) ReadLocal(off int, w Waiter) (isa.Value, ReadResult) {
 	if i < 0 || i >= len(a.vals) {
 		return isa.Value{}, ReadRemote
 	}
-	// Owned-segment accesses feed the heat table too: an owned page a PE
-	// keeps reading is exactly the locality a page-granular steal summary
-	// should advertise.
-	a.touchPage(a.h.PageOf(off)).owned = true
+	// Owned-segment accesses feed the heat table too: the scan detector
+	// follows a forward sweep across owned pages into the remote ones.
+	a.touchPage(a.h.PageOf(off))
 	if a.set[i] {
 		return a.vals[i], ReadHit
 	}
@@ -423,7 +414,8 @@ const evictedGen = 8192
 // slot and gains an eviction-generation stamp for refetch detection. The
 // caller reuses or removes the frame itself. Rotating into a new
 // generation resets the heat entries that aged out of the refetch window
-// (non-resident, non-owned), exactly as if they had never been touched.
+// (non-resident, outside this PE's segment), exactly as if they had never
+// been touched.
 func (s *Shard) evictAt(i int) {
 	slot := s.clock[i]
 	e := slot.st
@@ -435,8 +427,9 @@ func (s *Shard) evictAt(i int) {
 		s.evictGen++
 		s.evictGenCount = 0
 		for a := range s.installed {
+			lo, hi := a.h.SegmentPages(s.PE)
 			for p := range a.stats {
-				if st := &a.stats[p]; st.slot == nil && !st.owned && st.gen < s.evictGen-1 {
+				if st := &a.stats[p]; st.slot == nil && (p < lo || p >= hi) && st.gen < s.evictGen-1 {
 					*st = pageStat{}
 				}
 			}

@@ -121,22 +121,15 @@ func (r *Runtime) fail(err error) {
 // the entry block's result value, if any. The context bounds the run; a
 // blocked dataflow program (deadlock) is reported when ctx expires.
 func (r *Runtime) Run(ctx context.Context, args ...isa.Value) (*isa.Value, error) {
-	entry := r.prog.Entry()
-	want := entry.NParams
-	if entry.HasResult {
-		want -= 2
-	}
-	if len(args) != want {
-		return nil, fmt.Errorf("podsrt: entry %q wants %d args, got %d", entry.Name, want, len(args))
-	}
-	if entry.HasResult {
-		args = append(append([]isa.Value{}, args...), isa.SPRef(0), isa.Int(0))
+	args, err := r.prog.EntryArgs(args)
+	if err != nil {
+		return nil, fmt.Errorf("podsrt: %w", err)
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	r.cancel = cancel
 
-	r.spawn(ctx, entry, 0, args)
+	r.spawn(ctx, r.prog.Entry(), 0, args)
 	done := make(chan struct{})
 	go func() {
 		r.wg.Wait()

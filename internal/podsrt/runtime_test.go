@@ -3,9 +3,11 @@ package podsrt_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/istructure"
@@ -51,6 +53,64 @@ func main(n: int) -> int {
 	v, _ := runRT(t, prog, 2, isa.Int(10))
 	if v == nil || v.I != 385 {
 		t.Fatalf("result = %+v, want 385", v)
+	}
+}
+
+// TestEntryArgsAllBackends: the simulator, the cluster and this runtime
+// share one entry calling convention. Each rejects a wrong argument count
+// under its own prefix, and each returns a result-returning entry's value
+// through the continuation the convention appends.
+func TestEntryArgsAllBackends(t *testing.T) {
+	prog := compile(t, `
+func main(n: int) -> int {
+	return n * 3 + 1;
+}`)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	backends := []struct {
+		prefix string
+		run    func(args ...isa.Value) (int64, error)
+	}{
+		{"sim: ", func(args ...isa.Value) (int64, error) {
+			m, err := sim.New(prog, sim.Config{NumPEs: 2})
+			if err != nil {
+				return 0, err
+			}
+			res, err := m.Run(args...)
+			if err != nil {
+				return 0, err
+			}
+			return res.MainValue.I, nil
+		}},
+		{"cluster: ", func(args ...isa.Value) (int64, error) {
+			res, err := cluster.Execute(ctx, prog, cluster.Config{NumPEs: 2}, args...)
+			if err != nil {
+				return 0, err
+			}
+			return res.Value.I, nil
+		}},
+		{"podsrt: ", func(args ...isa.Value) (int64, error) {
+			rt, err := podsrt.New(prog, podsrt.Config{VirtualPEs: 2})
+			if err != nil {
+				return 0, err
+			}
+			v, err := rt.Run(ctx, args...)
+			if err != nil {
+				return 0, err
+			}
+			return v.I, nil
+		}},
+	}
+	for _, b := range backends {
+		for _, args := range [][]isa.Value{nil, {isa.Int(1), isa.Int(2)}} {
+			want := fmt.Sprintf(`%sentry "main" wants 1 args, got %d`, b.prefix, len(args))
+			if _, err := b.run(args...); err == nil || err.Error() != want {
+				t.Errorf("%s%d args: err = %v, want %q", b.prefix, len(args), err, want)
+			}
+		}
+		if v, err := b.run(isa.Int(4)); err != nil || v != 13 {
+			t.Errorf("%smain(4) = %d, %v; want 13", b.prefix, v, err)
+		}
 	}
 }
 

@@ -229,19 +229,12 @@ func (m *Machine) Run(args ...isa.Value) (*Result, error) {
 		return nil, errors.New("sim: Run called twice; build a new Machine for each run")
 	}
 	m.ran = true
-	entry := m.prog.Entry()
-	want := entry.NParams
-	if entry.HasResult {
-		want -= 2
-	}
-	if len(args) != want {
-		return nil, fmt.Errorf("sim: entry %q wants %d args, got %d", entry.Name, want, len(args))
+	args, err := m.prog.EntryArgs(args)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
 	sp := m.newSP(m.prog.EntryID, m.newSPID())
 	copy(sp.frame, args)
-	if entry.HasResult {
-		sp.frame[want], sp.frame[want+1] = isa.SPRef(0), isa.Int(0)
-	}
 	m.instantiate(m.pes[0], sp, 0)
 	m.pes[0].wakeEU(0)
 

@@ -1,0 +1,76 @@
+#!/usr/bin/env python3
+"""Fail when a `go test -run` pattern in a workflow selects nothing.
+
+usage: scripts/check-run-patterns.py [WORKFLOW]   (default .github/workflows/ci.yml)
+
+`go test -run 'A|B'` passes quietly when B matches no test, so a renamed or
+deleted test makes a step run less than it says. For every `go test` line
+of WORKFLOW that sets -run, each `|` alternative of the pattern is listed
+with `go test -list ALT` on the line's packages (and its -race/-tags
+flags); an alternative that lists no test, benchmark, fuzz target or
+example is an error. The pattern '^$', which selects no test on purpose
+(a benchmark-only or fuzz-only step), is skipped.
+"""
+import re
+import shlex
+import subprocess
+import sys
+
+NAME = re.compile(r"^(Test|Benchmark|Fuzz|Example)")
+
+
+def run_lines(path):
+    """Yield (line number, tokens) for every `go test` command of path."""
+    with open(path) as f:
+        for n, line in enumerate(f, 1):
+            _, sep, cmd = line.partition("go test ")
+            if sep and not line.lstrip().startswith("#"):
+                yield n, shlex.split("go test " + cmd)
+
+
+def parse(tokens):
+    """The -run pattern, build flags and packages of one go test command."""
+    pattern, build, pkgs = None, [], []
+    it = iter(tokens[2:])
+    for tok in it:
+        if tok == "-run":
+            pattern = next(it)
+        elif tok.startswith("-run="):
+            pattern = tok[len("-run="):]
+        elif tok == "-race":
+            build.append(tok)
+        elif tok == "-tags":
+            build += [tok, next(it)]
+        elif tok.startswith("-tags="):
+            build.append(tok)
+        elif tok == "." or tok.startswith("./"):
+            pkgs.append(tok)
+    return pattern, build, pkgs
+
+
+def listed(alt, build, pkgs):
+    out = subprocess.run(["go", "test", "-list", alt, *build, *pkgs],
+                         capture_output=True, text=True)
+    if out.returncode != 0:
+        sys.exit(f"go test -list {alt!r} {' '.join(pkgs)} failed:\n{out.stderr}")
+    return [l for l in out.stdout.splitlines() if NAME.match(l)]
+
+
+def main():
+    path = sys.argv[1] if len(sys.argv) > 1 else ".github/workflows/ci.yml"
+    problems = checked = 0
+    for n, tokens in run_lines(path):
+        pattern, build, pkgs = parse(tokens)
+        if pattern is None or pattern == "^$":
+            continue
+        for alt in pattern.split("|"):
+            checked += 1
+            if not listed(alt, build, pkgs or ["."]):
+                problems += 1
+                print(f"{path}:{n}: -run alternative {alt!r} matches no test in {' '.join(pkgs) or '.'}")
+    print(f"{checked} -run alternatives checked, {problems} match nothing")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
