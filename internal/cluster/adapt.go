@@ -159,7 +159,7 @@ func (w *worker) flushCosts() {
 			if cur != nil {
 				w.send(w.driverID(), cur)
 			}
-			cur = &Msg{Kind: KCostReport, Tmpl: k.loop, Sweep: k.sweep, Lists: &MsgLists{}}
+			cur = newMsg(Msg{Kind: KCostReport, Tmpl: k.loop, Sweep: k.sweep, Lists: &MsgLists{}})
 		}
 		cur.Lists.Iters = append(cur.Lists.Iters, k.iter)
 		cur.Lists.Costs = append(cur.Lists.Costs, acc[k])

@@ -150,9 +150,11 @@ func (w hotWorker) run(tb testing.TB, tmpl int, args ...isa.Value) int64 {
 		w.step()
 	}
 	for {
-		if _, ok := w.driver.in.tryRecv(); !ok {
+		m, ok := w.driver.in.tryRecv()
+		if !ok {
 			break
 		}
+		releaseMsg(m) // as driver.handle does, so each run reuses the frames the last one sent
 	}
 	if w.failed || len(w.insts) != 0 {
 		tb.Fatalf("template %d: failed=%v, %d SPs still live", tmpl, w.failed, len(w.insts))

@@ -98,8 +98,7 @@ func (h *fleetHost) serve(ctx context.Context) {
 			// to a job) is fanned out to every live job so none hangs on a
 			// half-dead wire.
 			for _, box := range h.jobs {
-				c := *m
-				box.put(&c)
+				box.put(newMsg(*m))
 			}
 		}
 	}
@@ -121,7 +120,7 @@ func (h *fleetHost) startJob(ctx context.Context, m *Msg) {
 	}
 	if err != nil {
 		c.inbox.close()
-		_ = h.ep.Send(h.n, &Msg{Kind: KFail, Job: job, Name: fmt.Sprintf("pe %d: job start: %v", h.pe, err)})
+		_ = h.ep.Send(h.n, newMsg(Msg{Kind: KFail, Job: job, Name: fmt.Sprintf("pe %d: job start: %v", h.pe, err)}))
 		return
 	}
 
@@ -232,11 +231,11 @@ func (f *Fleet) dialTCP(ctx context.Context, cfg Config) error {
 // driver session: identity and peer table only — programs and knobs arrive
 // per job in KJobStart frames.
 func fleetInitMsg(pe int, peers []string) *Msg {
-	return &Msg{Kind: KInit, From: int32(len(peers)), Cfg: &MsgCfg{
+	return newMsg(Msg{Kind: KInit, From: int32(len(peers)), Cfg: &MsgCfg{
 		PE:     int32(pe),
 		NumPEs: int32(len(peers)),
 		Peers:  append([]string(nil), peers...),
-	}}
+	}})
 }
 
 // dispatch drains the driver endpoint's fleet-level frames (every job
@@ -262,8 +261,7 @@ func (f *Fleet) dispatch() {
 		case KFail:
 			f.mu.Lock()
 			for _, box := range f.jobs {
-				c := *m
-				box.put(&c)
+				box.put(newMsg(*m))
 			}
 			f.mu.Unlock()
 		}
@@ -280,7 +278,7 @@ func (f *Fleet) noteDownLocked(pe int, gen int32) {
 	}
 	f.deadPending[pe] = true
 	for _, box := range f.jobs {
-		box.put(&Msg{Kind: KDown, From: int32(pe)})
+		box.put(newMsg(Msg{Kind: KDown, From: int32(pe)}))
 	}
 }
 
@@ -427,7 +425,7 @@ func (f *Fleet) openJobLocked() (id int32, box *mailbox, gens []int32) {
 	f.jobs[id] = box
 	for pe, dead := range f.deadPending {
 		if dead {
-			box.put(&Msg{Kind: KDown, From: int32(pe)})
+			box.put(newMsg(Msg{Kind: KDown, From: int32(pe)}))
 		}
 	}
 	return id, box, slices.Clone(f.hostGen)
@@ -457,13 +455,13 @@ func (f *Fleet) run(ctx context.Context, id int32, box *mailbox, cfg *Config, pr
 // jobStartMsg builds one PE's KJobStart: the job's config and its program,
 // shared in memory (a channel host runs prog) and, on TCP, serialized.
 func jobStartMsg(cfg *Config, prog *isa.Program, progBytes []byte) *Msg {
-	return &Msg{Kind: KJobStart, Cfg: &MsgCfg{Job: *cfg, Prog: progBytes, prog: prog}}
+	return newMsg(Msg{Kind: KJobStart, Cfg: &MsgCfg{Job: *cfg, Prog: progBytes, prog: prog}})
 }
 
 // endJobEverywhere tells every host to tear the job's instance down.
 func (f *Fleet) endJobEverywhere(id int32) {
 	for pe := 0; pe < f.n; pe++ {
-		_ = f.ep.Send(pe, &Msg{Kind: KJobEnd, Job: id})
+		_ = f.ep.Send(pe, newMsg(Msg{Kind: KJobEnd, Job: id}))
 	}
 }
 
@@ -538,7 +536,7 @@ func (f *Fleet) Close() error {
 	f.closed = true
 	f.mu.Unlock()
 	for pe := 0; pe < f.n; pe++ {
-		_ = f.ep.Send(pe, &Msg{Kind: KStop})
+		_ = f.ep.Send(pe, newMsg(Msg{Kind: KStop}))
 	}
 	f.cancel()
 	err := f.ep.Close()

@@ -82,6 +82,29 @@ func TestFleetTCPConcurrentJobs(t *testing.T) {
 
 // --- admission control ---
 
+// TestResultValueOutlivesItsFrame: the driver releases every frame it
+// handles, so the result value must be a copy of the KToken's, not a
+// pointer into the frame: the next job's frames reuse it.
+func TestResultValueOutlivesItsFrame(t *testing.T) {
+	ctx := testCtx(t)
+	prog := compile(t, "floor.id", `func main(n: int) -> int { return n + 1; }`)
+	f, err := OpenFleet(ctx, Config{NumPEs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	first, err := f.Submit(ctx, prog, Config{}, isa.Int(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Submit(ctx, prog, Config{}, isa.Int(2)); err != nil {
+		t.Fatal(err)
+	}
+	if first.Value == nil || *first.Value != isa.Int(2) {
+		t.Fatalf("the first job's result reads %v after the second job, want 2", first.Value)
+	}
+}
+
 // TestFleetAdmissionCap pins the rejection contract deterministically: a
 // fleet at its MaxJobs ceiling rejects the next Submit immediately with a
 // diagnostic, and accepts again as soon as a slot frees. The occupied

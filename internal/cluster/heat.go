@@ -82,7 +82,7 @@ func (w *worker) heatRead(a *istructure.Array, off int, hit bool) {
 	w.inflight[k] = pageReq{}
 	ht.prefetches++
 	w.rec(trace.EvPrefetch, h.ID, int64(page))
-	w.send(owner, &Msg{Kind: KReadReq, Arr: h.ID, Off: int32(first), ReqPE: int32(w.pe)})
+	w.send(owner, newMsg(Msg{Kind: KReadReq, Arr: h.ID, Off: int32(first), ReqPE: int32(w.pe)}))
 }
 
 // capTick moves the adaptive cache cap on the probe cadence: the round's

@@ -44,15 +44,16 @@ type pageWaiter struct {
 }
 
 // allocMsg builds one KAlloc frame describing h. Each call returns a fresh
-// message with its own slices: a sent Msg is receiver-owned (only a KPage
-// or KDump shares its read-only Vals/Set with the sender, see Endpoint).
+// frame with its own Dims: a sent frame is its consumer's, who releases it
+// (only a KPage or KDump shares its read-only Vals/Set with the sender, see
+// Endpoint).
 func allocMsg(h *istructure.Header) *Msg {
 	dims := make([]int32, len(h.Dims))
 	for i, d := range h.Dims {
 		dims[i] = int32(d)
 	}
-	return &Msg{Kind: KAlloc, Arr: h.ID, Name: h.Name, Dims: dims,
-		Origin: int32(h.Origin), Dist: h.Dist}
+	return newMsg(Msg{Kind: KAlloc, Arr: h.ID, Name: h.Name, Dims: dims,
+		Origin: int32(h.Origin), Dist: h.Dist})
 }
 
 // allocHeader is allocMsg's inverse: the header a KAlloc frame describes,
@@ -96,8 +97,8 @@ func (w *worker) execAlloc(sp *spInst, ins *isa.DInstr, args []int, name string)
 	sp.frame[ins.Dst] = isa.Array(id)
 }
 
-// installArray installs a header, wakes SPs suspended on it, and
-// dispatches the frames parked for it (see dispatch).
+// installArray installs a header, wakes SPs suspended on it, and consumes
+// the frames parked for it (see dispatch).
 func (w *worker) installArray(h *istructure.Header) {
 	if err := w.shard.Install(h); err != nil {
 		w.fail(err)
@@ -112,7 +113,7 @@ func (w *worker) installArray(h *istructure.Header) {
 	if msgs := w.pending[h.ID]; len(msgs) > 0 {
 		delete(w.pending, h.ID)
 		for _, m := range msgs {
-			w.dispatch(m)
+			w.consume(m)
 		}
 	}
 }
@@ -178,7 +179,7 @@ func (w *worker) execRead(sp *spInst, ins *isa.DInstr, idx []int) isa.Step {
 
 // readReq asks the owner of element off for it on behalf of (sp, slot).
 func (w *worker) readReq(h *istructure.Header, off int, sp int64, slot int32) {
-	w.send(h.OwnerOf(off), &Msg{Kind: KReadReq, Arr: h.ID, Off: int32(off), ReqPE: int32(w.pe), SP: sp, Slot: slot})
+	w.send(h.OwnerOf(off), newMsg(Msg{Kind: KReadReq, Arr: h.ID, Off: int32(off), ReqPE: int32(w.pe), SP: sp, Slot: slot}))
 }
 
 // execWrite implements AWRITE: owned elements are written in place (and
@@ -200,7 +201,7 @@ func (w *worker) execWrite(sp *spInst, ins *isa.DInstr, idx []int) isa.Step {
 		w.ownerWrite(a, off, val)
 		return isa.Next
 	}
-	w.send(h.OwnerOf(off), &Msg{Kind: KWrite, Arr: h.ID, Off: int32(off), Val: val})
+	w.send(h.OwnerOf(off), newMsg(Msg{Kind: KWrite, Arr: h.ID, Off: int32(off), Val: val}))
 	return isa.Next
 }
 
@@ -217,7 +218,7 @@ func (w *worker) ownerWrite(a *istructure.Array, off int, val isa.Value) {
 		w.deliver(wt.SP, wt.Slot, val)
 	}
 	for _, rw := range remote {
-		w.send(rw.PE, &Msg{Kind: KToken, SP: rw.SP, Slot: int32(rw.Slot), Val: val})
+		w.send(rw.PE, newMsg(Msg{Kind: KToken, SP: rw.SP, Slot: int32(rw.Slot), Val: val}))
 	}
 }
 
@@ -249,8 +250,8 @@ func (w *worker) handleReadReq(a *istructure.Array, m *Msg) {
 		// when it actually arrives at the page.
 		return
 	}
-	w.send(int(m.ReqPE), &Msg{Kind: KPage, Arr: m.Arr, Page: int32(pageIdx), Off: m.Off,
-		SP: m.SP, Slot: m.Slot, Vals: pg.Vals, Set: pg.Set})
+	w.send(int(m.ReqPE), newMsg(Msg{Kind: KPage, Arr: m.Arr, Page: int32(pageIdx), Off: m.Off,
+		SP: m.SP, Slot: m.Slot, Vals: pg.Vals, Set: pg.Set}))
 }
 
 // handlePage installs a shipped page in the software cache and answers the
@@ -313,5 +314,5 @@ func (w *worker) handleWrite(a *istructure.Array, m *Msg) {
 // only reads it (mergeDump), and TCP encodes a copy into the frame.
 func (w *worker) handleDumpReq(a *istructure.Array, m *Msg) {
 	lo, vals, set := a.Segment()
-	w.send(w.driverID(), &Msg{Kind: KDump, Arr: m.Arr, Off: int32(lo), Vals: vals, Set: set})
+	w.send(w.driverID(), newMsg(Msg{Kind: KDump, Arr: m.Arr, Off: int32(lo), Vals: vals, Set: set}))
 }

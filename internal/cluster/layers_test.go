@@ -42,9 +42,10 @@ func TestOffLayerFramesFailCleanly(t *testing.T) {
 				if m.From == 0 {
 					m.From = 1 // a peer's frame
 				}
-				w.handle(m)
+				want := "unexpected " + m.Kind.String() + " message"
+				w.handle(m) // consumes m
 				got, ok := eps[2].in.tryRecv()
-				if want := "unexpected " + m.Kind.String() + " message"; !ok || got.Kind != KFail || !strings.Contains(got.Name, want) {
+				if !ok || got.Kind != KFail || !strings.Contains(got.Name, want) {
 					t.Fatalf("got %+v, want a KFail %q", got, want)
 				}
 				if len(w.insts) != 0 {

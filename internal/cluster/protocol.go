@@ -17,6 +17,7 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"repro/internal/isa"
 )
@@ -175,13 +176,12 @@ func (k MsgKind) String() string {
 
 // Msg is one protocol message: a flat union in which each kind uses the
 // subset of fields its documentation names, and the wire carries exactly
-// that subset (wireBlocks). The struct every message allocates — on the
-// channel transport as much as on TCP — is the hot part, ≤ 256 bytes
+// that subset (wireBlocks). The struct is the hot part, ≤ 256 bytes
 // (TestMsgSize); the blocks only control-plane kinds use (probe answers,
 // job configuration, variable-length lists) sit behind the three pointers
-// at the end. A Msg (and everything it references) is owned by the
-// receiver once sent and must not be mutated by the sender afterwards —
-// the channel transport passes pointers.
+// at the end. Frames are recycled: newMsg takes one from a pool and
+// releaseMsg returns it, and a sent frame belongs to whoever consumes it
+// (see Endpoint), who releases it once.
 type Msg struct {
 	Kind MsgKind
 
@@ -236,6 +236,30 @@ type Msg struct {
 	Ack   *AckStats // probe answer (ack)
 	Cfg   *MsgCfg   // worker and job configuration (init, jobStart, submit)
 	Lists *MsgLists // adapt lists, steal summaries and batch, trace ring
+}
+
+// msgPool recycles frames. Every frame is built by newMsg or decodeMsg and
+// released at most once by its consumer: worker.handle (or installArray, for
+// a frame parked until its array's header landed), driver.handle, and the
+// TCP endpoint once it has encoded the frame. A frame nobody releases (one
+// a transport drops, a fleet-level control frame) is left to the GC.
+var msgPool = sync.Pool{New: func() any { return new(Msg) }}
+
+// newMsg returns a frame from the pool holding v.
+func newMsg(v Msg) *Msg {
+	m := msgPool.Get().(*Msg)
+	*m = v
+	return m
+}
+
+// releaseMsg zeroes m and returns it to the pool. The caller must hold the
+// only reference: a frame used after its release reads Kind 0, which no
+// handler accepts, so the mistake fails the run as an unexpected message.
+// The slices m referenced are not reused; whatever kept them (a page cache,
+// a stolen SP's frame) keeps them.
+func releaseMsg(m *Msg) {
+	*m = Msg{}
+	msgPool.Put(m)
 }
 
 // AckStats is a worker's answer to a termination probe: its Live SP count
@@ -638,18 +662,28 @@ func (r *reader) sliceLen(elemSize int) int {
 	return n
 }
 
-// decodeMsg parses one wire-format message. It allocates the Msg, the
-// blocks its kind carries and exactly-sized slices, and retains nothing
-// of b.
+// decodeMsg parses one wire-format message into a frame from the pool. It
+// allocates the blocks its kind carries and exactly-sized slices, and
+// retains nothing of b. A frame that fails to decode is left to the GC.
 func decodeMsg(b []byte) (*Msg, error) {
+	m := msgPool.Get().(*Msg)
+	if err := m.decode(b); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// decode overwrites every field of m with the message b holds, whatever m
+// held before.
+func (m *Msg) decode(b []byte) error {
+	*m = Msg{}
 	r := reader{b: b}
-	m := &Msg{}
 	m.Kind = MsgKind(r.u8())
 	m.From = r.i32()
 	m.Job = r.i32()
 	w, ok := m.Kind.layout()
 	if !ok && r.err == nil {
-		return nil, fmt.Errorf("cluster: frame of unknown kind %d", uint8(m.Kind))
+		return fmt.Errorf("cluster: frame of unknown kind %d", uint8(m.Kind))
 	}
 	if w&wSeq != 0 {
 		m.Seq = r.i64()
@@ -757,10 +791,10 @@ func decodeMsg(b []byte) (*Msg, error) {
 		m.Lists.TraceDrops = r.i64()
 	}
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if len(r.b) != 0 {
-		return nil, fmt.Errorf("cluster: %d trailing bytes after %v frame", len(r.b), m.Kind)
+		return fmt.Errorf("cluster: %d trailing bytes after %v frame", len(r.b), m.Kind)
 	}
-	return m, nil
+	return nil
 }

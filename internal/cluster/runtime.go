@@ -209,13 +209,16 @@ func (d *driver) toAll(mk func() *Msg) error {
 	return nil
 }
 
-// handle processes one driver-bound message; it returns an error for KFail,
-// KDown and KLost and flags round completion for KAck.
+// handle processes one driver-bound message and releases it; it returns an
+// error for KFail, KDown and KLost and flags round completion for KAck.
+// Nothing it keeps may point into the frame.
 func (d *driver) handle(m *Msg) error {
+	defer releaseMsg(m)
 	res := d.res
 	switch m.Kind {
 	case KToken:
-		res.Value = &m.Val
+		v := m.Val
+		res.Value = &v
 	case KAlloc:
 		if res.arrays[m.Arr] != nil {
 			return fmt.Errorf("cluster: array %d allocated twice", m.Arr)
@@ -269,7 +272,7 @@ func (d *driver) openRound() error {
 	d.round++
 	d.roundComplete = false
 	d.det.begin(d.round)
-	return d.toAll(func() *Msg { return &Msg{Kind: KProbe, Round: d.round} })
+	return d.toAll(func() *Msg { return newMsg(Msg{Kind: KProbe, Round: d.round}) })
 }
 
 // closeRound acts on a completed round: the timeline sample, the
@@ -302,7 +305,7 @@ func (d *driver) closeRound() (done bool, err error) {
 	}
 	for _, rb := range d.ad.tick(d.round) {
 		if err := d.toAll(func() *Msg {
-			return &Msg{Kind: KRebound, Tmpl: rb.tmpl, Lists: &MsgLists{Cuts: append([]int64(nil), rb.cuts...)}}
+			return newMsg(Msg{Kind: KRebound, Tmpl: rb.tmpl, Lists: &MsgLists{Cuts: append([]int64(nil), rb.cuts...)}})
 		}); err != nil {
 			return false, err
 		}
@@ -340,7 +343,7 @@ func (d *driver) gather() error {
 		g := d.res.arrays[id]
 		for pe := 0; pe < d.n; pe++ {
 			if lo, hi := g.h.SegmentElems(pe); lo < hi {
-				if err := d.send(pe, &Msg{Kind: KDumpReq, Arr: id}); err != nil {
+				if err := d.send(pe, newMsg(Msg{Kind: KDumpReq, Arr: id})); err != nil {
 					return err
 				}
 				d.expect++
@@ -370,7 +373,7 @@ func drive(ctx context.Context, ep *jobEndpoint, cfg Config, probe time.Duration
 	d := newDriver(ep, cfg, probe, roundTimeout)
 	defer func() {
 		for pe := 0; pe < d.n; pe++ {
-			_ = ep.Send(pe, &Msg{Kind: KStop})
+			_ = ep.Send(pe, newMsg(Msg{Kind: KStop}))
 		}
 	}()
 	cancelled := func(err error) error {
@@ -380,7 +383,7 @@ func drive(ctx context.Context, ep *jobEndpoint, cfg Config, probe time.Duration
 	timer := time.NewTimer(probe)
 	defer timer.Stop()
 
-	if err := d.send(0, &Msg{Kind: KSpawn, Tmpl: int32(entry.ID), Args: args}); err != nil {
+	if err := d.send(0, newMsg(Msg{Kind: KSpawn, Tmpl: int32(entry.ID), Args: args})); err != nil {
 		return nil, err
 	}
 	for {
@@ -512,7 +515,7 @@ type traceGather struct {
 func requestTraces(ep *jobEndpoint, n int) *traceGather {
 	g := &traceGather{pts: make([]trace.PETrace, n), got: make([]bool, n)}
 	for pe := 0; pe < n; pe++ {
-		if err := ep.Send(pe, &Msg{Kind: KTraceReq}); err == nil {
+		if err := ep.Send(pe, newMsg(Msg{Kind: KTraceReq})); err == nil {
 			g.need++
 		}
 	}

@@ -82,7 +82,7 @@ func (f *Fleet) serveJobConn(ctx context.Context, conn net.Conn) {
 	}
 	seq := m.Seq
 	fail := func(err error) {
-		_ = writeFrame(conn, &Msg{Kind: KFail, Seq: seq, Name: err.Error()})
+		_ = writeFrame(conn, newMsg(Msg{Kind: KFail, Seq: seq, Name: err.Error()}))
 	}
 	if m.Kind != KSubmit {
 		fail(fmt.Errorf("cluster: job server expects a submit frame, got %v", m.Kind))
@@ -130,9 +130,9 @@ func (f *Fleet) serveJobConn(ctx context.Context, conn net.Conn) {
 					wv[i-base] = isa.Float(vals[i])
 				}
 			}
-			if err := writeFrame(conn, &Msg{Kind: KDump, Seq: seq, Name: name,
+			if err := writeFrame(conn, newMsg(Msg{Kind: KDump, Seq: seq, Name: name,
 				Dims: d32, Off: int32(base), Vals: wv,
-				Set: append([]bool(nil), mask[base:end]...)}); err != nil {
+				Set: append([]bool(nil), mask[base:end]...)})); err != nil {
 				return
 			}
 			if len(vals) == 0 {
@@ -140,7 +140,7 @@ func (f *Fleet) serveJobConn(ctx context.Context, conn net.Conn) {
 			}
 		}
 	}
-	rm := &Msg{Kind: KResult, Seq: seq}
+	rm := newMsg(Msg{Kind: KResult, Seq: seq})
 	if res.Value != nil {
 		rm.Val = *res.Value
 		rm.Slot = 1 // value present (void programs leave Slot 0)
@@ -209,7 +209,7 @@ func submitWire(ctx context.Context, addr string, wire []byte, cfg Config, args 
 		}
 	}()
 
-	if err := writeFrame(conn, &Msg{Kind: KSubmit, Seq: 1, Args: args, Cfg: &MsgCfg{Job: cfg, Prog: wire}}); err != nil {
+	if err := writeFrame(conn, newMsg(Msg{Kind: KSubmit, Seq: 1, Args: args, Cfg: &MsgCfg{Job: cfg, Prog: wire}})); err != nil {
 		return nil, fmt.Errorf("cluster: submitting job: %w", err)
 	}
 

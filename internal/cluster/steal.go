@@ -73,7 +73,7 @@ func (w *worker) maybeSteal() {
 	}
 	s.outstanding = true
 	w.rec(trace.EvStealReq, int64(s.victim), 0)
-	w.send(s.victim, &Msg{Kind: KStealReq})
+	w.send(s.victim, newMsg(Msg{Kind: KStealReq}))
 }
 
 // stealProbe revives a dormant worker after a few probe rounds: skew that
@@ -163,7 +163,7 @@ func (w *worker) handleStealReq(m *Msg) {
 		batch = w.stealBatch()
 	}
 	if len(batch) == 0 {
-		w.send(thief, &Msg{Kind: KStealNone})
+		w.send(thief, newMsg(Msg{Kind: KStealNone}))
 		return
 	}
 	items := make([]StealItem, len(batch))
@@ -188,7 +188,7 @@ func (w *worker) handleStealReq(m *Msg) {
 		}
 	}
 	w.rec(trace.EvStealGrant, int64(thief), int64(len(items)))
-	w.send(thief, &Msg{Kind: KStealGrant, Lists: &MsgLists{Batch: items}})
+	w.send(thief, newMsg(Msg{Kind: KStealGrant, Lists: &MsgLists{Batch: items}}))
 }
 
 // installStolen installs each granted SP under its home ID and runs it as
@@ -241,7 +241,7 @@ func (w *worker) relay(id int64, slot int, v isa.Value) bool {
 	s := w.steal
 	if thief, ok := s.forwards[id]; ok {
 		s.forwarded++
-		w.send(thief, &Msg{Kind: KToken, SP: id, Slot: int32(slot), Val: v})
+		w.send(thief, newMsg(Msg{Kind: KToken, SP: id, Slot: int32(slot), Val: v}))
 		return true
 	}
 	if _, ok := s.halted[id]; ok {

@@ -95,18 +95,21 @@ func appendFrame(b []byte, m *Msg) ([]byte, error) {
 }
 
 // writeFrame writes one frame synchronously: for a connection with a single
-// sender that wants the socket's backpressure (the job-server sockets).
+// sender that wants the socket's backpressure (the job-server sockets). It
+// consumes m: the frame is released once encoded.
 func writeFrame(conn net.Conn, m *Msg) error {
 	b, err := appendFrame(nil, m)
+	releaseMsg(m)
 	if err == nil {
 		_, err = conn.Write(b)
 	}
 	return err
 }
 
-// send queues one frame. A write error is reported by the first send after
-// it happened, and by every later one: the frames queued before it are
-// lost, exactly as if the connection had dropped after a synchronous
+// send queues one frame. It consumes m: an encoded frame is released, a
+// dropped one left to the GC. A write error is reported by the first send
+// after it happened, and by every later one: the frames queued before it
+// are lost, exactly as if the connection had dropped after a synchronous
 // write returned.
 func (o *outbox) send(m *Msg) error {
 	o.mu.Lock()
@@ -118,7 +121,9 @@ func (o *outbox) send(m *Msg) error {
 		return o.err
 	}
 	var err error
-	if o.pend, err = appendFrame(o.pend, m); err != nil {
+	o.pend, err = appendFrame(o.pend, m)
+	releaseMsg(m)
+	if err != nil {
 		return err
 	}
 	if !o.draining {
@@ -273,7 +278,7 @@ func pump(conn net.Conn, in *inboxTable, onInit func(net.Conn)) {
 			var ne net.Error
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) &&
 				!errors.Is(err, io.ErrUnexpectedEOF) && !errors.As(err, &ne) {
-				in.put(&Msg{Kind: KFail, Name: fmt.Sprintf("transport: %v", err)})
+				in.put(newMsg(Msg{Kind: KFail, Name: fmt.Sprintf("transport: %v", err)}))
 			}
 			return
 		}
@@ -377,7 +382,7 @@ func (t *tcpEndpoint) pumpLink(pe int, gen int32, conn net.Conn) {
 		o.mu.Unlock()
 	}
 	l.mu.Unlock()
-	t.in.put(&Msg{Kind: KDown, From: int32(pe), Gen: gen})
+	t.in.put(newMsg(Msg{Kind: KDown, From: int32(pe), Gen: gen}))
 }
 
 // ServeWorker runs one TCP worker PE on ln until the driver session ends

@@ -505,21 +505,24 @@ func benchLoopbackEcho(b *testing.B) *jobEndpoint {
 
 // benchRoundTrip sends burst token frames and waits for all their echoes,
 // b.N times: burst 1 is a ping-pong (latency of one crossing and back),
-// burst 64 the amortized per-frame cost when the path can batch.
+// burst 64 the amortized per-frame cost when the path can batch. It takes
+// and releases its frames as a sending and a receiving worker do.
 func benchRoundTrip(b *testing.B, ep *jobEndpoint, burst int) {
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < burst; j++ {
-			if err := ep.Send(0, &Msg{Kind: KToken, SP: int64(j), Slot: 1, Val: isa.Float(1)}); err != nil {
+			if err := ep.Send(0, newMsg(Msg{Kind: KToken, SP: int64(j), Slot: 1, Val: isa.Float(1)})); err != nil {
 				b.Fatal(err)
 			}
 		}
 		for j := 0; j < burst; j++ {
-			if _, err := ep.in.recv(ctx); err != nil {
+			m, err := ep.in.recv(ctx)
+			if err != nil {
 				b.Fatal(err)
 			}
+			releaseMsg(m)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*burst), "ns/frame")

@@ -25,11 +25,15 @@ var errWake = errors.New("cluster: receive deadline reached")
 // its own (its endpoint's inbox table routes each arriving frame to one),
 // in arrival order; no transport has a receive method.
 //
-// A sent Msg is owned by the receiver: the sender must not retain or
-// mutate it (or any slice it references) after Send returns. The one
-// exception is final I-structure data: the Vals/Set of a full KPage and of
-// a KDump are views of the sender's segment, which it keeps, and which
-// neither side writes again.
+// A sent Msg belongs to whoever consumes it: the sender must not retain,
+// mutate or read it (or any slice it references) after Send returns, even
+// when Send fails. The consumer releases the frame to the pool exactly once
+// (releaseMsg): the receiving worker or driver once it has handled it, or
+// the TCP endpoint once it has encoded it, so a receiver keeps nothing that
+// points into the struct. The one exception to the rule on slices is final
+// I-structure data: the Vals/Set of a full KPage and of a KDump are views
+// of the sender's segment, which it keeps, and which neither side writes
+// again.
 type Endpoint interface {
 	// Send enqueues m for endpoint `to` and returns without waiting for
 	// delivery.
@@ -430,7 +434,7 @@ func (e *chanEndpoint) Send(to int, m *Msg) error {
 			t.mu.RLock()
 			in := t.ins[driver]
 			t.mu.RUnlock()
-			in.put(&Msg{Kind: KDown, From: int32(e.self)})
+			in.put(newMsg(Msg{Kind: KDown, From: int32(e.self)}))
 			return ErrClosed
 		}
 	}

@@ -21,9 +21,9 @@ import (
 // per-kind encode/decode benchmarks (layer (c) of the ROADMAP's list; the
 // transport round trips, layer (d), are in tcp_test.go).
 
-// TestMsgSize pins the hot struct: every message on every transport
-// allocates one, so a field added to Msg instead of a cold block shows
-// here first.
+// TestMsgSize pins the hot struct: every frame on every transport is one,
+// copied whole by newMsg and zeroed whole by releaseMsg, so a field added
+// to Msg instead of a cold block shows here first.
 func TestMsgSize(t *testing.T) {
 	if n := unsafe.Sizeof(Msg{}); n > 256 {
 		t.Fatalf("Msg is %d bytes, want <= 256: move cold fields behind Ack/Cfg/Lists", n)
@@ -444,6 +444,9 @@ func allocatedBy(runs int, f func()) uint64 {
 // FuzzDecodeMsg: decodeMsg parses untrusted bytes (the podsd -serve
 // socket). It must never panic, never allocate more than a small multiple
 // of its input, and whatever it accepts must re-encode to the same bytes.
+// Frames are recycled, so an accepted input must also decode into a frame
+// that last held a message of any other kind (every field of its blocks
+// set, and Gen, which no frame carries) exactly as into a fresh one.
 func FuzzDecodeMsg(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for _, k := range wireKinds() {
@@ -460,6 +463,21 @@ func FuzzDecodeMsg(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		fresh := new(Msg)
+		if err := fresh.decode(data); err != nil {
+			t.Fatalf("decoding into a fresh frame: %v", err)
+		}
+		rng := rand.New(rand.NewSource(int64(len(data))))
+		for _, k := range wireKinds() {
+			if k == fresh.Kind {
+				continue
+			}
+			recycled := randMsg(rng, k)
+			recycled.Gen = 1
+			if err := recycled.decode(data); err != nil || !reflect.DeepEqual(recycled, fresh) {
+				t.Fatalf("decoding into a frame that held a %v: %v\n got  %+v\n want %+v", k, err, recycled, fresh)
+			}
 		}
 		if b := encodeMsg(nil, m); !bytes.Equal(b, data) {
 			// A bool has non-canonical encodings (any non-zero byte reads
@@ -498,7 +516,7 @@ func hotFrames() []struct {
 	}
 }
 
-var benchSink *Msg
+var benchSink MsgKind
 
 func BenchmarkEncodeMsg(b *testing.B) {
 	for _, f := range hotFrames() {
@@ -514,6 +532,8 @@ func BenchmarkEncodeMsg(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeMsg decodes each frame into a pooled Msg and releases it,
+// as a TCP pump and the receiving worker do.
 func BenchmarkDecodeMsg(b *testing.B) {
 	for _, f := range hotFrames() {
 		b.Run(f.name, func(b *testing.B) {
@@ -525,7 +545,8 @@ func BenchmarkDecodeMsg(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				benchSink = m
+				benchSink = m.Kind
+				releaseMsg(m)
 			}
 			b.ReportMetric(float64(len(buf)), "frame-bytes")
 		})

@@ -244,7 +244,7 @@ func (w *worker) send(to int, m *Msg) {
 		// lost frame can never fake termination.
 		if !w.failed {
 			w.failed = true
-			_ = w.ep.Send(w.driverID(), &Msg{Kind: KLost, ReqPE: int32(to), Name: err.Error()})
+			_ = w.ep.Send(w.driverID(), newMsg(Msg{Kind: KLost, ReqPE: int32(to), Name: err.Error()}))
 		}
 	}
 }
@@ -256,7 +256,7 @@ func (w *worker) fail(err error) {
 		return
 	}
 	w.failed = true
-	_ = w.ep.Send(w.driverID(), &Msg{Kind: KFail, Name: fmt.Sprintf("pe %d: %v", w.pe, err)})
+	_ = w.ep.Send(w.driverID(), newMsg(Msg{Kind: KFail, Name: fmt.Sprintf("pe %d: %v", w.pe, err)}))
 }
 
 // unexpected fails the run on a frame this worker has no use for: a kind
@@ -356,7 +356,7 @@ func (w *worker) report(round int32) {
 	if round != 0 {
 		w.publishMetrics(&a.Counters)
 	}
-	w.send(w.driverID(), &Msg{Kind: KAck, Round: round, Ack: a})
+	w.send(w.driverID(), newMsg(Msg{Kind: KAck, Round: round, Ack: a}))
 }
 
 // run is the worker main loop: drain the mailbox, then execute ready SPs;
@@ -415,24 +415,31 @@ func (w *worker) idle() {
 // yieldEvery is the number of step() calls between cooperative yields.
 const yieldEvery = 64
 
-// handle takes one incoming frame: the termination count, then dispatch.
+// handle takes one incoming frame: the termination count, then consume.
 func (w *worker) handle(m *Msg) {
 	if m.Kind.isData() && int(m.From) != w.driverID() {
 		w.recv++
 	}
-	w.dispatch(m)
+	w.consume(m)
 }
 
-// dispatch acts on one admitted frame. A frame addressed to an array whose
-// header has not arrived yet is parked first, and installArray dispatches
-// it again once the header lands.
-func (w *worker) dispatch(m *Msg) {
+// consume dispatches a frame and releases it, unless dispatch parked it.
+func (w *worker) consume(m *Msg) {
+	if !w.dispatch(m) {
+		releaseMsg(m)
+	}
+}
+
+// dispatch acts on one admitted frame and reports whether it kept it. A
+// frame addressed to an array whose header has not arrived yet is parked,
+// and installArray consumes it once the header lands.
+func (w *worker) dispatch(m *Msg) (parked bool) {
 	var a *istructure.Array
 	switch m.Kind {
 	case KReadReq, KWrite, KDumpReq:
 		if a = w.shard.Array(m.Arr); a == nil {
 			w.pending[m.Arr] = append(w.pending[m.Arr], m)
-			return
+			return true
 		}
 	}
 	switch m.Kind {
@@ -488,7 +495,7 @@ func (w *worker) dispatch(m *Msg) {
 			ans.TraceEvs = w.tr.Flatten()
 			ans.TraceDrops = w.tr.Drops()
 		}
-		w.send(w.driverID(), &Msg{Kind: KTrace, Lists: ans})
+		w.send(w.driverID(), newMsg(Msg{Kind: KTrace, Lists: ans}))
 
 	case KDumpReq:
 		w.handleDumpReq(a, m)
@@ -503,6 +510,7 @@ func (w *worker) dispatch(m *Msg) {
 	default:
 		w.unexpected(m)
 	}
+	return false
 }
 
 // spawnLocal creates a live SP instance of tmpl on this worker for a spawn
@@ -606,10 +614,10 @@ func (w *worker) route(id int64, slot int, v isa.Value) {
 	case pe == w.pe || w.insts[id] != nil:
 		w.deliver(id, slot, v)
 	case pe < 0: // driver environment
-		w.send(w.driverID(), &Msg{Kind: KToken, SP: 0, Slot: int32(slot), Val: v})
+		w.send(w.driverID(), newMsg(Msg{Kind: KToken, SP: 0, Slot: int32(slot), Val: v}))
 	case pe < w.n:
 		if w.steal == nil || !w.relay(id, slot, v) {
-			w.send(pe, &Msg{Kind: KToken, SP: id, Slot: int32(slot), Val: v})
+			w.send(pe, newMsg(Msg{Kind: KToken, SP: id, Slot: int32(slot), Val: v}))
 		}
 	default:
 		w.fail(fmt.Errorf("token for SP %d on unknown PE %d", id, pe))
@@ -801,6 +809,7 @@ func (w *worker) execSpawn(sp *spInst, ins *isa.DInstr, args []int) {
 	for pe := 0; pe < w.n; pe++ {
 		if m := fo.spawnMsg(pe, w.n); pe == w.pe {
 			w.spawnCopy(m)
+			releaseMsg(m)
 		} else {
 			w.send(pe, m)
 		}
@@ -819,10 +828,10 @@ type fanout struct {
 }
 
 // spawnMsg builds PE pe's KSpawn of the fan-out, stamped with the sweep and,
-// under a rebound, pe's bounds. Every call returns a fresh message with its
+// under a rebound, pe's bounds. Every call returns a fresh frame with its
 // own arguments: a sent Msg is receiver-owned.
 func (f *fanout) spawnMsg(pe, n int) *Msg {
-	m := &Msg{Kind: KSpawn, Tmpl: f.tmpl, Sweep: f.sweep, Args: append([]isa.Value(nil), f.args...)}
+	m := newMsg(Msg{Kind: KSpawn, Tmpl: f.tmpl, Sweep: f.sweep, Args: append([]isa.Value(nil), f.args...)})
 	if f.cuts != nil {
 		m.RngOn = true
 		m.RngLo, m.RngHi = cutBounds(f.cuts, pe, n)

@@ -88,7 +88,7 @@ type Shard struct {
 type cacheSlot struct {
 	a    *Array
 	page int
-	pg   *CachedPage
+	pg   CachedPage
 	st   *pageStat
 }
 
@@ -307,10 +307,10 @@ func (s *Shard) QueueRemote(id int64, off int, rw RemoteWaiter) error {
 // be sent back" (§4). Its capacity is clipped to the page, so no append can
 // reach a neighbouring page. A partial page is copied, because the owner
 // keeps writing its absent elements.
-func (a *Array) ExtractPage(off int) (pageIdx int, pg *CachedPage, elems int, err error) {
+func (a *Array) ExtractPage(off int) (pageIdx int, pg CachedPage, elems int, err error) {
 	h := a.h
 	if !a.Owns(off) {
-		return 0, nil, 0, fmt.Errorf("pe %d: offset %d of array %q not owned", a.s.PE, off, h.Name)
+		return 0, CachedPage{}, 0, fmt.Errorf("pe %d: offset %d of array %q not owned", a.s.PE, off, h.Name)
 	}
 	pageIdx = h.PageOf(off)
 	lo := pageIdx*h.PageElems - a.base
@@ -319,23 +319,24 @@ func (a *Array) ExtractPage(off int) (pageIdx int, pg *CachedPage, elems int, er
 	if slices.Contains(set, false) {
 		vals, set = slices.Clone(vals), slices.Clone(set)
 	}
-	return pageIdx, &CachedPage{Vals: vals, Set: set}, hi - lo, nil
+	return pageIdx, CachedPage{Vals: vals, Set: set}, hi - lo, nil
 }
 
 // ExtractPage is Array.ExtractPage by array ID.
-func (s *Shard) ExtractPage(id int64, off int) (pageIdx int, pg *CachedPage, elems int, err error) {
+func (s *Shard) ExtractPage(id int64, off int) (pageIdx int, pg CachedPage, elems int, err error) {
 	a := s.Array(id)
 	if a == nil {
-		return 0, nil, 0, fmt.Errorf("pe %d: extract page of unknown array %d", s.PE, id)
+		return 0, CachedPage{}, 0, fmt.Errorf("pe %d: extract page of unknown array %d", s.PE, id)
 	}
 	return a.ExtractPage(off)
 }
 
 // InstallPage stores a received remote page in the software cache,
-// overwriting any older (necessarily subset) snapshot. With CacheCap set,
-// installing a page beyond the cap first evicts a resident page chosen by
-// the CLOCK sweep; re-installing a previously evicted page counts as a
-// refetch. A page index outside the array is ignored.
+// overwriting any older (necessarily subset) snapshot; the cache copies the
+// header *pg and keeps its slices. With CacheCap set, installing a page
+// beyond the cap first evicts a resident page chosen by the CLOCK sweep;
+// re-installing a previously evicted page counts as a refetch. A page index
+// outside the array is ignored.
 func (a *Array) InstallPage(pageIdx int, pg *CachedPage) {
 	e := a.stat(pageIdx)
 	if e == nil {
@@ -345,21 +346,27 @@ func (a *Array) InstallPage(pageIdx int, pg *CachedPage) {
 	if e.slot != nil {
 		// A fuller snapshot of an already-resident page: refresh in place.
 		// The touch counts as a reference — the page is demonstrably live.
-		e.slot.pg = pg
+		e.slot.pg = *pg
 		e.heat++
 		return
 	}
 	if e.evicted && e.gen >= s.evictGen-1 {
 		s.Refetches++
 	}
-	slot := &cacheSlot{a: a, page: pageIdx, pg: pg, st: e}
-	e.slot = slot
 	// Enter unreferenced: any touches the demand miss itself recorded must
 	// not count as a post-install reference (the old ring's ref=false).
 	e.sweep = e.heat
-	if s.CacheCap > 0 && len(s.clock) >= s.CacheCap {
-		// A cap lowered mid-run shrinks the ring first, O(1) per page by
-		// moving the last slot into the vacated frame.
+	if s.CacheCap == 0 || len(s.clock) < s.CacheCap {
+		e.slot = &cacheSlot{a: a, page: pageIdx, pg: *pg, st: e}
+		s.clock = append(s.clock, e.slot)
+		return
+	}
+	// The ring is full. The page is resident before anything is evicted, so
+	// that a generation reset inside evictAt skips its heat entry. A cap
+	// lowered mid-run shrinks the ring first, O(1) per page by moving the
+	// last slot into the vacated frame, and the page gets a slot of its own.
+	if len(s.clock) > s.CacheCap {
+		e.slot = new(cacheSlot)
 		for len(s.clock) > s.CacheCap {
 			i := s.victim()
 			s.evictAt(i)
@@ -368,15 +375,18 @@ func (a *Array) InstallPage(pageIdx int, pg *CachedPage) {
 			s.clock[last] = nil
 			s.clock = s.clock[:last]
 		}
-		// Classic CLOCK: the new page replaces the victim frame in place
-		// (O(1) — no ring splice), with the hand advancing past it.
-		i := s.victim()
-		s.evictAt(i)
-		s.clock[i] = slot
-		s.hand = i + 1
-	} else {
-		s.clock = append(s.clock, slot)
 	}
+	// Classic CLOCK: the new page replaces the victim in its frame (O(1) —
+	// no ring splice) and, on a ring that did not shrink, in its slot (no
+	// allocation), with the hand advancing past it.
+	i := s.victim()
+	if e.slot == nil {
+		e.slot = s.clock[i]
+	}
+	s.evictAt(i)
+	*e.slot = cacheSlot{a: a, page: pageIdx, pg: *pg, st: e}
+	s.clock[i] = e.slot
+	s.hand = i + 1
 }
 
 // InstallPage is Array.InstallPage by array ID; a page of an array that is
@@ -456,7 +466,7 @@ func (a *Array) CacheLookup(off int) (v isa.Value, hitPage, hitElem bool) {
 	if e.slot == nil {
 		return isa.Value{}, false, false
 	}
-	pg := e.slot.pg
+	pg := &e.slot.pg
 	i := off - page*a.h.PageElems
 	if i < 0 || i >= len(pg.Vals) || !pg.Set[i] {
 		return isa.Value{}, true, false

@@ -113,7 +113,7 @@ func TestPageExtractInstallLookup(t *testing.T) {
 		t.Errorf("page elems = %d, want 8", elems)
 	}
 	other := 1 - owner
-	shards[other].InstallPage(1, pageIdx, pg)
+	shards[other].InstallPage(1, pageIdx, &pg)
 	v, hitPage, hitElem := shards[other].CacheLookup(1, h, off)
 	if !hitPage || !hitElem || v.F() != 2.25 {
 		t.Fatalf("cache lookup = %v %v %v, want hit 2.25", v, hitPage, hitElem)
@@ -245,7 +245,7 @@ func TestCacheNeverContradictsOwner(t *testing.T) {
 				if err != nil {
 					return false
 				}
-				reader.InstallPage(1, pageIdx, pg)
+				reader.InstallPage(1, pageIdx, &pg)
 			}
 		}
 		// Every cached-present element must equal the owner's value.
@@ -343,8 +343,8 @@ func TestExtractPageViews(t *testing.T) {
 		if _, _, _, err := a.ExtractPage(26); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs > 1 {
-		t.Errorf("full-page extract: %.0f allocs, want at most 1 (the CachedPage header)", allocs)
+	}); allocs != 0 {
+		t.Errorf("full-page extract: %.0f allocs, want none (a view, its header a value)", allocs)
 	}
 }
 
@@ -383,6 +383,11 @@ func TestCacheCapNeverExceeded(t *testing.T) {
 	s.InstallPage(1, 19, cachePage(8, 99))
 	if s.Evictions != before || s.CachedPages() != 3 {
 		t.Fatalf("refresh of resident page evicted (evictions %d→%d)", before, s.Evictions)
+	}
+	// An overflow install takes over its victim's slot: it allocates nothing.
+	pg, p := cachePage(8, 0), 0
+	if allocs := testing.AllocsPerRun(40, func() { s.InstallPage(1, p%20, pg); p++ }); allocs != 0 {
+		t.Fatalf("installs into a full cache: %.0f allocations each, want 0", allocs)
 	}
 }
 

@@ -234,7 +234,7 @@ func (p *pe) sendPage(t int64, a *istructure.Array, r msg) {
 func (m *Machine) receivePage(t int64, r msg) {
 	p := m.pes[r.dst]
 	a := p.shard.Array(r.arr)
-	a.InstallPage(r.pageIdx, r.page)
+	a.InstallPage(r.pageIdx, &r.page)
 	i := r.off - r.pageIdx*a.Header().PageElems
 	if i < 0 || i >= len(r.page.Vals) || !r.page.Set[i] {
 		m.fail(fmt.Errorf("sim: page %d of array %d shipped without requested element", r.pageIdx, r.arr))

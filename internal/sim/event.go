@@ -120,8 +120,8 @@ type msg struct {
 	child  *spInst // the instance a spawn is activating
 
 	// page is a snapshot on its way into src's page cache. The cache keeps
-	// it, so unlike the msg itself it is never reused.
-	page    *istructure.CachedPage
+	// its slices, so unlike the msg itself they are never reused.
+	page    istructure.CachedPage
 	pageIdx int
 }
 
