@@ -98,13 +98,12 @@ type Config struct {
 	// round's work before it is stopped. 0 (the default) is unlimited.
 	MaxInstrs int64
 
-	// Heat enables two decisions on the per-shard page-heat table of
-	// (array, page) → {residency, heat, sequential-run length}: sequential
-	// scans prefetch the next page before the miss, and CachePages
-	// self-tunes between the configured floor and 8× it from refetch
-	// pressure. The table itself is kept either way. Off by default: both
-	// ride existing message kinds, so results stay bit-identical either
-	// way.
+	// Heat enables two decisions on what a worker observes of its pages:
+	// sequential scans, which a per-page run length records for each read,
+	// prefetch the next page before the miss, and CachePages self-tunes
+	// between the configured floor and 8× it from refetch pressure. With
+	// Heat off, reads record nothing. Off by default: both ride existing
+	// message kinds, so results stay bit-identical either way.
 	Heat bool
 
 	// MaxElems is the job's memory budget in allocated I-structure

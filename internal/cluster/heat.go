@@ -5,22 +5,23 @@ import (
 	"repro/internal/istructure"
 )
 
-// The heat layer (Config.Heat) turns the shard's page-heat table
-// (istructure/heat.go), which records what happened to every page, into
-// two decisions:
+// The heat layer (Config.Heat) makes two decisions from what the worker
+// observes of its pages:
 //
-//   - streaming prefetch: a detected sequential scan asks the owner for the
+//   - streaming prefetch: the shard's sequential-scan detector
+//     (istructure/heat.go), which this layer alone feeds, one record per
+//     read, spots a forward scan, and the worker asks the owner for the
 //     next page before the miss, via an SP-0 KReadReq answered on the
 //     ordinary KPage path — the four-counter termination sums need no
 //     new cases;
 //   - the adaptive cache cap: CachePages self-tunes between a floor and a
 //     ceiling from per-probe-round refetch pressure.
 //
-// The core calls in on every remote read (heatRead) and on every probe
-// (capTick), and marks each prefetched page that installs as arrived. A
-// prefetch enters the core's in-flight page table (istore.go) like a demand
-// request, so neither kind asks for a page already requested. The heat
-// table itself is kept with the layer off.
+// The core calls in on every owned read (Array.Scan), every remote read
+// (heatRead) and every probe (capTick), and marks each prefetched page that
+// installs as arrived. A prefetch enters the core's in-flight page table
+// (istore.go) like a demand request, so neither kind asks for a page
+// already requested. With the layer off, no read records anything.
 
 // heatState is a worker's half of the heat layer, nil when Config.Heat is
 // off.
@@ -41,13 +42,14 @@ type heatState struct {
 }
 
 // prefetchRun is the sequential-run length that triggers a streaming
-// prefetch: two consecutive pages touched in order is taken as a scan.
+// prefetch: two consecutive pages read in order is taken as a scan.
 const prefetchRun = 2
 
 // heatRead observes one remote read of element off: a cache hit credits
-// the prefetch that staged its page, and hit or miss, a sequential scan
-// ending at the page prefetches the next one — the scan's own misses
-// start the chain, and the hits keep it one page ahead.
+// the prefetch that staged its page, and hit or miss, the read is recorded
+// for the scan detector, and a sequential scan ending at the page
+// prefetches the next one — the scan's own misses start the chain, and the
+// hits keep it one page ahead.
 //
 // The request is an SP-0 KReadReq — SP 0 is never a live instance ID, so
 // the owner ships the page without queuing a waiter and the arrival
@@ -63,7 +65,7 @@ func (w *worker) heatRead(a *istructure.Array, off int, hit bool) {
 			ht.prefetchHits++
 		}
 	}
-	if a.ScanRun(page) < prefetchRun {
+	if a.Scan(page) < prefetchRun {
 		return
 	}
 	page++

@@ -141,6 +141,11 @@ func (w *worker) execRead(sp *spInst, ins *isa.DInstr, idx []int) isa.Step {
 
 	v, res := a.ReadLocal(off, istructure.Waiter{PE: w.pe, SP: sp.id, Slot: dst})
 	if res != istructure.ReadRemote {
+		if w.heat != nil {
+			// The scan detector follows a forward sweep across owned pages
+			// into the remote ones.
+			a.Scan(h.PageOf(off))
+		}
 		if res == istructure.ReadHit {
 			sp.frame[dst] = v
 		}

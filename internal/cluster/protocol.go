@@ -715,6 +715,9 @@ func (m *Msg) decode(b []byte) error {
 				m.Set[i] = s != 0
 			}
 		}
+		if len(m.Set) < len(m.Vals) && r.err == nil {
+			return fmt.Errorf("cluster: page frame has %d values and %d presence bits", len(m.Vals), len(m.Set))
+		}
 	}
 	if w&wName != 0 {
 		m.Name = r.str()

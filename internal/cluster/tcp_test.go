@@ -381,7 +381,7 @@ func TestFrameReaderBoundaries(t *testing.T) {
 	var want []int32
 	add := func(vals int) {
 		var err error
-		stream, err = appendFrame(stream, &Msg{Kind: KDump, Off: int32(len(want)), Vals: make([]isa.Value, vals)})
+		stream, err = appendFrame(stream, &Msg{Kind: KDump, Off: int32(len(want)), Vals: make([]isa.Value, vals), Set: make([]bool, vals)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -343,9 +343,10 @@ func TestMsgCodecTruncated(t *testing.T) {
 }
 
 // hostileSeed decodes the FuzzDecodeMsg corpus seed name, which must end
-// on the four bytes of an oversized slice length, and requires the decode
-// to fail on that length, not on trailing bytes (which would mean the seed
-// no longer matches its kind's layout and tests nothing).
+// on count, the encoding of the slice the decode must refuse, and requires
+// the decode to fail on that slice with wantErr, not on trailing bytes
+// (which would mean the seed no longer matches its kind's layout and
+// tests nothing).
 func hostileSeed(t *testing.T, name, count, wantErr string) {
 	t.Helper()
 	s := readSeed(t, name)
@@ -394,6 +395,14 @@ func TestDecodeSignalingNaNSeed(t *testing.T) {
 func TestDecodeHostileGrantSeed(t *testing.T) {
 	hostileSeed(t, "hostile-grant-huge-batch", "\x00\x00\x00\x80",
 		"cluster: frame slice length 2147483648 exceeds payload")
+}
+
+// TestDecodeHostilePageSeed: hostile-page-short-set is a KPage whose eight
+// values come with one presence bit. Accepted, it would send the receiving
+// worker past the end of the presence vector.
+func TestDecodeHostilePageSeed(t *testing.T) {
+	hostileSeed(t, "hostile-page-short-set", "\x01\x00\x00\x00\x01",
+		"cluster: page frame has 8 values and 1 presence bits")
 }
 
 // TestDecodeHostileInitSeed: hostile-init-huge-peers is a KInit whose last

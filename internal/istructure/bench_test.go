@@ -167,14 +167,15 @@ func BenchmarkShardExtractPage(b *testing.B) {
 	}
 }
 
-// BenchmarkShardTouchPage: the heat-table update every access pays.
-func BenchmarkShardTouchPage(b *testing.B) {
+// BenchmarkShardScan: the scan detector's update, which the cluster's heat
+// layer pays on every read.
+func BenchmarkShardScan(b *testing.B) {
 	_, a := benchArray(b, 1)
 	pages := a.Header().Pages()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i, page := 0, 0; i < b.N; i++ {
-		a.touchPage(page)
+		a.Scan(page)
 		if page++; page == pages {
 			page = 0
 		}

@@ -7,13 +7,13 @@ import (
 	"repro/internal/isa"
 )
 
-// Tests for the unified page-heat table: the CLOCK behavior it derives
-// must be indistinguishable from the old per-slot ring it replaced, the
-// sequential-scan detector must recognize exactly forward scans, and the
-// refetch window's generation reset must spare this PE's own segment.
+// Tests for the page cache's CLOCK policy and refetch window, and for the
+// sequential-scan detector: the cache must be indistinguishable from a
+// reference CLOCK ring, the refetch window must end exactly two
+// generations on, and the detector must recognize exactly forward scans.
 
-// refClock is a faithful reference model of the pre-heat cache: a CLOCK
-// ring of explicit ref bits plus the paired generational eviction maps.
+// refClock is a reference model of the cache: a CLOCK ring of explicit
+// ref bits plus paired generational eviction maps.
 // The equivalence test drives it and the Shard with one op sequence and
 // compares residency and counters after every op.
 type refClock struct {
@@ -99,13 +99,13 @@ func (r *refClock) install(k pageKey) {
 	}
 }
 
-// TestHeatTableClockEquivalence drives the heat-backed cache and the
-// reference ring with the same deterministic pseudo-random sequence of
-// installs and lookups and requires identical residency, eviction counts,
-// and refetch counts at every step. The sequence stays under one refetch
-// generation (< evictedGen evictions), where the old paired maps and the
-// new per-entry generation stamps define the same window.
-func TestHeatTableClockEquivalence(t *testing.T) {
+// TestCacheClockEquivalence drives the shard's cache and the reference
+// ring with the same deterministic pseudo-random sequence of installs and
+// lookups and requires identical residency, eviction counts, and refetch
+// counts at every step. The sequence stays under one refetch generation
+// (< evictedGen evictions), where the paired maps and the per-page
+// eviction stamps define the same window.
+func TestCacheClockEquivalence(t *testing.T) {
 	const (
 		pageElems = 8
 		cap       = 8
@@ -195,40 +195,49 @@ func TestScanRunDetector(t *testing.T) {
 			if err := sh.Install(h); err != nil {
 				t.Fatal(err)
 			}
+			a := sh.Array(1)
 			for _, p := range tc.touches {
-				sh.CacheLookup(1, h, p*h.PageElems)
+				a.Scan(p)
 			}
-			if got := sh.Array(1).ScanRun(tc.page); got != tc.want {
-				t.Fatalf("ScanRun(%d) after %v = %d, want %d", tc.page, tc.touches, got, tc.want)
+			if got := a.runs[tc.page]; got != tc.want {
+				t.Fatalf("run at page %d after scanning %v = %d, want %d", tc.page, tc.touches, got, tc.want)
 			}
 		})
 	}
 }
 
-// TestGenerationResetKeepsOwnedPages: rotating the refetch window resets
-// the heat of remote pages that aged out of it, and never the heat of this
-// PE's own segment, which the scan detector keeps following.
-func TestGenerationResetKeepsOwnedPages(t *testing.T) {
+// TestRefetchWindowEdge: a page evicted in generation g and installed
+// again in generation g+1 is a refetch, up to that generation's last
+// eviction; installed again in g+2, it is not.
+func TestRefetchWindowEdge(t *testing.T) {
 	h, err := NewHeader(1, "A", []int{32, 32}, 8, 2, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewShard(1) // owns pages 64..127
-	if err := s.Install(h); err != nil {
-		t.Fatal(err)
-	}
-	s.ReadLocal(1, 64*8, Waiter{})
-	s.ReadLocal(1, 65*8, Waiter{})
-	s.CacheLookup(1, h, 10*8) // a remote page, touched but never resident
-	s.CacheCap = 1
-	for i := 0; i <= 2*evictedGen; i++ {
-		s.InstallPage(1, i%2, &CachedPage{Vals: make([]isa.Value, 8), Set: make([]bool, 8)})
-	}
-	a := s.Array(1)
-	if got := a.ScanRun(10); got != 0 {
-		t.Errorf("remote page 10 kept run %d across two generations, want 0", got)
-	}
-	if got := a.ScanRun(65); got != 2 {
-		t.Errorf("owned page 65 run = %d after the reset, want 2", got)
+	for _, tc := range []struct {
+		evictions int64 // the shard's evictions before page 0 returns
+		refetch   bool
+	}{
+		{evictedGen, true},       // the first eviction of generation 1
+		{2*evictedGen - 1, true}, // the last eviction of generation 1
+		{2 * evictedGen, false},  // the first eviction of generation 2
+	} {
+		s := NewShard(1)
+		if err := s.Install(h); err != nil {
+			t.Fatal(err)
+		}
+		s.CacheCap = 1
+		// Page 0 goes in the shard's first eviction (generation 0); pages
+		// 1 and 2 then take turns in the one frame.
+		s.InstallPage(1, 0, cachePage(8, 0))
+		for p := 1; s.Evictions < tc.evictions; p = 3 - p {
+			s.InstallPage(1, p, cachePage(8, 0))
+		}
+		before := s.Refetches
+		s.InstallPage(1, 0, cachePage(8, 0))
+		if got := s.Refetches == before+1; got != tc.refetch {
+			t.Errorf("page 0 evicted by eviction 1, installed again after %d evictions: refetch=%v, want %v",
+				tc.evictions, got, tc.refetch)
+		}
 	}
 }

@@ -37,9 +37,7 @@ type Shard struct {
 	PE int
 
 	// slots, stride and n are the array table (table.go): one handle per
-	// installed array, resolved by ID (Shard.Array). The unified
-	// page-heat table (see heat.go) lives in the handles: each carries a
-	// dense slice of per-page entries.
+	// installed array, resolved by ID (Shard.Array).
 	slots  []idSlot
 	stride uint64
 	n      int
@@ -56,46 +54,50 @@ type Shard struct {
 	OnEvict func(arr int64, page int)
 
 	// clock is the CLOCK ring over resident cached pages: hand sweeps it
-	// clearing reference bits until it finds an unreferenced victim. The
-	// reference bits themselves live in the heat table (referenced iff
-	// heat > sweep). New pages enter unreferenced, so a page that is
-	// never probed again after its install is the first to go.
+	// clearing reference bits until it finds an unreferenced victim. New
+	// pages enter unreferenced, so a page that is never probed again
+	// after its install is the first to go.
 	clock []*cacheSlot
 	hand  int
-
-	// evictGen / evictGenCount implement the refetch window over the
-	// heat table: each eviction stamps its entry with the current
-	// generation, and a re-install counts as a refetch if the stamp is
-	// within the last two generations (evictedGen evictions each) —
-	// the same window the old paired eviction maps gave. Rotating a
-	// generation also resets heat entries that have aged out of the
-	// window, at the cost of undercounting refetches whose reuse distance
-	// exceeds two generations (a statistic, never correctness).
-	evictGen      int64
-	evictGenCount int
 
 	// Stats.
 	DeferredReads int64 // reads enqueued on absent local elements
 	CacheHits     int64 // remote reads satisfied from the page cache
 	CacheMisses   int64 // remote reads that sent a page request
 	Evictions     int64 // cached pages evicted by the CLOCK bound
-	Refetches     int64 // page installs that re-fetch a previously evicted page
+	Refetches     int64 // page installs that re-fetch a page evicted in this generation or the last
 }
 
-// cacheSlot is one resident cached page — a frame of the CLOCK ring. Its
-// reference state lives in the heat-table entry it points back to (an
-// element of its array's stats slice).
+// evictedGen is the length of one generation of the refetch window, in
+// evictions: the shard's evictions are numbered from 1, and eviction k
+// falls in generation (k-1)/evictedGen. A page evicted in generation g
+// and installed again while the shard is still in generation g or g+1 is
+// a refetch; a longer reuse distance goes uncounted (a statistic, never
+// correctness).
+const evictedGen = 8192
+
+// cacheSlot is one resident cached page — a frame of the CLOCK ring —
+// and its reference bit: set by every probe that finds the page and by a
+// refresh, cleared by the sweep.
 type cacheSlot struct {
 	a    *Array
 	page int
 	pg   CachedPage
-	st   *pageStat
+	ref  bool
+}
+
+// cacheEntry is one page's entry in its array's cache index: the frame
+// holding the page while it is resident, and the number of the eviction
+// that last removed it (0: never evicted).
+type cacheEntry struct {
+	slot    *cacheSlot
+	evicted int64
 }
 
 // Array is one installed array on one shard — the handle an executor
 // resolves once per access (Shard.Array) and then works through: the owned
 // segment with presence bits and deferred-read queues, and the array's
-// part of the page-heat table and page cache.
+// part of the page cache.
 type Array struct {
 	h    *Header
 	s    *Shard
@@ -113,10 +115,13 @@ type Array struct {
 	// to once the element is written.
 	remoteWaiting map[int][]RemoteWaiter
 
-	// stats is this array's slice of the heat table, indexed by page and
-	// allocated on the array's first touch; a zero entry is a page the
-	// shard has never seen.
-	stats []pageStat
+	// cache indexes the array's pages in the page cache. It is allocated
+	// when the array's first page enters the cache; until then every
+	// probe misses without a lookup.
+	cache []cacheEntry
+	// runs holds the scan detector's run length per page (heat.go),
+	// allocated at the array's first Scan.
+	runs []int32
 }
 
 // CachedPage is a snapshot of a remote page: values plus presence bits as of
@@ -175,9 +180,6 @@ func (a *Array) ReadLocal(off int, w Waiter) (isa.Value, ReadResult) {
 	if i < 0 || i >= len(a.vals) {
 		return isa.Value{}, ReadRemote
 	}
-	// Owned-segment accesses feed the heat table too: the scan detector
-	// follows a forward sweep across owned pages into the remote ones.
-	a.touchPage(a.h.PageOf(off))
 	if a.set[i] {
 		return a.vals[i], ReadHit
 	}
@@ -335,38 +337,32 @@ func (s *Shard) ExtractPage(id int64, off int) (pageIdx int, pg CachedPage, elem
 // overwriting any older (necessarily subset) snapshot; the cache copies the
 // header *pg and keeps its slices. With CacheCap set, installing a page
 // beyond the cap first evicts a resident page chosen by the CLOCK sweep;
-// re-installing a previously evicted page counts as a refetch. A page index
+// re-installing a recently evicted page counts as a refetch. A page index
 // outside the array is ignored.
 func (a *Array) InstallPage(pageIdx int, pg *CachedPage) {
-	e := a.stat(pageIdx)
-	if e == nil {
+	if pageIdx < 0 || pageIdx >= a.h.pages {
 		return
 	}
-	s := a.s
+	if a.cache == nil {
+		a.cache = make([]cacheEntry, a.h.pages)
+	}
+	s, e := a.s, &a.cache[pageIdx]
 	if e.slot != nil {
 		// A fuller snapshot of an already-resident page: refresh in place.
-		// The touch counts as a reference — the page is demonstrably live.
-		e.slot.pg = *pg
-		e.heat++
+		// The install counts as a reference — the page is demonstrably live.
+		e.slot.pg, e.slot.ref = *pg, true
 		return
 	}
-	if e.evicted && e.gen >= s.evictGen-1 {
+	// Evicted in generation g, installed again in g or g+1 (evictedGen).
+	if e.evicted != 0 && (e.evicted-1)/evictedGen+1 >= s.Evictions/evictedGen {
 		s.Refetches++
 	}
-	// Enter unreferenced: any touches the demand miss itself recorded must
-	// not count as a post-install reference (the old ring's ref=false).
-	e.sweep = e.heat
 	if s.CacheCap == 0 || len(s.clock) < s.CacheCap {
-		e.slot = &cacheSlot{a: a, page: pageIdx, pg: *pg, st: e}
-		s.clock = append(s.clock, e.slot)
-		return
-	}
-	// The ring is full. The page is resident before anything is evicted, so
-	// that a generation reset inside evictAt skips its heat entry. A cap
-	// lowered mid-run shrinks the ring first, O(1) per page by moving the
-	// last slot into the vacated frame, and the page gets a slot of its own.
-	if len(s.clock) > s.CacheCap {
 		e.slot = new(cacheSlot)
+		s.clock = append(s.clock, e.slot)
+	} else {
+		// A cap lowered mid-run shrinks the ring first, O(1) per page by
+		// moving the last frame into the vacated one.
 		for len(s.clock) > s.CacheCap {
 			i := s.victim()
 			s.evictAt(i)
@@ -375,18 +371,16 @@ func (a *Array) InstallPage(pageIdx int, pg *CachedPage) {
 			s.clock[last] = nil
 			s.clock = s.clock[:last]
 		}
-	}
-	// Classic CLOCK: the new page replaces the victim in its frame (O(1) —
-	// no ring splice) and, on a ring that did not shrink, in its slot (no
-	// allocation), with the hand advancing past it.
-	i := s.victim()
-	if e.slot == nil {
+		// Classic CLOCK: the new page takes over the victim's frame and
+		// slot (O(1), no ring splice, no allocation), and the hand
+		// advances past it.
+		i := s.victim()
+		s.evictAt(i)
 		e.slot = s.clock[i]
+		s.hand = i + 1
 	}
-	s.evictAt(i)
-	*e.slot = cacheSlot{a: a, page: pageIdx, pg: *pg, st: e}
-	s.clock[i] = e.slot
-	s.hand = i + 1
+	// The page enters unreferenced.
+	*e.slot = cacheSlot{a: a, page: pageIdx, pg: *pg}
 }
 
 // InstallPage is Array.InstallPage by array ID; a page of an array that is
@@ -399,17 +393,15 @@ func (s *Shard) InstallPage(id int64, pageIdx int, pg *CachedPage) {
 
 // victim runs the CLOCK hand until it finds an unreferenced resident page
 // and returns its frame index: referenced pages get their bit cleared and a
-// second chance. The reference bit is the heat table's heat-since-sweep
-// delta; clearing it records the current heat as seen. Terminates because
-// each pass clears bits, so the second sweep must stop. Only called with a
-// non-empty ring.
+// second chance. Terminates because each pass clears bits, so the second
+// sweep must stop. Only called with a non-empty ring.
 func (s *Shard) victim() int {
 	for {
 		if s.hand >= len(s.clock) {
 			s.hand = 0
 		}
-		if e := s.clock[s.hand].st; e.heat > e.sweep {
-			e.sweep = e.heat
+		if slot := s.clock[s.hand]; slot.ref {
+			slot.ref = false
 			s.hand++
 			continue
 		}
@@ -417,35 +409,13 @@ func (s *Shard) victim() int {
 	}
 }
 
-// evictedGen bounds one generation of the refetch-detection window.
-const evictedGen = 8192
-
-// evictAt evicts the resident page in frame i: its heat entry loses its
-// slot and gains an eviction-generation stamp for refetch detection. The
-// caller reuses or removes the frame itself. Rotating into a new
-// generation resets the heat entries that aged out of the refetch window
-// (non-resident, outside this PE's segment), exactly as if they had never
-// been touched.
+// evictAt evicts the resident page in frame i: its cache entry loses its
+// slot and records the eviction's number for refetch detection. The
+// caller reuses or removes the frame itself.
 func (s *Shard) evictAt(i int) {
 	slot := s.clock[i]
-	e := slot.st
-	e.slot = nil
-	e.evicted = true
-	e.gen = s.evictGen
-	s.evictGenCount++
-	if s.evictGenCount >= evictedGen {
-		s.evictGen++
-		s.evictGenCount = 0
-		for a := range s.installed {
-			lo, hi := a.h.SegmentPages(s.PE)
-			for p := range a.stats {
-				if st := &a.stats[p]; st.slot == nil && (p < lo || p >= hi) && st.gen < s.evictGen-1 {
-					*st = pageStat{}
-				}
-			}
-		}
-	}
 	s.Evictions++
+	slot.a.cache[slot.page] = cacheEntry{evicted: s.Evictions}
 	if s.OnEvict != nil {
 		s.OnEvict(slot.a.h.ID, slot.page)
 	}
@@ -457,16 +427,19 @@ func (s *Shard) CachedPages() int { return len(s.clock) }
 
 // CacheLookup probes the software cache for the element at off, which must
 // lie inside the array. hitPage reports the page being cached at all;
-// hitElem that the element was present in it. Every probe — hit or miss —
-// touches the heat table (feeding the scan detector); a probe that finds
-// the page resident thereby marks it referenced for the CLOCK sweep.
+// hitElem that the element was present in it. A probe that finds the page
+// resident marks it referenced for the CLOCK sweep.
 func (a *Array) CacheLookup(off int) (v isa.Value, hitPage, hitElem bool) {
-	page := a.h.PageOf(off)
-	e := a.touchPage(page)
-	if e.slot == nil {
+	if a.cache == nil {
 		return isa.Value{}, false, false
 	}
-	pg := &e.slot.pg
+	page := a.h.PageOf(off)
+	slot := a.cache[page].slot
+	if slot == nil {
+		return isa.Value{}, false, false
+	}
+	slot.ref = true
+	pg := &slot.pg
 	i := off - page*a.h.PageElems
 	if i < 0 || i >= len(pg.Vals) || !pg.Set[i] {
 		return isa.Value{}, true, false

@@ -358,6 +358,36 @@ func cachePage(elems int, base float64) *CachedPage {
 	return pg
 }
 
+// TestFirstReadsAllocateNothing: reads that cache nothing keep no per-page
+// state, so a fresh array's first owned read and first cache miss allocate
+// nothing. Each run reads a different fresh array, because AllocsPerRun
+// runs its function once before it counts.
+func TestFirstReadsAllocateNothing(t *testing.T) {
+	h, _ := NewHeader(1, "A", []int{16, 16}, 8, 2, 0, true) // PE 1 owns elements 128..255
+	const runs = 20
+	for _, tc := range []struct {
+		name string
+		read func(a *Array)
+	}{
+		{"ReadLocal", func(a *Array) { a.ReadLocal(130, Waiter{}) }},
+		{"CacheLookup miss", func(a *Array) { a.CacheLookup(3) }},
+	} {
+		arrs := make([]*Array, runs+1)
+		for i := range arrs {
+			s := NewShard(1)
+			_ = s.Install(h)
+			arrs[i] = s.Array(1)
+			if _, _, err := arrs[i].Write(130, isa.Float(1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		i := 0
+		if allocs := testing.AllocsPerRun(runs, func() { tc.read(arrs[i]); i++ }); allocs != 0 {
+			t.Errorf("first %s of a fresh array: %.0f allocations, want 0", tc.name, allocs)
+		}
+	}
+}
+
 // TestCacheCapNeverExceeded: installing any number of pages keeps the
 // resident count at or below CacheCap, and each overflow install evicts
 // exactly one page.

@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
-"""Fail when a `go test -run` pattern in a workflow selects nothing.
+"""Fail when a `go test -run` or `-bench` pattern in a workflow selects nothing.
 
 usage: scripts/check-run-patterns.py [WORKFLOW]   (default .github/workflows/ci.yml)
 
 `go test -run 'A|B'` passes quietly when B matches no test, so a renamed or
-deleted test makes a step run less than it says. For every `go test` line
-of WORKFLOW that sets -run, each `|` alternative of the pattern is listed
-with `go test -list ALT` on the line's packages (and its -race/-tags
-flags); an alternative that lists no test, benchmark, fuzz target or
-example is an error. The pattern '^$', which selects no test on purpose
-(a benchmark-only or fuzz-only step), is skipped.
+deleted test makes a step run less than it says; `-bench` patterns fail
+the same way. For every `go test` line of WORKFLOW that sets -run or
+-bench, each `|` alternative of the pattern is listed with
+`go test -list ALT` on the line's packages (and its -race/-tags flags); a
+-run alternative that lists no test, benchmark, fuzz target or example is
+an error, and so is a -bench alternative that lists no benchmark. The -run
+pattern '^$', which selects no test on purpose (a benchmark-only or
+fuzz-only step), is skipped.
 """
 import re
 import shlex
@@ -17,6 +19,7 @@ import subprocess
 import sys
 
 NAME = re.compile(r"^(Test|Benchmark|Fuzz|Example)")
+BENCH = re.compile(r"^Benchmark")
 
 
 def run_lines(path):
@@ -29,14 +32,13 @@ def run_lines(path):
 
 
 def parse(tokens):
-    """The -run pattern, build flags and packages of one go test command."""
-    pattern, build, pkgs = None, [], []
+    """The -run and -bench patterns, build flags and packages of one go test command."""
+    patterns, build, pkgs = {}, [], []
     it = iter(tokens[2:])
     for tok in it:
-        if tok == "-run":
-            pattern = next(it)
-        elif tok.startswith("-run="):
-            pattern = tok[len("-run="):]
+        flag, eq, val = tok.partition("=")
+        if flag in ("-run", "-bench"):
+            patterns[flag] = val if eq else next(it)
         elif tok == "-race":
             build.append(tok)
         elif tok == "-tags":
@@ -45,30 +47,32 @@ def parse(tokens):
             build.append(tok)
         elif tok == "." or tok.startswith("./"):
             pkgs.append(tok)
-    return pattern, build, pkgs
+    return patterns, build, pkgs
 
 
-def listed(alt, build, pkgs):
+def listed(alt, build, pkgs, name):
     out = subprocess.run(["go", "test", "-list", alt, *build, *pkgs],
                          capture_output=True, text=True)
     if out.returncode != 0:
         sys.exit(f"go test -list {alt!r} {' '.join(pkgs)} failed:\n{out.stderr}")
-    return [l for l in out.stdout.splitlines() if NAME.match(l)]
+    return [l for l in out.stdout.splitlines() if name.match(l)]
 
 
 def main():
     path = sys.argv[1] if len(sys.argv) > 1 else ".github/workflows/ci.yml"
     problems = checked = 0
     for n, tokens in run_lines(path):
-        pattern, build, pkgs = parse(tokens)
-        if pattern is None or pattern == "^$":
-            continue
-        for alt in pattern.split("|"):
-            checked += 1
-            if not listed(alt, build, pkgs or ["."]):
-                problems += 1
-                print(f"{path}:{n}: -run alternative {alt!r} matches no test in {' '.join(pkgs) or '.'}")
-    print(f"{checked} -run alternatives checked, {problems} match nothing")
+        patterns, build, pkgs = parse(tokens)
+        if patterns.get("-run") == "^$":
+            del patterns["-run"]
+        for flag, pattern in patterns.items():
+            name, what = (BENCH, "benchmark") if flag == "-bench" else (NAME, "test")
+            for alt in pattern.split("|"):
+                checked += 1
+                if not listed(alt, build, pkgs or ["."], name):
+                    problems += 1
+                    print(f"{path}:{n}: {flag} alternative {alt!r} matches no {what} in {' '.join(pkgs) or '.'}")
+    print(f"{checked} -run and -bench alternatives checked, {problems} match nothing")
     return 1 if problems else 0
 
 
