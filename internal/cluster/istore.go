@@ -36,6 +36,9 @@ type pageReq struct {
 	waiters []pageWaiter
 }
 
+// maxSpareWaiters bounds the worker's list of drained waiters slices.
+const maxSpareWaiters = 8
+
 // pageWaiter is one joined read: the element and its delivery target.
 type pageWaiter struct {
 	sp   int64
@@ -168,6 +171,9 @@ func (w *worker) execRead(sp *spInst, ins *isa.DInstr, idx []int) isa.Step {
 	e := w.inflight[k]
 	if e.demand {
 		w.joins++
+		if n := len(w.spareWaiters); e.waiters == nil && n > 0 {
+			e.waiters, w.spareWaiters = w.spareWaiters[n-1], w.spareWaiters[:n-1]
+		}
 		e.waiters = append(e.waiters, pageWaiter{sp: sp.id, slot: ins.Dst, off: int32(off)})
 		w.inflight[k] = e
 		return isa.Next
@@ -305,6 +311,9 @@ func (w *worker) handlePage(m *Msg) {
 		} else {
 			w.readReq(h, int(wt.off), wt.sp, wt.slot)
 		}
+	}
+	if e.waiters != nil && len(w.spareWaiters) < maxSpareWaiters {
+		w.spareWaiters = append(w.spareWaiters, e.waiters[:0])
 	}
 }
 

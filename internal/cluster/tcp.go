@@ -72,13 +72,15 @@ type outbox struct {
 	pend     []byte    // encoded frames not yet handed to the drainer
 	spare    []byte    // the drainer's previous buffer, for reuse
 	draining bool
-	err      error // sticky: the first write error, or net.ErrClosed after close
-	gone     bool  // the peer is known dead: sends succeed and write nothing
+	err      error  // sticky: the first write error, or net.ErrClosed after close
+	gone     bool   // the peer is known dead: sends succeed and write nothing
+	drainFn  func() // o.drain, bound once: `go o.drain()` allocates a closure
 }
 
 func newOutbox(conn net.Conn) *outbox {
 	o := &outbox{conn: conn}
 	o.idle.L = &o.mu
+	o.drainFn = o.drain
 	return o
 }
 
@@ -128,7 +130,7 @@ func (o *outbox) send(m *Msg) error {
 	}
 	if !o.draining {
 		o.draining = true
-		go o.drain()
+		go o.drainFn()
 	}
 	return nil
 }

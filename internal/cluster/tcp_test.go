@@ -468,7 +468,8 @@ func TestProgMemo(t *testing.T) {
 // --- layer (d): one transport crossing, chan and loopback TCP ---
 
 // benchChanEcho returns party 0 of a two-party transport whose party 1
-// sends every message it receives straight back.
+// sends every message it receives straight back; benchLoopbackEcho does
+// the same over a loopback TCP connection.
 func benchChanEcho(b *testing.B) *jobEndpoint {
 	eps := newChanTransport(2, 0)
 	go func() {
@@ -484,7 +485,7 @@ func benchChanEcho(b *testing.B) *jobEndpoint {
 	return eps[0]
 }
 
-func benchLoopbackEcho(b *testing.B) *jobEndpoint {
+func benchLoopbackEcho(b testing.TB) *jobEndpoint {
 	x, y := loopbackPair(b)
 	echo := &tcpEndpoint{self: 1, in: newInboxTable(0), links: []tcpLink{{out: newOutbox(y)}}}
 	go pump(y, echo.in, nil)

@@ -131,6 +131,9 @@ type worker struct {
 	// counts those reads.
 	inflight map[pageKey]pageReq
 	joins    int64
+	// spareWaiters holds drained waiters slices (at most maxSpareWaiters)
+	// for the next page that a read joins.
+	spareWaiters [][]pageWaiter
 
 	// x is the executor state, pointed at cur — the SP step last ran —
 	// for each run.

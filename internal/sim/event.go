@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"math/bits"
+
 	"repro/internal/isa"
 	"repro/internal/istructure"
 )
@@ -27,76 +30,89 @@ const (
 	evSpawnMU   // Matching Unit registered the SP: it is ready
 )
 
-// event is one entry of the priority queue. Events are totally ordered by
-// (t, seq), making every simulation bit-for-bit reproducible; seq is taken
-// once per scheduled event, in program order. rec is the PE for the two EU
-// kinds and an index into Machine.msgs for every other kind.
+// event is one entry of the event queue. Events are totally ordered by
+// (t, push order), making every simulation bit-for-bit reproducible: events
+// at one virtual time fire in the order they were scheduled, which is
+// program order. rec is the PE for the two EU kinds and an index into
+// Machine.msgs for every other kind. An event is 16 bytes.
 type event struct {
-	t, seq int64
-	rec    int32
-	kind   evKind
+	t    int64
+	rec  int32
+	kind evKind
 }
 
-func (a *event) before(b *event) bool {
-	return a.t < b.t || a.t == b.t && a.seq < b.seq
+// eventQueue is a monotone radix heap of events held by value (Ahuja,
+// Mehlhorn, Orlin and Tarjan, JACM 1990). Virtual time never goes back, so
+// no pending event is earlier than last, the time of the latest pop, and an
+// event sits in bucket bits.Len64(t^last): every event of a bucket is
+// earlier than every event of a higher one, and bucket 0 holds the events
+// at last itself, read first in, first out from head. A pop that finds
+// bucket 0 empty moves the lowest non-empty bucket down past its minimum,
+// in order, into the empty buckets below it. So each bucket stays in push
+// order, equal times share a bucket, and the queue pops in (t, push order)
+// at amortised O(1) per event. It allocates nothing once the buckets have
+// grown to the run's peaks.
+type eventQueue struct {
+	last int64
+	head int         // the next event of b[0] to pop
+	mask uint64      // bit i set: b[i] holds a pending event
+	b    [64][]event // times are non-negative, so t^last < 1<<63
 }
 
-// eventQueue is a 4-ary min-heap of events held by value: a push or a pop
-// moves 24-byte entries inside one slice and allocates nothing once the
-// slice has grown to the run's peak of pending events.
-type eventQueue []event
+func (q *eventQueue) empty() bool { return q.mask == 0 }
 
+// push adds an event no earlier than the latest pop.
 func (q *eventQueue) push(e event) {
-	h := append(*q, e)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !e.before(&h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = e
-	*q = h
+	i := bits.Len64(uint64(e.t ^ q.last))
+	q.b[i] = append(q.b[i], e)
+	q.mask |= 1 << i
 }
 
 // pop removes and returns the earliest event of a non-empty queue.
 func (q *eventQueue) pop() event {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	e := h[n]
-	h = h[:n]
-	*q = h
-	i := 0
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
+	if q.mask&1 == 0 {
+		i := bits.TrailingZeros64(q.mask)
+		b := q.b[i]
+		q.last = b[0].t
+		for _, e := range b[1:] {
+			q.last = min(q.last, e.t)
 		}
-		least := c
-		for j := c + 1; j < c+4 && j < n; j++ {
-			if h[j].before(&h[least]) {
-				least = j
-			}
+		q.b[i], q.mask = b[:0], q.mask&^(1<<i)
+		for _, e := range b {
+			q.push(e) // into a bucket below i
 		}
-		if !h[least].before(&e) {
-			break
-		}
-		h[i] = h[least]
-		i = least
 	}
-	if n > 0 {
-		h[i] = e
+	e := q.b[0][q.head]
+	if q.head++; q.head == len(q.b[0]) {
+		q.b[0], q.head, q.mask = q.b[0][:0], 0, q.mask&^1
 	}
-	return top
+	return e
 }
 
-// at schedules an event of the given kind at virtual time t.
+// due reports whether an event is pending at or before t. The lowest
+// non-empty bucket holds the earliest event; bucket 0's time is last.
+func (q *eventQueue) due(t int64) bool {
+	if q.mask&1 != 0 {
+		return q.last <= t
+	}
+	if q.mask != 0 {
+		for _, e := range q.b[bits.TrailingZeros64(q.mask)] {
+			if e.t <= t {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// at schedules an event of the given kind at virtual time t. A time before
+// the present fails the run: the queue cannot hold it.
 func (m *Machine) at(t int64, kind evKind, rec int32) {
-	m.seq++
-	m.events.push(event{t: t, seq: m.seq, rec: rec, kind: kind})
+	if t < m.now {
+		m.fail(fmt.Errorf("sim: time went backwards (%d < %d)", t, m.now))
+		return
+	}
+	m.events.push(event{t: t, rec: rec, kind: kind})
 }
 
 // msg is the pooled record behind every non-EU event: a request working its

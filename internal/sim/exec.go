@@ -97,11 +97,10 @@ func (p *pe) burst(t int64, settled bool) (now, instrs int64) {
 				// to block (the burst may have advanced past them). When nothing
 				// is scheduled that early, the re-run would be the very next
 				// event and find the same frame: it takes its turn right here.
-				if len(m.events) > 0 && m.events[0].t <= now {
+				if m.events.due(now) {
 					m.at(now, evEUSettled, int32(p.id))
 					return
 				}
-				m.seq++
 				if m.now = now; !m.countEvent() {
 					continue
 				}

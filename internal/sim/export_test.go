@@ -8,5 +8,5 @@ import "flag"
 // simulated result.
 var UpdateGolden = flag.Bool("update-golden", false, "re-record internal/sim/testdata")
 
-// Events is the number of events the machine has scheduled so far.
-func (m *Machine) Events() int64 { return m.seq }
+// Events is the number of events the machine has processed so far.
+func (m *Machine) Events() int64 { return m.nEvents }

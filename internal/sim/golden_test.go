@@ -15,8 +15,9 @@ import (
 
 const goldenPath = "testdata/golden.json"
 
-// goldenCase is everything a run reports that depends on the (t, seq) event
-// order: the virtual time, every counter and every unit's busy time.
+// goldenCase is everything a run reports that depends on the order of events
+// (by time, then push order): the virtual time, every counter and every
+// unit's busy time.
 type goldenCase struct {
 	Name   string
 	Time   int64

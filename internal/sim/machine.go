@@ -148,7 +148,6 @@ type Machine struct {
 	events    eventQueue
 	msgs      []msg
 	freeMsgs  []int32
-	seq       int64
 	nEvents   int64
 	maxEvents int64 // eventLimit; tests lower it
 	now       int64
@@ -238,11 +237,8 @@ func (m *Machine) Run(args ...isa.Value) (*Result, error) {
 	m.instantiate(m.pes[0], sp, 0)
 	m.pes[0].wakeEU(0)
 
-	for len(m.events) > 0 && m.failed == nil {
+	for !m.events.empty() && m.failed == nil {
 		ev := m.events.pop()
-		if ev.t < m.now {
-			return nil, fmt.Errorf("sim: time went backwards (%d < %d)", ev.t, m.now)
-		}
 		m.now = ev.t
 		switch t := ev.t; ev.kind {
 		case evEU, evEUSettled:

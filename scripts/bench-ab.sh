@@ -18,7 +18,9 @@
 # statistics.quantiles cuts them, the cut `benchmark -compare` uses), the
 # per-pair ratios change/base, and the pairs the change won. A gain holds
 # when the change wins at least nine pairs in ten and the medians differ
-# by more than the base's interquartile range.
+# by more than the base's interquartile range. It then prints one line per
+# end-to-end metric of BENCHMARK.json: both medians, their ratio, and
+# whether the change's median is worse by more than the metric's bound.
 #
 # Everything it writes (the exported tree, Go's build cache and temporary
 # files, the binaries, each run's output) goes under .bench_build/ at the
@@ -83,8 +85,8 @@ print(r["metrics"][sys.argv[1]]["value"], r["failed"])' "$metric")
 	done
 done
 
-python3 - "$runs" "$better" <<'EOF'
-import statistics, sys
+python3 - "$runs" "$better" "$ab" <<'EOF'
+import json, statistics, sys
 rows = [l.split() for l in open(sys.argv[1])]
 lower = sys.argv[2] == "lower"
 val = {(int(s), side): float(v) for s, side, v, _ in rows}
@@ -100,4 +102,20 @@ ratios = [val[s, "change"] / val[s, "base"] for s in seeds]
 print("ratios change/base:", " ".join(f"{r:.3f}" for r in ratios))
 won = sum(1 for r in ratios if (r < 1 if lower else r > 1))
 print(f"median ratio {statistics.median(ratios):.3f}; change won {won} of {len(ratios)} pairs")
+
+# Every end-to-end metric, judged as `benchmark -compare` judges one: the
+# change's median is worse than the base's by more than the bound.
+def metrics(side, s):
+    with open(f"{sys.argv[3]}/{side}-{s}.out") as f:
+        return json.loads(f.read().splitlines()[-1])["metrics"]
+runs = {side: [metrics(side, s) for s in seeds] for side in ("base", "change")}
+for e in json.load(open("BENCHMARK.json"))["end_to_end"]:
+    name = e["name"]
+    mb, mc = (statistics.median(m[name]["value"] for m in runs[side]) for side in ("base", "change"))
+    worse = (mc - mb) / mb if mb else (0.0 if mc == mb else float("inf"))
+    if e["better"] == "higher":
+        worse = -worse
+    verdict = "worse by more than the bound" if worse > e["bound"] else "within bound"
+    ratio = f"{mc / mb:.3f}" if mb else "-"
+    print(f"{name:16s} base {mb:.6g}  change {mc:.6g}  ratio {ratio}  bound {e['bound']}: {verdict}")
 EOF
